@@ -2,7 +2,9 @@
 
 All protocol objectives in this package are smooth and unimodal on their
 feasible intervals, so a dense grid to localize the optimum followed by
-golden-section refinement is both robust and fast.
+golden-section refinement is both robust and fast. The grid is evaluated
+in one call: the objective given to `maximize_unimodal` first receives the
+whole grid as a float ndarray, then single floats during refinement.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InfeasibleVariantError
+from .errors import InfeasibleVariantError, ParameterRangeError
 
 _INV_PHI = (sqrt(5.0) - 1.0) / 2.0
 
 
 def maximize_unimodal(
-    f: Callable[[float], float],
+    f: Callable,
     lo: float = 0.0,
     hi: float = 1.0,
     grid_points: int = 10_000,
@@ -29,9 +31,17 @@ def maximize_unimodal(
     Seeds with a uniform grid of `grid_points` samples, then refines the
     bracketing interval around the best sample by golden-section search
     until its width falls below `tol`. Returns (argmax, max).
+
+    `f` is called once with the whole grid as a float ndarray and must
+    return one value per point, elementwise; every later call passes a
+    single float. Raises ParameterRangeError when `grid_points` < 2.
     """
+    if grid_points < 2:
+        raise ParameterRangeError(f"grid_points must be >= 2, got {grid_points}")
     xs = np.linspace(lo, hi, grid_points)
-    vals = np.array([f(x) for x in xs])
+    vals = np.asarray(f(xs), dtype=float)
+    if vals.shape != xs.shape:
+        raise ValueError(f"f returned shape {vals.shape} for a grid of shape {xs.shape}")
     i = int(np.argmax(vals))  # lowest index wins ties: deterministic
     a = xs[max(i - 1, 0)]
     b = xs[min(i + 1, grid_points - 1)]

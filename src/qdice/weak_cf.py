@@ -16,7 +16,7 @@ preparation through the simulated protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -42,6 +42,8 @@ class WeakCFParams:
     eta: float
 
     def __post_init__(self):
+        if not (isfinite(self.p) and isfinite(self.eta)):
+            raise ParameterRangeError(f"p and eta must be finite, got p={self.p}, eta={self.eta}")
         if not 0.0 <= self.p <= 1.0:
             raise ParameterRangeError(f"p must lie in [0, 1], got {self.p}")
         if self.eta < 0.0 or self.eta > 1.0 - self.p + 1e-12:
@@ -191,9 +193,13 @@ def _objective_coeffs(params: WeakCFParams) -> tuple[float, float]:
     return a, b
 
 
-def alice_objective(params: WeakCFParams, delta: float) -> float:
+def alice_objective(params: WeakCFParams, delta):
+    """Alice's winning probability when she shifts weight delta to |du>.
+
+    delta may be a float or an ndarray (evaluated elementwise).
+    """
     a, b = _objective_coeffs(params)
-    return (sqrt(a * (1.0 - delta)) + sqrt(b * delta)) ** 2
+    return (np.sqrt(a * (1.0 - delta)) + np.sqrt(b * delta)) ** 2
 
 
 def alice_opt_cheat(params: WeakCFParams, grid_points: int = 10_000) -> CheatAnalysis:
@@ -202,7 +208,7 @@ def alice_opt_cheat(params: WeakCFParams, grid_points: int = 10_000) -> CheatAna
     The closed form follows from Cauchy-Schwarz: the maximum is A + B,
     attained at delta* = B/(A+B). The numeric route re-maximizes the raw
     objective with a grid plus golden-section refinement; disagreement
-    beyond 1e-9 raises CrossCheckError.
+    beyond 1e-9, or a NaN on either side, raises CrossCheckError.
     """
     if params.p >= 1.0:
         raise DegenerateProtocolError("alice_opt_cheat undefined at p = 1")
@@ -213,7 +219,7 @@ def alice_opt_cheat(params: WeakCFParams, grid_points: int = 10_000) -> CheatAna
     _, numeric = maximize_unimodal(
         lambda d: alice_objective(params, d), 0.0, 1.0, grid_points=grid_points
     )
-    if abs(numeric - closed) > CROSS_CHECK_TOL:
+    if not abs(numeric - closed) <= CROSS_CHECK_TOL:  # fails closed on NaN
         raise CrossCheckError(
             f"closed-form {closed!r} vs numeric {numeric!r} differ beyond {CROSS_CHECK_TOL}"
         )

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import inf, nextafter
 from typing import NamedTuple
 
 import numpy as np
@@ -93,6 +95,20 @@ def _party_stages(n_parties: int, party: int) -> list[tuple[int, Fraction]]:
     return stages
 
 
+@lru_cache(maxsize=4096)
+def _stage_table(n_parties: int, party: int) -> tuple[tuple[int, float, float], ...]:
+    """(stage index, float(win), floor) for every stage the party plays.
+
+    floor is the largest float <= the exact win probability, so for a float
+    delta, `delta > floor` holds exactly when `delta > win` does.
+    """
+    table = []
+    for k, win in _party_stages(n_parties, party):
+        w = float(win)
+        table.append((k, w, w if Fraction(w) <= win else nextafter(w, -inf)))
+    return tuple(table)
+
+
 def honest_distribution(n_parties: int) -> list[Fraction]:
     """Each party's honest winning probability as an exact chain product."""
     if n_parties < 2:
@@ -114,13 +130,13 @@ def max_losing_prob(spec: TournamentSpec, honest_party: int) -> float:
     products (a party with no stages cannot occur for N >= 2) would be 1.
     """
     survive = 1.0
-    for k, win in _party_stages(spec.n_parties, honest_party):
+    for k, win, floor in _stage_table(spec.n_parties, honest_party):
         delta = spec.stage_biases[k - 1]
-        if delta > win:
+        if delta > floor:
             raise InvalidBiasError(
-                f"stage {k} bias {delta} exceeds honest win probability {float(win)}"
+                f"stage {k} bias {delta} exceeds honest win probability {win}"
             )
-        survive *= float(win) - delta
+        survive *= win - delta
     return 1.0 - survive
 
 

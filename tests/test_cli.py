@@ -56,6 +56,29 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("weak-cf", "--p", "0.5", "--eta", "nan"),
+            ("weak-cf", "--p", "nan", "--eta", "0.1"),
+            ("weak-cf", "--p", "0.5", "--eta", "inf"),
+            ("oracle", "--p", "0.5", "--eta", "nan", "--resolution", "10"),
+        ],
+    )
+    def test_non_finite_weak_cf_params_exit_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("grid", ["1", "0", "-3"])
+    def test_degenerate_grid_is_a_usage_error(self, capsys, grid):
+        code, out, err = run_cli(capsys, "--grid", grid, "weak-cf", "--p", "0.3", "--eta", "0.2")
+        assert code == 1
+        assert out == ""
+        assert "grid_points must be >= 2" in err
+        assert "argmax" not in err and "mismatch" not in err
+
 
 class TestSchemas:
     def test_weak_cf(self, capsys, schema_loader):

@@ -126,3 +126,16 @@ class TestSerialization:
     def test_solution_json_fields(self):
         d = sixround_dr.solve("case1").to_json_dict()
         assert set(d) == {"variant", "eta_star", "p_bar_star", "bias", "constraint_residual"}
+
+
+class TestExactValues:
+    # the vectorized cross-check grid must not move any bit of the solution
+    @pytest.mark.parametrize(
+        "variant,eta_star",
+        [("case1", "0.14620126286020724"), ("case2", "0.19878463721670414")],
+    )
+    def test_eta_star_is_bit_exact(self, variant, eta_star):
+        assert repr(sixround_dr.solve(variant).eta_star) == eta_star
+
+    def test_case1_bias_is_bit_exact(self):
+        assert repr(sixround_dr.solve("case1").bias) == "0.18089254593162496"

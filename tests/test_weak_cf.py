@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from qdice import weak_cf
-from qdice.errors import DegenerateProtocolError, ParameterRangeError, ResolutionTooCoarseError
+from qdice.errors import (
+    CrossCheckError,
+    DegenerateProtocolError,
+    ParameterRangeError,
+    ResolutionTooCoarseError,
+)
 from qdice.weak_cf import WeakCFParams
 
 S2 = sqrt(2.0)
@@ -27,6 +32,14 @@ class TestParams:
     def test_clamps_eta_marginally_above_cap(self):
         params = WeakCFParams(0.5, 0.5 + 5e-13)
         assert params.eta == 0.5
+
+    @pytest.mark.parametrize(
+        "p,eta",
+        [(0.5, float("nan")), (float("nan"), 0.1), (0.5, float("inf")), (float("-inf"), 0.0)],
+    )
+    def test_rejects_non_finite(self, p, eta):
+        with pytest.raises(ParameterRangeError, match="finite"):
+            WeakCFParams(p, eta)
 
 
 class TestHonestRun:
@@ -93,6 +106,18 @@ class TestAliceOptCheat:
             assert abs(numeric - (a + b)) <= 1e-9
             # the production path re-runs this cross-check and raises on failure
             weak_cf.alice_opt_cheat(params)
+
+    def test_objective_on_array_matches_scalars(self):
+        params = WeakCFParams(0.3, 0.25)
+        deltas = np.linspace(0.0, 1.0, 101)
+        values = weak_cf.alice_objective(params, deltas)
+        assert values.shape == deltas.shape
+        assert [float(v) for v in values] == [float(weak_cf.alice_objective(params, d)) for d in deltas]
+
+    def test_cross_check_fails_closed_on_nan(self, monkeypatch):
+        monkeypatch.setattr(weak_cf, "maximize_unimodal", lambda *a, **k: (0.5, float("nan")))
+        with pytest.raises(CrossCheckError):
+            weak_cf.alice_opt_cheat(WeakCFParams(0.5, 0.2))
 
     def test_degenerate_p_one_rejected(self):
         with pytest.raises(DegenerateProtocolError):

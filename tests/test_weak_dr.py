@@ -1,5 +1,6 @@
 """Weak DR tournament: honest chain products, losing probabilities, bias bound."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,35 @@ class TestMaxLosingProb:
         spec = TournamentSpec(3, (0.05, 0.4))
         with pytest.raises(InvalidBiasError):
             weak_dr.max_losing_prob(spec, 3)  # party 3's stage-2 win prob is 1/3
+
+    def test_rejection_is_exact_at_every_stage_boundary(self):
+        # the float threshold must reject exactly the biases above the exact
+        # Fraction win probability: every stage of every party for N <= 64,
+        # at float(win) and its two neighbouring floats
+        above = {}  # (delta, win numerator, win denominator) -> Fraction(delta) > win
+        checked = 0
+        for n_parties in range(2, 65):
+            specs = {}  # (stage, delta) -> spec biased at that stage only
+            for party in range(1, n_parties + 1):
+                for k, win in weak_dr._party_stages(n_parties, party):
+                    w = float(win)
+                    for delta in (math.nextafter(w, -math.inf), w, math.nextafter(w, math.inf)):
+                        if (k, delta) not in specs:
+                            biases = [0.0] * (n_parties - 1)
+                            biases[k - 1] = delta
+                            specs[k, delta] = TournamentSpec(n_parties, biases)
+                        key = (delta, win.numerator, win.denominator)
+                        if key not in above:
+                            above[key] = Fraction(delta) > win
+                        try:
+                            weak_dr.max_losing_prob(specs[k, delta], party)
+                            raised = False
+                        except InvalidBiasError:
+                            raised = True
+                        assert raised == above[key], (n_parties, party, k, delta)
+                        checked += 1
+        assert checked == 3 * sum(n * (n - 1) // 2 + n - 1 for n in range(2, 65))
+        assert any(above.values()) and not all(above.values())
 
     def test_monotone_in_common_bias(self):
         values = []
