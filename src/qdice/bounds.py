@@ -16,7 +16,6 @@ from typing import Sequence
 from .errors import DimensionMismatchError, ParameterRangeError
 
 RATIONAL_TOL = 1e-12  # reports fed by exact arithmetic
-OPTIMIZER_TOL = 1e-9  # reports fed by numeric optimization
 
 
 @dataclass(frozen=True)

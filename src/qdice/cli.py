@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from math import isfinite
 
 import numpy as np
 
@@ -31,6 +32,22 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _finite_floats(text: str) -> tuple[float, ...]:
+    """argparse type: comma-separated finite floats; empty text gives ()."""
+    return tuple(_finite_float(item) for item in text.split(",")) if text else ()
 
 
 def _fmt6(x) -> str:
@@ -53,7 +70,7 @@ def _fmt15(x) -> str:
 
 def _emit_record(record: dict, fmt: str, out) -> None:
     if fmt == "json":
-        json.dump(record, out, indent=2)
+        json.dump(record, out, indent=2, allow_nan=False)
         out.write("\n")
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -69,7 +86,9 @@ def _emit_record(record: dict, fmt: str, out) -> None:
 
 def _emit_rows(rows: list[dict], fmt: str, out) -> None:
     if fmt == "json":
-        json.dump({"rows": rows, "all_pass": all(r["passed"] for r in rows)}, out, indent=2)
+        json.dump(
+            {"rows": rows, "all_pass": all(r["passed"] for r in rows)}, out, indent=2, allow_nan=False
+        )
         out.write("\n")
         return
     columns = list(rows[0].keys())
@@ -105,7 +124,7 @@ def _cmd_oracle(args) -> tuple[dict, int]:
     record["closed_form"] = closed.p_alice_star
     record["abs_diff"] = abs(oracle.p_alice_star - closed.p_alice_star)
     record["maximizer_alphas"] = list(oracle.maximizer_alphas)
-    code = 0 if record["abs_diff"] <= 1e-4 else MISMATCH_EXIT
+    code = 0 if record["abs_diff"] <= weak_cf.CROSS_CHECK_TOL else MISMATCH_EXIT
     return record, code
 
 
@@ -121,7 +140,7 @@ def _cmd_six_round(args) -> tuple[dict, int]:
 
 
 def _cmd_weak_dr(args) -> tuple[dict, int]:
-    biases = tuple(float(b) for b in args.biases.split(",")) if args.biases else (0.0,) * (args.n - 1)
+    biases = args.biases or (0.0,) * (args.n - 1)
     spec = weak_dr.TournamentSpec(args.n, biases)
     honest = weak_dr.honest_distribution(args.n)
     check = weak_dr.bias_bound_check(spec, args.party)
@@ -237,65 +256,84 @@ def _cmd_reproduce(args) -> tuple[list[dict], int]:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
+    """The flags every subcommand shares. Copies given after the subcommand
+    suppress their defaults, so they never overwrite one given before it."""
+
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
+    parser.add_argument("--tol", type=_finite_float, default=default(1e-9), help="cross-check tolerance")
+    parser.add_argument("--grid", type=int, default=default(10_000), help="delta-maximization grid points")
+    parser.add_argument("--seed", type=int, default=default(0), help="random seed for sampled runs")
+    parser.add_argument(
+        "--format", dest="fmt", choices=("table", "json", "csv"), default=default("json")
+    )
+    parser.add_argument("--output", default=default(None), help="write results here instead of stdout")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qdice", description=__doc__)
-    parser.add_argument("--tol", type=float, default=1e-9, help="cross-check tolerance")
-    parser.add_argument("--grid", type=int, default=10_000, help="delta-maximization grid points")
-    parser.add_argument("--seed", type=int, default=0, help="random seed for sampled runs")
-    parser.add_argument("--format", dest="fmt", choices=("table", "json", "csv"), default="json")
-    parser.add_argument("--output", default=None, help="write results here instead of stdout")
+    _add_global_flags(parser, suppress=False)
+    global_flags = argparse.ArgumentParser(add_help=False)
+    _add_global_flags(global_flags, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("weak-cf", help="three-round weak imbalanced CF cheat analysis")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--eta", type=float, required=True)
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, parents=[global_flags])
+
+    p = command("weak-cf", help="three-round weak imbalanced CF cheat analysis")
+    p.add_argument("--p", type=_finite_float, required=True)
+    p.add_argument("--eta", type=_finite_float, required=True)
     p.set_defaults(handler=_cmd_weak_cf)
 
-    p = sub.add_parser("oracle", help="brute-force adversary oracle vs closed form")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--resolution", type=int, default=60)
+    p = command("oracle", help="exact adversary oracle vs closed form")
+    p.add_argument("--p", type=_finite_float, required=True)
+    p.add_argument("--eta", type=_finite_float, required=True)
+    p.add_argument(
+        "--resolution", type=int, default=60, help="must be >= 10; does not change the result"
+    )
     p.set_defaults(handler=_cmd_oracle)
 
-    p = sub.add_parser("six-round", help="six-round weak three-sided DR solution")
+    p = command("six-round", help="six-round weak three-sided DR solution")
     p.add_argument("--variant", choices=("case1", "case2"), default="case1")
     p.set_defaults(handler=_cmd_six_round)
 
-    p = sub.add_parser("weak-dr", help="weak DR tournament losing probability and bound")
+    p = command("weak-dr", help="weak DR tournament losing probability and bound")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--biases", default=None, help="comma-separated stage biases")
+    p.add_argument("--biases", type=_finite_floats, default=None, help="comma-separated stage biases")
     p.add_argument("--party", type=int, default=1)
     p.set_defaults(handler=_cmd_weak_dr)
 
-    p = sub.add_parser("strong-cf", help="optimal strong imbalanced CF parameters and cheats")
-    p.add_argument("--p0", type=float, required=True)
-    p.add_argument("--eps", type=float, default=0.0)
+    p = command("strong-cf", help="optimal strong imbalanced CF parameters and cheats")
+    p.add_argument("--p0", type=_finite_float, required=True)
+    p.add_argument("--eps", type=_finite_float, default=0.0)
     p.set_defaults(handler=_cmd_strong_cf)
 
-    p = sub.add_parser("strong-dr", help="recursive-bisection strong N-sided DR")
+    p = command("strong-dr", help="recursive-bisection strong N-sided DR")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--delta", type=_finite_float, default=0.0)
     p.add_argument("--target", type=int, default=1)
     p.set_defaults(handler=_cmd_strong_dr)
 
-    p = sub.add_parser("multiparty", help="2m-party pairing protocol or the 3-party example")
+    p = command("multiparty", help="2m-party pairing protocol or the 3-party example")
     p.add_argument("mode", nargs="?", choices=("pairing", "example3"), default="pairing")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--eps-bar", type=float, default=0.0)
+    p.add_argument("--eps-bar", type=_finite_float, default=0.0)
     p.set_defaults(handler=_cmd_multiparty)
 
-    p = sub.add_parser("colbeck", help="three-round entanglement-based strong DR")
+    p = command("colbeck", help="three-round entanglement-based strong DR")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--runs", type=int, default=0)
     p.set_defaults(handler=_cmd_colbeck)
 
-    p = sub.add_parser("bounds", help="check a bias report against the product bounds")
+    p = command("bounds", help="check a bias report against the product bounds")
     p.add_argument("action", choices=("check",))
     p.add_argument("--report", required=True, help="path to a BiasReport JSON file")
     p.set_defaults(handler=_cmd_bounds)
 
-    p = sub.add_parser("reproduce", help="recompute headline numbers as one table")
+    p = command("reproduce", help="recompute headline numbers as one table")
     p.set_defaults(handler=_cmd_reproduce)
 
     return parser
@@ -310,23 +348,22 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         result, code = args.handler(args)
+        buf = io.StringIO()
+        if isinstance(result, list):
+            _emit_rows(result, args.fmt, buf)
+        else:
+            _emit_record(result, args.fmt, buf)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(buf.getvalue())
+        else:
+            sys.stdout.write(buf.getvalue())
     except (CrossCheckError, InfeasibleVariantError) as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)
         return MISMATCH_EXIT
     except (QdiceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-
-    buf = io.StringIO()
-    if isinstance(result, list):
-        _emit_rows(result, args.fmt, buf)
-    else:
-        _emit_record(result, args.fmt, buf)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
     return code
 
 

@@ -9,8 +9,8 @@ Alice's cheating room against Bob's.
 
 Cheat analyses are computed two independent ways and cross-checked: a
 closed form obtained by Cauchy-Schwarz, and numeric maximization. The
-adversary oracle additionally brute-forces Alice's full four-amplitude
-preparation through the simulated protocol.
+adversary oracle additionally covers Alice's full four-amplitude
+preparation: an exact rank-1 maximum, certified by simulation.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from . import quantum_core as qc
 from .errors import (
     CrossCheckError,
     DegenerateProtocolError,
+    DimensionMismatchError,
     ParameterRangeError,
     ResolutionTooCoarseError,
 )
@@ -32,6 +33,7 @@ from .optimize import bisect_root, maximize_unimodal
 
 UP, DOWN = 0, 1
 CROSS_CHECK_TOL = 1e-9
+ORACLE_TOL = 1e-12  # oracle's simulated certificates
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class CheatAnalysis:
     p_alice_star: float
     p_bob_star: float
     delta_star: float
-    method: str  # closed_form | numeric_grid | oracle
+    method: str  # closed_form | oracle
     maximizer_alphas: tuple[float, float, float, float] | None = field(default=None)
 
     def to_json_dict(self) -> dict:
@@ -269,149 +271,102 @@ def fair_eta_balanced(tol: float = 1e-12) -> FairPoint:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force adversary oracle (full four-amplitude preparation)
+# Adversary oracle (full four-amplitude preparation)
 # ---------------------------------------------------------------------------
 
-def _embedded_rotation(params: WeakCFParams) -> np.ndarray:
-    """The 8x8 action of Bob's rotation on (q1,q2,q3), built column by column
-    through the generic apply() machinery."""
+# Alice's preparation basis (q1, q2), in the order of CheatAnalysis.maximizer_alphas
+_PREP_BASIS = ((UP, DOWN), (DOWN, UP), (UP, UP), (DOWN, DOWN))  # a_ud, a_du, a_uu, a_dd
+
+
+def _oracle_tables(params: WeakCFParams) -> tuple[list[qc.StateVector], qc.StateVector]:
+    """Images of Alice's four basis preparations under Bob's rotation, and xi.
+
+    Image r is U (e_r tensor |d>) for the preparation basis order
+    (ud, du, uu, dd), built through the generic apply() machinery; xi is
+    the verification state.
+    """
     u = rotation_unitary(params)
-    cols = []
-    for k in range(8):
-        e = qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), np.unravel_index(k, (2, 2, 2)))
-        cols.append(qc.apply(u, e).amps)
-    return np.array(cols).T
-
-
-def _oracle_tables(params: WeakCFParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Precomputed images of Alice's four preparations under Bob's rotation.
-
-    Returns (images_re, images_im, xi amplitudes, win-sector flat indices).
-    Row r of the images is U (e_r tensor |d>) for the preparation basis
-    order (ud, du, uu, dd).
-    """
-    u8 = _embedded_rotation(params)
-    # q3 starts in |d>: flat index = 4*i + 2*j + 1 for (q1, q2) = (i, j)
-    prep_idx = [
-        UP * 4 + DOWN * 2 + DOWN,    # a_ud
-        DOWN * 4 + UP * 2 + DOWN,    # a_du
-        UP * 4 + UP * 2 + DOWN,      # a_uu
-        DOWN * 4 + DOWN * 2 + DOWN,  # a_dd
+    images = [
+        qc.apply(u, qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (i, j, DOWN)))
+        for i, j in _PREP_BASIS
     ]
-    images = u8[:, prep_idx].T
-    win_idx = [UP * 4 + UP * 2 + DOWN, DOWN * 4 + UP * 2 + DOWN]
-    return images.real.copy(), images.imag.copy(), alice_pass_state(params).amps, win_idx
+    return images, alice_pass_state(params)
 
 
-def _payoff_batch(tables, alphas: np.ndarray) -> np.ndarray:
-    """Alice's cheating payoff P_fail * P_test for a batch of preparations.
+def _score_rotated(
+    rotated: qc.StateVector, sector: list[qc.StateVector], xi: qc.StateVector
+) -> float:
+    """P_fail * P_test of a state after Bob's rotation.
 
-    alphas has shape (k, 4) with columns (a_ud, a_du, a_uu, a_dd), each row
-    a unit vector of non-negative reals. Each candidate is pushed through
-    the protocol: apply Bob's rotation, take the probability his |ud> test
-    fails, renormalize the surviving state, and score Alice's verification
-    overlap. Real and imaginary parts are carried separately so the batch
-    runs on real BLAS.
+    P_fail is the probability that Bob's |ud> test fails and P_test that
+    the renormalized post-failure state passes Alice's verification
+    against xi. A state Bob's test cannot fail on scores 0.
     """
-    images_re, images_im, xi, win_idx = tables
-    post_re = alphas @ images_re
-    post_im = alphas @ images_im
-    p_fail = 1.0 - (post_re[:, win_idx] ** 2 + post_im[:, win_idx] ** 2).sum(axis=1)
-    # The verification state has no weight in the win sector, so projecting
-    # the sector out first leaves the overlap with it unchanged.
-    ov_re = post_re @ xi.real + post_im @ xi.imag
-    ov_im = post_im @ xi.real - post_re @ xi.imag
-    ov_sq = ov_re**2 + ov_im**2
-    p_test = np.divide(ov_sq, p_fail, out=np.zeros_like(ov_sq), where=p_fail > 1e-15)
-    return p_fail * p_test
+    try:
+        p_fail, post = qc.project(rotated, sector, inside=False)
+    except DimensionMismatchError:  # vanishing failure probability
+        return 0.0
+    return p_fail * abs(qc.overlap(xi, post)) ** 2
 
 
-def _angles_to_alphas(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> np.ndarray:
-    """Hyperspherical angles -> non-negative unit 4-vectors (a_ud, a_du, a_uu, a_dd)."""
-    s1, s2 = np.sin(t1), np.sin(t2)
-    return np.stack(
-        [np.cos(t1), s1 * np.cos(t2), s1 * s2 * np.cos(t3), s1 * s2 * np.sin(t3)],
-        axis=-1,
+def _payoff(params: WeakCFParams, alphas) -> float:
+    """Alice's cheating payoff P_fail * P_test for one preparation.
+
+    alphas = (a_ud, a_du, a_uu, a_dd) is a unit vector. The preparation is
+    pushed through the protocol: Bob's rotation against a |d> ancilla, the
+    probability his |ud> test fails, and Alice's verification overlap on
+    the renormalized post-failure state.
+    """
+    amps = np.zeros(4, dtype=complex)
+    for (i, j), a in zip(_PREP_BASIS, alphas):
+        amps[i * 2 + j] = a
+    prep = qc.tensor(
+        qc.StateVector((2, 2), ("q1", "q2"), amps), qc.basis_state((2,), ("q3",), (DOWN,))
     )
-
-
-def _grid_eval(tables, axes: list[np.ndarray]):
-    """Best (payoff, angle triple) over the outer product of the angle axes.
-
-    The preparation amplitudes factor over the angles, so the post-rotation
-    amplitudes are accumulated axis by axis and only one (n2, n3, 8) slab is
-    held per t1 slice; this keeps a 200^3 grid within a few hundred MB of
-    traffic instead of materializing 8 million states.
-    """
-    images_re, images_im, xi, win_idx = tables
-    t1, t2, t3 = axes
-    c1, s1 = np.cos(t1), np.sin(t1)
-    c2, s2 = np.cos(t2), np.sin(t2)
-    c3, s3 = np.cos(t3), np.sin(t3)
-
-    best_val, best_angles = -1.0, np.array([t1[0], t2[0], t3[0]])
-
-    def accumulate(images):
-        slab3 = np.multiply.outer(c3, images[2]) + np.multiply.outer(s3, images[3])
-        return (
-            np.multiply.outer(c2, images[1])[:, None, :]
-            + s2[:, None, None] * slab3[None, :, :]
-        )  # (n2, n3, 8), still missing the t1 factors
-
-    a23_re, a23_im = accumulate(images_re), accumulate(images_im)
-    xi_re, xi_im = xi.real, xi.imag
-    for i, (c, s) in enumerate(zip(c1, s1)):
-        post_re = c * images_re[0] + s * a23_re
-        post_im = c * images_im[0] + s * a23_im
-        p_fail = 1.0 - (post_re[..., win_idx] ** 2 + post_im[..., win_idx] ** 2).sum(axis=-1)
-        ov_re = post_re @ xi_re + post_im @ xi_im
-        ov_im = post_im @ xi_re - post_re @ xi_im
-        ov_sq = ov_re**2 + ov_im**2
-        payoff = np.divide(ov_sq, p_fail, out=np.zeros_like(ov_sq), where=p_fail > 1e-15) * p_fail
-        j = int(np.argmax(payoff))
-        if payoff.flat[j] > best_val:
-            j2, j3 = np.unravel_index(j, payoff.shape)
-            best_val = float(payoff.flat[j])
-            best_angles = np.array([t1[i], t2[j2], t3[j3]])
-    return best_val, best_angles
+    rotated = qc.apply(rotation_unitary(params), prep)
+    return _score_rotated(rotated, bob_win_sector(), alice_pass_state(params))
 
 
 def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> CheatAnalysis:
-    """Brute-force Alice's optimal cheat over her full preparation space.
+    """Alice's optimal cheat over her full preparation space: the exact rank-1
+    maximum, certified by simulation.
 
-    Scans the non-negative unit 3-sphere of preparation amplitudes (ancillas
-    give Alice no advantage, and phases are irrelevant since every target
-    amplitude is non-negative) with `grid_resolution` points per
-    hyperspherical angle, then iteratively zooms the grid around the best
-    triple. Independent of the closed form: each candidate is scored by
-    simulating the protocol's rotation, test, and verification.
+    Her payoff P_fail * P_test equals |<xi|U(alpha tensor |d>)>|^2, a rank-1
+    quadratic form in the preparation alpha, so its maximum over unit alpha
+    is ||v||^2 with v_r = <xi|U(e_r tensor |d>)> (ancillas give her no
+    advantage). Both U and xi come from the simulated protocol, not from the
+    closed form. Two simulated certificates must hold within ORACLE_TOL:
+    the four basis preparations, each scored through Bob's test and Alice's
+    verification, sum to ||v||^2 (the maximum of the simulated payoff form,
+    so no preparation beats the value), and the maximizer |v| / ||v||
+    attains ||v||^2. Either failure, or a NaN, raises CrossCheckError.
+
+    grid_resolution is validated (>= 10) for compatibility but no longer
+    affects the result.
     """
     if grid_resolution < 10:
         raise ResolutionTooCoarseError(f"grid_resolution must be >= 10, got {grid_resolution}")
-    tables = _oracle_tables(params)
-    half_pi = np.pi / 2.0
-    axes = [np.linspace(0.0, half_pi, grid_resolution) for _ in range(3)]
-    best_val, best = _grid_eval(tables, axes)
+    images, xi = _oracle_tables(params)
+    v = np.array([qc.overlap(xi, img) for img in images])
+    w = np.abs(v)
+    value = float(w @ w)
+    alphas = tuple(float(x) for x in w / np.sqrt(value))
 
-    width = half_pi / (grid_resolution - 1)
-    for _ in range(14):  # zoom: 11^3 local grid, shrinking window
-        axes = [
-            np.clip(np.linspace(c - width, c + width, 11), 0.0, half_pi) for c in best
-        ]
-        val, angles = _grid_eval(tables, axes)
-        # each window contains the previous best point, so val never regresses
-        if val >= best_val:
-            best_val, best = val, angles
-        width *= 0.35
+    sector = bob_win_sector()
+    upper = sum(_score_rotated(img, sector, xi) for img in images)
+    if not abs(upper - value) <= ORACLE_TOL:  # fails closed on NaN
+        raise CrossCheckError(f"basis preparations score {upper!r}, not ||v||^2 = {value!r}")
+    attained = _payoff(params, alphas)
+    if not abs(attained - value) <= ORACLE_TOL:
+        raise CrossCheckError(f"oracle maximizer attains {attained!r}, not ||v||^2 = {value!r}")
 
-    alphas = tuple(float(x) for x in _angles_to_alphas(*(np.asarray([t]) for t in best))[0])
     a_ud, a_du = alphas[0], alphas[1]
     weight = a_ud**2 + a_du**2
     delta_star = a_du**2 / weight if weight > 0 else float("nan")
     return CheatAnalysis(
         p=params.p,
         eta=params.eta,
-        p_alice_star=best_val,
+        p_alice_star=value,
         p_bob_star=params.p + params.eta,
         delta_star=delta_star,
         method="oracle",

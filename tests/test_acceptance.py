@@ -58,10 +58,10 @@ def test_criterion_2_oracle_equivalence_grid():
         closed = weak_cf.alice_opt_cheat(params)
         worst = max(worst, abs(oracle.p_alice_star - closed.p_alice_star))
         _, _, a_uu, a_dd = oracle.maximizer_alphas
-        alphas_ok = alphas_ok and a_uu**2 < 1e-6 and a_dd**2 < 1e-6
+        alphas_ok = alphas_ok and a_uu**2 <= 1e-12 and a_dd**2 <= 1e-12
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-4 and alphas_ok and elapsed < 30.0
-    report(2, f"oracle vs closed form on 10x10 grid, worst |diff|={worst:.2e} @1e-4", ok, elapsed)
+    ok = worst <= 1e-9 and alphas_ok and elapsed < 30.0
+    report(2, f"oracle vs closed form on 10x10 grid, worst |diff|={worst:.2e} @1e-9", ok, elapsed)
 
 
 def test_criterion_3_six_round_biases():

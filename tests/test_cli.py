@@ -1,11 +1,15 @@
 """CLI contract: exit codes, output formats, schema validity, determinism."""
 
+import contextlib
+import io
 import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdice import cli
+from qdice import cli, weak_cf
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +74,46 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("strong-dr", "--n", "4", "--delta", "nan"),
+            ("multiparty", "pairing", "--m", "1", "--n", "2", "--eps-bar", "nan"),
+            ("strong-cf", "--p0", "0.5", "--eps", "nan"),
+            ("strong-cf", "--p0", "inf"),
+            ("weak-dr", "--n", "3", "--biases", "nan,0"),
+            ("weak-dr", "--n", "3", "--biases", "0.1,inf"),
+            ("--tol", "nan", "six-round"),
+            ("six-round", "--tol", "inf"),
+        ],
+    )
+    def test_non_finite_floats_rejected_at_parse_time(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "must be a finite number" in err
+
+    def test_unparseable_bias_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "weak-dr", "--n", "3", "--biases", "0.1,abc")
+        assert code == 1
+        assert out == ""
+        assert "invalid float value: 'abc'" in err
+
+    def test_unwritable_output_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x"
+        code, out, err = run_cli(capsys, "--output", str(path), "strong-cf", "--p0", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_nan_in_a_record_is_an_error_not_a_token(self, capsys, monkeypatch):
+        nan_analysis = weak_cf.CheatAnalysis(0.5, 0.2, 0.7, 0.7, float("nan"), "closed_form")
+        monkeypatch.setattr(weak_cf, "alice_opt_cheat", lambda params, grid_points: nan_analysis)
+        code, out, err = run_cli(capsys, "weak-cf", "--p", "0.5", "--eta", "0.2")
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
 
     @pytest.mark.parametrize("grid", ["1", "0", "-3"])
     def test_degenerate_grid_is_a_usage_error(self, capsys, grid):
@@ -165,6 +209,83 @@ class TestFormats:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["pa_exact"] == "2/3"
+
+
+class TestGlobalFlagPlacement:
+    def test_readme_reproduce_table(self, capsys):
+        code, after, _ = run_cli(capsys, "reproduce", "--format", "table")
+        assert code == 0
+        _, before, _ = run_cli(capsys, "--format", "table", "reproduce")
+        assert after == before
+
+    def test_both_orders_byte_identical(self, capsys):
+        tail = ["colbeck", "--n", "3", "--runs", "1000"]
+        _, before, _ = run_cli(capsys, "--seed", "5", *tail)
+        _, after, _ = run_cli(capsys, *tail, "--seed", "5")
+        _, seed0, _ = run_cli(capsys, "--seed", "0", *tail)
+        assert before == after
+        assert before != seed0
+
+    def test_flag_before_survives_subcommand_defaults(self, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        argv = ["--format", "csv", "--output", str(path), "--seed", "5", "colbeck", "--n", "3", "--runs", "10"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == ""
+        _, direct, _ = run_cli(capsys, "colbeck", "--n", "3", "--runs", "10", "--seed", "5", "--format", "csv")
+        assert path.read_text() == direct
+
+    def test_flag_after_overrides_flag_before(self, capsys):
+        tail = ["colbeck", "--n", "3", "--runs", "1000"]
+        _, both, _ = run_cli(capsys, "--seed", "0", *tail, "--seed", "5")
+        _, five, _ = run_cli(capsys, "--seed", "5", *tail)
+        assert both == five
+
+
+def _float_text():
+    return st.one_of(st.floats(min_value=0.0, max_value=0.5).map(repr), st.floats().map(repr))
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with drawn arguments, plus global flags before or after it."""
+    f, i = _float_text, st.integers
+    command = draw(st.sampled_from([
+        ["weak-cf", "--p", f(), "--eta", f()],
+        ["oracle", "--p", f(), "--eta", f(), "--resolution", i(8, 30).map(str)],
+        ["strong-cf", "--p0", f(), "--eps", f()],
+        ["strong-dr", "--n", i(0, 9).map(str), "--delta", f(), "--target", i(0, 9).map(str)],
+        ["multiparty", "pairing", "--m", i(0, 3).map(str), "--n", i(0, 4).map(str), "--eps-bar", f()],
+        ["weak-dr", "--n", i(1, 5).map(str), "--biases", st.lists(f(), min_size=1, max_size=4).map(",".join),
+         "--party", i(0, 5).map(str)],
+        ["colbeck", "--n", i(0, 6).map(str), "--runs", i(0, 50).map(str)],
+        ["six-round", "--variant", st.sampled_from(["case1", "case2"])],
+    ]))
+    command = [draw(part) if isinstance(part, st.SearchStrategy) else part for part in command]
+    flags = []
+    for flag, value in (("--tol", f()), ("--seed", i(0, 5).map(str)), ("--grid", i(1, 300).map(str)),
+                        ("--format", st.just("json"))):
+        if draw(st.booleans()):
+            flags += [flag, draw(value)]
+    return flags + command if draw(st.booleans()) else command + flags
+
+
+def _no_constants(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+class TestArgvProperty:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(argv=_argv())
+    def test_exit_code_json_and_no_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        assert code in (0, 1, 2)
+        if out.getvalue():
+            json.loads(out.getvalue(), parse_constant=_no_constants)
+        assert "Traceback" not in err.getvalue()
+        if any(x in ("nan", "inf", "-inf") for arg in argv for x in arg.split(",")):
+            assert code == 1
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from qdice import quantum_core as qc
 from qdice import weak_cf
 from qdice.errors import (
     CrossCheckError,
@@ -12,7 +13,7 @@ from qdice.errors import (
     ParameterRangeError,
     ResolutionTooCoarseError,
 )
-from qdice.weak_cf import WeakCFParams
+from qdice.weak_cf import DOWN, UP, WeakCFParams
 
 S2 = sqrt(2.0)
 FAIR_ETA = (S2 - 1) / 2
@@ -169,26 +170,26 @@ class TestAliceCheatOracle:
         oracle = weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2071), grid_resolution=200)
         closed = weak_cf.alice_opt_cheat(WeakCFParams(0.5, 0.2071))
         assert oracle.p_alice_star == pytest.approx(0.7071, abs=1e-4)
-        assert abs(oracle.p_alice_star - closed.p_alice_star) <= 1e-4
+        assert abs(oracle.p_alice_star - closed.p_alice_star) <= 1e-9
 
     def test_third_share_point_matches(self):
         params = WeakCFParams(1 / 3, 0.1462)
         oracle = weak_cf.alice_cheat_oracle(params, grid_resolution=200)
         closed = weak_cf.alice_opt_cheat(params)
         assert oracle.p_alice_star == pytest.approx(0.8476, abs=1e-4)
-        assert abs(oracle.p_alice_star - closed.p_alice_star) <= 1e-4
+        assert abs(oracle.p_alice_star - closed.p_alice_star) <= 1e-9
 
     def test_maximizer_kills_diagonal_amplitudes(self):
         oracle = weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2071), grid_resolution=60)
         _, _, a_uu, a_dd = oracle.maximizer_alphas
-        assert a_uu**2 < 1e-6
-        assert a_dd**2 < 1e-6
+        assert a_uu**2 <= 1e-12
+        assert a_dd**2 <= 1e-12
 
     def test_maximizer_delta_matches_closed_form(self):
         params = WeakCFParams(0.5, FAIR_ETA)
         oracle = weak_cf.alice_cheat_oracle(params, grid_resolution=60)
         closed = weak_cf.alice_opt_cheat(params)
-        assert oracle.delta_star == pytest.approx(closed.delta_star, abs=1e-4)
+        assert oracle.delta_star == pytest.approx(closed.delta_star, abs=1e-9)
 
     def test_too_coarse_rejected(self):
         with pytest.raises(ResolutionTooCoarseError):
@@ -199,9 +200,7 @@ class TestAliceCheatOracle:
         # alpha = (sqrt(1-d), sqrt(d), 0, 0) scores the squared two-term sum
         p, eta, d = 0.5, 0.2, 0.3
         params = WeakCFParams(p, eta)
-        tables = weak_cf._oracle_tables(params)
-        alphas = np.array([[sqrt(1 - d), sqrt(d), 0.0, 0.0]])
-        got = weak_cf._payoff_batch(tables, alphas)[0]
+        got = weak_cf._payoff(params, (sqrt(1 - d), sqrt(d), 0.0, 0.0))
         expected = (
             sqrt((1 - p - eta) * (1 - d) / (1 - p)) + sqrt(eta**2 * d / ((1 - p) * (p + eta)))
         ) ** 2
@@ -210,12 +209,55 @@ class TestAliceCheatOracle:
     def test_diagonal_amplitudes_only_waste_weight(self):
         # moving weight onto a_uu or a_dd can only lower the payoff
         params = WeakCFParams(0.4, 0.2)
-        tables = weak_cf._oracle_tables(params)
-        base = weak_cf._payoff_batch(tables, np.array([[0.8, 0.6, 0.0, 0.0]]))[0]
+        base = weak_cf._payoff(params, (0.8, 0.6, 0.0, 0.0))
         for spoiled in ([0.8 * 0.9, 0.6 * 0.9, 0.19078784, 0.4], [0.7, 0.5, 0.36055513, 0.36055513]):
             v = np.array(spoiled)
             v /= np.linalg.norm(v)
-            assert weak_cf._payoff_batch(tables, v[None, :])[0] < base
+            assert weak_cf._payoff(params, v) < base
+
+    def test_no_preparation_beats_the_oracle(self):
+        # random preparations, complex phases included, scored by simulation
+        rng = np.random.default_rng(7)
+        for params in (WeakCFParams(0.5, 0.2071), WeakCFParams(0.3, 0.5), WeakCFParams(0.8, 0.05)):
+            best = weak_cf.alice_cheat_oracle(params, grid_resolution=10).p_alice_star
+            for _ in range(50):
+                z = rng.normal(size=4) + 1j * rng.normal(size=4)
+                assert weak_cf._payoff(params, z / np.linalg.norm(z)) <= best + 1e-12
+
+    def test_attainment_failure_raises(self, monkeypatch):
+        for bad in (0.5, float("nan")):
+            monkeypatch.setattr(weak_cf, "_payoff", lambda params, alphas, bad=bad: bad)
+            with pytest.raises(CrossCheckError, match="attains"):
+                weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
+
+    def test_basis_certificate_failure_raises(self, monkeypatch):
+        # a verification state with support in Bob's win sector breaks the
+        # rank-1 model: v counts that support, the simulated test projects it out
+        tables = weak_cf._oracle_tables
+
+        def leaky_tables(params):
+            images, xi = tables(params)
+            amps = xi.amps.copy()
+            amps[UP * 4 + UP * 2 + DOWN] = 0.3
+            return images, qc.StateVector(xi.dims, xi.labels, amps / np.linalg.norm(amps))
+
+        monkeypatch.setattr(weak_cf, "_oracle_tables", leaky_tables)
+        with pytest.raises(CrossCheckError, match="basis"):
+            weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
+
+    def test_basis_certificate_nan_raises(self, monkeypatch):
+        monkeypatch.setattr(weak_cf, "_score_rotated", lambda rotated, sector, xi: float("nan"))
+        with pytest.raises(CrossCheckError, match="basis"):
+            weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
+
+    def test_unfailable_preparation_scores_zero(self):
+        # at eta = 0 Bob's rotation keeps |ud> on (q2, q3), so a_du lands in his win sector
+        assert weak_cf._payoff(WeakCFParams(0.5, 0.0), (0.0, 1.0, 0.0, 0.0)) == 0.0
+
+    def test_resolution_does_not_change_the_result(self):
+        params = WeakCFParams(0.3, 0.5)
+        results = [weak_cf.alice_cheat_oracle(params, grid_resolution=r) for r in (10, 24, 60)]
+        assert results[1:] == results[:-1]
 
 
 class TestOracleEquivalenceSweep:
@@ -223,7 +265,7 @@ class TestOracleEquivalenceSweep:
         for params in weak_cf.param_grid(4, 4):
             oracle = weak_cf.alice_cheat_oracle(params, grid_resolution=24)
             closed = weak_cf.alice_opt_cheat(params)
-            assert abs(oracle.p_alice_star - closed.p_alice_star) <= 1e-4
+            assert abs(oracle.p_alice_star - closed.p_alice_star) <= 1e-9
 
 
 class TestSerialization:
