@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import isfinite
 
 import numpy as np
@@ -339,8 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every `run` in this process uses: built once, since
+    parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -108,25 +108,3 @@ def solve(variant: str, tol: float = 1e-12) -> SixRoundSolution:
         bias=p_bar - HONEST_LOSS,
         constraint_residual=residual(eta_star),
     )
-
-
-def solve_case2_unsquared() -> SixRoundSolution:
-    """Case 2 with the square dropped from the preparer-cheat side.
-
-    Kept only to document that this alternative reading of the constraint
-    does not reproduce the expected case-2 bias; the squared form does.
-    """
-
-    def residual(eta: float) -> float:
-        preparer_cheat = alice_opt_cheat(WeakCFParams(p=2.0 / 3.0, eta=eta)).p_alice_star
-        return (2.0 / 3.0 + eta) - (INV_SQRT2 + (1.0 - INV_SQRT2) * sqrt(preparer_cheat))
-
-    eta_star = bisect_root(residual, 0.0, 1.0 / 3.0)
-    p_bar = 2.0 / 3.0 + eta_star
-    return SixRoundSolution(
-        variant="case2_unsquared",
-        eta_star=eta_star,
-        p_bar_star=p_bar,
-        bias=p_bar - HONEST_LOSS,
-        constraint_residual=residual(eta_star),
-    )

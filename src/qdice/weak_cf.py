@@ -195,13 +195,17 @@ def _objective_coeffs(params: WeakCFParams) -> tuple[float, float]:
     return a, b
 
 
+def _objective(a: float, b: float, delta):
+    """(sqrt(A(1-d)) + sqrt(B d))^2 for coefficients from `_objective_coeffs`."""
+    return (np.sqrt(a * (1.0 - delta)) + np.sqrt(b * delta)) ** 2
+
+
 def alice_objective(params: WeakCFParams, delta):
     """Alice's winning probability when she shifts weight delta to |du>.
 
     delta may be a float or an ndarray (evaluated elementwise).
     """
-    a, b = _objective_coeffs(params)
-    return (np.sqrt(a * (1.0 - delta)) + np.sqrt(b * delta)) ** 2
+    return _objective(*_objective_coeffs(params), delta)
 
 
 def alice_opt_cheat(params: WeakCFParams, grid_points: int = 10_000) -> CheatAnalysis:
@@ -218,9 +222,7 @@ def alice_opt_cheat(params: WeakCFParams, grid_points: int = 10_000) -> CheatAna
     closed = a + b
     delta_star = 0.0 if closed == 0.0 else b / closed
 
-    _, numeric = maximize_unimodal(
-        lambda d: alice_objective(params, d), 0.0, 1.0, grid_points=grid_points
-    )
+    _, numeric = maximize_unimodal(lambda d: _objective(a, b, d), 0.0, 1.0, grid_points=grid_points)
     if not abs(numeric - closed) <= CROSS_CHECK_TOL:  # fails closed on NaN
         raise CrossCheckError(
             f"closed-form {closed!r} vs numeric {numeric!r} differ beyond {CROSS_CHECK_TOL}"

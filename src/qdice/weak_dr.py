@@ -140,20 +140,6 @@ def max_losing_prob(spec: TournamentSpec, honest_party: int) -> float:
     return 1.0 - survive
 
 
-def expanded_losing_prob(spec: TournamentSpec, honest_party: int) -> float:
-    """The same quantity as the stagewise expansion: lose at the first stage,
-    or win a prefix of stages and lose the next one. Regression target for
-    the chain form."""
-    stages = _party_stages(spec.n_parties, honest_party)
-    losses = [1.0 - (float(win) - spec.stage_biases[k - 1]) for k, win in stages]
-    total = 0.0
-    prefix_win = 1.0
-    for loss in losses:
-        total += prefix_win * loss
-        prefix_win *= 1.0 - loss
-    return total
-
-
 def bias_bound_check(spec: TournamentSpec, honest_party: int) -> BoundCheck:
     """Check eps_bar < N * max(stage bias) for the given honest party.
 
@@ -168,20 +154,89 @@ def bias_bound_check(spec: TournamentSpec, honest_party: int) -> BoundCheck:
     return BoundCheck(eps_bar=eps_bar, bound=bound, holds=holds)
 
 
+def _draw_tournament(rng: np.random.Generator, max_parties: int) -> tuple[int, np.ndarray]:
+    """One random (N, stage biases) draw with 2 <= N <= max_parties and biases below 1/(2N)."""
+    if max_parties < 2:
+        raise ParameterRangeError(f"max_parties must be >= 2, got {max_parties}")
+    n = int(rng.integers(2, max_parties + 1))
+    return n, rng.uniform(0.0, 1.0 / (2 * n), size=n - 1)
+
+
 def random_tournament(rng: np.random.Generator, max_parties: int = 10) -> TournamentSpec:
     """A random instance with N <= max_parties and stage biases below 1/(2N)."""
-    n = int(rng.integers(2, max_parties + 1))
-    biases = rng.uniform(0.0, 1.0 / (2 * n), size=n - 1)
-    return TournamentSpec(n, tuple(float(b) for b in biases))
+    n, biases = _draw_tournament(rng, max_parties)
+    return TournamentSpec(n, biases.tolist())
+
+
+@lru_cache(maxsize=256)
+def _stage_matrices(n_parties: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Party x stage arrays (plays, win, floor) from `_stage_table`.
+
+    Off the party's stages, win is 1.0 (a neutral factor) and floor is +inf
+    (no bias can exceed it). The arrays are read-only.
+    """
+    plays = np.zeros((n_parties, n_parties - 1), dtype=bool)
+    win = np.ones((n_parties, n_parties - 1))
+    floor = np.full((n_parties, n_parties - 1), inf)
+    for party in range(1, n_parties + 1):
+        for k, w, f in _stage_table(n_parties, party):
+            plays[party - 1, k - 1] = True
+            win[party - 1, k - 1] = w
+            floor[party - 1, k - 1] = f
+    for a in (plays, win, floor):
+        a.setflags(write=False)
+    return plays, win, floor
+
+
+def _bound_checks(n_parties: int, biases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`bias_bound_check` for every (tournament, party) pair of one size at once.
+
+    biases has one row of N-1 stage biases per tournament; the results
+    (eps_bar, bound, holds) have shape (tournaments, N), column j for party
+    j+1. Each value is bit-identical to the scalar check: the survive
+    product runs over the stages left to right from 1.0, with factor 1.0
+    off the party's stages. A bias above a stage's floor raises the
+    InvalidBiasError the scalar path raises first, in (tournament, party,
+    stage) order.
+    """
+    plays, win, floor = _stage_matrices(n_parties)
+    over = biases[:, None, :] > floor
+    if over.any():
+        i, j, k = np.argwhere(over)[0]
+        delta, w = float(biases[i, k]), float(win[j, k])
+        raise InvalidBiasError(f"stage {k + 1} bias {delta} exceeds honest win probability {w}")
+    survive = np.ones((biases.shape[0], n_parties))
+    for k in range(n_parties - 1):
+        survive *= np.where(plays[:, k], win[:, k] - biases[:, k, None], 1.0)
+    eps_bar = (1.0 - survive) - (n_parties - 1) / n_parties
+    bound = n_parties * biases.max(axis=1, keepdims=True)
+    holds = np.where(bound > 0.0, eps_bar < bound, eps_bar <= 0.0)
+    return eps_bar, np.broadcast_to(bound, eps_bar.shape), holds
+
+
+def _draw_batches(rng: np.random.Generator, count: int, max_parties: int) -> dict[int, np.ndarray]:
+    """count `random_tournament` draws, as N -> stage-bias rows in draw order."""
+    rows: dict[int, list[np.ndarray]] = {}
+    for _ in range(count):
+        n, biases = _draw_tournament(rng, max_parties)
+        rows.setdefault(n, []).append(biases)
+    return {n: np.array(r) for n, r in rows.items()}
 
 
 def bound_property_sweep(count: int, seed: int | np.random.Generator, max_parties: int = 10) -> float:
-    """Fraction of (random tournament, honest party) cases satisfying the bound."""
+    """Fraction of (random tournament, honest party) cases satisfying the bound.
+
+    Draws the same tournaments as `count` calls of `random_tournament`, in
+    the same order, so a Generator passed in ends in the same state. Each
+    tournament size is checked in one `_bound_checks` pass, which tests pin
+    bit for bit to `bias_bound_check`.
+    """
+    if count < 1:
+        raise ParameterRangeError(f"count must be >= 1, got {count}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     ok = total = 0
-    for _ in range(count):
-        spec = random_tournament(rng, max_parties)
-        for party in range(1, spec.n_parties + 1):
-            ok += bias_bound_check(spec, party).holds
-            total += 1
+    for n, biases in _draw_batches(rng, count, max_parties).items():
+        holds = _bound_checks(n, biases)[2]
+        ok += int(holds.sum())
+        total += holds.size
     return ok / total

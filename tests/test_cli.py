@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdice import cli, weak_cf
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -300,3 +303,41 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, "--seed", "3", "reproduce")
         _, second, _ = run_cli(capsys, "--seed", "3", "reproduce")
         assert first == second
+
+
+class TestGoldenReproduce:
+    # tests/data/reproduce_seed0.* hold `qdice --seed 0 --format FMT reproduce`
+    # stdout from before the batched weak-DR sweep; performance work must keep
+    # every byte of it
+    @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+    def test_stdout_is_byte_identical_to_golden(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "--seed", "0", "--format", fmt, "reproduce")
+        assert code == 0, err
+        assert out.encode() == (GOLDEN_DIR / f"reproduce_seed0.{fmt}").read_bytes()
+
+
+class TestParserReuse:
+    """One parser serves every `run` in a process; no argv leaks into the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli._shared_parser() is cli._shared_parser()
+        assert cli.build_parser() is not cli._shared_parser()
+
+    def test_format_does_not_leak(self, capsys):
+        golden = (GOLDEN_DIR / "reproduce_seed0.json").read_bytes()
+        for first in (["--format", "table", "reproduce"], ["reproduce", "--format", "csv"]):
+            code, out, _ = run_cli(capsys, *first)
+            assert code == 0 and not out.startswith("{")
+            code, out, _ = run_cli(capsys, "reproduce")
+            assert code == 0 and out.encode() == golden
+
+    def test_seed_does_not_leak(self, capsys):
+        sampled = ("colbeck", "--n", "3", "--runs", "500")
+        _, seed0, _ = run_cli(capsys, "--seed", "0", *sampled)
+        _, seed3, _ = run_cli(capsys, "--seed", "3", *sampled)
+        assert seed3 != seed0
+        _, default, _ = run_cli(capsys, *sampled)
+        assert default == seed0
+        run_cli(capsys, "--seed", "3", "reproduce")
+        _, out, _ = run_cli(capsys, "reproduce")
+        assert out.encode() == (GOLDEN_DIR / "reproduce_seed0.json").read_bytes()

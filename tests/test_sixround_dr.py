@@ -7,6 +7,8 @@ import pytest
 
 from qdice import sixround_dr
 from qdice.errors import ParameterRangeError
+from qdice.optimize import bisect_root
+from qdice.weak_cf import WeakCFParams, alice_opt_cheat
 
 S2 = sqrt(2.0)
 
@@ -113,11 +115,35 @@ class TestLosingProbs:
         assert pb == pytest.approx(1.0, abs=1e-12)
 
 
+def solve_case2_unsquared() -> sixround_dr.SixRoundSolution:
+    """Case 2 with the square dropped from the preparer-cheat side.
+
+    A regression target only: it documents that this alternative reading of
+    the constraint does not reproduce the expected case-2 bias; the squared
+    form does.
+    """
+    inv_sqrt2 = sixround_dr.INV_SQRT2
+
+    def residual(eta: float) -> float:
+        preparer_cheat = alice_opt_cheat(WeakCFParams(p=2.0 / 3.0, eta=eta)).p_alice_star
+        return (2.0 / 3.0 + eta) - (inv_sqrt2 + (1.0 - inv_sqrt2) * sqrt(preparer_cheat))
+
+    eta_star = bisect_root(residual, 0.0, 1.0 / 3.0)
+    p_bar = 2.0 / 3.0 + eta_star
+    return sixround_dr.SixRoundSolution(
+        variant="case2_unsquared",
+        eta_star=eta_star,
+        p_bar_star=p_bar,
+        bias=p_bar - sixround_dr.HONEST_LOSS,
+        constraint_residual=residual(eta_star),
+    )
+
+
 class TestUnsquaredReading:
     def test_unsquared_constraint_misses_expected_bias(self):
         # dropping the square moves the root far from the expected 0.199;
         # the squared reading is the one that reproduces it
-        unsq = sixround_dr.solve_case2_unsquared()
+        unsq = solve_case2_unsquared()
         assert abs(unsq.bias - 0.199) > 1e-3
         assert unsq.bias == pytest.approx(0.2410126502, abs=1e-6)
 

@@ -11,6 +11,42 @@ from qdice.errors import InvalidBiasError, ParameterRangeError
 from qdice.weak_dr import IdealWCFPrimitive, TournamentSpec
 
 
+def expanded_losing_prob(spec: TournamentSpec, honest_party: int) -> float:
+    """The chain form's quantity as the stagewise expansion: lose at the first
+    stage, or win a prefix of stages and lose the next one. A regression
+    target for `weak_dr.max_losing_prob`."""
+    stages = weak_dr._party_stages(spec.n_parties, honest_party)
+    losses = [1.0 - (float(win) - spec.stage_biases[k - 1]) for k, win in stages]
+    total = 0.0
+    prefix_win = 1.0
+    for loss in losses:
+        total += prefix_win * loss
+        prefix_win *= 1.0 - loss
+    return total
+
+
+def per_case_sweep(count, rng, max_parties):
+    """The sweep as one scalar `bias_bound_check` per (tournament, party) case."""
+    ok = total = 0
+    for _ in range(count):
+        spec = weak_dr.random_tournament(rng, max_parties)
+        for party in range(1, spec.n_parties + 1):
+            ok += weak_dr.bias_bound_check(spec, party).holds
+            total += 1
+    return ok / total
+
+
+def scalar_outcome(spec, party):
+    """bias_bound_check's result, or the message of the InvalidBiasError it raises."""
+    try:
+        return weak_dr.bias_bound_check(spec, party)
+    except InvalidBiasError as exc:
+        return str(exc)
+
+
+SWEEP_CASES = [(seed, mp) for seed in range(5) for mp in (2, 10, 32)]
+
+
 class TestHonestDistribution:
     def test_three_parties(self):
         assert weak_dr.honest_distribution(3) == [Fraction(1, 3)] * 3
@@ -93,7 +129,7 @@ class TestMaxLosingProb:
         for _ in range(100):
             spec = weak_dr.random_tournament(rng, max_parties=8)
             for party in range(1, spec.n_parties + 1):
-                assert weak_dr.expanded_losing_prob(spec, party) == pytest.approx(
+                assert expanded_losing_prob(spec, party) == pytest.approx(
                     weak_dr.max_losing_prob(spec, party), abs=1e-12
                 )
 
@@ -139,6 +175,20 @@ class TestBiasBound:
     def test_random_sweep_all_hold(self):
         assert weak_dr.bound_property_sweep(300, seed=2024) == 1.0
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_sweep_rejects_empty_count(self, count):
+        with pytest.raises(ParameterRangeError, match="count"):
+            weak_dr.bound_property_sweep(count, seed=0)
+
+    def test_sweep_rejects_single_party_tournaments(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterRangeError, match="max_parties"):
+            weak_dr.bound_property_sweep(10, rng, max_parties=1)
+        assert rng.bit_generator.state == state  # rejected before any draw
+        with pytest.raises(ParameterRangeError, match="max_parties"):
+            weak_dr.random_tournament(rng, max_parties=1)
+
     def test_vanishing_bias_limit(self):
         # as the max stage bias shrinks, eps_bar is squeezed below N * delta_max
         for n in (3, 6, 10):
@@ -147,6 +197,84 @@ class TestBiasBound:
                 for party in (1, n):
                     check = weak_dr.bias_bound_check(spec, party)
                     assert 0.0 <= check.eps_bar < n * delta
+
+
+class TestBatchedSweep:
+    """The batched sweep against the scalar `bias_bound_check` it replaced."""
+
+    @pytest.mark.parametrize("seed,max_parties", SWEEP_CASES)
+    def test_every_case_is_bit_identical_to_the_scalar_check(self, seed, max_parties):
+        batches = weak_dr._draw_batches(np.random.default_rng(seed), 200, max_parties)
+        ref = np.random.default_rng(seed)
+        specs = [weak_dr.random_tournament(ref, max_parties) for _ in range(200)]
+        assert sum(len(rows) for rows in batches.values()) == len(specs)
+        for n, biases in batches.items():
+            same_size = [spec for spec in specs if spec.n_parties == n]
+            assert [tuple(row) for row in biases.tolist()] == [s.stage_biases for s in same_size]
+            eps_bar, bound, holds = weak_dr._bound_checks(n, biases)
+            assert eps_bar.shape == bound.shape == holds.shape == (len(same_size), n)
+            for i, spec in enumerate(same_size):
+                for party in range(1, n + 1):
+                    check = weak_dr.bias_bound_check(spec, party)
+                    got = (float(eps_bar[i, party - 1]), float(bound[i, party - 1]))
+                    assert got == (check.eps_bar, check.bound), (n, i, party)
+                    assert bool(holds[i, party - 1]) == check.holds
+
+    @pytest.mark.parametrize("seed,max_parties", SWEEP_CASES)
+    def test_pass_rate_and_generator_state_match_the_per_case_loop(self, seed, max_parties):
+        batched_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rate = weak_dr.bound_property_sweep(200, batched_rng, max_parties)
+        assert rate == per_case_sweep(200, ref_rng, max_parties)
+        assert batched_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert weak_dr.bound_property_sweep(200, seed, max_parties) == rate
+
+    @pytest.mark.parametrize("seed,max_parties", SWEEP_CASES)
+    def test_invalid_bias_fires_exactly_where_the_scalar_check_fires(self, seed, max_parties):
+        # take the first drawn tournament and move one stage's bias to each
+        # party's floor there, and one float above it
+        spec = weak_dr.random_tournament(np.random.default_rng(seed), max_parties)
+        n = spec.n_parties
+        raised = passed = 0
+        for party in range(1, n + 1):
+            for k, _, floor in weak_dr._stage_table(n, party):
+                for delta in (floor, math.nextafter(floor, math.inf)):
+                    biases = list(spec.stage_biases)
+                    biases[k - 1] = delta
+                    moved = TournamentSpec(n, biases)
+                    expected = [scalar_outcome(moved, j) for j in range(1, n + 1)]
+                    errors = [e for e in expected if isinstance(e, str)]
+                    if errors:
+                        raised += 1
+                        with pytest.raises(InvalidBiasError) as exc:
+                            weak_dr._bound_checks(n, np.array([biases]))
+                        assert str(exc.value) == errors[0]
+                    else:
+                        passed += 1
+                        eps_bar, bound, holds = weak_dr._bound_checks(n, np.array([biases]))
+                        assert [(c.eps_bar, c.bound, c.holds) for c in expected] == list(
+                            zip(eps_bar[0].tolist(), bound[0].tolist(), holds[0].tolist())
+                        )
+        # every step above a floor raises; at each stage's lowest floor nothing does
+        assert raised >= sum(len(weak_dr._stage_table(n, j)) for j in range(1, n + 1))
+        assert passed >= n - 1
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_zero_biases_match_the_degenerate_scalar_rule(self, n):
+        spec = TournamentSpec(n, (0.0,) * (n - 1))
+        eps_bar, bound, holds = weak_dr._bound_checks(n, np.zeros((1, n - 1)))
+        expected = [weak_dr.bias_bound_check(spec, party) for party in range(1, n + 1)]
+        assert list(zip(eps_bar[0].tolist(), bound[0].tolist(), holds[0].tolist())) == [
+            (c.eps_bar, c.bound, c.holds) for c in expected
+        ]
+
+    def test_first_invalid_tournament_in_draw_order_is_reported(self):
+        rows = np.full((4, 4), 0.01)
+        rows[1, 3] = 0.3  # party 5 enters stage 4 with win probability 1/5
+        rows[3, 0] = 0.6  # above every stage-1 win probability
+        spec = TournamentSpec(5, rows[1].tolist())
+        with pytest.raises(InvalidBiasError) as exc:
+            weak_dr._bound_checks(5, rows)
+        assert str(exc.value) == scalar_outcome(spec, 5)
 
 
 class TestIdealPrimitive:
