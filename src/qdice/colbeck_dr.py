@@ -11,7 +11,6 @@ as N grows, meeting the Kitaev bound in the limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,18 +19,6 @@ from . import quantum_core as qc
 from .errors import ParameterRangeError
 
 SIM_MAX_N = 16  # two N^2-dim pairs; larger spaces add nothing at desk scale
-
-
-@dataclass(frozen=True)
-class ColbeckInstance:
-    n_outcomes: int
-    honest_state: qc.StateVector  # one maximally entangled pair
-
-    @classmethod
-    def build(cls, n_outcomes: int) -> "ColbeckInstance":
-        if n_outcomes < 2:
-            raise ParameterRangeError(f"need at least 2 outcomes, got {n_outcomes}")
-        return cls(n_outcomes, entangled_pair(n_outcomes, "A", "B"))
 
 
 def entangled_pair(n: int, label_a: str, label_b: str) -> qc.StateVector:

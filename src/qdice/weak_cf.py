@@ -16,7 +16,7 @@ preparation: an exact rank-1 maximum, certified by simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite, sqrt
+from math import isfinite, nan, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -196,8 +196,19 @@ def _objective_coeffs(params: WeakCFParams) -> tuple[float, float]:
 
 
 def _objective(a: float, b: float, delta):
-    """(sqrt(A(1-d)) + sqrt(B d))^2 for coefficients from `_objective_coeffs`."""
-    return (np.sqrt(a * (1.0 - delta)) + np.sqrt(b * delta)) ** 2
+    """(sqrt(A(1-d)) + sqrt(B d))^2 for coefficients from `_objective_coeffs`.
+
+    An ndarray delta is evaluated elementwise with numpy; any other delta
+    takes a plain-float path with the same result bit for bit, including
+    NaN where a radicand is negative or NaN.
+    """
+    if isinstance(delta, np.ndarray):
+        return (np.sqrt(a * (1.0 - delta)) + np.sqrt(b * delta)) ** 2
+    u, v = a * (1.0 - delta), b * delta
+    if not (u >= 0.0 and v >= 0.0):  # np.sqrt gives NaN here; math.sqrt would raise
+        return nan
+    s = sqrt(u) + sqrt(v)
+    return s * s
 
 
 def alice_objective(params: WeakCFParams, delta):

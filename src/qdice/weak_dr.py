@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, nextafter
+from math import inf, isfinite, nextafter
 from typing import NamedTuple
 
 import numpy as np
@@ -69,6 +69,9 @@ class TournamentSpec:
             )
         if any(b < 0.0 for b in self.stage_biases):
             raise ParameterRangeError("stage biases must be non-negative")
+        for k, b in enumerate(self.stage_biases, start=1):
+            if not isfinite(b):
+                raise InvalidBiasError(f"stage {k} bias {b} is not finite")
 
     def to_json_dict(self) -> dict:
         return {"n_parties": self.n_parties, "stage_biases": list(self.stage_biases)}

@@ -43,10 +43,10 @@ class TestHonestRun:
             colbeck_dr.honest_run(17, seed=0)
 
     def test_instance_state_shape(self):
-        inst = colbeck_dr.ColbeckInstance.build(4)
-        nonzero = np.abs(inst.honest_state.amps) > 0
+        pair = colbeck_dr.entangled_pair(4, "A", "B")
+        nonzero = np.abs(pair.amps) > 0
         assert nonzero.sum() == 4
-        np.testing.assert_allclose(inst.honest_state.amps[nonzero], 0.5, atol=1e-15)
+        np.testing.assert_allclose(pair.amps[nonzero], 0.5, atol=1e-15)
 
 
 class TestCheatProbs:

@@ -1,10 +1,13 @@
-"""Grid-seeded golden-section maximization: one vectorized grid call, same answers."""
+"""Grid-seeded golden-section maximization (one vectorized call on a cached
+read-only grid, then plain floats) and bracketing bisection."""
+
+import math
 
 import numpy as np
 import pytest
 
-from qdice.errors import ParameterRangeError
-from qdice.optimize import _INV_PHI, maximize_unimodal
+from qdice.errors import InfeasibleVariantError, ParameterRangeError
+from qdice.optimize import _INV_PHI, bisect_root, maximize_unimodal
 
 
 def loop_maximize(f, lo=0.0, hi=1.0, grid_points=10_000, tol=1e-12):
@@ -30,6 +33,27 @@ def loop_maximize(f, lo=0.0, hi=1.0, grid_points=10_000, tol=1e-12):
     return x, f(x)
 
 
+def loop_bisect(f, lo, hi, tol=1e-12, max_iter=200):
+    """The reference bisection for finite f, without the NaN checks."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        raise InfeasibleVariantError("no sign change")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0 or hi - lo < tol:
+            return mid
+        if flo * fmid < 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
 OBJECTIVES = {
     "smooth": lambda x: -((x - 0.3) ** 2),
     "capped_plateau": lambda x: np.minimum(1.0 - np.abs(x - 0.5), 0.8),
@@ -53,7 +77,7 @@ class TestMaximizeUnimodal:
         assert isinstance(grid, np.ndarray)
         assert grid.shape == (1234,) and grid.dtype == np.float64
         assert np.array_equal(grid, np.linspace(0.0, 1.0, 1234))
-        assert scalars and all(np.ndim(x) == 0 for x in scalars)
+        assert len(scalars) > 40 and all(type(x) is float for x in scalars)
 
     @pytest.mark.parametrize("name", sorted(OBJECTIVES))
     @pytest.mark.parametrize("grid_points", [2, 3, 17, 1000])
@@ -70,3 +94,106 @@ class TestMaximizeUnimodal:
     def test_rejects_objective_that_is_not_elementwise(self):
         with pytest.raises(ValueError, match="shape"):
             maximize_unimodal(lambda x: float(np.max(x)), grid_points=10)
+
+    def test_grid_is_one_cached_read_only_array(self):
+        grids = []
+
+        def f(x):
+            if isinstance(x, np.ndarray):
+                grids.append(x)
+            return -((x - 0.4) ** 2)
+
+        maximize_unimodal(f, 0.0, 1.0, grid_points=777)
+        maximize_unimodal(f, 0.0, 1.0, grid_points=777)
+        first, second = grids
+        assert first is second
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.4
+        assert np.array_equal(first, np.linspace(0.0, 1.0, 777))
+
+    def test_objective_cannot_alter_later_calls(self):
+        def vandal(x):
+            if isinstance(x, np.ndarray):
+                try:
+                    x += 1.0
+                except ValueError:
+                    pass
+            return -((x - 0.4) ** 2)
+
+        smooth = OBJECTIVES["smooth"]
+        before = maximize_unimodal(smooth, grid_points=500)
+        maximize_unimodal(vandal, grid_points=500)
+        assert maximize_unimodal(smooth, grid_points=500) == before
+        assert before == loop_maximize(smooth, grid_points=500)
+
+    def test_negative_zero_bound_keeps_its_own_grid(self):
+        grids = []
+
+        def f(x):
+            if isinstance(x, np.ndarray):
+                grids.append(x)
+            return x
+
+        maximize_unimodal(f, -1.0, 0.0, grid_points=5)
+        maximize_unimodal(f, -1.0, -0.0, grid_points=5)
+        assert not np.signbit(grids[0][-1])
+        assert np.signbit(grids[1][-1])
+
+
+FINITE_ROOTS = {
+    "linear": (lambda x: x - 0.3, 0.0, 1.0),
+    "cubic": (lambda x: x**3 - 0.2, 0.0, 1.0),
+    "root_at_lo": (lambda x: x, 0.0, 1.0),
+    "root_at_hi": (lambda x: x - 1.0, 0.0, 1.0),
+    "midpoint_root": (lambda x: x - 0.5, 0.0, 1.0),
+    "decreasing": (lambda x: math.cos(x), 0.0, 3.0),
+}
+
+
+def recorded(f, calls):
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g
+
+
+class TestBisectRoot:
+    @pytest.mark.parametrize("name", sorted(FINITE_ROOTS))
+    def test_finite_f_takes_the_reference_steps(self, name):
+        f, lo, hi = FINITE_ROOTS[name]
+        got_calls, want_calls = [], []
+        got = bisect_root(recorded(f, got_calls), lo, hi)
+        want = loop_bisect(recorded(f, want_calls), lo, hi)
+        assert repr(got) == repr(want)
+        assert got_calls == want_calls
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(InfeasibleVariantError, match="sign change"):
+            bisect_root(lambda x: x + 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("nan_at", ["lo", "hi", "both"])
+    def test_nan_endpoint_raises(self, nan_at):
+        lo, hi = 0.0, 1.0
+
+        def f(x):
+            if (x == lo and nan_at != "hi") or (x == hi and nan_at != "lo"):
+                return math.nan
+            return x - 0.3
+
+        with pytest.raises(InfeasibleVariantError, match="NaN"):
+            bisect_root(f, lo, hi)
+
+    def test_nan_at_root_endpoint_still_raises(self):
+        # f(lo) == 0 would return lo, but f(hi) is NaN
+        with pytest.raises(InfeasibleVariantError, match="NaN"):
+            bisect_root(lambda x: x if x < 1.0 else math.nan, 0.0, 1.0)
+
+    @pytest.mark.parametrize("window", [(0.45, 0.55), (0.2, 0.26), (0.3, 0.3 + 1e-9)])
+    def test_nan_midpoint_raises(self, window):
+        def f(x):
+            return math.nan if window[0] <= x <= window[1] else x - 0.3
+
+        with pytest.raises(InfeasibleVariantError, match="NaN"):
+            bisect_root(f, 0.0, 1.0)

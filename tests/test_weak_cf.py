@@ -115,6 +115,28 @@ class TestAliceOptCheat:
         assert values.shape == deltas.shape
         assert [float(v) for v in values] == [float(weak_cf.alice_objective(params, d)) for d in deltas]
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0.7, 0.2), (0.5, 0.5), (1.0, 0.0), (0.0, 0.3), (0.0, 0.0), *[
+            weak_cf._objective_coeffs(params) for params in weak_cf.param_grid(3, 3)
+        ]],
+    )
+    def test_scalar_path_matches_array_path_bit_for_bit(self, a, b):
+        deltas = np.concatenate([np.linspace(0.0, 1.0, 2001), [1e-300, 5e-324, 1.0 - 2**-53]])
+        want = weak_cf._objective(a, b, deltas).tolist()
+        as_floats = [weak_cf._objective(a, b, d) for d in deltas.tolist()]
+        assert all(type(v) is float for v in as_floats)
+        assert as_floats == want
+        assert [weak_cf._objective(a, b, d) for d in deltas] == want  # np.float64 elements
+
+    @pytest.mark.parametrize("delta", [-0.1, 1.5, float("nan"), float("inf"), -float("inf")])
+    def test_out_of_domain_delta_gives_nan(self, delta):
+        params = WeakCFParams(0.3, 0.25)
+        assert np.isnan(weak_cf.alice_objective(params, delta))
+        assert np.isnan(weak_cf.alice_objective(params, np.float64(delta)))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(weak_cf.alice_objective(params, np.array([delta]))).all()
+
     def test_cross_check_fails_closed_on_nan(self, monkeypatch):
         monkeypatch.setattr(weak_cf, "maximize_unimodal", lambda *a, **k: (0.5, float("nan")))
         with pytest.raises(CrossCheckError):
@@ -132,6 +154,48 @@ class TestAliceOptCheat:
             analysis = weak_cf.alice_opt_cheat(WeakCFParams(p, eta))
             assert analysis.p_alice_star >= 1 - p - 1e-9
             assert analysis.p_bob_star >= p - 1e-9
+
+
+class TestCrossCheckStrength:
+    """The numeric route of `alice_opt_cheat` stays a full-strength second route."""
+
+    @staticmethod
+    def record_objective(monkeypatch, shift=0.0):
+        calls = []
+        objective = weak_cf._objective
+
+        def spy(a, b, delta):
+            calls.append(delta.copy() if isinstance(delta, np.ndarray) else delta)
+            return objective(a, b, delta) + shift
+
+        monkeypatch.setattr(weak_cf, "_objective", spy)
+        return calls
+
+    @pytest.mark.parametrize("params", [WeakCFParams(0.5, FAIR_ETA), WeakCFParams(1 / 3, 0.1462),
+                                        WeakCFParams(2 / 3, 0.2), WeakCFParams(0.3, 0.0)])
+    def test_one_full_grid_call_then_scalar_refinement(self, monkeypatch, params):
+        calls = self.record_objective(monkeypatch)
+        weak_cf.alice_opt_cheat(params)
+        grid, *scalars = calls
+        assert isinstance(grid, np.ndarray)
+        assert np.array_equal(grid, np.linspace(0.0, 1.0, 10_000))
+        assert all(type(x) is float for x in scalars)
+        # golden section: both probes evaluated last lie in the final bracket,
+        # whose midpoint is the returned argmax, the last point evaluated
+        *probes, x = scalars
+        assert len(probes) >= 40
+        assert all(abs(p - x) <= 0.5e-12 for p in probes[-2:])
+
+    @pytest.mark.parametrize("shift", [2e-9, -2e-9])
+    def test_routes_two_e_minus_nine_apart_raise(self, monkeypatch, shift):
+        self.record_objective(monkeypatch, shift)
+        with pytest.raises(CrossCheckError):
+            weak_cf.alice_opt_cheat(WeakCFParams(0.5, FAIR_ETA))
+
+    @pytest.mark.parametrize("shift", [0.5e-9, -0.5e-9])
+    def test_routes_within_tolerance_pass(self, monkeypatch, shift):
+        self.record_objective(monkeypatch, shift)
+        weak_cf.alice_opt_cheat(WeakCFParams(0.5, FAIR_ETA))
 
 
 class TestBobOptCheat:

@@ -304,6 +304,14 @@ class TestTournamentSpecValidation:
         with pytest.raises(ParameterRangeError):
             TournamentSpec(3, (0.1, -0.1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_non_finite_bias(self, bad, stage):
+        biases = [0.0, 0.0]
+        biases[stage - 1] = bad
+        with pytest.raises(InvalidBiasError, match=f"stage {stage} bias {bad} is not finite"):
+            TournamentSpec(3, biases)
+
     def test_json_roundtrip_fields(self):
         spec = TournamentSpec(3, (0.05, 0.02))
         assert spec.to_json_dict() == {"n_parties": 3, "stage_biases": [0.05, 0.02]}
