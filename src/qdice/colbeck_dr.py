@@ -63,7 +63,9 @@ def honest_outcome_distribution(n: int) -> np.ndarray:
 
 
 def sample_outcomes(n: int, runs: int, seed: int | np.random.Generator) -> np.ndarray:
-    """Born-sample `runs` honest outcomes in [1, N] from the simulated state."""
+    """Born-sample `runs` >= 0 honest outcomes in [1, N] from the simulated state."""
+    if runs < 0:
+        raise ParameterRangeError(f"runs must be >= 0, got {runs}")
     rng = qc.as_generator(seed)
     return rng.choice(n, size=runs, p=honest_outcome_distribution(n)) + 1
 

@@ -89,11 +89,15 @@ def coalition_force_prob(protocol: PairingProtocol, eps_bar: float = 0.0) -> flo
 
     They control every stage but the honest party's; there exactly one of
     the n sub-outcomes leads to the target, forced with at most
-    sqrt(1/n) + eps_bar by the optimal two-party dice roll.
+    sqrt(1/n) + eps_bar by the optimal two-party dice roll. eps_bar must lie
+    in [0, 1 - 1/sqrt(n)], so that the forcing probability is at most 1.
     """
-    if eps_bar < 0.0:
-        raise ParameterRangeError(f"eps_bar must be non-negative, got {eps_bar}")
-    return 1.0 / sqrt(protocol.n) + eps_bar
+    base = 1.0 / sqrt(protocol.n)
+    if not 0.0 <= eps_bar <= 1.0 - base:
+        raise ParameterRangeError(
+            f"eps_bar must lie in [0, 1 - 1/sqrt(n)] = [0, {1.0 - base}], got {eps_bar}"
+        )
+    return base + eps_bar
 
 
 def chooser_force_probs(choice_set: tuple[int, ...] = THREE_PARTY_CHOICE_SET) -> list[float]:

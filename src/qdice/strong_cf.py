@@ -44,6 +44,12 @@ class StrongCFParams:
                 raise ParameterRangeError(f"{name} must lie in [0, 1], got {v}")
         if self.eps0 < 0.0 or self.eps1 < 0.0:
             raise ParameterRangeError("weak-CF biases must be non-negative")
+        # the bound IdealWCFPrimitive enforces on the same (z_i, eps_i) in simulate
+        for i, z, eps in ((0, self.z0, self.eps0), (1, self.z1, self.eps1)):
+            if eps > min(z, 1.0 - z) + 1e-12:
+                raise ParameterRangeError(
+                    f"eps{i} must lie in [0, min(z{i}, 1-z{i})] = [0, {min(z, 1.0 - z)}], got {eps}"
+                )
 
     @property
     def p0_honest(self) -> float:
@@ -206,7 +212,9 @@ def simulate(
 def sample_outcomes(
     params: StrongCFParams, runs: int, seed: int | np.random.Generator
 ) -> np.ndarray:
-    """Vectorized honest outcomes for `runs` executions (same law as simulate)."""
+    """Vectorized honest outcomes for `runs` >= 0 executions (same law as simulate)."""
+    if runs < 0:
+        raise ParameterRangeError(f"runs must be >= 0, got {runs}")
     rng = qc.as_generator(seed)
     o = (rng.random(runs) >= params.q).astype(np.int8)
     z = np.where(o == 0, params.z0, params.z1)

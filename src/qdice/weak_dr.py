@@ -157,18 +157,12 @@ def bias_bound_check(spec: TournamentSpec, honest_party: int) -> BoundCheck:
     return BoundCheck(eps_bar=eps_bar, bound=bound, holds=holds)
 
 
-def _draw_tournament(rng: np.random.Generator, max_parties: int) -> tuple[int, np.ndarray]:
-    """One random (N, stage biases) draw with 2 <= N <= max_parties and biases below 1/(2N)."""
+def random_tournament(rng: np.random.Generator, max_parties: int = 10) -> TournamentSpec:
+    """A random instance with N <= max_parties and stage biases below 1/(2N)."""
     if max_parties < 2:
         raise ParameterRangeError(f"max_parties must be >= 2, got {max_parties}")
     n = int(rng.integers(2, max_parties + 1))
-    return n, rng.uniform(0.0, 1.0 / (2 * n), size=n - 1)
-
-
-def random_tournament(rng: np.random.Generator, max_parties: int = 10) -> TournamentSpec:
-    """A random instance with N <= max_parties and stage biases below 1/(2N)."""
-    n, biases = _draw_tournament(rng, max_parties)
-    return TournamentSpec(n, biases.tolist())
+    return TournamentSpec(n, rng.uniform(0.0, 1.0 / (2 * n), size=n - 1).tolist())
 
 
 @lru_cache(maxsize=256)
@@ -218,19 +212,30 @@ def _bound_checks(n_parties: int, biases: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _draw_batches(rng: np.random.Generator, count: int, max_parties: int) -> dict[int, np.ndarray]:
-    """count `random_tournament` draws, as N -> stage-bias rows in draw order."""
-    rows: dict[int, list[np.ndarray]] = {}
-    for _ in range(count):
-        n, biases = _draw_tournament(rng, max_parties)
-        rows.setdefault(n, []).append(biases)
-    return {n: np.array(r) for n, r in rows.items()}
+    """count random tournaments from two draws, as N -> stage-bias rows in draw order.
+
+    The sizes are `rng.integers(2, max_parties + 1, size=count)`, then one
+    `rng.random((count, max_parties - 1))` block gives each row its stage
+    biases: the first N - 1 entries, times 1/(2N).
+    """
+    if max_parties < 2:
+        raise ParameterRangeError(f"max_parties must be >= 2, got {max_parties}")
+    sizes = rng.integers(2, max_parties + 1, size=count)
+    block = rng.random((count, max_parties - 1))
+    batches = {}
+    for n in range(2, max_parties + 1):
+        rows = block[sizes == n, : n - 1]
+        if len(rows):
+            batches[n] = rows * (1.0 / (2 * n))
+    return batches
 
 
 def bound_property_sweep(count: int, seed: int | np.random.Generator, max_parties: int = 10) -> float:
     """Fraction of (random tournament, honest party) cases satisfying the bound.
 
-    Draws the same tournaments as `count` calls of `random_tournament`, in
-    the same order, so a Generator passed in ends in the same state. Each
+    Draws `count` tournaments with 2 <= N <= max_parties and stage biases
+    uniform below 1/(2N) in two Generator calls (see `_draw_batches`), so
+    a Generator passed in ends in the state those two draws leave. Each
     tournament size is checked in one `_bound_checks` pass, which tests pin
     bit for bit to `bias_bound_check`.
     """

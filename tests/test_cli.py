@@ -58,6 +58,20 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["all_pass"] is False
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("strong-cf", "--p0", "0.5", "--eps", "2"), "eps0 must lie in"),
+            (("multiparty", "pairing", "--m", "1", "--n", "2", "--eps-bar", "5"), "eps_bar must lie in"),
+            (("colbeck", "--n", "3", "--runs", "-1"), "runs must be >= 0"),
+        ],
+    )
+    def test_out_of_range_values_exit_one(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_missing_report_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "check", "--report", "/no/such/file.json")
         assert code == 1

@@ -36,6 +36,11 @@ class TestHonestRun:
         sigma = sqrt(0.5 * 0.5 / runs)
         assert abs(freq - 0.5) < 4 * sigma
 
+    def test_negative_runs_rejected_and_zero_runs_empty(self):
+        with pytest.raises(ParameterRangeError, match="runs"):
+            colbeck_dr.sample_outcomes(3, -1, seed=0)
+        assert colbeck_dr.sample_outcomes(3, 0, seed=0).shape == (0,)
+
     def test_size_limits(self):
         with pytest.raises(ParameterRangeError):
             colbeck_dr.honest_run(1, seed=0)

@@ -77,6 +77,16 @@ class TestCoalitionForce:
         with pytest.raises(ParameterRangeError):
             multiparty.coalition_force_prob(multiparty.build_pairing(1, 2), -0.1)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_bias_capped_at_a_certain_force(self, n):
+        protocol = multiparty.build_pairing(1, n)
+        cap = 1.0 - 1.0 / sqrt(n)
+        assert multiparty.coalition_force_prob(protocol, cap) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ParameterRangeError, match="eps_bar"):
+            multiparty.coalition_force_prob(protocol, cap + 1e-9)
+        with pytest.raises(ParameterRangeError):
+            multiparty.coalition_force_prob(protocol, 5.0)
+
 
 class TestThreePartyExample:
     def test_headline_values(self):

@@ -1,18 +1,20 @@
 """Six-round weak three-sided DR: fairness constraints and bias optimization."""
 
-from math import sqrt
+import sys
+from fractions import Fraction
+from math import inf, nextafter, sqrt
 
 import numpy as np
 import pytest
 
-from qdice import sixround_dr
-from qdice.errors import ParameterRangeError
+from qdice import optimize, sixround_dr
+from qdice.errors import CrossCheckError, ParameterRangeError
 from qdice.optimize import bisect_root
 from qdice.weak_cf import WeakCFParams, alice_opt_cheat
 
 S2 = sqrt(2.0)
 
-# frozen from the bracketing bisection on the closed-form constraints
+# the exact roots of the fairness equations, to 11 digits
 ETA1_STAR = 0.14620126286
 ETA2_STAR = 0.19878463722
 
@@ -79,7 +81,8 @@ class TestSolve:
             assert sol.bias == pytest.approx(sol.p_bar_star - 2 / 3, abs=1e-12)
 
     def test_residual_monotone_on_range(self):
-        # the bisection premise: one sign change over the feasible interval
+        # one sign change over the feasible interval: the root that solve's
+        # sign-change certificate brackets is the only one there
         for variant, hi in (("case1", 2 / 3), ("case2", 1 / 3)):
             etas = np.linspace(0.0, hi, 25)
             res = [
@@ -155,13 +158,120 @@ class TestSerialization:
 
 
 class TestExactValues:
-    # the vectorized cross-check grid must not move any bit of the solution
+    # eta* is the correctly rounded exact root; no bit of the solution may move
     @pytest.mark.parametrize(
         "variant,eta_star",
-        [("case1", "0.14620126286020724"), ("case2", "0.19878463721670414")],
+        [("case1", "0.1462012628604124"), ("case2", "0.19878463721656317")],
     )
     def test_eta_star_is_bit_exact(self, variant, eta_star):
         assert repr(sixround_dr.solve(variant).eta_star) == eta_star
 
     def test_case1_bias_is_bit_exact(self):
-        assert repr(sixround_dr.solve("case1").bias) == "0.18089254593162496"
+        assert repr(sixround_dr.solve("case1").bias) == "0.1808925459314763"
+
+
+def cleared_fairness_sign(variant: str, eta: Fraction) -> int:
+    """Sign of the fairness residual times (1-p)(p+eta), exactly, at a rational eta.
+
+    Written from the constraint Pi_1/3 = c + (1-c) Pi_2/3 with c = 1/sqrt2 and
+    Alice's cheat (A + B)(1-p)(p+eta) = p(1-p) + (1-2p) eta; the value is
+    X + c Y with rational X, Y, whose sign is decided without rounding.
+    """
+    p = Fraction(1, 3) if variant == "case1" else Fraction(2, 3)
+    u, k = p + eta, 1 - p
+    cheat = p * (1 - p) + (1 - 2 * p) * eta  # times (1-p)(p+eta)
+    if variant == "case1":  # cheat - k u (c + (1-c) u)
+        x, y = cheat - k * u * u, -k * u + k * u * u
+    else:  # k u u - (c k u + (1-c) cheat)
+        x, y = k * u * u - cheat, -k * u + cheat
+    signs = {(x > 0) - (x < 0), (y > 0) - (y < 0)} - {0}
+    if len(signs) < 2:
+        return signs.pop() if signs else 0
+    # x and y differ in sign: compare x^2 with y^2 / 2
+    return (1 if x > 0 else -1) * ((x * x > y * y / 2) - (x * x < y * y / 2))
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Rebind `original` to `replacement` in every qdice module that imports it by name."""
+    for name, module in list(sys.modules.items()):
+        if name == "qdice" or name.startswith("qdice."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+VARIANTS = ["case1", "case2"]
+
+
+class TestExactRoot:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_eta_star_is_the_correctly_rounded_root(self, variant):
+        # the residual changes sign between the midpoints to eta*'s float neighbours
+        eta = sixround_dr.solve(variant).eta_star
+        below = (Fraction(eta) + Fraction(nextafter(eta, -inf))) / 2
+        above = (Fraction(eta) + Fraction(nextafter(eta, inf))) / 2
+        assert cleared_fairness_sign(variant, below) * cleared_fairness_sign(variant, above) == -1
+
+    @pytest.mark.parametrize("variant,eta_max", [("case1", Fraction(2, 3)), ("case2", Fraction(1, 3))])
+    def test_other_root_lies_outside_the_feasible_range(self, variant, eta_max):
+        (lo1, hi1), (lo2, hi2) = sixround_dr._root_enclosures(variant)
+        inside = [(lo, hi) for lo, hi in ((lo1, hi1), (lo2, hi2)) if 0 <= lo and hi <= eta_max]
+        outside = [(lo, hi) for lo, hi in ((lo1, hi1), (lo2, hi2)) if hi < 0 or lo > eta_max]
+        assert len(inside) == len(outside) == 1
+        lo, hi = inside[0]
+        assert 0 < hi - lo < Fraction(1, 10**30)
+        assert float(lo) == float(hi) == sixround_dr.solve(variant).eta_star
+        # the enclosures hold the two roots of the fairness equation itself
+        for lo, hi in ((lo1, hi1), (lo2, hi2)):
+            assert cleared_fairness_sign(variant, lo) * cleared_fairness_sign(variant, hi) == -1
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_three_full_grid_maximizations_and_no_bisection(self, monkeypatch, variant):
+        calls = []
+        maximize = optimize.maximize_unimodal
+
+        def counting(f, lo=0.0, hi=1.0, grid_points=10_000, tol=1e-12):
+            sizes = []
+
+            def seen(x):
+                sizes.append(np.size(x))
+                return f(x)
+
+            calls.append((lo, hi, grid_points, tol, sizes))
+            return maximize(seen, lo, hi, grid_points, tol)
+
+        def no_bisection(*args, **kwargs):
+            raise AssertionError("solve must not bisect")
+
+        patch_everywhere(monkeypatch, maximize, counting)
+        patch_everywhere(monkeypatch, optimize.bisect_root, no_bisection)
+        sixround_dr.solve(variant)
+        assert len(calls) == 3
+        for lo, hi, grid_points, tol, sizes in calls:
+            assert (lo, hi, grid_points, tol) == (0.0, 1.0, 10_000, 1e-12)
+            assert sizes[0] == 10_000 and set(sizes[1:]) == {1}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_certificate_never_calls_the_closed_form(self, monkeypatch, variant):
+        eta = sixround_dr.solve(variant).eta_star
+
+        def closed_form(*args, **kwargs):
+            raise AssertionError("the numeric route must not use A + B")
+
+        monkeypatch.setattr(sixround_dr, "alice_opt_cheat", closed_form)
+        below = sixround_dr._numeric_residual(variant, eta - 1e-12)
+        above = sixround_dr._numeric_residual(variant, eta + 1e-12)
+        assert below * above < 0.0
+        assert 0.5e-12 < abs(below) < 2e-12 and 0.5e-12 < abs(above) < 2e-12
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("shift", [1e-11, -1e-11])
+    def test_a_root_moved_by_1e_11_is_refused(self, monkeypatch, variant, shift):
+        exact = sixround_dr._exact_root
+        monkeypatch.setattr(sixround_dr, "_exact_root", lambda v: exact(v) + shift)
+        with pytest.raises(CrossCheckError):
+            sixround_dr.solve(variant)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_constraint_residual_is_at_rounding_level(self, variant):
+        assert abs(sixround_dr.solve(variant).constraint_residual) <= 1e-15

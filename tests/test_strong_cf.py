@@ -170,6 +170,23 @@ class TestValidation:
         with pytest.raises(ParameterRangeError):
             StrongCFParams(q=0.5, z0=0.5, z1=0.5, pp0=0.5, pp1=0.5, eps0=-0.1)
 
+    @pytest.mark.parametrize("field", ["eps0", "eps1"])
+    def test_weak_cf_bias_capped_like_the_ideal_primitive(self, field):
+        # eps_i <= min(z_i, 1 - z_i) with IdealWCFPrimitive's 1e-12 slack
+        base = dict(q=0.5, z0=0.3, z1=0.8, pp0=0.5, pp1=0.5)
+        cap = 0.3 if field == "eps0" else 1.0 - 0.8
+        StrongCFParams(**base, **{field: cap + 0.5e-12})
+        with pytest.raises(ParameterRangeError, match=field):
+            StrongCFParams(**base, **{field: cap + 2e-12})
+        with pytest.raises(ParameterRangeError):
+            strong_cf.solve_params(0.5, eps0=2.0, eps1=2.0)
+
+    def test_negative_runs_rejected_and_zero_runs_empty(self):
+        params = strong_cf.solve_params(0.5)
+        with pytest.raises(ParameterRangeError, match="runs"):
+            strong_cf.sample_outcomes(params, -1, seed=0)
+        assert strong_cf.sample_outcomes(params, 0, seed=0).shape == (0,)
+
     def test_json_fields(self):
         d = strong_cf.cheat_probs(strong_cf.solve_params(0.5)).to_json_dict()
         assert set(d) == {

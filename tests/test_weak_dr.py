@@ -25,11 +25,20 @@ def expanded_losing_prob(spec: TournamentSpec, honest_party: int) -> float:
     return total
 
 
-def per_case_sweep(count, rng, max_parties):
+def reference_draws(rng, count, max_parties):
+    """The sweep's tournaments, in draw order, from its two block draws read one value at a time."""
+    sizes = rng.integers(2, max_parties + 1, size=count)
+    block = rng.random((count, max_parties - 1))
+    return [
+        TournamentSpec(n, [float(u) * (1.0 / (2 * n)) for u in block[i, : n - 1]])
+        for i, n in enumerate(sizes.tolist())
+    ]
+
+
+def per_case_sweep(specs):
     """The sweep as one scalar `bias_bound_check` per (tournament, party) case."""
     ok = total = 0
-    for _ in range(count):
-        spec = weak_dr.random_tournament(rng, max_parties)
+    for spec in specs:
         for party in range(1, spec.n_parties + 1):
             ok += weak_dr.bias_bound_check(spec, party).holds
             total += 1
@@ -205,9 +214,9 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("seed,max_parties", SWEEP_CASES)
     def test_every_case_is_bit_identical_to_the_scalar_check(self, seed, max_parties):
         batches = weak_dr._draw_batches(np.random.default_rng(seed), 200, max_parties)
-        ref = np.random.default_rng(seed)
-        specs = [weak_dr.random_tournament(ref, max_parties) for _ in range(200)]
+        specs = reference_draws(np.random.default_rng(seed), 200, max_parties)
         assert sum(len(rows) for rows in batches.values()) == len(specs)
+        assert list(batches) == sorted({spec.n_parties for spec in specs})
         for n, biases in batches.items():
             same_size = [spec for spec in specs if spec.n_parties == n]
             assert [tuple(row) for row in biases.tolist()] == [s.stage_biases for s in same_size]
@@ -224,7 +233,8 @@ class TestBatchedSweep:
     def test_pass_rate_and_generator_state_match_the_per_case_loop(self, seed, max_parties):
         batched_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         rate = weak_dr.bound_property_sweep(200, batched_rng, max_parties)
-        assert rate == per_case_sweep(200, ref_rng, max_parties)
+        assert rate == per_case_sweep(reference_draws(ref_rng, 200, max_parties))
+        # the passed-in Generator advanced by exactly the two block draws
         assert batched_rng.bit_generator.state == ref_rng.bit_generator.state
         assert weak_dr.bound_property_sweep(200, seed, max_parties) == rate
 
