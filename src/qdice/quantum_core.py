@@ -161,10 +161,29 @@ def _check_orthonormal(basis_states: Sequence[StateVector]) -> None:
                 )
 
 
+def _span_coefficients(s: StateVector, basis_states: Sequence[StateVector]) -> list[complex]:
+    """<b|s> for each of the given states, after checking they are orthonormal."""
+    _check_orthonormal(basis_states)
+    return [overlap(b, s) for b in basis_states]
+
+
+def _project(
+    s: StateVector, basis_states: Sequence[StateVector], coeffs: list[complex], inside: bool
+) -> tuple[float, StateVector]:
+    """`project` with the coefficients from `_span_coefficients` already taken."""
+    in_span = np.zeros_like(s.amps)
+    for c, b in zip(coeffs, basis_states):
+        in_span = in_span + c * b.amps
+    target = in_span if inside else s.amps - in_span
+    p = float(np.linalg.norm(target) ** 2)
+    if p < 1e-15:
+        raise DimensionMismatchError("projection has vanishing probability, cannot renormalize")
+    return p, StateVector(s.dims, s.labels, target / np.sqrt(p))
+
+
 def subspace_probability(s: StateVector, basis_states: Sequence[StateVector]) -> float:
     """Probability that s is found in the span of the given orthonormal states."""
-    _check_orthonormal(basis_states)
-    return float(sum(abs(overlap(b, s)) ** 2 for b in basis_states))
+    return float(sum(abs(c) ** 2 for c in _span_coefficients(s, basis_states)))
 
 
 def project(
@@ -174,15 +193,7 @@ def project(
 
     Returns (probability of that outcome, renormalized post state).
     """
-    _check_orthonormal(basis_states)
-    in_span = np.zeros_like(s.amps)
-    for b in basis_states:
-        in_span = in_span + overlap(b, s) * b.amps
-    target = in_span if inside else s.amps - in_span
-    p = float(np.linalg.norm(target) ** 2)
-    if p < 1e-15:
-        raise DimensionMismatchError("projection has vanishing probability, cannot renormalize")
-    return p, StateVector(s.dims, s.labels, target / np.sqrt(p))
+    return _project(s, basis_states, _span_coefficients(s, basis_states), inside)
 
 
 def measure_projector(
@@ -192,12 +203,14 @@ def measure_projector(
 
     Outcome index 0 means "inside the subspace", 1 means "outside". The
     outcome is sampled from the Born probabilities using the given seed or
-    generator; the post state is the renormalized projection.
+    generator; the post state is the renormalized projection. The basis is
+    checked and its overlaps with s are taken once, for both steps.
     """
-    p_in = subspace_probability(s, basis_states)
+    coeffs = _span_coefficients(s, basis_states)
+    p_in = float(sum(abs(c) ** 2 for c in coeffs))
     rng = as_generator(seed)
     inside = bool(rng.random() < p_in)
-    prob, post = project(s, basis_states, inside=inside)
+    prob, post = _project(s, basis_states, coeffs, inside)
     return MeasurementResult(0 if inside else 1, prob, post)
 
 

@@ -16,7 +16,8 @@ preparation: an exact rank-1 maximum, certified by simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite, nan, sqrt
+from fractions import Fraction
+from math import isfinite, isqrt, nan, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
     ParameterRangeError,
     ResolutionTooCoarseError,
 )
-from .optimize import bisect_root, maximize_unimodal
+from .optimize import maximize_unimodal
 
 UP, DOWN = 0, 1
 CROSS_CHECK_TOL = 1e-9
@@ -266,21 +267,43 @@ def bob_opt_cheat(params: WeakCFParams) -> CheatAnalysis:
     )
 
 
-def fair_eta_balanced(tol: float = 1e-12) -> FairPoint:
+_FAIR_SCALE = 1 << 128  # fixed-point scale of the fair-point enclosure
+_FAIR_CERTIFY_STEP = 1e-12  # the float residual must change sign across eta* -/+ this
+
+
+def _balanced_residual(eta: float) -> float:
+    """P_A* - P_B* of the balanced protocol at eta, from the closed form A + B."""
+    params = WeakCFParams(0.5, eta)
+    a, b = _objective_coeffs(params)
+    return (a + b) - (params.p + params.eta)
+
+
+def fair_eta_balanced() -> FairPoint:
     """Solve P_A*(1/2, eta) = P_B*(1/2, eta) for the balanced protocol.
 
-    Both cheat values are monotone in eta in opposite directions, so the
-    root is unique; it lands at eta = (sqrt(2)-1)/2 with common value
-    1/sqrt(2).
+    At p = 1/2 the equation A + B = p + eta clears to eta^2 + eta - 1/4 = 0,
+    whose root in [0, 1/2] is eta* = (sqrt(2) - 1)/2 with common value
+    1/sqrt(2). sqrt(2) is bounded with `math.isqrt` at scale 2**128, and
+    both ends of the enclosure must round to the same float, so eta* is
+    correctly rounded. The float residual (A + B) - (p + eta) must then
+    change sign across eta* -/+ 1e-12. Either failure raises
+    CrossCheckError.
     """
-
-    def residual(eta: float) -> float:
-        params = WeakCFParams(0.5, eta)
-        a, b = _objective_coeffs(params)
-        return (a + b) - (params.p + params.eta)
-
-    eta = bisect_root(residual, 0.0, 0.5, tol=tol)
-    return FairPoint(eta=eta, p_star=0.5 + eta, residual=residual(eta))
+    root2 = isqrt(2 * _FAIR_SCALE * _FAIR_SCALE)  # root2 <= sqrt(2) * scale < root2 + 1
+    lo, hi = (Fraction(r - _FAIR_SCALE, 2 * _FAIR_SCALE) for r in (root2, root2 + 1))
+    if float(lo) != float(hi):
+        raise CrossCheckError(
+            f"fair-point enclosure [{float(lo)!r}, {float(hi)!r}] spans a rounding boundary"
+        )
+    eta = float(lo)
+    below = _balanced_residual(eta - _FAIR_CERTIFY_STEP)
+    above = _balanced_residual(eta + _FAIR_CERTIFY_STEP)
+    if not below * above < 0.0:  # fails closed on NaN
+        raise CrossCheckError(
+            f"balanced residual {below!r} at eta* - {_FAIR_CERTIFY_STEP} and {above!r} at "
+            f"eta* + {_FAIR_CERTIFY_STEP} do not bracket eta* = {eta!r}"
+        )
+    return FairPoint(eta=eta, p_star=0.5 + eta, residual=_balanced_residual(eta))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ winner against party k+1, who enters with honest winning probability
 per-stage biases on the honest party's stage-win probability, the honest
 party's maximal losing probability follows from the chain product over the
 stages it must win.
+
+`bias_bound_check` is the scalar reference for the eps_bar < N * delta_max
+bound. `bound_property_sweep` checks random tournaments of every size
+together in one stage-major numpy pass (`_bound_checks`), bit-identical to
+the scalar check on each (tournament, party) case.
 """
 
 from __future__ import annotations
@@ -98,18 +103,19 @@ def _party_stages(n_parties: int, party: int) -> list[tuple[int, Fraction]]:
     return stages
 
 
+def _float_floor(win: Fraction) -> tuple[float, float]:
+    """(float(win), floor), floor being the largest float <= win.
+
+    For a float delta, `delta > floor` holds exactly when `delta > win` does.
+    """
+    w = float(win)
+    return w, (w if Fraction(w) <= win else nextafter(w, -inf))
+
+
 @lru_cache(maxsize=4096)
 def _stage_table(n_parties: int, party: int) -> tuple[tuple[int, float, float], ...]:
-    """(stage index, float(win), floor) for every stage the party plays.
-
-    floor is the largest float <= the exact win probability, so for a float
-    delta, `delta > floor` holds exactly when `delta > win` does.
-    """
-    table = []
-    for k, win in _party_stages(n_parties, party):
-        w = float(win)
-        table.append((k, w, w if Fraction(w) <= win else nextafter(w, -inf)))
-    return tuple(table)
+    """(stage index, float(win), floor) for every stage the party plays (see `_float_floor`)."""
+    return tuple((k, *_float_floor(win)) for k, win in _party_stages(n_parties, party))
 
 
 def honest_distribution(n_parties: int) -> list[Fraction]:
@@ -165,86 +171,95 @@ def random_tournament(rng: np.random.Generator, max_parties: int = 10) -> Tourna
     return TournamentSpec(n, rng.uniform(0.0, 1.0 / (2 * n), size=n - 1).tolist())
 
 
-@lru_cache(maxsize=256)
-def _stage_matrices(n_parties: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Party x stage arrays (plays, win, floor) from `_stage_table`.
+_TINY = nextafter(0.0, inf)  # the smallest positive float
 
-    Off the party's stages, win is 1.0 (a neutral factor) and floor is +inf
-    (no bias can exceed it). The arrays are read-only.
+
+@lru_cache(maxsize=64)
+def _sweep_tables(stages: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (wins, floor, scale) tables for up to stages + 1 parties.
+
+    The last axis is the tournament size N. wins[0] and wins[1] hold, per
+    stage k, the defenders' win k/(k+1) and the entrant's win 1/(k+1),
+    floor the entrant's floor (rounded as in `_stage_table`) and scale the
+    sweep's 1/(2N), where stage k is played (k < N); past the size the wins
+    are 1.0 (so 1.0 - 0.0 is a neutral factor), the floor +inf and the
+    scale 0.0.
     """
-    plays = np.zeros((n_parties, n_parties - 1), dtype=bool)
-    win = np.ones((n_parties, n_parties - 1))
-    floor = np.full((n_parties, n_parties - 1), inf)
-    for party in range(1, n_parties + 1):
-        for k, w, f in _stage_table(n_parties, party):
-            plays[party - 1, k - 1] = True
-            win[party - 1, k - 1] = w
-            floor[party - 1, k - 1] = f
-    for a in (plays, win, floor):
+    wins = np.ones((2, stages, stages + 2))
+    floor = np.full((stages, stages + 2), inf)
+    scale = np.zeros((stages, stages + 2))
+    for k in range(1, stages + 1):
+        wins[0, k - 1, k + 1 :] = float(Fraction(k, k + 1))
+        wins[1, k - 1, k + 1 :], floor[k - 1, k + 1 :] = _float_floor(Fraction(1, k + 1))
+    for n in range(2, stages + 2):
+        scale[: n - 1, n] = 1.0 / (2 * n)
+    for a in (wins, floor, scale):
         a.setflags(write=False)
-    return plays, win, floor
+    return wins, floor, scale
 
 
-def _bound_checks(n_parties: int, biases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`bias_bound_check` for every (tournament, party) pair of one size at once.
+def _bound_checks(sizes: np.ndarray, biases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`bias_bound_check` for every (tournament, party) pair of mixed-size tournaments in one pass.
 
-    biases has one row of N-1 stage biases per tournament; the results
-    (eps_bar, bound, holds) have shape (tournaments, N), column j for party
-    j+1. Each value is bit-identical to the scalar check: the survive
-    product runs over the stages left to right from 1.0, with factor 1.0
-    off the party's stages. A bias above a stage's floor raises the
-    InvalidBiasError the scalar path raises first, in (tournament, party,
-    stage) order.
+    biases is stage-major, shape (S, tournaments): column i holds
+    tournament i's sizes[i] - 1 stage biases, padded with 0.0 to S. eps_bar
+    and holds have shape (tournaments, S + 1), column j for party j + 1,
+    and bound has one entry per tournament. holds is False for the padded
+    parties past each size; for the others every value is bit-identical to
+    the scalar check.
+
+    Each party's survive row starts at its entry factor: 1/2 - b_1 for
+    parties 1 and 2, 1/(k+1) - b_k for party k + 1. At each stage k >= 2
+    the k parties already in play multiply their rows by k/(k+1) - b_k.
+    That is the scalar fold, left to right from 1.0, and padded stages
+    contribute the exact factor 1.0 - 0.0. A stage's lowest floor is its
+    entrant's, so one compare finds every invalid bias; the first offending
+    tournament is then rerun through the scalar `max_losing_prob`, which
+    raises its own InvalidBiasError.
     """
-    plays, win, floor = _stage_matrices(n_parties)
-    over = biases[:, None, :] > floor
+    stages = biases.shape[0]
+    wins, floor, _ = _sweep_tables(stages)
+    over = biases > np.take(floor, sizes, axis=1)
     if over.any():
-        i, j, k = np.argwhere(over)[0]
-        delta, w = float(biases[i, k]), float(win[j, k])
-        raise InvalidBiasError(f"stage {k + 1} bias {delta} exceeds honest win probability {w}")
-    survive = np.ones((biases.shape[0], n_parties))
-    for k in range(n_parties - 1):
-        survive *= np.where(plays[:, k], win[:, k] - biases[:, k, None], 1.0)
-    eps_bar = (1.0 - survive) - (n_parties - 1) / n_parties
-    bound = n_parties * biases.max(axis=1, keepdims=True)
-    holds = np.where(bound > 0.0, eps_bar < bound, eps_bar <= 0.0)
-    return eps_bar, np.broadcast_to(bound, eps_bar.shape), holds
-
-
-def _draw_batches(rng: np.random.Generator, count: int, max_parties: int) -> dict[int, np.ndarray]:
-    """count random tournaments from two draws, as N -> stage-bias rows in draw order.
-
-    The sizes are `rng.integers(2, max_parties + 1, size=count)`, then one
-    `rng.random((count, max_parties - 1))` block gives each row its stage
-    biases: the first N - 1 entries, times 1/(2N).
-    """
-    if max_parties < 2:
-        raise ParameterRangeError(f"max_parties must be >= 2, got {max_parties}")
-    sizes = rng.integers(2, max_parties + 1, size=count)
-    block = rng.random((count, max_parties - 1))
-    batches = {}
-    for n in range(2, max_parties + 1):
-        rows = block[sizes == n, : n - 1]
-        if len(rows):
-            batches[n] = rows * (1.0 / (2 * n))
-    return batches
+        i = int(over.any(axis=0).argmax())
+        n = int(sizes[i])
+        spec = TournamentSpec(n, biases[: n - 1, i].tolist())
+        for party in range(1, n + 1):  # at an offending stage k, party k + 1 raises
+            max_losing_prob(spec, party)
+    factors = np.take(wins, sizes, axis=2)
+    factors -= biases
+    defend, entrant = factors
+    survive = np.concatenate((entrant[:1], entrant))
+    for k in range(2, stages + 1):
+        survive[:k] *= defend[k - 1]
+    eps_bar = np.subtract(1.0, survive, out=survive)
+    eps_bar -= (sizes - 1) / sizes
+    bound = sizes * biases.max(axis=0)
+    # eps_bar <= 0.0 is eps_bar < the smallest positive float, so one compare covers both rules
+    holds = eps_bar < np.where(bound > 0.0, bound, _TINY)
+    holds &= np.arange(stages + 1)[:, None] < sizes
+    return eps_bar.T, bound, holds.T
 
 
 def bound_property_sweep(count: int, seed: int | np.random.Generator, max_parties: int = 10) -> float:
     """Fraction of (random tournament, honest party) cases satisfying the bound.
 
-    Draws `count` tournaments with 2 <= N <= max_parties and stage biases
-    uniform below 1/(2N) in two Generator calls (see `_draw_batches`), so
-    a Generator passed in ends in the state those two draws leave. Each
-    tournament size is checked in one `_bound_checks` pass, which tests pin
-    bit for bit to `bias_bound_check`.
+    Draws `count` tournaments in two Generator calls: the sizes
+    `rng.integers(2, max_parties + 1, size=count)`, then one
+    `rng.random((count, max_parties - 1))` block, whose row i gives
+    tournament i its stage biases, the first N - 1 entries times 1/(2N). A
+    Generator passed in ends in the state those two draws leave. The block
+    is scaled and transposed to stage-major in one step, and all sizes are
+    checked together in one `_bound_checks` pass, which tests pin bit for
+    bit to `bias_bound_check`.
     """
     if count < 1:
         raise ParameterRangeError(f"count must be >= 1, got {count}")
+    if max_parties < 2:
+        raise ParameterRangeError(f"max_parties must be >= 2, got {max_parties}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    ok = total = 0
-    for n, biases in _draw_batches(rng, count, max_parties).items():
-        holds = _bound_checks(n, biases)[2]
-        ok += int(holds.sum())
-        total += holds.size
-    return ok / total
+    sizes = rng.integers(2, max_parties + 1, size=count)
+    block = rng.random((count, max_parties - 1))
+    scale = np.take(_sweep_tables(max_parties - 1)[2], sizes, axis=1)
+    holds = _bound_checks(sizes, np.multiply(block.T, scale, order="C"))[2]
+    return int(np.count_nonzero(holds)) / int(sizes.sum())

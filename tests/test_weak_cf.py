@@ -1,6 +1,7 @@
 """Three-round weak imbalanced CF: honest runs, closed-form cheats, oracle."""
 
-from math import sqrt
+from fractions import Fraction
+from math import inf, nextafter, sqrt
 
 import numpy as np
 import pytest
@@ -227,6 +228,33 @@ class TestFairEta:
         assert fp.eta == pytest.approx(FAIR_ETA, abs=1e-9)
         assert fp.p_star == pytest.approx(1 / S2, abs=1e-9)
         assert abs(fp.residual) < 1e-9
+
+    def test_eta_is_the_correctly_rounded_exact_root(self):
+        # eta^2 + eta - 1/4 is increasing on [0, 1/2] and vanishes at
+        # (sqrt2 - 1)/2, so it must change sign between the midpoints from
+        # eta to its two float neighbours
+        fp = weak_cf.fair_eta_balanced()
+        assert repr(fp.eta) == "0.20710678118654752"
+        assert repr(fp.p_star) == "0.7071067811865475"
+        assert abs(fp.residual) <= 1e-15
+
+        def cleared(x):
+            return x * x + x - Fraction(1, 4)
+
+        for neighbour, sign in ((nextafter(fp.eta, -inf), -1), (nextafter(fp.eta, inf), 1)):
+            midpoint = (Fraction(fp.eta) + Fraction(neighbour)) / 2
+            assert cleared(midpoint) * sign > 0
+
+    def test_float_residual_changes_sign_across_the_root(self):
+        eta = weak_cf.fair_eta_balanced().eta
+        assert weak_cf._balanced_residual(eta - 1e-12) > 0.0 > weak_cf._balanced_residual(eta + 1e-12)
+
+    @pytest.mark.parametrize("shift", [-1e-11, 1e-11])
+    def test_certificate_rejects_a_residual_whose_root_moved(self, monkeypatch, shift):
+        residual = weak_cf._balanced_residual
+        monkeypatch.setattr(weak_cf, "_balanced_residual", lambda eta: residual(eta + shift))
+        with pytest.raises(CrossCheckError, match="do not bracket"):
+            weak_cf.fair_eta_balanced()
 
 
 class TestAliceCheatOracle:

@@ -35,6 +35,25 @@ def reference_draws(rng, count, max_parties):
     ]
 
 
+def padded(specs, max_parties):
+    """(sizes, stage-major biases) for `_bound_checks`: column i holds tournament i's
+    stage biases, 0.0 past its size."""
+    biases = np.zeros((max_parties - 1, len(specs)))
+    for i, spec in enumerate(specs):
+        biases[: spec.n_parties - 1, i] = spec.stage_biases
+    return np.array([spec.n_parties for spec in specs]), biases
+
+
+def alone(biases, n):
+    """One tournament's (sizes, stage-major biases) for `_bound_checks`."""
+    return np.array([n]), np.array([biases], dtype=float).T
+
+
+def bound_check_rows(eps_bar, bound, holds, i, n):
+    """Tournament i's (eps_bar, bound, holds) for its parties 1..n, as Python values."""
+    return [(float(eps_bar[i, j]), float(bound[i]), bool(holds[i, j])) for j in range(n)]
+
+
 def per_case_sweep(specs):
     """The sweep as one scalar `bias_bound_check` per (tournament, party) case."""
     ok = total = 0
@@ -53,7 +72,7 @@ def scalar_outcome(spec, party):
         return str(exc)
 
 
-SWEEP_CASES = [(seed, mp) for seed in range(5) for mp in (2, 10, 32)]
+SWEEP_CASES = [(seed, mp) for seed in range(5) for mp in (2, 3, 10, 32)]
 
 
 class TestHonestDistribution:
@@ -209,25 +228,34 @@ class TestBiasBound:
 
 
 class TestBatchedSweep:
-    """The batched sweep against the scalar `bias_bound_check` it replaced."""
+    """The one-pass sweep against the scalar `bias_bound_check` it replaced."""
 
     @pytest.mark.parametrize("seed,max_parties", SWEEP_CASES)
     def test_every_case_is_bit_identical_to_the_scalar_check(self, seed, max_parties):
-        batches = weak_dr._draw_batches(np.random.default_rng(seed), 200, max_parties)
         specs = reference_draws(np.random.default_rng(seed), 200, max_parties)
-        assert sum(len(rows) for rows in batches.values()) == len(specs)
-        assert list(batches) == sorted({spec.n_parties for spec in specs})
-        for n, biases in batches.items():
-            same_size = [spec for spec in specs if spec.n_parties == n]
-            assert [tuple(row) for row in biases.tolist()] == [s.stage_biases for s in same_size]
-            eps_bar, bound, holds = weak_dr._bound_checks(n, biases)
-            assert eps_bar.shape == bound.shape == holds.shape == (len(same_size), n)
-            for i, spec in enumerate(same_size):
-                for party in range(1, n + 1):
-                    check = weak_dr.bias_bound_check(spec, party)
-                    got = (float(eps_bar[i, party - 1]), float(bound[i, party - 1]))
-                    assert got == (check.eps_bar, check.bound), (n, i, party)
-                    assert bool(holds[i, party - 1]) == check.holds
+        sizes, biases = padded(specs, max_parties)
+        eps_bar, bound, holds = weak_dr._bound_checks(sizes, biases)
+        assert eps_bar.shape == holds.shape == (len(specs), max_parties)
+        assert bound.shape == (len(specs),)
+        for i, spec in enumerate(specs):
+            assert bound_check_rows(eps_bar, bound, holds, i, spec.n_parties) == [
+                tuple(weak_dr.bias_bound_check(spec, party)) for party in range(1, spec.n_parties + 1)
+            ], (i, spec.n_parties)
+            assert not holds[i, spec.n_parties :].any()
+
+    @pytest.mark.parametrize("seed,max_parties", SWEEP_CASES)
+    def test_sweep_checks_exactly_the_reference_draws(self, seed, max_parties, monkeypatch):
+        seen = []
+
+        def recording(sizes, biases):
+            seen.append((sizes.tolist(), biases.tolist()))
+            return checks(sizes, biases)
+
+        checks = weak_dr._bound_checks
+        monkeypatch.setattr(weak_dr, "_bound_checks", recording)
+        weak_dr.bound_property_sweep(200, seed, max_parties)
+        sizes, biases = padded(reference_draws(np.random.default_rng(seed), 200, max_parties), max_parties)
+        assert seen == [(sizes.tolist(), biases.tolist())]  # float lists compare bit for bit
 
     @pytest.mark.parametrize("seed,max_parties", SWEEP_CASES)
     def test_pass_rate_and_generator_state_match_the_per_case_loop(self, seed, max_parties):
@@ -237,6 +265,38 @@ class TestBatchedSweep:
         # the passed-in Generator advanced by exactly the two block draws
         assert batched_rng.bit_generator.state == ref_rng.bit_generator.state
         assert weak_dr.bound_property_sweep(200, seed, max_parties) == rate
+
+    def test_mixed_sizes_share_one_pass_without_padding_counting(self):
+        # tournaments of different N in one call: only each one's own
+        # N parties and N - 1 stages count, so exactly sum(N) cases hold
+        rng = np.random.default_rng(7)
+        specs = [
+            TournamentSpec(n, rng.uniform(0.0, 1.0 / (2 * n), size=n - 1).tolist())
+            for n in (2, 9, 3, 12, 5, 2, 12, 7)
+        ]
+        sizes, biases = padded(specs, 12)
+        eps_bar, bound, holds = weak_dr._bound_checks(sizes, biases)
+        for i, spec in enumerate(specs):
+            expected = [weak_dr.bias_bound_check(spec, j) for j in range(1, spec.n_parties + 1)]
+            assert bound_check_rows(eps_bar, bound, holds, i, spec.n_parties) == [tuple(c) for c in expected]
+            # the same tournament checked alone, at its own width
+            single = weak_dr._bound_checks(*alone(spec.stage_biases, spec.n_parties))
+            assert bound_check_rows(*single, 0, spec.n_parties) == [tuple(c) for c in expected]
+        assert int(holds.sum()) == int(sizes.sum()) == sum(spec.n_parties for spec in specs)
+        assert holds.sum(axis=1).tolist() == sizes.tolist()
+
+    def test_two_party_tournaments_skip_the_stage_loop(self):
+        # max_parties = 2: one stage, where both parties get 1/2 - b_1
+        specs = reference_draws(np.random.default_rng(3), 50, 2)
+        sizes, biases = padded(specs, 2)
+        assert biases.shape == (1, 50) and set(sizes.tolist()) == {2}
+        eps_bar, bound, holds = weak_dr._bound_checks(sizes, biases)
+        for i, spec in enumerate(specs):
+            assert bound_check_rows(eps_bar, bound, holds, i, 2) == [
+                tuple(weak_dr.bias_bound_check(spec, party)) for party in (1, 2)
+            ]
+        assert int(holds.sum()) == 100
+        assert weak_dr.bound_property_sweep(50, 3, max_parties=2) == 1.0
 
     @pytest.mark.parametrize("seed,max_parties", SWEEP_CASES)
     def test_invalid_bias_fires_exactly_where_the_scalar_check_fires(self, seed, max_parties):
@@ -256,14 +316,12 @@ class TestBatchedSweep:
                     if errors:
                         raised += 1
                         with pytest.raises(InvalidBiasError) as exc:
-                            weak_dr._bound_checks(n, np.array([biases]))
+                            weak_dr._bound_checks(*alone(biases, n))
                         assert str(exc.value) == errors[0]
                     else:
                         passed += 1
-                        eps_bar, bound, holds = weak_dr._bound_checks(n, np.array([biases]))
-                        assert [(c.eps_bar, c.bound, c.holds) for c in expected] == list(
-                            zip(eps_bar[0].tolist(), bound[0].tolist(), holds[0].tolist())
-                        )
+                        got = weak_dr._bound_checks(*alone(biases, n))
+                        assert bound_check_rows(*got, 0, n) == [tuple(c) for c in expected]
         # every step above a floor raises; at each stage's lowest floor nothing does
         assert raised >= sum(len(weak_dr._stage_table(n, j)) for j in range(1, n + 1))
         assert passed >= n - 1
@@ -271,11 +329,9 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_zero_biases_match_the_degenerate_scalar_rule(self, n):
         spec = TournamentSpec(n, (0.0,) * (n - 1))
-        eps_bar, bound, holds = weak_dr._bound_checks(n, np.zeros((1, n - 1)))
+        got = weak_dr._bound_checks(*alone([0.0] * (n - 1), n))
         expected = [weak_dr.bias_bound_check(spec, party) for party in range(1, n + 1)]
-        assert list(zip(eps_bar[0].tolist(), bound[0].tolist(), holds[0].tolist())) == [
-            (c.eps_bar, c.bound, c.holds) for c in expected
-        ]
+        assert bound_check_rows(*got, 0, n) == [tuple(c) for c in expected]
 
     def test_first_invalid_tournament_in_draw_order_is_reported(self):
         rows = np.full((4, 4), 0.01)
@@ -283,8 +339,24 @@ class TestBatchedSweep:
         rows[3, 0] = 0.6  # above every stage-1 win probability
         spec = TournamentSpec(5, rows[1].tolist())
         with pytest.raises(InvalidBiasError) as exc:
-            weak_dr._bound_checks(5, rows)
+            weak_dr._bound_checks(np.full(4, 5), rows.T)
         assert str(exc.value) == scalar_outcome(spec, 5)
+
+    def test_first_invalid_tournament_among_mixed_sizes_is_reported(self):
+        # the offending stage is each tournament's last, so a floor check
+        # that skipped any stage index would miss one of them
+        specs = [TournamentSpec(n, [0.01] * (n - 1)) for n in (3, 6, 4, 9, 2)]
+        sizes, biases = padded(specs, 9)
+        for i, n in ((1, 6), (3, 9), (4, 2)):
+            biases[n - 2, i] = 0.55
+        with pytest.raises(InvalidBiasError) as exc:
+            weak_dr._bound_checks(sizes, biases)
+        moved = TournamentSpec(6, biases[:5, 1].tolist())
+        assert str(exc.value) == scalar_outcome(moved, 6)
+        for i, n in ((3, 9), (4, 2)):
+            with pytest.raises(InvalidBiasError) as exc:
+                weak_dr._bound_checks(sizes[i:], biases[:, i:])
+            assert str(exc.value) == scalar_outcome(TournamentSpec(n, biases[: n - 1, i].tolist()), n)
 
 
 class TestIdealPrimitive:
