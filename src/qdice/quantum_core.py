@@ -9,12 +9,20 @@ explicitly.
 
 Amplitudes are double-precision complex. The protocols analyzed here only
 ever need real amplitudes, but the type is complex for generality.
+
+A StateVector owns a read-only copy of its amplitudes, so one state can be
+shared freely. `basis_state` relies on this: it returns one cached state
+per (dims, labels, indices), and repeated calls hand out that same object.
+States that are compared, projected or measured together must list their
+subsystems in the same order; a different order raises
+DimensionMismatchError rather than silently pairing the wrong amplitudes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from functools import lru_cache
+from math import prod, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -41,9 +49,9 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
+        amps = np.array(self.amps, dtype=complex)  # a copy: the caller's array stays writable
         amps.setflags(write=False)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(map(int, self.dims)))
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "amps", amps)
         if len(self.dims) != len(self.labels):
@@ -54,8 +62,8 @@ class StateVector:
             raise DimensionMismatchError(
                 f"expected {prod(self.dims)} amplitudes, got {amps.shape}"
             )
-        n = float(np.linalg.norm(amps))
-        if abs(n - 1.0) > NORM_TOL:
+        n = sqrt(np.vdot(amps, amps).real)
+        if not abs(n - 1.0) <= NORM_TOL:  # fails closed on NaN
             raise DimensionMismatchError(f"state not normalized: |psi| = {n!r}")
 
     @property
@@ -78,11 +86,20 @@ class StateVector:
 
 
 def basis_state(dims: Sequence[int], labels: Sequence[str], indices: Sequence[int]) -> StateVector:
-    """The product basis state |i1 i2 ...> with the given subsystem indices."""
-    dims = tuple(dims)
+    """The product basis state |i1 i2 ...> with the given subsystem indices.
+
+    Equal arguments, given as lists or tuples, return one shared cached state.
+    """
+    return _cached_basis_state(tuple(map(int, dims)), tuple(labels), tuple(map(int, indices)))
+
+
+@lru_cache(maxsize=128)
+def _cached_basis_state(
+    dims: tuple[int, ...], labels: tuple[str, ...], indices: tuple[int, ...]
+) -> StateVector:
     amps = np.zeros(prod(dims), dtype=complex)
-    amps[int(np.ravel_multi_index(tuple(indices), dims))] = 1.0
-    return StateVector(dims, tuple(labels), amps)
+    amps[int(np.ravel_multi_index(indices, dims))] = 1.0
+    return StateVector(dims, labels, amps)
 
 
 @dataclass(frozen=True)
@@ -93,14 +110,15 @@ class UnitaryOp:
     target_subsystems: tuple[str, ...]
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)  # a copy: the caller's array stays writable
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "target_subsystems", tuple(self.target_subsystems))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got {m.shape}")
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if dev > NORM_TOL:
+        with np.errstate(invalid="ignore"):  # inf entries give NaN, rejected below
+            dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+        if not dev <= NORM_TOL:  # fails closed on NaN
             raise DimensionMismatchError(f"matrix is not unitary: max |U+U - I| = {dev:.3g}")
 
 
@@ -133,14 +151,14 @@ def apply(u: UnitaryOp, s: StateVector) -> StateVector:
         raise DimensionMismatchError(
             f"matrix dim {u.matrix.shape[0]} != target subsystem dim {d_target}"
         )
-    n_sub = len(s.dims)
-    rest = [ax for ax in range(n_sub) if ax not in axes]
-    tensor_form = s.amps.reshape(s.dims).transpose(axes + rest)
-    flat = tensor_form.reshape(d_target, -1)
+    order = axes + [ax for ax in range(len(s.dims)) if ax not in axes]
+    flat = s.amps.reshape(s.dims).transpose(order).reshape(d_target, -1)
     out = u.matrix @ flat
     # undo the transpose: scatter target axes back to their original slots
-    inv = np.argsort(axes + rest)
-    new_amps = out.reshape([s.dims[ax] for ax in axes + rest]).transpose(inv).reshape(-1)
+    inv = [0] * len(order)
+    for pos, ax in enumerate(order):
+        inv[ax] = pos
+    new_amps = out.reshape([s.dims[ax] for ax in order]).transpose(inv).reshape(-1)
     return StateVector(s.dims, s.labels, new_amps)
 
 
@@ -148,6 +166,8 @@ def overlap(a: StateVector, b: StateVector) -> complex:
     """Inner product <a|b>; its squared modulus is the transition probability."""
     if a.dims != b.dims:
         raise DimensionMismatchError(f"dims differ: {a.dims} vs {b.dims}")
+    if a.labels != b.labels:
+        raise DimensionMismatchError(f"subsystem labels differ: {a.labels} vs {b.labels}")
     return complex(np.vdot(a.amps, b.amps))
 
 
@@ -171,9 +191,8 @@ def _project(
     s: StateVector, basis_states: Sequence[StateVector], coeffs: list[complex], inside: bool
 ) -> tuple[float, StateVector]:
     """`project` with the coefficients from `_span_coefficients` already taken."""
-    in_span = np.zeros_like(s.amps)
-    for c, b in zip(coeffs, basis_states):
-        in_span = in_span + c * b.amps
+    # sum() starts from 0, so -0.0 components become +0.0 exactly as on a zero array
+    in_span = sum(c * b.amps for c, b in zip(coeffs, basis_states))
     target = in_span if inside else s.amps - in_span
     p = float(np.linalg.norm(target) ** 2)
     if p < 1e-15:

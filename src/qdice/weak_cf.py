@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, isqrt, nan, sqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -119,11 +119,18 @@ def rotation_unitary(params: WeakCFParams) -> qc.UnitaryOp:
     return qc.UnitaryOp(m, ("q2", "q3"))
 
 
+# The protocol's fixed states, built once at import so that no call's work
+# depends on what ran before it: Bob's |d> ancilla and the basis of his win
+# sector, where qubits 2, 3 read |ud> (q1 free).
+_ANCILLA_D = qc.basis_state((2,), ("q3",), (DOWN,))
+_WIN_SECTOR = tuple(
+    qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (x, UP, DOWN)) for x in (UP, DOWN)
+)
+
+
 def bob_win_sector() -> list[qc.StateVector]:
     """Basis of the subspace where qubits 2, 3 read |ud> (q1 free)."""
-    return [
-        qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (x, UP, DOWN)) for x in (UP, DOWN)
-    ]
+    return list(_WIN_SECTOR)
 
 
 def alice_pass_state(params: WeakCFParams) -> qc.StateVector:
@@ -150,7 +157,7 @@ def honest_run(params: WeakCFParams, seed: int | np.random.Generator) -> tuple[s
     """
     rng = qc.as_generator(seed)
     psi0 = initial_state(params)
-    psi_full = qc.tensor(psi0, qc.basis_state((2,), ("q3",), (DOWN,)))
+    psi_full = qc.tensor(psi0, _ANCILLA_D)
     psi1 = qc.apply(rotation_unitary(params), psi_full)
 
     sector = bob_win_sector()
@@ -179,7 +186,7 @@ def honest_run(params: WeakCFParams, seed: int | np.random.Generator) -> tuple[s
 def honest_alice_win_probability(params: WeakCFParams) -> float:
     """Analytic probability that honest Alice wins (eta-independent, = 1-p)."""
     psi0 = initial_state(params)
-    psi_full = qc.tensor(psi0, qc.basis_state((2,), ("q3",), (DOWN,)))
+    psi_full = qc.tensor(psi0, _ANCILLA_D)
     psi1 = qc.apply(rotation_unitary(params), psi_full)
     return 1.0 - qc.subspace_probability(psi1, bob_win_sector())
 
@@ -312,21 +319,22 @@ def fair_eta_balanced() -> FairPoint:
 
 # Alice's preparation basis (q1, q2), in the order of CheatAnalysis.maximizer_alphas
 _PREP_BASIS = ((UP, DOWN), (DOWN, UP), (UP, UP), (DOWN, DOWN))  # a_ud, a_du, a_uu, a_dd
+# e_r tensor |d> for each preparation basis state, built once at import
+_PREP_STATES = tuple(
+    qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (i, j, DOWN)) for i, j in _PREP_BASIS
+)
 
 
-def _oracle_tables(params: WeakCFParams) -> tuple[list[qc.StateVector], qc.StateVector]:
-    """Images of Alice's four basis preparations under Bob's rotation, and xi.
+class _Protocol(NamedTuple):
+    """The simulated protocol pieces both oracle certificates push states through."""
 
-    Image r is U (e_r tensor |d>) for the preparation basis order
-    (ud, du, uu, dd), built through the generic apply() machinery; xi is
-    the verification state.
-    """
-    u = rotation_unitary(params)
-    images = [
-        qc.apply(u, qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (i, j, DOWN)))
-        for i, j in _PREP_BASIS
-    ]
-    return images, alice_pass_state(params)
+    u: qc.UnitaryOp  # Bob's rotation on (q2, q3)
+    xi: qc.StateVector  # Alice's verification state
+    sector: list[qc.StateVector]  # Bob's win sector
+
+
+def _protocol(params: WeakCFParams) -> _Protocol:
+    return _Protocol(rotation_unitary(params), alice_pass_state(params), bob_win_sector())
 
 
 def _score_rotated(
@@ -345,22 +353,22 @@ def _score_rotated(
     return p_fail * abs(qc.overlap(xi, post)) ** 2
 
 
-def _payoff(params: WeakCFParams, alphas) -> float:
+def _payoff(params: WeakCFParams, alphas, proto: _Protocol | None = None) -> float:
     """Alice's cheating payoff P_fail * P_test for one preparation.
 
     alphas = (a_ud, a_du, a_uu, a_dd) is a unit vector. The preparation is
     pushed through the protocol: Bob's rotation against a |d> ancilla, the
     probability his |ud> test fails, and Alice's verification overlap on
-    the renormalized post-failure state.
+    the renormalized post-failure state. proto, when given, must be
+    `_protocol(params)`; the oracle passes the one it already built.
     """
+    if proto is None:
+        proto = _protocol(params)
     amps = np.zeros(4, dtype=complex)
     for (i, j), a in zip(_PREP_BASIS, alphas):
         amps[i * 2 + j] = a
-    prep = qc.tensor(
-        qc.StateVector((2, 2), ("q1", "q2"), amps), qc.basis_state((2,), ("q3",), (DOWN,))
-    )
-    rotated = qc.apply(rotation_unitary(params), prep)
-    return _score_rotated(rotated, bob_win_sector(), alice_pass_state(params))
+    prep = qc.tensor(qc.StateVector((2, 2), ("q1", "q2"), amps), _ANCILLA_D)
+    return _score_rotated(qc.apply(proto.u, prep), proto.sector, proto.xi)
 
 
 def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> CheatAnalysis:
@@ -371,28 +379,30 @@ def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> Cheat
     quadratic form in the preparation alpha, so its maximum over unit alpha
     is ||v||^2 with v_r = <xi|U(e_r tensor |d>)> (ancillas give her no
     advantage). Both U and xi come from the simulated protocol, not from the
-    closed form. Two simulated certificates must hold within ORACLE_TOL:
-    the four basis preparations, each scored through Bob's test and Alice's
-    verification, sum to ||v||^2 (the maximum of the simulated payoff form,
-    so no preparation beats the value), and the maximizer |v| / ||v||
-    attains ||v||^2. Either failure, or a NaN, raises CrossCheckError.
+    closed form; they and Bob's win sector are built once and shared by
+    both certificates. Two simulated certificates must hold within
+    ORACLE_TOL: the four basis preparations, each scored through Bob's test
+    and Alice's verification, sum to ||v||^2 (the maximum of the simulated
+    payoff form, so no preparation beats the value), and the maximizer
+    |v| / ||v|| attains ||v||^2. Either failure, or a NaN, raises
+    CrossCheckError.
 
     grid_resolution is validated (>= 10) for compatibility but no longer
     affects the result.
     """
     if grid_resolution < 10:
         raise ResolutionTooCoarseError(f"grid_resolution must be >= 10, got {grid_resolution}")
-    images, xi = _oracle_tables(params)
-    v = np.array([qc.overlap(xi, img) for img in images])
+    proto = _protocol(params)
+    images = [qc.apply(proto.u, e) for e in _PREP_STATES]  # U (e_r tensor |d>)
+    v = np.array([qc.overlap(proto.xi, img) for img in images])
     w = np.abs(v)
     value = float(w @ w)
     alphas = tuple(float(x) for x in w / np.sqrt(value))
 
-    sector = bob_win_sector()
-    upper = sum(_score_rotated(img, sector, xi) for img in images)
+    upper = sum(_score_rotated(img, proto.sector, proto.xi) for img in images)
     if not abs(upper - value) <= ORACLE_TOL:  # fails closed on NaN
         raise CrossCheckError(f"basis preparations score {upper!r}, not ||v||^2 = {value!r}")
-    attained = _payoff(params, alphas)
+    attained = _payoff(params, alphas, proto)
     if not abs(attained - value) <= ORACLE_TOL:
         raise CrossCheckError(f"oracle maximizer attains {attained!r}, not ||v||^2 = {value!r}")
 

@@ -1,6 +1,6 @@
 """State-vector substrate: tensor products, unitaries, measurement, overlaps."""
 
-from math import sqrt
+from math import inf, nan, sqrt
 
 import numpy as np
 import pytest
@@ -89,6 +89,29 @@ class TestApply:
         with pytest.raises(DimensionMismatchError):
             qc.UnitaryOp(np.array([[1.0, 1.0], [0.0, 1.0]]), ("q1",))
 
+    @pytest.mark.parametrize("bad", [nan, inf, -inf, complex(0.0, nan), complex(inf, 0.0)])
+    def test_non_finite_matrix_entry_rejected(self, bad):
+        for entry in ((0, 0), (0, 1)):
+            m = np.eye(2, dtype=complex)
+            m[entry] = bad
+            with pytest.raises(DimensionMismatchError, match="not unitary"):
+                qc.UnitaryOp(m, ("q1",))
+
+    def test_caller_matrix_stays_writable(self):
+        m = np.eye(2, dtype=complex)
+        op = qc.UnitaryOp(m, ("q1",))
+        m[0, 0] = 5.0
+        assert m.flags.writeable and op.matrix[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 5.0
+
+    def test_permuted_targets_act_on_the_named_subsystems(self):
+        # a CNOT with control q3 and target q1, on a state whose order is (q1, q2, q3)
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        state = qc.basis_state((2, 3, 2), ("q1", "q2", "q3"), (0, 2, 1))
+        out = qc.apply(qc.UnitaryOp(cnot, ("q3", "q1")), state)
+        assert out.amplitude((1, 2, 1)) == 1.0
+
 
 class TestMeasureProjector:
     def test_certain_outcome(self):
@@ -132,6 +155,14 @@ class TestMeasureProjector:
         tilted = qc.StateVector((2,), ("q1",), np.array([1 / S2, 1 / S2]))
         with pytest.raises(NonOrthogonalBasisError):
             qc.measure_projector(ket(UP), [ket(UP), tilted], seed=0)
+
+    def test_empty_basis(self):
+        state = qc.StateVector((2,), ("q1",), np.array([0.6, 0.8]))
+        p, post = qc.project(state, [], inside=False)
+        assert p == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_array_equal(post.amps, state.amps)
+        with pytest.raises(DimensionMismatchError, match="vanishing"):
+            qc.project(state, [], inside=True)
 
     def test_born_rule_sampling(self):
         # 1e5 seeded two-outcome measurements of a known state
@@ -178,6 +209,30 @@ class TestOverlap:
             qc.overlap(ket(UP), ket(UP, DOWN))
 
 
+class TestLabelOrder:
+    # one physical state, |q1 = u, q2 = d>, written in both subsystem orders
+    forward = qc.basis_state((2, 2), ("q1", "q2"), (UP, DOWN))
+    swapped = qc.basis_state((2, 2), ("q2", "q1"), (DOWN, UP))
+
+    def test_overlap_rejects_a_different_order(self):
+        with pytest.raises(DimensionMismatchError, match="labels differ"):
+            qc.overlap(self.forward, self.swapped)
+
+    def test_overlap_rejects_different_names(self):
+        with pytest.raises(DimensionMismatchError, match="labels differ"):
+            qc.overlap(ket(UP), qc.basis_state((2,), ("q9",), (UP,)))
+
+    def test_projections_reject_a_different_order(self):
+        for call in (
+            lambda: qc.project(self.forward, [self.swapped]),
+            lambda: qc.project(self.forward, [self.swapped], inside=False),
+            lambda: qc.subspace_probability(self.forward, [self.swapped]),
+            lambda: qc.measure_projector(self.forward, [self.swapped], seed=0),
+        ):
+            with pytest.raises(DimensionMismatchError, match="labels differ"):
+                call()
+
+
 def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
@@ -198,6 +253,40 @@ class TestInvariants:
     def test_unnormalized_state_rejected(self):
         with pytest.raises(DimensionMismatchError):
             qc.StateVector((2,), ("q1",), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "amps",
+        [[nan, 0.0], [1.0, nan], [inf, 0.0], [-inf, 0.0], [complex(0.0, nan), 1.0], [inf, nan]],
+    )
+    def test_non_finite_amplitudes_rejected(self, amps):
+        with pytest.raises(DimensionMismatchError, match="not normalized"):
+            qc.StateVector((2,), ("q1",), np.array(amps))
+
+    def test_caller_amplitudes_stay_writable(self):
+        amps = np.array([1.0, 0.0], dtype=complex)
+        state = qc.StateVector((2,), ("q1",), amps)
+        amps[0] = 0.0
+        amps[1] = 1.0
+        assert amps.flags.writeable
+        assert (state.amplitude((0,)), state.amplitude((1,))) == (1.0, 0.0)
+        with pytest.raises(ValueError):
+            state.amps[0] = 0.0
+
+    def test_basis_state_is_cached_and_read_only(self):
+        from_lists = qc.basis_state([2, 2], ["c1", "c2"], [1, 0])
+        from_tuples = qc.basis_state((2, 2), ("c1", "c2"), (1, 0))
+        from_numpy = qc.basis_state(np.array([2, 2]), ("c1", "c2"), np.array([1, 0]))
+        assert from_lists is from_tuples is from_numpy
+        assert from_tuples.dims == (2, 2) and from_tuples.labels == ("c1", "c2")
+        with pytest.raises(ValueError):
+            from_lists.amps[2] = 0.0
+        with pytest.raises(AttributeError):
+            from_lists.amps = np.array([1.0, 0.0, 0.0, 0.0])
+        assert from_tuples.amplitude((1, 0)) == 1.0 and np.count_nonzero(from_tuples.amps) == 1
+
+    def test_basis_state_cache_is_bounded(self):
+        info = qc._cached_basis_state.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
 
     def test_json_serialization_shape(self):
         psi = initial_state(WeakCFParams(0.5, 0.1))

@@ -318,22 +318,23 @@ class TestAliceCheatOracle:
 
     def test_attainment_failure_raises(self, monkeypatch):
         for bad in (0.5, float("nan")):
-            monkeypatch.setattr(weak_cf, "_payoff", lambda params, alphas, bad=bad: bad)
+            monkeypatch.setattr(weak_cf, "_payoff", lambda params, alphas, proto, bad=bad: bad)
             with pytest.raises(CrossCheckError, match="attains"):
                 weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
 
     def test_basis_certificate_failure_raises(self, monkeypatch):
         # a verification state with support in Bob's win sector breaks the
         # rank-1 model: v counts that support, the simulated test projects it out
-        tables = weak_cf._oracle_tables
+        protocol = weak_cf._protocol
 
-        def leaky_tables(params):
-            images, xi = tables(params)
-            amps = xi.amps.copy()
+        def leaky_protocol(params):
+            proto = protocol(params)
+            amps = proto.xi.amps.copy()
             amps[UP * 4 + UP * 2 + DOWN] = 0.3
-            return images, qc.StateVector(xi.dims, xi.labels, amps / np.linalg.norm(amps))
+            xi = qc.StateVector(proto.xi.dims, proto.xi.labels, amps / np.linalg.norm(amps))
+            return proto._replace(xi=xi)
 
-        monkeypatch.setattr(weak_cf, "_oracle_tables", leaky_tables)
+        monkeypatch.setattr(weak_cf, "_protocol", leaky_protocol)
         with pytest.raises(CrossCheckError, match="basis"):
             weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
 
@@ -341,6 +342,41 @@ class TestAliceCheatOracle:
         monkeypatch.setattr(weak_cf, "_score_rotated", lambda rotated, sector, xi: float("nan"))
         with pytest.raises(CrossCheckError, match="basis"):
             weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
+
+    def test_one_call_builds_the_protocol_once(self, monkeypatch):
+        # one rotation and one unitarity check serve both certificates, and
+        # the fixed basis states are not rebuilt: 13 states in all (xi, four
+        # images, five post-test states, the maximizer, its tensor and image)
+        built, checked, states = [], [], []
+        rotation = weak_cf.rotation_unitary
+        unitary_check, state_check = qc.UnitaryOp.__post_init__, qc.StateVector.__post_init__
+
+        def counted_rotation(params):
+            built.append(params)
+            return rotation(params)
+
+        def counted_unitary(op):
+            checked.append(op)
+            unitary_check(op)
+
+        def counted_state(state):
+            states.append(state)
+            state_check(state)
+
+        monkeypatch.setattr(weak_cf, "rotation_unitary", counted_rotation)
+        monkeypatch.setattr(qc.UnitaryOp, "__post_init__", counted_unitary)
+        monkeypatch.setattr(qc.StateVector, "__post_init__", counted_state)
+        weak_cf.alice_cheat_oracle(WeakCFParams(0.4, 0.3))
+        assert (len(built), len(checked), len(states)) == (1, 1, 13)
+
+    def test_payoff_with_the_oracle_protocol_matches_standalone(self):
+        params = WeakCFParams(0.35, 0.4)
+        proto = weak_cf._protocol(params)
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            z = rng.normal(size=4)
+            alphas = z / np.linalg.norm(z)
+            assert weak_cf._payoff(params, alphas, proto) == weak_cf._payoff(params, alphas)
 
     def test_unfailable_preparation_scores_zero(self):
         # at eta = 0 Bob's rotation keeps |ud> on (q2, q3), so a_du lands in his win sector
