@@ -77,15 +77,24 @@ def cheat_probs(n: int) -> tuple[Fraction, Fraction]:
     return Fraction(n + 1, 2 * n), Fraction(2 * n - 1, n * n)
 
 
+_ORACLE_BLOCK = 1 << 16  # index pairs compared per numpy step
+
+
 def bob_cheat_oracle(n: int) -> Fraction:
     """Independent enumeration of Bob's measure-both-then-select strategy.
 
     Bob measures both dice before choosing; the two indices are independent
     uniform draws, and he succeeds whenever either shows the target. Counts
-    all N^2 index pairs exactly.
+    all N^2 index pairs exactly, comparing a block of rows of the (i, j)
+    grid at a time, so the extra memory is O(N) plus a fixed block.
     """
     if n < 2:
         raise ParameterRangeError(f"need at least 2 outcomes, got {n}")
     target = 1
-    hits = sum(1 for i in range(1, n + 1) for j in range(1, n + 1) if target in (i, j))
+    j_hits = np.arange(1, n + 1) == target
+    rows = max(1, _ORACLE_BLOCK // n)
+    hits = 0
+    for start in range(1, n + 1, rows):
+        i_hits = np.arange(start, min(start + rows, n + 1))[:, None] == target
+        hits += int(np.count_nonzero(i_hits | j_hits))
     return Fraction(hits, n * n)

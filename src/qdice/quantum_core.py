@@ -124,11 +124,16 @@ class UnitaryOp:
 
 @dataclass(frozen=True)
 class MeasurementResult:
-    """One sampled outcome of a projective measurement."""
+    """One sampled outcome of a projective measurement.
+
+    inside_probability is the Born probability of outcome 0 ("inside") for
+    `measure_projector`, whichever outcome was drawn; None otherwise.
+    """
 
     outcome_index: int
     probability: float
     post_state: StateVector
+    inside_probability: float | None = None
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -223,14 +228,15 @@ def measure_projector(
     Outcome index 0 means "inside the subspace", 1 means "outside". The
     outcome is sampled from the Born probabilities using the given seed or
     generator; the post state is the renormalized projection. The basis is
-    checked and its overlaps with s are taken once, for both steps.
+    checked and its overlaps with s are taken once, for both steps. The
+    result's inside_probability equals `subspace_probability(s, basis_states)`.
     """
     coeffs = _span_coefficients(s, basis_states)
     p_in = float(sum(abs(c) ** 2 for c in coeffs))
     rng = as_generator(seed)
     inside = bool(rng.random() < p_in)
     prob, post = _project(s, basis_states, coeffs, inside)
-    return MeasurementResult(0 if inside else 1, prob, post)
+    return MeasurementResult(0 if inside else 1, prob, post, p_in)
 
 
 def measure_computational(

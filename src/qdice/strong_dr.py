@@ -10,9 +10,10 @@ factors along the target's path: 1/sqrt(N) at delta = 0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import inf, sqrt
 
 from .errors import ParameterRangeError
 
@@ -54,16 +55,25 @@ class SplitTree:
 
 def build_tree(n_outcomes: int) -> SplitTree:
     """Recursive ceil/floor bisection of [1, n_outcomes] down to singletons."""
-    if n_outcomes < 2:
-        raise ParameterRangeError(f"need at least 2 outcomes, got {n_outcomes}")
+    try:
+        n = operator.index(n_outcomes)
+    except TypeError:
+        raise ParameterRangeError(f"outcome count must be an integer, got {n_outcomes!r}") from None
+    if n < 2:
+        raise ParameterRangeError(f"need at least 2 outcomes, got {n}")
 
     def split(lo: int, hi: int) -> SplitTree:
+        # fills the instance dict directly: the same node as SplitTree(lo, hi, ...)
+        # without the frozen dataclass's four object.__setattr__ calls
+        node = object.__new__(SplitTree)
         if lo == hi:
-            return SplitTree(lo, hi)
-        mid = lo + (hi - lo + 1 + 1) // 2 - 1  # left child takes ceil(w/2) outcomes
-        return SplitTree(lo, hi, split(lo, mid), split(mid + 1, hi))
+            node.__dict__.update(lo=lo, hi=hi, left=None, right=None)
+        else:
+            mid = (lo + hi) // 2  # left child takes ceil(w/2) outcomes
+            node.__dict__.update(lo=lo, hi=hi, left=split(lo, mid), right=split(mid + 1, hi))
+        return node
 
-    return split(1, n_outcomes)
+    return split(1, n)
 
 
 def path_to(tree: SplitTree, target_outcome: int) -> list[Fraction]:
@@ -85,25 +95,46 @@ def path_to(tree: SplitTree, target_outcome: int) -> list[Fraction]:
 
 
 def honest_leaf_probs(tree: SplitTree) -> list[Fraction]:
-    """Exact honest probability of every outcome, in outcome order."""
+    """Exact honest probability of every outcome, in outcome order.
+
+    Walks the tree level by level with an explicit worklist, carrying each
+    path's product of edge probabilities as an unreduced integer pair
+    (num, den): a node of width w multiplies its left child's pair by
+    ((w+1)//2, w) and its right child's by (w//2, w), the factors of
+    `left_prob` and `right_prob`. One Fraction is built per distinct pair
+    reaching a leaf.
+    """
     probs: list[tuple[int, Fraction]] = []
-
-    def walk(node: SplitTree, acc: Fraction) -> None:
-        if node.is_leaf:
-            probs.append((node.lo, acc))
-            return
-        walk(node.left, acc * node.left_prob)
-        walk(node.right, acc * node.right_prob)
-
-    walk(tree, Fraction(1))
+    exact: dict[tuple[int, int], Fraction] = {}
+    level = [(tree, 1, 1)]
+    while level:
+        below = []
+        for node, num, den in level:
+            if node.left is None:
+                key = (num, den)
+                prob = exact.get(key)
+                if prob is None:
+                    prob = exact[key] = Fraction(num, den)
+                probs.append((node.lo, prob))
+            else:
+                w = node.hi - node.lo + 1
+                den *= w
+                below.append((node.left, num * ((w + 1) // 2), den))
+                below.append((node.right, num * (w // 2), den))
+        level = below
     probs.sort()
     return [p for _, p in probs]
 
 
 def depth(tree: SplitTree) -> int:
-    if tree.is_leaf:
-        return 0
-    return 1 + max(depth(tree.left), depth(tree.right))
+    """Length of the longest root-to-leaf path (0 for a single leaf), level by level."""
+    level = [tree]
+    levels = 0
+    while True:
+        level = [child for node in level if node.left is not None for child in (node.left, node.right)]
+        if not level:
+            return levels
+        levels += 1
 
 
 def adversary_success(tree: SplitTree, target_outcome: int, delta: float) -> float:
@@ -112,8 +143,8 @@ def adversary_success(tree: SplitTree, target_outcome: int, delta: float) -> flo
     Product over the target's path of min(1, sqrt(edge probability) + delta);
     each factor is clamped at 1 since a forcing probability cannot exceed it.
     """
-    if delta < 0.0:
-        raise ParameterRangeError(f"delta must be non-negative, got {delta}")
+    if not 0.0 <= delta < inf:  # fails closed on NaN
+        raise ParameterRangeError(f"delta must be finite and non-negative, got {delta}")
     value = 1.0
     for edge in path_to(tree, target_outcome):
         value *= min(1.0, sqrt(float(edge)) + delta)

@@ -160,14 +160,12 @@ def honest_run(params: WeakCFParams, seed: int | np.random.Generator) -> tuple[s
     psi_full = qc.tensor(psi0, _ANCILLA_D)
     psi1 = qc.apply(rotation_unitary(params), psi_full)
 
-    sector = bob_win_sector()
-    p_bob_win = qc.subspace_probability(psi1, sector)
-    result = qc.measure_projector(psi1, sector, rng)
+    result = qc.measure_projector(psi1, _WIN_SECTOR, rng)
     transcript = {
         "params": {"p": params.p, "eta": params.eta},
         "psi0": psi0.to_json_dict(),
         "psi1": psi1.to_json_dict(),
-        "bob_win_probability": p_bob_win,
+        "bob_win_probability": result.inside_probability,
         "bob_found_ud": result.outcome_index == 0,
     }
 

@@ -88,6 +88,16 @@ class BoundCheck(NamedTuple):
     holds: bool
 
 
+def _entry_stage(party: int) -> tuple[int, Fraction]:
+    """(stage, honest win probability) of the stage at which the party enters."""
+    return max(party - 1, 1), Fraction(1, max(party, 2))
+
+
+def _defend_win(stage: int) -> Fraction:
+    """Honest win probability of the standing winner defending at the stage."""
+    return Fraction(stage, stage + 1)
+
+
 def _party_stages(n_parties: int, party: int) -> list[tuple[int, Fraction]]:
     """(stage index, honest stage-win probability) for every stage the party plays.
 
@@ -96,11 +106,8 @@ def _party_stages(n_parties: int, party: int) -> list[tuple[int, Fraction]]:
     """
     if not 1 <= party <= n_parties:
         raise ParameterRangeError(f"party must lie in [1, {n_parties}], got {party}")
-    entry = max(party - 1, 1)
-    stages = [(entry, Fraction(1, max(party, 2)))]
-    for k in range(entry + 1, n_parties):
-        stages.append((k, Fraction(k, k + 1)))
-    return stages
+    entry, win = _entry_stage(party)
+    return [(entry, win)] + [(k, _defend_win(k)) for k in range(entry + 1, n_parties)]
 
 
 def _float_floor(win: Fraction) -> tuple[float, float]:
@@ -119,15 +126,23 @@ def _stage_table(n_parties: int, party: int) -> tuple[tuple[int, float, float], 
 
 
 def honest_distribution(n_parties: int) -> list[Fraction]:
-    """Each party's honest winning probability as an exact chain product."""
+    """Each party's honest winning probability as an exact chain product.
+
+    A party wins its entry stage and then defends every later stage, so its
+    chain is its entry win times the product of the defend wins after its
+    entry stage. One backward pass builds those suffix products; all are
+    exact Fractions, O(N) multiplies in all.
+    """
     if n_parties < 2:
         raise ParameterRangeError(f"need at least 2 parties, got {n_parties}")
+    # suffix[k]: product of the defend wins of stages k .. N-1 (1 past the last stage)
+    suffix = [Fraction(1)] * (n_parties + 1)
+    for k in range(n_parties - 1, 1, -1):
+        suffix[k] = _defend_win(k) * suffix[k + 1]
     probs = []
     for party in range(1, n_parties + 1):
-        total = Fraction(1)
-        for _, win in _party_stages(n_parties, party):
-            total *= win
-        probs.append(total)
+        entry, win = _entry_stage(party)
+        probs.append(win * suffix[entry + 1])
     return probs
 
 

@@ -176,3 +176,24 @@ def test_criterion_9_reproduce():
     ok = ok and json.dumps(rows) == json.dumps(again)  # deterministic for fixed seed
     elapsed = time.perf_counter() - t0
     report(9, f"reproduce: {len(rows)} rows all pass, deterministic", ok and elapsed < 60.0, elapsed)
+
+
+def test_exact_kernels_wall_budget():
+    # on a 2-core Xeon each budget is over 10x the kernel's time, while the
+    # stagewise Fraction chain took 6.4 s for the first case and the
+    # generator pair count 1.0 s for the last
+    n_weak, n_tree, n_colbeck = 2000, 2**14, 3000
+    cases = [
+        ("weak_dr.honest_distribution", 0.5, lambda: weak_dr.honest_distribution(n_weak),
+         [Fraction(1, n_weak)] * n_weak),
+        ("strong_dr.honest_leaf_probs", 1.0, lambda: strong_dr.honest_leaf_probs(strong_dr.build_tree(n_tree)),
+         [Fraction(1, n_tree)] * n_tree),
+        ("colbeck_dr.bob_cheat_oracle", 0.25, lambda: colbeck_dr.bob_cheat_oracle(n_colbeck),
+         Fraction(2 * n_colbeck - 1, n_colbeck**2)),
+    ]
+    for name, budget, kernel, expected in cases:
+        t0 = time.perf_counter()
+        value = kernel()
+        elapsed = time.perf_counter() - t0
+        assert value == expected, name
+        assert elapsed < budget, f"{name} took {elapsed:.2f} s (budget {budget} s)"

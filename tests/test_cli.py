@@ -330,6 +330,23 @@ class TestGoldenReproduce:
         assert out.encode() == (GOLDEN_DIR / f"reproduce_seed0.{fmt}").read_bytes()
 
 
+class TestGoldenExactCommands:
+    # stdout of the exact strong-DR, weak-DR and Colbeck subcommands, recorded
+    # before their Fraction kernels were rewritten on integer chain products
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (("strong-dr", "--n", "37", "--delta", "0.01", "--target", "5"), "strong_dr_n37_delta0.01_target5.json"),
+            (("weak-dr", "--n", "12"), "weak_dr_n12.json"),
+            (("colbeck", "--n", "9"), "colbeck_n9.json"),
+        ],
+    )
+    def test_stdout_is_byte_identical_to_golden(self, capsys, argv, golden):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out.encode() == (GOLDEN_DIR / golden).read_bytes()
+
+
 class TestParserReuse:
     """One parser serves every `run` in a process; no argv leaks into the next."""
 

@@ -1,5 +1,6 @@
 """Entanglement-based strong DR: honest correlations and cheat asymmetry."""
 
+import tracemalloc
 from fractions import Fraction
 from math import sqrt
 
@@ -8,6 +9,13 @@ import pytest
 
 from qdice import colbeck_dr
 from qdice.errors import ParameterRangeError
+
+
+def reference_bob_oracle(n: int) -> Fraction:
+    """Bob's hits counted pair by pair with a Python generator."""
+    target = 1
+    hits = sum(1 for i in range(1, n + 1) for j in range(1, n + 1) if target in (i, j))
+    return Fraction(hits, n * n)
 
 
 class TestHonestRun:
@@ -102,3 +110,29 @@ class TestBobOracle:
 
     def test_two_sided_value(self):
         assert colbeck_dr.bob_cheat_oracle(2) == Fraction(3, 4)
+
+    def test_equals_pairwise_count(self):
+        for n in range(2, 121):
+            assert colbeck_dr.bob_cheat_oracle(n) == reference_bob_oracle(n)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    def test_block_boundaries(self, monkeypatch, block):
+        # blocks of one row (block <= N), several rows and a partial last block
+        monkeypatch.setattr(colbeck_dr, "_ORACLE_BLOCK", block)
+        for n in range(2, 41):
+            assert colbeck_dr.bob_cheat_oracle(n) == reference_bob_oracle(n)
+
+    def test_too_small(self):
+        with pytest.raises(ParameterRangeError):
+            colbeck_dr.bob_cheat_oracle(1)
+
+    def test_memory_independent_of_n_squared(self):
+        n = 8000  # an N x N boolean grid would be 64 MB
+        tracemalloc.start()
+        try:
+            value = colbeck_dr.bob_cheat_oracle(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == Fraction(2 * n - 1, n * n)
+        assert peak < 2 * 2**20

@@ -151,6 +151,22 @@ class TestMeasureProjector:
         p_out, _ = qc.project(psi1, sector, inside=False)
         assert p_in + p_out == pytest.approx(1.0, abs=1e-12)
 
+    def test_inside_probability_is_subspace_probability(self):
+        params = WeakCFParams(0.37, 0.21)
+        full = qc.tensor(initial_state(params), qc.basis_state((2,), ("q3",), (DOWN,)))
+        psi1 = qc.apply(rotation_unitary(params), full)
+        sector = [qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (x, UP, DOWN)) for x in (UP, DOWN)]
+        p_in = qc.subspace_probability(psi1, sector)
+        outcomes = set()
+        for seed in range(12):
+            result = qc.measure_projector(psi1, sector, seed)
+            outcomes.add(result.outcome_index)
+            assert result.inside_probability == p_in  # bit for bit, whichever outcome was drawn
+        assert outcomes == {0, 1}
+
+    def test_computational_measurement_has_no_inside_probability(self):
+        assert qc.measure_computational(ket(UP, DOWN), "q1", seed=0).inside_probability is None
+
     def test_non_orthogonal_basis_rejected(self):
         tilted = qc.StateVector((2,), ("q1",), np.array([1 / S2, 1 / S2]))
         with pytest.raises(NonOrthogonalBasisError):

@@ -1,12 +1,64 @@
 """Recursive-bisection strong DR: exact uniformity and adversary products."""
 
+import dataclasses
 from fractions import Fraction
-from math import ceil, log2, sqrt
+from math import ceil, inf, log2, nan, sqrt
 
+import numpy as np
 import pytest
 
 from qdice import strong_cf, strong_dr
 from qdice.errors import ParameterRangeError
+from qdice.strong_dr import SplitTree
+
+
+def reference_tree(n: int) -> SplitTree:
+    """The bisection tree built through SplitTree's own constructor."""
+
+    def split(lo, hi):
+        if lo == hi:
+            return SplitTree(lo, hi)
+        mid = lo + (hi - lo + 1 + 1) // 2 - 1
+        return SplitTree(lo, hi, split(lo, mid), split(mid + 1, hi))
+
+    return split(1, n)
+
+
+def reference_leaf_probs(tree: SplitTree) -> list[Fraction]:
+    """Recursive walk multiplying each node's Fraction edge probabilities."""
+    probs = []
+
+    def walk(node, acc):
+        if node.is_leaf:
+            probs.append((node.lo, acc))
+            return
+        walk(node.left, acc * node.left_prob)
+        walk(node.right, acc * node.right_prob)
+
+    walk(tree, Fraction(1))
+    probs.sort()
+    return [p for _, p in probs]
+
+
+def reference_depth(tree: SplitTree) -> int:
+    if tree.is_leaf:
+        return 0
+    return 1 + max(reference_depth(tree.left), reference_depth(tree.right))
+
+
+def leaf(k: int) -> SplitTree:
+    return SplitTree(k, k)
+
+
+# children whose widths are not ceil/floor of the parent's: [1, 6] -> [1, 1] + [2, 6] -> [2, 5] + [6, 6]
+LOPSIDED = SplitTree(
+    1, 6, leaf(1),
+    SplitTree(2, 6, SplitTree(2, 5, SplitTree(2, 3, leaf(2), leaf(3)), SplitTree(4, 5, leaf(4), leaf(5))), leaf(6)),
+)
+# leaves out of order, and a left child narrower than the right
+SHUFFLED = SplitTree(
+    1, 5, SplitTree(4, 5, leaf(5), leaf(4)), SplitTree(1, 3, leaf(3), SplitTree(1, 2, leaf(2), leaf(1)))
+)
 
 
 class TestBuildTree:
@@ -36,6 +88,32 @@ class TestBuildTree:
         with pytest.raises(ParameterRangeError):
             strong_dr.build_tree(1)
 
+    @pytest.mark.parametrize("bad", [2.5, 4.0, nan, inf, "5", Fraction(5), None])
+    def test_non_integer_size_rejected(self, bad):
+        with pytest.raises(ParameterRangeError):
+            strong_dr.build_tree(bad)
+
+    def test_integer_like_sizes_accepted(self):
+        assert strong_dr.build_tree(np.int64(7)) == strong_dr.build_tree(7)
+        assert type(strong_dr.build_tree(np.int64(7)).hi) is int
+
+    def test_equals_constructor_built_tree(self):
+        for n in range(2, 301):
+            assert strong_dr.build_tree(n) == reference_tree(n)
+        for n in (2, 37, 256):
+            tree, expected = strong_dr.build_tree(n), reference_tree(n)
+            assert hash(tree) == hash(expected)
+            assert tree.to_json_dict() == expected.to_json_dict()
+
+    def test_nodes_are_frozen_split_trees(self):
+        tree = strong_dr.build_tree(3)
+        assert type(tree) is SplitTree and type(tree.left.left) is SplitTree
+        assert repr(tree.right) == "SplitTree(lo=3, hi=3, left=None, right=None)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tree.lo = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tree.left.right = None
+
 
 class TestHonestLeafProbs:
     def test_five_outcomes_exact(self):
@@ -50,6 +128,35 @@ class TestHonestLeafProbs:
     @pytest.mark.parametrize("n", range(2, 65))
     def test_uniformity_all_sizes(self, n):
         assert strong_dr.honest_leaf_probs(strong_dr.build_tree(n)) == [Fraction(1, n)] * n
+
+    def test_equals_fraction_walk(self):
+        for n in range(2, 301):
+            tree = strong_dr.build_tree(n)
+            probs = strong_dr.honest_leaf_probs(tree)
+            assert probs == reference_leaf_probs(tree)
+            assert all(type(p) is Fraction for p in probs)
+
+    @pytest.mark.parametrize("tree", [LOPSIDED, SHUFFLED], ids=["lopsided", "shuffled"])
+    def test_hand_built_trees_use_each_nodes_own_factors(self, tree):
+        assert strong_dr.honest_leaf_probs(tree) == reference_leaf_probs(tree)
+
+    def test_hand_built_values(self):
+        # root [1, 6]: 3/6 to the leaf; [2, 6] then 3/5 left, 2/5 right; [2, 5] halves; width-2 nodes halve
+        assert strong_dr.honest_leaf_probs(LOPSIDED) == [
+            Fraction(1, 2), *[Fraction(1, 2) * Fraction(3, 5) * Fraction(1, 2) * Fraction(1, 2)] * 4,
+            Fraction(1, 2) * Fraction(2, 5),
+        ]
+        # root [1, 5] sends 3/5 to [4, 5] and 2/5 to [1, 3]; outcome order, not tree order
+        assert strong_dr.honest_leaf_probs(SHUFFLED) == [
+            Fraction(2, 5) * Fraction(1, 3) * Fraction(1, 2),
+            Fraction(2, 5) * Fraction(1, 3) * Fraction(1, 2),
+            Fraction(2, 5) * Fraction(2, 3),
+            Fraction(3, 5) * Fraction(1, 2),
+            Fraction(3, 5) * Fraction(1, 2),
+        ]
+
+    def test_single_leaf(self):
+        assert strong_dr.honest_leaf_probs(leaf(4)) == [Fraction(1)]
 
 
 class TestAdversarySuccess:
@@ -101,11 +208,32 @@ class TestAdversarySuccess:
         with pytest.raises(ParameterRangeError):
             strong_dr.adversary_success(strong_dr.build_tree(3), 1, -0.01)
 
+    @pytest.mark.parametrize("delta", [nan, inf, -inf, np.float64(nan)])
+    def test_non_finite_delta_rejected(self, delta):
+        # min(1, sqrt(edge) + nan) is 1.0, so a NaN would read as a certain force
+        with pytest.raises(ParameterRangeError):
+            strong_dr.adversary_success(strong_dr.build_tree(5), 1, delta)
+
 
 class TestDepthBound:
     @pytest.mark.parametrize("n", range(2, 65))
     def test_depth_at_most_log(self, n):
         assert strong_dr.depth(strong_dr.build_tree(n)) <= ceil(log2(n))
+
+    def test_equals_recursive_depth(self):
+        for n in range(2, 301):
+            tree = strong_dr.build_tree(n)
+            assert strong_dr.depth(tree) == reference_depth(tree) == (n - 1).bit_length()
+
+    def test_deeper_right_branch(self):
+        # a right-leaning chain: every left child is a leaf
+        chain = leaf(6)
+        for k in range(5, 0, -1):
+            chain = SplitTree(k, 6, leaf(k), chain)
+        assert strong_dr.depth(chain) == reference_depth(chain) == 5
+        assert strong_dr.depth(SplitTree(0, 6, leaf(0), chain)) == 6
+        assert strong_dr.depth(LOPSIDED) == reference_depth(LOPSIDED) == 4
+        assert strong_dr.depth(leaf(1)) == 0
 
 
 class TestCompositionWithStrongCF:

@@ -71,6 +71,25 @@ class TestHonestRun:
             assert transcript["verification_probability"] == pytest.approx(1.0, abs=1e-12)
             assert transcript["bob_win_probability"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_win_probability_comes_from_the_measurement(self, monkeypatch):
+        params = WeakCFParams(0.3, 0.15)
+        psi1 = qc.apply(
+            weak_cf.rotation_unitary(params),
+            qc.tensor(weak_cf.initial_state(params), qc.basis_state((2,), ("q3",), (DOWN,))),
+        )
+        expected = qc.subspace_probability(psi1, weak_cf.bob_win_sector())
+        calls = []
+        original = qc.subspace_probability
+        monkeypatch.setattr(qc, "subspace_probability", lambda *a: calls.append(a) or original(*a))
+        winners = []
+        for seed in range(6):
+            winner, transcript = weak_cf.honest_run(params, seed=seed)
+            winners.append(winner)
+            assert transcript["bob_win_probability"] == expected
+        # only Alice's check of Bob's first qubit, on runs Bob wins, still asks for a subspace probability
+        assert set(winners) == {"alice", "bob"}
+        assert len(calls) == winners.count("bob")
+
     def test_winner_matches_sampled_branch(self):
         winner, transcript = weak_cf.honest_run(WeakCFParams(0.7, 0.1), seed=11)
         assert (winner == "bob") == transcript["bob_found_ud"]

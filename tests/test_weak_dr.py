@@ -25,6 +25,17 @@ def expanded_losing_prob(spec: TournamentSpec, honest_party: int) -> float:
     return total
 
 
+def reference_honest_distribution(n_parties: int) -> list[Fraction]:
+    """Each party's chain product folded stage by stage over `_party_stages`: O(N^2)."""
+    probs = []
+    for party in range(1, n_parties + 1):
+        total = Fraction(1)
+        for _, win in weak_dr._party_stages(n_parties, party):
+            total *= win
+        probs.append(total)
+    return probs
+
+
 def reference_draws(rng, count, max_parties):
     """The sweep's tournaments, in draw order, from its two block draws read one value at a time."""
     sizes = rng.integers(2, max_parties + 1, size=count)
@@ -94,6 +105,18 @@ class TestHonestDistribution:
     def test_too_few_parties(self):
         with pytest.raises(ParameterRangeError):
             weak_dr.honest_distribution(1)
+
+    def test_equals_stagewise_chain(self):
+        for n in range(2, 201):
+            dist = weak_dr.honest_distribution(n)
+            assert dist == reference_honest_distribution(n)
+            assert all(type(p) is Fraction for p in dist)
+
+    def test_stages_of_a_late_entrant(self):
+        assert weak_dr._party_stages(5, 3) == [(2, Fraction(1, 3)), (3, Fraction(3, 4)), (4, Fraction(4, 5))]
+        first_two = [(1, Fraction(1, 2)), (2, Fraction(2, 3)), (3, Fraction(3, 4)), (4, Fraction(4, 5))]
+        assert weak_dr._party_stages(5, 1) == weak_dr._party_stages(5, 2) == first_two
+        assert weak_dr._party_stages(5, 5) == [(4, Fraction(1, 5))]
 
 
 class TestMaxLosingProb:
