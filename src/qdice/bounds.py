@@ -9,7 +9,7 @@ inequality (1 - Pbar_A(i))(1 - Pbar_B(j)) <= (N-2)/N + delta_ij / N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import prod
 from typing import Sequence
 
@@ -45,6 +45,8 @@ class BiasReport:
         for row in self.force_probs:
             if any(not 0.0 <= x <= 1.0 for x in row):
                 raise ParameterRangeError("forcing probabilities must lie in [0, 1]")
+        if any(not 0.0 <= x <= 1.0 for x in self.honest_probs):  # NaN included
+            raise ParameterRangeError("honest probabilities must lie in [0, 1]")
         if abs(sum(self.honest_probs) - 1.0) > RATIONAL_TOL:
             raise ParameterRangeError("honest probabilities must sum to 1")
 
@@ -58,12 +60,27 @@ class BiasReport:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BiasReport":
-        return cls(
-            n_outcomes=int(d["n_outcomes"]),
-            n_parties=int(d["n_parties"]),
-            force_probs=tuple(tuple(row) for row in d["force_probs"]),
-            honest_probs=tuple(d["honest_probs"]),
-        )
+        """Parse a decoded JSON report.
+
+        A report that is not an object, lacks a field, or has a field of
+        the wrong type (counts must be integers, probabilities numbers,
+        booleans neither) raises ParameterRangeError.
+        """
+        if not isinstance(d, dict):
+            raise ParameterRangeError(f"a bias report must be a JSON object, got {type(d).__name__}")
+        missing = [f.name for f in fields(cls) if f.name not in d]
+        if missing:
+            raise ParameterRangeError(f"bias report lacks {', '.join(missing)}")
+        if any(type(d[key]) is not int for key in ("n_outcomes", "n_parties")):
+            raise ParameterRangeError("bias report n_outcomes and n_parties must be integers")
+        try:
+            force_probs = tuple(tuple(row) for row in d["force_probs"])
+            honest_probs = tuple(d["honest_probs"])
+        except TypeError as exc:
+            raise ParameterRangeError(f"bias report probabilities must be lists: {exc}") from None
+        if any(type(x) not in (int, float) for x in sum(force_probs, honest_probs)):
+            raise ParameterRangeError("bias report probabilities must be numbers")
+        return cls(d["n_outcomes"], d["n_parties"], force_probs, honest_probs)
 
 
 def kitaev_two_party(report: BiasReport, tol: float = RATIONAL_TOL) -> list[bool]:

@@ -132,7 +132,7 @@ def _cmd_oracle(args) -> tuple[dict, int]:
 def _cmd_six_round(args) -> tuple[dict, int]:
     solution = sixround_dr.solve(args.variant)
     record = solution.to_json_dict()
-    pa, pb, pc = sixround_dr.losing_probs_at(args.variant, solution.eta_star)
+    pa, pb, pc = solution.losing_probs
     record["losing_prob_alice"] = pa
     record["losing_prob_bob"] = pb
     record["losing_prob_claire"] = pc
@@ -185,13 +185,19 @@ def _cmd_strong_dr(args) -> tuple[dict, int]:
 def _cmd_multiparty(args) -> tuple[dict, int]:
     if args.mode == "example3":
         value, bound = multiparty.three_party_example_bias()
-        family = multiparty.build_3n_family(1)
         record = {
             "protocol": "three-party three-sided example",
             "coalition_value": value,
             "kitaev_bound": bound,
             "abs_gap": value - bound,
-            "family_n1": family.to_json_dict(),
+            # the 3n-party 3^n-sided family at n = 1 is the example itself
+            "family_n1": {
+                "n": 1,
+                "n_parties": 3,
+                "n_outcomes": 3,
+                "n_stages": 1,
+                "per_stage_force_prob": value,
+            },
         }
         return record, 0 if value >= bound else MISMATCH_EXIT
     if args.m is None or args.n is None:

@@ -8,8 +8,9 @@ so their forcing probability is sqrt(1/n) + eps_bar, which meets the
 M-party Kitaev product bound with equality at eps_bar = 0.
 
 Also covers the near-optimal three-party three-sided protocol (weak roll
-to pick a chooser, strong coin flip between the losers) and its 3n-party
-3^n-sided generalization.
+to pick a chooser, strong coin flip between the losers). Its 3n-party
+3^n-sided generalization repeats that stage n times with the same bias,
+so it needs no code of its own.
 """
 
 from __future__ import annotations
@@ -131,42 +132,3 @@ def three_party_example_bias() -> tuple[float, float]:
     value = (2.0 / 3.0) * (1.0 / sqrt(2.0)) + (1.0 / 3.0) * chooser_branch
     bound = (1.0 / 3.0) ** (1.0 / 3.0)
     return value, bound
-
-
-@dataclass(frozen=True)
-class ThreePartyFamily:
-    """n sequential three-party stages deciding among 3^n outcomes."""
-
-    n: int
-
-    @property
-    def n_parties(self) -> int:
-        return 3 * self.n
-
-    @property
-    def n_outcomes(self) -> int:
-        return 3**self.n
-
-    @property
-    def n_stages(self) -> int:
-        return self.n
-
-    @property
-    def per_stage_force_prob(self) -> float:
-        return three_party_example_bias()[0]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n_parties": self.n_parties,
-            "n_outcomes": self.n_outcomes,
-            "n_stages": self.n_stages,
-            "per_stage_force_prob": self.per_stage_force_prob,
-        }
-
-
-def build_3n_family(n: int) -> ThreePartyFamily:
-    """The 3n-party 3^n-sided generalization; every stage shares the same bias."""
-    if n < 1:
-        raise ParameterRangeError(f"n must be >= 1, got {n}")
-    return ThreePartyFamily(n=n)

@@ -1,4 +1,5 @@
-"""Scalar optimization helpers: grid-seeded golden-section search and bisection.
+"""Scalar solvers: grid-seeded golden-section search, bisection, and exact
+quadratic roots over Q(sqrt 2) with a float sign-change certificate.
 
 All protocol objectives in this package are smooth and unimodal on their
 feasible intervals, so a dense grid to localize the optimum followed by
@@ -8,17 +9,22 @@ whole grid as a float ndarray, then plain Python floats during refinement.
 The grid is built once per (lo, hi, grid_points) and cached read-only, so
 every call still evaluates the objective at every grid point but no call
 rebuilds or can alter the grid.
+
+`sqrt2_quadratic_root` returns the correctly rounded root of a quadratic
+whose coefficients lie in Z[sqrt 2], and `certify_sign_change` checks such
+a root against a float residual computed by an independent route.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from math import copysign, isnan, sqrt
-from typing import Callable
+from math import copysign, isnan, isqrt, sqrt
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleVariantError, ParameterRangeError
+from .errors import CrossCheckError, InfeasibleVariantError, ParameterRangeError
 
 _INV_PHI = (sqrt(5.0) - 1.0) / 2.0
 
@@ -115,3 +121,77 @@ def bisect_root(
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# Exact roots over Q(sqrt 2)
+# ---------------------------------------------------------------------------
+
+CERTIFY_STEP = 1e-12  # a certified root's float residual changes sign across x -/+ this
+_SCALE = 1 << 128  # fixed-point scale of the root enclosures: about 2.9e-39
+_SQRT2 = (isqrt(2 * _SCALE * _SCALE), isqrt(2 * _SCALE * _SCALE) + 1)  # bound sqrt(2) * _SCALE
+
+
+def _scaled(x: int, y: int) -> tuple[int, int]:
+    """Integers below and above (x + y sqrt2) * _SCALE."""
+    lo, hi = x * _SCALE + y * _SQRT2[0], x * _SCALE + y * _SQRT2[1]
+    return (lo, hi) if y >= 0 else (hi, lo)
+
+
+def _root_enclosures(coeffs: Sequence[tuple[int, int]]) -> list[tuple[Fraction, Fraction]]:
+    """Rational enclosures of both roots of a2 x^2 + a1 x + a0 = 0.
+
+    coeffs holds integer pairs (x, y) = x + y sqrt2 for a2, a1, a0. The
+    discriminant is exact in Z[sqrt2]; sqrt2 and the square root of the
+    discriminant are bounded with `math.isqrt` at scale 2**128, so each
+    interval holds its exact root and is about 1e-38 wide relative to the
+    coefficients. Raises CrossCheckError unless there are two separated
+    real roots.
+    """
+    (x2, y2), (x1, y1), (x0, y0) = coeffs
+    # a1^2 - 4 a2 a0, exact in Z[sqrt2]
+    disc = _scaled(
+        x1 * x1 + 2 * y1 * y1 - 4 * (x2 * x0 + 2 * y2 * y0), 2 * x1 * y1 - 4 * (x2 * y0 + x0 * y2)
+    )
+    den = _scaled(2 * x2, 2 * y2)
+    if disc[0] <= 0 or den[0] <= 0 <= den[1]:
+        raise CrossCheckError(f"the quadratic {coeffs} has no two separated real roots")
+    r = (isqrt(disc[0] * _SCALE), isqrt(disc[1] * _SCALE) + 1)  # bound sqrt(disc) * _SCALE
+    b = _scaled(-x1, -y1)
+    roots = []
+    for num in ((b[0] + r[0], b[1] + r[1]), (b[0] - r[1], b[1] - r[0])):
+        quotients = [Fraction(n, d) for n in num for d in den]
+        roots.append((min(quotients), max(quotients)))
+    return roots
+
+
+def sqrt2_quadratic_root(coeffs: Sequence[tuple[int, int]], lo: Fraction, hi: Fraction) -> float:
+    """The root in [lo, hi] of a2 x^2 + a1 x + a0 = 0, correctly rounded.
+
+    coeffs holds integer pairs (x, y) = x + y sqrt2 for a2, a1, a0; lo and
+    hi are rational. Exactly one root must lie in [lo, hi] and the other
+    outside it, and both ends of its enclosure must round to the same
+    float; otherwise CrossCheckError.
+    """
+    roots = _root_enclosures(coeffs)
+    inside = [(a, b) for a, b in roots if lo <= a and b <= hi]
+    outside = [(a, b) for a, b in roots if b < lo or a > hi]
+    if len(inside) != 1 or len(outside) != 1:
+        raise CrossCheckError(f"expected one root of {coeffs} in [{lo}, {hi}] and one outside")
+    a, b = inside[0]
+    if float(a) != float(b):
+        raise CrossCheckError(f"root enclosure [{float(a)!r}, {float(b)!r}] spans a rounding boundary")
+    return float(a)
+
+
+def certify_sign_change(residual: Callable[[float], float], x: float) -> None:
+    """Raise CrossCheckError unless residual changes sign across x -/+ CERTIFY_STEP.
+
+    A zero or NaN on either side fails the check.
+    """
+    below, above = residual(x - CERTIFY_STEP), residual(x + CERTIFY_STEP)
+    if not below * above < 0.0:  # fails closed on NaN
+        raise CrossCheckError(
+            f"residual {below!r} at x - {CERTIFY_STEP} and {above!r} at x + {CERTIFY_STEP} "
+            f"do not bracket x = {x!r}"
+        )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Callable
 
 import numpy as np
 
@@ -179,19 +178,12 @@ def kitaev_saturation_check(
     return products, saturated
 
 
-WCFProvider = Callable[[float, float], IdealWCFPrimitive]
-
-
-def simulate(
-    params: StrongCFParams,
-    seed: int | np.random.Generator,
-    wcf_provider: WCFProvider = IdealWCFPrimitive,
-) -> tuple[int, dict]:
+def simulate(params: StrongCFParams, seed: int | np.random.Generator) -> tuple[int, dict]:
     """One honest protocol execution; returns (outcome bit, transcript)."""
     rng = qc.as_generator(seed)
     o = 0 if rng.random() < params.q else 1
-    wcf = wcf_provider(params.z0 if o == 0 else params.z1,
-                       params.eps0 if o == 0 else params.eps1)
+    wcf = IdealWCFPrimitive(params.z0 if o == 0 else params.z1,
+                            params.eps0 if o == 0 else params.eps1)
     alice_wins = wcf.sample_first_wins(rng)
     if alice_wins:
         outcome = o

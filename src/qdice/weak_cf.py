@@ -7,17 +7,20 @@ qubit to Bob, who rotates it against a fresh |d> ancilla and tests for
 Honest Bob wins with probability exactly p; the slack parameter eta trades
 Alice's cheating room against Bob's.
 
-Cheat analyses are computed two independent ways and cross-checked: a
-closed form obtained by Cauchy-Schwarz, and numeric maximization. The
-adversary oracle additionally covers Alice's full four-amplitude
-preparation: an exact rank-1 maximum, certified by simulation.
+Alice's cheat is computed two independent ways and cross-checked: a
+closed form obtained by Cauchy-Schwarz, and numeric maximization. Bob's
+is p + eta (always announce a win), carried on the same CheatAnalysis.
+The adversary oracle additionally covers Alice's full four-amplitude
+preparation: an exact rank-1 maximum, certified by simulation. The
+balanced fair point is the exact root of a quadratic, from the shared
+kernel in `optimize`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isfinite, isqrt, nan, sqrt
+from math import isfinite, nan, sqrt
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -30,7 +33,7 @@ from .errors import (
     ParameterRangeError,
     ResolutionTooCoarseError,
 )
-from .optimize import maximize_unimodal
+from .optimize import certify_sign_change, maximize_unimodal, sqrt2_quadratic_root
 
 UP, DOWN = 0, 1
 CROSS_CHECK_TOL = 1e-9
@@ -181,14 +184,6 @@ def honest_run(params: WeakCFParams, seed: int | np.random.Generator) -> tuple[s
     return "alice", transcript
 
 
-def honest_alice_win_probability(params: WeakCFParams) -> float:
-    """Analytic probability that honest Alice wins (eta-independent, = 1-p)."""
-    psi0 = initial_state(params)
-    psi_full = qc.tensor(psi0, _ANCILLA_D)
-    psi1 = qc.apply(rotation_unitary(params), psi_full)
-    return 1.0 - qc.subspace_probability(psi1, bob_win_sector())
-
-
 # ---------------------------------------------------------------------------
 # Optimal cheats
 # ---------------------------------------------------------------------------
@@ -254,26 +249,7 @@ def alice_opt_cheat(params: WeakCFParams, grid_points: int = 10_000) -> CheatAna
     )
 
 
-def bob_opt_cheat(params: WeakCFParams) -> CheatAnalysis:
-    """Bob's maximal winning probability: always announce a win, p + eta."""
-    delta_star = float("nan")
-    p_alice = float("nan")
-    if params.p < 1.0:
-        a, b = _objective_coeffs(params)
-        p_alice = a + b
-        delta_star = 0.0 if p_alice == 0.0 else b / p_alice
-    return CheatAnalysis(
-        p=params.p,
-        eta=params.eta,
-        p_alice_star=p_alice,
-        p_bob_star=params.p + params.eta,
-        delta_star=delta_star,
-        method="closed_form",
-    )
-
-
-_FAIR_SCALE = 1 << 128  # fixed-point scale of the fair-point enclosure
-_FAIR_CERTIFY_STEP = 1e-12  # the float residual must change sign across eta* -/+ this
+_FAIR_QUADRATIC = ((4, 0), (4, 0), (-1, 0))  # 4 eta^2 + 4 eta - 1 = 0
 
 
 def _balanced_residual(eta: float) -> float:
@@ -286,28 +262,15 @@ def _balanced_residual(eta: float) -> float:
 def fair_eta_balanced() -> FairPoint:
     """Solve P_A*(1/2, eta) = P_B*(1/2, eta) for the balanced protocol.
 
-    At p = 1/2 the equation A + B = p + eta clears to eta^2 + eta - 1/4 = 0,
-    whose root in [0, 1/2] is eta* = (sqrt(2) - 1)/2 with common value
-    1/sqrt(2). sqrt(2) is bounded with `math.isqrt` at scale 2**128, and
-    both ends of the enclosure must round to the same float, so eta* is
-    correctly rounded. The float residual (A + B) - (p + eta) must then
-    change sign across eta* -/+ 1e-12. Either failure raises
-    CrossCheckError.
+    At p = 1/2 the equation A + B = p + eta clears to 4 eta^2 + 4 eta - 1
+    = 0, whose root in [0, 1/2] is eta* = (sqrt(2) - 1)/2 with common value
+    1/sqrt(2). `optimize.sqrt2_quadratic_root` returns it correctly
+    rounded, and the float residual (A + B) - (p + eta) must change sign
+    across eta* -/+ 1e-12 (`optimize.certify_sign_change`). Either failure
+    raises CrossCheckError.
     """
-    root2 = isqrt(2 * _FAIR_SCALE * _FAIR_SCALE)  # root2 <= sqrt(2) * scale < root2 + 1
-    lo, hi = (Fraction(r - _FAIR_SCALE, 2 * _FAIR_SCALE) for r in (root2, root2 + 1))
-    if float(lo) != float(hi):
-        raise CrossCheckError(
-            f"fair-point enclosure [{float(lo)!r}, {float(hi)!r}] spans a rounding boundary"
-        )
-    eta = float(lo)
-    below = _balanced_residual(eta - _FAIR_CERTIFY_STEP)
-    above = _balanced_residual(eta + _FAIR_CERTIFY_STEP)
-    if not below * above < 0.0:  # fails closed on NaN
-        raise CrossCheckError(
-            f"balanced residual {below!r} at eta* - {_FAIR_CERTIFY_STEP} and {above!r} at "
-            f"eta* + {_FAIR_CERTIFY_STEP} do not bracket eta* = {eta!r}"
-        )
+    eta = sqrt2_quadratic_root(_FAIR_QUADRATIC, Fraction(0), Fraction(1, 2))
+    certify_sign_change(_balanced_residual, eta)
     return FairPoint(eta=eta, p_star=0.5 + eta, residual=_balanced_residual(eta))
 
 

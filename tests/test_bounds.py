@@ -141,6 +141,12 @@ class TestBiasReportValidation:
         with pytest.raises(ParameterRangeError):
             BiasReport(2, 2, ((1.2, 1.0), (1.0, 1.0)), (0.5, 0.5))
 
+    @pytest.mark.parametrize("honest", [(float("nan"), 0.5), (1.5, -0.5)])
+    def test_honest_probs_in_unit_interval(self, honest):
+        # both used to pass: NaN fails no comparison, and 1.5 - 0.5 sums to 1
+        with pytest.raises(ParameterRangeError, match=r"honest probabilities must lie in \[0, 1\]"):
+            BiasReport(2, 2, ((1.0, 1.0), (1.0, 1.0)), honest)
+
     def test_shape_checks(self):
         with pytest.raises(DimensionMismatchError):
             BiasReport(2, 2, ((1.0, 1.0),), (0.5, 0.5))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdice import cli, weak_cf
+from qdice import cli, optimize, sixround_dr, weak_cf
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 
@@ -332,19 +332,73 @@ class TestGoldenReproduce:
 
 class TestGoldenExactCommands:
     # stdout of the exact strong-DR, weak-DR and Colbeck subcommands, recorded
-    # before their Fraction kernels were rewritten on integer chain products
+    # before their Fraction kernels were rewritten on integer chain products;
+    # and of six-round and multiparty example3, recorded before the shared
+    # exact-root kernel and the inlined n = 1 family record
     @pytest.mark.parametrize(
         "argv, golden",
         [
             (("strong-dr", "--n", "37", "--delta", "0.01", "--target", "5"), "strong_dr_n37_delta0.01_target5.json"),
             (("weak-dr", "--n", "12"), "weak_dr_n12.json"),
             (("colbeck", "--n", "9"), "colbeck_n9.json"),
+            *(
+                (("--format", fmt, "six-round", "--variant", variant), f"six_round_{variant}.{fmt}")
+                for variant in ("case1", "case2")
+                for fmt in ("json", "table", "csv")
+            ),
+            (("multiparty", "example3"), "multiparty_example3.json"),
         ],
     )
     def test_stdout_is_byte_identical_to_golden(self, capsys, argv, golden):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert out.encode() == (GOLDEN_DIR / golden).read_bytes()
+
+
+class TestSixRoundWork:
+    def test_three_grid_maximizations_per_run(self, capsys, monkeypatch):
+        # solve's certificate takes two, its losing probabilities one; the
+        # command reuses those losing probabilities instead of a fourth
+        calls = []
+        maximize = optimize.maximize_unimodal
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return maximize(*args, **kwargs)
+
+        for module in (optimize, sixround_dr, weak_cf):
+            monkeypatch.setattr(module, "maximize_unimodal", counting)
+        code, out, err = run_cli(capsys, "six-round", "--variant", "case1")
+        assert code == 0, err
+        assert len(calls) == 3
+        assert out.encode() == (GOLDEN_DIR / "six_round_case1.json").read_bytes()
+
+
+class TestMalformedBiasReport:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{}", "lacks n_outcomes"),
+            ('{"n_outcomes": 2, "n_parties": 2, "force_probs": 5, "honest_probs": [0.5, 0.5]}', "must be lists"),
+            ("[1, 2]", "must be a JSON object"),
+            ('{"n_outcomes": 2.9, "n_parties": 2, "force_probs": [[0.8, 0.8], [0.8, 0.8]], '
+             '"honest_probs": [0.5, 0.5]}', "must be integers"),
+            ('{"n_outcomes": 2, "n_parties": 2, "force_probs": [[true, 0.8], [0.8, "0.8"]], '
+             '"honest_probs": [0.5, 0.5]}', "must be numbers"),
+            ('{"n_outcomes": 2, "n_parties": 2, "force_probs": [[0.8, 0.8], [0.8, 0.8]], '
+             '"honest_probs": [NaN, 0.5]}', "honest probabilities must lie in [0, 1]"),
+            ('{"n_outcomes": 2, "n_parties": 2, "force_probs": [[0.8, 0.8], [0.8, 0.8]], '
+             '"honest_probs": [1.5, -0.5]}', "honest probabilities must lie in [0, 1]"),
+        ],
+    )
+    def test_exits_one_without_a_traceback(self, capsys, tmp_path, text, message):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "bounds", "check", "--report", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
 
 
 class TestParserReuse:

@@ -1,11 +1,12 @@
 """Multi-party pairing protocols and the three-party example."""
 
+import json
 from fractions import Fraction
 from math import sqrt
 
 import pytest
 
-from qdice import multiparty
+from qdice import cli, multiparty
 from qdice.errors import ParameterRangeError
 
 
@@ -121,23 +122,12 @@ class TestChooserReadings:
 
 
 class TestThreePartyFamily:
-    def test_n_one_is_the_example(self):
-        family = multiparty.build_3n_family(1)
-        assert family.n_parties == 3
-        assert family.n_outcomes == 3
-        assert family.per_stage_force_prob == multiparty.three_party_example_bias()[0]
-
-    def test_n_two_shape(self):
-        family = multiparty.build_3n_family(2)
-        assert family.n_parties == 6
-        assert family.n_outcomes == 9
-        assert family.n_stages == 2
-
-    def test_same_bias_every_stage(self):
-        value = multiparty.three_party_example_bias()[0]
-        for n in (1, 2, 3):
-            assert multiparty.build_3n_family(n).per_stage_force_prob == value
-
-    def test_invalid_size(self):
-        with pytest.raises(ParameterRangeError):
-            multiparty.build_3n_family(0)
+    # the 3n-party 3^n-sided family shares the example's per-stage bias; the
+    # CLI reports its n = 1 member
+    def test_n_one_is_the_example(self, capsys):
+        assert cli.run(["multiparty", "example3"]) == 0
+        family = json.loads(capsys.readouterr().out)["family_n1"]
+        assert family["n"] == 1 and family["n_stages"] == 1
+        assert family["n_parties"] == 3
+        assert family["n_outcomes"] == 3
+        assert family["per_stage_force_prob"] == multiparty.three_party_example_bias()[0]

@@ -1,13 +1,21 @@
 """Grid-seeded golden-section maximization (one vectorized call on a cached
-read-only grid, then plain floats) and bracketing bisection."""
+read-only grid, then plain floats), bracketing bisection, and the exact
+Q(sqrt2) quadratic root with its float sign-change certificate."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qdice.errors import InfeasibleVariantError, ParameterRangeError
-from qdice.optimize import _INV_PHI, bisect_root, maximize_unimodal
+from qdice.errors import CrossCheckError, InfeasibleVariantError, ParameterRangeError
+from qdice.optimize import (
+    _INV_PHI,
+    bisect_root,
+    certify_sign_change,
+    maximize_unimodal,
+    sqrt2_quadratic_root,
+)
 
 
 def loop_maximize(f, lo=0.0, hi=1.0, grid_points=10_000, tol=1e-12):
@@ -197,3 +205,75 @@ class TestBisectRoot:
 
         with pytest.raises(InfeasibleVariantError, match="NaN"):
             bisect_root(f, 0.0, 1.0)
+
+
+class TestSqrt2QuadraticRoot:
+    def test_balanced_fair_point(self):
+        # 4 x^2 + 4 x - 1 = 0 has roots (-1 -/+ sqrt2)/2
+        root = sqrt2_quadratic_root(((4, 0), (4, 0), (-1, 0)), Fraction(0), Fraction(1, 2))
+        assert repr(root) == "0.20710678118654752"
+
+    @pytest.mark.parametrize("lo, hi, shift", [(0, 1, 1), (2, 3, -1)])
+    def test_sqrt2_coefficients_give_the_nearest_float(self, lo, hi, shift):
+        # x^2 - 2 sqrt2 x + 1 = 0 has roots sqrt2 -/+ 1, where (x + shift)^2 = 2;
+        # that changes sign between the midpoints from the root's float to
+        # its neighbours (math.sqrt(2) - 1 is not the nearest float)
+        x = sqrt2_quadratic_root(((1, 0), (0, -2), (1, 0)), Fraction(lo), Fraction(hi))
+        below = (Fraction(x) + Fraction(math.nextafter(x, -math.inf))) / 2
+        above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+        assert (below + shift) ** 2 < 2 < (above + shift) ** 2
+        if shift == 1:
+            assert repr(x) == "0.41421356237309503" and x != math.sqrt(2) - 1
+
+    def test_negative_leading_coefficient(self):
+        # -(x^2 - 1/4) has roots -/+ 1/2, exact floats
+        assert sqrt2_quadratic_root(((-4, 0), (0, 0), (1, 0)), Fraction(0), Fraction(1)) == 0.5
+
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [
+            (Fraction(-2), Fraction(1), "one outside"),  # both roots inside
+            (Fraction(1), Fraction(2), "one outside"),  # neither root inside
+        ],
+    )
+    def test_refuses_unless_exactly_one_root_inside(self, lo, hi, message):
+        # roots (-1 -/+ sqrt2)/2: about -1.207 and 0.2071
+        with pytest.raises(CrossCheckError, match=message):
+            sqrt2_quadratic_root(((4, 0), (4, 0), (-1, 0)), lo, hi)
+
+    @pytest.mark.parametrize("coeffs", [((1, 0), (0, 0), (1, 0)), ((1, 0), (2, 0), (1, 0)), ((0, 0), (1, 0), (1, 0))])
+    def test_refuses_without_two_separated_real_roots(self, coeffs):
+        # x^2 + 1 (complex), (x + 1)^2 (double), x + 1 (not quadratic)
+        with pytest.raises(CrossCheckError, match="no two separated real roots"):
+            sqrt2_quadratic_root(coeffs, Fraction(-2), Fraction(2))
+
+    def test_refuses_a_root_on_a_rounding_boundary(self):
+        # 2^53 x^2 - x - (2^53 + 1) = (x - (1 + 2^-53)) 2^53 (x + 1): the root
+        # is the midpoint of 1 and its float successor, so no float is nearest
+        coeffs = ((2**53, 0), (-1, 0), (-(2**53) - 1, 0))
+        with pytest.raises(CrossCheckError, match="spans a rounding boundary"):
+            sqrt2_quadratic_root(coeffs, Fraction(0), Fraction(2))
+
+
+class TestCertifySignChange:
+    @pytest.mark.parametrize("slope", [1.0, -1.0])
+    def test_accepts_a_sign_change(self, slope):
+        certify_sign_change(lambda x: slope * (x - 0.25), 0.25)
+
+    @pytest.mark.parametrize(
+        "residual",
+        [
+            lambda x: x - 0.25 + 1e-11,  # root moved below
+            lambda x: x - 0.25 - 1e-11,  # root moved above
+            lambda x: 0.0,
+            lambda x: math.nan,
+        ],
+    )
+    def test_refuses_anything_else(self, residual):
+        with pytest.raises(CrossCheckError, match="do not bracket"):
+            certify_sign_change(residual, 0.25)
+
+    def test_probes_one_step_either_side(self):
+        seen = []
+        certify_sign_change(lambda x: seen.append(x) or x - 0.5, 0.5)
+        assert seen == [0.5 - 1e-12, 0.5 + 1e-12]

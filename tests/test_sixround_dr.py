@@ -21,40 +21,40 @@ ETA2_STAR = 0.19878463722
 
 class TestFairnessConstraint:
     def test_case1_at_eta_zero(self):
-        lhs, rhs = sixround_dr.fairness_lhs_rhs("case1", 0.0)
+        rhs, _, lhs = sixround_dr.losing_probs_at("case1", 0.0)
         assert lhs == pytest.approx(1.0, abs=1e-12)  # preparer cheats with certainty
         assert rhs == pytest.approx(1 / S2 + (1 - 1 / S2) / 3, abs=1e-12)
 
     def test_case1_near_root(self):
-        lhs, rhs = sixround_dr.fairness_lhs_rhs("case1", 0.1462)
+        rhs, _, lhs = sixround_dr.losing_probs_at("case1", 0.1462)
         assert abs(lhs - rhs) < 1e-3
 
     def test_case2_near_root(self):
-        lhs, rhs = sixround_dr.fairness_lhs_rhs("case2", 0.1992)
+        rhs, _, lhs = sixround_dr.losing_probs_at("case2", 0.1992)
         assert abs(lhs - rhs) < 1e-3
 
     def test_lhs_matches_simplified_closed_form_case1(self):
         # the delta-maximization at p = 1/3 collapses to (2+3e)/(2(1+3e))
         for eta in np.linspace(0.0, 0.6, 13):
-            lhs, _ = sixround_dr.fairness_lhs_rhs("case1", eta)
+            _, _, lhs = sixround_dr.losing_probs_at("case1", eta)
             assert lhs == pytest.approx((2 + 3 * eta) / (2 * (1 + 3 * eta)), abs=1e-9)
 
     def test_rhs_matches_simplified_closed_form_case2(self):
         # the delta-maximization at p = 2/3 collapses to (2-3e)/(2+3e)
         for eta in np.linspace(0.0, 0.33, 12):
-            _, rhs = sixround_dr.fairness_lhs_rhs("case2", eta)
+            rhs, _, _ = sixround_dr.losing_probs_at("case2", eta)
             expected = 1 / S2 + (1 - 1 / S2) * (2 - 3 * eta) / (2 + 3 * eta)
             assert rhs == pytest.approx(expected, abs=1e-9)
 
     def test_eta_out_of_range(self):
         with pytest.raises(ParameterRangeError):
-            sixround_dr.fairness_lhs_rhs("case1", 0.7)
+            sixround_dr.losing_probs_at("case1", 0.7)
         with pytest.raises(ParameterRangeError):
-            sixround_dr.fairness_lhs_rhs("case2", 0.34)
+            sixround_dr.losing_probs_at("case2", 0.34)
 
     def test_unknown_variant(self):
         with pytest.raises(ParameterRangeError):
-            sixround_dr.fairness_lhs_rhs("case3", 0.1)
+            sixround_dr.losing_probs_at("case3", 0.1)
 
 
 class TestSolve:
@@ -86,8 +86,7 @@ class TestSolve:
         for variant, hi in (("case1", 2 / 3), ("case2", 1 / 3)):
             etas = np.linspace(0.0, hi, 25)
             res = [
-                sixround_dr.fairness_lhs_rhs(variant, e)[0]
-                - sixround_dr.fairness_lhs_rhs(variant, e)[1]
+                sixround_dr.losing_probs_at(variant, e)[2] - sixround_dr.losing_probs_at(variant, e)[0]
                 for e in etas
             ]
             signs = np.sign(res)
@@ -112,6 +111,12 @@ class TestLosingProbs:
         _, _, pc = sixround_dr.losing_probs_at("case1", 0.0)
         assert pc == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("variant", ["case1", "case2"])
+    def test_solution_carries_the_losing_probs_at_its_root(self, variant):
+        sol = sixround_dr.solve(variant)
+        assert sol.losing_probs == sixround_dr.losing_probs_at(variant, sol.eta_star)
+        assert sol.losing_probs[2] == sol.p_bar_star
+
     def test_case2_eta_zero_alice_loses_surely(self):
         pa, pb, _ = sixround_dr.losing_probs_at("case2", 0.0)
         assert pa == pytest.approx(1.0, abs=1e-12)
@@ -127,9 +132,14 @@ def solve_case2_unsquared() -> sixround_dr.SixRoundSolution:
     """
     inv_sqrt2 = sixround_dr.INV_SQRT2
 
-    def residual(eta: float) -> float:
+    def losses(eta: float) -> tuple[float, float, float]:
         preparer_cheat = alice_opt_cheat(WeakCFParams(p=2.0 / 3.0, eta=eta)).p_alice_star
-        return (2.0 / 3.0 + eta) - (inv_sqrt2 + (1.0 - inv_sqrt2) * sqrt(preparer_cheat))
+        alice = inv_sqrt2 + (1.0 - inv_sqrt2) * sqrt(preparer_cheat)
+        return alice, alice, 2.0 / 3.0 + eta
+
+    def residual(eta: float) -> float:
+        alice, _, claire = losses(eta)
+        return claire - alice
 
     eta_star = bisect_root(residual, 0.0, 1.0 / 3.0)
     p_bar = 2.0 / 3.0 + eta_star
@@ -139,6 +149,7 @@ def solve_case2_unsquared() -> sixround_dr.SixRoundSolution:
         p_bar_star=p_bar,
         bias=p_bar - sixround_dr.HONEST_LOSS,
         constraint_residual=residual(eta_star),
+        losing_probs=losses(eta_star),
     )
 
 
@@ -214,7 +225,7 @@ class TestExactRoot:
 
     @pytest.mark.parametrize("variant,eta_max", [("case1", Fraction(2, 3)), ("case2", Fraction(1, 3))])
     def test_other_root_lies_outside_the_feasible_range(self, variant, eta_max):
-        (lo1, hi1), (lo2, hi2) = sixround_dr._root_enclosures(variant)
+        (lo1, hi1), (lo2, hi2) = optimize._root_enclosures(sixround_dr._QUADRATICS[variant])
         inside = [(lo, hi) for lo, hi in ((lo1, hi1), (lo2, hi2)) if 0 <= lo and hi <= eta_max]
         outside = [(lo, hi) for lo, hi in ((lo1, hi1), (lo2, hi2)) if hi < 0 or lo > eta_max]
         assert len(inside) == len(outside) == 1
@@ -267,8 +278,8 @@ class TestExactRoot:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("shift", [1e-11, -1e-11])
     def test_a_root_moved_by_1e_11_is_refused(self, monkeypatch, variant, shift):
-        exact = sixround_dr._exact_root
-        monkeypatch.setattr(sixround_dr, "_exact_root", lambda v: exact(v) + shift)
+        exact = sixround_dr.sqrt2_quadratic_root
+        monkeypatch.setattr(sixround_dr, "sqrt2_quadratic_root", lambda *args: exact(*args) + shift)
         with pytest.raises(CrossCheckError):
             sixround_dr.solve(variant)
 

@@ -44,21 +44,24 @@ class TestParams:
             WeakCFParams(p, eta)
 
 
+def honest_alice_win(params: WeakCFParams) -> float:
+    """Honest Alice's analytic win probability, 1 - Bob's, from an honest run's transcript."""
+    return 1.0 - weak_cf.honest_run(params, seed=0)[1]["bob_win_probability"]
+
+
 class TestHonestRun:
     @pytest.mark.parametrize(
         "p,eta,alice_win",
         [(0.5, 0.2071, 0.5), (1 / 3, 0.1, 2 / 3), (0.5, 0.0, 0.5)],
     )
     def test_analytic_alice_win_probability(self, p, eta, alice_win):
-        assert weak_cf.honest_alice_win_probability(WeakCFParams(p, eta)) == pytest.approx(
-            alice_win, abs=1e-12
-        )
+        assert honest_alice_win(WeakCFParams(p, eta)) == pytest.approx(alice_win, abs=1e-12)
 
     def test_eta_independence_of_honest_marginal(self):
         # Bob's honest winning probability is p regardless of eta
         for p in (0.2, 0.5, 0.75):
             values = {
-                round(weak_cf.honest_alice_win_probability(WeakCFParams(p, f * (1 - p))), 12)
+                round(honest_alice_win(WeakCFParams(p, f * (1 - p))), 12)
                 for f in (0.0, 0.3, 0.6, 0.99)
             }
             assert values == {round(1 - p, 12)}
@@ -219,23 +222,24 @@ class TestCrossCheckStrength:
 
 
 class TestBobOptCheat:
+    # Bob's maximal win p + eta, as alice_opt_cheat reports it
     def test_balanced_fair_point(self):
-        analysis = weak_cf.bob_opt_cheat(WeakCFParams(0.5, FAIR_ETA))
+        analysis = weak_cf.alice_opt_cheat(WeakCFParams(0.5, FAIR_ETA))
         assert analysis.p_bob_star == pytest.approx(1 / S2, abs=1e-12)
 
     def test_eta_zero_equals_honest(self):
         for p in (0.1, 0.4, 0.9):
-            assert weak_cf.bob_opt_cheat(WeakCFParams(p, 0.0)).p_bob_star == p
+            assert weak_cf.alice_opt_cheat(WeakCFParams(p, 0.0)).p_bob_star == p
 
     def test_two_thirds_case(self):
         # eta value taken from the six-round case-2 root solve
-        assert weak_cf.bob_opt_cheat(WeakCFParams(2 / 3, 0.1992)).p_bob_star == pytest.approx(
+        assert weak_cf.alice_opt_cheat(WeakCFParams(2 / 3, 0.1992)).p_bob_star == pytest.approx(
             2 / 3 + 0.1992, abs=1e-12
         )
 
     def test_strictly_increasing_in_eta(self):
         values = [
-            weak_cf.bob_opt_cheat(WeakCFParams(0.4, eta)).p_bob_star
+            weak_cf.alice_opt_cheat(WeakCFParams(0.4, eta)).p_bob_star
             for eta in np.linspace(0.0, 0.6, 20)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
