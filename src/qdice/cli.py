@@ -46,6 +46,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float that is not negative."""
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
+    return value
+
+
 def _finite_floats(text: str) -> tuple[float, ...]:
     """argparse type: comma-separated finite floats; empty text gives ()."""
     return tuple(_finite_float(item) for item in text.split(",")) if text else ()
@@ -270,7 +278,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     def default(value):
         return argparse.SUPPRESS if suppress else value
 
-    parser.add_argument("--tol", type=_finite_float, default=default(1e-9), help="cross-check tolerance")
+    parser.add_argument("--tol", type=_tolerance, default=default(1e-9), help="cross-check tolerance")
     parser.add_argument("--grid", type=int, default=default(10_000), help="delta-maximization grid points")
     parser.add_argument("--seed", type=int, default=default(0), help="random seed for sampled runs")
     parser.add_argument(

@@ -16,6 +16,13 @@ per (dims, labels, indices), and repeated calls hand out that same object.
 States that are compared, projected or measured together must list their
 subsystems in the same order; a different order raises
 DimensionMismatchError rather than silently pairing the wrong amplitudes.
+
+The hot paths avoid per-call numpy overhead without changing a bit of their
+results. `tensor` takes the outer product directly rather than through
+`np.kron` (the same products). `apply` looks its axis permutation up in a
+bounded cache keyed on (dims, labels, targets). `UnitaryOp`'s unitarity
+check subtracts a cached read-only identity in place, and projections take
+their probability from numpy's own 2-norm formula, inlined.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod, sqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,7 +88,8 @@ class StateVector:
         return {
             "dims": list(self.dims),
             "labels": list(self.labels),
-            "amps": [[float(a.real), float(a.imag)] for a in self.amps],
+            # (real, imag) rows of the complex128 buffer; signed zeros survive
+            "amps": self.amps.view(np.float64).reshape(-1, 2).tolist(),
         }
 
 
@@ -102,6 +110,14 @@ def _cached_basis_state(
     return StateVector(dims, labels, amps)
 
 
+@lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, shared read-only by every unitarity check."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 @dataclass(frozen=True)
 class UnitaryOp:
     """A unitary matrix acting on an ordered subset of subsystems."""
@@ -117,7 +133,9 @@ class UnitaryOp:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got {m.shape}")
         with np.errstate(invalid="ignore"):  # inf entries give NaN, rejected below
-            dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+            gram = m.conj().T @ m
+            gram -= _identity(m.shape[0])
+            dev = np.abs(gram).max()
         if not dev <= NORM_TOL:  # fails closed on NaN
             raise DimensionMismatchError(f"matrix is not unitary: max |U+U - I| = {dev:.3g}")
 
@@ -140,30 +158,49 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; a's subsystems precede b's in the combined ordering."""
     if set(a.labels) & set(b.labels):
         raise DimensionMismatchError("tensor factors share subsystem labels")
-    return StateVector(a.dims + b.dims, a.labels + b.labels, np.kron(a.amps, b.amps))
+    # the products np.kron forms for 1-D factors, without its generic reshaping
+    amps = np.multiply.outer(a.amps, b.amps).reshape(-1)
+    return StateVector(a.dims + b.dims, a.labels + b.labels, amps)
+
+
+class _ApplyPlan(NamedTuple):
+    """How `apply` permutes a state so its target subsystems lead, and back."""
+
+    d_target: int  # product of the target subsystems' dims
+    order: tuple[int, ...]  # target axes first, then the rest in state order
+    inverse: tuple[int, ...]  # the permutation that undoes `order`
+    permuted_shape: tuple[int, ...]  # the state's dims in `order`
+
+
+@lru_cache(maxsize=128)
+def _apply_plan(
+    dims: tuple[int, ...], labels: tuple[str, ...], targets: tuple[str, ...]
+) -> _ApplyPlan:
+    # an unknown label raises here, and lru_cache caches no exception
+    for lbl in targets:
+        if lbl not in labels:
+            raise DimensionMismatchError(f"state has no subsystem named {lbl!r}")
+    axes = [labels.index(lbl) for lbl in targets]
+    order = tuple(axes + [ax for ax in range(len(dims)) if ax not in axes])
+    return _ApplyPlan(
+        prod(dims[ax] for ax in axes),
+        order,
+        tuple(order.index(ax) for ax in range(len(order))),
+        tuple(dims[ax] for ax in order),
+    )
 
 
 def apply(u: UnitaryOp, s: StateVector) -> StateVector:
     """Apply u to its target subsystems, acting as identity on all others."""
-    try:
-        axes = [s.labels.index(lbl) for lbl in u.target_subsystems]
-    except ValueError as exc:
-        raise DimensionMismatchError(
-            f"state has no subsystem named {exc.args[0].split()[0]!r}"
-        ) from exc
-    d_target = prod(s.dims[ax] for ax in axes)
+    d_target, order, inverse, permuted_shape = _apply_plan(s.dims, s.labels, u.target_subsystems)
     if u.matrix.shape[0] != d_target:
         raise DimensionMismatchError(
             f"matrix dim {u.matrix.shape[0]} != target subsystem dim {d_target}"
         )
-    order = axes + [ax for ax in range(len(s.dims)) if ax not in axes]
     flat = s.amps.reshape(s.dims).transpose(order).reshape(d_target, -1)
     out = u.matrix @ flat
     # undo the transpose: scatter target axes back to their original slots
-    inv = [0] * len(order)
-    for pos, ax in enumerate(order):
-        inv[ax] = pos
-    new_amps = out.reshape([s.dims[ax] for ax in order]).transpose(inv).reshape(-1)
+    new_amps = out.reshape(permuted_shape).transpose(inverse).reshape(-1)
     return StateVector(s.dims, s.labels, new_amps)
 
 
@@ -196,10 +233,13 @@ def _project(
     s: StateVector, basis_states: Sequence[StateVector], coeffs: list[complex], inside: bool
 ) -> tuple[float, StateVector]:
     """`project` with the coefficients from `_span_coefficients` already taken."""
-    # sum() starts from 0, so -0.0 components become +0.0 exactly as on a zero array
+    # sum() starts from 0, so -0.0 components become +0.0 exactly as on a zero
+    # array; with no basis states it is the int 0, made an array for .dot
     in_span = sum(c * b.amps for c, b in zip(coeffs, basis_states))
-    target = in_span if inside else s.amps - in_span
-    p = float(np.linalg.norm(target) ** 2)
+    target = np.asarray(in_span) if inside else s.amps - in_span
+    # np.linalg.norm's own formula for a complex vector, without its dispatch
+    re, im = target.real, target.imag
+    p = sqrt(re.dot(re) + im.dot(im)) ** 2
     if p < 1e-15:
         raise DimensionMismatchError("projection has vanishing probability, cannot renormalize")
     return p, StateVector(s.dims, s.labels, target / np.sqrt(p))

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -110,6 +113,22 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "must be a finite number" in err
+
+    # "-1e-12" would parse as a flag, so it is given as --tol=-1e-12
+    @pytest.mark.parametrize("tol", [("--tol", "-1"), ("--tol", "-0.5"), ("--tol=-1e-12",)])
+    @pytest.mark.parametrize("command", [("six-round",), ("bounds", "check", "--report", "unused.json")])
+    def test_negative_tol_rejected_at_parse_time(self, capsys, command, tol):
+        # before or after the subcommand name; never the mismatch exit 2
+        for argv in ((*tol, *command), (*command, *tol)):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert "--tol: must not be negative" in err
+
+    def test_zero_tol_is_accepted(self, capsys):
+        code, out, err = run_cli(capsys, "--tol", "0", "strong-cf", "--p0", "0.5")
+        assert code == 0, err
+        assert out
 
     def test_unparseable_bias_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "weak-dr", "--n", "3", "--biases", "0.1,abc")
@@ -279,7 +298,10 @@ def _argv(draw):
     ]))
     command = [draw(part) if isinstance(part, st.SearchStrategy) else part for part in command]
     flags = []
-    for flag, value in (("--tol", f()), ("--seed", i(0, 5).map(str)), ("--grid", i(1, 300).map(str)),
+    # plain decimals such as "-0.25" reach --tol's own check; argparse reads
+    # an exponent form such as "-1e-05" (which f() draws) as a flag instead
+    tol = st.one_of(f(), st.floats(min_value=-2.0, max_value=-1e-9).map(lambda x: f"{x:.12f}"))
+    for flag, value in (("--tol", tol), ("--seed", i(0, 5).map(str)), ("--grid", i(1, 300).map(str)),
                         ("--format", st.just("json"))):
         if draw(st.booleans()):
             flags += [flag, draw(value)]
@@ -302,6 +324,9 @@ class TestArgvProperty:
             json.loads(out.getvalue(), parse_constant=_no_constants)
         assert "Traceback" not in err.getvalue()
         if any(x in ("nan", "inf", "-inf") for arg in argv for x in arg.split(",")):
+            assert code == 1
+        tol = argv[argv.index("--tol") + 1] if "--tol" in argv else "0"
+        if tol.startswith("-") and tol != "-0.0":  # negative, or -nan / -inf
             assert code == 1
 
 
@@ -399,6 +424,18 @@ class TestMalformedBiasReport:
         assert out == ""
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_reproduce_matches_golden(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdice", "--seed", "0", "reproduce"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == (GOLDEN_DIR / "reproduce_seed0.json").read_bytes()
 
 
 class TestParserReuse:

@@ -1,11 +1,13 @@
 """State-vector substrate: tensor products, unitaries, measurement, overlaps."""
 
+import json
 from math import inf, nan, sqrt
 
 import numpy as np
 import pytest
 
 from qdice import quantum_core as qc
+from qdice import weak_cf
 from qdice.colbeck_dr import entangled_pair
 from qdice.errors import DimensionMismatchError, NonOrthogonalBasisError
 from qdice.weak_cf import UP, DOWN, WeakCFParams, initial_state, rotation_unitary
@@ -15,6 +17,22 @@ S2 = sqrt(2.0)
 
 def ket(*indices):
     return qc.basis_state((2,) * len(indices), tuple(f"q{i+1}" for i in range(len(indices))), indices)
+
+
+def random_state(rng, dims, labels, signed_zeros=False):
+    """A seeded random complex state; signed_zeros puts -0.0 and +0.0 parts in."""
+    n = int(np.prod(dims))
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    amps /= np.linalg.norm(amps)
+    if signed_zeros and n == 1:
+        amps[0] = complex(-0.0, -1.0)
+    elif signed_zeros:
+        amps.real[0] = -0.0
+        amps.imag[-1] = -0.0
+        if n > 2:
+            amps[1] = complex(-0.0, 0.0)
+        amps /= np.linalg.norm(amps)
+    return qc.StateVector(dims, labels, amps)
 
 
 class TestTensor:
@@ -45,6 +63,19 @@ class TestTensor:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(DimensionMismatchError):
             qc.tensor(ket(UP), ket(DOWN))
+
+    @pytest.mark.parametrize("signed_zeros", [False, True])
+    @pytest.mark.parametrize(
+        "dims_a, dims_b", [((2,), (2,)), ((2, 2), (2,)), ((2, 3), (3,)), ((3,), (2, 2)), ((4,), (1,))]
+    )
+    def test_matches_kron_bit_for_bit(self, dims_a, dims_b, signed_zeros):
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            a = random_state(rng, dims_a, tuple(f"a{i}" for i in range(len(dims_a))), signed_zeros)
+            b = random_state(rng, dims_b, tuple(f"b{i}" for i in range(len(dims_b))), signed_zeros)
+            out = qc.tensor(a, b)
+            assert out.dims == dims_a + dims_b
+            assert out.amps.tobytes() == np.kron(a.amps, b.amps).tobytes()
 
 
 class TestApply:
@@ -104,6 +135,42 @@ class TestApply:
         assert m.flags.writeable and op.matrix[0, 0] == 1.0
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
+
+    def test_plan_cache_is_bounded(self):
+        qc.apply(qc.UnitaryOp(np.eye(2), ("q2",)), ket(UP, DOWN))
+        info = qc._apply_plan.cache_info()
+        assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+
+    def test_repeated_oracle_calls_add_no_plan_misses(self):
+        weak_cf.alice_cheat_oracle(WeakCFParams(0.4, 0.3))
+        misses = qc._apply_plan.cache_info().misses
+        for params in (WeakCFParams(0.4, 0.3), WeakCFParams(0.5, 0.2), WeakCFParams(0.1, 0.8)):
+            weak_cf.alice_cheat_oracle(params)
+        assert qc._apply_plan.cache_info().misses == misses
+
+    def test_unknown_target_raises_on_every_call(self):
+        op = qc.UnitaryOp(np.eye(2), ("qX",))
+        for _ in range(3):
+            with pytest.raises(DimensionMismatchError, match="no subsystem named 'qX'"):
+                qc.apply(op, ket(UP, DOWN))
+
+    def test_plan_does_not_skip_the_dimension_check(self):
+        state = qc.basis_state((2, 3), ("q1", "q2"), (0, 1))
+        qc.apply(qc.UnitaryOp(np.eye(3), ("q2",)), state)
+        with pytest.raises(DimensionMismatchError, match="matrix dim 2 != target subsystem dim 3"):
+            qc.apply(qc.UnitaryOp(np.eye(2), ("q2",)), state)
+
+    def test_cached_identity_is_read_only_and_untouched(self):
+        eye = qc._identity(2)
+        assert qc._identity(2) is eye
+        with pytest.raises(ValueError):
+            eye[0, 0] = 2.0
+        for bad in (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[nan, 0.0], [0.0, 1.0]]),
+                    np.array([[inf, 0.0], [0.0, 1.0]])):
+            with pytest.raises(DimensionMismatchError, match="not unitary"):
+                qc.UnitaryOp(bad, ("q1",))
+        qc.UnitaryOp(np.array([[0.0, 1.0], [1.0, 0.0]]), ("q1",))
+        assert eye.tobytes() == np.eye(2).tobytes()
 
     def test_permuted_targets_act_on_the_named_subsystems(self):
         # a CNOT with control q3 and target q1, on a state whose order is (q1, q2, q3)
@@ -303,6 +370,18 @@ class TestInvariants:
     def test_basis_state_cache_is_bounded(self):
         info = qc._cached_basis_state.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_json_amplitudes_match_the_per_element_pairs(self):
+        rng = np.random.default_rng(5)
+        for dims in [(2,), (2, 2), (2, 3), (2, 2, 2)]:
+            labels = tuple(f"s{i}" for i in range(len(dims)))
+            state = random_state(rng, dims, labels, signed_zeros=True)
+            pairs = [[float(a.real), float(a.imag)] for a in state.amps]
+            amps = state.to_json_dict()["amps"]
+            # json.dumps tells -0.0 from 0.0, which == on floats does not
+            assert json.dumps(amps) == json.dumps(pairs)
+            assert all(type(x) is float for pair in amps for x in pair)
+        assert "-0.0" in json.dumps(state.to_json_dict()["amps"])
 
     def test_json_serialization_shape(self):
         psi = initial_state(WeakCFParams(0.5, 0.1))

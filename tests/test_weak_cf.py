@@ -392,6 +392,28 @@ class TestAliceCheatOracle:
         weak_cf.alice_cheat_oracle(WeakCFParams(0.4, 0.3))
         assert (len(built), len(checked), len(states)) == (1, 1, 13)
 
+    def test_one_honest_run_builds_four_or_five_states(self, monkeypatch):
+        # psi0, its tensor with the ancilla, the rotated state and the post
+        # state; Alice's branch also builds her pass state, Bob's reuses a
+        # cached basis state for his check
+        states = []
+        state_check = qc.StateVector.__post_init__
+
+        def counted_state(state):
+            states.append(state)
+            state_check(state)
+
+        params, seeds = WeakCFParams(0.4, 0.3), range(8)
+        for seed in seeds:  # both branches once, so cached states are in place
+            weak_cf.honest_run(params, seed)
+        monkeypatch.setattr(qc.StateVector, "__post_init__", counted_state)
+        built = {}
+        for seed in seeds:
+            states.clear()
+            winner, _ = weak_cf.honest_run(params, seed)
+            built.setdefault(winner, set()).add(len(states))
+        assert built == {"alice": {5}, "bob": {4}}
+
     def test_payoff_with_the_oracle_protocol_matches_standalone(self):
         params = WeakCFParams(0.35, 0.4)
         proto = weak_cf._protocol(params)
