@@ -93,12 +93,25 @@ def _emit_record(record: dict, fmt: str, out) -> None:
                 out.write(f"{key} = {_fmt6(value)}\n")
 
 
+# Encodes one flat row as `json.dumps(..., indent=2)` lays it out at depth 3.
+# Without an indent the encoder may use its C implementation.
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
+
+
 def _emit_rows(rows: list[dict], fmt: str, out) -> None:
+    """Write reproduction rows as json, csv or an aligned table.
+
+    The json text is byte for byte `json.dumps({"rows": rows, "all_pass":
+    ...}, indent=2, allow_nan=False)` plus a newline. rows must be a
+    non-empty list of non-empty flat dicts (as `reproduce._row` builds and
+    the reproduce schema requires), so each row is encoded in one
+    `_ROW_ENCODER` call and only the fixed frame is written around them.
+    A NaN or inf raises ValueError before anything is written.
+    """
     if fmt == "json":
-        json.dump(
-            {"rows": rows, "all_pass": all(r["passed"] for r in rows)}, out, indent=2, allow_nan=False
-        )
-        out.write("\n")
+        body = ",\n    ".join("{\n      " + _ROW_ENCODER.encode(r)[1:-1] + "\n    }" for r in rows)
+        all_pass = "true" if all(r["passed"] for r in rows) else "false"
+        out.write(f'{{\n  "rows": [\n    {body}\n  ],\n  "all_pass": {all_pass}\n}}\n')
         return
     columns = list(rows[0].keys())
     if fmt == "csv":
@@ -211,10 +224,10 @@ def _cmd_multiparty(args) -> tuple[dict, int]:
     if args.m is None or args.n is None:
         raise QdiceError("pairing mode requires --m and --n")
     protocol = multiparty.build_pairing(args.m, args.n)
-    probs = multiparty.honest_outcome_probs(protocol)
+    prob = multiparty.honest_outcome_prob(protocol)
     value = multiparty.coalition_force_prob(protocol, args.eps_bar)
     record = protocol.to_json_dict()
-    record["honest_prob_exact"] = f"{probs[0].numerator}/{probs[0].denominator}"
+    record["honest_prob_exact"] = f"{prob.numerator}/{prob.denominator}"
     record["coalition_force_prob"] = value
     record["symmetric_bound"] = bounds.symmetric_min(protocol.n_outcomes, protocol.n_parties)
     saturates = abs(value - record["symmetric_bound"]) <= 1e-12 if args.eps_bar == 0.0 else True

@@ -77,12 +77,18 @@ def build_pairing(m: int, n: int) -> PairingProtocol:
     return PairingProtocol(m=m, n=n, stages=stages)
 
 
-def honest_outcome_probs(protocol: PairingProtocol) -> list[Fraction]:
-    """Exact honest probability per outcome: the product of uniform stage picks."""
+def honest_outcome_prob(protocol: PairingProtocol) -> Fraction:
+    """Exact honest probability of any one outcome: the product of uniform
+    stage picks. Every outcome has it, so no list of n^m entries is built."""
     per_outcome = Fraction(1)
     for stage in protocol.stages:
         per_outcome *= Fraction(1, stage.n_blocks)
-    return [per_outcome] * protocol.n_outcomes
+    return per_outcome
+
+
+def honest_outcome_probs(protocol: PairingProtocol) -> list[Fraction]:
+    """Exact honest probability per outcome, one entry for each of n^m."""
+    return [honest_outcome_prob(protocol)] * protocol.n_outcomes
 
 
 def coalition_force_prob(protocol: PairingProtocol, eps_bar: float = 0.0) -> float:

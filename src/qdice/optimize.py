@@ -145,8 +145,11 @@ def _root_enclosures(coeffs: Sequence[tuple[int, int]]) -> list[tuple[Fraction, 
     discriminant is exact in Z[sqrt2]; sqrt2 and the square root of the
     discriminant are bounded with `math.isqrt` at scale 2**128, so each
     interval holds its exact root and is about 1e-38 wide relative to the
-    coefficients. Raises CrossCheckError unless there are two separated
-    real roots.
+    coefficients. The enclosure of 2 a2 is brought to positive sign, so the
+    sign of each numerator bound picks the denominator bound that gives the
+    lower and the upper quotient: two Fractions per root, equal to the min
+    and max of all four. Raises CrossCheckError unless there are two
+    separated real roots.
     """
     (x2, y2), (x1, y1), (x0, y0) = coeffs
     # a1^2 - 4 a2 a0, exact in Z[sqrt2]
@@ -158,11 +161,15 @@ def _root_enclosures(coeffs: Sequence[tuple[int, int]]) -> list[tuple[Fraction, 
         raise CrossCheckError(f"the quadratic {coeffs} has no two separated real roots")
     r = (isqrt(disc[0] * _SCALE), isqrt(disc[1] * _SCALE) + 1)  # bound sqrt(disc) * _SCALE
     b = _scaled(-x1, -y1)
-    roots = []
-    for num in ((b[0] + r[0], b[1] + r[1]), (b[0] - r[1], b[1] - r[0])):
-        quotients = [Fraction(n, d) for n in num for d in den]
-        roots.append((min(quotients), max(quotients)))
-    return roots
+    nums = ((b[0] + r[0], b[1] + r[1]), (b[0] - r[1], b[1] - r[0]))
+    if den[0] < 0:  # negate the whole quotient: both ends swap and change sign
+        den = (-den[1], -den[0])
+        nums = tuple((-hi, -lo) for lo, hi in nums)
+    d_lo, d_hi = den
+    return [
+        (Fraction(lo, d_hi if lo >= 0 else d_lo), Fraction(hi, d_lo if hi >= 0 else d_hi))
+        for lo, hi in nums
+    ]
 
 
 def sqrt2_quadratic_root(coeffs: Sequence[tuple[int, int]], lo: Fraction, hi: Fraction) -> float:

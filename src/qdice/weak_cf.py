@@ -199,25 +199,25 @@ def _objective_coeffs(params: WeakCFParams) -> tuple[float, float]:
 def _objective(a: float, b: float, delta):
     """(sqrt(A(1-d)) + sqrt(B d))^2 for coefficients from `_objective_coeffs`.
 
-    An ndarray delta is evaluated elementwise with numpy; any other delta
-    takes a plain-float path with the same result bit for bit, including
-    NaN where a radicand is negative or NaN.
+    A grid delta (an ndarray with at least one dimension) is evaluated
+    elementwise with numpy, in two fresh buffers and never in delta itself,
+    which may be read-only; any other delta takes a plain-float path. Both
+    give (np.sqrt(a * (1.0 - delta)) + np.sqrt(b * delta)) ** 2 bit for
+    bit, including NaN where a radicand is negative or NaN.
     """
-    if isinstance(delta, np.ndarray):
-        return (np.sqrt(a * (1.0 - delta)) + np.sqrt(b * delta)) ** 2
+    if isinstance(delta, np.ndarray) and delta.ndim:
+        u = np.subtract(1.0, delta)
+        u *= a
+        np.sqrt(u, out=u)
+        v = np.multiply(b, delta)
+        np.sqrt(v, out=v)
+        u += v
+        return np.square(u, out=u)
     u, v = a * (1.0 - delta), b * delta
     if not (u >= 0.0 and v >= 0.0):  # np.sqrt gives NaN here; math.sqrt would raise
         return nan
     s = sqrt(u) + sqrt(v)
     return s * s
-
-
-def alice_objective(params: WeakCFParams, delta):
-    """Alice's winning probability when she shifts weight delta to |du>.
-
-    delta may be a float or an ndarray (evaluated elementwise).
-    """
-    return _objective(*_objective_coeffs(params), delta)
 
 
 def alice_opt_cheat(params: WeakCFParams, grid_points: int = 10_000) -> CheatAnalysis:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdice import cli, optimize, sixround_dr, weak_cf
+from qdice import cli, optimize, reproduce, sixround_dr, weak_cf
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 
@@ -151,6 +151,16 @@ class TestExitCodes:
         assert out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_in_a_row_is_an_error_not_a_token(self, capsys, monkeypatch, bad):
+        rows = reproduce.build_rows(0)
+        rows[3]["computed_value"] = bad
+        monkeypatch.setattr(reproduce, "build_rows", lambda seed: rows)
+        code, out, err = run_cli(capsys, "reproduce")
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
     @pytest.mark.parametrize("grid", ["1", "0", "-3"])
     def test_degenerate_grid_is_a_usage_error(self, capsys, grid):
         code, out, err = run_cli(capsys, "--grid", grid, "weak-cf", "--p", "0.3", "--eta", "0.2")
@@ -190,6 +200,15 @@ class TestSchemas:
     def test_multiparty_pairing(self, capsys, schema_loader):
         _, out, _ = run_cli(capsys, "multiparty", "--m", "2", "--n", "3")
         jsonschema.validate(json.loads(out), schema_loader("multiparty_pairing"))
+
+    def test_multiparty_pairing_past_sys_maxsize(self, capsys, schema_loader):
+        # n^m = 10^20 outcomes: more than a list can hold
+        code, out, err = run_cli(capsys, "multiparty", "--m", "20", "--n", "10")
+        assert code == 0, err
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema_loader("multiparty_pairing"))
+        assert payload["n_outcomes"] == 10**20
+        assert payload["honest_prob_exact"] == "1/100000000000000000000"
 
     def test_multiparty_example(self, capsys, schema_loader):
         _, out, _ = run_cli(capsys, "multiparty", "example3")
@@ -245,6 +264,52 @@ class TestFormats:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["pa_exact"] == "2/3"
+
+
+def _reference_rows_json(rows):
+    doc = {"rows": rows, "all_pass": all(r["passed"] for r in rows)}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+_ROW_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 5e-324, 1e308])
+)
+_ROW_TEXT = st.one_of(
+    st.text(), st.sampled_from(['say "hi"', "back\\slash", "é ψ 中 \U0001f3b2", "\n\t\x00\u2028"])
+)
+
+
+class TestRowsJson:
+    """The reproduce rows' json is the text `json.dumps(..., indent=2)` writes."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        rows=st.lists(
+            st.fixed_dictionaries({
+                "quantity": _ROW_TEXT,
+                "reported_value": _ROW_FLOATS,
+                "computed_value": _ROW_FLOATS,
+                "abs_diff": _ROW_FLOATS,
+                "tolerance": _ROW_FLOATS,
+                "passed": st.booleans(),
+            }),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_matches_the_indenting_encoder(self, rows):
+        buf = io.StringIO()
+        cli._emit_rows(rows, "json", buf)
+        assert buf.getvalue() == _reference_rows_json(rows)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float_raises_before_writing(self, bad):
+        rows = reproduce.build_rows(0)
+        rows[-1]["abs_diff"] = bad
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            cli._emit_rows(rows, "json", buf)
+        assert buf.getvalue() == ""
 
 
 class TestGlobalFlagPlacement:

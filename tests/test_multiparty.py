@@ -39,6 +39,13 @@ class TestBuildPairing:
         protocol = multiparty.build_pairing(3, 3)
         assert [s.block_size for s in protocol.stages] == [9, 3, 1]
 
+    @pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (3, 2), (2, 7)])
+    def test_one_outcome_probability_is_every_outcome_probability(self, m, n):
+        protocol = multiparty.build_pairing(m, n)
+        prob = multiparty.honest_outcome_prob(protocol)
+        assert multiparty.honest_outcome_probs(protocol) == [prob] * n**m
+        assert prob == Fraction(1, n**m)
+
     def test_invalid_sizes(self):
         with pytest.raises(ParameterRangeError):
             multiparty.build_pairing(0, 3)

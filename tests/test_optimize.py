@@ -8,6 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qdice import optimize
 from qdice.errors import CrossCheckError, InfeasibleVariantError, ParameterRangeError
 from qdice.optimize import (
     _INV_PHI,
@@ -253,6 +257,76 @@ class TestSqrt2QuadraticRoot:
         coeffs = ((2**53, 0), (-1, 0), (-(2**53) - 1, 0))
         with pytest.raises(CrossCheckError, match="spans a rounding boundary"):
             sqrt2_quadratic_root(coeffs, Fraction(0), Fraction(2))
+
+
+def reference_root_enclosures(coeffs):
+    """The enclosures as min and max of all four bound quotients per root."""
+    (x2, y2), (x1, y1), (x0, y0) = coeffs
+    disc = optimize._scaled(
+        x1 * x1 + 2 * y1 * y1 - 4 * (x2 * x0 + 2 * y2 * y0), 2 * x1 * y1 - 4 * (x2 * y0 + x0 * y2)
+    )
+    den = optimize._scaled(2 * x2, 2 * y2)
+    if disc[0] <= 0 or den[0] <= 0 <= den[1]:
+        return None
+    scale = optimize._SCALE
+    r = (math.isqrt(disc[0] * scale), math.isqrt(disc[1] * scale) + 1)
+    b = optimize._scaled(-x1, -y1)
+    roots = []
+    for num in ((b[0] + r[0], b[1] + r[1]), (b[0] - r[1], b[1] - r[0])):
+        quotients = [Fraction(n, d) for n in num for d in den]
+        roots.append((min(quotients), max(quotients)))
+    return roots
+
+
+def enclosures_or_none(coeffs):
+    try:
+        return optimize._root_enclosures(coeffs)
+    except CrossCheckError:
+        return None
+
+
+_Z_SQRT2 = st.tuples(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
+_BIG_Z_SQRT2 = st.tuples(st.integers(-(2**90), 2**90), st.integers(-(2**90), 2**90))
+
+
+class TestRootEnclosures:
+    """Two quotients per root give the four-quotient min and max exactly."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(coeffs=st.one_of(st.tuples(*[_Z_SQRT2] * 3), st.tuples(*[_BIG_Z_SQRT2] * 3)))
+    def test_random_quadratics_match_the_reference(self, coeffs):
+        assert enclosures_or_none(coeffs) == reference_root_enclosures(coeffs)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            ((-4, 0), (0, 0), (1, 0)),  # -(4 x^2 - 1): roots -/+ 1/2
+            ((-4, 0), (4, 0), (1, 0)),  # roots (1 -/+ sqrt2)/2, one of each sign
+            ((1, -1), (3, 1), (-2, 5)),  # a2 = 1 - sqrt2 < 0
+            ((-3, 1), (0, -2), (7, 0)),  # a2 = sqrt2 - 3 < 0
+            ((-(2**60), 3), (2**59, -(2**58)), (2**61, 1)),
+        ],
+    )
+    def test_negative_denominator_enclosure(self, coeffs):
+        (x2, y2), _, _ = coeffs
+        assert optimize._scaled(2 * x2, 2 * y2)[1] < 0
+        roots = optimize._root_enclosures(coeffs)
+        assert roots == reference_root_enclosures(coeffs)
+        assert all(lo < hi for lo, hi in roots)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            ((4, 0), (4, 0), (-1, 0)),  # roots of both signs
+            ((1, 0), (0, -2), (1, 0)),  # both roots positive
+            ((1, 0), (5, 1), (2, 0)),  # both roots negative
+            ((0, 1), (1, 0), (-1, 0)),  # a2 = sqrt2
+        ],
+    )
+    def test_positive_denominator_enclosure(self, coeffs):
+        (x2, y2), _, _ = coeffs
+        assert optimize._scaled(2 * x2, 2 * y2)[0] > 0
+        assert optimize._root_enclosures(coeffs) == reference_root_enclosures(coeffs)
 
 
 class TestCertifySignChange:

@@ -126,17 +126,17 @@ class TestAliceOptCheat:
 
         for params in weak_cf.param_grid(10, 10):
             a, b = weak_cf._objective_coeffs(params)
-            _, numeric = maximize_unimodal(lambda d: weak_cf.alice_objective(params, d))
+            _, numeric = maximize_unimodal(lambda d: weak_cf._objective(a, b, d))
             assert abs(numeric - (a + b)) <= 1e-9
             # the production path re-runs this cross-check and raises on failure
             weak_cf.alice_opt_cheat(params)
 
     def test_objective_on_array_matches_scalars(self):
-        params = WeakCFParams(0.3, 0.25)
+        coeffs = weak_cf._objective_coeffs(WeakCFParams(0.3, 0.25))
         deltas = np.linspace(0.0, 1.0, 101)
-        values = weak_cf.alice_objective(params, deltas)
+        values = weak_cf._objective(*coeffs, deltas)
         assert values.shape == deltas.shape
-        assert [float(v) for v in values] == [float(weak_cf.alice_objective(params, d)) for d in deltas]
+        assert [float(v) for v in values] == [float(weak_cf._objective(*coeffs, d)) for d in deltas]
 
     @pytest.mark.parametrize(
         "a, b",
@@ -154,11 +154,56 @@ class TestAliceOptCheat:
 
     @pytest.mark.parametrize("delta", [-0.1, 1.5, float("nan"), float("inf"), -float("inf")])
     def test_out_of_domain_delta_gives_nan(self, delta):
-        params = WeakCFParams(0.3, 0.25)
-        assert np.isnan(weak_cf.alice_objective(params, delta))
-        assert np.isnan(weak_cf.alice_objective(params, np.float64(delta)))
+        coeffs = weak_cf._objective_coeffs(WeakCFParams(0.3, 0.25))
+        assert np.isnan(weak_cf._objective(*coeffs, delta))
+        assert np.isnan(weak_cf._objective(*coeffs, np.float64(delta)))
+        assert np.isnan(weak_cf._objective(*coeffs, np.array(delta)))  # 0-d: the scalar path
         with np.errstate(invalid="ignore"):
-            assert np.isnan(weak_cf.alice_objective(params, np.array([delta]))).all()
+            assert np.isnan(weak_cf._objective(*coeffs, np.array([delta]))).all()
+
+    @staticmethod
+    def reference_grid_objective(a, b, delta):
+        return (np.sqrt(a * (1.0 - delta)) + np.sqrt(b * delta)) ** 2
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0.7, 0.2), (1.0, 0.0), (0.0, 0.3), (0.0, 0.0), (-0.5, 0.4), (0.6, -0.1), *[
+            weak_cf._objective_coeffs(params) for params in weak_cf.param_grid(4, 4)
+        ]],
+    )
+    def test_grid_path_is_bit_identical_to_the_reference(self, a, b):
+        rng = np.random.default_rng(7)
+        deltas = np.concatenate([
+            np.linspace(0.0, 1.0, 2001),
+            rng.uniform(-0.5, 1.5, 500),
+            [-0.0, 5e-324, 1e-300, 1.0 - 2**-53, -1e-300, 1.0 + 2**-52, np.nan, np.inf, -np.inf],
+        ])
+        before = deltas.copy()
+        with np.errstate(invalid="ignore"):
+            got = weak_cf._objective(a, b, deltas)
+            want = self.reference_grid_objective(a, b, deltas)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert deltas.tobytes() == before.tobytes()
+        assert not np.shares_memory(got, deltas)
+        # a 2-d grid keeps its shape
+        with np.errstate(invalid="ignore"):
+            square = weak_cf._objective(a, b, deltas[:2500].reshape(50, 50))
+        assert square.tobytes() == got[:2500].tobytes() and square.shape == (50, 50)
+
+    def test_grid_path_reads_the_cached_read_only_grid(self):
+        from qdice.optimize import _seeding_grid
+
+        grid = _seeding_grid(0.0, 1.0, 10_000, 1.0)
+        assert not grid.flags.writeable
+        before = grid.copy()
+        a, b = weak_cf._objective_coeffs(WeakCFParams(0.5, FAIR_ETA))
+        got = weak_cf._objective(a, b, grid)
+        assert got.tobytes() == self.reference_grid_objective(a, b, grid).tobytes()
+        assert got.flags.writeable and not np.shares_memory(got, grid)
+        assert not grid.flags.writeable
+        assert np.array_equal(grid, before)
 
     def test_cross_check_fails_closed_on_nan(self, monkeypatch):
         monkeypatch.setattr(weak_cf, "maximize_unimodal", lambda *a, **k: (0.5, float("nan")))
