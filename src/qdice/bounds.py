@@ -3,15 +3,13 @@
 Two-party form: P_A(i)* P_B(i)* >= P_i. Multi-party form over M parties
 and N outcomes: the product of all parties' forcing probabilities for any
 outcome is at least 1/N, which for a bias-symmetric protocol means each is
-at least (1/N)^(1/M). Classical two-party dice rolling obeys the weaker
-inequality (1 - Pbar_A(i))(1 - Pbar_B(j)) <= (N-2)/N + delta_ij / N.
+at least (1/N)^(1/M).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from math import prod
-from typing import Sequence
 
 from .errors import DimensionMismatchError, ParameterRangeError
 
@@ -112,26 +110,3 @@ def symmetric_min(n_outcomes: int, n_parties: int) -> float:
         raise ParameterRangeError("need at least 2 outcomes and 2 parties")
     return (1.0 / n_outcomes) ** (1.0 / n_parties)
 
-
-def classical_dr_check(
-    pa: Sequence[float], pb: Sequence[float], n: int, tol: float = RATIONAL_TOL
-) -> list[list[bool]]:
-    """Entrywise check of the classical two-party constraint matrix.
-
-    Entry (i, j) is True iff (1 - Pbar_A(i))(1 - Pbar_B(j)) stays below
-    (N-2)/N + delta_ij / N. At N = 2 the off-diagonal bound is zero, so at
-    least one party must force with certainty: the classical coin-flipping
-    impossibility.
-    """
-    if len(pa) != n or len(pb) != n:
-        raise DimensionMismatchError(f"expected two lists of length {n}")
-    if any(not 0.0 <= x <= 1.0 for x in list(pa) + list(pb)):
-        raise ParameterRangeError("forcing probabilities must lie in [0, 1]")
-    base = (n - 2) / n
-    return [
-        [
-            (1.0 - pa[i]) * (1.0 - pb[j]) <= base + (1.0 / n if i == j else 0.0) + tol
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]

@@ -1,14 +1,14 @@
 """Scalar solvers: grid-seeded golden-section search, bisection, and exact
 quadratic roots over Q(sqrt 2) with a float sign-change certificate.
 
-All protocol objectives in this package are smooth and unimodal on their
-feasible intervals, so a dense grid to localize the optimum followed by
-golden-section refinement is both robust and fast. The grid is evaluated
-in one call: the objective given to `maximize_unimodal` first receives the
-whole grid as a float ndarray, then plain Python floats during refinement.
-The grid is built once per (lo, hi, grid_points) and cached read-only, so
-every call still evaluates the objective at every grid point but no call
-rebuilds or can alter the grid.
+The package maximizes one kind of objective: the weak-CF cheat over the
+split delta in [0, 1], smooth and unimodal there, so a dense grid to
+localize the optimum followed by golden-section refinement is both robust
+and fast. The grid is evaluated in one call: the objective given to
+`maximize_unimodal` first receives the whole grid as a float ndarray, then
+plain Python floats during refinement. The grid is built once per
+grid_points and cached read-only, so every call still evaluates the
+objective at every grid point but no call rebuilds or can alter the grid.
 
 `sqrt2_quadratic_root` returns the correctly rounded root of a quadratic
 whose coefficients lie in Z[sqrt 2], and `certify_sign_change` checks such
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import copysign, isnan, isqrt, sqrt
+from math import isnan, isqrt, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,42 +27,33 @@ import numpy as np
 from .errors import CrossCheckError, InfeasibleVariantError, ParameterRangeError
 
 _INV_PHI = (sqrt(5.0) - 1.0) / 2.0
+MAXIMIZE_TOL = 1e-12  # golden-section search stops below this bracket width
 
 
 @lru_cache(maxsize=8, typed=True)
-def _seeding_grid(lo: float, hi: float, grid_points: int, hi_sign: float) -> np.ndarray:
-    """np.linspace(lo, hi, grid_points), read-only.
-
-    hi_sign only keys the cache: -0.0 == 0.0, but the grid ends on hi
-    itself, sign included.
-    """
-    xs = np.linspace(lo, hi, grid_points)
+def _seeding_grid(grid_points: int) -> np.ndarray:
+    """np.linspace(0.0, 1.0, grid_points), read-only."""
+    xs = np.linspace(0.0, 1.0, grid_points)
     xs.setflags(write=False)
     return xs
 
 
-def maximize_unimodal(
-    f: Callable,
-    lo: float = 0.0,
-    hi: float = 1.0,
-    grid_points: int = 10_000,
-    tol: float = 1e-12,
-) -> tuple[float, float]:
-    """Maximize a unimodal function on [lo, hi].
+def maximize_unimodal(f: Callable, grid_points: int = 10_000) -> tuple[float, float]:
+    """Maximize a unimodal function on [0, 1].
 
     Seeds with a uniform grid of `grid_points` samples, then refines the
     bracketing interval around the best sample by golden-section search
-    until its width falls below `tol`. Returns (argmax, max).
+    until its width falls below MAXIMIZE_TOL. Returns (argmax, max).
 
     `f` is called once with the whole grid as a float ndarray and must
     return one value per point, elementwise; every later call passes a
-    single Python float. The grid is `np.linspace(lo, hi, grid_points)`,
+    single Python float. The grid is `np.linspace(0.0, 1.0, grid_points)`,
     cached across calls and read-only: writing to it raises ValueError.
     Raises ParameterRangeError when `grid_points` < 2.
     """
     if grid_points < 2:
         raise ParameterRangeError(f"grid_points must be >= 2, got {grid_points}")
-    xs = _seeding_grid(lo, hi, grid_points, copysign(1.0, hi))
+    xs = _seeding_grid(grid_points)
     vals = np.asarray(f(xs), dtype=float)
     if vals.shape != xs.shape:
         raise ValueError(f"f returned shape {vals.shape} for a grid of shape {xs.shape}")
@@ -73,7 +64,7 @@ def maximize_unimodal(
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > MAXIMIZE_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

@@ -49,12 +49,14 @@ class SixRoundSolution:
         }
 
 
-def _check_variant(variant: str, eta: float) -> None:
+def _check_variant(variant: str, eta: float) -> float:
+    """The variant's stage-2 p as a float, once variant and eta are checked."""
     if variant not in _P:
         raise ParameterRangeError(f"variant must be case1 or case2, got {variant!r}")
-    eta_max = float(1 - _P[variant])
+    p, eta_max = _FLOATS[variant]
     if not 0.0 <= eta <= eta_max:
         raise ParameterRangeError(f"{variant} requires eta in [0, {eta_max:.4g}], got {eta}")
+    return p
 
 
 def _losses(
@@ -70,8 +72,7 @@ def _losses(
     against a cheating coalition) or by surviving and losing stage 2 as
     the 2/3 party.
     """
-    _check_variant(variant, eta)
-    p = float(_P[variant])
+    p = _check_variant(variant, eta)
     pair = (preparer_cheat(WeakCFParams(p=p, eta=eta)), p + eta)
     # case1: the winner prepares and Claire holds the p = 1/3 role;
     # case2: Claire prepares, so the winner holds p = 2/3
@@ -89,7 +90,7 @@ def losing_probs_at(variant: str, eta: float) -> tuple[float, float, float]:
 def _grid_cheat(params: WeakCFParams) -> float:
     """The preparer's maximal win as the numeric maximum of the raw objective (no A + B)."""
     a, b = _objective_coeffs(params)
-    return maximize_unimodal(lambda d: _objective(a, b, d), 0.0, 1.0)[1]
+    return maximize_unimodal(lambda d: _objective(a, b, d))[1]
 
 
 def _numeric_residual(variant: str, eta: float) -> float:
@@ -124,6 +125,7 @@ def _quadratic(variant: str) -> list[tuple[int, int]]:
 
 
 _QUADRATICS = {variant: _quadratic(variant) for variant in _P}
+_FLOATS = {variant: (float(p), float(1 - p)) for variant, p in _P.items()}  # (p, eta max)
 
 
 def solve(variant: str) -> SixRoundSolution:

@@ -7,6 +7,9 @@ flips a final coin biased toward o (probability p_o). Five free parameters
 allow any target outcome distribution (P0, 1-P0), and the closed-form
 solution drives every cheating probability to sqrt(P_i) exactly, so the
 product P_A* P_B* equals the honest probability: the bound is saturated.
+
+Every quantity here is a closed form in plain floats. The weak CF inside
+is an ideal primitive, known only by its honest share z_i and bias eps_i.
 """
 
 from __future__ import annotations
@@ -14,11 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import sqrt
 
-import numpy as np
-
-from . import quantum_core as qc
 from .errors import DegenerateProtocolError, ParameterRangeError
-from .weak_dr import IdealWCFPrimitive
 
 KITAEV_TOL = 1e-9
 
@@ -41,11 +40,10 @@ class StrongCFParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ParameterRangeError(f"{name} must lie in [0, 1], got {v}")
-        if self.eps0 < 0.0 or self.eps1 < 0.0:
-            raise ParameterRangeError("weak-CF biases must be non-negative")
-        # the bound IdealWCFPrimitive enforces on the same (z_i, eps_i) in simulate
+        # a weak CF with honest share z_i can raise a losing probability by at
+        # most min(z_i, 1 - z_i): eps_i <= min(z_i, 1 - z_i), with 1e-12 slack
         for i, z, eps in ((0, self.z0, self.eps0), (1, self.z1, self.eps1)):
-            if eps > min(z, 1.0 - z) + 1e-12:
+            if not 0.0 <= eps <= min(z, 1.0 - z) + 1e-12:  # fails closed on NaN
                 raise ParameterRangeError(
                     f"eps{i} must lie in [0, min(z{i}, 1-z{i})] = [0, {min(z, 1.0 - z)}], got {eps}"
                 )
@@ -176,41 +174,3 @@ def kitaev_saturation_check(
     targets = (p0_honest, 1.0 - p0_honest)
     saturated = all(abs(products[i] - targets[i]) <= KITAEV_TOL for i in (0, 1))
     return products, saturated
-
-
-def simulate(params: StrongCFParams, seed: int | np.random.Generator) -> tuple[int, dict]:
-    """One honest protocol execution; returns (outcome bit, transcript)."""
-    rng = qc.as_generator(seed)
-    o = 0 if rng.random() < params.q else 1
-    wcf = IdealWCFPrimitive(params.z0 if o == 0 else params.z1,
-                            params.eps0 if o == 0 else params.eps1)
-    alice_wins = wcf.sample_first_wins(rng)
-    if alice_wins:
-        outcome = o
-        final_coin = None
-    else:
-        p_match = params.pp0 if o == 0 else params.pp1
-        matched = rng.random() < p_match
-        outcome = o if matched else 1 - o
-        final_coin = outcome
-    return outcome, {
-        "announced": o,
-        "alice_won_weak_flip": alice_wins,
-        "final_coin": final_coin,
-        "outcome": outcome,
-    }
-
-
-def sample_outcomes(
-    params: StrongCFParams, runs: int, seed: int | np.random.Generator
-) -> np.ndarray:
-    """Vectorized honest outcomes for `runs` >= 0 executions (same law as simulate)."""
-    if runs < 0:
-        raise ParameterRangeError(f"runs must be >= 0, got {runs}")
-    rng = qc.as_generator(seed)
-    o = (rng.random(runs) >= params.q).astype(np.int8)
-    z = np.where(o == 0, params.z0, params.z1)
-    alice_wins = rng.random(runs) < z
-    p_match = np.where(o == 0, params.pp0, params.pp1)
-    matched = rng.random(runs) < p_match
-    return np.where(alice_wins, o, np.where(matched, o, 1 - o)).astype(np.int8)

@@ -131,11 +131,6 @@ _WIN_SECTOR = tuple(
 )
 
 
-def bob_win_sector() -> list[qc.StateVector]:
-    """Basis of the subspace where qubits 2, 3 read |ud> (q1 free)."""
-    return list(_WIN_SECTOR)
-
-
 def alice_pass_state(params: WeakCFParams) -> qc.StateVector:
     """The three-qubit verification state Bob tests Alice against."""
     denom = 1.0 - params.p
@@ -234,7 +229,7 @@ def alice_opt_cheat(params: WeakCFParams, grid_points: int = 10_000) -> CheatAna
     closed = a + b
     delta_star = 0.0 if closed == 0.0 else b / closed
 
-    _, numeric = maximize_unimodal(lambda d: _objective(a, b, d), 0.0, 1.0, grid_points=grid_points)
+    _, numeric = maximize_unimodal(lambda d: _objective(a, b, d), grid_points)
     if not abs(numeric - closed) <= CROSS_CHECK_TOL:  # fails closed on NaN
         raise CrossCheckError(
             f"closed-form {closed!r} vs numeric {numeric!r} differ beyond {CROSS_CHECK_TOL}"
@@ -291,15 +286,15 @@ class _Protocol(NamedTuple):
 
     u: qc.UnitaryOp  # Bob's rotation on (q2, q3)
     xi: qc.StateVector  # Alice's verification state
-    sector: list[qc.StateVector]  # Bob's win sector
+    sector: tuple[qc.StateVector, ...]  # Bob's win sector
 
 
 def _protocol(params: WeakCFParams) -> _Protocol:
-    return _Protocol(rotation_unitary(params), alice_pass_state(params), bob_win_sector())
+    return _Protocol(rotation_unitary(params), alice_pass_state(params), _WIN_SECTOR)
 
 
 def _score_rotated(
-    rotated: qc.StateVector, sector: list[qc.StateVector], xi: qc.StateVector
+    rotated: qc.StateVector, sector: tuple[qc.StateVector, ...], xi: qc.StateVector
 ) -> float:
     """P_fail * P_test of a state after Bob's rotation.
 
@@ -314,17 +309,14 @@ def _score_rotated(
     return p_fail * abs(qc.overlap(xi, post)) ** 2
 
 
-def _payoff(params: WeakCFParams, alphas, proto: _Protocol | None = None) -> float:
+def _payoff(alphas, proto: _Protocol) -> float:
     """Alice's cheating payoff P_fail * P_test for one preparation.
 
     alphas = (a_ud, a_du, a_uu, a_dd) is a unit vector. The preparation is
-    pushed through the protocol: Bob's rotation against a |d> ancilla, the
-    probability his |ud> test fails, and Alice's verification overlap on
-    the renormalized post-failure state. proto, when given, must be
-    `_protocol(params)`; the oracle passes the one it already built.
+    pushed through the protocol `proto` (from `_protocol(params)`): Bob's
+    rotation against a |d> ancilla, the probability his |ud> test fails,
+    and Alice's verification overlap on the renormalized post-failure state.
     """
-    if proto is None:
-        proto = _protocol(params)
     amps = np.zeros(4, dtype=complex)
     for (i, j), a in zip(_PREP_BASIS, alphas):
         amps[i * 2 + j] = a
@@ -363,7 +355,7 @@ def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> Cheat
     upper = sum(_score_rotated(img, proto.sector, proto.xi) for img in images)
     if not abs(upper - value) <= ORACLE_TOL:  # fails closed on NaN
         raise CrossCheckError(f"basis preparations score {upper!r}, not ||v||^2 = {value!r}")
-    attained = _payoff(params, alphas, proto)
+    attained = _payoff(alphas, proto)
     if not abs(attained - value) <= ORACLE_TOL:
         raise CrossCheckError(f"oracle maximizer attains {attained!r}, not ||v||^2 = {value!r}")
 

@@ -27,37 +27,6 @@ from .errors import InvalidBiasError, ParameterRangeError
 
 
 @dataclass(frozen=True)
-class IdealWCFPrimitive:
-    """An ideal weak imbalanced coin flip with declared bias.
-
-    The first party wins honestly with probability z; a dishonest opponent
-    can raise either party's losing probability by at most eps_bar. Stands
-    in for arbitrarily-small-bias weak CF constructions, whose internals
-    are out of scope here.
-    """
-
-    z: float
-    eps_bar: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.z <= 1.0:
-            raise ParameterRangeError(f"z must lie in [0, 1], got {self.z}")
-        if not 0.0 <= self.eps_bar <= min(self.z, 1.0 - self.z) + 1e-12:
-            raise ParameterRangeError(
-                f"eps_bar must lie in [0, min(z, 1-z)], got {self.eps_bar}"
-            )
-
-    def sample_first_wins(self, rng: np.random.Generator) -> bool:
-        """Honest execution: first party wins with probability z."""
-        return bool(rng.random() < self.z)
-
-    def max_losing(self, first_party: bool) -> float:
-        """Worst-case losing probability for the named honest party."""
-        honest_win = self.z if first_party else 1.0 - self.z
-        return 1.0 - honest_win + self.eps_bar
-
-
-@dataclass(frozen=True)
 class TournamentSpec:
     """Tournament size and the per-stage honest-party bias values."""
 

@@ -68,7 +68,7 @@ def golden_record() -> dict:
     for params in weak_cf.param_grid(4, 4):
         for _ in range(PAYOFFS_PER_PARAMS):
             z = rng.normal(size=4) + 1j * rng.normal(size=4)
-            payoff.append(repr(weak_cf._payoff(params, z / np.linalg.norm(z))))
+            payoff.append(repr(weak_cf._payoff(z / np.linalg.norm(z), weak_cf._protocol(params))))
     dims, labels = (2, 3, 2), ("a", "b", "c")
     basis = [qc.basis_state(dims, labels, (i, j, 0)) for i in (0, 1) for j in (0, 2)]
     projected = []

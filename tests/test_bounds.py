@@ -1,4 +1,4 @@
-"""Product-bound checkers and the classical constraint matrix."""
+"""Product-bound checkers and bias-report validation."""
 
 from math import sqrt
 
@@ -92,44 +92,6 @@ class TestSymmetricMin:
             bounds.symmetric_min(1, 2)
         with pytest.raises(ParameterRangeError):
             bounds.symmetric_min(3, 1)
-
-
-class TestClassicalCheck:
-    def test_two_outcomes_recovers_cf_impossibility(self):
-        # off-diagonal bound is zero: both parties below certainty violates
-        result = bounds.classical_dr_check([0.9, 0.9], [0.9, 0.9], 2)
-        assert result[0][1] is False
-        assert result[1][0] is False
-        # one party forcing every outcome with certainty restores feasibility
-        certain = bounds.classical_dr_check([1.0, 1.0], [0.5, 0.5], 2)
-        assert all(all(row) for row in certain)
-
-    def test_quantum_values_inside_classical_region_n4(self):
-        q = [1 / 2] * 4  # 1/sqrt(4)
-        result = bounds.classical_dr_check(q, q, 4)
-        assert all(all(row) for row in result)  # (1/2)^2 <= 2/4 off-diagonal
-
-    def test_all_certain_always_true(self):
-        result = bounds.classical_dr_check([1.0] * 3, [1.0] * 3, 3)
-        assert all(all(row) for row in result)
-
-    def test_quantum_point_feasible_for_n_at_least_three(self):
-        # (1 - 1/sqrt(N))^2 <= (N-2)/N requires 2 sqrt(N) >= 3, i.e. N >= 3
-        for n in range(3, 33):
-            q = [1 / sqrt(n)] * n
-            result = bounds.classical_dr_check(q, q, n)
-            assert all(all(row) for row in result)
-
-    def test_quantum_point_infeasible_at_n_two(self):
-        # the N = 2 exception: quantum forcing 1/sqrt(2) beats anything a
-        # classical protocol could allow, so the point violates the matrix
-        q = [1 / sqrt(2)] * 2
-        result = bounds.classical_dr_check(q, q, 2)
-        assert result[0][1] is False
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            bounds.classical_dr_check([0.5], [0.5, 0.5], 2)
 
 
 class TestBiasReportValidation:

@@ -199,12 +199,12 @@ class TestMeasureProjector:
 
     def test_post_failure_state_is_verification_state(self):
         # Alice's surviving branch projects onto the verification state exactly
-        from qdice.weak_cf import alice_pass_state, bob_win_sector
+        from qdice.weak_cf import _WIN_SECTOR, alice_pass_state
 
         params = WeakCFParams(0.4, 0.25)
         full = qc.tensor(initial_state(params), qc.basis_state((2,), ("q3",), (DOWN,)))
         psi1 = qc.apply(rotation_unitary(params), full)
-        _, post = qc.project(psi1, bob_win_sector(), inside=False)
+        _, post = qc.project(psi1, _WIN_SECTOR, inside=False)
         assert abs(qc.overlap(alice_pass_state(params), post)) ** 2 == pytest.approx(
             1.0, abs=1e-12
         )

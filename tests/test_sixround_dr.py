@@ -241,15 +241,15 @@ class TestExactRoot:
         calls = []
         maximize = optimize.maximize_unimodal
 
-        def counting(f, lo=0.0, hi=1.0, grid_points=10_000, tol=1e-12):
+        def counting(f, grid_points=10_000):
             sizes = []
 
             def seen(x):
                 sizes.append(np.size(x))
                 return f(x)
 
-            calls.append((lo, hi, grid_points, tol, sizes))
-            return maximize(seen, lo, hi, grid_points, tol)
+            calls.append((grid_points, sizes))
+            return maximize(seen, grid_points)
 
         def no_bisection(*args, **kwargs):
             raise AssertionError("solve must not bisect")
@@ -257,9 +257,9 @@ class TestExactRoot:
         patch_everywhere(monkeypatch, maximize, counting)
         patch_everywhere(monkeypatch, optimize.bisect_root, no_bisection)
         sixround_dr.solve(variant)
-        assert len(calls) == 3
-        for lo, hi, grid_points, tol, sizes in calls:
-            assert (lo, hi, grid_points, tol) == (0.0, 1.0, 10_000, 1e-12)
+        assert len(calls) == 3 and optimize.MAXIMIZE_TOL == 1e-12
+        for grid_points, sizes in calls:
+            assert grid_points == 10_000
             assert sizes[0] == 10_000 and set(sizes[1:]) == {1}
 
     @pytest.mark.parametrize("variant", VARIANTS)

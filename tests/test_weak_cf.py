@@ -80,7 +80,7 @@ class TestHonestRun:
             weak_cf.rotation_unitary(params),
             qc.tensor(weak_cf.initial_state(params), qc.basis_state((2,), ("q3",), (DOWN,))),
         )
-        expected = qc.subspace_probability(psi1, weak_cf.bob_win_sector())
+        expected = qc.subspace_probability(psi1, weak_cf._WIN_SECTOR)
         calls = []
         original = qc.subspace_probability
         monkeypatch.setattr(qc, "subspace_probability", lambda *a: calls.append(a) or original(*a))
@@ -195,7 +195,7 @@ class TestAliceOptCheat:
     def test_grid_path_reads_the_cached_read_only_grid(self):
         from qdice.optimize import _seeding_grid
 
-        grid = _seeding_grid(0.0, 1.0, 10_000, 1.0)
+        grid = _seeding_grid(10_000)
         assert not grid.flags.writeable
         before = grid.copy()
         a, b = weak_cf._objective_coeffs(WeakCFParams(0.5, FAIR_ETA))
@@ -360,7 +360,7 @@ class TestAliceCheatOracle:
         # alpha = (sqrt(1-d), sqrt(d), 0, 0) scores the squared two-term sum
         p, eta, d = 0.5, 0.2, 0.3
         params = WeakCFParams(p, eta)
-        got = weak_cf._payoff(params, (sqrt(1 - d), sqrt(d), 0.0, 0.0))
+        got = weak_cf._payoff((sqrt(1 - d), sqrt(d), 0.0, 0.0), weak_cf._protocol(params))
         expected = (
             sqrt((1 - p - eta) * (1 - d) / (1 - p)) + sqrt(eta**2 * d / ((1 - p) * (p + eta)))
         ) ** 2
@@ -368,25 +368,26 @@ class TestAliceCheatOracle:
 
     def test_diagonal_amplitudes_only_waste_weight(self):
         # moving weight onto a_uu or a_dd can only lower the payoff
-        params = WeakCFParams(0.4, 0.2)
-        base = weak_cf._payoff(params, (0.8, 0.6, 0.0, 0.0))
+        proto = weak_cf._protocol(WeakCFParams(0.4, 0.2))
+        base = weak_cf._payoff((0.8, 0.6, 0.0, 0.0), proto)
         for spoiled in ([0.8 * 0.9, 0.6 * 0.9, 0.19078784, 0.4], [0.7, 0.5, 0.36055513, 0.36055513]):
             v = np.array(spoiled)
             v /= np.linalg.norm(v)
-            assert weak_cf._payoff(params, v) < base
+            assert weak_cf._payoff(v, proto) < base
 
     def test_no_preparation_beats_the_oracle(self):
         # random preparations, complex phases included, scored by simulation
         rng = np.random.default_rng(7)
         for params in (WeakCFParams(0.5, 0.2071), WeakCFParams(0.3, 0.5), WeakCFParams(0.8, 0.05)):
             best = weak_cf.alice_cheat_oracle(params, grid_resolution=10).p_alice_star
+            proto = weak_cf._protocol(params)
             for _ in range(50):
                 z = rng.normal(size=4) + 1j * rng.normal(size=4)
-                assert weak_cf._payoff(params, z / np.linalg.norm(z)) <= best + 1e-12
+                assert weak_cf._payoff(z / np.linalg.norm(z), proto) <= best + 1e-12
 
     def test_attainment_failure_raises(self, monkeypatch):
         for bad in (0.5, float("nan")):
-            monkeypatch.setattr(weak_cf, "_payoff", lambda params, alphas, proto, bad=bad: bad)
+            monkeypatch.setattr(weak_cf, "_payoff", lambda alphas, proto, bad=bad: bad)
             with pytest.raises(CrossCheckError, match="attains"):
                 weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
 
@@ -459,18 +460,9 @@ class TestAliceCheatOracle:
             built.setdefault(winner, set()).add(len(states))
         assert built == {"alice": {5}, "bob": {4}}
 
-    def test_payoff_with_the_oracle_protocol_matches_standalone(self):
-        params = WeakCFParams(0.35, 0.4)
-        proto = weak_cf._protocol(params)
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            z = rng.normal(size=4)
-            alphas = z / np.linalg.norm(z)
-            assert weak_cf._payoff(params, alphas, proto) == weak_cf._payoff(params, alphas)
-
     def test_unfailable_preparation_scores_zero(self):
         # at eta = 0 Bob's rotation keeps |ud> on (q2, q3), so a_du lands in his win sector
-        assert weak_cf._payoff(WeakCFParams(0.5, 0.0), (0.0, 1.0, 0.0, 0.0)) == 0.0
+        assert weak_cf._payoff((0.0, 1.0, 0.0, 0.0), weak_cf._protocol(WeakCFParams(0.5, 0.0))) == 0.0
 
     def test_resolution_does_not_change_the_result(self):
         params = WeakCFParams(0.3, 0.5)

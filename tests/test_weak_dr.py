@@ -8,7 +8,7 @@ import pytest
 
 from qdice import weak_dr
 from qdice.errors import InvalidBiasError, ParameterRangeError
-from qdice.weak_dr import IdealWCFPrimitive, TournamentSpec
+from qdice.weak_dr import TournamentSpec
 
 
 def expanded_losing_prob(spec: TournamentSpec, honest_party: int) -> float:
@@ -380,24 +380,6 @@ class TestBatchedSweep:
             with pytest.raises(InvalidBiasError) as exc:
                 weak_dr._bound_checks(sizes[i:], biases[:, i:])
             assert str(exc.value) == scalar_outcome(TournamentSpec(n, biases[: n - 1, i].tolist()), n)
-
-
-class TestIdealPrimitive:
-    def test_honest_sampling_rate(self):
-        prim = IdealWCFPrimitive(z=0.3)
-        rng = np.random.default_rng(0)
-        n = 50_000
-        wins = sum(prim.sample_first_wins(rng) for _ in range(n))
-        assert abs(wins / n - 0.3) < 4 * np.sqrt(0.3 * 0.7 / n)
-
-    def test_max_losing(self):
-        prim = IdealWCFPrimitive(z=0.3, eps_bar=0.05)
-        assert prim.max_losing(first_party=True) == pytest.approx(0.75)
-        assert prim.max_losing(first_party=False) == pytest.approx(0.35)
-
-    def test_rejects_oversized_bias(self):
-        with pytest.raises(ParameterRangeError):
-            IdealWCFPrimitive(z=0.9, eps_bar=0.2)
 
 
 class TestTournamentSpecValidation:
