@@ -139,6 +139,22 @@ class TestMaximizeUnimodal:
         assert maximize_unimodal(smooth, grid_points=500) == before
         assert before == loop_maximize(smooth, grid_points=500)
 
+    @pytest.mark.parametrize("grid_points", [2, 3, 17, 10_000])
+    def test_seeding_grid_spans_the_unit_interval(self, grid_points):
+        grid = optimize._seeding_grid(grid_points)
+        assert grid is optimize._seeding_grid(grid_points)
+        assert np.array_equal(grid, np.linspace(0.0, 1.0, grid_points))
+        assert grid[0] == 0.0 and not np.signbit(grid[0]) and grid[-1] == 1.0
+        assert np.all(np.diff(grid) > 0.0)
+
+    @pytest.mark.parametrize("peak", [0.123456789, 0.5, 0.87654321])
+    def test_refines_to_within_the_tolerance(self, peak):
+        # a kink at the peak: golden-section brackets it to MAXIMIZE_TOL
+        assert optimize.MAXIMIZE_TOL == 1e-12
+        x, fx = maximize_unimodal(lambda x: -np.abs(x - peak), grid_points=101)
+        assert abs(x - peak) <= optimize.MAXIMIZE_TOL
+        assert fx == -abs(x - peak)
+
 
 FINITE_ROOTS = {
     "linear": (lambda x: x - 0.3, 0.0, 1.0),

@@ -56,6 +56,15 @@ class TestFairnessConstraint:
         with pytest.raises(ParameterRangeError):
             sixround_dr.losing_probs_at("case3", 0.1)
 
+    @pytest.mark.parametrize("variant", ["case1", "case2"])
+    def test_import_time_floats_equal_the_fractions(self, variant):
+        p = sixround_dr._P[variant]
+        assert sixround_dr._FLOATS[variant] == (float(p), float(1 - p))
+        eta_max = float(1 - p)
+        sixround_dr.losing_probs_at(variant, eta_max)
+        with pytest.raises(ParameterRangeError, match=f"{variant} requires eta in"):
+            sixround_dr.losing_probs_at(variant, nextafter(eta_max, inf))
+
 
 class TestSolve:
     def test_case1_headline_numbers(self):

@@ -1,6 +1,8 @@
 """Optimal strong imbalanced CF: parameter synthesis, cheats, saturation."""
 
-from math import nan, sqrt
+import ast
+from math import inf, nan, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,8 +194,28 @@ class TestValidation:
         with pytest.raises(ParameterRangeError, match="eps0 must lie in"):
             strong_cf.kitaev_saturation_check(0.5, eps=nan)
 
+    @pytest.mark.parametrize("bad", [inf, -inf, -1e-9])
+    @pytest.mark.parametrize("field", ["eps0", "eps1"])
+    def test_bias_outside_its_range_rejected(self, field, bad):
+        # the check is one closed interval test, so every value outside it fails
+        base = dict(q=0.5, z0=0.5, z1=0.5, pp0=0.5, pp1=0.5)
+        with pytest.raises(ParameterRangeError, match=f"{field} must lie in"):
+            StrongCFParams(**base, **{field: bad})
+
     def test_json_fields(self):
         d = strong_cf.cheat_probs(strong_cf.solve_params(0.5)).to_json_dict()
         assert set(d) == {
             "p0_honest", "pa0", "qa0", "pa1", "qa1", "pb0", "pb1", "kitaev_products",
         }
+
+
+class TestPurePython:
+    def test_module_imports_only_the_standard_library(self):
+        tree = ast.parse(Path(strong_cf.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+        assert imported == {"__future__", "dataclasses", "math", ".errors"}

@@ -460,6 +460,18 @@ class TestAliceCheatOracle:
             built.setdefault(winner, set()).add(len(states))
         assert built == {"alice": {5}, "bob": {4}}
 
+    def test_payoff_with_the_oracle_protocol_matches_standalone(self):
+        # one protocol shared across calls, as the oracle does, scores like a fresh build
+        params = WeakCFParams(0.35, 0.4)
+        shared = weak_cf._protocol(params)
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            z = rng.normal(size=4) + 1j * rng.normal(size=4)
+            alphas = z / np.linalg.norm(z)
+            assert weak_cf._payoff(alphas, shared) == weak_cf._payoff(
+                alphas, weak_cf._protocol(params)
+            )
+
     def test_unfailable_preparation_scores_zero(self):
         # at eta = 0 Bob's rotation keeps |ud> on (q2, q3), so a_du lands in his win sector
         assert weak_cf._payoff((0.0, 1.0, 0.0, 0.0), weak_cf._protocol(WeakCFParams(0.5, 0.0))) == 0.0
