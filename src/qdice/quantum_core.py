@@ -10,9 +10,14 @@ explicitly.
 Amplitudes are double-precision complex. The protocols analyzed here only
 ever need real amplitudes, but the type is complex for generality.
 
-A StateVector owns a read-only copy of its amplitudes, so one state can be
-shared freely. `basis_state` relies on this: it returns one cached state
-per (dims, labels, indices), and repeated calls hand out that same object.
+A StateVector's amplitudes are read-only and no caller holds a writable
+reference to them, so one state can be shared freely. A caller's array is
+copied and fully validated; the arrays that `tensor`, `apply`, the
+projections and `measure_computational` have just allocated are adopted
+without a copy or a second dims/labels/shape check, since their inputs
+passed those checks, but every state, however built, passes the norm check.
+`basis_state` relies on the sharing: it returns one cached state per
+(dims, labels, indices), and repeated calls hand out that same object.
 States that are compared, projected or measured together must list their
 subsystems in the same order; a different order raises
 DimensionMismatchError rather than silently pairing the wrong amplitudes.
@@ -21,8 +26,10 @@ The hot paths avoid per-call numpy overhead without changing a bit of their
 results. `tensor` takes the outer product directly rather than through
 `np.kron` (the same products). `apply` looks its axis permutation up in a
 bounded cache keyed on (dims, labels, targets). `UnitaryOp`'s unitarity
-check subtracts a cached read-only identity in place, and projections take
-their probability from numpy's own 2-norm formula, inlined.
+check subtracts a cached read-only identity in place, projections take
+their probability from numpy's own 2-norm formula, inlined, and
+`measure_computational` copies the drawn outcome's slice into zeros rather
+than zeroing every other outcome.
 """
 
 from __future__ import annotations
@@ -69,9 +76,7 @@ class StateVector:
             raise DimensionMismatchError(
                 f"expected {prod(self.dims)} amplitudes, got {amps.shape}"
             )
-        n = sqrt(np.vdot(amps, amps).real)
-        if not abs(n - 1.0) <= NORM_TOL:  # fails closed on NaN
-            raise DimensionMismatchError(f"state not normalized: |psi| = {n!r}")
+        _check_norm(amps)
 
     @property
     def dim(self) -> int:
@@ -82,7 +87,7 @@ class StateVector:
 
     def amplitude(self, indices: Sequence[int]) -> complex:
         """Amplitude of the basis state with the given per-subsystem indices."""
-        return complex(self.amps[int(np.ravel_multi_index(tuple(indices), self.dims))])
+        return complex(self.amps[_flat_index(self.dims, tuple(indices))])
 
     def to_json_dict(self) -> dict:
         return {
@@ -91,6 +96,35 @@ class StateVector:
             # (real, imag) rows of the complex128 buffer; signed zeros survive
             "amps": self.amps.view(np.float64).reshape(-1, 2).tolist(),
         }
+
+
+def _check_norm(amps: np.ndarray) -> None:
+    """The check every state passes, whichever way it is built."""
+    n = sqrt(np.vdot(amps, amps).real)
+    if not abs(n - 1.0) <= NORM_TOL:  # fails closed on NaN
+        raise DimensionMismatchError(f"state not normalized: |psi| = {n!r}")
+
+
+def _adopt(dims: tuple[int, ...], labels: tuple[str, ...], amps: np.ndarray) -> StateVector:
+    """A state over a complex array this module just allocated and nothing else holds.
+
+    dims and labels come from states that passed `StateVector`'s checks, and
+    amps has their shape, so only the norm is checked. The array is adopted
+    without a copy and write-protected. Bypassing the dataclass `__init__`
+    and `__post_init__` halves the cost of a small state.
+    """
+    _check_norm(amps)
+    amps.setflags(write=False)
+    state = object.__new__(StateVector)
+    state.__dict__.update(dims=dims, labels=labels, amps=amps)
+    return state
+
+
+def _flat_index(dims: tuple[int, ...], indices: tuple[int, ...]) -> int:
+    try:
+        return int(np.ravel_multi_index(indices, dims))
+    except ValueError:  # wrong length or out of range
+        raise DimensionMismatchError(f"basis indices {indices} do not fit dims {dims}") from None
 
 
 def basis_state(dims: Sequence[int], labels: Sequence[str], indices: Sequence[int]) -> StateVector:
@@ -106,7 +140,7 @@ def _cached_basis_state(
     dims: tuple[int, ...], labels: tuple[str, ...], indices: tuple[int, ...]
 ) -> StateVector:
     amps = np.zeros(prod(dims), dtype=complex)
-    amps[int(np.ravel_multi_index(indices, dims))] = 1.0
+    amps[_flat_index(dims, indices)] = 1.0
     return StateVector(dims, labels, amps)
 
 
@@ -130,6 +164,8 @@ class UnitaryOp:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "target_subsystems", tuple(self.target_subsystems))
+        if len(set(self.target_subsystems)) != len(self.target_subsystems):
+            raise DimensionMismatchError(f"duplicate target labels: {self.target_subsystems}")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got {m.shape}")
         with np.errstate(invalid="ignore"):  # inf entries give NaN, rejected below
@@ -160,7 +196,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
         raise DimensionMismatchError("tensor factors share subsystem labels")
     # the products np.kron forms for 1-D factors, without its generic reshaping
     amps = np.multiply.outer(a.amps, b.amps).reshape(-1)
-    return StateVector(a.dims + b.dims, a.labels + b.labels, amps)
+    return _adopt(a.dims + b.dims, a.labels + b.labels, amps)
 
 
 class _ApplyPlan(NamedTuple):
@@ -201,7 +237,7 @@ def apply(u: UnitaryOp, s: StateVector) -> StateVector:
     out = u.matrix @ flat
     # undo the transpose: scatter target axes back to their original slots
     new_amps = out.reshape(permuted_shape).transpose(inverse).reshape(-1)
-    return StateVector(s.dims, s.labels, new_amps)
+    return _adopt(s.dims, s.labels, new_amps)
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:
@@ -242,7 +278,7 @@ def _project(
     p = sqrt(re.dot(re) + im.dot(im)) ** 2
     if p < 1e-15:
         raise DimensionMismatchError("projection has vanishing probability, cannot renormalize")
-    return p, StateVector(s.dims, s.labels, target / np.sqrt(p))
+    return p, _adopt(s.dims, s.labels, target / np.sqrt(p))
 
 
 def subspace_probability(s: StateVector, basis_states: Sequence[StateVector]) -> float:
@@ -295,12 +331,10 @@ def measure_computational(
     marginal = marginal / marginal.sum()
     rng = as_generator(seed)
     outcome = int(rng.choice(len(marginal), p=marginal))
-    picker = [slice(None)] * len(s.dims)
-    new_nd = s.amps.reshape(s.dims).copy()
-    for k in range(s.dims[ax]):
-        if k != outcome:
-            picker[ax] = k
-            new_nd[tuple(picker)] = 0.0
+    picker = tuple(outcome if i == ax else slice(None) for i in range(len(s.dims)))
+    # every other outcome's amplitudes stay +0.0, as if zeroed one by one
+    new_nd = np.zeros(s.dims, dtype=complex)
+    new_nd[picker] = s.amps.reshape(s.dims)[picker]
     p = float(marginal[outcome])
-    post = StateVector(s.dims, s.labels, new_nd.reshape(-1) / np.sqrt(p))
+    post = _adopt(s.dims, s.labels, new_nd.reshape(-1) / np.sqrt(p))
     return MeasurementResult(outcome, p, post)

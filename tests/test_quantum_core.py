@@ -128,6 +128,10 @@ class TestApply:
             with pytest.raises(DimensionMismatchError, match="not unitary"):
                 qc.UnitaryOp(m, ("q1",))
 
+    def test_duplicate_target_labels_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="duplicate target labels"):
+            qc.UnitaryOp(np.eye(4), ("q1", "q1"))
+
     def test_caller_matrix_stays_writable(self):
         m = np.eye(2, dtype=complex)
         op = qc.UnitaryOp(m, ("q1",))
@@ -273,6 +277,41 @@ class TestMeasureComputational:
         with pytest.raises(DimensionMismatchError):
             qc.measure_computational(ket(UP), "nope", seed=0)
 
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 3), (1, 2)])
+    def test_matches_the_zeroing_loop_bit_for_bit(self, dims):
+        rng = np.random.default_rng(99)
+        labels = tuple(f"s{i}" for i in range(len(dims)))
+        for signed_zeros in (False, True):
+            state = random_state(rng, dims, labels, signed_zeros)
+            for ax, label in enumerate(labels):
+                seen = set()
+                for seed in range(40):
+                    got = qc.measure_computational(state, label, seed)
+                    want = _measure_computational_by_loop(state, label, seed)
+                    assert got.outcome_index == want.outcome_index
+                    assert got.probability == want.probability
+                    assert got.post_state.amps.tobytes() == want.post_state.amps.tobytes()
+                    seen.add(got.outcome_index)
+                assert seen == set(range(dims[ax]))
+
+
+def _measure_computational_by_loop(s, label, seed):
+    """The reference collapse: copy every amplitude, then zero each other outcome."""
+    ax = s.labels.index(label)
+    probs_nd = np.abs(s.amps.reshape(s.dims)) ** 2
+    marginal = probs_nd.sum(axis=tuple(i for i in range(len(s.dims)) if i != ax))
+    marginal = marginal / marginal.sum()
+    outcome = int(qc.as_generator(seed).choice(len(marginal), p=marginal))
+    picker = [slice(None)] * len(s.dims)
+    new_nd = s.amps.reshape(s.dims).copy()
+    for k in range(s.dims[ax]):
+        if k != outcome:
+            picker[ax] = k
+            new_nd[tuple(picker)] = 0.0
+    p = float(marginal[outcome])
+    post = qc.StateVector(s.dims, s.labels, new_nd.reshape(-1) / np.sqrt(p))
+    return qc.MeasurementResult(outcome, p, post)
+
 
 class TestOverlap:
     def test_self_overlap_is_one(self):
@@ -366,6 +405,48 @@ class TestInvariants:
         with pytest.raises(AttributeError):
             from_lists.amps = np.array([1.0, 0.0, 0.0, 0.0])
         assert from_tuples.amplitude((1, 0)) == 1.0 and np.count_nonzero(from_tuples.amps) == 1
+
+    @pytest.mark.parametrize("indices", [(2, 0), (0,), (-1, 0), (0, 0, 0)])
+    def test_bad_basis_indices_raise_on_every_call(self, indices):
+        state = qc.basis_state((2, 2), ("c1", "c2"), (0, 0))
+        for _ in range(2):  # lru_cache caches no exception
+            with pytest.raises(DimensionMismatchError, match="do not fit dims"):
+                qc.basis_state((2, 2), ("c1", "c2"), indices)
+            with pytest.raises(DimensionMismatchError, match="do not fit dims"):
+                state.amplitude(indices)
+
+    @pytest.mark.parametrize(
+        "amps",
+        [[1.0, 1.0], [0.5, 0.0], [nan, 0.0], [1.0, nan], [inf, 0.0], [complex(0.0, nan), 1.0]],
+    )
+    def test_adopted_arrays_are_norm_checked(self, amps):
+        with pytest.raises(DimensionMismatchError, match="not normalized"):
+            qc._adopt((2,), ("q1",), np.array(amps, dtype=complex))
+
+    def test_results_are_read_only_and_share_no_caller_memory(self):
+        rng = np.random.default_rng(3)
+        caller = {
+            "a": random_state(rng, (2, 3), ("a0", "a1")).amps.copy(),
+            "b": random_state(rng, (2,), ("b0",)).amps.copy(),
+            "u": _haar_unitary(3, rng),
+            "basis": np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0], dtype=complex),
+        }
+        a = qc.StateVector((2, 3), ("a0", "a1"), caller["a"])
+        b = qc.StateVector((2,), ("b0",), caller["b"])
+        basis = [qc.StateVector((2, 3), ("a0", "a1"), caller["basis"])]
+        results = {
+            "tensor": qc.tensor(a, b),
+            "apply": qc.apply(qc.UnitaryOp(caller["u"], ("a1",)), a),
+            "project in": qc.project(a, basis)[1],
+            "project out": qc.project(a, basis, inside=False)[1],
+            "measure_projector": qc.measure_projector(a, basis, seed=1).post_state,
+            "measure_computational": qc.measure_computational(a, "a1", seed=1).post_state,
+        }
+        for name, out in results.items():
+            assert not out.amps.flags.writeable, name
+            for held in [*caller.values(), a.amps, b.amps, basis[0].amps]:
+                assert not np.shares_memory(out.amps, held), name
+        assert all(arr.flags.writeable for arr in caller.values())
 
     def test_basis_state_cache_is_bounded(self):
         info = qc._cached_basis_state.cache_info()

@@ -415,10 +415,11 @@ class TestAliceCheatOracle:
     def test_one_call_builds_the_protocol_once(self, monkeypatch):
         # one rotation and one unitarity check serve both certificates, and
         # the fixed basis states are not rebuilt: 13 states in all (xi, four
-        # images, five post-test states, the maximizer, its tensor and image)
+        # images, five post-test states, the maximizer, its tensor and image),
+        # counted by the norm check that every state passes however it is built
         built, checked, states = [], [], []
         rotation = weak_cf.rotation_unitary
-        unitary_check, state_check = qc.UnitaryOp.__post_init__, qc.StateVector.__post_init__
+        unitary_check, state_check = qc.UnitaryOp.__post_init__, qc._check_norm
 
         def counted_rotation(params):
             built.append(params)
@@ -428,31 +429,31 @@ class TestAliceCheatOracle:
             checked.append(op)
             unitary_check(op)
 
-        def counted_state(state):
-            states.append(state)
-            state_check(state)
+        def counted_state(amps):
+            states.append(amps)
+            state_check(amps)
 
         monkeypatch.setattr(weak_cf, "rotation_unitary", counted_rotation)
         monkeypatch.setattr(qc.UnitaryOp, "__post_init__", counted_unitary)
-        monkeypatch.setattr(qc.StateVector, "__post_init__", counted_state)
+        monkeypatch.setattr(qc, "_check_norm", counted_state)
         weak_cf.alice_cheat_oracle(WeakCFParams(0.4, 0.3))
         assert (len(built), len(checked), len(states)) == (1, 1, 13)
 
     def test_one_honest_run_builds_four_or_five_states(self, monkeypatch):
         # psi0, its tensor with the ancilla, the rotated state and the post
         # state; Alice's branch also builds her pass state, Bob's reuses a
-        # cached basis state for his check
+        # cached basis state for his check; each state passes one norm check
         states = []
-        state_check = qc.StateVector.__post_init__
+        state_check = qc._check_norm
 
-        def counted_state(state):
-            states.append(state)
-            state_check(state)
+        def counted_state(amps):
+            states.append(amps)
+            state_check(amps)
 
         params, seeds = WeakCFParams(0.4, 0.3), range(8)
         for seed in seeds:  # both branches once, so cached states are in place
             weak_cf.honest_run(params, seed)
-        monkeypatch.setattr(qc.StateVector, "__post_init__", counted_state)
+        monkeypatch.setattr(qc, "_check_norm", counted_state)
         built = {}
         for seed in seeds:
             states.clear()
