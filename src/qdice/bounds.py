@@ -9,7 +9,7 @@ at least (1/N)^(1/M).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import prod
+from math import exp, log, prod
 
 from .errors import DimensionMismatchError, ParameterRangeError
 
@@ -105,8 +105,13 @@ def kitaev_multi(report: BiasReport, tol: float = RATIONAL_TOL) -> list[bool]:
 
 
 def symmetric_min(n_outcomes: int, n_parties: int) -> float:
-    """Minimal symmetric forcing probability allowed by the product bound."""
+    """Minimal symmetric forcing probability allowed by the product bound,
+    (1/N)^(1/M); through logarithms when N does not fit a float."""
     if n_outcomes < 2 or n_parties < 2:
         raise ParameterRangeError("need at least 2 outcomes and 2 parties")
-    return (1.0 / n_outcomes) ** (1.0 / n_parties)
+    try:
+        floor = 1.0 / n_outcomes
+    except OverflowError:
+        return exp(-log(n_outcomes) / n_parties)
+    return floor ** (1.0 / n_parties)
 

@@ -20,7 +20,7 @@ from math import isfinite
 import numpy as np
 
 from . import bounds, colbeck_dr, multiparty, reproduce, sixround_dr, strong_cf, strong_dr, weak_cf, weak_dr
-from .errors import CrossCheckError, InfeasibleVariantError, QdiceError
+from .errors import CrossCheckError, QdiceError
 
 USAGE_EXIT = 1
 MISMATCH_EXIT = 2
@@ -393,7 +393,7 @@ def run(argv: list[str] | None = None) -> int:
                 fh.write(buf.getvalue())
         else:
             sys.stdout.write(buf.getvalue())
-    except (CrossCheckError, InfeasibleVariantError) as exc:
+    except CrossCheckError as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)
         return MISMATCH_EXIT
     except (QdiceError, OSError, ValueError) as exc:

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
+from .bounds import symmetric_min
 from .errors import ParameterRangeError
-
-THREE_PARTY_CHOICE_SET = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -107,21 +106,20 @@ def coalition_force_prob(protocol: PairingProtocol, eps_bar: float = 0.0) -> flo
     return base + eps_bar
 
 
-def chooser_force_probs(choice_set: tuple[int, ...] = THREE_PARTY_CHOICE_SET) -> list[float]:
+def chooser_force_probs() -> list[float]:
     """Forcing probability per target in the honest-chooser branch.
 
-    The honest winner draws a uniformly from choice_set; the two dishonest
+    The honest winner draws a uniformly from {1, 2, 3}; the two dishonest
     losers then control the strong coin b completely, reaching outcome
     (a + b - 1) mod 3 + 1 for b in {0, 1}. The target is forced iff some b
     lands on it, so its probability is the fraction of compatible a values.
     """
-    probs = []
-    for target in (1, 2, 3):
-        compatible = sum(
-            1 for a in choice_set if any((a + b - 1) % 3 + 1 == target for b in (0, 1))
-        )
-        probs.append(compatible / len(choice_set))
-    return probs
+    outcomes = (1, 2, 3)
+    return [
+        sum(1 for a in outcomes if any((a + b - 1) % 3 + 1 == target for b in (0, 1)))
+        / len(outcomes)
+        for target in outcomes
+    ]
 
 
 def three_party_example_bias() -> tuple[float, float]:
@@ -132,9 +130,8 @@ def three_party_example_bias() -> tuple[float, float]:
     strong coin with probability 1/sqrt(2). If the honest party wins
     (probability 1/3) it picks a uniformly from {1, 2, 3}; the two
     dishonest losers own b outright and succeed iff a is compatible,
-    probability 2/3.
+    probability 2/3. The bound is `bounds.symmetric_min(3, 3)`.
     """
     chooser_branch = chooser_force_probs()[0]  # symmetric across targets
     value = (2.0 / 3.0) * (1.0 / sqrt(2.0)) + (1.0 / 3.0) * chooser_branch
-    bound = (1.0 / 3.0) ** (1.0 / 3.0)
-    return value, bound
+    return value, symmetric_min(3, 3)

@@ -39,14 +39,11 @@ def build_rows(seed: int = 0) -> list[dict]:
     rows.append(_row("six-round case1 common losing prob", 0.848, case1.p_bar_star, 1e-3))
     rows.append(_row("six-round case2 bias", 0.199, case2.bias, 1e-3))
 
-    products, _ = strong_cf.kitaev_saturation_check(0.5, eps=0.0)
+    products = strong_cf.cheat_probs(strong_cf.solve_params(0.5)).kitaev_products
     rows.append(_row("strong CF balanced product (outcome 0)", 0.5, products[0], 1e-12))
     rows.append(_row("strong CF balanced product (outcome 1)", 0.5, products[1], 1e-12))
 
-    tree = strong_dr.build_tree(5)
-    leftmost = Fraction(1)
-    for edge in strong_dr.path_to(tree, 1):
-        leftmost *= edge
+    leftmost = strong_dr.honest_leaf_probs(strong_dr.build_tree(5))[0]
     rows.append(_row("strong DR N=5 leftmost leaf probability", 0.2, float(leftmost), 0.0))
 
     pa, pb = colbeck_dr.cheat_probs(3)

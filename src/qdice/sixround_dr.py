@@ -1,30 +1,32 @@
 """Six-round weak three-sided dice rolling built from two weak CF stages.
 
-Stage 1: Alice and Bob flip a balanced weak coin at its fair point, where
-an honest player survives with probability 1 - 1/sqrt(2). Stage 2: the
-winner and Claire flip an imbalanced weak coin giving Claire a 1/3 honest
-share. Two implementations exist, differing in who prepares the stage-2
-state: the winner (case 1, Claire's honest share is p = 1/3) or Claire
+Stage 1: Alice and Bob flip a balanced weak coin at its fair point
+(`weak_cf.fair_eta_balanced`), where an honest player survives with
+probability 1 - 1/sqrt(2). Stage 2: the winner and Claire flip an
+imbalanced weak coin giving Claire a 1/3 honest share. Two
+implementations exist, differing in who prepares the stage-2 state: the
+winner (case 1, Claire's honest share is p = 1/3) or Claire
 (case 2, p = 2/3). Each case fixes its slack eta by requiring all three
-maximal losing probabilities to coincide. All three come from one loss
-function over the stage-2 `weak_cf` cheat. Cleared of denominators, the
-fairness condition is a quadratic in eta with coefficients in Q(sqrt2),
-so eta is its exact root from `optimize.sqrt2_quadratic_root`, certified
-by a numeric route that never uses the closed form.
+maximal losing probabilities to coincide. All three come from one loss function
+over the stage-2 `weak_cf` cheat. Cleared of denominators, the fairness
+condition is a quadratic in eta with coefficients in Q(sqrt2), so eta is
+its exact root from `optimize.sqrt2_quadratic_root`, certified by a
+numeric route that never uses the closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, sqrt
+from math import lcm
 from typing import Callable
 
 from .errors import ParameterRangeError
-from .optimize import certify_sign_change, maximize_unimodal, sqrt2_quadratic_root
-from .weak_cf import WeakCFParams, _objective, _objective_coeffs, alice_opt_cheat
+from .optimize import certify_sign_change, sqrt2_quadratic_root
+from .weak_cf import WeakCFParams, alice_grid_cheat, alice_opt_cheat, bob_opt_cheat, fair_eta_balanced
 
-INV_SQRT2 = 1.0 / sqrt(2.0)
+# stage 1's common cheat value: the balanced weak coin's fair point, 1/sqrt(2)
+INV_SQRT2 = fair_eta_balanced().p_star
 HONEST_LOSS = 2.0 / 3.0
 
 _P = {"case1": Fraction(1, 3), "case2": Fraction(2, 3)}  # stage-2 p; eta lies in [0, 1 - p]
@@ -66,14 +68,14 @@ def _losses(
 
     A party's stage-2 loss is its opponent's maximal win: the preparer's
     comes from `preparer_cheat` (the preparation attack, a
-    delta-maximization), the other party's is p + eta (always announce a
-    win). Claire's exposure is entirely the stage-2 flip as the 1/3
-    party. Alice and Bob lose either at stage 1 (probability 1/sqrt(2)
+    delta-maximization), the other party's from `bob_opt_cheat` (always
+    announce a win). Claire's exposure is entirely the stage-2 flip as the
+    1/3 party. Alice and Bob lose either at stage 1 (probability 1/sqrt(2)
     against a cheating coalition) or by surviving and losing stage 2 as
     the 2/3 party.
     """
-    p = _check_variant(variant, eta)
-    pair = (preparer_cheat(WeakCFParams(p=p, eta=eta)), p + eta)
+    params = WeakCFParams(p=_check_variant(variant, eta), eta=eta)
+    pair = (preparer_cheat(params), bob_opt_cheat(params))
     # case1: the winner prepares and Claire holds the p = 1/3 role;
     # case2: Claire prepares, so the winner holds p = 2/3
     pi_13, pi_23 = pair if variant == "case1" else pair[::-1]
@@ -87,15 +89,9 @@ def losing_probs_at(variant: str, eta: float) -> tuple[float, float, float]:
     return _losses(variant, eta, lambda params: alice_opt_cheat(params).p_alice_star)
 
 
-def _grid_cheat(params: WeakCFParams) -> float:
-    """The preparer's maximal win as the numeric maximum of the raw objective (no A + B)."""
-    a, b = _objective_coeffs(params)
-    return maximize_unimodal(lambda d: _objective(a, b, d))[1]
-
-
 def _numeric_residual(variant: str, eta: float) -> float:
-    """The fairness residual Claire - Alice with the preparer's cheat from `_grid_cheat`."""
-    alice, _, claire = _losses(variant, eta, _grid_cheat)
+    """The fairness residual Claire - Alice with the preparer's cheat from `alice_grid_cheat`."""
+    alice, _, claire = _losses(variant, eta, alice_grid_cheat)
     return claire - alice
 
 
@@ -134,7 +130,7 @@ def solve(variant: str) -> SixRoundSolution:
     eta* is the exact root in [0, 1 - p] of the cleared fairness equation,
     correctly rounded (`sqrt2_quadratic_root`). A second route that never
     uses the closed form A + B certifies it: the fairness residual, with
-    the preparer's cheat taken from `maximize_unimodal` on the raw
+    the preparer's cheat taken from `weak_cf.alice_grid_cheat` on the raw
     objective, must have opposite signs at eta* - 1e-12 and eta* + 1e-12
     (`certify_sign_change`), else CrossCheckError. The losing
     probabilities and the residual at eta* come from one `losing_probs_at`

@@ -19,8 +19,6 @@ from math import sqrt
 
 from .errors import DegenerateProtocolError, ParameterRangeError
 
-KITAEV_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class StrongCFParams:
@@ -158,19 +156,3 @@ def cheat_probs(params: StrongCFParams) -> StrongCheatReport:
         pb1=1.0 - q + q * (1.0 - z0 + e0),
         honest_p0=honest_prob(params),
     )
-
-
-def kitaev_saturation_check(
-    p0_honest: float, eps: float = 0.0
-) -> tuple[tuple[float, float], bool]:
-    """Products P_A(i)* P_B(i)* for the solved protocol vs the honest P_i.
-
-    At eps = 0 the products equal (P0, P1) exactly; any positive weak-CF
-    bias pushes them above, so saturation fails at tolerance 1e-9.
-    """
-    params = solve_params(p0_honest, eps0=eps, eps1=eps)
-    report = cheat_probs(params)
-    products = report.kitaev_products
-    targets = (p0_honest, 1.0 - p0_honest)
-    saturated = all(abs(products[i] - targets[i]) <= KITAEV_TOL for i in (0, 1))
-    return products, saturated

@@ -8,8 +8,9 @@ Honest Bob wins with probability exactly p; the slack parameter eta trades
 Alice's cheating room against Bob's.
 
 Alice's cheat is computed two independent ways and cross-checked: a
-closed form obtained by Cauchy-Schwarz, and numeric maximization. Bob's
-is p + eta (always announce a win), carried on the same CheatAnalysis.
+closed form obtained by Cauchy-Schwarz, and numeric maximization
+(`alice_grid_cheat`). Bob's is p + eta (always announce a win,
+`bob_opt_cheat`), carried on the same CheatAnalysis.
 The adversary oracle additionally covers Alice's full four-amplitude
 preparation: an exact rank-1 maximum, certified by simulation. The
 balanced fair point is the exact root of a quadratic, from the shared
@@ -215,13 +216,26 @@ def _objective(a: float, b: float, delta):
     return s * s
 
 
+def alice_grid_cheat(params: WeakCFParams, grid_points: int = 10_000) -> float:
+    """Alice's maximal winning probability as the numeric maximum of the raw
+    objective over delta in [0, 1]: a grid plus golden-section refinement
+    (`maximize_unimodal`) that never forms the closed form A + B."""
+    a, b = _objective_coeffs(params)
+    return maximize_unimodal(lambda d: _objective(a, b, d), grid_points)[1]
+
+
+def bob_opt_cheat(params: WeakCFParams) -> float:
+    """Bob's maximal winning probability: p + eta, by always announcing a win."""
+    return params.p + params.eta
+
+
 def alice_opt_cheat(params: WeakCFParams, grid_points: int = 10_000) -> CheatAnalysis:
     """Alice's maximal winning probability, closed form cross-checked by grid.
 
     The closed form follows from Cauchy-Schwarz: the maximum is A + B,
-    attained at delta* = B/(A+B). The numeric route re-maximizes the raw
-    objective with a grid plus golden-section refinement; disagreement
-    beyond 1e-9, or a NaN on either side, raises CrossCheckError.
+    attained at delta* = B/(A+B). The numeric route is `alice_grid_cheat`;
+    disagreement beyond 1e-9, or a NaN on either side, raises
+    CrossCheckError.
     """
     if params.p >= 1.0:
         raise DegenerateProtocolError("alice_opt_cheat undefined at p = 1")
@@ -229,7 +243,7 @@ def alice_opt_cheat(params: WeakCFParams, grid_points: int = 10_000) -> CheatAna
     closed = a + b
     delta_star = 0.0 if closed == 0.0 else b / closed
 
-    _, numeric = maximize_unimodal(lambda d: _objective(a, b, d), grid_points)
+    numeric = alice_grid_cheat(params, grid_points)
     if not abs(numeric - closed) <= CROSS_CHECK_TOL:  # fails closed on NaN
         raise CrossCheckError(
             f"closed-form {closed!r} vs numeric {numeric!r} differ beyond {CROSS_CHECK_TOL}"
@@ -238,7 +252,7 @@ def alice_opt_cheat(params: WeakCFParams, grid_points: int = 10_000) -> CheatAna
         p=params.p,
         eta=params.eta,
         p_alice_star=closed,
-        p_bob_star=params.p + params.eta,
+        p_bob_star=bob_opt_cheat(params),
         delta_star=delta_star,
         method="closed_form",
     )
@@ -251,7 +265,7 @@ def _balanced_residual(eta: float) -> float:
     """P_A* - P_B* of the balanced protocol at eta, from the closed form A + B."""
     params = WeakCFParams(0.5, eta)
     a, b = _objective_coeffs(params)
-    return (a + b) - (params.p + params.eta)
+    return (a + b) - bob_opt_cheat(params)
 
 
 def fair_eta_balanced() -> FairPoint:
@@ -366,7 +380,7 @@ def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> Cheat
         p=params.p,
         eta=params.eta,
         p_alice_star=value,
-        p_bob_star=params.p + params.eta,
+        p_bob_star=bob_opt_cheat(params),
         delta_star=delta_star,
         method="oracle",
         maximizer_alphas=alphas,

@@ -147,14 +147,6 @@ def bias_bound_check(spec: TournamentSpec, honest_party: int) -> BoundCheck:
     return BoundCheck(eps_bar=eps_bar, bound=bound, holds=holds)
 
 
-def random_tournament(rng: np.random.Generator, max_parties: int = 10) -> TournamentSpec:
-    """A random instance with N <= max_parties and stage biases below 1/(2N)."""
-    if max_parties < 2:
-        raise ParameterRangeError(f"max_parties must be >= 2, got {max_parties}")
-    n = int(rng.integers(2, max_parties + 1))
-    return TournamentSpec(n, rng.uniform(0.0, 1.0 / (2 * n), size=n - 1).tolist())
-
-
 _TINY = nextafter(0.0, inf)  # the smallest positive float
 
 

@@ -1,7 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from qdice.weak_dr import TournamentSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = REPO_ROOT / "schemas"
@@ -14,3 +17,15 @@ def schema_loader():
             return json.load(fh)
 
     return load
+
+
+@pytest.fixture(scope="session")
+def random_tournament():
+    """Draw a weak DR tournament with 2 <= N <= max_parties and each stage
+    bias uniform below 1/(2N): one size draw, then one bias draw."""
+
+    def draw(rng: np.random.Generator, max_parties: int = 10) -> TournamentSpec:
+        n = int(rng.integers(2, max_parties + 1))
+        return TournamentSpec(n, rng.uniform(0.0, 1.0 / (2 * n), size=n - 1).tolist())
+
+    return draw

@@ -85,9 +85,9 @@ def test_criterion_4_strong_cf_sweep():
         params = strong_cf.solve_params(x)
         in_range = all(0.0 <= v <= 1.0 for v in (params.q, params.z0, params.z1, params.pp0, params.pp1))
         roundtrip = abs(params.p0_honest - x) <= 1e-12
-        products, _ = strong_cf.kitaev_saturation_check(x)
-        saturated = abs(products[0] - x) <= 1e-12 and abs(products[1] - (1 - x)) <= 1e-12
         base = strong_cf.cheat_probs(params)
+        products = base.kitaev_products
+        saturated = abs(products[0] - x) <= 1e-12 and abs(products[1] - (1 - x)) <= 1e-12
         bumped = strong_cf.cheat_probs(strong_cf.solve_params(x, eps0=eps, eps1=eps))
         s0, s1 = sqrt(x), sqrt(1 - x)
         slopes = (
@@ -153,12 +153,12 @@ def test_criterion_7_colbeck():
            ok and elapsed < 60.0, elapsed)
 
 
-def test_criterion_8_tournament_bias_bound():
+def test_criterion_8_tournament_bias_bound(random_tournament):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20240809)
     ok = True
     for _ in range(1000):
-        spec = weak_dr.random_tournament(rng, max_parties=10)
+        spec = random_tournament(rng, max_parties=10)
         for party in range(1, spec.n_parties + 1):
             ok = ok and weak_dr.bias_bound_check(spec, party).holds
     for n in range(2, 11):

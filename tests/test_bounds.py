@@ -87,6 +87,17 @@ class TestSymmetricMin:
                 bounds.symmetric_min(n, 2), abs=1e-12
             )
 
+    def test_float_route_keeps_its_bits(self):
+        for n in range(2, 40):
+            for m in range(2, 8):
+                assert bounds.symmetric_min(n, m) == (1.0 / n) ** (1.0 / m)
+
+    def test_outcomes_past_the_float_range(self):
+        # 3^700 overflows a float; the bound goes through logarithms instead
+        assert bounds.symmetric_min(3**700, 1400) == 0.5773502691896257
+        assert bounds.symmetric_min(3**700, 1400) == pytest.approx(1 / sqrt(3), abs=1e-15)
+        assert bounds.symmetric_min(2**1100, 2) == pytest.approx(2.0**-550, rel=1e-13)
+
     def test_invalid_sizes(self):
         with pytest.raises(ParameterRangeError):
             bounds.symmetric_min(1, 2)

@@ -456,7 +456,9 @@ class TestSixRoundWork:
             calls.append(args)
             return maximize(*args, **kwargs)
 
-        for module in (optimize, sixround_dr, weak_cf):
+        # sixround_dr reaches the maximizer only through weak_cf
+        assert not hasattr(sixround_dr, "maximize_unimodal")
+        for module in (optimize, weak_cf):
             monkeypatch.setattr(module, "maximize_unimodal", counting)
         code, out, err = run_cli(capsys, "six-round", "--variant", "case1")
         assert code == 0, err

@@ -1,5 +1,6 @@
 """Entanglement-based strong DR: honest correlations and cheat asymmetry."""
 
+import json
 import tracemalloc
 from fractions import Fraction
 from math import sqrt
@@ -7,7 +8,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from qdice import colbeck_dr
+from qdice import cli, colbeck_dr
 from qdice.errors import ParameterRangeError
 
 
@@ -36,6 +37,35 @@ class TestHonestRun:
             np.testing.assert_allclose(
                 colbeck_dr.honest_outcome_distribution(n), np.full(n, 1 / n), atol=1e-14
             )
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 9, 16, 100])
+    def test_distribution_is_the_pair_marginal_bit_for_bit(self, n):
+        pair = colbeck_dr.entangled_pair(n, "A", "B")
+        marginal = (np.abs(pair.amps.reshape(n, n)) ** 2).sum(axis=1)
+        assert colbeck_dr.honest_outcome_distribution(n).tobytes() == marginal.tobytes()
+
+    def test_sampling_memory_is_linear_in_n(self):
+        n = 2000  # the N^2 complex amplitudes alone would be 64 MB
+        tracemalloc.start()
+        try:
+            outcomes = colbeck_dr.sample_outcomes(n, 10, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outcomes.shape == (10,)
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "argv, freqs",
+        [
+            (["--n", "3", "--runs", "1000"], [0.302, 0.34, 0.358]),
+            (["--n", "7", "--runs", "500", "--seed", "4"],
+             [0.114, 0.13, 0.128, 0.152, 0.148, 0.142, 0.186]),
+        ],
+    )
+    def test_seeded_runs_are_unchanged(self, capsys, argv, freqs):
+        assert cli.run(["colbeck", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["empirical_freqs"] == freqs
 
     def test_empirical_uniformity(self):
         runs = 100_000

@@ -1,12 +1,13 @@
 """Multi-party pairing protocols and the three-party example."""
 
+import inspect
 import json
 from fractions import Fraction
 from math import sqrt
 
 import pytest
 
-from qdice import cli, multiparty
+from qdice import bounds, cli, multiparty
 from qdice.errors import ParameterRangeError
 
 
@@ -111,6 +112,10 @@ class TestThreePartyExample:
         value, bound = multiparty.three_party_example_bias()
         assert value - bound == pytest.approx(2.6547e-4, abs=1e-7)
 
+    def test_bound_is_the_symmetric_minimum(self):
+        _, bound = multiparty.three_party_example_bias()
+        assert bound == bounds.symmetric_min(3, 3) == (1.0 / 3.0) ** (1.0 / 3.0)
+
     def test_value_dominates_bound(self):
         value, bound = multiparty.three_party_example_bias()
         assert value > bound  # near-optimal, not optimal
@@ -118,14 +123,19 @@ class TestThreePartyExample:
 
 class TestChooserReadings:
     def test_full_choice_set_is_outcome_symmetric(self):
-        probs = multiparty.chooser_force_probs((1, 2, 3))
+        probs = multiparty.chooser_force_probs()
         assert probs == pytest.approx([2 / 3, 2 / 3, 2 / 3], abs=1e-15)
 
-    def test_two_element_choice_set_breaks_symmetry(self):
-        # the alternative reading: asymmetric forcing, incompatible with a
-        # single symmetric coalition value
-        probs = multiparty.chooser_force_probs((1, 3))
-        assert probs == pytest.approx([1.0, 0.5, 0.5], abs=1e-15)
+    def test_takes_no_choice_set(self):
+        assert not inspect.signature(multiparty.chooser_force_probs).parameters
+
+
+class TestOutcomesPastTheFloatRange:
+    def test_cli_saturates_at_three_to_the_seven_hundred(self, capsys):
+        assert cli.run(["multiparty", "--m", "700", "--n", "3"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["n_outcomes"] == 3**700 and record["n_parties"] == 1400
+        assert abs(record["coalition_force_prob"] - record["symmetric_bound"]) <= 1e-12
 
 
 class TestThreePartyFamily:

@@ -7,7 +7,7 @@ from math import inf, nextafter, sqrt
 import numpy as np
 import pytest
 
-from qdice import optimize, sixround_dr
+from qdice import optimize, sixround_dr, weak_cf
 from qdice.errors import CrossCheckError, ParameterRangeError
 from qdice.optimize import bisect_root
 from qdice.weak_cf import WeakCFParams, alice_opt_cheat
@@ -64,6 +64,38 @@ class TestFairnessConstraint:
         sixround_dr.losing_probs_at(variant, eta_max)
         with pytest.raises(ParameterRangeError, match=f"{variant} requires eta in"):
             sixround_dr.losing_probs_at(variant, nextafter(eta_max, inf))
+
+
+class TestComposition:
+    def test_stage_one_value_is_the_balanced_fair_point(self):
+        assert sixround_dr.INV_SQRT2 == 1.0 / sqrt(2.0)
+        assert sixround_dr.INV_SQRT2 == weak_cf.fair_eta_balanced().p_star
+
+    @pytest.mark.parametrize("variant", ["case1", "case2"])
+    def test_certificate_takes_the_preparer_cheat_from_the_grid(self, monkeypatch, variant):
+        # two residual evaluations, each one alice_grid_cheat call at eta* -/+ 1e-12
+        grid_cheat = weak_cf.alice_grid_cheat
+        seen = []
+
+        def spy(params):
+            seen.append(params)
+            return grid_cheat(params)
+
+        monkeypatch.setattr(sixround_dr, "alice_grid_cheat", spy)
+        eta = sixround_dr.solve(variant).eta_star
+        assert [params.eta for params in seen] == [eta - 1e-12, eta + 1e-12]
+        assert {params.p for params in seen} == {sixround_dr._FLOATS[variant][0]}
+
+    @pytest.mark.parametrize("variant", ["case1", "case2"])
+    def test_non_preparer_loss_is_bob_opt_cheat(self, variant):
+        eta = sixround_dr.solve(variant).eta_star
+        other = weak_cf.bob_opt_cheat(WeakCFParams(sixround_dr._FLOATS[variant][0], eta))
+        alice, _, claire = sixround_dr.losing_probs_at(variant, eta)
+        c = sixround_dr.INV_SQRT2
+        if variant == "case1":  # Claire prepares nothing: a survivor loses to her announcement
+            assert alice == c + (1.0 - c) * other
+        else:  # Claire prepares: she loses to the survivor's announcement
+            assert claire == other
 
 
 class TestSolve:

@@ -119,28 +119,38 @@ class TestCheatProbs:
             assert (bumped.pb1 - base.pb1) / eps == pytest.approx((1 + s0 - s1) / 2, abs=1e-9)
 
 
+def kitaev_products(p0_honest: float, eps: float = 0.0) -> tuple[float, float]:
+    """P_A(i)* P_B(i)* of the solved protocol with weak-CF bias eps on both coins."""
+    return strong_cf.cheat_probs(strong_cf.solve_params(p0_honest, eps0=eps, eps1=eps)).kitaev_products
+
+
+def saturated(products: tuple[float, float], p0_honest: float) -> bool:
+    """Both products equal the honest (P0, P1) within 1e-9."""
+    return all(abs(x - t) <= 1e-9 for x, t in zip(products, (p0_honest, 1.0 - p0_honest)))
+
+
 class TestKitaevSaturation:
     def test_balanced_exact(self):
-        products, saturated = strong_cf.kitaev_saturation_check(0.5)
+        products = kitaev_products(0.5)
         assert products[0] == pytest.approx(0.5, abs=1e-12)
         assert products[1] == pytest.approx(0.5, abs=1e-12)
-        assert saturated
+        assert saturated(products, 0.5)
 
     def test_two_thirds_exact(self):
-        products, saturated = strong_cf.kitaev_saturation_check(2 / 3)
+        products = kitaev_products(2 / 3)
         assert products[0] == pytest.approx(2 / 3, abs=1e-12)
         assert products[1] == pytest.approx(1 / 3, abs=1e-12)
-        assert saturated
+        assert saturated(products, 2 / 3)
 
     def test_noise_breaks_saturation(self):
-        products, saturated = strong_cf.kitaev_saturation_check(0.5, eps=0.01)
-        assert not saturated
+        products = kitaev_products(0.5, eps=0.01)
+        assert not saturated(products, 0.5)
         assert products[0] > 0.5
         assert products[1] > 0.5
 
     def test_saturation_sweep(self):
         for x in SWEEP:
-            products, _ = strong_cf.kitaev_saturation_check(x)
+            products = kitaev_products(x)
             assert abs(products[0] - x) <= 1e-12
             assert abs(products[1] - (1 - x)) <= 1e-12
 
@@ -190,9 +200,12 @@ class TestValidation:
         with pytest.raises(ParameterRangeError, match=f"{field} must lie in"):
             strong_cf.solve_params(0.5, **{field: nan})
 
-    def test_nan_eps_rejected_by_saturation_check(self):
+    def test_nan_eps_on_both_coins_rejected(self):
+        base = dict(q=0.5, z0=0.5, z1=0.5, pp0=0.5, pp1=0.5)
         with pytest.raises(ParameterRangeError, match="eps0 must lie in"):
-            strong_cf.kitaev_saturation_check(0.5, eps=nan)
+            StrongCFParams(**base, eps0=nan, eps1=nan)
+        with pytest.raises(ParameterRangeError, match="eps0 must lie in"):
+            strong_cf.cheat_probs(strong_cf.solve_params(0.5, eps0=nan, eps1=nan))
 
     @pytest.mark.parametrize("bad", [inf, -inf, -1e-9])
     @pytest.mark.parametrize("field", ["eps0", "eps1"])

@@ -128,8 +128,22 @@ class TestAliceOptCheat:
             a, b = weak_cf._objective_coeffs(params)
             _, numeric = maximize_unimodal(lambda d: weak_cf._objective(a, b, d))
             assert abs(numeric - (a + b)) <= 1e-9
+            assert weak_cf.alice_grid_cheat(params) == numeric
             # the production path re-runs this cross-check and raises on failure
             weak_cf.alice_opt_cheat(params)
+
+    def test_opt_cheat_cross_checks_against_grid_cheat(self, monkeypatch):
+        grid_cheat = weak_cf.alice_grid_cheat
+        seen = []
+
+        def shifted(params, grid_points=10_000):
+            seen.append(grid_points)
+            return grid_cheat(params, grid_points) + 2e-9
+
+        monkeypatch.setattr(weak_cf, "alice_grid_cheat", shifted)
+        with pytest.raises(CrossCheckError):
+            weak_cf.alice_opt_cheat(WeakCFParams(0.5, FAIR_ETA), grid_points=777)
+        assert seen == [777]
 
     def test_objective_on_array_matches_scalars(self):
         coeffs = weak_cf._objective_coeffs(WeakCFParams(0.3, 0.25))
@@ -268,6 +282,13 @@ class TestCrossCheckStrength:
 
 class TestBobOptCheat:
     # Bob's maximal win p + eta, as alice_opt_cheat reports it
+    def test_both_analyses_report_bob_opt_cheat(self):
+        for params in weak_cf.param_grid(4, 4):
+            value = weak_cf.bob_opt_cheat(params)
+            assert value == params.p + params.eta
+            assert weak_cf.alice_opt_cheat(params).p_bob_star == value
+            assert weak_cf.alice_cheat_oracle(params).p_bob_star == value
+
     def test_balanced_fair_point(self):
         analysis = weak_cf.alice_opt_cheat(WeakCFParams(0.5, FAIR_ETA))
         assert analysis.p_bob_star == pytest.approx(1 / S2, abs=1e-12)

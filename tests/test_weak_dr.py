@@ -175,10 +175,10 @@ class TestMaxLosingProb:
             values.append(weak_dr.max_losing_prob(spec, 2))
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_expansion_matches_chain_numerically(self):
+    def test_expansion_matches_chain_numerically(self, random_tournament):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            spec = weak_dr.random_tournament(rng, max_parties=8)
+            spec = random_tournament(rng, max_parties=8)
             for party in range(1, spec.n_parties + 1):
                 assert expanded_losing_prob(spec, party) == pytest.approx(
                     weak_dr.max_losing_prob(spec, party), abs=1e-12
@@ -237,8 +237,6 @@ class TestBiasBound:
         with pytest.raises(ParameterRangeError, match="max_parties"):
             weak_dr.bound_property_sweep(10, rng, max_parties=1)
         assert rng.bit_generator.state == state  # rejected before any draw
-        with pytest.raises(ParameterRangeError, match="max_parties"):
-            weak_dr.random_tournament(rng, max_parties=1)
 
     def test_vanishing_bias_limit(self):
         # as the max stage bias shrinks, eps_bar is squeezed below N * delta_max
@@ -322,10 +320,12 @@ class TestBatchedSweep:
         assert weak_dr.bound_property_sweep(50, 3, max_parties=2) == 1.0
 
     @pytest.mark.parametrize("seed,max_parties", SWEEP_CASES)
-    def test_invalid_bias_fires_exactly_where_the_scalar_check_fires(self, seed, max_parties):
+    def test_invalid_bias_fires_exactly_where_the_scalar_check_fires(
+        self, seed, max_parties, random_tournament
+    ):
         # take the first drawn tournament and move one stage's bias to each
         # party's floor there, and one float above it
-        spec = weak_dr.random_tournament(np.random.default_rng(seed), max_parties)
+        spec = random_tournament(np.random.default_rng(seed), max_parties)
         n = spec.n_parties
         raised = passed = 0
         for party in range(1, n + 1):
