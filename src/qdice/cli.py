@@ -140,7 +140,7 @@ def _cmd_weak_cf(args) -> tuple[dict, int]:
 
 def _cmd_oracle(args) -> tuple[dict, int]:
     params = weak_cf.WeakCFParams(args.p, args.eta)
-    oracle = weak_cf.alice_cheat_oracle(params, grid_resolution=args.resolution)
+    oracle = weak_cf.alice_cheat_oracle(params)
     closed = weak_cf.alice_opt_cheat(params, grid_points=args.grid)
     record = oracle.to_json_dict()
     record["closed_form"] = closed.p_alice_star
@@ -276,7 +276,7 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 
 
 def _cmd_reproduce(args) -> tuple[list[dict], int]:
-    rows = reproduce.build_rows(seed=args.seed)
+    rows = reproduce.build_rows()
     return rows, 0 if all(r["passed"] for r in rows) else MISMATCH_EXIT
 
 
@@ -318,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("oracle", help="exact adversary oracle vs closed form")
     p.add_argument("--p", type=_finite_float, required=True)
     p.add_argument("--eta", type=_finite_float, required=True)
-    p.add_argument(
-        "--resolution", type=int, default=60, help="must be >= 10; does not change the result"
-    )
     p.set_defaults(handler=_cmd_oracle)
 
     p = command("six-round", help="six-round weak three-sided DR solution")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import exp, log, sqrt
 
 from .bounds import symmetric_min
 from .errors import ParameterRangeError
@@ -98,7 +98,10 @@ def coalition_force_prob(protocol: PairingProtocol, eps_bar: float = 0.0) -> flo
     sqrt(1/n) + eps_bar by the optimal two-party dice roll. eps_bar must lie
     in [0, 1 - 1/sqrt(n)], so that the forcing probability is at most 1.
     """
-    base = 1.0 / sqrt(protocol.n)
+    try:
+        base = 1.0 / sqrt(protocol.n)
+    except OverflowError:  # n does not fit a float: the route `symmetric_min` takes
+        base = exp(-log(protocol.n) / 2)
     if not 0.0 <= eps_bar <= 1.0 - base:
         raise ParameterRangeError(
             f"eps_bar must lie in [0, 1 - 1/sqrt(n)] = [0, {1.0 - base}], got {eps_bar}"

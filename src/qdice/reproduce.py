@@ -26,7 +26,7 @@ def _row(quantity: str, reported_value: float, computed: float, tol: float) -> d
     }
 
 
-def build_rows(seed: int = 0) -> list[dict]:
+def build_rows() -> list[dict]:
     rows: list[dict] = []
 
     fair = weak_cf.fair_eta_balanced()
@@ -54,7 +54,7 @@ def build_rows(seed: int = 0) -> list[dict]:
     rows.append(_row("three-party example coalition value", 0.69363, value, 5e-6))
     rows.append(_row("three-party example Kitaev bound", 0.69336, bound, 5e-6))
 
-    pass_rate = weak_dr.bound_property_sweep(1000, seed)
-    rows.append(_row("weak DR bias bound pass rate (1000 random)", 1.0, pass_rate, 0.0))
+    share = weak_dr.bound_property_sweep()
+    rows.append(_row("weak DR bias bound at its worst case (N=2..10, every party)", 1.0, share, 0.0))
 
     return rows

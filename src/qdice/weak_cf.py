@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, nan, sqrt
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -385,10 +385,3 @@ def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> Cheat
         method="oracle",
         maximizer_alphas=alphas,
     )
-
-
-def param_grid(n_p: int = 10, n_eta: int = 10) -> Iterator[WeakCFParams]:
-    """An n_p x n_eta sweep of valid (p, eta) pairs, p in (0,1), eta <= 1-p."""
-    for p in np.linspace(0.08, 0.92, n_p):
-        for frac in np.linspace(0.0, 0.95, n_eta):
-            yield WeakCFParams(float(p), float(frac * (1.0 - p)))

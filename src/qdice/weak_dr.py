@@ -7,10 +7,14 @@ per-stage biases on the honest party's stage-win probability, the honest
 party's maximal losing probability follows from the chain product over the
 stages it must win.
 
-`bias_bound_check` is the scalar reference for the eps_bar < N * delta_max
-bound. `bound_property_sweep` checks random tournaments of every size
-together in one stage-major numpy pass (`_bound_checks`), bit-identical to
-the scalar check on each (tournament, party) case.
+`bias_bound_check` checks the eps_bar < N * delta_max bound for one
+tournament and party. `bound_property_sweep` decides it for every bias
+vector at once: each stage factor w_k - delta_k falls as its bias grows, so
+at a given delta_max the corner where every stage has bias delta_max is the
+worst case. There the survival P(delta) = prod(w_k - delta) is convex, so
+eps_bar / delta_max = (P(0) - P(delta)) / delta is largest as delta -> 0,
+where it tends to -P'(0) = (1/N) * sum of 1/w_k over the party's stages
+(prod w_k = 1/N). That rational constant is computed exactly.
 """
 
 from __future__ import annotations
@@ -18,10 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, isfinite, nextafter
+from math import inf, isfinite, lcm, nextafter
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import InvalidBiasError, ParameterRangeError
 
@@ -137,105 +139,50 @@ def bias_bound_check(spec: TournamentSpec, honest_party: int) -> BoundCheck:
     """Check eps_bar < N * max(stage bias) for the given honest party.
 
     eps_bar is the excess of the maximal losing probability over the honest
-    value (N-1)/N. With all biases zero both sides vanish and the
-    degenerate equality eps_bar = 0 <= 0 counts as holding.
+    value (N-1)/N. With all biases zero the chain is the honest one, so
+    eps_bar is exactly 0 (whatever the float chain rounds to) and the
+    degenerate equality eps_bar = 0 = bound counts as holding.
     """
     n = spec.n_parties
     eps_bar = max_losing_prob(spec, honest_party) - (n - 1) / n
     bound = n * max(spec.stage_biases)
-    holds = eps_bar < bound if bound > 0.0 else eps_bar <= 0.0
-    return BoundCheck(eps_bar=eps_bar, bound=bound, holds=holds)
+    if bound == 0.0:
+        return BoundCheck(eps_bar=0.0, bound=0.0, holds=True)
+    return BoundCheck(eps_bar=eps_bar, bound=bound, holds=eps_bar < bound)
 
 
-_TINY = nextafter(0.0, inf)  # the smallest positive float
+def _worst_case_constants(n_parties: int) -> tuple[int, list[int]]:
+    """(denominator, numerators): the worst-case constant of party p is numerators[p - 1] / denominator.
 
-
-@lru_cache(maxsize=64)
-def _sweep_tables(stages: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (wins, floor, scale) tables for up to stages + 1 parties.
-
-    The last axis is the tournament size N. wins[0] and wins[1] hold, per
-    stage k, the defenders' win k/(k+1) and the entrant's win 1/(k+1),
-    floor the entrant's floor (rounded as in `_stage_table`) and scale the
-    sweep's 1/(2N), where stage k is played (k < N); past the size the wins
-    are 1.0 (so 1.0 - 0.0 is a neutral factor), the floor +inf and the
-    scale 0.0.
+    The constant is the supremum of eps_bar / delta_max over every valid
+    bias vector, (1/N) * sum of 1/w_k over the party's stages. The entry
+    stage adds 1/w = max(p, 2) and each defended stage k adds (k + 1)/k =
+    1 + 1/k, so the sum is N + H_{N-1} - H_entry. Scaled by
+    L = lcm(1..N-1) every harmonic number is an integer, so one pass of
+    prefix sums gives every party's constant exactly over the denominator
+    N * L, with no float and no Fraction.
     """
-    wins = np.ones((2, stages, stages + 2))
-    floor = np.full((stages, stages + 2), inf)
-    scale = np.zeros((stages, stages + 2))
-    for k in range(1, stages + 1):
-        wins[0, k - 1, k + 1 :] = float(Fraction(k, k + 1))
-        wins[1, k - 1, k + 1 :], floor[k - 1, k + 1 :] = _float_floor(Fraction(1, k + 1))
-    for n in range(2, stages + 2):
-        scale[: n - 1, n] = 1.0 / (2 * n)
-    for a in (wins, floor, scale):
-        a.setflags(write=False)
-    return wins, floor, scale
+    scale = lcm(*range(1, n_parties))
+    harmonic = [0]  # harmonic[m] = L * H_m
+    for k in range(1, n_parties):
+        harmonic.append(harmonic[-1] + scale // k)
+    top = n_parties * scale + harmonic[-1]
+    numerators = [top - harmonic[max(party - 1, 1)] for party in range(1, n_parties + 1)]
+    return n_parties * scale, numerators
 
 
-def _bound_checks(sizes: np.ndarray, biases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`bias_bound_check` for every (tournament, party) pair of mixed-size tournaments in one pass.
+def bound_property_sweep(max_parties: int = 10) -> float:
+    """Share of the (N, party) pairs, N = 2..max_parties, for which the bound holds for every bias.
 
-    biases is stage-major, shape (S, tournaments): column i holds
-    tournament i's sizes[i] - 1 stage biases, padded with 0.0 to S. eps_bar
-    and holds have shape (tournaments, S + 1), column j for party j + 1,
-    and bound has one entry per tournament. holds is False for the padded
-    parties past each size; for the others every value is bit-identical to
-    the scalar check.
-
-    Each party's survive row starts at its entry factor: 1/2 - b_1 for
-    parties 1 and 2, 1/(k+1) - b_k for party k + 1. At each stage k >= 2
-    the k parties already in play multiply their rows by k/(k+1) - b_k.
-    That is the scalar fold, left to right from 1.0, and padded stages
-    contribute the exact factor 1.0 - 0.0. A stage's lowest floor is its
-    entrant's, so one compare finds every invalid bias; the first offending
-    tournament is then rerun through the scalar `max_losing_prob`, which
-    raises its own InvalidBiasError.
+    eps_bar < N * delta_max holds for every valid bias vector of (N, party)
+    exactly when its worst-case constant (`_worst_case_constants`) is < N,
+    which is decided in integers.
     """
-    stages = biases.shape[0]
-    wins, floor, _ = _sweep_tables(stages)
-    over = biases > np.take(floor, sizes, axis=1)
-    if over.any():
-        i = int(over.any(axis=0).argmax())
-        n = int(sizes[i])
-        spec = TournamentSpec(n, biases[: n - 1, i].tolist())
-        for party in range(1, n + 1):  # at an offending stage k, party k + 1 raises
-            max_losing_prob(spec, party)
-    factors = np.take(wins, sizes, axis=2)
-    factors -= biases
-    defend, entrant = factors
-    survive = np.concatenate((entrant[:1], entrant))
-    for k in range(2, stages + 1):
-        survive[:k] *= defend[k - 1]
-    eps_bar = np.subtract(1.0, survive, out=survive)
-    eps_bar -= (sizes - 1) / sizes
-    bound = sizes * biases.max(axis=0)
-    # eps_bar <= 0.0 is eps_bar < the smallest positive float, so one compare covers both rules
-    holds = eps_bar < np.where(bound > 0.0, bound, _TINY)
-    holds &= np.arange(stages + 1)[:, None] < sizes
-    return eps_bar.T, bound, holds.T
-
-
-def bound_property_sweep(count: int, seed: int | np.random.Generator, max_parties: int = 10) -> float:
-    """Fraction of (random tournament, honest party) cases satisfying the bound.
-
-    Draws `count` tournaments in two Generator calls: the sizes
-    `rng.integers(2, max_parties + 1, size=count)`, then one
-    `rng.random((count, max_parties - 1))` block, whose row i gives
-    tournament i its stage biases, the first N - 1 entries times 1/(2N). A
-    Generator passed in ends in the state those two draws leave. The block
-    is scaled and transposed to stage-major in one step, and all sizes are
-    checked together in one `_bound_checks` pass, which tests pin bit for
-    bit to `bias_bound_check`.
-    """
-    if count < 1:
-        raise ParameterRangeError(f"count must be >= 1, got {count}")
     if max_parties < 2:
         raise ParameterRangeError(f"max_parties must be >= 2, got {max_parties}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    sizes = rng.integers(2, max_parties + 1, size=count)
-    block = rng.random((count, max_parties - 1))
-    scale = np.take(_sweep_tables(max_parties - 1)[2], sizes, axis=1)
-    holds = _bound_checks(sizes, np.multiply(block.T, scale, order="C"))[2]
-    return int(np.count_nonzero(holds)) / int(sizes.sum())
+    held = total = 0
+    for n in range(2, max_parties + 1):
+        denominator, numerators = _worst_case_constants(n)
+        held += sum(num < n * denominator for num in numerators)
+        total += n
+    return held / total

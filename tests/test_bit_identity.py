@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import param_grid
 from qdice import colbeck_dr, weak_cf
 from qdice import quantum_core as qc
 
@@ -40,7 +41,7 @@ def _reprs(value):
 
 def golden_record() -> dict:
     oracle, weak = [], []
-    for params in weak_cf.param_grid(4, 4):
+    for params in param_grid(4, 4):
         cheat = weak_cf.alice_cheat_oracle(params)
         oracle.append(
             _reprs(
@@ -65,7 +66,7 @@ def golden_record() -> dict:
             )
     rng = np.random.default_rng(2024)
     payoff = []
-    for params in weak_cf.param_grid(4, 4):
+    for params in param_grid(4, 4):
         for _ in range(PAYOFFS_PER_PARAMS):
             z = rng.normal(size=4) + 1j * rng.normal(size=4)
             payoff.append(repr(weak_cf._payoff(z / np.linalg.norm(z), weak_cf._protocol(params))))

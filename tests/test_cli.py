@@ -75,6 +75,15 @@ class TestExitCodes:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("n", ["2", "3", "6", "12"])
+    def test_weak_dr_with_default_zero_biases_exits_zero(self, capsys, n):
+        # the honest float chain rounds eps_bar to 1.1e-16 at N = 3 and to
+        # -1.1e-16 at N = 6; with every bias 0 it is exactly 0 and the bound holds
+        code, out, err = run_cli(capsys, "weak-dr", "--n", n)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["eps_bar"] == 0.0 and payload["bound"] == 0.0 and payload["holds"] is True
+
     def test_missing_report_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "check", "--report", "/no/such/file.json")
         assert code == 1
@@ -86,7 +95,7 @@ class TestExitCodes:
             ("weak-cf", "--p", "0.5", "--eta", "nan"),
             ("weak-cf", "--p", "nan", "--eta", "0.1"),
             ("weak-cf", "--p", "0.5", "--eta", "inf"),
-            ("oracle", "--p", "0.5", "--eta", "nan", "--resolution", "10"),
+            ("oracle", "--p", "0.5", "--eta", "nan"),
         ],
     )
     def test_non_finite_weak_cf_params_exit_one(self, capsys, argv):
@@ -153,9 +162,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_value_in_a_row_is_an_error_not_a_token(self, capsys, monkeypatch, bad):
-        rows = reproduce.build_rows(0)
+        rows = reproduce.build_rows()
         rows[3]["computed_value"] = bad
-        monkeypatch.setattr(reproduce, "build_rows", lambda seed: rows)
+        monkeypatch.setattr(reproduce, "build_rows", lambda: rows)
         code, out, err = run_cli(capsys, "reproduce")
         assert code == 1
         assert out == ""
@@ -176,7 +185,7 @@ class TestSchemas:
         jsonschema.validate(json.loads(out), schema_loader("weak_cf"))
 
     def test_oracle(self, capsys, schema_loader):
-        _, out, _ = run_cli(capsys, "oracle", "--p", "0.5", "--eta", "0.2", "--resolution", "16")
+        _, out, _ = run_cli(capsys, "oracle", "--p", "0.5", "--eta", "0.2")
         jsonschema.validate(json.loads(out), schema_loader("oracle"))
 
     def test_six_round(self, capsys, schema_loader):
@@ -209,6 +218,14 @@ class TestSchemas:
         jsonschema.validate(payload, schema_loader("multiparty_pairing"))
         assert payload["n_outcomes"] == 10**20
         assert payload["honest_prob_exact"] == "1/100000000000000000000"
+
+    def test_multiparty_pairing_past_the_float_range(self, capsys, schema_loader):
+        # n = 10^400 does not fit a float: 1/sqrt(n) goes through logarithms
+        code, out, err = run_cli(capsys, "multiparty", "--m", "1", "--n", str(10**400))
+        assert code == 0, err
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema_loader("multiparty_pairing"))
+        assert payload["coalition_force_prob"] == payload["symmetric_bound"] == 1.0000000000000348e-200
 
     def test_multiparty_example(self, capsys, schema_loader):
         _, out, _ = run_cli(capsys, "multiparty", "example3")
@@ -304,7 +321,7 @@ class TestRowsJson:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_float_raises_before_writing(self, bad):
-        rows = reproduce.build_rows(0)
+        rows = reproduce.build_rows()
         rows[-1]["abs_diff"] = bad
         buf = io.StringIO()
         with pytest.raises(ValueError):
@@ -352,7 +369,7 @@ def _argv(draw):
     f, i = _float_text, st.integers
     command = draw(st.sampled_from([
         ["weak-cf", "--p", f(), "--eta", f()],
-        ["oracle", "--p", f(), "--eta", f(), "--resolution", i(8, 30).map(str)],
+        ["oracle", "--p", f(), "--eta", f()],
         ["strong-cf", "--p0", f(), "--eps", f()],
         ["strong-dr", "--n", i(0, 9).map(str), "--delta", f(), "--target", i(0, 9).map(str)],
         ["multiparty", "pairing", "--m", i(0, 3).map(str), "--n", i(0, 4).map(str), "--eps-bar", f()],
@@ -408,11 +425,16 @@ class TestDeterminism:
         _, second, _ = run_cli(capsys, "--seed", "3", "reproduce")
         assert first == second
 
+    def test_reproduce_does_not_depend_on_the_seed(self, capsys):
+        # no row is sampled, so --seed is accepted and changes nothing
+        outs = {run_cli(capsys, "--seed", str(seed), "reproduce")[1] for seed in range(4)}
+        assert len(outs) == 1
+
 
 class TestGoldenReproduce:
     # tests/data/reproduce_seed0.* hold `qdice --seed 0 --format FMT reproduce`
-    # stdout from before the batched weak-DR sweep; performance work must keep
-    # every byte of it
+    # stdout, recorded when the weak-DR row became the exact worst-case
+    # check; performance work must keep every byte of it
     @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
     def test_stdout_is_byte_identical_to_golden(self, capsys, fmt):
         code, out, err = run_cli(capsys, "--seed", "0", "--format", fmt, "reproduce")

@@ -3,7 +3,7 @@
 import inspect
 import json
 from fractions import Fraction
-from math import sqrt
+from math import exp, log, sqrt
 
 import pytest
 
@@ -95,6 +95,17 @@ class TestCoalitionForce:
             multiparty.coalition_force_prob(protocol, cap + 1e-9)
         with pytest.raises(ParameterRangeError):
             multiparty.coalition_force_prob(protocol, 5.0)
+
+
+    @pytest.mark.parametrize("n", [2, 3, 10**300, 2**1023])
+    def test_float_range_keeps_the_direct_expression(self, n):
+        assert multiparty.coalition_force_prob(multiparty.build_pairing(1, n)) == 1.0 / sqrt(n)
+
+    @pytest.mark.parametrize("n", [2**1024, 10**400, 10**600])
+    def test_past_the_float_range_matches_symmetric_min(self, n):
+        value = multiparty.coalition_force_prob(multiparty.build_pairing(1, n))
+        assert value == bounds.symmetric_min(n, 2)
+        assert value == pytest.approx(exp(-log(n) / 2), rel=1e-15) and value > 0.0
 
 
 class TestThreePartyExample:

@@ -6,6 +6,7 @@ from math import inf, nextafter, sqrt
 import numpy as np
 import pytest
 
+from conftest import param_grid
 from qdice import quantum_core as qc
 from qdice import weak_cf
 from qdice.errors import (
@@ -124,7 +125,7 @@ class TestAliceOptCheat:
     def test_grid_agrees_with_closed_form_on_sweep(self):
         from qdice.optimize import maximize_unimodal
 
-        for params in weak_cf.param_grid(10, 10):
+        for params in param_grid(10, 10):
             a, b = weak_cf._objective_coeffs(params)
             _, numeric = maximize_unimodal(lambda d: weak_cf._objective(a, b, d))
             assert abs(numeric - (a + b)) <= 1e-9
@@ -155,7 +156,7 @@ class TestAliceOptCheat:
     @pytest.mark.parametrize(
         "a, b",
         [(0.7, 0.2), (0.5, 0.5), (1.0, 0.0), (0.0, 0.3), (0.0, 0.0), *[
-            weak_cf._objective_coeffs(params) for params in weak_cf.param_grid(3, 3)
+            weak_cf._objective_coeffs(params) for params in param_grid(3, 3)
         ]],
     )
     def test_scalar_path_matches_array_path_bit_for_bit(self, a, b):
@@ -182,7 +183,7 @@ class TestAliceOptCheat:
     @pytest.mark.parametrize(
         "a, b",
         [(0.7, 0.2), (1.0, 0.0), (0.0, 0.3), (0.0, 0.0), (-0.5, 0.4), (0.6, -0.1), *[
-            weak_cf._objective_coeffs(params) for params in weak_cf.param_grid(4, 4)
+            weak_cf._objective_coeffs(params) for params in param_grid(4, 4)
         ]],
     )
     def test_grid_path_is_bit_identical_to_the_reference(self, a, b):
@@ -283,7 +284,7 @@ class TestCrossCheckStrength:
 class TestBobOptCheat:
     # Bob's maximal win p + eta, as alice_opt_cheat reports it
     def test_both_analyses_report_bob_opt_cheat(self):
-        for params in weak_cf.param_grid(4, 4):
+        for params in param_grid(4, 4):
             value = weak_cf.bob_opt_cheat(params)
             assert value == params.p + params.eta
             assert weak_cf.alice_opt_cheat(params).p_bob_star == value
@@ -506,7 +507,7 @@ class TestAliceCheatOracle:
 
 class TestOracleEquivalenceSweep:
     def test_small_sweep(self):
-        for params in weak_cf.param_grid(4, 4):
+        for params in param_grid(4, 4):
             oracle = weak_cf.alice_cheat_oracle(params, grid_resolution=24)
             closed = weak_cf.alice_opt_cheat(params)
             assert abs(oracle.p_alice_star - closed.p_alice_star) <= 1e-9

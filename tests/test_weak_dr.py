@@ -36,56 +36,6 @@ def reference_honest_distribution(n_parties: int) -> list[Fraction]:
     return probs
 
 
-def reference_draws(rng, count, max_parties):
-    """The sweep's tournaments, in draw order, from its two block draws read one value at a time."""
-    sizes = rng.integers(2, max_parties + 1, size=count)
-    block = rng.random((count, max_parties - 1))
-    return [
-        TournamentSpec(n, [float(u) * (1.0 / (2 * n)) for u in block[i, : n - 1]])
-        for i, n in enumerate(sizes.tolist())
-    ]
-
-
-def padded(specs, max_parties):
-    """(sizes, stage-major biases) for `_bound_checks`: column i holds tournament i's
-    stage biases, 0.0 past its size."""
-    biases = np.zeros((max_parties - 1, len(specs)))
-    for i, spec in enumerate(specs):
-        biases[: spec.n_parties - 1, i] = spec.stage_biases
-    return np.array([spec.n_parties for spec in specs]), biases
-
-
-def alone(biases, n):
-    """One tournament's (sizes, stage-major biases) for `_bound_checks`."""
-    return np.array([n]), np.array([biases], dtype=float).T
-
-
-def bound_check_rows(eps_bar, bound, holds, i, n):
-    """Tournament i's (eps_bar, bound, holds) for its parties 1..n, as Python values."""
-    return [(float(eps_bar[i, j]), float(bound[i]), bool(holds[i, j])) for j in range(n)]
-
-
-def per_case_sweep(specs):
-    """The sweep as one scalar `bias_bound_check` per (tournament, party) case."""
-    ok = total = 0
-    for spec in specs:
-        for party in range(1, spec.n_parties + 1):
-            ok += weak_dr.bias_bound_check(spec, party).holds
-            total += 1
-    return ok / total
-
-
-def scalar_outcome(spec, party):
-    """bias_bound_check's result, or the message of the InvalidBiasError it raises."""
-    try:
-        return weak_dr.bias_bound_check(spec, party)
-    except InvalidBiasError as exc:
-        return str(exc)
-
-
-SWEEP_CASES = [(seed, mp) for seed in range(5) for mp in (2, 3, 10, 32)]
-
-
 class TestHonestDistribution:
     def test_three_parties(self):
         assert weak_dr.honest_distribution(3) == [Fraction(1, 3)] * 3
@@ -212,9 +162,27 @@ class TestBiasBound:
     def test_zero_bias_degenerate_equality(self):
         spec = TournamentSpec(4, (0.0, 0.0, 0.0))
         check = weak_dr.bias_bound_check(spec, 2)
-        assert check.eps_bar == pytest.approx(0.0, abs=1e-15)
-        assert check.bound == 0.0
-        assert check.holds
+        assert check == (0.0, 0.0, True)
+
+    def test_zero_biases_give_exactly_zero_for_every_party(self):
+        # the float chain rounds the honest eps_bar to 1.1e-16 at N = 3 and to
+        # -1.1e-16 at N = 6; with every bias 0 it is the honest chain, eps_bar 0
+        for n in range(2, 65):
+            spec = TournamentSpec(n, (0.0,) * (n - 1))
+            for party in range(1, n + 1):
+                check = weak_dr.bias_bound_check(spec, party)
+                assert check.eps_bar == 0.0 and check.bound == 0.0 and check.holds, (n, party)
+
+    def test_zero_biases_still_check_the_party(self):
+        with pytest.raises(ParameterRangeError, match="party"):
+            weak_dr.bias_bound_check(TournamentSpec(3, (0.0, 0.0)), 4)
+
+    def test_positive_bias_keeps_the_float_chain(self):
+        # one positive bias anywhere: eps_bar is the float chain's, unrounded
+        spec = TournamentSpec(3, (0.0, 5e-324))
+        check = weak_dr.bias_bound_check(spec, 1)
+        assert check.eps_bar == weak_dr.max_losing_prob(spec, 1) - 2 / 3
+        assert check.bound == 3 * 5e-324
 
     def test_known_three_party_case(self):
         spec = TournamentSpec(3, (0.05, 0.05))
@@ -222,21 +190,6 @@ class TestBiasBound:
         assert check.eps_bar == pytest.approx(0.05, abs=1e-12)
         assert check.bound == pytest.approx(0.15, abs=1e-15)
         assert check.holds
-
-    def test_random_sweep_all_hold(self):
-        assert weak_dr.bound_property_sweep(300, seed=2024) == 1.0
-
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_sweep_rejects_empty_count(self, count):
-        with pytest.raises(ParameterRangeError, match="count"):
-            weak_dr.bound_property_sweep(count, seed=0)
-
-    def test_sweep_rejects_single_party_tournaments(self):
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(ParameterRangeError, match="max_parties"):
-            weak_dr.bound_property_sweep(10, rng, max_parties=1)
-        assert rng.bit_generator.state == state  # rejected before any draw
 
     def test_vanishing_bias_limit(self):
         # as the max stage bias shrinks, eps_bar is squeezed below N * delta_max
@@ -248,138 +201,83 @@ class TestBiasBound:
                     assert 0.0 <= check.eps_bar < n * delta
 
 
-class TestBatchedSweep:
-    """The one-pass sweep against the scalar `bias_bound_check` it replaced."""
+def reference_constant(n_parties: int, party: int) -> Fraction:
+    """The worst-case constant (1/N) * sum of 1/w_k, one Fraction per stage of `_party_stages`."""
+    return sum(1 / win for _, win in weak_dr._party_stages(n_parties, party)) / n_parties
 
-    @pytest.mark.parametrize("seed,max_parties", SWEEP_CASES)
-    def test_every_case_is_bit_identical_to_the_scalar_check(self, seed, max_parties):
-        specs = reference_draws(np.random.default_rng(seed), 200, max_parties)
-        sizes, biases = padded(specs, max_parties)
-        eps_bar, bound, holds = weak_dr._bound_checks(sizes, biases)
-        assert eps_bar.shape == holds.shape == (len(specs), max_parties)
-        assert bound.shape == (len(specs),)
-        for i, spec in enumerate(specs):
-            assert bound_check_rows(eps_bar, bound, holds, i, spec.n_parties) == [
-                tuple(weak_dr.bias_bound_check(spec, party)) for party in range(1, spec.n_parties + 1)
-            ], (i, spec.n_parties)
-            assert not holds[i, spec.n_parties :].any()
 
-    @pytest.mark.parametrize("seed,max_parties", SWEEP_CASES)
-    def test_sweep_checks_exactly_the_reference_draws(self, seed, max_parties, monkeypatch):
-        seen = []
+def exact_eps_bar(n_parties: int, party: int, biases) -> Fraction:
+    """eps_bar in exact arithmetic: 1/N minus the survival chain, the float biases read exactly."""
+    survive = Fraction(1)
+    for k, win in weak_dr._party_stages(n_parties, party):
+        survive *= win - Fraction(biases[k - 1])
+    return Fraction(1, n_parties) - survive
 
-        def recording(sizes, biases):
-            seen.append((sizes.tolist(), biases.tolist()))
-            return checks(sizes, biases)
 
-        checks = weak_dr._bound_checks
-        monkeypatch.setattr(weak_dr, "_bound_checks", recording)
-        weak_dr.bound_property_sweep(200, seed, max_parties)
-        sizes, biases = padded(reference_draws(np.random.default_rng(seed), 200, max_parties), max_parties)
-        assert seen == [(sizes.tolist(), biases.tolist())]  # float lists compare bit for bit
+class TestWorstCase:
+    """The bound decided at its worst case: the exact constant sup eps_bar / delta_max."""
 
-    @pytest.mark.parametrize("seed,max_parties", SWEEP_CASES)
-    def test_pass_rate_and_generator_state_match_the_per_case_loop(self, seed, max_parties):
-        batched_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        rate = weak_dr.bound_property_sweep(200, batched_rng, max_parties)
-        assert rate == per_case_sweep(reference_draws(ref_rng, 200, max_parties))
-        # the passed-in Generator advanced by exactly the two block draws
-        assert batched_rng.bit_generator.state == ref_rng.bit_generator.state
-        assert weak_dr.bound_property_sweep(200, seed, max_parties) == rate
-
-    def test_mixed_sizes_share_one_pass_without_padding_counting(self):
-        # tournaments of different N in one call: only each one's own
-        # N parties and N - 1 stages count, so exactly sum(N) cases hold
-        rng = np.random.default_rng(7)
-        specs = [
-            TournamentSpec(n, rng.uniform(0.0, 1.0 / (2 * n), size=n - 1).tolist())
-            for n in (2, 9, 3, 12, 5, 2, 12, 7)
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_constants_match_the_fraction_reference(self, n):
+        denominator, numerators = weak_dr._worst_case_constants(n)
+        assert type(denominator) is int and all(type(num) is int for num in numerators)
+        assert len(numerators) == n
+        assert [Fraction(num, denominator) for num in numerators] == [
+            reference_constant(n, party) for party in range(1, n + 1)
         ]
-        sizes, biases = padded(specs, 12)
-        eps_bar, bound, holds = weak_dr._bound_checks(sizes, biases)
-        for i, spec in enumerate(specs):
-            expected = [weak_dr.bias_bound_check(spec, j) for j in range(1, spec.n_parties + 1)]
-            assert bound_check_rows(eps_bar, bound, holds, i, spec.n_parties) == [tuple(c) for c in expected]
-            # the same tournament checked alone, at its own width
-            single = weak_dr._bound_checks(*alone(spec.stage_biases, spec.n_parties))
-            assert bound_check_rows(*single, 0, spec.n_parties) == [tuple(c) for c in expected]
-        assert int(holds.sum()) == int(sizes.sum()) == sum(spec.n_parties for spec in specs)
-        assert holds.sum(axis=1).tolist() == sizes.tolist()
 
-    def test_two_party_tournaments_skip_the_stage_loop(self):
-        # max_parties = 2: one stage, where both parties get 1/2 - b_1
-        specs = reference_draws(np.random.default_rng(3), 50, 2)
-        sizes, biases = padded(specs, 2)
-        assert biases.shape == (1, 50) and set(sizes.tolist()) == {2}
-        eps_bar, bound, holds = weak_dr._bound_checks(sizes, biases)
-        for i, spec in enumerate(specs):
-            assert bound_check_rows(eps_bar, bound, holds, i, 2) == [
-                tuple(weak_dr.bias_bound_check(spec, party)) for party in (1, 2)
-            ]
-        assert int(holds.sum()) == 100
-        assert weak_dr.bound_property_sweep(50, 3, max_parties=2) == 1.0
+    def test_largest_constant_is_73_over_60(self):
+        constants = {
+            (n, party): Fraction(num, denominator)
+            for n in range(2, 11)
+            for denominator, numerators in [weak_dr._worst_case_constants(n)]
+            for party, num in enumerate(numerators, start=1)
+        }
+        top = max(constants.values())
+        assert top == Fraction(73, 60)
+        assert [case for case, c in constants.items() if c == top] == [(5, 1), (5, 2)]
 
-    @pytest.mark.parametrize("seed,max_parties", SWEEP_CASES)
-    def test_invalid_bias_fires_exactly_where_the_scalar_check_fires(
-        self, seed, max_parties, random_tournament
-    ):
-        # take the first drawn tournament and move one stage's bias to each
-        # party's floor there, and one float above it
-        spec = random_tournament(np.random.default_rng(seed), max_parties)
-        n = spec.n_parties
-        raised = passed = 0
+    def test_single_stage_party_has_constant_one(self):
+        # party N plays only its entry stage: eps_bar = delta exactly
+        for n in range(2, 30):
+            denominator, numerators = weak_dr._worst_case_constants(n)
+            assert Fraction(numerators[-1], denominator) == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_corner_approaches_the_constant_from_below(self, n):
+        # at the corner delta_k = delta, eps_bar / delta rises to the constant as delta -> 0
+        denominator, numerators = weak_dr._worst_case_constants(n)
         for party in range(1, n + 1):
-            for k, _, floor in weak_dr._stage_table(n, party):
-                for delta in (floor, math.nextafter(floor, math.inf)):
-                    biases = list(spec.stage_biases)
-                    biases[k - 1] = delta
-                    moved = TournamentSpec(n, biases)
-                    expected = [scalar_outcome(moved, j) for j in range(1, n + 1)]
-                    errors = [e for e in expected if isinstance(e, str)]
-                    if errors:
-                        raised += 1
-                        with pytest.raises(InvalidBiasError) as exc:
-                            weak_dr._bound_checks(*alone(biases, n))
-                        assert str(exc.value) == errors[0]
-                    else:
-                        passed += 1
-                        got = weak_dr._bound_checks(*alone(biases, n))
-                        assert bound_check_rows(*got, 0, n) == [tuple(c) for c in expected]
-        # every step above a floor raises; at each stage's lowest floor nothing does
-        assert raised >= sum(len(weak_dr._stage_table(n, j)) for j in range(1, n + 1))
-        assert passed >= n - 1
+            constant = Fraction(numerators[party - 1], denominator)
+            ratios = [
+                exact_eps_bar(n, party, [delta] * (n - 1)) / delta
+                for delta in (Fraction(1, 2 * n), Fraction(1, 100 * n), Fraction(1, 10**6))
+            ]
+            assert all(r <= constant for r in ratios)
+            assert ratios == sorted(ratios)
+            assert constant - ratios[-1] < Fraction(n, 10**6)
 
-    @pytest.mark.parametrize("n", range(2, 13))
-    def test_zero_biases_match_the_degenerate_scalar_rule(self, n):
-        spec = TournamentSpec(n, (0.0,) * (n - 1))
-        got = weak_dr._bound_checks(*alone([0.0] * (n - 1), n))
-        expected = [weak_dr.bias_bound_check(spec, party) for party in range(1, n + 1)]
-        assert bound_check_rows(*got, 0, n) == [tuple(c) for c in expected]
+    def test_random_bias_vectors_stay_below_the_corner(self, random_tournament):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            spec = random_tournament(rng, max_parties=10)
+            n, delta_max = spec.n_parties, Fraction(max(spec.stage_biases))
+            denominator, numerators = weak_dr._worst_case_constants(n)
+            for party in range(1, n + 1):
+                eps_bar = exact_eps_bar(n, party, spec.stage_biases)
+                assert eps_bar <= Fraction(numerators[party - 1], denominator) * delta_max
 
-    def test_first_invalid_tournament_in_draw_order_is_reported(self):
-        rows = np.full((4, 4), 0.01)
-        rows[1, 3] = 0.3  # party 5 enters stage 4 with win probability 1/5
-        rows[3, 0] = 0.6  # above every stage-1 win probability
-        spec = TournamentSpec(5, rows[1].tolist())
-        with pytest.raises(InvalidBiasError) as exc:
-            weak_dr._bound_checks(np.full(4, 5), rows.T)
-        assert str(exc.value) == scalar_outcome(spec, 5)
+    @pytest.mark.parametrize("max_parties", [2, 3, 10, 64])
+    def test_sweep_holds_for_every_party(self, max_parties):
+        assert weak_dr.bound_property_sweep(max_parties) == 1.0
 
-    def test_first_invalid_tournament_among_mixed_sizes_is_reported(self):
-        # the offending stage is each tournament's last, so a floor check
-        # that skipped any stage index would miss one of them
-        specs = [TournamentSpec(n, [0.01] * (n - 1)) for n in (3, 6, 4, 9, 2)]
-        sizes, biases = padded(specs, 9)
-        for i, n in ((1, 6), (3, 9), (4, 2)):
-            biases[n - 2, i] = 0.55
-        with pytest.raises(InvalidBiasError) as exc:
-            weak_dr._bound_checks(sizes, biases)
-        moved = TournamentSpec(6, biases[:5, 1].tolist())
-        assert str(exc.value) == scalar_outcome(moved, 6)
-        for i, n in ((3, 9), (4, 2)):
-            with pytest.raises(InvalidBiasError) as exc:
-                weak_dr._bound_checks(sizes[i:], biases[:, i:])
-            assert str(exc.value) == scalar_outcome(TournamentSpec(n, biases[: n - 1, i].tolist()), n)
+    def test_sweep_default_is_ten_parties(self):
+        assert weak_dr.bound_property_sweep() == weak_dr.bound_property_sweep(10) == 1.0
+
+    @pytest.mark.parametrize("max_parties", [1, 0, -3])
+    def test_sweep_rejects_single_party_tournaments(self, max_parties):
+        with pytest.raises(ParameterRangeError, match="max_parties"):
+            weak_dr.bound_property_sweep(max_parties)
 
 
 class TestTournamentSpecValidation:
