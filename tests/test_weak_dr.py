@@ -280,6 +280,68 @@ class TestWorstCase:
             weak_dr.bound_property_sweep(max_parties)
 
 
+def worst_case_constant(n_parties: int, party: int) -> Fraction:
+    denominator, numerators = weak_dr._worst_case_constants(n_parties)
+    return Fraction(numerators[party - 1], denominator)
+
+
+class TestFloatCheckAgainstTheWorstCase:
+    """The float `bias_bound_check` held to the exact chain and the exact worst-case constant."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 32])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_tournaments_up_to_the_validity_edge(self, seed, n):
+        # stage k's bias uniform on [0, 1/(k+1)): every stage-win probability
+        # stays >= 0, so biases reach far past the fixture's 1/(2N)
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            spec = TournamentSpec(n, rng.uniform(0.0, 1.0 / np.arange(2, n + 1)).tolist())
+            delta_max = max(spec.stage_biases)
+            for party in range(1, n + 1):
+                check = weak_dr.bias_bound_check(spec, party)
+                exact = exact_eps_bar(n, party, spec.stage_biases)
+                constant = worst_case_constant(n, party)
+                assert abs(check.eps_bar - float(exact)) <= 2 * 2**-53, (seed, n, party)
+                assert exact <= constant * Fraction(delta_max)
+                assert check.eps_bar <= float(constant) * delta_max + 1e-15
+                assert check.holds and check.bound == n * delta_max
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 17, 32])
+    def test_one_biased_stage_adds_its_summand(self, n):
+        # biasing stage k alone by delta raises a party that plays it by
+        # delta * prod of its other stage wins = delta / (N * w_k); over the
+        # party's stages these summands add up to its worst-case constant
+        for party in range(1, n + 1):
+            stages = weak_dr._party_stages(n, party)
+            played = {k: win for k, win in stages}
+            summed = Fraction(0)
+            for k in range(1, n):
+                delta = float(Fraction(1, 3 * (k + 1)))
+                biases = [0.0] * (n - 1)
+                biases[k - 1] = delta
+                exact = exact_eps_bar(n, party, biases)
+                expected = Fraction(delta) / (n * played[k]) if k in played else Fraction(0)
+                assert exact == expected, (n, party, k)
+                check = weak_dr.bias_bound_check(TournamentSpec(n, biases), party)
+                assert check.eps_bar == pytest.approx(float(expected), abs=2 * 2**-53)
+                assert check.holds
+                summed += expected / Fraction(delta)
+            assert summed == worst_case_constant(n, party)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 17, 32])
+    def test_float_corner_ratio_tends_to_the_constant(self, n):
+        # at the corner delta_k = delta, the float eps_bar / delta is the
+        # constant less a second-order term O(n^2 * delta), give or take rounding
+        delta = 1e-7
+        spec = TournamentSpec(n, (delta,) * (n - 1))
+        for party in range(1, n + 1):
+            check = weak_dr.bias_bound_check(spec, party)
+            constant = worst_case_constant(n, party)
+            assert abs(check.eps_bar / delta - float(constant)) <= n * n * delta + 1e-8
+            assert check.eps_bar <= float(constant) * delta + 1e-15
+            assert check.holds
+
+
 class TestTournamentSpecValidation:
     def test_wrong_bias_count(self):
         with pytest.raises(ParameterRangeError):
