@@ -3,7 +3,8 @@
 Results go to stdout in the chosen format (table, json, or csv);
 diagnostics go to stderr. Exit codes: 0 on success, 1 on invalid
 arguments, 2 when an internal cross-check or reproduction row fails its
-tolerance. Output is deterministic for a fixed argv and seed.
+tolerance, with a one-line reason on stderr. Output is deterministic for
+a fixed argv and seed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import bounds, colbeck_dr, multiparty, reproduce, sixround_dr, strong_cf, strong_dr, weak_cf, weak_dr
 from .errors import CrossCheckError, QdiceError
+from .optimize import MAX_GRID_POINTS
 
 USAGE_EXIT = 1
 MISMATCH_EXIT = 2
@@ -129,16 +131,17 @@ def _emit_rows(rows: list[dict], fmt: str, out) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (record dict | rows list, exit code)
+# Subcommand handlers: each returns (record dict | rows list, mismatch),
+# where mismatch is None or the one-line reason a check failed (exit 2)
 # ---------------------------------------------------------------------------
 
-def _cmd_weak_cf(args) -> tuple[dict, int]:
+def _cmd_weak_cf(args) -> tuple[dict, str | None]:
     params = weak_cf.WeakCFParams(args.p, args.eta)
     analysis = weak_cf.alice_opt_cheat(params, grid_points=args.grid)
-    return analysis.to_json_dict(), 0
+    return analysis.to_json_dict(), None
 
 
-def _cmd_oracle(args) -> tuple[dict, int]:
+def _cmd_oracle(args) -> tuple[dict, str | None]:
     params = weak_cf.WeakCFParams(args.p, args.eta)
     oracle = weak_cf.alice_cheat_oracle(params)
     closed = weak_cf.alice_opt_cheat(params, grid_points=args.grid)
@@ -146,22 +149,27 @@ def _cmd_oracle(args) -> tuple[dict, int]:
     record["closed_form"] = closed.p_alice_star
     record["abs_diff"] = abs(oracle.p_alice_star - closed.p_alice_star)
     record["maximizer_alphas"] = list(oracle.maximizer_alphas)
-    code = 0 if record["abs_diff"] <= weak_cf.CROSS_CHECK_TOL else MISMATCH_EXIT
-    return record, code
+    if record["abs_diff"] <= weak_cf.CROSS_CHECK_TOL:
+        return record, None
+    return record, (
+        f"oracle {oracle.p_alice_star!r} and closed form {closed.p_alice_star!r} "
+        f"differ by {record['abs_diff']!r} > {weak_cf.CROSS_CHECK_TOL}"
+    )
 
 
-def _cmd_six_round(args) -> tuple[dict, int]:
+def _cmd_six_round(args) -> tuple[dict, str | None]:
     solution = sixround_dr.solve(args.variant)
     record = solution.to_json_dict()
     pa, pb, pc = solution.losing_probs
     record["losing_prob_alice"] = pa
     record["losing_prob_bob"] = pb
     record["losing_prob_claire"] = pc
-    code = 0 if abs(pa - pc) <= args.tol else MISMATCH_EXIT
-    return record, code
+    if abs(pa - pc) <= args.tol:
+        return record, None
+    return record, f"losing probabilities of Alice {pa!r} and Claire {pc!r} differ by more than --tol {args.tol!r}"
 
 
-def _cmd_weak_dr(args) -> tuple[dict, int]:
+def _cmd_weak_dr(args) -> tuple[dict, str | None]:
     biases = args.biases or (0.0,) * (args.n - 1)
     spec = weak_dr.TournamentSpec(args.n, biases)
     honest = weak_dr.honest_distribution(args.n)
@@ -174,19 +182,23 @@ def _cmd_weak_dr(args) -> tuple[dict, int]:
     record["eps_bar"] = check.eps_bar
     record["bound"] = check.bound
     record["holds"] = check.holds
-    return record, 0 if check.holds else MISMATCH_EXIT
+    if check.holds:
+        return record, None
+    return record, f"party {args.party}: eps_bar {check.eps_bar!r} is not below the bound {check.bound!r}"
 
 
-def _cmd_strong_cf(args) -> tuple[dict, int]:
+def _cmd_strong_cf(args) -> tuple[dict, str | None]:
     params = strong_cf.solve_params(args.p0, eps0=args.eps, eps1=args.eps)
     report = strong_cf.cheat_probs(params)
     record = {"params": params.to_json_dict(), **report.to_json_dict()}
     roundtrip = abs(params.p0_honest - args.p0)
     record["honest_roundtrip_error"] = roundtrip
-    return record, 0 if roundtrip <= 1e-12 else MISMATCH_EXIT
+    if roundtrip <= 1e-12:
+        return record, None
+    return record, f"honest P0 round trip error {roundtrip!r} > 1e-12"
 
 
-def _cmd_strong_dr(args) -> tuple[dict, int]:
+def _cmd_strong_dr(args) -> tuple[dict, str | None]:
     tree = strong_dr.build_tree(args.n)
     leaves = strong_dr.honest_leaf_probs(tree)
     record = {
@@ -199,11 +211,12 @@ def _cmd_strong_dr(args) -> tuple[dict, int]:
         "depth": strong_dr.depth(tree),
         "tree": tree.to_json_dict(),
     }
-    uniform = all(p == Fraction(1, args.n) for p in leaves)
-    return record, 0 if uniform else MISMATCH_EXIT
+    if all(p == Fraction(1, args.n) for p in leaves):
+        return record, None
+    return record, f"honest leaf probabilities are not all 1/{args.n}"
 
 
-def _cmd_multiparty(args) -> tuple[dict, int]:
+def _cmd_multiparty(args) -> tuple[dict, str | None]:
     if args.mode == "example3":
         value, bound = multiparty.three_party_example_bias()
         record = {
@@ -220,7 +233,9 @@ def _cmd_multiparty(args) -> tuple[dict, int]:
                 "per_stage_force_prob": value,
             },
         }
-        return record, 0 if value >= bound else MISMATCH_EXIT
+        if value >= bound:
+            return record, None
+        return record, f"coalition value {value!r} is below the Kitaev bound {bound!r}"
     if args.m is None or args.n is None:
         raise QdiceError("pairing mode requires --m and --n")
     protocol = multiparty.build_pairing(args.m, args.n)
@@ -230,11 +245,15 @@ def _cmd_multiparty(args) -> tuple[dict, int]:
     record["honest_prob_exact"] = f"{prob.numerator}/{prob.denominator}"
     record["coalition_force_prob"] = value
     record["symmetric_bound"] = bounds.symmetric_min(protocol.n_outcomes, protocol.n_parties)
-    saturates = abs(value - record["symmetric_bound"]) <= 1e-12 if args.eps_bar == 0.0 else True
-    return record, 0 if saturates else MISMATCH_EXIT
+    if args.eps_bar != 0.0 or abs(value - record["symmetric_bound"]) <= 1e-12:
+        return record, None
+    return record, (
+        f"coalition force probability {value!r} misses the symmetric bound "
+        f"{record['symmetric_bound']!r} by more than 1e-12"
+    )
 
 
-def _cmd_colbeck(args) -> tuple[dict, int]:
+def _cmd_colbeck(args) -> tuple[dict, str | None]:
     pa, pb = colbeck_dr.cheat_probs(args.n)
     oracle = colbeck_dr.bob_cheat_oracle(args.n)
     record = {
@@ -252,10 +271,12 @@ def _cmd_colbeck(args) -> tuple[dict, int]:
         counts = np.bincount(outcomes, minlength=args.n + 1)[1:]
         record["runs"] = args.runs
         record["empirical_freqs"] = [float(c) / args.runs for c in counts]
-    return record, 0 if record["oracle_matches"] else MISMATCH_EXIT
+    if record["oracle_matches"]:
+        return record, None
+    return record, f"Bob's enumeration oracle {record['bob_oracle_exact']} differs from {record['pb_exact']}"
 
 
-def _cmd_bounds(args) -> tuple[dict, int]:
+def _cmd_bounds(args) -> tuple[dict, str | None]:
     with open(args.report) as fh:
         report = bounds.BiasReport.from_json_dict(json.load(fh))
     if report.n_parties == 2:
@@ -272,12 +293,18 @@ def _cmd_bounds(args) -> tuple[dict, int]:
         "all_pass": all(per_outcome),
         "symmetric_min": bounds.symmetric_min(report.n_outcomes, report.n_parties),
     }
-    return record, 0 if record["all_pass"] else MISMATCH_EXIT
+    if record["all_pass"]:
+        return record, None
+    failed = [i for i, ok in enumerate(per_outcome) if not ok]
+    return record, f"{which} fails at outcome index {failed}"
 
 
-def _cmd_reproduce(args) -> tuple[list[dict], int]:
+def _cmd_reproduce(args) -> tuple[list[dict], str | None]:
     rows = reproduce.build_rows()
-    return rows, 0 if all(r["passed"] for r in rows) else MISMATCH_EXIT
+    failed = [r["quantity"] for r in rows if not r["passed"]]
+    if not failed:
+        return rows, None
+    return rows, f"{len(failed)} of {len(rows)} rows fail their tolerance: {'; '.join(failed)}"
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +319,12 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument("--tol", type=_tolerance, default=default(1e-9), help="cross-check tolerance")
-    parser.add_argument("--grid", type=int, default=default(10_000), help="delta-maximization grid points")
+    parser.add_argument(
+        "--grid",
+        type=int,
+        default=default(10_000),
+        help=f"delta-maximization grid points, 2 to {MAX_GRID_POINTS}; read only by weak-cf and oracle",
+    )
     parser.add_argument("--seed", type=int, default=default(0), help="random seed for sampled runs")
     parser.add_argument(
         "--format", dest="fmt", choices=("table", "json", "csv"), default=default("json")
@@ -379,7 +411,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        result, code = args.handler(args)
+        result, mismatch = args.handler(args)
         buf = io.StringIO()
         if isinstance(result, list):
             _emit_rows(result, args.fmt, buf)
@@ -396,7 +428,10 @@ def run(argv: list[str] | None = None) -> int:
     except (QdiceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    return code
+    if mismatch is not None:
+        print(f"verification mismatch: {mismatch}", file=sys.stderr)
+        return MISMATCH_EXIT
+    return 0
 
 
 def main() -> None:

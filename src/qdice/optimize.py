@@ -4,11 +4,14 @@ quadratic roots over Q(sqrt 2) with a float sign-change certificate.
 The package maximizes one kind of objective: the weak-CF cheat over the
 split delta in [0, 1], smooth and unimodal there, so a dense grid to
 localize the optimum followed by golden-section refinement is both robust
-and fast. The grid is evaluated in one call: the objective given to
-`maximize_unimodal` first receives the whole grid as a float ndarray, then
-plain Python floats during refinement. The grid is built once per
-grid_points and cached read-only, so every call still evaluates the
-objective at every grid point but no call rebuilds or can alter the grid.
+and fast. The grid is `seeding_grid(grid_points)`, built once per size and
+cached read-only, together with its square-root tables
+`root_tables(grid_points)` = (sqrt(1 - delta), sqrt(delta)); a caller
+evaluates its objective at every grid point (the weak-CF objective from the
+root tables, in a few array passes) and hands the values to
+`maximize_unimodal`, which refines around their argmax with plain Python
+floats. No call rebuilds or can alter the grid or its tables, and a size
+outside [2, MAX_GRID_POINTS] is refused before anything is allocated.
 
 `sqrt2_quadratic_root` returns the correctly rounded root of a quadratic
 whose coefficients lie in Z[sqrt 2], and `certify_sign_change` checks such
@@ -28,36 +31,54 @@ from .errors import CrossCheckError, InfeasibleVariantError, ParameterRangeError
 
 _INV_PHI = (sqrt(5.0) - 1.0) / 2.0
 MAXIMIZE_TOL = 1e-12  # golden-section search stops below this bracket width
+MAX_GRID_POINTS = 10**6  # largest seeding grid: 8 MB per cached array
 
 
 @lru_cache(maxsize=8, typed=True)
-def _seeding_grid(grid_points: int) -> np.ndarray:
-    """np.linspace(0.0, 1.0, grid_points), read-only."""
+def seeding_grid(grid_points: int) -> np.ndarray:
+    """np.linspace(0.0, 1.0, grid_points), cached and read-only.
+
+    Raises ParameterRangeError, before anything is allocated, unless
+    2 <= grid_points <= MAX_GRID_POINTS.
+    """
+    if grid_points < 2:
+        raise ParameterRangeError(f"grid_points must be >= 2, got {grid_points}")
+    if grid_points > MAX_GRID_POINTS:
+        raise ParameterRangeError(f"grid_points must be <= {MAX_GRID_POINTS}, got {grid_points}")
     xs = np.linspace(0.0, 1.0, grid_points)
     xs.setflags(write=False)
     return xs
 
 
-def maximize_unimodal(f: Callable, grid_points: int = 10_000) -> tuple[float, float]:
+@lru_cache(maxsize=8, typed=True)
+def root_tables(grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt(1 - x), sqrt(x)) at every x of `seeding_grid(grid_points)`,
+    cached and read-only, after the same size check."""
+    xs = seeding_grid(grid_points)
+    tables = (np.sqrt(1.0 - xs), np.sqrt(xs))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def maximize_unimodal(f: Callable[[float], float], grid_values: np.ndarray) -> tuple[float, float]:
     """Maximize a unimodal function on [0, 1].
 
-    Seeds with a uniform grid of `grid_points` samples, then refines the
-    bracketing interval around the best sample by golden-section search
-    until its width falls below MAXIMIZE_TOL. Returns (argmax, max).
+    `grid_values[i]` is f at the i-th point of `seeding_grid(n)`, n =
+    len(grid_values); the caller evaluates every point. The bracketing
+    interval around the best grid point (the lowest index wins ties) is
+    refined by golden-section search until its width falls below
+    MAXIMIZE_TOL, calling `f` with a single Python float each time.
+    Returns (argmax, max), the max being f at the argmax.
 
-    `f` is called once with the whole grid as a float ndarray and must
-    return one value per point, elementwise; every later call passes a
-    single Python float. The grid is `np.linspace(0.0, 1.0, grid_points)`,
-    cached across calls and read-only: writing to it raises ValueError.
-    Raises ParameterRangeError when `grid_points` < 2.
+    Raises ValueError unless grid_values is one-dimensional, and
+    ParameterRangeError when its length lies outside [2, MAX_GRID_POINTS].
     """
-    if grid_points < 2:
-        raise ParameterRangeError(f"grid_points must be >= 2, got {grid_points}")
-    xs = _seeding_grid(grid_points)
-    vals = np.asarray(f(xs), dtype=float)
-    if vals.shape != xs.shape:
-        raise ValueError(f"f returned shape {vals.shape} for a grid of shape {xs.shape}")
-    i = int(np.argmax(vals))  # lowest index wins ties: deterministic
+    if grid_values.ndim != 1:
+        raise ValueError(f"grid_values must be one-dimensional, got shape {grid_values.shape}")
+    grid_points = len(grid_values)
+    xs = seeding_grid(grid_points)
+    i = int(np.argmax(grid_values))  # lowest index wins ties: deterministic
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, grid_points - 1)])
 

@@ -8,9 +8,11 @@ Honest Bob wins with probability exactly p; the slack parameter eta trades
 Alice's cheating room against Bob's.
 
 Alice's cheat is computed two independent ways and cross-checked: a
-closed form obtained by Cauchy-Schwarz, and numeric maximization
-(`alice_grid_cheat`). Bob's is p + eta (always announce a win,
-`bob_opt_cheat`), carried on the same CheatAnalysis.
+closed form obtained by Cauchy-Schwarz, and numeric maximization of the
+raw objective (`alice_grid_cheat`): its values at every point of the
+cached delta-grid, formed from the grid's cached square-root tables, then
+golden-section refinement on plain floats. Bob's is p + eta (always
+announce a win, `bob_opt_cheat`), carried on the same CheatAnalysis.
 The adversary oracle additionally covers Alice's full four-amplitude
 preparation: an exact rank-1 maximum, certified by simulation. The
 balanced fair point is the exact root of a quadratic, from the shared
@@ -34,7 +36,7 @@ from .errors import (
     ParameterRangeError,
     ResolutionTooCoarseError,
 )
-from .optimize import certify_sign_change, maximize_unimodal, sqrt2_quadratic_root
+from .optimize import certify_sign_change, maximize_unimodal, root_tables, sqrt2_quadratic_root
 
 UP, DOWN = 0, 1
 CROSS_CHECK_TOL = 1e-9
@@ -192,36 +194,38 @@ def _objective_coeffs(params: WeakCFParams) -> tuple[float, float]:
     return a, b
 
 
-def _objective(a: float, b: float, delta):
-    """(sqrt(A(1-d)) + sqrt(B d))^2 for coefficients from `_objective_coeffs`.
-
-    A grid delta (an ndarray with at least one dimension) is evaluated
-    elementwise with numpy, in two fresh buffers and never in delta itself,
-    which may be read-only; any other delta takes a plain-float path. Both
-    give (np.sqrt(a * (1.0 - delta)) + np.sqrt(b * delta)) ** 2 bit for
-    bit, including NaN where a radicand is negative or NaN.
-    """
-    if isinstance(delta, np.ndarray) and delta.ndim:
-        u = np.subtract(1.0, delta)
-        u *= a
-        np.sqrt(u, out=u)
-        v = np.multiply(b, delta)
-        np.sqrt(v, out=v)
-        u += v
-        return np.square(u, out=u)
+def _objective(a: float, b: float, delta: float) -> float:
+    """(sqrt(A(1-d)) + sqrt(B d))^2 for coefficients from `_objective_coeffs`;
+    NaN where a radicand is negative or NaN."""
     u, v = a * (1.0 - delta), b * delta
-    if not (u >= 0.0 and v >= 0.0):  # np.sqrt gives NaN here; math.sqrt would raise
+    if not (u >= 0.0 and v >= 0.0):  # math.sqrt would raise
         return nan
     s = sqrt(u) + sqrt(v)
     return s * s
 
 
+def _grid_objective(a: float, b: float, grid_points: int) -> np.ndarray:
+    """`_objective` at every point of `optimize.seeding_grid(grid_points)`.
+
+    On delta in [0, 1] the objective equals (sqrt(A) sqrt(1-d) + sqrt(B)
+    sqrt(d))^2, so it is formed from the cached read-only
+    `optimize.root_tables` and two scalar square roots, in a fresh array;
+    it agrees with the scalar path to within a few ulps. A NaN or negative
+    coefficient makes every value NaN.
+    """
+    root_rest, root_delta = root_tables(grid_points)
+    values = np.multiply(root_rest, sqrt(a) if a >= 0.0 else nan)
+    values += np.multiply(root_delta, sqrt(b) if b >= 0.0 else nan)
+    return np.square(values, out=values)
+
+
 def alice_grid_cheat(params: WeakCFParams, grid_points: int = 10_000) -> float:
     """Alice's maximal winning probability as the numeric maximum of the raw
-    objective over delta in [0, 1]: a grid plus golden-section refinement
-    (`maximize_unimodal`) that never forms the closed form A + B."""
+    objective over delta in [0, 1]: every point of a `grid_points` grid,
+    then golden-section refinement (`maximize_unimodal`), never forming
+    the closed form A + B."""
     a, b = _objective_coeffs(params)
-    return maximize_unimodal(lambda d: _objective(a, b, d), grid_points)[1]
+    return maximize_unimodal(lambda d: _objective(a, b, d), _grid_objective(a, b, grid_points))[1]
 
 
 def bob_opt_cheat(params: WeakCFParams) -> float:

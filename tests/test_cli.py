@@ -1,11 +1,13 @@
 """CLI contract: exit codes, output formats, schema validity, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdice import cli, optimize, reproduce, sixround_dr, weak_cf
+from qdice import cli, colbeck_dr, multiparty, optimize, reproduce, sixround_dr, strong_cf, strong_dr, weak_cf
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 
@@ -177,6 +179,111 @@ class TestExitCodes:
         assert out == ""
         assert "grid_points must be >= 2" in err
         assert "argmax" not in err and "mismatch" not in err
+
+
+def _off_by_a_micro(monkeypatch):
+    oracle = weak_cf.alice_cheat_oracle
+
+    def shifted(params):
+        result = oracle(params)
+        return dataclasses.replace(result, p_alice_star=result.p_alice_star + 1e-6)
+
+    monkeypatch.setattr(weak_cf, "alice_cheat_oracle", shifted)
+
+
+def _shifted_strong_cf_target(monkeypatch):
+    solve = strong_cf.solve_params
+    monkeypatch.setattr(strong_cf, "solve_params", lambda p0, **eps: solve(p0 + 1e-9, **eps))
+
+
+def _failing_reproduce_row(monkeypatch):
+    rows = reproduce.build_rows()
+    rows[2]["passed"] = False
+    monkeypatch.setattr(reproduce, "build_rows", lambda: rows)
+
+
+# argv, the monkeypatch that forces the mismatch (None: a real input
+# reaches it), and a phrase of the reason
+MISMATCHES = {
+    "oracle": (("oracle", "--p", "0.4", "--eta", "0.2"), _off_by_a_micro, "and closed form"),
+    "six-round": (("--tol", "0", "six-round", "--variant", "case2"), None, "more than --tol 0.0"),
+    "weak-dr": (("weak-dr", "--n", "3", "--biases", "0,1e-300"), None, "is not below the bound 3e-300"),
+    "strong-cf": (("strong-cf", "--p0", "0.6"), _shifted_strong_cf_target, "round trip error"),
+    "strong-dr": (
+        ("strong-dr", "--n", "2"),
+        lambda mp: mp.setattr(strong_dr, "honest_leaf_probs", lambda tree: [Fraction(1, 4), Fraction(3, 4)]),
+        "not all 1/2",
+    ),
+    "multiparty-pairing": (
+        ("multiparty", "pairing", "--m", "1", "--n", "2"),
+        lambda mp: mp.setattr(multiparty, "coalition_force_prob", lambda protocol, eps_bar: 0.5),
+        "misses the symmetric bound",
+    ),
+    "multiparty-example3": (
+        ("multiparty", "example3"),
+        lambda mp: mp.setattr(multiparty, "three_party_example_bias", lambda: (0.5, 0.69336)),
+        "below the Kitaev bound 0.69336",
+    ),
+    "colbeck": (
+        ("colbeck", "--n", "3"),
+        lambda mp: mp.setattr(colbeck_dr, "bob_cheat_oracle", lambda n: Fraction(1, 2)),
+        "oracle 1/2 differs from 5/9",
+    ),
+    "reproduce": (("reproduce",), _failing_reproduce_row, "1 of 13 rows fail their tolerance: six-round case1 bias"),
+}
+
+
+class TestMismatchReasons:
+    """Every exit 2 writes one line on stderr saying which check failed."""
+
+    @pytest.mark.parametrize("name", sorted(MISMATCHES))
+    def test_exit_two_says_why(self, capsys, monkeypatch, name):
+        argv, force, phrase = MISMATCHES[name]
+        if force is not None:
+            force(monkeypatch)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)  # the record is still written in full
+        assert err.count("\n") == 1 and err.startswith("verification mismatch: ")
+        assert phrase in err
+
+    def test_bounds_check_says_which_outcome_fails(self, capsys, tmp_path):
+        report = {
+            "n_outcomes": 2,
+            "n_parties": 2,
+            "force_probs": [[0.7, 1.0], [0.7, 0.7]],
+            "honest_probs": [0.5, 0.5],
+        }
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        code, out, err = run_cli(capsys, "bounds", "check", "--report", str(path))
+        assert code == 2
+        assert json.loads(out)["per_outcome"] == [False, True]  # 0.7 * 0.7 < 1/2 at outcome 0
+        assert err == "verification mismatch: kitaev_two_party fails at outcome index [0]\n"
+
+    def test_mismatch_stdout_matches_a_passing_tolerance(self, capsys):
+        # the reason goes to stderr only: stdout is the record of the same run
+        _, failing, err = run_cli(capsys, "--tol", "0", "six-round", "--variant", "case2")
+        _, passing, quiet = run_cli(capsys, "six-round", "--variant", "case2")
+        assert failing == passing and err and not quiet
+
+
+    @pytest.mark.parametrize("command", ["weak-cf", "oracle"])
+    @pytest.mark.parametrize("grid", ["1000001", "100000000000", "9" * 400])
+    def test_grid_past_the_cap_is_a_usage_error(self, capsys, monkeypatch, command, grid):
+        def linspace(*args, **kwargs):
+            raise AssertionError("no grid may be built past the cap")
+
+        monkeypatch.setattr(optimize.np, "linspace", linspace)
+        code, out, err = run_cli(capsys, "--grid", grid, command, "--p", "0.3", "--eta", "0.2")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: grid_points must be <= {optimize.MAX_GRID_POINTS}, got {grid}\n"
+
+    def test_grid_help_names_the_commands_that_read_it(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        assert "read only by weak-cf and oracle" in " ".join(out.split())
 
 
 class TestSchemas:
@@ -405,6 +512,9 @@ class TestArgvProperty:
         if out.getvalue():
             json.loads(out.getvalue(), parse_constant=_no_constants)
         assert "Traceback" not in err.getvalue()
+        if code == 2:  # a check failed: one line on stderr says which
+            assert err.getvalue().startswith("verification mismatch: ")
+            assert err.getvalue().count("\n") == 1
         if any(x in ("nan", "inf", "-inf") for arg in argv for x in arg.split(",")):
             assert code == 1
         tol = argv[argv.index("--tol") + 1] if "--tol" in argv else "0"
@@ -484,7 +594,8 @@ class TestSixRoundWork:
             monkeypatch.setattr(module, "maximize_unimodal", counting)
         code, out, err = run_cli(capsys, "six-round", "--variant", "case1")
         assert code == 0, err
-        assert len(calls) == 3
+        # each one full 10 000-point grid, handed over as values
+        assert [len(args[1]) for args in calls] == [10_000] * 3
         assert out.encode() == (GOLDEN_DIR / "six_round_case1.json").read_bytes()
 
 

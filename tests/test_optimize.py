@@ -1,6 +1,6 @@
-"""Grid-seeded golden-section maximization (one vectorized call on a cached
-read-only grid, then plain floats), bracketing bisection, and the exact
-Q(sqrt2) quadratic root with its float sign-change certificate."""
+"""Grid-seeded golden-section maximization (values at every point of a cached
+read-only grid, then plain floats), the grid cap, bracketing bisection, and
+the exact Q(sqrt2) quadratic root with its float sign-change certificate."""
 
 import math
 from fractions import Fraction
@@ -76,73 +76,78 @@ OBJECTIVES = {
 }
 
 
+def on_grid(f, grid_points):
+    """f at every point of the cached seeding grid, as maximize_unimodal takes it."""
+    return np.asarray(f(optimize.seeding_grid(grid_points)), dtype=float)
+
+
 class TestMaximizeUnimodal:
-    def test_grid_is_one_call_then_scalars(self):
+    def test_f_is_called_only_with_python_floats(self):
         calls = []
 
         def f(x):
             calls.append(x)
             return -((x - 0.4) ** 2)
 
-        maximize_unimodal(f, grid_points=1234)
-        grid, *scalars = calls
-        assert isinstance(grid, np.ndarray)
-        assert grid.shape == (1234,) and grid.dtype == np.float64
-        assert np.array_equal(grid, np.linspace(0.0, 1.0, 1234))
-        assert len(scalars) > 40 and all(type(x) is float for x in scalars)
+        values = on_grid(f, 1234)
+        before = values.copy()
+        calls.clear()
+        maximize_unimodal(f, values)
+        assert len(calls) > 40 and all(type(x) is float for x in calls)
+        assert np.array_equal(values, before)
 
     @pytest.mark.parametrize("name", sorted(OBJECTIVES))
     @pytest.mark.parametrize("grid_points", [2, 3, 17, 1000])
     def test_matches_per_point_loop(self, name, grid_points):
         f = OBJECTIVES[name]
-        got = maximize_unimodal(f, grid_points=grid_points)
+        got = maximize_unimodal(f, on_grid(f, grid_points))
         assert got == loop_maximize(f, grid_points=grid_points)
 
     @pytest.mark.parametrize("grid_points", [1, 0, -3])
     def test_rejects_fewer_than_two_grid_points(self, grid_points):
-        with pytest.raises(ParameterRangeError):
-            maximize_unimodal(OBJECTIVES["smooth"], grid_points=grid_points)
+        with pytest.raises(ParameterRangeError, match="must be >= 2"):
+            optimize.seeding_grid(grid_points)
+        with pytest.raises(ParameterRangeError, match="must be >= 2"):
+            optimize.root_tables(grid_points)
+        with pytest.raises(ParameterRangeError, match="must be >= 2"):
+            maximize_unimodal(OBJECTIVES["smooth"], np.zeros(max(grid_points, 0)))
 
-    def test_rejects_objective_that_is_not_elementwise(self):
-        with pytest.raises(ValueError, match="shape"):
-            maximize_unimodal(lambda x: float(np.max(x)), grid_points=10)
+    @pytest.mark.parametrize("shape", [(), (10, 10), (2, 5)])
+    def test_rejects_grid_values_that_are_not_one_dimensional(self, shape):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            maximize_unimodal(OBJECTIVES["smooth"], np.zeros(shape))
 
-    def test_grid_is_one_cached_read_only_array(self):
-        grids = []
+    def test_grid_and_tables_are_cached_read_only_arrays(self):
+        grid = optimize.seeding_grid(777)
+        tables = optimize.root_tables(777)
+        assert grid is optimize.seeding_grid(777) and tables is optimize.root_tables(777)
+        for array in (grid, *tables):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.4
+        assert np.array_equal(grid, np.linspace(0.0, 1.0, 777))
 
-        def f(x):
-            if isinstance(x, np.ndarray):
-                grids.append(x)
-            return -((x - 0.4) ** 2)
+    def test_root_tables_are_the_square_roots_of_the_grid(self):
+        for grid_points in (2, 3, 17, 10_000):
+            grid = optimize.seeding_grid(grid_points)
+            rest, delta = optimize.root_tables(grid_points)
+            assert rest.tobytes() == np.sqrt(1.0 - grid).tobytes()
+            assert delta.tobytes() == np.sqrt(grid).tobytes()
+            assert rest[0] == delta[-1] == 1.0 and rest[-1] == delta[0] == 0.0
 
-        maximize_unimodal(f, grid_points=777)
-        maximize_unimodal(f, grid_points=777)
-        first, second = grids
-        assert first is second
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0] = 0.4
-        assert np.array_equal(first, np.linspace(0.0, 1.0, 777))
-
-    def test_objective_cannot_alter_later_calls(self):
-        def vandal(x):
-            if isinstance(x, np.ndarray):
-                try:
-                    x += 1.0
-                except ValueError:
-                    pass
-            return -((x - 0.4) ** 2)
-
+    def test_callers_cannot_alter_later_calls(self):
         smooth = OBJECTIVES["smooth"]
-        before = maximize_unimodal(smooth, grid_points=500)
-        maximize_unimodal(vandal, grid_points=500)
-        assert maximize_unimodal(smooth, grid_points=500) == before
+        before = maximize_unimodal(smooth, on_grid(smooth, 500))
+        for array in (optimize.seeding_grid(500), *optimize.root_tables(500)):
+            with pytest.raises(ValueError):
+                array += 1.0
+        assert maximize_unimodal(smooth, on_grid(smooth, 500)) == before
         assert before == loop_maximize(smooth, grid_points=500)
 
     @pytest.mark.parametrize("grid_points", [2, 3, 17, 10_000])
     def test_seeding_grid_spans_the_unit_interval(self, grid_points):
-        grid = optimize._seeding_grid(grid_points)
-        assert grid is optimize._seeding_grid(grid_points)
+        grid = optimize.seeding_grid(grid_points)
+        assert grid is optimize.seeding_grid(grid_points)
         assert np.array_equal(grid, np.linspace(0.0, 1.0, grid_points))
         assert grid[0] == 0.0 and not np.signbit(grid[0]) and grid[-1] == 1.0
         assert np.all(np.diff(grid) > 0.0)
@@ -151,9 +156,41 @@ class TestMaximizeUnimodal:
     def test_refines_to_within_the_tolerance(self, peak):
         # a kink at the peak: golden-section brackets it to MAXIMIZE_TOL
         assert optimize.MAXIMIZE_TOL == 1e-12
-        x, fx = maximize_unimodal(lambda x: -np.abs(x - peak), grid_points=101)
+        def kink(x):
+            return -np.abs(x - peak)
+
+        x, fx = maximize_unimodal(kink, on_grid(kink, 101))
         assert abs(x - peak) <= optimize.MAXIMIZE_TOL
         assert fx == -abs(x - peak)
+
+
+class TestGridCap:
+    """Grid sizes past MAX_GRID_POINTS are refused before any array is built."""
+
+    @staticmethod
+    def forbid_allocation(monkeypatch):
+        def linspace(*args, **kwargs):
+            raise AssertionError("no grid may be built past the cap")
+
+        monkeypatch.setattr(optimize.np, "linspace", linspace)
+
+    @pytest.mark.parametrize("excess", [1, 10**11, 10**400])
+    def test_sizes_past_the_cap_raise_without_allocating(self, monkeypatch, excess):
+        assert optimize.MAX_GRID_POINTS == 10**6
+        self.forbid_allocation(monkeypatch)
+        for build in (optimize.seeding_grid, optimize.root_tables):
+            with pytest.raises(ParameterRangeError, match=f"must be <= {optimize.MAX_GRID_POINTS}"):
+                build(optimize.MAX_GRID_POINTS + excess)
+
+    def test_the_cap_itself_is_accepted(self, monkeypatch):
+        # a lowered cap keeps the check's boundary without a 10**6-point grid
+        monkeypatch.setattr(optimize, "MAX_GRID_POINTS", 50)
+        assert len(optimize.seeding_grid(50)) == 50
+        assert len(optimize.root_tables(50)[0]) == 50
+        with pytest.raises(ParameterRangeError, match="must be <= 50"):
+            optimize.seeding_grid(51)
+        with pytest.raises(ParameterRangeError, match="must be <= 50"):
+            maximize_unimodal(OBJECTIVES["smooth"], np.zeros(51))
 
 
 FINITE_ROOTS = {

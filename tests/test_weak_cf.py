@@ -127,7 +127,8 @@ class TestAliceOptCheat:
 
         for params in param_grid(10, 10):
             a, b = weak_cf._objective_coeffs(params)
-            _, numeric = maximize_unimodal(lambda d: weak_cf._objective(a, b, d))
+            grid_values = weak_cf._grid_objective(a, b, 10_000)
+            _, numeric = maximize_unimodal(lambda d: weak_cf._objective(a, b, d), grid_values)
             assert abs(numeric - (a + b)) <= 1e-9
             assert weak_cf.alice_grid_cheat(params) == numeric
             # the production path re-runs this cross-check and raises on failure
@@ -146,12 +147,9 @@ class TestAliceOptCheat:
             weak_cf.alice_opt_cheat(WeakCFParams(0.5, FAIR_ETA), grid_points=777)
         assert seen == [777]
 
-    def test_objective_on_array_matches_scalars(self):
-        coeffs = weak_cf._objective_coeffs(WeakCFParams(0.3, 0.25))
-        deltas = np.linspace(0.0, 1.0, 101)
-        values = weak_cf._objective(*coeffs, deltas)
-        assert values.shape == deltas.shape
-        assert [float(v) for v in values] == [float(weak_cf._objective(*coeffs, d)) for d in deltas]
+    @staticmethod
+    def reference_objective(a, b, delta):
+        return (np.sqrt(a * (1.0 - delta)) + np.sqrt(b * delta)) ** 2
 
     @pytest.mark.parametrize(
         "a, b",
@@ -159,12 +157,12 @@ class TestAliceOptCheat:
             weak_cf._objective_coeffs(params) for params in param_grid(3, 3)
         ]],
     )
-    def test_scalar_path_matches_array_path_bit_for_bit(self, a, b):
+    def test_scalar_objective_is_the_reference_formula_bit_for_bit(self, a, b):
         deltas = np.concatenate([np.linspace(0.0, 1.0, 2001), [1e-300, 5e-324, 1.0 - 2**-53]])
-        want = weak_cf._objective(a, b, deltas).tolist()
-        as_floats = [weak_cf._objective(a, b, d) for d in deltas.tolist()]
-        assert all(type(v) is float for v in as_floats)
-        assert as_floats == want
+        want = self.reference_objective(a, b, deltas).tolist()
+        got = [weak_cf._objective(a, b, d) for d in deltas.tolist()]
+        assert all(type(v) is float for v in got)
+        assert got == want
         assert [weak_cf._objective(a, b, d) for d in deltas] == want  # np.float64 elements
 
     @pytest.mark.parametrize("delta", [-0.1, 1.5, float("nan"), float("inf"), -float("inf")])
@@ -172,53 +170,68 @@ class TestAliceOptCheat:
         coeffs = weak_cf._objective_coeffs(WeakCFParams(0.3, 0.25))
         assert np.isnan(weak_cf._objective(*coeffs, delta))
         assert np.isnan(weak_cf._objective(*coeffs, np.float64(delta)))
-        assert np.isnan(weak_cf._objective(*coeffs, np.array(delta)))  # 0-d: the scalar path
-        with np.errstate(invalid="ignore"):
-            assert np.isnan(weak_cf._objective(*coeffs, np.array([delta]))).all()
-
-    @staticmethod
-    def reference_grid_objective(a, b, delta):
-        return (np.sqrt(a * (1.0 - delta)) + np.sqrt(b * delta)) ** 2
 
     @pytest.mark.parametrize(
         "a, b",
-        [(0.7, 0.2), (1.0, 0.0), (0.0, 0.3), (0.0, 0.0), (-0.5, 0.4), (0.6, -0.1), *[
-            weak_cf._objective_coeffs(params) for params in param_grid(4, 4)
+        [(0.7, 0.2), (1.0, 0.0), (0.0, 0.3), (0.0, 0.0), (1.0, 1.0), (5e-324, 0.5), *[
+            weak_cf._objective_coeffs(params) for params in param_grid(10, 10)
         ]],
     )
-    def test_grid_path_is_bit_identical_to_the_reference(self, a, b):
-        rng = np.random.default_rng(7)
-        deltas = np.concatenate([
-            np.linspace(0.0, 1.0, 2001),
-            rng.uniform(-0.5, 1.5, 500),
-            [-0.0, 5e-324, 1e-300, 1.0 - 2**-53, -1e-300, 1.0 + 2**-52, np.nan, np.inf, -np.inf],
-        ])
-        before = deltas.copy()
-        with np.errstate(invalid="ignore"):
-            got = weak_cf._objective(a, b, deltas)
-            want = self.reference_grid_objective(a, b, deltas)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        assert deltas.tobytes() == before.tobytes()
-        assert not np.shares_memory(got, deltas)
-        # a 2-d grid keeps its shape
-        with np.errstate(invalid="ignore"):
-            square = weak_cf._objective(a, b, deltas[:2500].reshape(50, 50))
-        assert square.tobytes() == got[:2500].tobytes() and square.shape == (50, 50)
+    def test_grid_objective_agrees_with_the_reference_formula(self, a, b):
+        from qdice.optimize import seeding_grid
 
-    def test_grid_path_reads_the_cached_read_only_grid(self):
-        from qdice.optimize import _seeding_grid
+        grid = seeding_grid(10_000)
+        got = weak_cf._grid_objective(a, b, 10_000)
+        want = self.reference_objective(a, b, grid)
+        assert got.dtype == want.dtype and got.shape == want.shape == (10_000,)
+        assert np.array_equal(got == 0.0, want == 0.0)  # exact zeros stay exact
+        nonzero = want != 0.0
+        assert np.all(np.abs(got[nonzero] - want[nonzero]) <= 2e-15 * want[nonzero])
+        assert int(np.argmax(got)) == int(np.argmax(want))
 
-        grid = _seeding_grid(10_000)
-        assert not grid.flags.writeable
-        before = grid.copy()
+    def test_grid_argmax_is_the_reference_argmax_on_seeded_draws(self):
+        from qdice.optimize import seeding_grid
+
+        grid = seeding_grid(10_000)
+        rng = np.random.default_rng(2000)
+        for k in range(2000):
+            p = float(rng.uniform(0.0, 0.999))
+            eta = 0.0 if k % 10 == 0 else float(rng.uniform(0.0, 1.0 - p))
+            a, b = weak_cf._objective_coeffs(WeakCFParams(p, eta))
+            want = int(np.argmax(self.reference_objective(a, b, grid)))
+            assert int(np.argmax(weak_cf._grid_objective(a, b, 10_000))) == want, (p, eta)
+
+    @pytest.mark.parametrize("a, b", [(float("nan"), 0.3), (0.7, float("nan")), (-0.5, 0.4), (0.6, -0.1)])
+    def test_nan_or_negative_coefficient_gives_nan_everywhere(self, a, b):
+        assert np.isnan(weak_cf._grid_objective(a, b, 1_000)).all()
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_nan_coefficient_fails_closed(self, monkeypatch, which):
+        coeffs = weak_cf._objective_coeffs
+
+        def with_nan(params):
+            pair = list(coeffs(params))
+            pair[which] = float("nan")
+            return tuple(pair)
+
+        monkeypatch.setattr(weak_cf, "_objective_coeffs", with_nan)
+        assert np.isnan(weak_cf.alice_grid_cheat(WeakCFParams(0.5, 0.2)))
+        with pytest.raises(CrossCheckError):
+            weak_cf.alice_opt_cheat(WeakCFParams(0.5, 0.2))
+
+    def test_grid_objective_reads_the_cached_read_only_tables(self):
+        from qdice.optimize import root_tables, seeding_grid
+
+        arrays = (seeding_grid(10_000), *root_tables(10_000))
+        before = [array.copy() for array in arrays]
         a, b = weak_cf._objective_coeffs(WeakCFParams(0.5, FAIR_ETA))
-        got = weak_cf._objective(a, b, grid)
-        assert got.tobytes() == self.reference_grid_objective(a, b, grid).tobytes()
-        assert got.flags.writeable and not np.shares_memory(got, grid)
-        assert not grid.flags.writeable
-        assert np.array_equal(grid, before)
+        got = weak_cf._grid_objective(a, b, 10_000)
+        assert got.flags.writeable
+        for array, copy in zip(arrays, before):
+            assert not array.flags.writeable
+            assert not np.shares_memory(got, array)
+            assert array.tobytes() == copy.tobytes()
+        assert all(x is y for x, y in zip((seeding_grid(10_000), *root_tables(10_000)), arrays))
 
     def test_cross_check_fails_closed_on_nan(self, monkeypatch):
         monkeypatch.setattr(weak_cf, "maximize_unimodal", lambda *a, **k: (0.5, float("nan")))
@@ -244,14 +257,20 @@ class TestCrossCheckStrength:
 
     @staticmethod
     def record_objective(monkeypatch, shift=0.0):
+        """Record the grid evaluations and scalar probes, shifting every value."""
         calls = []
-        objective = weak_cf._objective
+        objective, grid_objective = weak_cf._objective, weak_cf._grid_objective
 
-        def spy(a, b, delta):
-            calls.append(delta.copy() if isinstance(delta, np.ndarray) else delta)
+        def scalar_spy(a, b, delta):
+            calls.append(delta)
             return objective(a, b, delta) + shift
 
-        monkeypatch.setattr(weak_cf, "_objective", spy)
+        def grid_spy(a, b, grid_points):
+            calls.append(("grid", grid_points))
+            return grid_objective(a, b, grid_points) + shift
+
+        monkeypatch.setattr(weak_cf, "_objective", scalar_spy)
+        monkeypatch.setattr(weak_cf, "_grid_objective", grid_spy)
         return calls
 
     @pytest.mark.parametrize("params", [WeakCFParams(0.5, FAIR_ETA), WeakCFParams(1 / 3, 0.1462),
@@ -260,8 +279,7 @@ class TestCrossCheckStrength:
         calls = self.record_objective(monkeypatch)
         weak_cf.alice_opt_cheat(params)
         grid, *scalars = calls
-        assert isinstance(grid, np.ndarray)
-        assert np.array_equal(grid, np.linspace(0.0, 1.0, 10_000))
+        assert grid == ("grid", 10_000)
         assert all(type(x) is float for x in scalars)
         # golden section: both probes evaluated last lie in the final bracket,
         # whose midpoint is the returned argmax, the last point evaluated
