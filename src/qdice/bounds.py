@@ -9,16 +9,26 @@ at least (1/N)^(1/M).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import exp, log, prod
+from math import exp, isnan, log, prod
 
 from .errors import DimensionMismatchError, ParameterRangeError
 
 RATIONAL_TOL = 1e-12  # reports fed by exact arithmetic
 
 
+def _in_unit_interval(xs: tuple[float, ...]) -> bool:
+    """All of xs in [0, 1] (true for none), a NaN failing: min and max alone
+    miss a NaN that is not first, but the sum is NaN when any entry is."""
+    return not xs or (0.0 <= min(xs) and max(xs) <= 1.0 and not isnan(sum(xs)))
+
+
 @dataclass(frozen=True)
 class BiasReport:
-    """Per-party, per-outcome maximal forcing probabilities plus honest values."""
+    """Per-party, per-outcome maximal forcing probabilities plus honest values.
+
+    Every probability is converted with float() once, row by row, and
+    range-checked by `_in_unit_interval` (a NaN anywhere is rejected).
+    """
 
     n_outcomes: int
     n_parties: int
@@ -26,10 +36,8 @@ class BiasReport:
     honest_probs: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "force_probs", tuple(tuple(float(x) for x in row) for row in self.force_probs)
-        )
-        object.__setattr__(self, "honest_probs", tuple(float(x) for x in self.honest_probs))
+        object.__setattr__(self, "force_probs", tuple(tuple(map(float, row)) for row in self.force_probs))
+        object.__setattr__(self, "honest_probs", tuple(map(float, self.honest_probs)))
         if len(self.force_probs) != self.n_parties:
             raise DimensionMismatchError(
                 f"expected {self.n_parties} force rows, got {len(self.force_probs)}"
@@ -40,10 +48,9 @@ class BiasReport:
             raise DimensionMismatchError(
                 f"expected {self.n_outcomes} honest probabilities, got {len(self.honest_probs)}"
             )
-        for row in self.force_probs:
-            if any(not 0.0 <= x <= 1.0 for x in row):
-                raise ParameterRangeError("forcing probabilities must lie in [0, 1]")
-        if any(not 0.0 <= x <= 1.0 for x in self.honest_probs):  # NaN included
+        if not all(map(_in_unit_interval, self.force_probs)):
+            raise ParameterRangeError("forcing probabilities must lie in [0, 1]")
+        if not _in_unit_interval(self.honest_probs):
             raise ParameterRangeError("honest probabilities must lie in [0, 1]")
         if abs(sum(self.honest_probs) - 1.0) > RATIONAL_TOL:
             raise ParameterRangeError("honest probabilities must sum to 1")
@@ -94,14 +101,15 @@ def kitaev_two_party(report: BiasReport, tol: float = RATIONAL_TOL) -> list[bool
 
 
 def kitaev_multi(report: BiasReport, tol: float = RATIONAL_TOL) -> list[bool]:
-    """Per outcome: does the all-party product reach 1/N?"""
+    """Per outcome: does the all-party product reach 1/N?
+
+    Each outcome's column is multiplied party by party in order, by
+    `math.prod` over the transposed rows.
+    """
     if report.n_parties < 2:
         raise DimensionMismatchError(f"need at least 2 parties, got {report.n_parties}")
     floor = 1.0 / report.n_outcomes
-    return [
-        prod(report.force_probs[j][i] for j in range(report.n_parties)) >= floor - tol
-        for i in range(report.n_outcomes)
-    ]
+    return [prod(col) >= floor - tol for col in zip(*report.force_probs)]
 
 
 def symmetric_min(n_outcomes: int, n_parties: int) -> float:

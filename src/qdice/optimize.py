@@ -150,7 +150,7 @@ def _scaled(x: int, y: int) -> tuple[int, int]:
     return (lo, hi) if y >= 0 else (hi, lo)
 
 
-def _root_enclosures(coeffs: Sequence[tuple[int, int]]) -> list[tuple[Fraction, Fraction]]:
+def _root_enclosures(coeffs: Sequence[tuple[int, int]]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Rational enclosures of both roots of a2 x^2 + a1 x + a0 = 0.
 
     coeffs holds integer pairs (x, y) = x + y sqrt2 for a2, a1, a0. The
@@ -159,9 +159,10 @@ def _root_enclosures(coeffs: Sequence[tuple[int, int]]) -> list[tuple[Fraction, 
     interval holds its exact root and is about 1e-38 wide relative to the
     coefficients. The enclosure of 2 a2 is brought to positive sign, so the
     sign of each numerator bound picks the denominator bound that gives the
-    lower and the upper quotient: two Fractions per root, equal to the min
-    and max of all four. Raises CrossCheckError unless there are two
-    separated real roots.
+    lower and the upper quotient, equal to the min and max of all four.
+    Each root comes as ((lo_num, lo_den), (hi_num, hi_den)), unreduced
+    integer quotients with positive denominators. Raises CrossCheckError
+    unless there are two separated real roots.
     """
     (x2, y2), (x1, y1), (x0, y0) = coeffs
     # a1^2 - 4 a2 a0, exact in Z[sqrt2]
@@ -179,7 +180,7 @@ def _root_enclosures(coeffs: Sequence[tuple[int, int]]) -> list[tuple[Fraction, 
         nums = tuple((-hi, -lo) for lo, hi in nums)
     d_lo, d_hi = den
     return [
-        (Fraction(lo, d_hi if lo >= 0 else d_lo), Fraction(hi, d_lo if hi >= 0 else d_hi))
+        ((lo, d_hi if lo >= 0 else d_lo), (hi, d_lo if hi >= 0 else d_hi))
         for lo, hi in nums
     ]
 
@@ -190,17 +191,26 @@ def sqrt2_quadratic_root(coeffs: Sequence[tuple[int, int]], lo: Fraction, hi: Fr
     coeffs holds integer pairs (x, y) = x + y sqrt2 for a2, a1, a0; lo and
     hi are rational. Exactly one root must lie in [lo, hi] and the other
     outside it, and both ends of its enclosure must round to the same
-    float; otherwise CrossCheckError.
+    float; otherwise CrossCheckError. No Fraction is built: the integer
+    enclosure ends of `_root_enclosures` are compared with lo and hi by
+    cross-multiplication, and each end is rounded by int true division,
+    which is correctly rounded, the same float as float(Fraction(num, den)).
     """
-    roots = _root_enclosures(coeffs)
-    inside = [(a, b) for a, b in roots if lo <= a and b <= hi]
-    outside = [(a, b) for a, b in roots if b < lo or a > hi]
-    if len(inside) != 1 or len(outside) != 1:
+    lo_num, lo_den = lo.numerator, lo.denominator
+    hi_num, hi_den = hi.numerator, hi.denominator
+    inside, outside = [], 0
+    for (a, a_den), (b, b_den) in _root_enclosures(coeffs):
+        if lo_num * a_den <= a * lo_den and b * hi_den <= hi_num * b_den:  # lo <= a/a_den, b/b_den <= hi
+            inside.append((a, a_den, b, b_den))
+        elif b * lo_den < lo_num * b_den or a * hi_den > hi_num * a_den:  # b/b_den < lo or a/a_den > hi
+            outside += 1
+    if len(inside) != 1 or outside != 1:
         raise CrossCheckError(f"expected one root of {coeffs} in [{lo}, {hi}] and one outside")
-    a, b = inside[0]
-    if float(a) != float(b):
-        raise CrossCheckError(f"root enclosure [{float(a)!r}, {float(b)!r}] spans a rounding boundary")
-    return float(a)
+    a, a_den, b, b_den = inside[0]
+    root, upper = a / a_den, b / b_den
+    if root != upper:
+        raise CrossCheckError(f"root enclosure [{root!r}, {upper!r}] spans a rounding boundary")
+    return root
 
 
 def certify_sign_change(residual: Callable[[float], float], x: float) -> None:

@@ -54,7 +54,12 @@ class SplitTree:
 
 
 def build_tree(n_outcomes: int) -> SplitTree:
-    """Recursive ceil/floor bisection of [1, n_outcomes] down to singletons."""
+    """Recursive ceil/floor bisection of [1, n_outcomes] down to singletons.
+
+    Each node is a frozen SplitTree whose instance dict is filled by item
+    assignment: the same node as SplitTree(lo, hi, left, right), without the
+    frozen dataclass's four object.__setattr__ calls.
+    """
     try:
         n = operator.index(n_outcomes)
     except TypeError:
@@ -63,35 +68,47 @@ def build_tree(n_outcomes: int) -> SplitTree:
         raise ParameterRangeError(f"need at least 2 outcomes, got {n}")
 
     def split(lo: int, hi: int) -> SplitTree:
-        # fills the instance dict directly: the same node as SplitTree(lo, hi, ...)
-        # without the frozen dataclass's four object.__setattr__ calls
         node = object.__new__(SplitTree)
+        fields = node.__dict__
+        fields["lo"] = lo
+        fields["hi"] = hi
         if lo == hi:
-            node.__dict__.update(lo=lo, hi=hi, left=None, right=None)
+            fields["left"] = fields["right"] = None
         else:
             mid = (lo + hi) // 2  # left child takes ceil(w/2) outcomes
-            node.__dict__.update(lo=lo, hi=hi, left=split(lo, mid), right=split(mid + 1, hi))
+            fields["left"] = split(lo, mid)
+            fields["right"] = split(mid + 1, hi)
         return node
 
     return split(1, n)
 
 
-def path_to(tree: SplitTree, target_outcome: int) -> list[Fraction]:
-    """Edge probabilities along the root-to-leaf path of the target outcome."""
+def _path_widths(tree: SplitTree, target_outcome: int) -> list[tuple[int, int]]:
+    """(take, w) for every edge on the target's root-to-leaf path: the edge's
+    probability is take/w, with w the width of the node it leaves and take
+    (w+1)//2 to the left child or w//2 to the right, as in `left_prob` and
+    `right_prob`. Raises ParameterRangeError for a target outside the tree."""
     if not tree.lo <= target_outcome <= tree.hi:
         raise ParameterRangeError(
             f"target {target_outcome} outside [{tree.lo}, {tree.hi}]"
         )
-    edges: list[Fraction] = []
+    edges = []
     node = tree
-    while not node.is_leaf:
+    while node.left is not None:
+        w = node.hi - node.lo + 1
         if target_outcome <= node.left.hi:
-            edges.append(node.left_prob)
+            edges.append(((w + 1) // 2, w))
             node = node.left
         else:
-            edges.append(node.right_prob)
+            edges.append((w // 2, w))
             node = node.right
     return edges
+
+
+def path_to(tree: SplitTree, target_outcome: int) -> list[Fraction]:
+    """Edge probabilities along the root-to-leaf path of the target outcome,
+    one Fraction per edge of `_path_widths`."""
+    return [Fraction(take, w) for take, w in _path_widths(tree, target_outcome)]
 
 
 def honest_leaf_probs(tree: SplitTree) -> list[Fraction]:
@@ -142,10 +159,13 @@ def adversary_success(tree: SplitTree, target_outcome: int, delta: float) -> flo
 
     Product over the target's path of min(1, sqrt(edge probability) + delta);
     each factor is clamped at 1 since a forcing probability cannot exceed it.
+    The path is walked with integer widths (`_path_widths`) and no Fraction:
+    int true division is correctly rounded, so take / w is the float
+    nearest the edge probability, the same float as float(Fraction(take, w)).
     """
     if not 0.0 <= delta < inf:  # fails closed on NaN
         raise ParameterRangeError(f"delta must be finite and non-negative, got {delta}")
     value = 1.0
-    for edge in path_to(tree, target_outcome):
-        value *= min(1.0, sqrt(float(edge)) + delta)
+    for take, w in _path_widths(tree, target_outcome):
+        value *= min(1.0, sqrt(take / w) + delta)
     return value

@@ -8,10 +8,12 @@ party's maximal losing probability follows from the chain product over the
 stages it must win.
 
 `bias_bound_check` checks the eps_bar < N * delta_max bound for one
-tournament and party. `bound_property_sweep` decides it for every bias
-vector at once: each stage factor w_k - delta_k falls as its bias grows, so
-at a given delta_max the corner where every stage has bias delta_max is the
-worst case. There the survival P(delta) = prod(w_k - delta) is convex, so
+tournament and party, on the float chain where its rounding cannot change
+the verdict and in exact Fractions where it could. `bound_property_sweep`
+decides it for every bias vector at once: each stage factor w_k - delta_k
+falls as its bias grows, so at a given delta_max the corner where every
+stage has bias delta_max is the worst case. There the survival P(delta) =
+prod(w_k - delta) is convex, so
 eps_bar / delta_max = (P(0) - P(delta)) / delta is largest as delta -> 0,
 where it tends to -P'(0) = (1/N) * sum of 1/w_k over the party's stages
 (prod w_k = 1/N). That rational constant is computed exactly.
@@ -22,10 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, isfinite, lcm, nextafter
+from math import gcd, inf, isfinite, lcm, nextafter
 from typing import NamedTuple
 
 from .errors import InvalidBiasError, ParameterRangeError
+
+_UNIT_ROUNDOFF = 2.0**-53  # u: a correctly rounded float op errs by at most u relative
 
 
 @dataclass(frozen=True)
@@ -101,19 +105,32 @@ def honest_distribution(n_parties: int) -> list[Fraction]:
 
     A party wins its entry stage and then defends every later stage, so its
     chain is its entry win times the product of the defend wins after its
-    entry stage. One backward pass builds those suffix products; all are
-    exact Fractions, O(N) multiplies in all.
+    entry stage. One backward pass over the parties extends that suffix
+    product by one defend win k/(k+1) at a time, kept as an integer pair
+    (num, den) reduced by its gcd at every step (unreduced, it would grow
+    like N!). Each party's pair is reduced once more, and one Fraction is
+    built per distinct reduced pair, so equal probabilities share one
+    object.
     """
     if n_parties < 2:
         raise ParameterRangeError(f"need at least 2 parties, got {n_parties}")
-    # suffix[k]: product of the defend wins of stages k .. N-1 (1 past the last stage)
-    suffix = [Fraction(1)] * (n_parties + 1)
-    for k in range(n_parties - 1, 1, -1):
-        suffix[k] = _defend_win(k) * suffix[k + 1]
+    exact: dict[tuple[int, int], Fraction] = {}
     probs = []
-    for party in range(1, n_parties + 1):
-        entry, win = _entry_stage(party)
-        probs.append(win * suffix[entry + 1])
+    num = den = 1  # defend wins of the stages after the current party's entry stage
+    for party in range(n_parties, 0, -1):
+        entry_den = den * max(party, 2)  # entry win 1/max(party, 2)
+        g = gcd(num, entry_den)
+        key = (num // g, entry_den // g)
+        prob = exact.get(key)
+        if prob is None:
+            prob = exact[key] = Fraction(*key)
+        probs.append(prob)
+        if party > 2:  # party - 1 also defends stage party - 1, won with (party - 1)/party
+            num *= party - 1
+            den *= party
+            g = gcd(num, den)
+            num, den = num // g, den // g
+    probs.reverse()
     return probs
 
 
@@ -142,13 +159,41 @@ def bias_bound_check(spec: TournamentSpec, honest_party: int) -> BoundCheck:
     value (N-1)/N. With all biases zero the chain is the honest one, so
     eps_bar is exactly 0 (whatever the float chain rounds to) and the
     degenerate equality eps_bar = 0 = bound counts as holding.
+
+    Otherwise the float chain of `max_losing_prob` is a filter. Let u =
+    2**-53 and s the number of stages the party plays. Each float win is
+    within u of w_k, so each float factor fl(fl(w_k) - delta_k), in [0, 1],
+    is within 2u of w_k - delta_k, and the product of the float factors is
+    within 2su of the survival (prod a_k - prod b_k <= sum |a_k - b_k| on
+    [0, 1]). The s - 1 rounded multiplies add at most (s - 1)u, and
+    1 - survival, (N-1)/N and their difference at most u each: the float
+    eps_bar is within (3s + 2)u of the exact one. The float bound is within
+    u * bound of N * delta_max. So when the two floats lie more than
+    (3s + 6)u + 2u * bound apart (the excess covers the rounding of this
+    test) the float verdict is the exact one, and the float values stand.
+    Else the chain is recomputed in Fractions from the same float biases,
+    which are exact rationals: eps_bar is the correctly rounded exact value
+    and the verdict is the exact eps_bar < N * delta_max.
     """
     n = spec.n_parties
     eps_bar = max_losing_prob(spec, honest_party) - (n - 1) / n
-    bound = n * max(spec.stage_biases)
+    delta_max = max(spec.stage_biases)
+    bound = n * delta_max
     if bound == 0.0:
         return BoundCheck(eps_bar=0.0, bound=0.0, holds=True)
-    return BoundCheck(eps_bar=eps_bar, bound=bound, holds=eps_bar < bound)
+    stages = n - max(honest_party - 1, 1)
+    if abs(eps_bar - bound) > (3 * stages + 6 + 2 * bound) * _UNIT_ROUNDOFF:
+        return BoundCheck(eps_bar=eps_bar, bound=bound, holds=eps_bar < bound)
+    exact = _exact_eps_bar(spec, honest_party)
+    return BoundCheck(eps_bar=float(exact), bound=bound, holds=exact < n * Fraction(delta_max))
+
+
+def _exact_eps_bar(spec: TournamentSpec, honest_party: int) -> Fraction:
+    """eps_bar in Fractions: 1/N minus the survival chain, each float bias read exactly."""
+    survive = Fraction(1)
+    for k, win in _party_stages(spec.n_parties, honest_party):
+        survive *= win - Fraction(spec.stage_biases[k - 1])
+    return Fraction(1, spec.n_parties) - survive
 
 
 def _worst_case_constants(n_parties: int) -> tuple[int, list[int]]:

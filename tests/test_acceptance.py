@@ -187,12 +187,15 @@ def test_criterion_9_reproduce():
 
 def test_exact_kernels_wall_budget():
     # on a 2-core Xeon each budget is over 10x the kernel's time, while the
-    # stagewise Fraction chain took 6.4 s for the first case and the
+    # stagewise Fraction chain took 6.4 s for the first case, an unreduced
+    # (num, den) suffix pair, growing like N!, 2.6 s for the second, and the
     # generator pair count 1.0 s for the last
-    n_weak, n_tree, n_colbeck = 2000, 2**14, 3000
+    n_weak, n_weak_large, n_tree, n_colbeck = 2000, 20_000, 2**14, 3000
     cases = [
         ("weak_dr.honest_distribution", 0.5, lambda: weak_dr.honest_distribution(n_weak),
          [Fraction(1, n_weak)] * n_weak),
+        ("weak_dr.honest_distribution", 0.5, lambda: weak_dr.honest_distribution(n_weak_large),
+         [Fraction(1, n_weak_large)] * n_weak_large),
         ("strong_dr.honest_leaf_probs", 1.0, lambda: strong_dr.honest_leaf_probs(strong_dr.build_tree(n_tree)),
          [Fraction(1, n_tree)] * n_tree),
         ("colbeck_dr.bob_cheat_oracle", 0.25, lambda: colbeck_dr.bob_cheat_oracle(n_colbeck),

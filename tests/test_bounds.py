@@ -1,7 +1,8 @@
 """Product-bound checkers and bias-report validation."""
 
-from math import sqrt
+from math import inf, nan, prod, sqrt
 
+import numpy as np
 import pytest
 
 from qdice import bounds, multiparty, strong_cf, strong_dr
@@ -12,6 +13,25 @@ from qdice.errors import DimensionMismatchError, ParameterRangeError
 def two_party_report(pa, pb, honest):
     n = len(honest)
     return BiasReport(n_outcomes=n, n_parties=2, force_probs=(tuple(pa), tuple(pb)), honest_probs=tuple(honest))
+
+
+def reference_kitaev_multi(report, tol=bounds.RATIONAL_TOL):
+    """The product over parties built by a generator per outcome."""
+    floor = 1.0 / report.n_outcomes
+    return [
+        prod(report.force_probs[j][i] for j in range(report.n_parties)) >= floor - tol
+        for i in range(report.n_outcomes)
+    ]
+
+
+def reference_range_error(force_probs, honest_probs):
+    """The message of the first failed [0, 1] check, each entry tested alone, or None."""
+    for row in force_probs:
+        if any(not 0.0 <= float(x) <= 1.0 for x in row):
+            return "forcing probabilities must lie in [0, 1]"
+    if any(not 0.0 <= float(x) <= 1.0 for x in honest_probs):
+        return "honest probabilities must lie in [0, 1]"
+    return None
 
 
 class TestKitaevTwoParty:
@@ -69,6 +89,26 @@ class TestKitaevMulti:
         assert bounds.kitaev_multi(report) == [False, True]
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_generator_product_on_random_reports(self, seed):
+        # entries drawn around the floor's M-th root, so both verdicts occur,
+        # with exact 0 and 1 mixed in
+        rng = np.random.default_rng(seed)
+        seen = set()
+        for _ in range(60):
+            n_outcomes, n_parties = int(rng.integers(1, 12)), int(rng.integers(2, 7))
+            root = (1.0 / n_outcomes) ** (1.0 / n_parties)
+            force = rng.uniform(0.8 * root, min(1.0, 1.25 * root), size=(n_parties, n_outcomes))
+            force[rng.random(force.shape) < 0.05] = 0.0
+            force[rng.random(force.shape) < 0.05] = 1.0
+            report = BiasReport(n_outcomes, n_parties, force.tolist(), (1 / n_outcomes,) * n_outcomes)
+            for tol in (bounds.RATIONAL_TOL, 0.0, 1e-3):
+                verdicts = bounds.kitaev_multi(report, tol)
+                assert verdicts == reference_kitaev_multi(report, tol)
+                seen.update(verdicts)
+        assert seen == {True, False}
+
+
 class TestSymmetricMin:
     def test_three_three(self):
         assert bounds.symmetric_min(3, 3) == pytest.approx(0.69336, abs=5e-6)
@@ -119,6 +159,39 @@ class TestBiasReportValidation:
         # both used to pass: NaN fails no comparison, and 1.5 - 0.5 sums to 1
         with pytest.raises(ParameterRangeError, match=r"honest probabilities must lie in \[0, 1\]"):
             BiasReport(2, 2, ((1.0, 1.0), (1.0, 1.0)), honest)
+
+    @pytest.mark.parametrize("bad", [nan, inf, -inf, -1e-300, 1 + 2**-52])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_a_bad_entry_anywhere_is_rejected(self, bad, where):
+        # min and max alone would miss a NaN that is not first
+        n_outcomes, n_parties = 5, 3
+        at = {"first": 0, "middle": n_outcomes // 2, "last": n_outcomes - 1}[where]
+        good_force = [[0.5, 1.0, 0.0, 0.75, 0.25] for _ in range(n_parties)]
+        honest = [0.2] * n_outcomes
+        cases = []
+        for row in range(n_parties):
+            force = [list(r) for r in good_force]
+            force[row][at] = bad
+            cases.append((force, honest))
+        spoilt = list(honest)
+        spoilt[at] = bad
+        cases.append((good_force, spoilt))
+        for force, honest_probs in cases:
+            message = reference_range_error(force, honest_probs)
+            assert message is not None
+            with pytest.raises(ParameterRangeError) as info:
+                BiasReport(n_outcomes, n_parties, force, honest_probs)
+            assert str(info.value) == message
+
+    def test_edges_of_the_unit_interval_pass(self):
+        report = BiasReport(3, 2, ((0.0, -0.0, 1.0), (1.0, 0.5, 5e-324)), (0.0, 1.0, 0.0))
+        assert report.force_probs == ((0.0, 0.0, 1.0), (1.0, 0.5, 5e-324))
+        assert all(type(x) is float for row in report.force_probs for x in row)
+
+    def test_empty_rows_keep_the_sum_check(self):
+        # no outcome: nothing to range-check, and the empty honest sum is not 1
+        with pytest.raises(ParameterRangeError, match="must sum to 1"):
+            BiasReport(0, 2, ((), ()), ())
 
     def test_shape_checks(self):
         with pytest.raises(DimensionMismatchError):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdice import cli, colbeck_dr, multiparty, optimize, reproduce, sixround_dr, strong_cf, strong_dr, weak_cf
+from qdice import cli, colbeck_dr, multiparty, optimize, reproduce, sixround_dr, strong_cf, strong_dr, weak_cf, weak_dr
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 
@@ -85,6 +85,15 @@ class TestExitCodes:
         assert code == 0, err
         payload = json.loads(out)
         assert payload["eps_bar"] == 0.0 and payload["bound"] == 0.0 and payload["holds"] is True
+
+    @pytest.mark.parametrize("bias, eps_bar", [("1e-300", 5e-301), ("5e-324", 0.0)])
+    def test_weak_dr_tiny_bias_is_decided_exactly(self, capsys, bias, eps_bar):
+        # the float eps_bar, 1.1e-16 of rounding, would exceed the bound 3 * bias;
+        # the exact eps_bar is bias / 2, correctly rounded
+        code, out, err = run_cli(capsys, "weak-dr", "--n", "3", "--biases", f"0,{bias}")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert (payload["eps_bar"], payload["bound"], payload["holds"]) == (eps_bar, 3 * float(bias), True)
 
     def test_missing_report_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "check", "--report", "/no/such/file.json")
@@ -207,7 +216,11 @@ def _failing_reproduce_row(monkeypatch):
 MISMATCHES = {
     "oracle": (("oracle", "--p", "0.4", "--eta", "0.2"), _off_by_a_micro, "and closed form"),
     "six-round": (("--tol", "0", "six-round", "--variant", "case2"), None, "more than --tol 0.0"),
-    "weak-dr": (("weak-dr", "--n", "3", "--biases", "0,1e-300"), None, "is not below the bound 3e-300"),
+    "weak-dr": (
+        ("weak-dr", "--n", "3", "--biases", "0.1,0.1"),
+        lambda mp: mp.setattr(weak_dr, "bias_bound_check", lambda spec, party: weak_dr.BoundCheck(0.5, 0.3, False)),
+        "party 1: eps_bar 0.5 is not below the bound 0.3",
+    ),
     "strong-cf": (("strong-cf", "--p0", "0.6"), _shifted_strong_cf_target, "round trip error"),
     "strong-dr": (
         ("strong-dr", "--n", "2"),

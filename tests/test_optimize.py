@@ -318,9 +318,40 @@ def reference_root_enclosures(coeffs):
     return roots
 
 
+def reference_sqrt2_quadratic_root(coeffs, lo, hi):
+    """The root picked and rounded through Fraction enclosures."""
+    roots = reference_root_enclosures(coeffs)
+    if roots is None:
+        raise CrossCheckError(f"the quadratic {coeffs} has no two separated real roots")
+    inside = [(a, b) for a, b in roots if lo <= a and b <= hi]
+    outside = [(a, b) for a, b in roots if b < lo or a > hi]
+    if len(inside) != 1 or len(outside) != 1:
+        raise CrossCheckError(f"expected one root of {coeffs} in [{lo}, {hi}] and one outside")
+    a, b = inside[0]
+    if float(a) != float(b):
+        raise CrossCheckError(f"root enclosure [{float(a)!r}, {float(b)!r}] spans a rounding boundary")
+    return float(a)
+
+
+def root_or_error(f, coeffs, lo, hi):
+    try:
+        return f(coeffs, lo, hi).hex()
+    except CrossCheckError as exc:
+        return str(exc)
+
+
+def enclosures_as_fractions(coeffs):
+    """`_root_enclosures` with each integer quotient read as a Fraction,
+    after checking that every quotient is an int pair with a positive denominator."""
+    roots = optimize._root_enclosures(coeffs)
+    ends = [end for root in roots for end in root]
+    assert all(type(num) is int and type(den) is int and den > 0 for num, den in ends)
+    return [(Fraction(*lo), Fraction(*hi)) for lo, hi in roots]
+
+
 def enclosures_or_none(coeffs):
     try:
-        return optimize._root_enclosures(coeffs)
+        return enclosures_as_fractions(coeffs)
     except CrossCheckError:
         return None
 
@@ -330,12 +361,38 @@ _BIG_Z_SQRT2 = st.tuples(st.integers(-(2**90), 2**90), st.integers(-(2**90), 2**
 
 
 class TestRootEnclosures:
-    """Two quotients per root give the four-quotient min and max exactly."""
+    """Two integer quotients per root give the four-quotient min and max exactly."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(coeffs=st.one_of(st.tuples(*[_Z_SQRT2] * 3), st.tuples(*[_BIG_Z_SQRT2] * 3)))
     def test_random_quadratics_match_the_reference(self, coeffs):
         assert enclosures_or_none(coeffs) == reference_root_enclosures(coeffs)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        coeffs=st.tuples(*[_Z_SQRT2] * 3),
+        ends=st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=10**6), min_size=2, max_size=2),
+    )
+    def test_root_matches_the_fraction_route(self, coeffs, ends):
+        # the same float, or the same CrossCheckError message
+        lo, hi = sorted(ends)
+        want = root_or_error(reference_sqrt2_quadratic_root, coeffs, lo, hi)
+        assert root_or_error(sqrt2_quadratic_root, coeffs, lo, hi) == want
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [((4, 0), (4, 0), (-1, 0)), ((-3, 1), (0, -2), (7, 0)), ((1, 0), (0, -2), (1, 0))],
+    )
+    def test_window_ends_at_the_enclosure_ends(self, coeffs):
+        # lo and hi exactly at, or 1e-60 either side of, each end of each
+        # enclosure: the integer comparisons decide as the Fraction ones do
+        ends = [end for root in reference_root_enclosures(coeffs) for end in root]
+        near = sorted({end + k * Fraction(1, 10**60) for end in ends for k in (-1, 0, 1)})
+        far_lo, far_hi = near[0] - 1, near[-1] + 1
+        for edge in near:
+            for lo, hi in ((edge, far_hi), (far_lo, edge), (edge, edge)):
+                want = root_or_error(reference_sqrt2_quadratic_root, coeffs, lo, hi)
+                assert root_or_error(sqrt2_quadratic_root, coeffs, lo, hi) == want, (lo, hi)
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -350,7 +407,7 @@ class TestRootEnclosures:
     def test_negative_denominator_enclosure(self, coeffs):
         (x2, y2), _, _ = coeffs
         assert optimize._scaled(2 * x2, 2 * y2)[1] < 0
-        roots = optimize._root_enclosures(coeffs)
+        roots = enclosures_as_fractions(coeffs)
         assert roots == reference_root_enclosures(coeffs)
         assert all(lo < hi for lo, hi in roots)
 
@@ -366,7 +423,7 @@ class TestRootEnclosures:
     def test_positive_denominator_enclosure(self, coeffs):
         (x2, y2), _, _ = coeffs
         assert optimize._scaled(2 * x2, 2 * y2)[0] > 0
-        assert optimize._root_enclosures(coeffs) == reference_root_enclosures(coeffs)
+        assert enclosures_as_fractions(coeffs) == reference_root_enclosures(coeffs)
 
 
 class TestCertifySignChange:

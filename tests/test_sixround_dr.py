@@ -266,7 +266,9 @@ class TestExactRoot:
 
     @pytest.mark.parametrize("variant,eta_max", [("case1", Fraction(2, 3)), ("case2", Fraction(1, 3))])
     def test_other_root_lies_outside_the_feasible_range(self, variant, eta_max):
-        (lo1, hi1), (lo2, hi2) = optimize._root_enclosures(sixround_dr._QUADRATICS[variant])
+        (lo1, hi1), (lo2, hi2) = [
+            (Fraction(*lo), Fraction(*hi)) for lo, hi in optimize._root_enclosures(sixround_dr._QUADRATICS[variant])
+        ]
         inside = [(lo, hi) for lo, hi in ((lo1, hi1), (lo2, hi2)) if 0 <= lo and hi <= eta_max]
         outside = [(lo, hi) for lo, hi in ((lo1, hi1), (lo2, hi2)) if hi < 0 or lo > eta_max]
         assert len(inside) == len(outside) == 1

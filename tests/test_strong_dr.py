@@ -40,6 +40,49 @@ def reference_leaf_probs(tree: SplitTree) -> list[Fraction]:
     return [p for _, p in probs]
 
 
+def reference_path_to(tree: SplitTree, target: int) -> list[Fraction]:
+    """The path walked through each node's `left_prob` / `right_prob` Fractions."""
+    if not tree.lo <= target <= tree.hi:
+        raise ParameterRangeError(f"target {target} outside [{tree.lo}, {tree.hi}]")
+    edges = []
+    node = tree
+    while not node.is_leaf:
+        if target <= node.left.hi:
+            edges.append(node.left_prob)
+            node = node.left
+        else:
+            edges.append(node.right_prob)
+            node = node.right
+    return edges
+
+
+def reference_roots(edges: list[Fraction]) -> list[float]:
+    return [sqrt(float(edge)) for edge in edges]
+
+
+def reference_forcing(roots: list[float], delta: float) -> float:
+    """The product of min(1, sqrt(float(edge)) + delta) over the path's edges."""
+    value = 1.0
+    for root in roots:
+        value *= min(1.0, root + delta)
+    return value
+
+
+def reference_adversary_success(tree: SplitTree, target: int, delta: float) -> float:
+    if not 0.0 <= delta < inf:
+        raise ParameterRangeError(f"delta must be finite and non-negative, got {delta}")
+    return reference_forcing(reference_roots(reference_path_to(tree, target)), delta)
+
+
+def raised(f, *args):
+    """(type, message) of the exception f(*args) raises, or None."""
+    try:
+        f(*args)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    return None
+
+
 def reference_depth(tree: SplitTree) -> int:
     if tree.is_leaf:
         return 0
@@ -213,6 +256,50 @@ class TestAdversarySuccess:
         # min(1, sqrt(edge) + nan) is 1.0, so a NaN would read as a certain force
         with pytest.raises(ParameterRangeError):
             strong_dr.adversary_success(strong_dr.build_tree(5), 1, delta)
+
+
+DELTAS = (0.0, 1e-3, 0.05, 0.3, 0.9)
+
+
+class TestIntegerPathWalk:
+    """`path_to` and `adversary_success` against the Fraction walk they replaced."""
+
+    @pytest.mark.parametrize("lo", range(2, 301, 50))
+    def test_every_target_bit_for_bit(self, lo):
+        for n in range(lo, lo + 50):
+            tree = strong_dr.build_tree(n)
+            for target in range(1, n + 1):
+                edges = reference_path_to(tree, target)
+                assert strong_dr.path_to(tree, target) == edges, (n, target)
+                roots = reference_roots(edges)
+                for delta in DELTAS:
+                    got = strong_dr.adversary_success(tree, target, delta)
+                    assert got.hex() == reference_forcing(roots, delta).hex(), (n, target, delta)
+
+    @pytest.mark.parametrize("tree", [LOPSIDED, SHUFFLED], ids=["lopsided", "shuffled"])
+    def test_hand_built_trees_use_each_nodes_own_width(self, tree):
+        for target in range(1, 6):
+            assert strong_dr.path_to(tree, target) == reference_path_to(tree, target)
+            for delta in DELTAS:
+                got = strong_dr.adversary_success(tree, target, delta)
+                assert got.hex() == reference_adversary_success(tree, target, delta).hex()
+
+    @pytest.mark.parametrize("target", [0, -1, 38, 10**30])
+    def test_same_error_for_a_bad_target(self, target):
+        tree = strong_dr.build_tree(37)
+        error = raised(reference_path_to, tree, target)
+        assert error is not None and error[0] is ParameterRangeError
+        assert raised(strong_dr.path_to, tree, target) == error
+        assert raised(strong_dr.adversary_success, tree, target, 0.01) == error
+
+    @pytest.mark.parametrize("delta", [nan, inf, -inf, -0.5, np.float64(nan)])
+    @pytest.mark.parametrize("target", [1, 99])
+    def test_same_error_for_a_bad_delta(self, delta, target):
+        # the delta is checked before the target, as before
+        tree = strong_dr.build_tree(37)
+        error = raised(reference_adversary_success, tree, target, delta)
+        assert error is not None and "delta" in error[1]
+        assert raised(strong_dr.adversary_success, tree, target, delta) == error
 
 
 class TestDepthBound:

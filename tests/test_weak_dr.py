@@ -36,6 +36,25 @@ def reference_honest_distribution(n_parties: int) -> list[Fraction]:
     return probs
 
 
+def reference_suffix_distribution(n_parties: int) -> list[Fraction]:
+    """The backward pass in Fractions: suffix products of the defend wins, one
+    Fraction multiply per stage and one per party."""
+    suffix = [Fraction(1)] * (n_parties + 1)
+    for k in range(n_parties - 1, 1, -1):
+        suffix[k] = Fraction(k, k + 1) * suffix[k + 1]
+    return [Fraction(1, max(party, 2)) * suffix[max(party - 1, 1) + 1] for party in range(1, n_parties + 1)]
+
+
+def reference_float_check(spec: TournamentSpec, honest_party: int) -> tuple[float, float, bool]:
+    """`bias_bound_check` decided on the float chain alone, as before its exact branch."""
+    n = spec.n_parties
+    eps_bar = weak_dr.max_losing_prob(spec, honest_party) - (n - 1) / n
+    bound = n * max(spec.stage_biases)
+    if bound == 0.0:
+        return (0.0, 0.0, True)
+    return (eps_bar, bound, eps_bar < bound)
+
+
 class TestHonestDistribution:
     def test_three_parties(self):
         assert weak_dr.honest_distribution(3) == [Fraction(1, 3)] * 3
@@ -61,6 +80,12 @@ class TestHonestDistribution:
             dist = weak_dr.honest_distribution(n)
             assert dist == reference_honest_distribution(n)
             assert all(type(p) is Fraction for p in dist)
+
+    @pytest.mark.parametrize("n", [*range(2, 301), 2000])
+    def test_equals_the_fraction_suffix_pass(self, n):
+        dist = weak_dr.honest_distribution(n)
+        assert dist == reference_suffix_distribution(n)
+        assert len(dist) == n and all(type(p) is Fraction for p in dist)
 
     def test_stages_of_a_late_entrant(self):
         assert weak_dr._party_stages(5, 3) == [(2, Fraction(1, 3)), (3, Fraction(3, 4)), (4, Fraction(4, 5))]
@@ -176,13 +201,6 @@ class TestBiasBound:
     def test_zero_biases_still_check_the_party(self):
         with pytest.raises(ParameterRangeError, match="party"):
             weak_dr.bias_bound_check(TournamentSpec(3, (0.0, 0.0)), 4)
-
-    def test_positive_bias_keeps_the_float_chain(self):
-        # one positive bias anywhere: eps_bar is the float chain's, unrounded
-        spec = TournamentSpec(3, (0.0, 5e-324))
-        check = weak_dr.bias_bound_check(spec, 1)
-        assert check.eps_bar == weak_dr.max_losing_prob(spec, 1) - 2 / 3
-        assert check.bound == 3 * 5e-324
 
     def test_known_three_party_case(self):
         spec = TournamentSpec(3, (0.05, 0.05))
@@ -340,6 +358,71 @@ class TestFloatCheckAgainstTheWorstCase:
             assert abs(check.eps_bar / delta - float(constant)) <= n * n * delta + 1e-8
             assert check.eps_bar <= float(constant) * delta + 1e-15
             assert check.holds
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Count the calls of `bias_bound_check`'s exact branch."""
+    calls = []
+    exact = weak_dr._exact_eps_bar
+
+    def counted(spec, party):
+        calls.append((spec, party))
+        return exact(spec, party)
+
+    monkeypatch.setattr(weak_dr, "_exact_eps_bar", counted)
+    return calls
+
+
+class TestExactVerdictNearTheBound:
+    """The float chain decides only outside its rounding bound; inside it, Fractions decide."""
+
+    def test_tiny_bias_is_decided_exactly(self, exact_calls):
+        # the float eps_bar 1.1e-16 is rounding noise far above the bound 3e-300
+        spec = TournamentSpec(3, (0.0, 1e-300))
+        assert reference_float_check(spec, 1) == (2**-53, 3e-300, False)
+        check = weak_dr.bias_bound_check(spec, 1)
+        assert check == (5e-301, 3e-300, True)
+        assert check.eps_bar == float(exact_eps_bar(3, 1, spec.stage_biases))
+        assert exact_calls == [(spec, 1)]
+
+    def test_exact_value_is_correctly_rounded(self):
+        # party 1's exact eps_bar is 2**-1075, a tie between 0 and the least
+        # subnormal: round half to even gives 0.0
+        spec = TournamentSpec(3, (0.0, 5e-324))
+        assert exact_eps_bar(3, 1, spec.stage_biases) == Fraction(2) ** -1075
+        assert weak_dr.bias_bound_check(spec, 1) == (0.0, 1.5e-323, True)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 17])
+    def test_verdict_is_exact_at_every_scale(self, n, exact_calls):
+        # the corner delta on every stage, and delta on the entry stage only,
+        # from subnormal to large: the bound always holds exactly, and a float
+        # eps_bar is the float chain's unless the exact branch ran
+        for exponent in range(-323, 0, 11):
+            delta = min(10.0**exponent, 1.0 / (2 * n))
+            for biases in ([delta] * (n - 1), [delta] + [0.0] * (n - 2)):
+                spec = TournamentSpec(n, biases)
+                for party in range(1, n + 1):
+                    before = len(exact_calls)
+                    check = weak_dr.bias_bound_check(spec, party)
+                    exact = exact_eps_bar(n, party, biases)
+                    assert check.holds and exact < n * Fraction(max(biases)), (n, delta, party)
+                    if len(exact_calls) > before:
+                        assert check.eps_bar == float(exact)
+                    else:
+                        assert check == reference_float_check(spec, party)
+        assert exact_calls  # the smallest deltas take the exact branch
+
+    def test_clear_cases_keep_the_float_chain(self, exact_calls):
+        # the draws of perfbench's exact-sweep: N in [2, 32], stage biases
+        # uniform below 1/(2N); none comes near the rounding bound
+        rng = np.random.default_rng(2024)
+        for _ in range(400):
+            n = int(rng.integers(2, 33))
+            spec = TournamentSpec(n, rng.uniform(0.0, 1.0 / (2 * n), size=n - 1).tolist())
+            for party in range(1, n + 1):
+                assert weak_dr.bias_bound_check(spec, party) == reference_float_check(spec, party)
+        assert exact_calls == []
 
 
 class TestTournamentSpecValidation:
