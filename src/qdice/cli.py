@@ -173,12 +173,12 @@ def _cmd_weak_dr(args) -> tuple[dict, str | None]:
     biases = args.biases or (0.0,) * (args.n - 1)
     spec = weak_dr.TournamentSpec(args.n, biases)
     honest = weak_dr.honest_distribution(args.n)
-    check = weak_dr.bias_bound_check(spec, args.party)
+    losing, check = weak_dr.checked_losing_prob(spec, args.party)
     record = spec.to_json_dict()
     record["honest_party"] = args.party
     record["honest_probs"] = [float(h) for h in honest]
     record["honest_probs_exact"] = [f"{h.numerator}/{h.denominator}" for h in honest]
-    record["max_losing_prob"] = weak_dr.max_losing_prob(spec, args.party)
+    record["max_losing_prob"] = losing
     record["eps_bar"] = check.eps_bar
     record["bound"] = check.bound
     record["holds"] = check.holds

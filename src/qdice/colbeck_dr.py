@@ -19,6 +19,18 @@ from . import quantum_core as qc
 from .errors import ParameterRangeError
 
 SIM_MAX_N = 16  # two N^2-dim pairs; larger spaces add nothing at desk scale
+# Work caps of `sample_outcomes` and `bob_cheat_oracle`, checked before any
+# array is built: `qdice colbeck --runs` at MAX_RUNS peaks at about 190 MB,
+# and the oracle at MAX_N counts 10^8 index pairs in about 0.1 s.
+MAX_RUNS = 10**7
+MAX_N = 10**4
+
+
+def _check_n(n: int) -> None:
+    if n < 2:
+        raise ParameterRangeError(f"need at least 2 outcomes, got {n}")
+    if n > MAX_N:
+        raise ParameterRangeError(f"N must be <= {MAX_N}, got {n}")
 
 
 def entangled_pair(n: int, label_a: str, label_b: str) -> qc.StateVector:
@@ -67,9 +79,10 @@ def honest_outcome_distribution(n: int) -> np.ndarray:
 
 
 def sample_outcomes(n: int, runs: int, seed: int | np.random.Generator) -> np.ndarray:
-    """Born-sample `runs` >= 0 honest outcomes in [1, N] from the Schmidt marginal."""
-    if runs < 0:
-        raise ParameterRangeError(f"runs must be >= 0, got {runs}")
+    """Born-sample 0 <= `runs` <= MAX_RUNS honest outcomes in [1, N] from the Schmidt marginal, 2 <= N <= MAX_N."""
+    if not 0 <= runs <= MAX_RUNS:
+        raise ParameterRangeError(f"runs must be >= 0 and <= {MAX_RUNS}, got {runs}")
+    _check_n(n)
     rng = qc.as_generator(seed)
     return rng.choice(n, size=runs, p=honest_outcome_distribution(n)) + 1
 
@@ -90,10 +103,10 @@ def bob_cheat_oracle(n: int) -> Fraction:
     Bob measures both dice before choosing; the two indices are independent
     uniform draws, and he succeeds whenever either shows the target. Counts
     all N^2 index pairs exactly, comparing a block of rows of the (i, j)
-    grid at a time, so the extra memory is O(N) plus a fixed block.
+    grid at a time, so the extra memory is O(N) plus a fixed block. N is
+    capped at MAX_N.
     """
-    if n < 2:
-        raise ParameterRangeError(f"need at least 2 outcomes, got {n}")
+    _check_n(n)
     target = 1
     j_hits = np.arange(1, n + 1) == target
     rows = max(1, _ORACLE_BLOCK // n)

@@ -26,10 +26,19 @@ The hot paths avoid per-call numpy overhead without changing a bit of their
 results. `tensor` takes the outer product directly rather than through
 `np.kron` (the same products). `apply` looks its axis permutation up in a
 bounded cache keyed on (dims, labels, targets). `UnitaryOp`'s unitarity
-check subtracts a cached read-only identity in place, projections take
-their probability from numpy's own 2-norm formula, inlined, and
-`measure_computational` copies the drawn outcome's slice into zeros rather
-than zeroing every other outcome.
+check subtracts a cached read-only identity in place, projections sum
+their in-span vector onto one zeroed buffer and take their probability
+from numpy's own 2-norm formula, inlined, and `measure_computational`
+copies the drawn outcome's slice into zeros rather than zeroing every
+other outcome. The computational-basis draw is defined here, by
+`_draw_index`, rather than by `Generator.choice`: the same cumulative-sum
+search on one double of the stream, so outcomes and generator states are
+`choice`'s. The marginal, the draw and the unitarity check call the ufunc
+methods that `sum`, `cumsum` and `max` wrap (`add.reduce`,
+`add.accumulate`, `maximum.reduce`) directly.
+`as_generator` builds `Generator(PCG64(seed))`, which is what
+`default_rng` builds, and renormalizing divides by `math.sqrt`, the same
+correctly rounded root as `np.sqrt`.
 """
 
 from __future__ import annotations
@@ -45,13 +54,15 @@ from .errors import DimensionMismatchError, NonOrthogonalBasisError
 
 NORM_TOL = 1e-12
 ORTHO_TOL = 1e-10
+_SUM_ATOL = sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance on sum(p) - 1
 
 
 def as_generator(seed: int | np.random.Generator) -> np.random.Generator:
     """Accept either an integer seed or an existing generator stream."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    # what default_rng(seed) builds for an int seed, without its dispatch
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 @dataclass(frozen=True)
@@ -65,9 +76,8 @@ class StateVector:
     def __post_init__(self):
         amps = np.array(self.amps, dtype=complex)  # a copy: the caller's array stays writable
         amps.setflags(write=False)
-        object.__setattr__(self, "dims", tuple(map(int, self.dims)))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "amps", amps)
+        # one dict update sets the frozen fields, as `_adopt` does
+        self.__dict__.update(dims=tuple(map(int, self.dims)), labels=tuple(self.labels), amps=amps)
         if len(self.dims) != len(self.labels):
             raise DimensionMismatchError("dims and labels must have equal length")
         if len(set(self.labels)) != len(self.labels):
@@ -162,8 +172,7 @@ class UnitaryOp:
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)  # a copy: the caller's array stays writable
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "target_subsystems", tuple(self.target_subsystems))
+        self.__dict__.update(matrix=m, target_subsystems=tuple(self.target_subsystems))
         if len(set(self.target_subsystems)) != len(self.target_subsystems):
             raise DimensionMismatchError(f"duplicate target labels: {self.target_subsystems}")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -171,7 +180,7 @@ class UnitaryOp:
         with np.errstate(invalid="ignore"):  # inf entries give NaN, rejected below
             gram = m.conj().T @ m
             gram -= _identity(m.shape[0])
-            dev = np.abs(gram).max()
+            dev = np.maximum.reduce(np.abs(gram), axis=None)  # what .max() calls
         if not dev <= NORM_TOL:  # fails closed on NaN
             raise DimensionMismatchError(f"matrix is not unitary: max |U+U - I| = {dev:.3g}")
 
@@ -269,16 +278,17 @@ def _project(
     s: StateVector, basis_states: Sequence[StateVector], coeffs: list[complex], inside: bool
 ) -> tuple[float, StateVector]:
     """`project` with the coefficients from `_span_coefficients` already taken."""
-    # sum() starts from 0, so -0.0 components become +0.0 exactly as on a zero
-    # array; with no basis states it is the int 0, made an array for .dot
-    in_span = sum(c * b.amps for c, b in zip(coeffs, basis_states))
-    target = np.asarray(in_span) if inside else s.amps - in_span
+    # summed onto zeros in basis order, so -0.0 components become +0.0
+    in_span = np.zeros(s.amps.shape, dtype=complex)
+    for c, b in zip(coeffs, basis_states):
+        in_span += c * b.amps
+    target = in_span if inside else s.amps - in_span
     # np.linalg.norm's own formula for a complex vector, without its dispatch
     re, im = target.real, target.imag
     p = sqrt(re.dot(re) + im.dot(im)) ** 2
     if p < 1e-15:
         raise DimensionMismatchError("projection has vanishing probability, cannot renormalize")
-    return p, _adopt(s.dims, s.labels, target / np.sqrt(p))
+    return p, _adopt(s.dims, s.labels, target / sqrt(p))
 
 
 def subspace_probability(s: StateVector, basis_states: Sequence[StateVector]) -> float:
@@ -315,6 +325,24 @@ def measure_projector(
     return MeasurementResult(0 if inside else 1, prob, post, p_in)
 
 
+def _draw_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn as `rng.choice(len(probs), p=probs)` draws it, from one double of the stream.
+
+    The same arithmetic as `choice`: the cumulative sums, scaled by their
+    last, searched for one uniform draw, so the index and the generator's
+    state after it are `choice`'s. Like `choice`, it rejects probabilities
+    that are NaN or do not sum to 1 within sqrt(eps) before it draws (on
+    the plain sum rather than `choice`'s Kahan sum, which differ only by
+    rounding); probs are squared moduli, never negative.
+    """
+    cdf = np.add.accumulate(probs)  # what probs.cumsum() calls
+    total = float(cdf[-1])
+    if not abs(total - 1.0) <= _SUM_ATOL:  # fails closed on NaN
+        raise ValueError(f"probabilities do not sum to 1: sum = {total!r}")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def measure_computational(
     s: StateVector, label: str, seed: int | np.random.Generator
 ) -> MeasurementResult:
@@ -326,15 +354,16 @@ def measure_computational(
     if label not in s.labels:
         raise DimensionMismatchError(f"state has no subsystem named {label!r}")
     ax = s.labels.index(label)
-    probs_nd = np.abs(s.amps.reshape(s.dims)) ** 2
-    marginal = probs_nd.sum(axis=tuple(i for i in range(len(s.dims)) if i != ax))
-    marginal = marginal / marginal.sum()
-    rng = as_generator(seed)
-    outcome = int(rng.choice(len(marginal), p=marginal))
+    probs_nd = np.abs(s.amps.reshape(s.dims))
+    np.square(probs_nd, out=probs_nd)  # the ** 2 of a float array, in place
+    # add.reduce is what ndarray.sum calls, without its Python wrapper
+    marginal = np.add.reduce(probs_nd, axis=tuple(i for i in range(len(s.dims)) if i != ax))
+    marginal /= np.add.reduce(marginal)
+    outcome = _draw_index(marginal, as_generator(seed))
     picker = tuple(outcome if i == ax else slice(None) for i in range(len(s.dims)))
     # every other outcome's amplitudes stay +0.0, as if zeroed one by one
     new_nd = np.zeros(s.dims, dtype=complex)
     new_nd[picker] = s.amps.reshape(s.dims)[picker]
     p = float(marginal[outcome])
-    post = _adopt(s.dims, s.labels, new_nd.reshape(-1) / np.sqrt(p))
+    post = _adopt(s.dims, s.labels, new_nd.reshape(-1) / sqrt(p))
     return MeasurementResult(outcome, p, post)

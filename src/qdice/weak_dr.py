@@ -175,17 +175,32 @@ def bias_bound_check(spec: TournamentSpec, honest_party: int) -> BoundCheck:
     which are exact rationals: eps_bar is the correctly rounded exact value
     and the verdict is the exact eps_bar < N * delta_max.
     """
+    return checked_losing_prob(spec, honest_party)[1]
+
+
+def checked_losing_prob(spec: TournamentSpec, honest_party: int) -> tuple[float, BoundCheck]:
+    """(maximal losing probability, `bias_bound_check`), the first consistent with the second's eps_bar.
+
+    Where eps_bar is exact (all biases zero, or the exact branch) the
+    losing probability is (N-1)/N + eps_bar, correctly rounded; elsewhere
+    it is the float chain of `max_losing_prob`, whose excess over the float
+    (N-1)/N is the float eps_bar.
+    """
     n = spec.n_parties
-    eps_bar = max_losing_prob(spec, honest_party) - (n - 1) / n
+    losing = max_losing_prob(spec, honest_party)
+    eps_bar = losing - (n - 1) / n
     delta_max = max(spec.stage_biases)
     bound = n * delta_max
     if bound == 0.0:
-        return BoundCheck(eps_bar=0.0, bound=0.0, holds=True)
+        # int / int is correctly rounded
+        return (n - 1) / n, BoundCheck(eps_bar=0.0, bound=0.0, holds=True)
     stages = n - max(honest_party - 1, 1)
     if abs(eps_bar - bound) > (3 * stages + 6 + 2 * bound) * _UNIT_ROUNDOFF:
-        return BoundCheck(eps_bar=eps_bar, bound=bound, holds=eps_bar < bound)
+        return losing, BoundCheck(eps_bar=eps_bar, bound=bound, holds=eps_bar < bound)
     exact = _exact_eps_bar(spec, honest_party)
-    return BoundCheck(eps_bar=float(exact), bound=bound, holds=exact < n * Fraction(delta_max))
+    return float(Fraction(n - 1, n) + exact), BoundCheck(
+        eps_bar=float(exact), bound=bound, holds=exact < n * Fraction(delta_max)
+    )
 
 
 def _exact_eps_bar(spec: TournamentSpec, honest_party: int) -> Fraction:

@@ -95,6 +95,22 @@ class TestExitCodes:
         payload = json.loads(out)
         assert (payload["eps_bar"], payload["bound"], payload["holds"]) == (eps_bar, 3 * float(bias), True)
 
+    @pytest.mark.parametrize(
+        "argv, losing",
+        [
+            (("--n", "3", "--biases", "0,1e-300"), "0.6666666666666666"),
+            (("--n", "3"), "0.6666666666666666"),
+            (("--n", "6"), "0.8333333333333334"),
+            (("--n", "7", "--party", "7"), "0.8571428571428571"),
+        ],
+    )
+    def test_weak_dr_prints_the_losing_prob_of_an_exact_eps_bar(self, capsys, argv, losing):
+        # (N-1)/N + eps_bar correctly rounded; the float chain prints 0.6666666666666667,
+        # 0.8333333333333333 and 0.8571428571428572 here
+        code, out, _ = run_cli(capsys, "weak-dr", *argv)
+        assert code == 0
+        assert f'"max_losing_prob": {losing},' in out
+
     def test_missing_report_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "check", "--report", "/no/such/file.json")
         assert code == 1
@@ -218,7 +234,9 @@ MISMATCHES = {
     "six-round": (("--tol", "0", "six-round", "--variant", "case2"), None, "more than --tol 0.0"),
     "weak-dr": (
         ("weak-dr", "--n", "3", "--biases", "0.1,0.1"),
-        lambda mp: mp.setattr(weak_dr, "bias_bound_check", lambda spec, party: weak_dr.BoundCheck(0.5, 0.3, False)),
+        lambda mp: mp.setattr(
+            weak_dr, "checked_losing_prob", lambda spec, party: (0.9, weak_dr.BoundCheck(0.5, 0.3, False))
+        ),
         "party 1: eps_bar 0.5 is not below the bound 0.3",
     ),
     "strong-cf": (("strong-cf", "--p0", "0.6"), _shifted_strong_cf_target, "round trip error"),

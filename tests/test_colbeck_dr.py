@@ -92,6 +92,83 @@ class TestHonestRun:
         np.testing.assert_allclose(pair.amps[nonzero], 0.5, atol=1e-15)
 
 
+class _RecordingGenerator:
+    """Stands in for the generator: records the draw it is asked for and allocates nothing."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def choice(self, n, size, p):
+        self.sizes.append((n, size, len(p)))
+        return np.zeros(0, dtype=np.int64)
+
+
+class TestWorkCaps:
+    """`colbeck --runs` and `--n` stop at documented caps before any array is built."""
+
+    @pytest.fixture
+    def recorder(self, monkeypatch):
+        rng = _RecordingGenerator()
+        monkeypatch.setattr(colbeck_dr.qc, "as_generator", lambda seed: rng)
+        return rng
+
+    def test_runs_cap_is_accepted(self, recorder):
+        colbeck_dr.sample_outcomes(3, colbeck_dr.MAX_RUNS, seed=0)
+        assert recorder.sizes == [(3, colbeck_dr.MAX_RUNS, 3)]
+
+    @pytest.mark.parametrize("runs", [10**7 + 1, 10**11, 10**400])
+    def test_runs_past_the_cap_raise_before_drawing(self, recorder, runs):
+        assert colbeck_dr.MAX_RUNS == 10**7
+        with pytest.raises(ParameterRangeError, match=r"runs must be >= 0 and <= 10000000"):
+            colbeck_dr.sample_outcomes(3, runs, seed=0)
+        assert recorder.sizes == []
+
+    def test_sampling_n_cap_is_accepted(self, recorder):
+        colbeck_dr.sample_outcomes(colbeck_dr.MAX_N, 5, seed=0)
+        assert recorder.sizes == [(colbeck_dr.MAX_N, 5, colbeck_dr.MAX_N)]
+
+    @pytest.mark.parametrize("n", [10**4 + 1, 10**11])
+    def test_sampling_n_past_the_cap_raises_before_drawing(self, recorder, n):
+        assert colbeck_dr.MAX_N == 10**4
+        with pytest.raises(ParameterRangeError, match=r"N must be <= 10000"):
+            colbeck_dr.sample_outcomes(n, 5, seed=0)
+        assert recorder.sizes == []
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_sampling_needs_two_outcomes(self, recorder, n):
+        with pytest.raises(ParameterRangeError, match="need at least 2 outcomes"):
+            colbeck_dr.sample_outcomes(n, 5, seed=0)
+        assert recorder.sizes == []
+
+    def test_oracle_n_cap_is_exact(self):
+        n = colbeck_dr.MAX_N
+        assert colbeck_dr.bob_cheat_oracle(n) == Fraction(2 * n - 1, n * n)
+
+    @pytest.mark.parametrize("n", [10**4 + 1, 10**11, 10**400])
+    def test_oracle_n_past_the_cap_raises_before_allocating(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterRangeError, match=r"N must be <= 10000"):
+                colbeck_dr.bob_cheat_oracle(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--n", "3", "--runs", "100000000000"), "error: runs must be >= 0 and <= 10000000, got 100000000000\n"),
+            (("--n", "100000000000"), "error: N must be <= 10000, got 100000000000\n"),
+        ],
+    )
+    def test_cli_exits_one_with_one_error_line(self, capsys, argv, message):
+        assert cli.run(["colbeck", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
+
 class TestCheatProbs:
     def test_three_sided(self):
         pa, pb = colbeck_dr.cheat_probs(3)

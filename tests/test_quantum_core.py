@@ -251,6 +251,19 @@ class TestMeasureProjector:
         with pytest.raises(DimensionMismatchError, match="vanishing"):
             qc.project(state, [], inside=True)
 
+    def test_in_span_vector_starts_from_positive_zero(self):
+        # <1|s> = -0.8 makes the in-span product's first real part -0.0; summed
+        # from zero, as sum() did, it is +0.0, so the complement keeps the
+        # state's -0.0 there, and the renormalized post state does too
+        state = qc.StateVector((2,), ("q1",), np.array([complex(-0.0, -0.6), -0.8]))
+        basis = [ket(1)]
+        c = qc.overlap(basis[0], state)
+        assert np.signbit((c * basis[0].amps).real[0])
+        want = state.amps - sum(c * b.amps for b in basis)
+        p, post = qc.project(state, basis, inside=False)
+        assert post.amps.tobytes() == (want / np.sqrt(p)).tobytes()
+        assert np.signbit(post.amps.real[0])
+
     def test_born_rule_sampling(self):
         # 1e5 seeded two-outcome measurements of a known state
         theta = 0.7
@@ -311,6 +324,112 @@ def _measure_computational_by_loop(s, label, seed):
     p = float(marginal[outcome])
     post = qc.StateVector(s.dims, s.labels, new_nd.reshape(-1) / np.sqrt(p))
     return qc.MeasurementResult(outcome, p, post)
+
+
+def _marginal(s, label):
+    """The Born marginal of one subsystem, formed as `measure_computational` forms it."""
+    ax = s.labels.index(label)
+    probs_nd = np.abs(s.amps.reshape(s.dims)) ** 2
+    marginal = probs_nd.sum(axis=tuple(i for i in range(len(s.dims)) if i != ax))
+    return marginal / marginal.sum()
+
+
+def _marginal_cases():
+    """One-subsystem states for N = 1..16 with zero-probability outcomes first, in the middle and last."""
+    rng = np.random.default_rng(314)
+    for n in range(1, 17):
+        zero_sets = [()]
+        if n >= 2:
+            zero_sets += [(0,), (n - 1,)]
+        if n >= 3:
+            zero_sets.append((n // 2,))
+        if n >= 4:
+            zero_sets.append((0, n // 2, n - 1))
+        for zeros in zero_sets:
+            amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+            amps[list(zeros)] = 0.0
+            yield qc.StateVector((n,), ("q",), amps / np.linalg.norm(amps)), "q"
+    state = random_state(rng, (2, 3, 2), ("a", "b", "c"), signed_zeros=True)
+    for label in state.labels:
+        yield state, label
+
+
+class TestComputationalDraw:
+    """`measure_computational` draws what `Generator.choice` draws, from the same stream."""
+
+    def test_outcome_and_generator_state_equal_choice(self):
+        seen_last = False
+        for state, label in _marginal_cases():
+            m = _marginal(state, label)
+            for seed in range(12):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = qc.measure_computational(state, label, ours)
+                want = int(theirs.choice(len(m), p=m))
+                assert got.outcome_index == want
+                assert m[want] > 0.0  # a zero-probability outcome is never drawn
+                assert ours.bit_generator.state == theirs.bit_generator.state
+                seen_last |= want == len(m) - 1 and len(m) > 1
+        assert seen_last
+
+    def test_draw_on_a_shared_stream_stays_in_step(self):
+        state, label = next(c for c in _marginal_cases() if c[0].dims == (7,))
+        m = _marginal(state, label)
+        ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
+        got = [qc.measure_computational(state, label, ours).outcome_index for _ in range(200)]
+        assert got == [int(theirs.choice(len(m), p=m)) for _ in range(200)]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**70])
+    def test_as_generator_draws_what_default_rng_draws(self, seed):
+        ours, theirs = qc.as_generator(seed), np.random.default_rng(seed)
+        assert type(ours.bit_generator) is type(theirs.bit_generator)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random(8).tobytes() == theirs.random(8).tobytes()
+        assert ours.integers(0, 2**62, 8).tolist() == theirs.integers(0, 2**62, 8).tolist()
+
+    def test_as_generator_rejects_a_negative_seed_like_default_rng(self):
+        with pytest.raises(ValueError) as theirs:
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError) as ours:
+            qc.as_generator(-1)
+        assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize(
+        "probs", [[nan, 1.0], [0.5, nan], [0.5, 0.6], [0.3, 0.3], [inf, 0.0], [0.0, 0.0]]
+    )
+    def test_probability_check_fails_closed(self, probs):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            np.random.default_rng(5).choice(2, p=np.array(probs))
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            qc._draw_index(np.array(probs), rng)
+        assert rng.bit_generator.state == before  # nothing was drawn
+
+    @pytest.mark.parametrize(
+        "probs, u, index",
+        [
+            ([0.0, 0.5, 0.5], 0.0, 1),  # a zero-probability first outcome is never drawn
+            ([0.25, 0.25, 0.5], 0.5, 2),  # a draw on a boundary goes right, as in choice
+            ([0.5, 0.5 + 1e-9], 0.4999999999, 1),  # searched in the cdf scaled by its last
+        ],
+    )
+    def test_draw_searches_the_scaled_cdf_to_the_right(self, probs, u, index):
+        class Fixed:
+            def random(self):
+                return u
+
+        assert qc._draw_index(np.array(probs), Fixed()) == index
+
+    def test_probability_check_has_the_tolerance_of_choice(self):
+        # choice accepts a sum within sqrt(eps) of 1 and scales by the total
+        for probs in ([0.5, 0.5 + 1e-9], [0.25, 0.25, 0.5 - 1e-9]):
+            p = np.array(probs)
+            for seed in range(20):
+                want = np.random.default_rng(seed).choice(len(p), p=p)
+                assert qc._draw_index(p, np.random.default_rng(seed)) == want
+        with pytest.raises(ValueError):
+            qc._draw_index(np.array([0.5, 0.5 + 1e-7]), np.random.default_rng(0))
 
 
 class TestOverlap:

@@ -425,6 +425,45 @@ class TestExactVerdictNearTheBound:
         assert exact_calls == []
 
 
+class TestCheckedLosingProb:
+    """The losing probability reported beside the check is (N-1)/N + eps_bar wherever eps_bar is exact."""
+
+    def test_all_zero_biases_give_the_correctly_rounded_honest_value(self):
+        moved = set()
+        for n in range(2, 65):
+            spec = TournamentSpec(n, [0.0] * (n - 1))
+            for party in range(1, n + 1):
+                losing, check = weak_dr.checked_losing_prob(spec, party)
+                assert losing == float(Fraction(n - 1, n)), (n, party)
+                assert check == weak_dr.bias_bound_check(spec, party) == (0.0, 0.0, True)
+                if losing != weak_dr.max_losing_prob(spec, party):
+                    moved.add(n)
+        # the float chain rounds the other way for some parties at these N
+        assert {3, 6, 7, 12, 13} <= moved
+
+    @pytest.mark.parametrize("biases", [(0.0, 1e-300), (0.0, 5e-324), (1e-300, 1e-300)])
+    def test_exact_branch_gives_the_correctly_rounded_sum(self, biases, exact_calls):
+        spec = TournamentSpec(3, biases)
+        for party in (1, 2, 3):
+            losing, check = weak_dr.checked_losing_prob(spec, party)
+            exact = exact_eps_bar(3, party, biases)
+            assert check == weak_dr.bias_bound_check(spec, party)
+            assert check.eps_bar == float(exact)
+            assert losing == float(Fraction(2, 3) + exact) == 0.6666666666666666
+        assert len(exact_calls) == 6  # each party, in both calls
+
+    def test_float_branch_gives_the_float_chain(self, exact_calls):
+        rng = np.random.default_rng(2025)
+        for _ in range(100):
+            n = int(rng.integers(2, 33))
+            spec = TournamentSpec(n, rng.uniform(0.0, 1.0 / (2 * n), size=n - 1).tolist())
+            for party in range(1, n + 1):
+                losing, check = weak_dr.checked_losing_prob(spec, party)
+                assert losing == weak_dr.max_losing_prob(spec, party)
+                assert check == reference_float_check(spec, party)
+        assert exact_calls == []
+
+
 class TestTournamentSpecValidation:
     def test_wrong_bias_count(self):
         with pytest.raises(ParameterRangeError):
