@@ -22,6 +22,13 @@ from math import exp, log, sqrt
 from .bounds import symmetric_min
 from .errors import ParameterRangeError
 
+# The most decimal digits n^m may have: the record prints n^m, and the
+# honest probability's denominator, in full, and Python converts at most
+# 4 300 digits of an int to text by default. 3^9000 has 4 295 digits.
+MAX_OUTCOME_DIGITS = 4300
+_OUTCOME_LIMIT = 10**MAX_OUTCOME_DIGITS
+_LIMIT_BITS = _OUTCOME_LIMIT.bit_length()
+
 
 @dataclass(frozen=True)
 class PairingStage:
@@ -64,11 +71,19 @@ def build_pairing(m: int, n: int) -> PairingProtocol:
 
     Stage k (1-indexed) is played by parties (2k-1, 2k) and partitions the
     surviving n^(m-k+1) outcomes into n contiguous blocks of n^(m-k).
+    n^m past MAX_OUTCOME_DIGITS decimal digits is refused before any stage
+    is built.
     """
     if m < 1:
         raise ParameterRangeError(f"m must be >= 1, got {m}")
     if n < 2:
         raise ParameterRangeError(f"n must be >= 2, got {n}")
+    # n^m >= 2^(m (bits - 1)), so past the limit's bit count n^m is never formed;
+    # below it, n^m < 2^(2 _LIMIT_BITS) is cheap to form exactly
+    if m * (n.bit_length() - 1) >= _LIMIT_BITS or n**m >= _OUTCOME_LIMIT:
+        raise ParameterRangeError(
+            f"n^m has more than MAX_OUTCOME_DIGITS = {MAX_OUTCOME_DIGITS} decimal digits"
+        )
     stages = tuple(
         PairingStage(parties=(2 * k - 1, 2 * k), n_blocks=n, block_size=n ** (m - k))
         for k in range(1, m + 1)

@@ -22,12 +22,25 @@ States that are compared, projected or measured together must list their
 subsystems in the same order; a different order raises
 DimensionMismatchError rather than silently pairing the wrong amplitudes.
 
+A StateStack holds k states over one space as the rows of one read-only
+(k, dim) array. `apply_all`, `project_all` and `overlap_all` push a whole
+stack through the kernels that `apply`, `project`, `measure_projector` and
+`overlap` run as their one-row case, so row r's result is the scalar
+call's, bit for bit. The stack axis leads the state's axes, so numpy's
+matmul makes one BLAS product per state, the product the scalar call
+makes; one 2-D product over all k states would not (OpenBLAS rounds the
+columns past a multiple of four with other kernels). A stacked projection
+checks its basis once, takes <b|s> for every row with one `np.vecdot` per
+basis state (the BLAS dot that `np.vdot` takes), sums every row's in-span
+vector onto zeros in basis order, and reports a row whose probability
+vanishes as (0.0, None) where the scalar `project` raises.
+
 The hot paths avoid per-call numpy overhead without changing a bit of their
 results. `tensor` takes the outer product directly rather than through
 `np.kron` (the same products). `apply` looks its axis permutation up in a
 bounded cache keyed on (dims, labels, targets). `UnitaryOp`'s unitarity
-check subtracts a cached read-only identity in place, projections sum
-their in-span vector onto one zeroed buffer and take their probability
+check subtracts a cached read-only complex identity in place, projections
+sum their in-span vector onto one zeroed buffer and take their probability
 from numpy's own 2-norm formula, inlined, and `measure_computational`
 copies the drawn outcome's slice into zeros rather than zeroing every
 other outcome. The computational-basis draw is defined here, by
@@ -54,6 +67,7 @@ from .errors import DimensionMismatchError, NonOrthogonalBasisError
 
 NORM_TOL = 1e-12
 ORTHO_TOL = 1e-10
+_VANISHING = 1e-15  # a projection below this probability has no post state
 _SUM_ATOL = sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance on sum(p) - 1
 
 
@@ -109,8 +123,13 @@ class StateVector:
 
 
 def _check_norm(amps: np.ndarray) -> None:
-    """The check every state passes, whichever way it is built."""
-    n = sqrt(np.vdot(amps, amps).real)
+    """The check every state passes, whichever way it is built: amps is one
+    state, or a (k, dim) stack whose rows are checked one by one."""
+    if amps.ndim == 1:
+        n = sqrt(np.vdot(amps, amps).real)
+    else:  # a stack: the BLAS dot that np.vdot takes, row by row; the first bad row is reported
+        norms = [sqrt(square) for square in np.vecdot(amps, amps).real.tolist()]
+        n = next((x for x in norms if not abs(x - 1.0) <= NORM_TOL), 1.0)
     if not abs(n - 1.0) <= NORM_TOL:  # fails closed on NaN
         raise DimensionMismatchError(f"state not normalized: |psi| = {n!r}")
 
@@ -128,6 +147,74 @@ def _adopt(dims: tuple[int, ...], labels: tuple[str, ...], amps: np.ndarray) -> 
     state = object.__new__(StateVector)
     state.__dict__.update(dims=dims, labels=labels, amps=amps)
     return state
+
+
+@dataclass(frozen=True, eq=False)
+class StateStack:
+    """k >= 1 normalized states over one labeled space: row r of the read-only
+    (k, dim) amps is state r, and `stack[r]` returns it as a StateVector
+    sharing the row. Built from states by `stack` and returned by `apply_all`."""
+
+    dims: tuple[int, ...]
+    labels: tuple[str, ...]
+    amps: np.ndarray
+
+    def __post_init__(self):
+        amps = np.array(self.amps, dtype=complex)  # a copy: the caller's array stays writable
+        amps.setflags(write=False)
+        self.__dict__.update(dims=tuple(map(int, self.dims)), labels=tuple(self.labels), amps=amps)
+        if amps.ndim != 2 or len(amps) == 0:
+            raise DimensionMismatchError(f"expected a (k, dim) array with k >= 1, got {amps.shape}")
+        for row in amps:  # every StateVector check, row by row
+            StateVector(self.dims, self.labels, row)
+
+    def __len__(self) -> int:
+        return len(self.amps)
+
+    def __getitem__(self, r: int) -> StateVector:
+        return self._row(self.amps[r])
+
+    def __iter__(self):
+        return map(self._row, self.amps)
+
+    def _row(self, amps: np.ndarray) -> StateVector:
+        state = object.__new__(StateVector)  # the row passed the norm check with its stack
+        state.__dict__.update(dims=self.dims, labels=self.labels, amps=amps)
+        return state
+
+
+def _stack(dims: tuple[int, ...], labels: tuple[str, ...], amps: np.ndarray) -> StateStack:
+    """A stack over a (k, dim) array this module just allocated, whose rows are already checked."""
+    amps.setflags(write=False)
+    out = object.__new__(StateStack)
+    out.__dict__.update(dims=dims, labels=labels, amps=amps)
+    return out
+
+
+def _adopt_stack(dims: tuple[int, ...], labels: tuple[str, ...], amps: np.ndarray) -> StateStack:
+    """`_adopt` for a (k, dim) array: every row passes the norm check."""
+    _check_norm(amps)
+    return _stack(dims, labels, amps)
+
+
+def _check_same_space(dims: tuple[int, ...], labels: tuple[str, ...], states) -> None:
+    for s in states:
+        if s.dims != dims:
+            raise DimensionMismatchError(f"dims differ: {dims} vs {s.dims}")
+        if s.labels != labels:
+            raise DimensionMismatchError(f"subsystem labels differ: {labels} vs {s.labels}")
+
+
+def stack(states: Sequence[StateVector]) -> StateStack:
+    """The states, which must share dims and labels in one order, as one stack.
+
+    Each already passed the norm check, so only the space is checked.
+    """
+    if not states:
+        raise DimensionMismatchError("a stack needs at least one state")
+    first = states[0]
+    _check_same_space(first.dims, first.labels, states)
+    return _stack(first.dims, first.labels, np.array([s.amps for s in states]))
 
 
 def _flat_index(dims: tuple[int, ...], indices: tuple[int, ...]) -> int:
@@ -156,8 +243,8 @@ def _cached_basis_state(
 
 @lru_cache(maxsize=16)
 def _identity(n: int) -> np.ndarray:
-    """The n x n identity, shared read-only by every unitarity check."""
-    eye = np.eye(n)
+    """The complex n x n identity, shared read-only by every unitarity check."""
+    eye = np.eye(n, dtype=complex)
     eye.setflags(write=False)
     return eye
 
@@ -209,12 +296,14 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 
 class _ApplyPlan(NamedTuple):
-    """How `apply` permutes a state so its target subsystems lead, and back."""
+    """How `apply` permutes a stack of states so their target subsystems lead, and back."""
 
     d_target: int  # product of the target subsystems' dims
-    order: tuple[int, ...]  # target axes first, then the rest in state order
+    stacked_shape: tuple[int, ...]  # (-1, *dims): a stack of any length, axis 0 the stack's
+    order: tuple[int, ...]  # the stack axis, the target axes, then the rest in state order
+    matrix_shape: tuple[int, int, int]  # (-1, d_target, product of the other dims)
+    permuted_shape: tuple[int, ...]  # the stacked shape in `order`
     inverse: tuple[int, ...]  # the permutation that undoes `order`
-    permuted_shape: tuple[int, ...]  # the state's dims in `order`
 
 
 @lru_cache(maxsize=128)
@@ -226,27 +315,50 @@ def _apply_plan(
         if lbl not in labels:
             raise DimensionMismatchError(f"state has no subsystem named {lbl!r}")
     axes = [labels.index(lbl) for lbl in targets]
-    order = tuple(axes + [ax for ax in range(len(dims)) if ax not in axes])
+    rest = [ax for ax in range(len(dims)) if ax not in axes]
+    d_target = prod(dims[ax] for ax in axes)
+    order = (0, *(ax + 1 for ax in axes + rest))
     return _ApplyPlan(
-        prod(dims[ax] for ax in axes),
+        d_target,
+        (-1, *dims),
         order,
+        (-1, d_target, prod(dims[ax] for ax in rest)),
+        (-1, *(dims[ax] for ax in axes + rest)),
         tuple(order.index(ax) for ax in range(len(order))),
-        tuple(dims[ax] for ax in order),
     )
 
 
-def apply(u: UnitaryOp, s: StateVector) -> StateVector:
-    """Apply u to its target subsystems, acting as identity on all others."""
-    d_target, order, inverse, permuted_shape = _apply_plan(s.dims, s.labels, u.target_subsystems)
+def _apply_amps(
+    u: UnitaryOp, dims: tuple[int, ...], labels: tuple[str, ...], amps: np.ndarray
+) -> np.ndarray:
+    """u applied to a (dim,) state or to every row of a (k, dim) stack; the result has amps's shape.
+
+    With the stack axis ahead of the state's axes, numpy's matmul makes one
+    BLAS product per state, the (d_target, rest) product of the scalar call.
+    One 2-D product over the whole stack would not do: OpenBLAS rounds the
+    columns past a multiple of four with other kernels.
+    """
+    d_target, stacked_shape, order, matrix_shape, permuted_shape, inverse = _apply_plan(
+        dims, labels, u.target_subsystems
+    )
     if u.matrix.shape[0] != d_target:
         raise DimensionMismatchError(
             f"matrix dim {u.matrix.shape[0]} != target subsystem dim {d_target}"
         )
-    flat = s.amps.reshape(s.dims).transpose(order).reshape(d_target, -1)
-    out = u.matrix @ flat
+    out = u.matrix @ amps.reshape(stacked_shape).transpose(order).reshape(matrix_shape)
     # undo the transpose: scatter target axes back to their original slots
-    new_amps = out.reshape(permuted_shape).transpose(inverse).reshape(-1)
-    return _adopt(s.dims, s.labels, new_amps)
+    return out.reshape(permuted_shape).transpose(inverse).reshape(amps.shape)
+
+
+def apply(u: UnitaryOp, s: StateVector) -> StateVector:
+    """Apply u to its target subsystems, acting as identity on all others."""
+    return _adopt(s.dims, s.labels, _apply_amps(u, s.dims, s.labels, s.amps))
+
+
+def apply_all(u: UnitaryOp, states: StateStack) -> StateStack:
+    """`apply` to every state of the stack, in one pass; row r is `apply(u, states[r])`."""
+    amps = _apply_amps(u, states.dims, states.labels, states.amps)
+    return _adopt_stack(states.dims, states.labels, amps)
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:
@@ -258,42 +370,86 @@ def overlap(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
+def overlap_all(a: StateVector, states: StateStack) -> np.ndarray:
+    """<a|s> for every state s of the stack, bit for bit `overlap(a, s)`.
+
+    `np.vecdot` conjugates a and takes the BLAS dot that `np.vdot` takes with each row.
+    """
+    _check_same_space(a.dims, a.labels, (states,))
+    return np.vecdot(a.amps, states.amps)
+
+
 def _check_orthonormal(basis_states: Sequence[StateVector]) -> None:
+    """Every pair of the basis states, which share one space, is orthogonal."""
     for i, u in enumerate(basis_states):
         for v in basis_states[i + 1 :]:
-            if abs(overlap(u, v)) > ORTHO_TOL:
+            dev = abs(np.vdot(u.amps, v.amps))
+            if dev > ORTHO_TOL:
                 raise NonOrthogonalBasisError(
-                    f"basis states {i} and later are not orthogonal: "
-                    f"|<u|v>| = {abs(overlap(u, v)):.3g}"
+                    f"basis states {i} and later are not orthogonal: |<u|v>| = {dev:.3g}"
                 )
 
 
-def _span_coefficients(s: StateVector, basis_states: Sequence[StateVector]) -> list[complex]:
-    """<b|s> for each of the given states, after checking they are orthonormal."""
+def _span_coefficients(
+    dims: tuple[int, ...],
+    labels: tuple[str, ...],
+    rows: np.ndarray,
+    basis_states: Sequence[StateVector],
+) -> list[np.ndarray]:
+    """<b|s> for every row s of the (k, dim) rows, as one (k, 1) column per
+    basis state b, after checking the basis lies in the rows' space and is
+    orthonormal.
+
+    `np.vecdot` conjugates b and takes one BLAS dot with each row: bit for
+    bit the `np.vdot(b, s)` that `overlap` takes.
+    """
+    _check_same_space(dims, labels, basis_states)
     _check_orthonormal(basis_states)
-    return [overlap(b, s) for b in basis_states]
+    return [np.vecdot(b.amps, rows, keepdims=True) for b in basis_states]
 
 
-def _project(
-    s: StateVector, basis_states: Sequence[StateVector], coeffs: list[complex], inside: bool
-) -> tuple[float, StateVector]:
-    """`project` with the coefficients from `_span_coefficients` already taken."""
+def _weight(coeffs: list[np.ndarray], r: int) -> float:
+    """sum |<b|s>|^2 over the basis for row r, term by term in basis order."""
+    return float(sum(abs(c.item(r)) ** 2 for c in coeffs))
+
+
+def _project_rows(
+    dims: tuple[int, ...],
+    labels: tuple[str, ...],
+    rows: np.ndarray,
+    basis_states: Sequence[StateVector],
+    coeffs: list[np.ndarray],
+    inside: bool,
+) -> list[tuple[float, StateVector | None]]:
+    """Each row's projection, its coefficients from `_span_coefficients` already taken.
+
+    A row whose probability vanishes comes back as (0.0, None).
+    """
     # summed onto zeros in basis order, so -0.0 components become +0.0
-    in_span = np.zeros(s.amps.shape, dtype=complex)
+    in_span = np.zeros(rows.shape, dtype=complex)
     for c, b in zip(coeffs, basis_states):
         in_span += c * b.amps
-    target = in_span if inside else s.amps - in_span
-    # np.linalg.norm's own formula for a complex vector, without its dispatch
-    re, im = target.real, target.imag
-    p = sqrt(re.dot(re) + im.dot(im)) ** 2
-    if p < 1e-15:
+    targets = in_span if inside else rows - in_span
+    out = []
+    for r in range(len(targets)):  # indexing is cheaper than iterating the array
+        target = targets[r]
+        # np.linalg.norm's own formula for a complex vector, without its dispatch
+        re, im = target.real, target.imag
+        p = sqrt(re.dot(re) + im.dot(im)) ** 2
+        out.append((0.0, None) if p < _VANISHING else (p, _adopt(dims, labels, target / sqrt(p))))
+    return out
+
+
+def _only_row(projected: list[tuple[float, StateVector | None]]) -> tuple[float, StateVector]:
+    ((p, post),) = projected
+    if post is None:
         raise DimensionMismatchError("projection has vanishing probability, cannot renormalize")
-    return p, _adopt(s.dims, s.labels, target / sqrt(p))
+    return p, post
 
 
 def subspace_probability(s: StateVector, basis_states: Sequence[StateVector]) -> float:
     """Probability that s is found in the span of the given orthonormal states."""
-    return float(sum(abs(c) ** 2 for c in _span_coefficients(s, basis_states)))
+    return _weight(_span_coefficients(s.dims, s.labels, s.amps.reshape(1, -1), basis_states), 0)
 
 
 def project(
@@ -301,9 +457,24 @@ def project(
 ) -> tuple[float, StateVector]:
     """Project s onto the span of basis_states (or its complement) and renormalize.
 
-    Returns (probability of that outcome, renormalized post state).
+    Returns (probability of that outcome, renormalized post state); a
+    vanishing probability raises DimensionMismatchError.
     """
-    return _project(s, basis_states, _span_coefficients(s, basis_states), inside)
+    rows = s.amps.reshape(1, -1)
+    coeffs = _span_coefficients(s.dims, s.labels, rows, basis_states)
+    return _only_row(_project_rows(s.dims, s.labels, rows, basis_states, coeffs, inside))
+
+
+def project_all(
+    states: StateStack, basis_states: Sequence[StateVector], inside: bool = True
+) -> list[tuple[float, StateVector | None]]:
+    """`project` of every state of the stack, with one check of the basis.
+
+    Row r is `project(states[r], basis_states, inside)`, except that a row
+    whose probability vanishes comes back as (0.0, None) rather than raising.
+    """
+    coeffs = _span_coefficients(states.dims, states.labels, states.amps, basis_states)
+    return _project_rows(states.dims, states.labels, states.amps, basis_states, coeffs, inside)
 
 
 def measure_projector(
@@ -317,11 +488,12 @@ def measure_projector(
     checked and its overlaps with s are taken once, for both steps. The
     result's inside_probability equals `subspace_probability(s, basis_states)`.
     """
-    coeffs = _span_coefficients(s, basis_states)
-    p_in = float(sum(abs(c) ** 2 for c in coeffs))
+    rows = s.amps.reshape(1, -1)
+    coeffs = _span_coefficients(s.dims, s.labels, rows, basis_states)
+    p_in = _weight(coeffs, 0)
     rng = as_generator(seed)
     inside = bool(rng.random() < p_in)
-    prob, post = _project(s, basis_states, coeffs, inside)
+    prob, post = _only_row(_project_rows(s.dims, s.labels, rows, basis_states, coeffs, inside))
     return MeasurementResult(0 if inside else 1, prob, post, p_in)
 
 

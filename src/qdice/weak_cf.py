@@ -32,7 +32,6 @@ from . import quantum_core as qc
 from .errors import (
     CrossCheckError,
     DegenerateProtocolError,
-    DimensionMismatchError,
     ParameterRangeError,
     ResolutionTooCoarseError,
 )
@@ -118,20 +117,23 @@ def rotation_unitary(params: WeakCFParams) -> qc.UnitaryOp:
         c, s = 1.0, 0.0
     else:
         c, s = sqrt(params.p / total), sqrt(params.eta / total)
-    m = np.eye(4, dtype=complex)
+    m = np.zeros((4, 4), dtype=complex)  # np.eye's entries, without its Python-level wrapper
     ud, du = UP * 2 + DOWN, DOWN * 2 + UP
+    m[UP * 2 + UP, UP * 2 + UP] = m[DOWN * 2 + DOWN, DOWN * 2 + DOWN] = 1.0
     m[ud, ud], m[du, ud] = c, s
     m[ud, du], m[du, du] = s, -c
     return qc.UnitaryOp(m, ("q2", "q3"))
 
 
 # The protocol's fixed states, built once at import so that no call's work
-# depends on what ran before it: Bob's |d> ancilla and the basis of his win
-# sector, where qubits 2, 3 read |ud> (q1 free).
+# depends on what ran before it: Bob's |d> ancilla, the basis of his win
+# sector, where qubits 2, 3 read |ud> (q1 free), and the |dud> that Alice
+# checks after Bob wins.
 _ANCILLA_D = qc.basis_state((2,), ("q3",), (DOWN,))
 _WIN_SECTOR = tuple(
     qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (x, UP, DOWN)) for x in (UP, DOWN)
 )
+_BOB_WIN_CHECK = (qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (DOWN, UP, DOWN)),)
 
 
 def alice_pass_state(params: WeakCFParams) -> qc.StateVector:
@@ -172,8 +174,9 @@ def honest_run(params: WeakCFParams, seed: int | np.random.Generator) -> tuple[s
 
     if result.outcome_index == 0:
         # Bob won; Alice verifies his first qubit is |d>
-        check = [qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (DOWN, UP, DOWN))]
-        transcript["verification_probability"] = qc.subspace_probability(result.post_state, check)
+        transcript["verification_probability"] = qc.subspace_probability(
+            result.post_state, _BOB_WIN_CHECK
+        )
         return "bob", transcript
 
     # Alice won; she must pass Bob's three-qubit test
@@ -293,9 +296,9 @@ def fair_eta_balanced() -> FairPoint:
 
 # Alice's preparation basis (q1, q2), in the order of CheatAnalysis.maximizer_alphas
 _PREP_BASIS = ((UP, DOWN), (DOWN, UP), (UP, UP), (DOWN, DOWN))  # a_ud, a_du, a_uu, a_dd
-# e_r tensor |d> for each preparation basis state, built once at import
-_PREP_STATES = tuple(
-    qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (i, j, DOWN)) for i, j in _PREP_BASIS
+# e_r tensor |d> for each preparation basis state, one stack built at import
+_PREP_STACK = qc.stack(
+    [qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (i, j, DOWN)) for i, j in _PREP_BASIS]
 )
 
 
@@ -311,35 +314,34 @@ def _protocol(params: WeakCFParams) -> _Protocol:
     return _Protocol(rotation_unitary(params), alice_pass_state(params), _WIN_SECTOR)
 
 
-def _score_rotated(
-    rotated: qc.StateVector, sector: tuple[qc.StateVector, ...], xi: qc.StateVector
-) -> float:
-    """P_fail * P_test of a state after Bob's rotation.
+def _scores(rotated: qc.StateStack, proto: _Protocol) -> list[float]:
+    """P_fail * P_test of each state of a stack after Bob's rotation.
 
     P_fail is the probability that Bob's |ud> test fails and P_test that
     the renormalized post-failure state passes Alice's verification
-    against xi. A state Bob's test cannot fail on scores 0.
+    against xi. The whole stack goes through one projection out of the win
+    sector; a state Bob's test cannot fail on scores 0.
     """
-    try:
-        p_fail, post = qc.project(rotated, sector, inside=False)
-    except DimensionMismatchError:  # vanishing failure probability
-        return 0.0
-    return p_fail * abs(qc.overlap(xi, post)) ** 2
+    return [
+        0.0 if post is None else p_fail * abs(qc.overlap(proto.xi, post)) ** 2
+        for p_fail, post in qc.project_all(rotated, proto.sector, inside=False)
+    ]
 
 
 def _payoff(alphas, proto: _Protocol) -> float:
     """Alice's cheating payoff P_fail * P_test for one preparation.
 
     alphas = (a_ud, a_du, a_uu, a_dd) is a unit vector. The preparation is
-    pushed through the protocol `proto` (from `_protocol(params)`): Bob's
-    rotation against a |d> ancilla, the probability his |ud> test fails,
-    and Alice's verification overlap on the renormalized post-failure state.
+    pushed through the protocol `proto` (from `_protocol(params)`) as a
+    one-row stack: Bob's rotation against a |d> ancilla, the probability
+    his |ud> test fails, and Alice's verification overlap on the
+    renormalized post-failure state.
     """
     amps = np.zeros(4, dtype=complex)
     for (i, j), a in zip(_PREP_BASIS, alphas):
         amps[i * 2 + j] = a
     prep = qc.tensor(qc.StateVector((2, 2), ("q1", "q2"), amps), _ANCILLA_D)
-    return _score_rotated(qc.apply(proto.u, prep), proto.sector, proto.xi)
+    return _scores(qc.apply_all(proto.u, qc.stack([prep])), proto)[0]
 
 
 def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> CheatAnalysis:
@@ -351,12 +353,16 @@ def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> Cheat
     is ||v||^2 with v_r = <xi|U(e_r tensor |d>)> (ancillas give her no
     advantage). Both U and xi come from the simulated protocol, not from the
     closed form; they and Bob's win sector are built once and shared by
-    both certificates. Two simulated certificates must hold within
-    ORACLE_TOL: the four basis preparations, each scored through Bob's test
-    and Alice's verification, sum to ||v||^2 (the maximum of the simulated
-    payoff form, so no preparation beats the value), and the maximizer
-    |v| / ||v|| attains ||v||^2. Either failure, or a NaN, raises
-    CrossCheckError.
+    both certificates. The four basis preparations go through the
+    simulator as one stack built at import: one `apply_all` of U, whose
+    rows give v by `overlap_all` (per image, bit for bit `overlap`), then
+    one `project_all` out of Bob's win sector, which checks the sector
+    once. Two simulated certificates must hold within ORACLE_TOL: the four
+    basis preparations, each scored through Bob's test and Alice's
+    verification, sum to ||v||^2 (the maximum of the simulated payoff
+    form, so no preparation beats the value), and the maximizer
+    |v| / ||v||, scored by `_payoff` as a one-row stack, attains ||v||^2.
+    Either failure, or a NaN, raises CrossCheckError.
 
     grid_resolution is validated (>= 10) for compatibility but no longer
     affects the result.
@@ -364,13 +370,13 @@ def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> Cheat
     if grid_resolution < 10:
         raise ResolutionTooCoarseError(f"grid_resolution must be >= 10, got {grid_resolution}")
     proto = _protocol(params)
-    images = [qc.apply(proto.u, e) for e in _PREP_STATES]  # U (e_r tensor |d>)
-    v = np.array([qc.overlap(proto.xi, img) for img in images])
+    images = qc.apply_all(proto.u, _PREP_STACK)  # U (e_r tensor |d>), one row each
+    v = qc.overlap_all(proto.xi, images)
     w = np.abs(v)
     value = float(w @ w)
-    alphas = tuple(float(x) for x in w / np.sqrt(value))
+    alphas = tuple((w / sqrt(value)).tolist())
 
-    upper = sum(_score_rotated(img, proto.sector, proto.xi) for img in images)
+    upper = sum(_scores(images, proto))
     if not abs(upper - value) <= ORACLE_TOL:  # fails closed on NaN
         raise CrossCheckError(f"basis preparations score {upper!r}, not ||v||^2 = {value!r}")
     attained = _payoff(alphas, proto)

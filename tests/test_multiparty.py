@@ -159,3 +159,57 @@ class TestThreePartyFamily:
         assert family["n_parties"] == 3
         assert family["n_outcomes"] == 3
         assert family["per_stage_force_prob"] == multiparty.three_party_example_bias()[0]
+
+
+class _NoPower(int):
+    """An int that fails the test if anything raises it to a power."""
+
+    def __pow__(self, other, mod=None):
+        raise AssertionError("n^m was formed")
+
+
+class TestOutcomeDigitCap:
+    def test_three_to_the_nine_thousand_is_built(self):
+        protocol = multiparty.build_pairing(9000, 3)
+        assert len(protocol.stages) == 9000 and protocol.n_outcomes == 3**9000
+        assert len(str(protocol.n_outcomes)) == 4295 <= multiparty.MAX_OUTCOME_DIGITS
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [(9100, 3), (10**6, 3), (4300, 10), (1, 10**4300), (10**400, 2)],
+        ids=["3^9100", "3^1e6", "10^4300", "(10^4300)^1", "2^(10^400)"],
+    )
+    def test_past_the_cap_is_refused_before_any_stage(self, monkeypatch, m, n):
+        # building a stage would now raise TypeError
+        monkeypatch.setattr(multiparty, "PairingStage", None)
+        with pytest.raises(ParameterRangeError, match="MAX_OUTCOME_DIGITS = 4300"):
+            multiparty.build_pairing(m, n)
+
+    def test_the_cap_is_on_the_digit_count(self):
+        # 10^4299 has 4 300 digits, 10^4300 one more
+        assert multiparty.build_pairing(4299, 10).n_outcomes == 10**4299
+        assert multiparty.build_pairing(1, 10**4299).n_outcomes == 10**4299
+        with pytest.raises(ParameterRangeError):
+            multiparty.build_pairing(4300, 10)
+        largest = 10**multiparty.MAX_OUTCOME_DIGITS - 1
+        assert multiparty.build_pairing(1, largest).n_outcomes == largest
+        with pytest.raises(ParameterRangeError):
+            multiparty.build_pairing(1, largest + 1)
+
+    def test_a_million_stages_are_refused_without_forming_n_to_the_m(self):
+        with pytest.raises(ParameterRangeError):
+            multiparty.build_pairing(10**6, _NoPower(3))
+
+    def test_cli_prints_three_to_the_nine_thousand(self, capsys):
+        assert cli.run(["multiparty", "--m", "9000", "--n", "3"]) == 0
+        out = capsys.readouterr().out
+        assert f'"n_outcomes": {3**9000},' in out
+
+    @pytest.mark.parametrize("m", ["9100", str(10**6)])
+    def test_cli_refuses_past_the_cap_with_one_error_line(self, capsys, m):
+        assert cli.run(["multiparty", "--m", m, "--n", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: n^m has more than MAX_OUTCOME_DIGITS = 4300 decimal digits"
+        ]

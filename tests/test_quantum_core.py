@@ -174,7 +174,8 @@ class TestApply:
             with pytest.raises(DimensionMismatchError, match="not unitary"):
                 qc.UnitaryOp(bad, ("q1",))
         qc.UnitaryOp(np.array([[0.0, 1.0], [1.0, 0.0]]), ("q1",))
-        assert eye.tobytes() == np.eye(2).tobytes()
+        # the complex identity the complex gram subtracts, so no check casts one
+        assert eye.dtype == complex and eye.tobytes() == np.eye(2, dtype=complex).tobytes()
 
     def test_permuted_targets_act_on_the_named_subsystems(self):
         # a CNOT with control q3 and target q1, on a state whose order is (q1, q2, q3)
@@ -590,3 +591,187 @@ class TestInvariants:
         assert d["labels"] == ["q1", "q2"]
         assert len(d["amps"]) == 4
         assert all(len(pair) == 2 for pair in d["amps"])
+
+
+def _labels(dims):
+    return tuple(f"s{i}" for i in range(len(dims)))
+
+
+def _random_stack(rng, dims, k):
+    """k seeded random complex states over dims, with -0.0 and +0.0 parts in every other one."""
+    return [random_state(rng, dims, _labels(dims), signed_zeros=bool(r % 2)) for r in range(k)]
+
+
+def _orthonormal_basis(rng, dims, m):
+    """m random orthonormal complex states over dims: the columns of a QR factor."""
+    n = int(np.prod(dims))
+    q, _ = np.linalg.qr(rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
+    return [qc.StateVector(dims, _labels(dims), q[:, j]) for j in range(m)]
+
+
+def _one_hot_basis(dims, picks, negative_zeros):
+    """Computational basis states; negative_zeros writes their zero entries as -0.0."""
+    n = int(np.prod(dims))
+    basis = []
+    for i in picks:
+        amps = np.full(n, -0.0 if negative_zeros else 0.0, dtype=complex)
+        amps[i] = 1.0
+        basis.append(qc.StateVector(dims, _labels(dims), amps))
+    return basis
+
+
+def _same_bits(a: qc.StateVector, b: qc.StateVector) -> bool:
+    return a.amps.tobytes() == b.amps.tobytes() and (a.dims, a.labels) == (b.dims, b.labels)
+
+
+# (dims, targets): the rest of the state spans 1, 2, 3 or 4 columns per state, so
+# stacks cross the matmul's blocks of four columns; targets also come permuted
+APPLY_CASES = [
+    ((2,), (0,)),
+    ((2, 2), (1,)),
+    ((2, 2, 2), (1, 2)),
+    ((2, 3, 2), (2, 0)),
+    ((3, 2, 2), (0,)),
+    ((2, 2, 2, 2), (3, 1)),
+    ((4, 3), (0,)),
+]
+
+
+class TestStacks:
+    @pytest.mark.parametrize("dims, targets", APPLY_CASES)
+    def test_apply_all_is_the_per_state_loop_bit_for_bit(self, dims, targets):
+        rng = np.random.default_rng(31)
+        labels = _labels(dims)
+        d = int(np.prod([dims[t] for t in targets]))
+        for k in (1, 2, 3, 4, 5, 7):
+            u = qc.UnitaryOp(_haar_unitary(d, rng), tuple(labels[t] for t in targets))
+            states = _random_stack(rng, dims, k)
+            out = qc.apply_all(u, qc.stack(states))
+            assert len(out) == k and not out.amps.flags.writeable
+            for got, state in zip(out, states, strict=True):
+                assert _same_bits(got, qc.apply(u, state))
+
+    @pytest.mark.parametrize("inside", [True, False])
+    @pytest.mark.parametrize("basis_kind", ["one-hot", "one-hot -0.0", "random"])
+    @pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 2, 2), (2, 3, 2)])
+    def test_project_all_is_the_per_state_loop_bit_for_bit(self, dims, basis_kind, inside):
+        rng = np.random.default_rng(47)
+        n = int(np.prod(dims))
+        for m in range(n):  # the empty basis too
+            if basis_kind == "random":
+                basis = _orthonormal_basis(rng, dims, m) if m else []
+            else:
+                picks = rng.permutation(n)[:m]
+                basis = _one_hot_basis(dims, picks, negative_zeros=basis_kind.endswith("-0.0"))
+            for k in (1, 2, 4, 5):
+                states = _random_stack(rng, dims, k)
+                rows = qc.project_all(qc.stack(states), basis, inside)
+                assert len(rows) == k
+                for (p, post), state in zip(rows, states, strict=True):
+                    try:
+                        want_p, want_post = qc.project(state, basis, inside)
+                    except DimensionMismatchError:  # vanishing: the stack reports it as (0.0, None)
+                        assert (p, post) == (0.0, None)
+                        continue
+                    assert p == want_p and _same_bits(post, want_post)
+                    assert not post.amps.flags.writeable
+
+    def test_one_row_stack_is_the_scalar_call(self):
+        rng = np.random.default_rng(5)
+        dims = (2, 3, 2)
+        state = random_state(rng, dims, _labels(dims), signed_zeros=True)
+        u = qc.UnitaryOp(_haar_unitary(6, rng), ("s1", "s0"))
+        basis = _orthonormal_basis(rng, dims, 5)
+        one = qc.stack([state])
+        assert one.amps.tobytes() == state.amps.tobytes() and _same_bits(one[0], state)
+        assert _same_bits(qc.apply_all(u, one)[0], qc.apply(u, state))
+        for inside in (True, False):
+            ((p, post),) = qc.project_all(one, basis, inside)
+            want_p, want_post = qc.project(state, basis, inside)
+            assert p == want_p and _same_bits(post, want_post)
+        assert qc.overlap_all(basis[0], one).tolist() == [qc.overlap(basis[0], state)]
+
+    def test_overlap_all_is_the_per_state_overlap_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        for dims in [(2,), (2, 2, 2), (2, 3, 2), (4, 4)]:
+            states = _random_stack(rng, dims, 5)
+            bras = (random_state(rng, dims, _labels(dims), True), *_one_hot_basis(dims, [0], True))
+            for a in bras:
+                got = qc.overlap_all(a, qc.stack(states))
+                want = np.array([qc.overlap(a, s) for s in states])
+                assert got.tobytes() == want.tobytes()
+
+    def test_a_vanishing_row_comes_back_with_probability_zero(self):
+        basis = [ket(UP)]
+        inside, outside = ket(UP), ket(DOWN)
+        tilted = qc.StateVector((2,), ("q1",), np.array([0.6, 0.8]))
+        rows = qc.project_all(qc.stack([inside, tilted, outside]), basis, inside=False)
+        assert rows[0] == (0.0, None) and rows[2][0] == 1.0
+        assert rows[1][0] == pytest.approx(0.64, abs=1e-15)
+        assert qc.project_all(qc.stack([outside]), basis, inside=True) == [(0.0, None)]
+        with pytest.raises(DimensionMismatchError, match="vanishing"):
+            qc.project(inside, basis, inside=False)  # the scalar call still raises
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            [nan, 0.0], [1.0, nan], [inf, 0.0], [complex(0.0, nan), 1.0],
+            [1.0, 1.0], [0.5, 0.0], [0.0, 0.0],
+        ],
+    )
+    def test_a_nan_or_unnormalized_row_fails_closed(self, bad_row):
+        rows = np.array([[0.6, 0.8], bad_row, [1.0, 0.0]], dtype=complex)
+        with pytest.raises(DimensionMismatchError, match="not normalized"):
+            qc.StateStack((2,), ("q1",), rows)
+        with np.errstate(invalid="ignore"):  # vecdot warns on a non-finite row
+            with pytest.raises(DimensionMismatchError, match="not normalized"):
+                qc._adopt_stack((2,), ("q1",), rows.copy())
+            with pytest.raises(DimensionMismatchError, match="not normalized"):
+                qc._check_norm(rows)
+
+    def test_a_caller_built_stack_is_copied_and_checked(self):
+        rows = np.array([[0.6, 0.8], [1.0, 0.0]], dtype=complex)
+        built = qc.StateStack([2], ["q1"], rows)
+        rows[0, 0] = 5.0
+        assert rows.flags.writeable and built.amps[0, 0] == 0.6
+        assert (built.dims, built.labels, len(built)) == ((2,), ("q1",), 2)
+        with pytest.raises(ValueError):
+            built.amps[0, 0] = 1.0
+        for bad in (np.zeros((0, 2)), np.array([1.0, 0.0]), np.eye(3)):
+            with pytest.raises(DimensionMismatchError):
+                qc.StateStack((2,), ("q1",), bad)
+        with pytest.raises(DimensionMismatchError, match="duplicate"):
+            qc.StateStack((2, 2), ("q1", "q1"), np.eye(4)[:1])
+
+    def test_stacks_of_mismatched_states_raise(self):
+        forward, swapped = TestLabelOrder.forward, TestLabelOrder.swapped
+        with pytest.raises(DimensionMismatchError, match="labels differ"):
+            qc.stack([forward, swapped])
+        with pytest.raises(DimensionMismatchError, match="dims differ"):
+            qc.stack([ket(UP), ket(UP, DOWN)])
+        with pytest.raises(DimensionMismatchError, match="at least one"):
+            qc.stack([])
+        one = qc.stack([forward])
+        for call in (
+            lambda: qc.project_all(one, [swapped]),
+            lambda: qc.overlap_all(swapped, one),
+        ):
+            with pytest.raises(DimensionMismatchError, match="labels differ"):
+                call()
+        with pytest.raises(DimensionMismatchError, match="dims differ"):
+            qc.project_all(one, [ket(UP)])
+        with pytest.raises(NonOrthogonalBasisError):
+            qc.project_all(one, [forward, forward])
+
+    def test_stacks_share_no_caller_memory(self):
+        rng = np.random.default_rng(8)
+        states = _random_stack(rng, (2, 3), 3)
+        u = qc.UnitaryOp(_haar_unitary(3, rng), ("s1",))
+        built = qc.stack(states)
+        applied = qc.apply_all(u, built)
+        basis = [qc.basis_state((2, 3), ("s0", "s1"), (0, 0))]
+        posts = [post for _, post in qc.project_all(applied, basis)]
+        for out in (built.amps, applied.amps, *(post.amps for post in posts)):
+            assert not out.flags.writeable
+            for held in (*(s.amps for s in states), built.amps if out is not built.amps else None):
+                assert held is None or not np.shares_memory(out, held)

@@ -1,7 +1,11 @@
-"""Module structure: each qdice module reads another's public names only."""
+"""Module structure: each qdice module reads another's public names only, and every
+name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import qdice
 
@@ -96,3 +100,36 @@ def test_numpy_scan_skips_function_bodies(tmp_path):
     (tmp_path / "c.py").write_text("def g():\n    from numpy import array\n")
     assert numpy_importers("a", tmp_path) == {"b"}
     assert numpy_importers("c", tmp_path) == set()
+
+
+def traced_names(path: Path) -> list[str]:
+    """The dotted names in a tracing script's `TRACED = (...)` tuple, read without importing it."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    raise AssertionError(f"{path} assigns no TRACED tuple")
+
+
+def test_every_name_the_benchmark_traces_is_a_qdice_attribute():
+    # the tracer wraps these by name; one renamed or moved away would stop being timed
+    names = traced_names(SRC.parent.parent / "perfbench" / "tracing.py")
+    assert names and len(names) == len(set(names))
+    missing = []
+    for name in names:
+        module, attr = name.split(".")
+        if not callable(getattr(importlib.import_module(f"qdice.{module}"), attr, None)):
+            missing.append(name)
+    assert missing == []
+    kernels = {"apply", "project", "measure_projector", "subspace_probability"}
+    assert {f"quantum_core.{name}" for name in kernels} <= set(names)
+
+
+def test_traced_name_scan_reads_the_tuple(tmp_path):
+    script = tmp_path / "tracing.py"
+    script.write_text('X = 1\nTRACED = (\n    "a.b",\n    "c.d",\n)\n')
+    assert traced_names(script) == ["a.b", "c.d"]
+    script.write_text("TRACE = ()\n")
+    with pytest.raises(AssertionError, match="no TRACED"):
+        traced_names(script)

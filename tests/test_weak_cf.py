@@ -448,7 +448,9 @@ class TestAliceCheatOracle:
             weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
 
     def test_basis_certificate_nan_raises(self, monkeypatch):
-        monkeypatch.setattr(weak_cf, "_score_rotated", lambda rotated, sector, xi: float("nan"))
+        monkeypatch.setattr(
+            weak_cf, "_scores", lambda rotated, proto: [float("nan")] * len(rotated)
+        )
         with pytest.raises(CrossCheckError, match="basis"):
             weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
 
@@ -456,10 +458,21 @@ class TestAliceCheatOracle:
         # one rotation and one unitarity check serve both certificates, and
         # the fixed basis states are not rebuilt: 13 states in all (xi, four
         # images, five post-test states, the maximizer, its tensor and image),
-        # counted by the norm check that every state passes however it is built
-        built, checked, states = [], [], []
+        # counted by the norm check that every state passes however it is
+        # built; the four basis preparations share one check of the win
+        # sector's orthonormality, and the maximizer has its own
+        built, checked, states, sector_checks, before_payoff = [], [], [], [], []
         rotation = weak_cf.rotation_unitary
         unitary_check, state_check = qc.UnitaryOp.__post_init__, qc._check_norm
+        ortho_check, payoff = qc._check_orthonormal, weak_cf._payoff
+
+        def counted_ortho(basis):
+            sector_checks.append(basis)
+            ortho_check(basis)
+
+        def marked_payoff(alphas, proto):
+            before_payoff.append(len(sector_checks))
+            return payoff(alphas, proto)
 
         def counted_rotation(params):
             built.append(params)
@@ -476,8 +489,14 @@ class TestAliceCheatOracle:
         monkeypatch.setattr(weak_cf, "rotation_unitary", counted_rotation)
         monkeypatch.setattr(qc.UnitaryOp, "__post_init__", counted_unitary)
         monkeypatch.setattr(qc, "_check_norm", counted_state)
+        monkeypatch.setattr(qc, "_check_orthonormal", counted_ortho)
+        monkeypatch.setattr(weak_cf, "_payoff", marked_payoff)
         weak_cf.alice_cheat_oracle(WeakCFParams(0.4, 0.3))
-        assert (len(built), len(checked), len(states)) == (1, 1, 13)
+        # a stack is checked row by row
+        rows = sum(1 if amps.ndim == 1 else len(amps) for amps in states)
+        assert (len(built), len(checked), rows) == (1, 1, 13)
+        assert before_payoff == [1] and len(sector_checks) == 2
+        assert all(basis is weak_cf._WIN_SECTOR for basis in sector_checks)
 
     def test_one_honest_run_builds_four_or_five_states(self, monkeypatch):
         # psi0, its tensor with the ancilla, the rotated state and the post
