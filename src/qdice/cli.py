@@ -22,7 +22,6 @@ import numpy as np
 
 from . import bounds, colbeck_dr, multiparty, reproduce, sixround_dr, strong_cf, strong_dr, weak_cf, weak_dr
 from .errors import CrossCheckError, QdiceError
-from .optimize import MAX_GRID_POINTS
 
 USAGE_EXIT = 1
 MISMATCH_EXIT = 2
@@ -137,14 +136,14 @@ def _emit_rows(rows: list[dict], fmt: str, out) -> None:
 
 def _cmd_weak_cf(args) -> tuple[dict, str | None]:
     params = weak_cf.WeakCFParams(args.p, args.eta)
-    analysis = weak_cf.alice_opt_cheat(params, grid_points=args.grid)
+    analysis = weak_cf.alice_opt_cheat(params)
     return analysis.to_json_dict(), None
 
 
 def _cmd_oracle(args) -> tuple[dict, str | None]:
     params = weak_cf.WeakCFParams(args.p, args.eta)
     oracle = weak_cf.alice_cheat_oracle(params)
-    closed = weak_cf.alice_opt_cheat(params, grid_points=args.grid)
+    closed = weak_cf.alice_opt_cheat(params)
     record = oracle.to_json_dict()
     record["closed_form"] = closed.p_alice_star
     record["abs_diff"] = abs(oracle.p_alice_star - closed.p_alice_star)
@@ -170,9 +169,8 @@ def _cmd_six_round(args) -> tuple[dict, str | None]:
 
 
 def _cmd_weak_dr(args) -> tuple[dict, str | None]:
-    biases = args.biases or (0.0,) * (args.n - 1)
-    spec = weak_dr.TournamentSpec(args.n, biases)
-    honest = weak_dr.honest_distribution(args.n)
+    honest = weak_dr.honest_distribution(args.n)  # checks n before the default biases are built
+    spec = weak_dr.TournamentSpec(args.n, args.biases or (0.0,) * (args.n - 1))
     losing, check = weak_dr.checked_losing_prob(spec, args.party)
     record = spec.to_json_dict()
     record["honest_party"] = args.party
@@ -319,12 +317,6 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument("--tol", type=_tolerance, default=default(1e-9), help="cross-check tolerance")
-    parser.add_argument(
-        "--grid",
-        type=int,
-        default=default(10_000),
-        help=f"delta-maximization grid points, 2 to {MAX_GRID_POINTS}; read only by weak-cf and oracle",
-    )
     parser.add_argument("--seed", type=int, default=default(0), help="random seed for sampled runs")
     parser.add_argument(
         "--format", dest="fmt", choices=("table", "json", "csv"), default=default("json")

@@ -1,17 +1,13 @@
-"""Scalar solvers: grid-seeded golden-section search, bisection, and exact
-quadratic roots over Q(sqrt 2) with a float sign-change certificate.
+"""Scalar solvers: golden-section search, bisection, and exact quadratic
+roots over Q(sqrt 2) with a float sign-change certificate.
 
 The package maximizes one kind of objective: the weak-CF cheat over the
-split delta in [0, 1], smooth and unimodal there, so a dense grid to
-localize the optimum followed by golden-section refinement is both robust
-and fast. The grid is `seeding_grid(grid_points)`, built once per size and
-cached read-only, together with its square-root tables
-`root_tables(grid_points)` = (sqrt(1 - delta), sqrt(delta)); a caller
-evaluates its objective at every grid point (the weak-CF objective from the
-root tables, in a few array passes) and hands the values to
-`maximize_unimodal`, which refines around their argmax with plain Python
-floats. No call rebuilds or can alter the grid or its tables, and a size
-outside [2, MAX_GRID_POINTS] is refused before anything is allocated.
+split delta in [0, 1]. That objective is the square of a concave,
+non-negative function, so it is unimodal on the whole interval, and
+golden-section search over [0, 1] finds its maximum from any (p, eta)
+without a seeding grid. The search never visits the interval's ends, so
+`maximize_unimodal` also evaluates f at 0 and 1, where the maximum lies
+when the objective is monotone. Everything is plain Python floats.
 
 `sqrt2_quadratic_root` returns the correctly rounded root of a quadratic
 whose coefficients lie in Z[sqrt 2], and `certify_sign_change` checks such
@@ -21,67 +17,25 @@ a root against a float residual computed by an independent route.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import isnan, isqrt, sqrt
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .errors import CrossCheckError, InfeasibleVariantError, ParameterRangeError
+from .errors import CrossCheckError, InfeasibleVariantError
 
 _INV_PHI = (sqrt(5.0) - 1.0) / 2.0
 MAXIMIZE_TOL = 1e-12  # golden-section search stops below this bracket width
-MAX_GRID_POINTS = 10**6  # largest seeding grid: 8 MB per cached array
 
 
-@lru_cache(maxsize=8, typed=True)
-def seeding_grid(grid_points: int) -> np.ndarray:
-    """np.linspace(0.0, 1.0, grid_points), cached and read-only.
-
-    Raises ParameterRangeError, before anything is allocated, unless
-    2 <= grid_points <= MAX_GRID_POINTS.
-    """
-    if grid_points < 2:
-        raise ParameterRangeError(f"grid_points must be >= 2, got {grid_points}")
-    if grid_points > MAX_GRID_POINTS:
-        raise ParameterRangeError(f"grid_points must be <= {MAX_GRID_POINTS}, got {grid_points}")
-    xs = np.linspace(0.0, 1.0, grid_points)
-    xs.setflags(write=False)
-    return xs
-
-
-@lru_cache(maxsize=8, typed=True)
-def root_tables(grid_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sqrt(1 - x), sqrt(x)) at every x of `seeding_grid(grid_points)`,
-    cached and read-only, after the same size check."""
-    xs = seeding_grid(grid_points)
-    tables = (np.sqrt(1.0 - xs), np.sqrt(xs))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def maximize_unimodal(f: Callable[[float], float], grid_values: np.ndarray) -> tuple[float, float]:
+def maximize_unimodal(f: Callable[[float], float]) -> tuple[float, float]:
     """Maximize a unimodal function on [0, 1].
 
-    `grid_values[i]` is f at the i-th point of `seeding_grid(n)`, n =
-    len(grid_values); the caller evaluates every point. The bracketing
-    interval around the best grid point (the lowest index wins ties) is
-    refined by golden-section search until its width falls below
-    MAXIMIZE_TOL, calling `f` with a single Python float each time.
-    Returns (argmax, max), the max being f at the argmax.
-
-    Raises ValueError unless grid_values is one-dimensional, and
-    ParameterRangeError when its length lies outside [2, MAX_GRID_POINTS].
+    Golden-section search narrows [0, 1] until the bracket is narrower than
+    MAXIMIZE_TOL, calling `f` with a single Python float each time. Returns
+    (argmax, max) for the best of the final bracket's midpoint, 0.0 and 1.0;
+    the midpoint wins ties, and 0.0 wins a tie with 1.0. A NaN at the
+    midpoint is never beaten, so it makes the result NaN.
     """
-    if grid_values.ndim != 1:
-        raise ValueError(f"grid_values must be one-dimensional, got shape {grid_values.shape}")
-    grid_points = len(grid_values)
-    xs = seeding_grid(grid_points)
-    i = int(np.argmax(grid_values))  # lowest index wins ties: deterministic
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, grid_points - 1)])
-
+    a, b = 0.0, 1.0
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
@@ -95,7 +49,12 @@ def maximize_unimodal(f: Callable[[float], float], grid_values: np.ndarray) -> t
             d = a + _INV_PHI * (b - a)
             fd = f(d)
     x = 0.5 * (a + b)
-    return x, f(x)
+    best = (x, f(x))
+    for end in (0.0, 1.0):
+        value = f(end)
+        if value > best[1]:  # False against a NaN midpoint
+            best = (end, value)
+    return best
 
 
 def bisect_root(

@@ -23,7 +23,7 @@ from typing import Callable
 
 from .errors import ParameterRangeError
 from .optimize import certify_sign_change, sqrt2_quadratic_root
-from .weak_cf import WeakCFParams, alice_grid_cheat, alice_opt_cheat, bob_opt_cheat, fair_eta_balanced
+from .weak_cf import WeakCFParams, alice_numeric_cheat, alice_opt_cheat, bob_opt_cheat, fair_eta_balanced
 
 # stage 1's common cheat value: the balanced weak coin's fair point, 1/sqrt(2)
 INV_SQRT2 = fair_eta_balanced().p_star
@@ -90,8 +90,8 @@ def losing_probs_at(variant: str, eta: float) -> tuple[float, float, float]:
 
 
 def _numeric_residual(variant: str, eta: float) -> float:
-    """The fairness residual Claire - Alice with the preparer's cheat from `alice_grid_cheat`."""
-    alice, _, claire = _losses(variant, eta, alice_grid_cheat)
+    """The fairness residual Claire - Alice with the preparer's cheat from `alice_numeric_cheat`."""
+    alice, _, claire = _losses(variant, eta, alice_numeric_cheat)
     return claire - alice
 
 
@@ -130,12 +130,13 @@ def solve(variant: str) -> SixRoundSolution:
     eta* is the exact root in [0, 1 - p] of the cleared fairness equation,
     correctly rounded (`sqrt2_quadratic_root`). A second route that never
     uses the closed form A + B certifies it: the fairness residual, with
-    the preparer's cheat taken from `weak_cf.alice_grid_cheat` on the raw
-    objective, must have opposite signs at eta* - 1e-12 and eta* + 1e-12
-    (`certify_sign_change`), else CrossCheckError. The losing
+    the preparer's cheat taken from `weak_cf.alice_numeric_cheat` on the
+    raw objective, must have opposite signs at eta* - 1e-12 and eta* +
+    1e-12 (`certify_sign_change`), else CrossCheckError. The losing
     probabilities and the residual at eta* come from one `losing_probs_at`
     call, which runs `alice_opt_cheat`'s own cross-check. That is three
-    grid maximizations per call and no bisection.
+    delta-maximizations (`optimize.maximize_unimodal`) per call and no
+    bisection.
     """
     _check_variant(variant, 0.0)
     eta_star = sqrt2_quadratic_root(_QUADRATICS[variant], Fraction(0), 1 - _P[variant])

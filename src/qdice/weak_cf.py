@@ -9,9 +9,8 @@ Alice's cheating room against Bob's.
 
 Alice's cheat is computed two independent ways and cross-checked: a
 closed form obtained by Cauchy-Schwarz, and numeric maximization of the
-raw objective (`alice_grid_cheat`): its values at every point of the
-cached delta-grid, formed from the grid's cached square-root tables, then
-golden-section refinement on plain floats. Bob's is p + eta (always
+raw objective over delta in [0, 1] (`alice_numeric_cheat`): golden-section
+search on plain floats, plus the two ends. Bob's is p + eta (always
 announce a win, `bob_opt_cheat`), carried on the same CheatAnalysis.
 The adversary oracle additionally covers Alice's full four-amplitude
 preparation: an exact rank-1 maximum, certified by simulation. The
@@ -35,7 +34,7 @@ from .errors import (
     ParameterRangeError,
     ResolutionTooCoarseError,
 )
-from .optimize import certify_sign_change, maximize_unimodal, root_tables, sqrt2_quadratic_root
+from .optimize import certify_sign_change, maximize_unimodal, sqrt2_quadratic_root
 
 UP, DOWN = 0, 1
 CROSS_CHECK_TOL = 1e-9
@@ -199,36 +198,21 @@ def _objective_coeffs(params: WeakCFParams) -> tuple[float, float]:
 
 def _objective(a: float, b: float, delta: float) -> float:
     """(sqrt(A(1-d)) + sqrt(B d))^2 for coefficients from `_objective_coeffs`;
-    NaN where a radicand is negative or NaN."""
-    u, v = a * (1.0 - delta), b * delta
-    if not (u >= 0.0 and v >= 0.0):  # math.sqrt would raise
+    NaN unless A >= 0, B >= 0 and 0 <= d <= 1 (so also where any is NaN)."""
+    if not (a >= 0.0 and b >= 0.0 and 0.0 <= delta <= 1.0):  # math.sqrt could raise
         return nan
-    s = sqrt(u) + sqrt(v)
+    s = sqrt(a * (1.0 - delta)) + sqrt(b * delta)
     return s * s
 
 
-def _grid_objective(a: float, b: float, grid_points: int) -> np.ndarray:
-    """`_objective` at every point of `optimize.seeding_grid(grid_points)`.
-
-    On delta in [0, 1] the objective equals (sqrt(A) sqrt(1-d) + sqrt(B)
-    sqrt(d))^2, so it is formed from the cached read-only
-    `optimize.root_tables` and two scalar square roots, in a fresh array;
-    it agrees with the scalar path to within a few ulps. A NaN or negative
-    coefficient makes every value NaN.
-    """
-    root_rest, root_delta = root_tables(grid_points)
-    values = np.multiply(root_rest, sqrt(a) if a >= 0.0 else nan)
-    values += np.multiply(root_delta, sqrt(b) if b >= 0.0 else nan)
-    return np.square(values, out=values)
-
-
-def alice_grid_cheat(params: WeakCFParams, grid_points: int = 10_000) -> float:
+def alice_numeric_cheat(params: WeakCFParams) -> float:
     """Alice's maximal winning probability as the numeric maximum of the raw
-    objective over delta in [0, 1]: every point of a `grid_points` grid,
-    then golden-section refinement (`maximize_unimodal`), never forming
-    the closed form A + B."""
+    objective over delta in [0, 1] (`maximize_unimodal`), never forming the
+    closed form A + B. The objective is the square of sqrt(A) sqrt(1-d) +
+    sqrt(B) sqrt(d), which is concave and >= 0, so it is unimodal for every
+    (p, eta). A NaN or negative coefficient makes the result NaN."""
     a, b = _objective_coeffs(params)
-    return maximize_unimodal(lambda d: _objective(a, b, d), _grid_objective(a, b, grid_points))[1]
+    return maximize_unimodal(lambda d: _objective(a, b, d))[1]
 
 
 def bob_opt_cheat(params: WeakCFParams) -> float:
@@ -236,11 +220,11 @@ def bob_opt_cheat(params: WeakCFParams) -> float:
     return params.p + params.eta
 
 
-def alice_opt_cheat(params: WeakCFParams, grid_points: int = 10_000) -> CheatAnalysis:
-    """Alice's maximal winning probability, closed form cross-checked by grid.
+def alice_opt_cheat(params: WeakCFParams) -> CheatAnalysis:
+    """Alice's maximal winning probability, closed form cross-checked numerically.
 
     The closed form follows from Cauchy-Schwarz: the maximum is A + B,
-    attained at delta* = B/(A+B). The numeric route is `alice_grid_cheat`;
+    attained at delta* = B/(A+B). The numeric route is `alice_numeric_cheat`;
     disagreement beyond 1e-9, or a NaN on either side, raises
     CrossCheckError.
     """
@@ -250,7 +234,7 @@ def alice_opt_cheat(params: WeakCFParams, grid_points: int = 10_000) -> CheatAna
     closed = a + b
     delta_star = 0.0 if closed == 0.0 else b / closed
 
-    numeric = alice_grid_cheat(params, grid_points)
+    numeric = alice_numeric_cheat(params)
     if not abs(numeric - closed) <= CROSS_CHECK_TOL:  # fails closed on NaN
         raise CrossCheckError(
             f"closed-form {closed!r} vs numeric {numeric!r} differ beyond {CROSS_CHECK_TOL}"

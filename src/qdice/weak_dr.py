@@ -30,6 +30,17 @@ from typing import NamedTuple
 from .errors import InvalidBiasError, ParameterRangeError
 
 _UNIT_ROUNDOFF = 2.0**-53  # u: a correctly rounded float op errs by at most u relative
+# Largest tournament, refused before anything sized by N is built: `qdice
+# weak-dr --n` at the cap takes about 1 s, peaks at about 70 MB and writes 3.6 MB.
+MAX_PARTIES = 10**5
+
+
+def _check_parties(n_parties: int) -> None:
+    """Raise ParameterRangeError unless 2 <= n_parties <= MAX_PARTIES."""
+    if n_parties < 2:
+        raise ParameterRangeError(f"need at least 2 parties, got {n_parties}")
+    if n_parties > MAX_PARTIES:
+        raise ParameterRangeError(f"need at most {MAX_PARTIES} parties, got {n_parties}")
 
 
 @dataclass(frozen=True)
@@ -40,9 +51,8 @@ class TournamentSpec:
     stage_biases: tuple[float, ...]
 
     def __post_init__(self):
+        _check_parties(self.n_parties)
         object.__setattr__(self, "stage_biases", tuple(float(b) for b in self.stage_biases))
-        if self.n_parties < 2:
-            raise ParameterRangeError(f"need at least 2 parties, got {self.n_parties}")
         if len(self.stage_biases) != self.n_parties - 1:
             raise ParameterRangeError(
                 f"expected {self.n_parties - 1} stage biases, got {len(self.stage_biases)}"
@@ -110,10 +120,9 @@ def honest_distribution(n_parties: int) -> list[Fraction]:
     (num, den) reduced by its gcd at every step (unreduced, it would grow
     like N!). Each party's pair is reduced once more, and one Fraction is
     built per distinct reduced pair, so equal probabilities share one
-    object.
+    object. Raises ParameterRangeError unless 2 <= n_parties <= MAX_PARTIES.
     """
-    if n_parties < 2:
-        raise ParameterRangeError(f"need at least 2 parties, got {n_parties}")
+    _check_parties(n_parties)
     exact: dict[tuple[int, int], Fraction] = {}
     probs = []
     num = den = 1  # defend wins of the stages after the current party's entry stage

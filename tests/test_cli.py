@@ -181,7 +181,7 @@ class TestExitCodes:
 
     def test_nan_in_a_record_is_an_error_not_a_token(self, capsys, monkeypatch):
         nan_analysis = weak_cf.CheatAnalysis(0.5, 0.2, 0.7, 0.7, float("nan"), "closed_form")
-        monkeypatch.setattr(weak_cf, "alice_opt_cheat", lambda params, grid_points: nan_analysis)
+        monkeypatch.setattr(weak_cf, "alice_opt_cheat", lambda params: nan_analysis)
         code, out, err = run_cli(capsys, "weak-cf", "--p", "0.5", "--eta", "0.2")
         assert code == 1
         assert out == ""
@@ -197,13 +197,36 @@ class TestExitCodes:
         assert out == ""
         assert "error:" in err
 
-    @pytest.mark.parametrize("grid", ["1", "0", "-3"])
-    def test_degenerate_grid_is_a_usage_error(self, capsys, grid):
-        code, out, err = run_cli(capsys, "--grid", grid, "weak-cf", "--p", "0.3", "--eta", "0.2")
+    @pytest.mark.parametrize("command", ["weak-cf", "oracle"])
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_the_removed_grid_flag_is_a_usage_error(self, capsys, command, where):
+        argv = [command, "--p", "0.3", "--eta", "0.2"]
+        argv = ["--grid", "10000", *argv] if where == "before" else [*argv, "--grid", "10000"]
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert "grid_points must be >= 2" in err
-        assert "argmax" not in err and "mismatch" not in err
+        assert err.startswith("usage: qdice")
+        if where == "after":
+            assert "error: unrecognized arguments: --grid 10000" in err
+
+    def test_help_names_no_grid_flag(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        assert "--grid" not in out
+
+    @pytest.mark.parametrize("n", [str(weak_dr.MAX_PARTIES + 1), "100000000000", "1" + "0" * 400])
+    def test_weak_dr_past_the_party_cap_is_a_usage_error(self, capsys, n):
+        code, out, err = run_cli(capsys, "weak-dr", "--n", n)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: need at most {weak_dr.MAX_PARTIES} parties, got {n}\n"
+
+    @pytest.mark.parametrize("n", [str(strong_dr.MAX_OUTCOMES + 1), "100000000000", "1" + "0" * 400])
+    def test_strong_dr_past_the_outcome_cap_is_a_usage_error(self, capsys, n):
+        code, out, err = run_cli(capsys, "strong-dr", "--n", n)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: need at most {strong_dr.MAX_OUTCOMES} outcomes, got {n}\n"
 
 
 def _off_by_a_micro(monkeypatch):
@@ -298,23 +321,6 @@ class TestMismatchReasons:
         _, passing, quiet = run_cli(capsys, "six-round", "--variant", "case2")
         assert failing == passing and err and not quiet
 
-
-    @pytest.mark.parametrize("command", ["weak-cf", "oracle"])
-    @pytest.mark.parametrize("grid", ["1000001", "100000000000", "9" * 400])
-    def test_grid_past_the_cap_is_a_usage_error(self, capsys, monkeypatch, command, grid):
-        def linspace(*args, **kwargs):
-            raise AssertionError("no grid may be built past the cap")
-
-        monkeypatch.setattr(optimize.np, "linspace", linspace)
-        code, out, err = run_cli(capsys, "--grid", grid, command, "--p", "0.3", "--eta", "0.2")
-        assert code == 1
-        assert out == ""
-        assert err == f"error: grid_points must be <= {optimize.MAX_GRID_POINTS}, got {grid}\n"
-
-    def test_grid_help_names_the_commands_that_read_it(self, capsys):
-        code, out, _ = run_cli(capsys, "--help")
-        assert code == 0
-        assert "read only by weak-cf and oracle" in " ".join(out.split())
 
 
 class TestSchemas:
@@ -521,8 +527,7 @@ def _argv(draw):
     # plain decimals such as "-0.25" reach --tol's own check; argparse reads
     # an exponent form such as "-1e-05" (which f() draws) as a flag instead
     tol = st.one_of(f(), st.floats(min_value=-2.0, max_value=-1e-9).map(lambda x: f"{x:.12f}"))
-    for flag, value in (("--tol", tol), ("--seed", i(0, 5).map(str)), ("--grid", i(1, 300).map(str)),
-                        ("--format", st.just("json"))):
+    for flag, value in (("--tol", tol), ("--seed", i(0, 5).map(str)), ("--format", st.just("json"))):
         if draw(st.booleans()):
             flags += [flag, draw(value)]
     return flags + command if draw(st.booleans()) else command + flags
@@ -609,7 +614,7 @@ class TestGoldenExactCommands:
 
 
 class TestSixRoundWork:
-    def test_three_grid_maximizations_per_run(self, capsys, monkeypatch):
+    def test_three_maximizations_per_run(self, capsys, monkeypatch):
         # solve's certificate takes two, its losing probabilities one; the
         # command reuses those losing probabilities instead of a fourth
         calls = []
@@ -625,8 +630,8 @@ class TestSixRoundWork:
             monkeypatch.setattr(module, "maximize_unimodal", counting)
         code, out, err = run_cli(capsys, "six-round", "--variant", "case1")
         assert code == 0, err
-        # each one full 10 000-point grid, handed over as values
-        assert [len(args[1]) for args in calls] == [10_000] * 3
+        # each one takes the objective alone
+        assert [len(args) for args in calls] == [1] * 3
         assert out.encode() == (GOLDEN_DIR / "six_round_case1.json").read_bytes()
 
 

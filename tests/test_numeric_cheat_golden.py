@@ -1,15 +1,15 @@
 """Bit-identity pin for the numeric route of Alice's weak-CF cheat.
 
-`tests/data/grid_cheat_golden.json` holds the `repr` of
-`weak_cf.alice_grid_cheat` and of `optimize.maximize_unimodal`'s
+`tests/data/numeric_cheat_golden.json` holds the `repr` of
+`weak_cf.alice_numeric_cheat` and of `optimize.maximize_unimodal`'s
 (argmax, max) on the raw delta-objective, at every point of
 `param_grid(12, 12)`, at the six-round certificate's probes (eta* and
 eta* -/+ 1e-12 for both variants) and at the balanced fair point. A change
-to the grid evaluation or to the golden-section refinement that moves any
-of them by one ulp fails here. Regenerate the file, only after an intended
-change, with:
+to the objective, the golden-section search or the check of the ends that
+moves any of them by one ulp fails here. Regenerate the file, only after
+an intended change, with:
 
-    PYTHONPATH=src python tests/test_grid_cheat_golden.py
+    PYTHONPATH=src python tests/test_numeric_cheat_golden.py
 """
 
 import json
@@ -21,7 +21,7 @@ from qdice import sixround_dr, weak_cf
 from qdice.optimize import maximize_unimodal
 from qdice.weak_cf import WeakCFParams
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "grid_cheat_golden.json"
+GOLDEN = Path(__file__).resolve().parent / "data" / "numeric_cheat_golden.json"
 PROBE_STEP = 1e-12  # the six-round certificate's step either side of eta*
 
 
@@ -39,14 +39,13 @@ def golden_record() -> list[dict]:
     record = []
     for source, params in golden_params():
         a, b = weak_cf._objective_coeffs(params)
-        grid_values = weak_cf._grid_objective(a, b, 10_000)
-        x, value = maximize_unimodal(lambda d: weak_cf._objective(a, b, d), grid_values)
+        x, value = maximize_unimodal(lambda d: weak_cf._objective(a, b, d))
         record.append(
             {
                 "source": source,
                 "p": repr(params.p),
                 "eta": repr(params.eta),
-                "alice_grid_cheat": repr(weak_cf.alice_grid_cheat(params)),
+                "alice_numeric_cheat": repr(weak_cf.alice_numeric_cheat(params)),
                 "argmax": repr(x),
                 "max": repr(value),
             }

@@ -1,48 +1,23 @@
-"""Grid-seeded golden-section maximization (values at every point of a cached
-read-only grid, then plain floats), the grid cap, bracketing bisection, and
-the exact Q(sqrt2) quadratic root with its float sign-change certificate."""
+"""Golden-section maximization on [0, 1] (plain floats, both ends checked),
+bracketing bisection, and the exact Q(sqrt2) quadratic root with its float
+sign-change certificate."""
 
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdice import optimize
-from qdice.errors import CrossCheckError, InfeasibleVariantError, ParameterRangeError
+from qdice.errors import CrossCheckError, InfeasibleVariantError
 from qdice.optimize import (
-    _INV_PHI,
     bisect_root,
     certify_sign_change,
     maximize_unimodal,
     sqrt2_quadratic_root,
 )
-
-
-def loop_maximize(f, grid_points=10_000, tol=1e-12):
-    """The per-point reference on [0, 1]: the grid evaluated one scalar call at a time."""
-    xs = np.linspace(0.0, 1.0, grid_points)
-    vals = np.array([f(x) for x in xs])
-    i = int(np.argmax(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, grid_points - 1)]
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 def loop_bisect(f, lo, hi, tol=1e-12, max_iter=200):
@@ -66,19 +41,20 @@ def loop_bisect(f, lo, hi, tol=1e-12, max_iter=200):
     return 0.5 * (lo + hi)
 
 
+# unimodal on [0, 1]: non-decreasing, then non-increasing; each maximum is
+# attained on an interval or at a point that f approaches continuously
 OBJECTIVES = {
     "smooth": lambda x: -((x - 0.3) ** 2),
-    "capped_plateau": lambda x: np.minimum(1.0 - np.abs(x - 0.5), 0.8),
+    "capped_plateau": lambda x: min(1.0 - abs(x - 0.5), 0.8),
     "constant": lambda x: 0.25 + 0.0 * x,
-    "step_plateau": lambda x: np.where(x < 0.7, 1.0, 0.0),
-    "quantized": lambda x: np.floor(8.0 * np.sin(np.pi * x)) / 8.0,
+    "step_plateau": lambda x: 1.0 if x < 0.7 else 0.0,
+    "quantized": lambda x: math.floor(8.0 * math.sin(math.pi * x) - 0.5) / 8.0,
     "edge_max": lambda x: x**3,
+    "falling": lambda x: 1.0 - x,
+    "sqrt_peak_near_zero": lambda x: (math.sqrt(0.99 * (1.0 - x)) + math.sqrt(1e-13 * x)) ** 2,
 }
 
-
-def on_grid(f, grid_points):
-    """f at every point of the cached seeding grid, as maximize_unimodal takes it."""
-    return np.asarray(f(optimize.seeding_grid(grid_points)), dtype=float)
+DENSE = [k / 2**16 for k in range(2**16 + 1)]  # the brute-force reference's points, both ends included
 
 
 class TestMaximizeUnimodal:
@@ -89,108 +65,44 @@ class TestMaximizeUnimodal:
             calls.append(x)
             return -((x - 0.4) ** 2)
 
-        values = on_grid(f, 1234)
-        before = values.copy()
-        calls.clear()
-        maximize_unimodal(f, values)
+        maximize_unimodal(f)
         assert len(calls) > 40 and all(type(x) is float for x in calls)
-        assert np.array_equal(values, before)
+        assert calls[-2:] == [0.0, 1.0]
 
     @pytest.mark.parametrize("name", sorted(OBJECTIVES))
-    @pytest.mark.parametrize("grid_points", [2, 3, 17, 1000])
-    def test_matches_per_point_loop(self, name, grid_points):
+    def test_reaches_the_dense_brute_force_maximum(self, name):
         f = OBJECTIVES[name]
-        got = maximize_unimodal(f, on_grid(f, grid_points))
-        assert got == loop_maximize(f, grid_points=grid_points)
+        x, value = maximize_unimodal(f)
+        assert 0.0 <= x <= 1.0 and value == f(x)
+        assert value >= max(f(d) for d in DENSE)
 
-    @pytest.mark.parametrize("grid_points", [1, 0, -3])
-    def test_rejects_fewer_than_two_grid_points(self, grid_points):
-        with pytest.raises(ParameterRangeError, match="must be >= 2"):
-            optimize.seeding_grid(grid_points)
-        with pytest.raises(ParameterRangeError, match="must be >= 2"):
-            optimize.root_tables(grid_points)
-        with pytest.raises(ParameterRangeError, match="must be >= 2"):
-            maximize_unimodal(OBJECTIVES["smooth"], np.zeros(max(grid_points, 0)))
+    def test_ends_are_evaluated_after_the_search(self):
+        # a monotone objective peaks at an end, which golden section never visits
+        assert maximize_unimodal(lambda x: 1.0 - x) == (0.0, 1.0)
+        assert maximize_unimodal(lambda x: x) == (1.0, 1.0)
 
-    @pytest.mark.parametrize("shape", [(), (10, 10), (2, 5)])
-    def test_rejects_grid_values_that_are_not_one_dimensional(self, shape):
-        with pytest.raises(ValueError, match="one-dimensional"):
-            maximize_unimodal(OBJECTIVES["smooth"], np.zeros(shape))
+    def test_the_midpoint_wins_ties_and_zero_beats_one(self):
+        seen = []
+        x, value = maximize_unimodal(lambda d: seen.append(d) or 0.25)
+        assert (x, value) == (seen[-3], 0.25) and 0.0 < x < 1.0
+        assert maximize_unimodal(lambda d: 1.0 if d in (0.0, 1.0) else 0.0) == (0.0, 1.0)
 
-    def test_grid_and_tables_are_cached_read_only_arrays(self):
-        grid = optimize.seeding_grid(777)
-        tables = optimize.root_tables(777)
-        assert grid is optimize.seeding_grid(777) and tables is optimize.root_tables(777)
-        for array in (grid, *tables):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.4
-        assert np.array_equal(grid, np.linspace(0.0, 1.0, 777))
-
-    def test_root_tables_are_the_square_roots_of_the_grid(self):
-        for grid_points in (2, 3, 17, 10_000):
-            grid = optimize.seeding_grid(grid_points)
-            rest, delta = optimize.root_tables(grid_points)
-            assert rest.tobytes() == np.sqrt(1.0 - grid).tobytes()
-            assert delta.tobytes() == np.sqrt(grid).tobytes()
-            assert rest[0] == delta[-1] == 1.0 and rest[-1] == delta[0] == 0.0
-
-    def test_callers_cannot_alter_later_calls(self):
-        smooth = OBJECTIVES["smooth"]
-        before = maximize_unimodal(smooth, on_grid(smooth, 500))
-        for array in (optimize.seeding_grid(500), *optimize.root_tables(500)):
-            with pytest.raises(ValueError):
-                array += 1.0
-        assert maximize_unimodal(smooth, on_grid(smooth, 500)) == before
-        assert before == loop_maximize(smooth, grid_points=500)
-
-    @pytest.mark.parametrize("grid_points", [2, 3, 17, 10_000])
-    def test_seeding_grid_spans_the_unit_interval(self, grid_points):
-        grid = optimize.seeding_grid(grid_points)
-        assert grid is optimize.seeding_grid(grid_points)
-        assert np.array_equal(grid, np.linspace(0.0, 1.0, grid_points))
-        assert grid[0] == 0.0 and not np.signbit(grid[0]) and grid[-1] == 1.0
-        assert np.all(np.diff(grid) > 0.0)
+    @pytest.mark.parametrize("ends", [math.nan, 2.0, -1.0])
+    def test_nan_at_the_midpoint_is_never_beaten(self, ends):
+        x, value = maximize_unimodal(lambda d: ends if d in (0.0, 1.0) else math.nan)
+        assert math.isnan(value) and 0.0 < x < 1.0
 
     @pytest.mark.parametrize("peak", [0.123456789, 0.5, 0.87654321])
     def test_refines_to_within_the_tolerance(self, peak):
         # a kink at the peak: golden-section brackets it to MAXIMIZE_TOL
         assert optimize.MAXIMIZE_TOL == 1e-12
-        def kink(x):
-            return -np.abs(x - peak)
 
-        x, fx = maximize_unimodal(kink, on_grid(kink, 101))
+        def kink(x):
+            return -abs(x - peak)
+
+        x, fx = maximize_unimodal(kink)
         assert abs(x - peak) <= optimize.MAXIMIZE_TOL
         assert fx == -abs(x - peak)
-
-
-class TestGridCap:
-    """Grid sizes past MAX_GRID_POINTS are refused before any array is built."""
-
-    @staticmethod
-    def forbid_allocation(monkeypatch):
-        def linspace(*args, **kwargs):
-            raise AssertionError("no grid may be built past the cap")
-
-        monkeypatch.setattr(optimize.np, "linspace", linspace)
-
-    @pytest.mark.parametrize("excess", [1, 10**11, 10**400])
-    def test_sizes_past_the_cap_raise_without_allocating(self, monkeypatch, excess):
-        assert optimize.MAX_GRID_POINTS == 10**6
-        self.forbid_allocation(monkeypatch)
-        for build in (optimize.seeding_grid, optimize.root_tables):
-            with pytest.raises(ParameterRangeError, match=f"must be <= {optimize.MAX_GRID_POINTS}"):
-                build(optimize.MAX_GRID_POINTS + excess)
-
-    def test_the_cap_itself_is_accepted(self, monkeypatch):
-        # a lowered cap keeps the check's boundary without a 10**6-point grid
-        monkeypatch.setattr(optimize, "MAX_GRID_POINTS", 50)
-        assert len(optimize.seeding_grid(50)) == 50
-        assert len(optimize.root_tables(50)[0]) == 50
-        with pytest.raises(ParameterRangeError, match="must be <= 50"):
-            optimize.seeding_grid(51)
-        with pytest.raises(ParameterRangeError, match="must be <= 50"):
-            maximize_unimodal(OBJECTIVES["smooth"], np.zeros(51))
 
 
 FINITE_ROOTS = {

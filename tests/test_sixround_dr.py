@@ -72,16 +72,16 @@ class TestComposition:
         assert sixround_dr.INV_SQRT2 == weak_cf.fair_eta_balanced().p_star
 
     @pytest.mark.parametrize("variant", ["case1", "case2"])
-    def test_certificate_takes_the_preparer_cheat_from_the_grid(self, monkeypatch, variant):
-        # two residual evaluations, each one alice_grid_cheat call at eta* -/+ 1e-12
-        grid_cheat = weak_cf.alice_grid_cheat
+    def test_certificate_takes_the_preparer_cheat_from_the_numeric_route(self, monkeypatch, variant):
+        # two residual evaluations, each one alice_numeric_cheat call at eta* -/+ 1e-12
+        numeric_cheat = weak_cf.alice_numeric_cheat
         seen = []
 
         def spy(params):
             seen.append(params)
-            return grid_cheat(params)
+            return numeric_cheat(params)
 
-        monkeypatch.setattr(sixround_dr, "alice_grid_cheat", spy)
+        monkeypatch.setattr(sixround_dr, "alice_numeric_cheat", spy)
         eta = sixround_dr.solve(variant).eta_star
         assert [params.eta for params in seen] == [eta - 1e-12, eta + 1e-12]
         assert {params.p for params in seen} == {sixround_dr._FLOATS[variant][0]}
@@ -280,19 +280,19 @@ class TestExactRoot:
             assert cleared_fairness_sign(variant, lo) * cleared_fairness_sign(variant, hi) == -1
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_three_full_grid_maximizations_and_no_bisection(self, monkeypatch, variant):
+    def test_three_maximizations_and_no_bisection(self, monkeypatch, variant):
         calls = []
         maximize = optimize.maximize_unimodal
 
-        def counting(f, grid_values):
+        def counting(f):
             probes = []
 
             def seen(x):
                 probes.append(x)
                 return f(x)
 
-            calls.append((len(grid_values), probes))
-            return maximize(seen, grid_values)
+            calls.append(probes)
+            return maximize(seen)
 
         def no_bisection(*args, **kwargs):
             raise AssertionError("solve must not bisect")
@@ -301,9 +301,9 @@ class TestExactRoot:
         patch_everywhere(monkeypatch, optimize.bisect_root, no_bisection)
         sixround_dr.solve(variant)
         assert len(calls) == 3 and optimize.MAXIMIZE_TOL == 1e-12
-        for grid_points, probes in calls:
-            assert grid_points == 10_000
+        for probes in calls:
             assert len(probes) > 40 and all(type(x) is float for x in probes)
+            assert probes[-2:] == [0.0, 1.0]
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_certificate_never_calls_the_closed_form(self, monkeypatch, variant):

@@ -131,6 +131,20 @@ class TestBuildTree:
         with pytest.raises(ParameterRangeError):
             strong_dr.build_tree(1)
 
+    @pytest.mark.parametrize("excess", [1, 10**11, 10**400])
+    def test_sizes_past_the_cap_are_refused_before_any_node_is_built(self, monkeypatch, excess):
+        assert strong_dr.MAX_OUTCOMES == 2**15
+        # nodes are made by object.__new__(SplitTree), which raises TypeError on None
+        monkeypatch.setattr(strong_dr, "SplitTree", None)
+        with pytest.raises(ParameterRangeError, match=f"need at most {strong_dr.MAX_OUTCOMES} outcomes"):
+            strong_dr.build_tree(strong_dr.MAX_OUTCOMES + excess)
+
+    def test_the_cap_itself_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(strong_dr, "MAX_OUTCOMES", 50)
+        assert strong_dr.build_tree(50).width == 50
+        with pytest.raises(ParameterRangeError, match="need at most 50 outcomes, got 51"):
+            strong_dr.build_tree(51)
+
     @pytest.mark.parametrize("bad", [2.5, 4.0, nan, inf, "5", Fraction(5), None])
     def test_non_integer_size_rejected(self, bad):
         with pytest.raises(ParameterRangeError):

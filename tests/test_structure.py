@@ -36,7 +36,7 @@ def test_scan_sees_a_private_import(tmp_path):
     assert private_imports(source) == ["weak_cf._objective"]
 
 
-NUMPY_FREE = ("weak_dr", "strong_cf", "strong_dr", "multiparty", "bounds")
+NUMPY_FREE = ("optimize", "weak_dr", "strong_cf", "strong_dr", "multiparty", "bounds")
 
 
 def module_level_imports(path: Path) -> set[str]:

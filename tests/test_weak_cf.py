@@ -122,30 +122,49 @@ class TestAliceOptCheat:
         analysis = weak_cf.alice_opt_cheat(WeakCFParams(1 / 3, eta))
         assert analysis.p_alice_star == pytest.approx(expected, abs=1e-12)
 
-    def test_grid_agrees_with_closed_form_on_sweep(self):
+    def test_numeric_route_agrees_with_closed_form_on_sweep(self):
         from qdice.optimize import maximize_unimodal
 
         for params in param_grid(10, 10):
             a, b = weak_cf._objective_coeffs(params)
-            grid_values = weak_cf._grid_objective(a, b, 10_000)
-            _, numeric = maximize_unimodal(lambda d: weak_cf._objective(a, b, d), grid_values)
-            assert abs(numeric - (a + b)) <= 1e-9
-            assert weak_cf.alice_grid_cheat(params) == numeric
+            _, numeric = maximize_unimodal(lambda d: weak_cf._objective(a, b, d))
+            assert abs(numeric - (a + b)) <= 1e-12
+            assert weak_cf.alice_numeric_cheat(params) == numeric
             # the production path re-runs this cross-check and raises on failure
             weak_cf.alice_opt_cheat(params)
 
-    def test_opt_cheat_cross_checks_against_grid_cheat(self, monkeypatch):
-        grid_cheat = weak_cf.alice_grid_cheat
+    def test_numeric_route_agrees_with_closed_form_on_seeded_draws(self):
+        # the edges included: p near 0 and 1, eta at 0, at its cap and subnormal;
+        # an optimum within 1e-13 of delta = 0 (p = 1 - 1e-9, eta ~ 1e-11) is the hardest
+        rng = np.random.default_rng(2000)
+        edges = (0.0, 1e-300, 0.5, 1.0 - 1e-9)
+        for k in range(3000):
+            p = edges[k % 4] if k % 5 == 0 else float(rng.uniform(0.0, 0.999999))
+            eta = (0.0, 1.0 - p, 5e-324, float(rng.uniform(0.0, 1.0 - p)))[k % 4]
+            if k % 7 == 0:
+                eta = float(rng.uniform(0.0, 1e-10)) * (1.0 - p)
+            params = WeakCFParams(p, eta)
+            a, b = weak_cf._objective_coeffs(params)
+            assert abs(weak_cf.alice_numeric_cheat(params) - (a + b)) <= 1e-12, (p, eta)
+
+    @pytest.mark.parametrize("p", [0.0, 1e-300, 0.1, 1 / 3, 0.5, 0.9, 1.0 - 1e-9])
+    def test_eta_zero_numeric_cheat_is_exactly_one(self, p):
+        # B = 0: the objective falls from A = 1 at delta = 0, an end golden section never visits
+        assert weak_cf.alice_numeric_cheat(WeakCFParams(p, 0.0)) == 1.0
+
+    def test_opt_cheat_cross_checks_against_numeric_cheat(self, monkeypatch):
+        numeric_cheat = weak_cf.alice_numeric_cheat
         seen = []
 
-        def shifted(params, grid_points=10_000):
-            seen.append(grid_points)
-            return grid_cheat(params, grid_points) + 2e-9
+        def shifted(params):
+            seen.append(params)
+            return numeric_cheat(params) + 2e-9
 
-        monkeypatch.setattr(weak_cf, "alice_grid_cheat", shifted)
+        monkeypatch.setattr(weak_cf, "alice_numeric_cheat", shifted)
+        params = WeakCFParams(0.5, FAIR_ETA)
         with pytest.raises(CrossCheckError):
-            weak_cf.alice_opt_cheat(WeakCFParams(0.5, FAIR_ETA), grid_points=777)
-        assert seen == [777]
+            weak_cf.alice_opt_cheat(params)
+        assert seen == [params]
 
     @staticmethod
     def reference_objective(a, b, delta):
@@ -171,67 +190,22 @@ class TestAliceOptCheat:
         assert np.isnan(weak_cf._objective(*coeffs, delta))
         assert np.isnan(weak_cf._objective(*coeffs, np.float64(delta)))
 
-    @pytest.mark.parametrize(
-        "a, b",
-        [(0.7, 0.2), (1.0, 0.0), (0.0, 0.3), (0.0, 0.0), (1.0, 1.0), (5e-324, 0.5), *[
-            weak_cf._objective_coeffs(params) for params in param_grid(10, 10)
-        ]],
-    )
-    def test_grid_objective_agrees_with_the_reference_formula(self, a, b):
-        from qdice.optimize import seeding_grid
-
-        grid = seeding_grid(10_000)
-        got = weak_cf._grid_objective(a, b, 10_000)
-        want = self.reference_objective(a, b, grid)
-        assert got.dtype == want.dtype and got.shape == want.shape == (10_000,)
-        assert np.array_equal(got == 0.0, want == 0.0)  # exact zeros stay exact
-        nonzero = want != 0.0
-        assert np.all(np.abs(got[nonzero] - want[nonzero]) <= 2e-15 * want[nonzero])
-        assert int(np.argmax(got)) == int(np.argmax(want))
-
-    def test_grid_argmax_is_the_reference_argmax_on_seeded_draws(self):
-        from qdice.optimize import seeding_grid
-
-        grid = seeding_grid(10_000)
-        rng = np.random.default_rng(2000)
-        for k in range(2000):
-            p = float(rng.uniform(0.0, 0.999))
-            eta = 0.0 if k % 10 == 0 else float(rng.uniform(0.0, 1.0 - p))
-            a, b = weak_cf._objective_coeffs(WeakCFParams(p, eta))
-            want = int(np.argmax(self.reference_objective(a, b, grid)))
-            assert int(np.argmax(weak_cf._grid_objective(a, b, 10_000))) == want, (p, eta)
-
-    @pytest.mark.parametrize("a, b", [(float("nan"), 0.3), (0.7, float("nan")), (-0.5, 0.4), (0.6, -0.1)])
-    def test_nan_or_negative_coefficient_gives_nan_everywhere(self, a, b):
-        assert np.isnan(weak_cf._grid_objective(a, b, 1_000)).all()
-
     @pytest.mark.parametrize("which", [0, 1])
-    def test_nan_coefficient_fails_closed(self, monkeypatch, which):
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5, -5e-324])
+    def test_nan_or_negative_coefficient_fails_closed(self, monkeypatch, which, bad):
+        # a negative coefficient still gives a finite objective at one end
+        # (0 * coefficient is a signed zero), but NaN inside, where the search ends
         coeffs = weak_cf._objective_coeffs
 
-        def with_nan(params):
+        def with_bad(params):
             pair = list(coeffs(params))
-            pair[which] = float("nan")
+            pair[which] = bad
             return tuple(pair)
 
-        monkeypatch.setattr(weak_cf, "_objective_coeffs", with_nan)
-        assert np.isnan(weak_cf.alice_grid_cheat(WeakCFParams(0.5, 0.2)))
+        monkeypatch.setattr(weak_cf, "_objective_coeffs", with_bad)
+        assert np.isnan(weak_cf.alice_numeric_cheat(WeakCFParams(0.5, 0.2)))
         with pytest.raises(CrossCheckError):
             weak_cf.alice_opt_cheat(WeakCFParams(0.5, 0.2))
-
-    def test_grid_objective_reads_the_cached_read_only_tables(self):
-        from qdice.optimize import root_tables, seeding_grid
-
-        arrays = (seeding_grid(10_000), *root_tables(10_000))
-        before = [array.copy() for array in arrays]
-        a, b = weak_cf._objective_coeffs(WeakCFParams(0.5, FAIR_ETA))
-        got = weak_cf._grid_objective(a, b, 10_000)
-        assert got.flags.writeable
-        for array, copy in zip(arrays, before):
-            assert not array.flags.writeable
-            assert not np.shares_memory(got, array)
-            assert array.tobytes() == copy.tobytes()
-        assert all(x is y for x, y in zip((seeding_grid(10_000), *root_tables(10_000)), arrays))
 
     def test_cross_check_fails_closed_on_nan(self, monkeypatch):
         monkeypatch.setattr(weak_cf, "maximize_unimodal", lambda *a, **k: (0.5, float("nan")))
@@ -257,33 +231,27 @@ class TestCrossCheckStrength:
 
     @staticmethod
     def record_objective(monkeypatch, shift=0.0):
-        """Record the grid evaluations and scalar probes, shifting every value."""
+        """Record the objective's probes, shifting every value."""
         calls = []
-        objective, grid_objective = weak_cf._objective, weak_cf._grid_objective
+        objective = weak_cf._objective
 
-        def scalar_spy(a, b, delta):
+        def spy(a, b, delta):
             calls.append(delta)
             return objective(a, b, delta) + shift
 
-        def grid_spy(a, b, grid_points):
-            calls.append(("grid", grid_points))
-            return grid_objective(a, b, grid_points) + shift
-
-        monkeypatch.setattr(weak_cf, "_objective", scalar_spy)
-        monkeypatch.setattr(weak_cf, "_grid_objective", grid_spy)
+        monkeypatch.setattr(weak_cf, "_objective", spy)
         return calls
 
     @pytest.mark.parametrize("params", [WeakCFParams(0.5, FAIR_ETA), WeakCFParams(1 / 3, 0.1462),
                                         WeakCFParams(2 / 3, 0.2), WeakCFParams(0.3, 0.0)])
-    def test_one_full_grid_call_then_scalar_refinement(self, monkeypatch, params):
+    def test_scalar_search_then_both_ends(self, monkeypatch, params):
         calls = self.record_objective(monkeypatch)
         weak_cf.alice_opt_cheat(params)
-        grid, *scalars = calls
-        assert grid == ("grid", 10_000)
-        assert all(type(x) is float for x in scalars)
-        # golden section: both probes evaluated last lie in the final bracket,
-        # whose midpoint is the returned argmax, the last point evaluated
-        *probes, x = scalars
+        assert all(type(x) is float for x in calls)
+        # golden section over all of [0, 1]: both probes evaluated last lie in
+        # the final bracket, whose midpoint comes next, then the two ends
+        *probes, x, zero, one = calls
+        assert (zero, one) == (0.0, 1.0)
         assert len(probes) >= 40
         assert all(abs(p - x) <= 0.5e-12 for p in probes[-2:])
 

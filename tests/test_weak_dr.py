@@ -75,6 +75,24 @@ class TestHonestDistribution:
         with pytest.raises(ParameterRangeError):
             weak_dr.honest_distribution(1)
 
+    @pytest.mark.parametrize("excess", [1, 10**11, 10**400])
+    def test_sizes_past_the_cap_are_refused_before_any_work(self, excess):
+        assert weak_dr.MAX_PARTIES == 10**5
+        n = weak_dr.MAX_PARTIES + excess
+        message = f"need at most {weak_dr.MAX_PARTIES} parties"
+        with pytest.raises(ParameterRangeError, match=message):
+            weak_dr.honest_distribution(n)
+        with pytest.raises(ParameterRangeError, match=message):  # before the bias count is compared
+            TournamentSpec(n, ())
+
+    def test_the_cap_itself_is_accepted(self, monkeypatch):
+        # a lowered cap keeps the check's boundary without a 10**5-party tournament
+        monkeypatch.setattr(weak_dr, "MAX_PARTIES", 50)
+        assert weak_dr.honest_distribution(50) == [Fraction(1, 50)] * 50
+        assert TournamentSpec(50, (0.0,) * 49).n_parties == 50
+        with pytest.raises(ParameterRangeError, match="need at most 50 parties, got 51"):
+            weak_dr.honest_distribution(51)
+
     def test_equals_stagewise_chain(self):
         for n in range(2, 201):
             dist = weak_dr.honest_distribution(n)
