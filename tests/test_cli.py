@@ -199,15 +199,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["weak-cf", "oracle"])
     @pytest.mark.parametrize("where", ["before", "after"])
-    def test_the_removed_grid_flag_is_a_usage_error(self, capsys, command, where):
+    @pytest.mark.parametrize("grid", ["1", "10000", "9" * 400])
+    def test_the_removed_grid_flag_is_a_usage_error(self, capsys, command, where, grid):
         argv = [command, "--p", "0.3", "--eta", "0.2"]
-        argv = ["--grid", "10000", *argv] if where == "before" else [*argv, "--grid", "10000"]
+        argv = ["--grid", grid, *argv] if where == "before" else [*argv, "--grid", grid]
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err.startswith("usage: qdice")
         if where == "after":
-            assert "error: unrecognized arguments: --grid 10000" in err
+            assert f"error: unrecognized arguments: --grid {grid}" in err
 
     def test_help_names_no_grid_flag(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

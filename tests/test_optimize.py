@@ -13,11 +13,37 @@ from hypothesis import strategies as st
 from qdice import optimize
 from qdice.errors import CrossCheckError, InfeasibleVariantError
 from qdice.optimize import (
+    _INV_PHI,
     bisect_root,
     certify_sign_change,
     maximize_unimodal,
     sqrt2_quadratic_root,
 )
+
+
+def loop_maximize(f, tol=1e-12):
+    """The reference search on [0, 1]: golden section, then the midpoint
+    against both ends, kept only where an end is strictly better."""
+    a, b = 0.0, 1.0
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    candidates = [(x, f(x)), (0.0, f(0.0)), (1.0, f(1.0))]
+    best = candidates[0]
+    for end in candidates[1:]:
+        if end[1] > best[1]:
+            best = end
+    return best
 
 
 def loop_bisect(f, lo, hi, tol=1e-12, max_iter=200):
@@ -68,6 +94,11 @@ class TestMaximizeUnimodal:
         maximize_unimodal(f)
         assert len(calls) > 40 and all(type(x) is float for x in calls)
         assert calls[-2:] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    def test_matches_per_point_loop(self, name):
+        f = OBJECTIVES[name]
+        assert maximize_unimodal(f) == loop_maximize(f)
 
     @pytest.mark.parametrize("name", sorted(OBJECTIVES))
     def test_reaches_the_dense_brute_force_maximum(self, name):

@@ -190,6 +190,28 @@ class TestAliceOptCheat:
         assert np.isnan(weak_cf._objective(*coeffs, delta))
         assert np.isnan(weak_cf._objective(*coeffs, np.float64(delta)))
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0.7, 0.2), (1.0, 0.0), (0.0, 0.3), (0.0, 0.0), (1.0, 1.0), (5e-324, 0.5), *[
+            weak_cf._objective_coeffs(params) for params in param_grid(10, 10)
+        ]],
+    )
+    def test_numeric_maximum_agrees_with_the_reference_formula(self, a, b):
+        from qdice.optimize import maximize_unimodal
+
+        x, value = maximize_unimodal(lambda d: weak_cf._objective(a, b, d))
+        assert 0.0 <= x <= 1.0 and value == self.reference_objective(a, b, x)
+        # Cauchy-Schwarz: the maximum over [0, 1] is A + B
+        assert abs(value - (a + b)) <= 1e-12 * max(1.0, a + b)
+        # a dense brute force over the reference formula finds nothing higher
+        dense = self.reference_objective(a, b, np.linspace(0.0, 1.0, 2**16 + 1))
+        assert value >= float(dense.max()) - 1e-12
+
+    @pytest.mark.parametrize("a, b", [(float("nan"), 0.3), (0.7, float("nan")), (-0.5, 0.4), (0.6, -0.1)])
+    def test_nan_or_negative_coefficient_gives_nan_inside(self, a, b):
+        deltas = np.linspace(0.0, 1.0, 1001)[1:-1].tolist()
+        assert all(np.isnan(weak_cf._objective(a, b, d)) for d in deltas)
+
     @pytest.mark.parametrize("which", [0, 1])
     @pytest.mark.parametrize("bad", [float("nan"), -0.5, -5e-324])
     def test_nan_or_negative_coefficient_fails_closed(self, monkeypatch, which, bad):
