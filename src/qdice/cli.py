@@ -16,6 +16,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import takewhile
 from math import isfinite
 
 import numpy as np
@@ -29,6 +30,8 @@ MISMATCH_EXIT = 2
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on bad flags; the contract here is 1."""
+
+    commands: tuple[str, ...] = ()  # the subcommand names, set on the top-level parser
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -324,15 +327,24 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--output", default=default(None), help="write results here instead of stdout")
 
 
+@cache
+def _global_flags() -> argparse.ArgumentParser:
+    """The shared flags alone, with suppressed defaults: the parent of every
+    subcommand's parser, and what `run` reads a failed argv's prefix with."""
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    _add_global_flags(parser, suppress=True)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="qdice", description=__doc__)
+    """The qdice parser. Its top level raises argparse.ArgumentError rather
+    than exiting, so that `run` can name an unknown leading option."""
+    parser = _Parser(prog="qdice", description=__doc__, exit_on_error=False)
     _add_global_flags(parser, suppress=False)
-    global_flags = argparse.ArgumentParser(add_help=False)
-    _add_global_flags(global_flags, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help, parents=[global_flags])
+        return sub.add_parser(name, help=help, parents=[_global_flags()])
 
     p = command("weak-cf", help="three-round weak imbalanced CF cheat analysis")
     p.add_argument("--p", type=_finite_float, required=True)
@@ -385,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("reproduce", help="recompute headline numbers as one table")
     p.set_defaults(handler=_cmd_reproduce)
 
+    parser.commands = tuple(sub.choices)
     return parser
 
 
@@ -395,10 +408,32 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _top_level_error(parser: _Parser, exc: argparse.ArgumentError, argv: list[str]) -> str:
+    """argparse's message, except for an unknown option before the subcommand.
+
+    argparse sets such an option aside and reads its value as the subcommand,
+    so `--grid 5 weak-cf` reads as the invalid choice '5'. Here the tokens
+    that the shared flags leave over before the subcommand are named instead.
+    """
+    if exc.argument_name == "command":
+        try:
+            extras = _global_flags().parse_known_args(argv)[1]
+        except argparse.ArgumentError:
+            return str(exc)
+        leading = list(takewhile(lambda arg: arg not in parser.commands, extras))
+        if leading and leading[0].startswith("-"):
+            return f"unrecognized arguments: {' '.join(leading)}"
+    return str(exc)
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = _shared_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except argparse.ArgumentError as exc:
+            parser.error(_top_level_error(parser, exc, argv))
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -16,24 +16,23 @@ copied and fully validated; the arrays that `tensor`, `apply`, the
 projections and `measure_computational` have just allocated are adopted
 without a copy or a second dims/labels/shape check, since their inputs
 passed those checks, but every state, however built, passes the norm check.
-`basis_state` relies on the sharing: it returns one cached state per
-(dims, labels, indices), and repeated calls hand out that same object.
 States that are compared, projected or measured together must list their
 subsystems in the same order; a different order raises
 DimensionMismatchError rather than silently pairing the wrong amplitudes.
 
 A StateStack holds k states over one space as the rows of one read-only
-(k, dim) array. `apply_all`, `project_all` and `overlap_all` push a whole
-stack through the kernels that `apply`, `project`, `measure_projector` and
-`overlap` run as their one-row case, so row r's result is the scalar
-call's, bit for bit. The stack axis leads the state's axes, so numpy's
-matmul makes one BLAS product per state, the product the scalar call
-makes; one 2-D product over all k states would not (OpenBLAS rounds the
-columns past a multiple of four with other kernels). A stacked projection
-checks its basis once, takes <b|s> for every row with one `np.vecdot` per
-basis state (the BLAS dot that `np.vdot` takes), sums every row's in-span
-vector onto zeros in basis order, and reports a row whose probability
-vanishes as (0.0, None) where the scalar `project` raises.
+(k, dim) array, and is only ever passed whole. `apply_all`, `project_all`
+and `overlap_all` push a whole stack through the kernels that `apply`,
+`project`, `measure_projector` and `overlap` run as their one-row case, so
+row r's result is the scalar call's, bit for bit. The stack axis leads
+the state's axes, so numpy's matmul makes one BLAS product per state, the
+product the scalar call makes; one 2-D product over all k states would
+not (OpenBLAS rounds the columns past a multiple of four with other
+kernels). A stacked projection checks its basis once, takes <b|s> for
+every row with one `np.vecdot` per basis state (the BLAS dot that
+`np.vdot` takes), sums every row's in-span vector onto zeros in basis
+order, and reports a row whose probability vanishes as (0.0, None) where
+the scalar `project` raises.
 
 The hot paths avoid per-call numpy overhead without changing a bit of their
 results. `tensor` takes the outer product directly rather than through
@@ -152,8 +151,8 @@ def _adopt(dims: tuple[int, ...], labels: tuple[str, ...], amps: np.ndarray) -> 
 @dataclass(frozen=True, eq=False)
 class StateStack:
     """k >= 1 normalized states over one labeled space: row r of the read-only
-    (k, dim) amps is state r, and `stack[r]` returns it as a StateVector
-    sharing the row. Built from states by `stack` and returned by `apply_all`."""
+    (k, dim) amps is state r. Built from states by `stack` and returned by
+    `apply_all`; a caller's array is copied and every row checked."""
 
     dims: tuple[int, ...]
     labels: tuple[str, ...]
@@ -167,20 +166,6 @@ class StateStack:
             raise DimensionMismatchError(f"expected a (k, dim) array with k >= 1, got {amps.shape}")
         for row in amps:  # every StateVector check, row by row
             StateVector(self.dims, self.labels, row)
-
-    def __len__(self) -> int:
-        return len(self.amps)
-
-    def __getitem__(self, r: int) -> StateVector:
-        return self._row(self.amps[r])
-
-    def __iter__(self):
-        return map(self._row, self.amps)
-
-    def _row(self, amps: np.ndarray) -> StateVector:
-        state = object.__new__(StateVector)  # the row passed the norm check with its stack
-        state.__dict__.update(dims=self.dims, labels=self.labels, amps=amps)
-        return state
 
 
 def _stack(dims: tuple[int, ...], labels: tuple[str, ...], amps: np.ndarray) -> StateStack:
@@ -225,19 +210,10 @@ def _flat_index(dims: tuple[int, ...], indices: tuple[int, ...]) -> int:
 
 
 def basis_state(dims: Sequence[int], labels: Sequence[str], indices: Sequence[int]) -> StateVector:
-    """The product basis state |i1 i2 ...> with the given subsystem indices.
-
-    Equal arguments, given as lists or tuples, return one shared cached state.
-    """
-    return _cached_basis_state(tuple(map(int, dims)), tuple(labels), tuple(map(int, indices)))
-
-
-@lru_cache(maxsize=128)
-def _cached_basis_state(
-    dims: tuple[int, ...], labels: tuple[str, ...], indices: tuple[int, ...]
-) -> StateVector:
+    """The product basis state |i1 i2 ...> with the given subsystem indices."""
+    dims = tuple(map(int, dims))
     amps = np.zeros(prod(dims), dtype=complex)
-    amps[_flat_index(dims, indices)] = 1.0
+    amps[_flat_index(dims, tuple(map(int, indices)))] = 1.0
     return StateVector(dims, labels, amps)
 
 

@@ -6,6 +6,10 @@ ceil(w/2)/w, the right branch the floor(w/2) upper outcomes. Every leaf's
 edge-probability product telescopes to exactly 1/N, and a cheater who can
 shift each flip to sqrt(edge) + delta succeeds with the product of those
 factors along the target's path: 1/sqrt(N) at delta = 0.
+
+The tree is a pure function of its range, so a node is only (lo, hi): its
+children and edge probabilities are computed from the range, and the
+queries below walk integer ranges rather than stored nodes.
 """
 
 from __future__ import annotations
@@ -17,19 +21,28 @@ from math import inf, sqrt
 
 from .errors import ParameterRangeError
 
-# Largest outcome count, refused before any node is built: `qdice strong-dr
-# --n` at the cap takes about 2.6 s, peaks at about 120 MB and writes 22 MB.
+# Largest outcome count, refused by SplitTree's constructor: `qdice strong-dr
+# --n` at the cap takes about 2.5 s, peaks at about 110 MB and writes 22 MB,
+# most of it the JSON of the 2N - 1 nodes.
 MAX_OUTCOMES = 2**15
 
 
 @dataclass(frozen=True)
 class SplitTree:
-    """A node covering outcomes [lo, hi]; leaves are single outcomes."""
+    """The node covering outcomes [lo, hi]; leaves are single outcomes.
+
+    Raises ParameterRangeError unless lo and hi are integers with
+    1 <= hi - lo + 1 <= MAX_OUTCOMES.
+    """
 
     lo: int
     hi: int
-    left: "SplitTree | None" = None
-    right: "SplitTree | None" = None
+
+    def __post_init__(self):
+        if not (isinstance(self.lo, int) and isinstance(self.hi, int) and self.lo <= self.hi):
+            raise ParameterRangeError(f"a node needs integer ends lo <= hi, got [{self.lo!r}, {self.hi!r}]")
+        if self.width > MAX_OUTCOMES:
+            raise ParameterRangeError(f"need at most {MAX_OUTCOMES} outcomes, got {self.width}")
 
     @property
     def width(self) -> int:
@@ -37,7 +50,17 @@ class SplitTree:
 
     @property
     def is_leaf(self) -> bool:
-        return self.left is None
+        return self.lo == self.hi
+
+    @property
+    def left(self) -> SplitTree | None:
+        """The ceil(w/2) lower outcomes, or None at a leaf."""
+        return None if self.is_leaf else SplitTree(self.lo, (self.lo + self.hi) // 2)
+
+    @property
+    def right(self) -> SplitTree | None:
+        """The floor(w/2) upper outcomes, or None at a leaf."""
+        return None if self.is_leaf else SplitTree((self.lo + self.hi) // 2 + 1, self.hi)
 
     @property
     def left_prob(self) -> Fraction:
@@ -58,12 +81,9 @@ class SplitTree:
 
 
 def build_tree(n_outcomes: int) -> SplitTree:
-    """Recursive ceil/floor bisection of [1, n_outcomes] down to singletons.
+    """The root of the ceil/floor bisection of [1, n_outcomes].
 
-    Each node is a frozen SplitTree whose instance dict is filled by item
-    assignment: the same node as SplitTree(lo, hi, left, right), without the
-    frozen dataclass's four object.__setattr__ calls. Raises
-    ParameterRangeError unless 2 <= n_outcomes <= MAX_OUTCOMES.
+    Raises ParameterRangeError unless 2 <= n_outcomes <= MAX_OUTCOMES.
     """
     try:
         n = operator.index(n_outcomes)
@@ -71,23 +91,7 @@ def build_tree(n_outcomes: int) -> SplitTree:
         raise ParameterRangeError(f"outcome count must be an integer, got {n_outcomes!r}") from None
     if n < 2:
         raise ParameterRangeError(f"need at least 2 outcomes, got {n}")
-    if n > MAX_OUTCOMES:
-        raise ParameterRangeError(f"need at most {MAX_OUTCOMES} outcomes, got {n}")
-
-    def split(lo: int, hi: int) -> SplitTree:
-        node = object.__new__(SplitTree)
-        fields = node.__dict__
-        fields["lo"] = lo
-        fields["hi"] = hi
-        if lo == hi:
-            fields["left"] = fields["right"] = None
-        else:
-            mid = (lo + hi) // 2  # left child takes ceil(w/2) outcomes
-            fields["left"] = split(lo, mid)
-            fields["right"] = split(mid + 1, hi)
-        return node
-
-    return split(1, n)
+    return SplitTree(1, n)
 
 
 def _path_widths(tree: SplitTree, target_outcome: int) -> list[tuple[int, int]]:
@@ -95,20 +99,19 @@ def _path_widths(tree: SplitTree, target_outcome: int) -> list[tuple[int, int]]:
     probability is take/w, with w the width of the node it leaves and take
     (w+1)//2 to the left child or w//2 to the right, as in `left_prob` and
     `right_prob`. Raises ParameterRangeError for a target outside the tree."""
-    if not tree.lo <= target_outcome <= tree.hi:
-        raise ParameterRangeError(
-            f"target {target_outcome} outside [{tree.lo}, {tree.hi}]"
-        )
+    lo, hi = tree.lo, tree.hi
+    if not lo <= target_outcome <= hi:
+        raise ParameterRangeError(f"target {target_outcome} outside [{lo}, {hi}]")
     edges = []
-    node = tree
-    while node.left is not None:
-        w = node.hi - node.lo + 1
-        if target_outcome <= node.left.hi:
+    while lo < hi:
+        w = hi - lo + 1
+        mid = (lo + hi) // 2  # the left child is [lo, mid]
+        if target_outcome <= mid:
             edges.append(((w + 1) // 2, w))
-            node = node.left
+            hi = mid
         else:
             edges.append((w // 2, w))
-            node = node.right
+            lo = mid + 1
     return edges
 
 
@@ -121,44 +124,44 @@ def path_to(tree: SplitTree, target_outcome: int) -> list[Fraction]:
 def honest_leaf_probs(tree: SplitTree) -> list[Fraction]:
     """Exact honest probability of every outcome, in outcome order.
 
-    Walks the tree level by level with an explicit worklist, carrying each
-    path's product of edge probabilities as an unreduced integer pair
-    (num, den): a node of width w multiplies its left child's pair by
-    ((w+1)//2, w) and its right child's by (w//2, w), the factors of
-    `left_prob` and `right_prob`. One Fraction is built per distinct pair
-    reaching a leaf.
+    Walks (lo, hi, num, den) ranges depth first, carrying each path's
+    product of edge probabilities as an unreduced integer pair: a range of
+    width w multiplies its left half's pair by ((w+1)//2, w) and its right
+    half's by (w//2, w), the factors of `left_prob` and `right_prob`. The
+    right half is pushed first, so leaves come out in outcome order. One
+    Fraction is built per distinct pair reaching a leaf.
     """
-    probs: list[tuple[int, Fraction]] = []
+    probs: list[Fraction] = []
     exact: dict[tuple[int, int], Fraction] = {}
-    level = [(tree, 1, 1)]
-    while level:
-        below = []
-        for node, num, den in level:
-            if node.left is None:
-                key = (num, den)
-                prob = exact.get(key)
-                if prob is None:
-                    prob = exact[key] = Fraction(num, den)
-                probs.append((node.lo, prob))
-            else:
-                w = node.hi - node.lo + 1
-                den *= w
-                below.append((node.left, num * ((w + 1) // 2), den))
-                below.append((node.right, num * (w // 2), den))
-        level = below
-    probs.sort()
-    return [p for _, p in probs]
+    todo = [(tree.lo, tree.hi, 1, 1)]
+    while todo:
+        lo, hi, num, den = todo.pop()
+        if lo == hi:
+            key = (num, den)
+            prob = exact.get(key)
+            if prob is None:
+                prob = exact[key] = Fraction(num, den)
+            probs.append(prob)
+        else:
+            w = hi - lo + 1
+            mid = (lo + hi) // 2
+            den *= w
+            todo.append((mid + 1, hi, num * (w // 2), den))
+            todo.append((lo, mid, num * ((w + 1) // 2), den))
+    return probs
 
 
 def depth(tree: SplitTree) -> int:
-    """Length of the longest root-to-leaf path (0 for a single leaf), level by level."""
-    level = [tree]
-    levels = 0
-    while True:
-        level = [child for node in level if node.left is not None for child in (node.left, node.right)]
-        if not level:
-            return levels
+    """Length of the longest root-to-leaf path (0 for a single leaf).
+
+    A left child is never narrower than its right sibling, so the left
+    spine, whose width halves rounding up, is a longest path.
+    """
+    w, levels = tree.width, 0
+    while w > 1:
+        w = (w + 1) // 2
         levels += 1
+    return levels
 
 
 def adversary_success(tree: SplitTree, target_outcome: int, delta: float) -> float:

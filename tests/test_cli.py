@@ -207,8 +207,37 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("usage: qdice")
-        if where == "after":
-            assert f"error: unrecognized arguments: --grid {grid}" in err
+        # before the subcommand, argparse alone would report the value as an invalid subcommand
+        assert err.endswith(f"error: unrecognized arguments: --grid {grid}\n")
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("--bogus", "3", "weak-cf", "--p", "0.3", "--eta", "0.2"), "--bogus 3"),
+            (("--seed", "-1", "--bogus", "-1", "reproduce"), "--bogus -1"),
+            (("--bogus", "3"), "--bogus 3"),
+            (("--bogus", "reproduce"), "--bogus"),
+            (("--bogus=3", "reproduce"), "--bogus=3"),
+        ],
+    )
+    def test_an_unknown_option_before_the_subcommand_is_named(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: qdice") and err.endswith(f"error: unrecognized arguments: {named}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("5", "--bogus"), "argument command: invalid choice: '5'"),
+            (("--tol", "abc", "reproduce"), "argument --tol: invalid float value: 'abc'"),
+            (("--output",), "argument --output: expected one argument"),
+            ((), "the following arguments are required: command"),
+        ],
+    )
+    def test_other_top_level_errors_keep_argparses_message(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: qdice") and f"error: {message}" in err
 
     def test_help_names_no_grid_flag(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

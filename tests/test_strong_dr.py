@@ -12,47 +12,57 @@ from qdice.errors import ParameterRangeError
 from qdice.strong_dr import SplitTree
 
 
-def reference_tree(n: int) -> SplitTree:
-    """The bisection tree built through SplitTree's own constructor."""
-
-    def split(lo, hi):
-        if lo == hi:
-            return SplitTree(lo, hi)
-        mid = lo + (hi - lo + 1 + 1) // 2 - 1
-        return SplitTree(lo, hi, split(lo, mid), split(mid + 1, hi))
-
-    return split(1, n)
+def reference_children(lo: int, hi: int):
+    """The two halves of [lo, hi], the left one taking ceil(w/2) outcomes, or None for a singleton."""
+    if lo == hi:
+        return None
+    mid = lo + ceil((hi - lo + 1) / 2) - 1
+    return (lo, mid), (mid + 1, hi)
 
 
-def reference_leaf_probs(tree: SplitTree) -> list[Fraction]:
-    """Recursive walk multiplying each node's Fraction edge probabilities."""
-    probs = []
-
-    def walk(node, acc):
-        if node.is_leaf:
-            probs.append((node.lo, acc))
-            return
-        walk(node.left, acc * node.left_prob)
-        walk(node.right, acc * node.right_prob)
-
-    walk(tree, Fraction(1))
-    probs.sort()
-    return [p for _, p in probs]
+def reference_tree(lo: int, hi: int) -> dict:
+    """Every node of the bisection of [lo, hi], mapped to its children, by recursion on the ranges."""
+    nodes = {(lo, hi): reference_children(lo, hi)}
+    for child in nodes[lo, hi] or ():
+        nodes.update(reference_tree(*child))
+    return nodes
 
 
-def reference_path_to(tree: SplitTree, target: int) -> list[Fraction]:
-    """The path walked through each node's `left_prob` / `right_prob` Fractions."""
-    if not tree.lo <= target <= tree.hi:
-        raise ParameterRangeError(f"target {target} outside [{tree.lo}, {tree.hi}]")
+def reference_json(lo: int, hi: int) -> dict:
+    node = {"lo": lo, "hi": hi}
+    children = reference_children(lo, hi)
+    if children:
+        (_, mid), _ = children
+        w = hi - lo + 1
+        for side, take in (("left_prob", mid - lo + 1), ("right_prob", hi - mid)):
+            edge = Fraction(take, w)
+            node[side] = {"num": edge.numerator, "den": edge.denominator}
+        node["left"], node["right"] = (reference_json(*child) for child in children)
+    return node
+
+
+def reference_leaf_probs(lo: int, hi: int, acc: Fraction = Fraction(1)) -> list[Fraction]:
+    """Recursive walk multiplying Fraction edge probabilities, left half first."""
+    children = reference_children(lo, hi)
+    if children is None:
+        return [acc]
+    w = hi - lo + 1
+    return [
+        prob
+        for clo, chi in children
+        for prob in reference_leaf_probs(clo, chi, acc * Fraction(chi - clo + 1, w))
+    ]
+
+
+def reference_path_to(lo: int, hi: int, target: int) -> list[Fraction]:
+    """The Fraction edge probabilities into the half holding the target, range by range."""
+    if not lo <= target <= hi:
+        raise ParameterRangeError(f"target {target} outside [{lo}, {hi}]")
     edges = []
-    node = tree
-    while not node.is_leaf:
-        if target <= node.left.hi:
-            edges.append(node.left_prob)
-            node = node.left
-        else:
-            edges.append(node.right_prob)
-            node = node.right
+    while lo != hi:
+        w = hi - lo + 1
+        lo, hi = next(child for child in reference_children(lo, hi) if child[0] <= target <= child[1])
+        edges.append(Fraction(hi - lo + 1, w))
     return edges
 
 
@@ -68,10 +78,10 @@ def reference_forcing(roots: list[float], delta: float) -> float:
     return value
 
 
-def reference_adversary_success(tree: SplitTree, target: int, delta: float) -> float:
+def reference_adversary_success(lo: int, hi: int, target: int, delta: float) -> float:
     if not 0.0 <= delta < inf:
         raise ParameterRangeError(f"delta must be finite and non-negative, got {delta}")
-    return reference_forcing(reference_roots(reference_path_to(tree, target)), delta)
+    return reference_forcing(reference_roots(reference_path_to(lo, hi, target)), delta)
 
 
 def raised(f, *args):
@@ -83,25 +93,11 @@ def raised(f, *args):
     return None
 
 
-def reference_depth(tree: SplitTree) -> int:
-    if tree.is_leaf:
+def reference_depth(lo: int, hi: int) -> int:
+    children = reference_children(lo, hi)
+    if children is None:
         return 0
-    return 1 + max(reference_depth(tree.left), reference_depth(tree.right))
-
-
-def leaf(k: int) -> SplitTree:
-    return SplitTree(k, k)
-
-
-# children whose widths are not ceil/floor of the parent's: [1, 6] -> [1, 1] + [2, 6] -> [2, 5] + [6, 6]
-LOPSIDED = SplitTree(
-    1, 6, leaf(1),
-    SplitTree(2, 6, SplitTree(2, 5, SplitTree(2, 3, leaf(2), leaf(3)), SplitTree(4, 5, leaf(4), leaf(5))), leaf(6)),
-)
-# leaves out of order, and a left child narrower than the right
-SHUFFLED = SplitTree(
-    1, 5, SplitTree(4, 5, leaf(5), leaf(4)), SplitTree(1, 3, leaf(3), SplitTree(1, 2, leaf(2), leaf(1)))
-)
+    return 1 + max(reference_depth(*child) for child in children)
 
 
 class TestBuildTree:
@@ -132,12 +128,14 @@ class TestBuildTree:
             strong_dr.build_tree(1)
 
     @pytest.mark.parametrize("excess", [1, 10**11, 10**400])
-    def test_sizes_past_the_cap_are_refused_before_any_node_is_built(self, monkeypatch, excess):
+    def test_sizes_past_the_cap_are_refused_before_any_node_is_built(self, excess):
         assert strong_dr.MAX_OUTCOMES == 2**15
-        # nodes are made by object.__new__(SplitTree), which raises TypeError on None
-        monkeypatch.setattr(strong_dr, "SplitTree", None)
-        with pytest.raises(ParameterRangeError, match=f"need at most {strong_dr.MAX_OUTCOMES} outcomes"):
-            strong_dr.build_tree(strong_dr.MAX_OUTCOMES + excess)
+        size = strong_dr.MAX_OUTCOMES + excess
+        message = f"need at most {strong_dr.MAX_OUTCOMES} outcomes, got {size}"
+        with pytest.raises(ParameterRangeError, match=message):
+            strong_dr.build_tree(size)
+        with pytest.raises(ParameterRangeError, match=message):
+            SplitTree(1 - excess, strong_dr.MAX_OUTCOMES)
 
     def test_the_cap_itself_is_accepted(self, monkeypatch):
         monkeypatch.setattr(strong_dr, "MAX_OUTCOMES", 50)
@@ -154,22 +152,62 @@ class TestBuildTree:
         assert strong_dr.build_tree(np.int64(7)) == strong_dr.build_tree(7)
         assert type(strong_dr.build_tree(np.int64(7)).hi) is int
 
-    def test_equals_constructor_built_tree(self):
+    def test_every_nodes_children_are_the_reference_bisection(self):
         for n in range(2, 301):
-            assert strong_dr.build_tree(n) == reference_tree(n)
+            expected = reference_tree(1, n)
+            seen = {}
+            todo = [strong_dr.build_tree(n)]
+            while todo:
+                node = todo.pop()
+                assert node.is_leaf == (node.left is None) == (node.right is None)
+                seen[node.lo, node.hi] = None if node.is_leaf else ((node.left.lo, node.left.hi), (node.right.lo, node.right.hi))
+                todo.extend(() if node.is_leaf else (node.left, node.right))
+            assert seen == expected, n
         for n in (2, 37, 256):
-            tree, expected = strong_dr.build_tree(n), reference_tree(n)
-            assert hash(tree) == hash(expected)
-            assert tree.to_json_dict() == expected.to_json_dict()
+            assert strong_dr.build_tree(n).to_json_dict() == reference_json(1, n)
 
-    def test_nodes_are_frozen_split_trees(self):
+    def test_a_node_is_only_its_range(self):
         tree = strong_dr.build_tree(3)
+        assert [f.name for f in dataclasses.fields(SplitTree)] == ["lo", "hi"]
+        assert tree == SplitTree(1, 3) and hash(tree) == hash(SplitTree(1, 3))
         assert type(tree) is SplitTree and type(tree.left.left) is SplitTree
-        assert repr(tree.right) == "SplitTree(lo=3, hi=3, left=None, right=None)"
+        assert repr(tree.right) == "SplitTree(lo=3, hi=3)"
+        assert (tree.right.left, tree.right.right) == (None, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
             tree.lo = 2
         with pytest.raises(dataclasses.FrozenInstanceError):
             tree.left.right = None
+
+    def test_a_directly_built_range_is_a_whole_subtree(self):
+        tree = SplitTree(1, 4)
+        assert tree.left == SplitTree(1, 2) and tree.right == SplitTree(3, 4)
+        assert strong_dr.honest_leaf_probs(tree) == [Fraction(1, 4)] * 4
+        assert strong_dr.depth(tree) == 2
+        for lo, hi in [(-3, 3), (0, 0), (5, 17), (10**20, 10**20 + 6)]:
+            node = SplitTree(lo, hi)
+            assert strong_dr.honest_leaf_probs(node) == reference_leaf_probs(lo, hi)
+            assert strong_dr.depth(node) == reference_depth(lo, hi)
+            assert node.to_json_dict() == reference_json(lo, hi)
+            for target in range(lo, hi + 1):
+                assert strong_dr.path_to(node, target) == reference_path_to(lo, hi, target)
+
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [
+            (3, 1, r"integer ends lo <= hi, got \[3, 1\]"),
+            (1, 0, r"integer ends lo <= hi, got \[1, 0\]"),
+            (1.5, 3, "integer ends lo <= hi"),
+            (1, 3.0, "integer ends lo <= hi"),
+            (1, "3", "integer ends lo <= hi"),
+            (np.int64(1), 3, "integer ends lo <= hi"),
+            (None, None, "integer ends lo <= hi"),
+            (1, 2**15 + 1, "need at most 32768 outcomes, got 32769"),
+        ],
+    )
+    def test_a_range_that_is_not_a_bisection_node_is_refused(self, lo, hi, message):
+        assert strong_dr.MAX_OUTCOMES == 2**15
+        with pytest.raises(ParameterRangeError, match=message):
+            SplitTree(lo, hi)
 
 
 class TestHonestLeafProbs:
@@ -188,32 +226,12 @@ class TestHonestLeafProbs:
 
     def test_equals_fraction_walk(self):
         for n in range(2, 301):
-            tree = strong_dr.build_tree(n)
-            probs = strong_dr.honest_leaf_probs(tree)
-            assert probs == reference_leaf_probs(tree)
+            probs = strong_dr.honest_leaf_probs(strong_dr.build_tree(n))
+            assert probs == reference_leaf_probs(1, n)
             assert all(type(p) is Fraction for p in probs)
 
-    @pytest.mark.parametrize("tree", [LOPSIDED, SHUFFLED], ids=["lopsided", "shuffled"])
-    def test_hand_built_trees_use_each_nodes_own_factors(self, tree):
-        assert strong_dr.honest_leaf_probs(tree) == reference_leaf_probs(tree)
-
-    def test_hand_built_values(self):
-        # root [1, 6]: 3/6 to the leaf; [2, 6] then 3/5 left, 2/5 right; [2, 5] halves; width-2 nodes halve
-        assert strong_dr.honest_leaf_probs(LOPSIDED) == [
-            Fraction(1, 2), *[Fraction(1, 2) * Fraction(3, 5) * Fraction(1, 2) * Fraction(1, 2)] * 4,
-            Fraction(1, 2) * Fraction(2, 5),
-        ]
-        # root [1, 5] sends 3/5 to [4, 5] and 2/5 to [1, 3]; outcome order, not tree order
-        assert strong_dr.honest_leaf_probs(SHUFFLED) == [
-            Fraction(2, 5) * Fraction(1, 3) * Fraction(1, 2),
-            Fraction(2, 5) * Fraction(1, 3) * Fraction(1, 2),
-            Fraction(2, 5) * Fraction(2, 3),
-            Fraction(3, 5) * Fraction(1, 2),
-            Fraction(3, 5) * Fraction(1, 2),
-        ]
-
     def test_single_leaf(self):
-        assert strong_dr.honest_leaf_probs(leaf(4)) == [Fraction(1)]
+        assert strong_dr.honest_leaf_probs(SplitTree(4, 4)) == [Fraction(1)]
 
 
 class TestAdversarySuccess:
@@ -283,25 +301,17 @@ class TestIntegerPathWalk:
         for n in range(lo, lo + 50):
             tree = strong_dr.build_tree(n)
             for target in range(1, n + 1):
-                edges = reference_path_to(tree, target)
+                edges = reference_path_to(1, n, target)
                 assert strong_dr.path_to(tree, target) == edges, (n, target)
                 roots = reference_roots(edges)
                 for delta in DELTAS:
                     got = strong_dr.adversary_success(tree, target, delta)
                     assert got.hex() == reference_forcing(roots, delta).hex(), (n, target, delta)
 
-    @pytest.mark.parametrize("tree", [LOPSIDED, SHUFFLED], ids=["lopsided", "shuffled"])
-    def test_hand_built_trees_use_each_nodes_own_width(self, tree):
-        for target in range(1, 6):
-            assert strong_dr.path_to(tree, target) == reference_path_to(tree, target)
-            for delta in DELTAS:
-                got = strong_dr.adversary_success(tree, target, delta)
-                assert got.hex() == reference_adversary_success(tree, target, delta).hex()
-
     @pytest.mark.parametrize("target", [0, -1, 38, 10**30])
     def test_same_error_for_a_bad_target(self, target):
         tree = strong_dr.build_tree(37)
-        error = raised(reference_path_to, tree, target)
+        error = raised(reference_path_to, 1, 37, target)
         assert error is not None and error[0] is ParameterRangeError
         assert raised(strong_dr.path_to, tree, target) == error
         assert raised(strong_dr.adversary_success, tree, target, 0.01) == error
@@ -311,7 +321,7 @@ class TestIntegerPathWalk:
     def test_same_error_for_a_bad_delta(self, delta, target):
         # the delta is checked before the target, as before
         tree = strong_dr.build_tree(37)
-        error = raised(reference_adversary_success, tree, target, delta)
+        error = raised(reference_adversary_success, 1, 37, target, delta)
         assert error is not None and "delta" in error[1]
         assert raised(strong_dr.adversary_success, tree, target, delta) == error
 
@@ -324,17 +334,12 @@ class TestDepthBound:
     def test_equals_recursive_depth(self):
         for n in range(2, 301):
             tree = strong_dr.build_tree(n)
-            assert strong_dr.depth(tree) == reference_depth(tree) == (n - 1).bit_length()
+            assert strong_dr.depth(tree) == reference_depth(1, n) == (n - 1).bit_length()
 
-    def test_deeper_right_branch(self):
-        # a right-leaning chain: every left child is a leaf
-        chain = leaf(6)
-        for k in range(5, 0, -1):
-            chain = SplitTree(k, 6, leaf(k), chain)
-        assert strong_dr.depth(chain) == reference_depth(chain) == 5
-        assert strong_dr.depth(SplitTree(0, 6, leaf(0), chain)) == 6
-        assert strong_dr.depth(LOPSIDED) == reference_depth(LOPSIDED) == 4
-        assert strong_dr.depth(leaf(1)) == 0
+    def test_equals_bit_length_up_to_the_cap(self):
+        for n in range(2, strong_dr.MAX_OUTCOMES + 1):
+            assert strong_dr.depth(strong_dr.build_tree(n)) == (n - 1).bit_length(), n
+        assert strong_dr.depth(SplitTree(1, 1)) == 0
 
 
 class TestCompositionWithStrongCF:

@@ -439,7 +439,7 @@ class TestAliceCheatOracle:
 
     def test_basis_certificate_nan_raises(self, monkeypatch):
         monkeypatch.setattr(
-            weak_cf, "_scores", lambda rotated, proto: [float("nan")] * len(rotated)
+            weak_cf, "_scores", lambda rotated, proto: [float("nan")] * len(rotated.amps)
         )
         with pytest.raises(CrossCheckError, match="basis"):
             weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
@@ -491,7 +491,7 @@ class TestAliceCheatOracle:
     def test_one_honest_run_builds_four_or_five_states(self, monkeypatch):
         # psi0, its tensor with the ancilla, the rotated state and the post
         # state; Alice's branch also builds her pass state, Bob's reuses a
-        # cached basis state for his check; each state passes one norm check
+        # module-level basis state for his check; each state passes one norm check
         states = []
         state_check = qc._check_norm
 
