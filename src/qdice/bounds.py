@@ -36,8 +36,9 @@ class BiasReport:
     honest_probs: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "force_probs", tuple(tuple(map(float, row)) for row in self.force_probs))
-        object.__setattr__(self, "honest_probs", tuple(map(float, self.honest_probs)))
+        # from lists, as in TournamentSpec: no shrunk tuples parked on CPython's free lists
+        object.__setattr__(self, "force_probs", tuple([tuple([*map(float, row)]) for row in self.force_probs]))
+        object.__setattr__(self, "honest_probs", tuple([*map(float, self.honest_probs)]))
         if len(self.force_probs) != self.n_parties:
             raise DimensionMismatchError(
                 f"expected {self.n_parties} force rows, got {len(self.force_probs)}"

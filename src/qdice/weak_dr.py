@@ -52,7 +52,9 @@ class TournamentSpec:
 
     def __post_init__(self):
         _check_parties(self.n_parties)
-        object.__setattr__(self, "stage_biases", tuple(float(b) for b in self.stage_biases))
+        # from a list: tuple() of a generator grows and shrinks its result, and
+        # CPython keeps each shrunk tuple on a free list until a full collection
+        object.__setattr__(self, "stage_biases", tuple([float(b) for b in self.stage_biases]))
         if len(self.stage_biases) != self.n_parties - 1:
             raise ParameterRangeError(
                 f"expected {self.n_parties - 1} stage biases, got {len(self.stage_biases)}"
