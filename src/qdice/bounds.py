@@ -36,7 +36,7 @@ class BiasReport:
     honest_probs: tuple[float, ...]
 
     def __post_init__(self):
-        # from lists, as in TournamentSpec: no shrunk tuples parked on CPython's free lists
+        # from lists, as in TournamentSpec
         object.__setattr__(self, "force_probs", tuple([tuple([*map(float, row)]) for row in self.force_probs]))
         object.__setattr__(self, "honest_probs", tuple([*map(float, self.honest_probs)]))
         if len(self.force_probs) != self.n_parties:

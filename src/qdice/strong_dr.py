@@ -22,8 +22,7 @@ from math import inf, sqrt
 from .errors import ParameterRangeError
 
 # Largest outcome count, refused by SplitTree's constructor: `qdice strong-dr
-# --n` at the cap takes about 2.5 s, peaks at about 110 MB and writes 22 MB,
-# most of it the JSON of the 2N - 1 nodes.
+# --n` at the cap takes about 2.5 s, peaks at about 110 MB and writes 22 MB.
 MAX_OUTCOMES = 2**15
 
 

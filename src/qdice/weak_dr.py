@@ -52,8 +52,7 @@ class TournamentSpec:
 
     def __post_init__(self):
         _check_parties(self.n_parties)
-        # from a list: tuple() of a generator grows and shrinks its result, and
-        # CPython keeps each shrunk tuple on a free list until a full collection
+        # from a list: tuple() of a generator shrinks its result, parking a tuple on CPython's free lists
         object.__setattr__(self, "stage_biases", tuple([float(b) for b in self.stage_biases]))
         if len(self.stage_biases) != self.n_parties - 1:
             raise ParameterRangeError(
