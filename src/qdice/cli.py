@@ -97,7 +97,8 @@ def _emit_record(record: dict, fmt: str, out) -> None:
                 out.write(f"{key} = {_fmt6(value)}\n")
 
 
-# Encodes one flat row as `json.dumps(..., indent=2)` lays it out at depth 3.
+# Encodes a list of flat rows with each key laid out as `json.dumps(...,
+# indent=2)` lays it out at depth 3.
 # Without an indent the encoder may use its C implementation.
 _ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
 
@@ -108,14 +109,18 @@ def _emit_rows(rows: list[dict], fmt: str, out) -> None:
     The json text is byte for byte `json.dumps({"rows": rows, "all_pass":
     ...}, indent=2, allow_nan=False)` plus a newline. rows must be a
     non-empty list of non-empty flat dicts (as `reproduce._row` builds and
-    the reproduce schema requires), so each row is encoded in one
+    the reproduce schema requires), so all rows are encoded in one
     `_ROW_ENCODER` call and only the fixed frame is written around them.
-    A NaN or inf raises ValueError before anything is written.
+    That call separates the rows by `},`, a newline, six spaces and `{`,
+    which occur together nowhere else: a flat row's values hold no brace
+    outside a string, and JSON escapes every newline inside one. Each such
+    boundary is re-indented to the depth-2 layout. A NaN or inf raises
+    ValueError before anything is written.
     """
     if fmt == "json":
-        body = ",\n    ".join("{\n      " + _ROW_ENCODER.encode(r)[1:-1] + "\n    }" for r in rows)
+        body = _ROW_ENCODER.encode(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
         all_pass = "true" if all(r["passed"] for r in rows) else "false"
-        out.write(f'{{\n  "rows": [\n    {body}\n  ],\n  "all_pass": {all_pass}\n}}\n')
+        out.write(f'{{\n  "rows": [\n    {{\n      {body}\n    }}\n  ],\n  "all_pass": {all_pass}\n}}\n')
         return
     columns = list(rows[0].keys())
     if fmt == "csv":

@@ -10,7 +10,10 @@ Alice's cheating room against Bob's.
 Alice's cheat is computed two independent ways and cross-checked: a
 closed form obtained by Cauchy-Schwarz, and numeric maximization of the
 raw objective over delta in [0, 1] (`alice_numeric_cheat`): golden-section
-search on plain floats, plus the two ends. Bob's is p + eta (always
+search on plain floats, plus the two ends, 63 evaluations in all. The
+objective's coefficients A and B are checked once per maximization, when
+`_objective(A, B)` builds the function the search calls; that function
+checks only that delta lies in [0, 1]. Bob's is p + eta (always
 announce a win, `bob_opt_cheat`), carried on the same CheatAnalysis.
 The adversary oracle additionally covers Alice's full four-amplitude
 preparation: an exact rank-1 maximum, certified by simulation. The
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, nan, sqrt
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -196,23 +199,32 @@ def _objective_coeffs(params: WeakCFParams) -> tuple[float, float]:
     return a, b
 
 
-def _objective(a: float, b: float, delta: float) -> float:
-    """(sqrt(A(1-d)) + sqrt(B d))^2 for coefficients from `_objective_coeffs`;
-    NaN unless A >= 0, B >= 0 and 0 <= d <= 1 (so also where any is NaN)."""
-    if not (a >= 0.0 and b >= 0.0 and 0.0 <= delta <= 1.0):  # math.sqrt could raise
-        return nan
-    s = sqrt(a * (1.0 - delta)) + sqrt(b * delta)
-    return s * s
+def _objective(a: float, b: float) -> Callable[[float], float]:
+    """The function d -> (sqrt(A(1-d)) + sqrt(B d))^2 for coefficients from
+    `_objective_coeffs`. A and B are checked here, once: unless A >= 0 and
+    B >= 0 (so also where either is NaN) the function is NaN everywhere.
+    Otherwise it is NaN unless 0 <= d <= 1, where math.sqrt could raise."""
+    if not (a >= 0.0 and b >= 0.0):
+        return lambda delta: nan
+
+    def objective(delta: float) -> float:
+        if not 0.0 <= delta <= 1.0:
+            return nan
+        s = sqrt(a * (1.0 - delta)) + sqrt(b * delta)
+        return s * s
+
+    return objective
 
 
 def alice_numeric_cheat(params: WeakCFParams) -> float:
     """Alice's maximal winning probability as the numeric maximum of the raw
-    objective over delta in [0, 1] (`maximize_unimodal`), never forming the
-    closed form A + B. The objective is the square of sqrt(A) sqrt(1-d) +
-    sqrt(B) sqrt(d), which is concave and >= 0, so it is unimodal for every
-    (p, eta). A NaN or negative coefficient makes the result NaN."""
-    a, b = _objective_coeffs(params)
-    return maximize_unimodal(lambda d: _objective(a, b, d))[1]
+    objective over delta in [0, 1] (`maximize_unimodal`, 63 evaluations),
+    never forming the closed form A + B. The objective is the square of
+    sqrt(A) sqrt(1-d) + sqrt(B) sqrt(d), which is concave and >= 0, so it is
+    unimodal for every (p, eta). The coefficients are checked once, when
+    `_objective` builds the function the search calls; a NaN or negative
+    coefficient makes the result NaN."""
+    return maximize_unimodal(_objective(*_objective_coeffs(params)))[1]
 
 
 def bob_opt_cheat(params: WeakCFParams) -> float:

@@ -108,7 +108,8 @@ def _float_floor(win: Fraction) -> tuple[float, float]:
 @lru_cache(maxsize=4096)
 def _stage_table(n_parties: int, party: int) -> tuple[tuple[int, float, float], ...]:
     """(stage index, float(win), floor) for every stage the party plays (see `_float_floor`)."""
-    return tuple((k, *_float_floor(win)) for k, win in _party_stages(n_parties, party))
+    # from a list: tuple() of a generator shrinks its result, parking a tuple on CPython's free lists
+    return tuple([(k, *_float_floor(win)) for k, win in _party_stages(n_parties, party)])
 
 
 def honest_distribution(n_parties: int) -> list[Fraction]:
@@ -221,24 +222,34 @@ def _exact_eps_bar(spec: TournamentSpec, honest_party: int) -> Fraction:
     return Fraction(1, spec.n_parties) - survive
 
 
-def _worst_case_constants(n_parties: int) -> tuple[int, list[int]]:
+def _harmonic_table(max_parties: int) -> tuple[int, list[int]]:
+    """(L, harmonic): L = lcm(1..max_parties-1) and harmonic[m] = L * H_m for m = 0..max_parties-1.
+
+    Every H_m with m < max_parties is an integer on the scale L, so one
+    table serves every tournament of up to max_parties parties.
+    """
+    scale = lcm(*range(1, max_parties))
+    harmonic = [0]
+    for k in range(1, max_parties):
+        harmonic.append(harmonic[-1] + scale // k)
+    return scale, harmonic
+
+
+def _worst_case_constants(n_parties: int, table: tuple[int, list[int]]) -> tuple[int, list[int]]:
     """(denominator, numerators): the worst-case constant of party p is numerators[p - 1] / denominator.
 
     The constant is the supremum of eps_bar / delta_max over every valid
     bias vector, (1/N) * sum of 1/w_k over the party's stages. The entry
     stage adds 1/w = max(p, 2) and each defended stage k adds (k + 1)/k =
-    1 + 1/k, so the sum is N + H_{N-1} - H_entry. Scaled by
-    L = lcm(1..N-1) every harmonic number is an integer, so one pass of
-    prefix sums gives every party's constant exactly over the denominator
-    N * L, with no float and no Fraction.
+    1 + 1/k, so the sum is N + H_{N-1} - H_entry. The constants are read
+    off `table`, a `_harmonic_table` of at least n_parties parties: on its
+    scale L every harmonic number is an integer, so every party's constant
+    is exact over the denominator N * L, with no float and no Fraction.
     """
-    scale = lcm(*range(1, n_parties))
-    harmonic = [0]  # harmonic[m] = L * H_m
-    for k in range(1, n_parties):
-        harmonic.append(harmonic[-1] + scale // k)
-    top = n_parties * scale + harmonic[-1]
-    numerators = [top - harmonic[max(party - 1, 1)] for party in range(1, n_parties + 1)]
-    return n_parties * scale, numerators
+    scale, harmonic = table
+    top = n_parties * scale + harmonic[n_parties - 1]
+    entered = [top - h for h in harmonic[1:n_parties]]  # parties 2..N enter at stage party - 1
+    return n_parties * scale, [entered[0], *entered]  # party 1 enters at stage 1, as party 2 does
 
 
 def bound_property_sweep(max_parties: int = 10) -> float:
@@ -246,13 +257,16 @@ def bound_property_sweep(max_parties: int = 10) -> float:
 
     eps_bar < N * delta_max holds for every valid bias vector of (N, party)
     exactly when its worst-case constant (`_worst_case_constants`) is < N,
-    which is decided in integers.
+    which is decided in integers. Every N reads its constants off one
+    `_harmonic_table(max_parties)`.
     """
     if max_parties < 2:
         raise ParameterRangeError(f"max_parties must be >= 2, got {max_parties}")
+    table = _harmonic_table(max_parties)
     held = total = 0
     for n in range(2, max_parties + 1):
-        denominator, numerators = _worst_case_constants(n)
-        held += sum(num < n * denominator for num in numerators)
+        denominator, numerators = _worst_case_constants(n, table)
+        limit = n * denominator
+        held += sum(num < limit for num in numerators)
         total += n
     return held / total

@@ -161,7 +161,7 @@ def test_criterion_8_tournament_bias_bound(random_tournament):
     for _ in range(1000):
         spec = random_tournament(rng, max_parties=10)
         n, delta_max = spec.n_parties, max(spec.stage_biases)
-        denominator, numerators = weak_dr._worst_case_constants(n)
+        denominator, numerators = weak_dr._worst_case_constants(n, weak_dr._harmonic_table(n))
         for party in range(1, n + 1):
             check = weak_dr.bias_bound_check(spec, party)
             # the float eps_bar stays within rounding of the exact worst case

@@ -1,18 +1,20 @@
 """CLI contract: exit codes, output formats, schema validity, determinism."""
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdice import cli, colbeck_dr, multiparty, optimize, reproduce, sixround_dr, strong_cf, strong_dr, weak_cf, weak_dr
@@ -466,7 +468,11 @@ _ROW_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 5e-324, 1e308])
 )
 _ROW_TEXT = st.one_of(
-    st.text(), st.sampled_from(['say "hi"', "back\\slash", "é ψ 中 \U0001f3b2", "\n\t\x00\u2028"])
+    st.text(),
+    st.sampled_from(['say "hi"', "back\\slash", "é ψ 中 \U0001f3b2", "\n\t\x00\u2028"]),
+    # the row boundary of one `_ROW_ENCODER` call, and its parts, inside a quantity's text
+    st.sampled_from(["}", "{", "},", "},\n      {", "a}\n{b", "},\\n      {", "\n    },\n    {\n      "]),
+    st.lists(st.sampled_from(["}", "{", ",", "\n", " ", "x"]), max_size=12).map("".join),
 )
 
 
@@ -485,7 +491,7 @@ class TestRowsJson:
                 "passed": st.booleans(),
             }),
             min_size=1,
-            max_size=4,
+            max_size=16,
         )
     )
     def test_matches_the_indenting_encoder(self, rows):
@@ -551,16 +557,25 @@ def _argv(draw):
          "--party", i(0, 5).map(str)],
         ["colbeck", "--n", i(0, 6).map(str), "--runs", i(0, 50).map(str)],
         ["six-round", "--variant", st.sampled_from(["case1", "case2"])],
+        ["reproduce"],
     ]))
     command = [draw(part) if isinstance(part, st.SearchStrategy) else part for part in command]
     flags = []
     # plain decimals such as "-0.25" reach --tol's own check; argparse reads
     # an exponent form such as "-1e-05" (which f() draws) as a flag instead
     tol = st.one_of(f(), st.floats(min_value=-2.0, max_value=-1e-9).map(lambda x: f"{x:.12f}"))
-    for flag, value in (("--tol", tol), ("--seed", i(0, 5).map(str)), ("--format", st.just("json"))):
+    for flag, value in (
+        ("--tol", tol),
+        ("--seed", i(0, 5).map(str)),
+        ("--format", st.sampled_from(["json", "table", "csv"])),
+        ("--output", st.just(_OUTPUT)),
+    ):
         if draw(st.booleans()):
             flags += [flag, draw(value)]
     return flags + command if draw(st.booleans()) else command + flags
+
+
+_OUTPUT = "<output file>"  # stands for a fresh path in a temporary directory
 
 
 def _no_constants(token):
@@ -568,19 +583,39 @@ def _no_constants(token):
 
 
 class TestArgvProperty:
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    # reproduce in each format, to stdout and to a file, besides the drawn argvs
+    @example(argv=["--format", "json", "reproduce"])
+    @example(argv=["--format", "table", "reproduce"])
+    @example(argv=["reproduce", "--format", "csv"])
+    @example(argv=["--output", _OUTPUT, "reproduce", "--format", "json"])
+    @example(argv=["reproduce", "--format", "table", "--output", _OUTPUT])
+    @example(argv=["--format", "csv", "--output", _OUTPUT, "reproduce"])
+    @settings(max_examples=120, deadline=None, derandomize=True)
     @given(argv=_argv())
     def test_exit_code_json_and_no_traceback(self, argv):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.run(argv)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out"
+            argv = [str(path) if arg == _OUTPUT else arg for arg in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(argv)
+            text, err = out.getvalue(), err.getvalue()
+            if str(path) in argv:  # the results go to the file alone
+                assert text == ""
+                text = path.read_text() if path.exists() else ""
         assert code in (0, 1, 2)
-        if out.getvalue():
-            json.loads(out.getvalue(), parse_constant=_no_constants)
-        assert "Traceback" not in err.getvalue()
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+        if code != 1:
+            assert text.endswith("\n")
+        if text and fmt == "json":
+            json.loads(text, parse_constant=_no_constants)
+        elif text and fmt == "csv":
+            header, *records = list(csv.reader(io.StringIO(text)))
+            assert records and all(len(record) == len(header) for record in records)
+        assert "Traceback" not in err
         if code == 2:  # a check failed: one line on stderr says which
-            assert err.getvalue().startswith("verification mismatch: ")
-            assert err.getvalue().count("\n") == 1
+            assert err.startswith("verification mismatch: ")
+            assert err.count("\n") == 1
         if any(x in ("nan", "inf", "-inf") for arg in argv for x in arg.split(",")):
             assert code == 1
         tol = argv[argv.index("--tol") + 1] if "--tol" in argv else "0"
@@ -663,6 +698,24 @@ class TestSixRoundWork:
         # each one takes the objective alone
         assert [len(args) for args in calls] == [1] * 3
         assert out.encode() == (GOLDEN_DIR / "six_round_case1.json").read_bytes()
+
+    def test_six_maximizations_of_63_evaluations_per_reproduce(self, capsys, monkeypatch):
+        # three per six-round variant: two in solve's certificate, one in its
+        # losing probabilities; the other rows make none
+        probes = []
+        maximize = optimize.maximize_unimodal
+
+        def counting(f):
+            seen = []
+            probes.append(seen)
+            return maximize(lambda x: seen.append(x) or f(x))
+
+        for module in (optimize, weak_cf):
+            monkeypatch.setattr(module, "maximize_unimodal", counting)
+        code, out, err = run_cli(capsys, "reproduce")
+        assert code == 0, err
+        assert [len(seen) for seen in probes] == [63] * 6
+        assert out.encode() == (GOLDEN_DIR / "reproduce_seed0.json").read_bytes()
 
 
 class TestMalformedBiasReport:

@@ -38,8 +38,7 @@ def golden_params() -> list[tuple[str, WeakCFParams]]:
 def golden_record() -> list[dict]:
     record = []
     for source, params in golden_params():
-        a, b = weak_cf._objective_coeffs(params)
-        x, value = maximize_unimodal(lambda d: weak_cf._objective(a, b, d))
+        x, value = maximize_unimodal(weak_cf._objective(*weak_cf._objective_coeffs(params)))
         record.append(
             {
                 "source": source,

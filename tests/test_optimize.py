@@ -92,8 +92,16 @@ class TestMaximizeUnimodal:
             return -((x - 0.4) ** 2)
 
         maximize_unimodal(f)
-        assert len(calls) > 40 and all(type(x) is float for x in calls)
+        assert len(calls) == 63 and all(type(x) is float for x in calls)
         assert calls[-2:] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("name", [*sorted(OBJECTIVES), "nan"])
+    def test_every_search_makes_63_evaluations(self, name):
+        # 2 first probes, 58 bracket steps to MAXIMIZE_TOL, the midpoint and the 2 ends
+        f = OBJECTIVES.get(name, lambda x: math.nan)
+        calls = []
+        maximize_unimodal(lambda x: calls.append(x) or f(x))
+        assert len(calls) == 2 + 58 + 1 + 2
 
     @pytest.mark.parametrize("name", sorted(OBJECTIVES))
     def test_matches_per_point_loop(self, name):

@@ -302,7 +302,7 @@ class TestExactRoot:
         sixround_dr.solve(variant)
         assert len(calls) == 3 and optimize.MAXIMIZE_TOL == 1e-12
         for probes in calls:
-            assert len(probes) > 40 and all(type(x) is float for x in probes)
+            assert len(probes) == 63 and all(type(x) is float for x in probes)
             assert probes[-2:] == [0.0, 1.0]
 
     @pytest.mark.parametrize("variant", VARIANTS)

@@ -237,6 +237,11 @@ class TestBiasBound:
                     assert 0.0 <= check.eps_bar < n * delta
 
 
+def worst_case_constants(n_parties: int) -> tuple[int, list[int]]:
+    """`_worst_case_constants` read off the table of n_parties itself."""
+    return weak_dr._worst_case_constants(n_parties, weak_dr._harmonic_table(n_parties))
+
+
 def reference_constant(n_parties: int, party: int) -> Fraction:
     """The worst-case constant (1/N) * sum of 1/w_k, one Fraction per stage of `_party_stages`."""
     return sum(1 / win for _, win in weak_dr._party_stages(n_parties, party)) / n_parties
@@ -250,23 +255,31 @@ def exact_eps_bar(n_parties: int, party: int, biases) -> Fraction:
     return Fraction(1, n_parties) - survive
 
 
+@pytest.fixture(scope="module")
+def reference_constants():
+    """`reference_constant` of every party, by N = 2..40."""
+    return {n: [reference_constant(n, party) for party in range(1, n + 1)] for n in range(2, 41)}
+
+
 class TestWorstCase:
     """The bound decided at its worst case: the exact constant sup eps_bar / delta_max."""
 
-    @pytest.mark.parametrize("n", range(2, 41))
-    def test_constants_match_the_fraction_reference(self, n):
-        denominator, numerators = weak_dr._worst_case_constants(n)
-        assert type(denominator) is int and all(type(num) is int for num in numerators)
-        assert len(numerators) == n
-        assert [Fraction(num, denominator) for num in numerators] == [
-            reference_constant(n, party) for party in range(1, n + 1)
-        ]
+    @pytest.mark.parametrize("max_parties", range(2, 41))
+    def test_constants_match_the_fraction_reference(self, max_parties, reference_constants):
+        # the sweep reads every N <= max_parties off one table on the scale lcm(1..max_parties - 1)
+        table = weak_dr._harmonic_table(max_parties)
+        assert table[0] == math.lcm(*range(1, max_parties)) and len(table[1]) == max_parties
+        for n in range(2, max_parties + 1):
+            denominator, numerators = weak_dr._worst_case_constants(n, table)
+            assert type(denominator) is int and all(type(num) is int for num in numerators)
+            assert [Fraction(num, denominator) for num in numerators] == reference_constants[n]
+        assert weak_dr.bound_property_sweep(max_parties) == 1.0
 
     def test_largest_constant_is_73_over_60(self):
         constants = {
             (n, party): Fraction(num, denominator)
             for n in range(2, 11)
-            for denominator, numerators in [weak_dr._worst_case_constants(n)]
+            for denominator, numerators in [worst_case_constants(n)]
             for party, num in enumerate(numerators, start=1)
         }
         top = max(constants.values())
@@ -276,13 +289,13 @@ class TestWorstCase:
     def test_single_stage_party_has_constant_one(self):
         # party N plays only its entry stage: eps_bar = delta exactly
         for n in range(2, 30):
-            denominator, numerators = weak_dr._worst_case_constants(n)
+            denominator, numerators = worst_case_constants(n)
             assert Fraction(numerators[-1], denominator) == 1
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_corner_approaches_the_constant_from_below(self, n):
         # at the corner delta_k = delta, eps_bar / delta rises to the constant as delta -> 0
-        denominator, numerators = weak_dr._worst_case_constants(n)
+        denominator, numerators = worst_case_constants(n)
         for party in range(1, n + 1):
             constant = Fraction(numerators[party - 1], denominator)
             ratios = [
@@ -298,10 +311,17 @@ class TestWorstCase:
         for _ in range(200):
             spec = random_tournament(rng, max_parties=10)
             n, delta_max = spec.n_parties, Fraction(max(spec.stage_biases))
-            denominator, numerators = weak_dr._worst_case_constants(n)
+            denominator, numerators = worst_case_constants(n)
             for party in range(1, n + 1):
                 eps_bar = exact_eps_bar(n, party, spec.stage_biases)
                 assert eps_bar <= Fraction(numerators[party - 1], denominator) * delta_max
+
+    def test_sweep_builds_one_table(self, monkeypatch):
+        built = []
+        harmonic_table = weak_dr._harmonic_table
+        monkeypatch.setattr(weak_dr, "_harmonic_table", lambda m: built.append(m) or harmonic_table(m))
+        assert weak_dr.bound_property_sweep(12) == 1.0
+        assert built == [12]
 
     @pytest.mark.parametrize("max_parties", [2, 3, 10, 64])
     def test_sweep_holds_for_every_party(self, max_parties):
@@ -317,7 +337,7 @@ class TestWorstCase:
 
 
 def worst_case_constant(n_parties: int, party: int) -> Fraction:
-    denominator, numerators = weak_dr._worst_case_constants(n_parties)
+    denominator, numerators = worst_case_constants(n_parties)
     return Fraction(numerators[party - 1], denominator)
 
 
