@@ -216,8 +216,8 @@ class TestAliceOptCheat:
     @pytest.mark.parametrize("which", [0, 1])
     @pytest.mark.parametrize("bad", [float("nan"), -0.5, -5e-324])
     def test_nan_or_negative_coefficient_fails_closed(self, monkeypatch, which, bad):
-        # a negative coefficient still gives a finite objective at one end
-        # (0 * coefficient is a signed zero), but NaN inside, where the search ends
+        # `_objective` refuses the coefficient once: its function is NaN at
+        # every delta, so the search's maximum is NaN and the cross-check fails
         coeffs = weak_cf._objective_coeffs
 
         def with_bad(params):
