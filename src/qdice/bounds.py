@@ -27,7 +27,8 @@ class BiasReport:
     """Per-party, per-outcome maximal forcing probabilities plus honest values.
 
     Every probability is converted with float() once, row by row, and
-    range-checked by `_in_unit_interval` (a NaN anywhere is rejected).
+    range-checked by `_in_unit_interval` (a NaN anywhere is rejected). An
+    integer too large for a float is out of range too.
     """
 
     n_outcomes: int
@@ -37,8 +38,11 @@ class BiasReport:
 
     def __post_init__(self):
         # from lists, as in TournamentSpec
-        object.__setattr__(self, "force_probs", tuple([tuple([*map(float, row)]) for row in self.force_probs]))
-        object.__setattr__(self, "honest_probs", tuple([*map(float, self.honest_probs)]))
+        try:
+            object.__setattr__(self, "force_probs", tuple([tuple([*map(float, row)]) for row in self.force_probs]))
+            object.__setattr__(self, "honest_probs", tuple([*map(float, self.honest_probs)]))
+        except OverflowError:
+            raise ParameterRangeError("probabilities must lie in [0, 1], got an integer past the float range") from None
         if len(self.force_probs) != self.n_parties:
             raise DimensionMismatchError(
                 f"expected {self.n_parties} force rows, got {len(self.force_probs)}"

@@ -11,7 +11,10 @@ maximal losing probabilities to coincide. All three come from one loss function
 over the stage-2 `weak_cf` cheat. Cleared of denominators, the fairness
 condition is a quadratic in eta with coefficients in Q(sqrt2), so eta is
 its exact root from `optimize.sqrt2_quadratic_root`, certified by a
-numeric route that never uses the closed form.
+numeric route that never uses the closed form. One `solve` runs one
+delta-maximization: `alice_opt_cheat`'s at eta*, whose maximum
+cross-checks the closed form and whose argmax gives the certificate's
+preparer cheat at eta* -/+ 1e-12.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable
 
 from .errors import ParameterRangeError
 from .optimize import certify_sign_change, sqrt2_quadratic_root
-from .weak_cf import WeakCFParams, alice_numeric_cheat, alice_opt_cheat, bob_opt_cheat, fair_eta_balanced
+from .weak_cf import WeakCFParams, alice_opt_cheat, alice_split_cheat, bob_opt_cheat, fair_eta_balanced
 
 # stage 1's common cheat value: the balanced weak coin's fair point, 1/sqrt(2)
 INV_SQRT2 = fair_eta_balanced().p_star
@@ -61,21 +63,17 @@ def _check_variant(variant: str, eta: float) -> float:
     return p
 
 
-def _losses(
-    variant: str, eta: float, preparer_cheat: Callable[[WeakCFParams], float]
-) -> tuple[float, float, float]:
-    """(Alice, Bob, Claire) maximal losing probabilities at eta.
+def _losses(variant: str, params: WeakCFParams, preparer_cheat: float) -> tuple[float, float, float]:
+    """(Alice, Bob, Claire) maximal losing probabilities at params.
 
     A party's stage-2 loss is its opponent's maximal win: the preparer's
-    comes from `preparer_cheat` (the preparation attack, a
-    delta-maximization), the other party's from `bob_opt_cheat` (always
-    announce a win). Claire's exposure is entirely the stage-2 flip as the
-    1/3 party. Alice and Bob lose either at stage 1 (probability 1/sqrt(2)
-    against a cheating coalition) or by surviving and losing stage 2 as
-    the 2/3 party.
+    is `preparer_cheat` (the preparation attack, a delta-maximization),
+    the other party's `bob_opt_cheat` (always announce a win). Claire's
+    exposure is entirely the stage-2 flip as the 1/3 party. Alice and Bob
+    lose either at stage 1 (probability 1/sqrt(2) against a cheating
+    coalition) or by surviving and losing stage 2 as the 2/3 party.
     """
-    params = WeakCFParams(p=_check_variant(variant, eta), eta=eta)
-    pair = (preparer_cheat(params), bob_opt_cheat(params))
+    pair = (preparer_cheat, bob_opt_cheat(params))
     # case1: the winner prepares and Claire holds the p = 1/3 role;
     # case2: Claire prepares, so the winner holds p = 2/3
     pi_13, pi_23 = pair if variant == "case1" else pair[::-1]
@@ -83,15 +81,11 @@ def _losses(
     return p_ab, p_ab, pi_13
 
 
-def losing_probs_at(variant: str, eta: float) -> tuple[float, float, float]:
-    """(Alice, Bob, Claire) maximal losing probabilities at the given eta,
-    with the preparer's cheat from the closed form (`alice_opt_cheat`)."""
-    return _losses(variant, eta, lambda params: alice_opt_cheat(params).p_alice_star)
-
-
-def _numeric_residual(variant: str, eta: float) -> float:
-    """The fairness residual Claire - Alice with the preparer's cheat from `alice_numeric_cheat`."""
-    alice, _, claire = _losses(variant, eta, alice_numeric_cheat)
+def _split_residual(variant: str, eta: float, delta: float) -> float:
+    """The fairness residual Claire - Alice at eta, with the preparer's cheat
+    the raw objective at the fixed split delta (`alice_split_cheat`)."""
+    params = WeakCFParams(p=_check_variant(variant, eta), eta=eta)
+    alice, _, claire = _losses(variant, params, alice_split_cheat(params, delta))
     return claire - alice
 
 
@@ -128,20 +122,23 @@ def solve(variant: str) -> SixRoundSolution:
     """Fix eta by the fairness constraint and report the resulting bias.
 
     eta* is the exact root in [0, 1 - p] of the cleared fairness equation,
-    correctly rounded (`sqrt2_quadratic_root`). A second route that never
-    uses the closed form A + B certifies it: the fairness residual, with
-    the preparer's cheat taken from `weak_cf.alice_numeric_cheat` on the
-    raw objective, must have opposite signs at eta* - 1e-12 and eta* +
-    1e-12 (`certify_sign_change`), else CrossCheckError. The losing
-    probabilities and the residual at eta* come from one `losing_probs_at`
-    call, which runs `alice_opt_cheat`'s own cross-check. That is three
-    delta-maximizations (`optimize.maximize_unimodal`) per call and no
-    bisection.
+    correctly rounded (`sqrt2_quadratic_root`). One `alice_opt_cheat` call
+    at eta* runs the only delta-maximization (`optimize.maximize_unimodal`)
+    and cross-checks it against the closed form, whose value gives the
+    losing probabilities and the residual at eta*. A second route that
+    never uses the closed form A + B certifies eta*: the fairness residual,
+    with the preparer's cheat the raw objective at that search's argmax
+    (`search_delta`), must have opposite signs at eta* - 1e-12 and eta* +
+    1e-12 (`certify_sign_change`), else CrossCheckError. The optimum moves
+    by O(1e-12) across that step and the objective is flat there, so the
+    fixed argmax gives a fresh search's maximum to rounding. No bisection.
     """
-    _check_variant(variant, 0.0)
+    p = _check_variant(variant, 0.0)
     eta_star = sqrt2_quadratic_root(_QUADRATICS[variant], Fraction(0), 1 - _P[variant])
-    certify_sign_change(lambda eta: _numeric_residual(variant, eta), eta_star)
-    alice, bob, claire = losing_probs_at(variant, eta_star)
+    params = WeakCFParams(p=p, eta=eta_star)
+    cheat = alice_opt_cheat(params)
+    certify_sign_change(lambda eta: _split_residual(variant, eta, cheat.search_delta), eta_star)
+    alice, bob, claire = _losses(variant, params, cheat.p_alice_star)
     return SixRoundSolution(
         variant=variant,
         eta_star=eta_star,

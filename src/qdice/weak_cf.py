@@ -10,11 +10,16 @@ Alice's cheating room against Bob's.
 Alice's cheat is computed two independent ways and cross-checked: a
 closed form obtained by Cauchy-Schwarz, and numeric maximization of the
 raw objective over delta in [0, 1] (`alice_numeric_cheat`): golden-section
-search on plain floats, plus the two ends, 63 evaluations in all. The
-objective's coefficients A and B are checked once per maximization, when
-`_objective(A, B)` builds the function the search calls; that function
-checks only that delta lies in [0, 1]. Bob's is p + eta (always
-announce a win, `bob_opt_cheat`), carried on the same CheatAnalysis.
+search on plain floats, plus the two ends, 63 evaluations in all.
+`alice_opt_cheat` runs that search once and keeps its argmax on the
+CheatAnalysis, so a caller that needs the raw objective near the same
+(p, eta) evaluates it at that split (`alice_split_cheat`) instead of
+searching again. Both routes take A and B from `_objective_coeffs`, which
+refuses p = 1; the objective's coefficients are checked once per
+maximization, when `_objective(A, B)` builds the function the search
+calls, and that function checks only that delta lies in [0, 1]. Bob's is
+p + eta (always announce a win, `bob_opt_cheat`), carried on the same
+CheatAnalysis.
 The adversary oracle additionally covers Alice's full four-amplitude
 preparation: an exact rank-1 maximum, certified by simulation. The
 balanced fair point is the exact root of a quadratic, from the shared
@@ -75,6 +80,7 @@ class CheatAnalysis:
     delta_star: float
     method: str  # closed_form | oracle
     maximizer_alphas: tuple[float, float, float, float] | None = field(default=None)
+    search_delta: float | None = field(default=None)  # closed_form: the numeric search's argmax
 
     def to_json_dict(self) -> dict:
         return {
@@ -192,8 +198,14 @@ def honest_run(params: WeakCFParams, seed: int | np.random.Generator) -> tuple[s
 # ---------------------------------------------------------------------------
 
 def _objective_coeffs(params: WeakCFParams) -> tuple[float, float]:
-    """Coefficients (A, B) of Alice's objective (sqrt(A(1-d)) + sqrt(B d))^2."""
+    """Coefficients (A, B) of Alice's objective (sqrt(A(1-d)) + sqrt(B d))^2.
+
+    Both routes to Alice's cheat start here, so this is where p = 1, at
+    which A and B divide by zero, raises DegenerateProtocolError.
+    """
     p, eta = params.p, params.eta
+    if p >= 1.0:
+        raise DegenerateProtocolError("alice_opt_cheat undefined at p = 1")
     a = (1.0 - p - eta) / (1.0 - p)
     b = 0.0 if eta == 0.0 else eta**2 / ((1.0 - p) * (p + eta))
     return a, b
@@ -227,6 +239,17 @@ def alice_numeric_cheat(params: WeakCFParams) -> float:
     return maximize_unimodal(_objective(*_objective_coeffs(params)))[1]
 
 
+def alice_split_cheat(params: WeakCFParams, delta: float) -> float:
+    """Alice's winning probability when she prepares with split delta: the
+    raw objective (sqrt(A(1-d)) + sqrt(B d))^2 at d = delta, never A + B.
+
+    At the argmax of a search at nearby parameters (`CheatAnalysis.search_delta`)
+    this is a fresh search's maximum to rounding: the objective is flat at
+    its optimum, so a split h away loses at most sup|f''| h^2 / 2.
+    """
+    return _objective(*_objective_coeffs(params))(delta)
+
+
 def bob_opt_cheat(params: WeakCFParams) -> float:
     """Bob's maximal winning probability: p + eta, by always announcing a win."""
     return params.p + params.eta
@@ -236,17 +259,16 @@ def alice_opt_cheat(params: WeakCFParams) -> CheatAnalysis:
     """Alice's maximal winning probability, closed form cross-checked numerically.
 
     The closed form follows from Cauchy-Schwarz: the maximum is A + B,
-    attained at delta* = B/(A+B). The numeric route is `alice_numeric_cheat`;
-    disagreement beyond 1e-9, or a NaN on either side, raises
-    CrossCheckError.
+    attained at delta* = B/(A+B). The numeric route is `alice_numeric_cheat`'s
+    one search over the same A and B; disagreement beyond 1e-9, or a NaN on
+    either side, raises CrossCheckError. The search's argmax is kept as
+    `search_delta` (not in to_json_dict).
     """
-    if params.p >= 1.0:
-        raise DegenerateProtocolError("alice_opt_cheat undefined at p = 1")
     a, b = _objective_coeffs(params)
     closed = a + b
     delta_star = 0.0 if closed == 0.0 else b / closed
 
-    numeric = alice_numeric_cheat(params)
+    search_delta, numeric = maximize_unimodal(_objective(a, b))
     if not abs(numeric - closed) <= CROSS_CHECK_TOL:  # fails closed on NaN
         raise CrossCheckError(
             f"closed-form {closed!r} vs numeric {numeric!r} differ beyond {CROSS_CHECK_TOL}"
@@ -258,6 +280,7 @@ def alice_opt_cheat(params: WeakCFParams) -> CheatAnalysis:
         p_bob_star=bob_opt_cheat(params),
         delta_star=delta_star,
         method="closed_form",
+        search_delta=search_delta,
     )
 
 

@@ -558,6 +558,7 @@ def _argv(draw):
         ["colbeck", "--n", i(0, 6).map(str), "--runs", i(0, 50).map(str)],
         ["six-round", "--variant", st.sampled_from(["case1", "case2"])],
         ["reproduce"],
+        ["bounds", "check", "--report", st.just(_REPORT)],
     ]))
     command = [draw(part) if isinstance(part, st.SearchStrategy) else part for part in command]
     flags = []
@@ -576,6 +577,43 @@ def _argv(draw):
 
 
 _OUTPUT = "<output file>"  # stands for a fresh path in a temporary directory
+_REPORT = "<report file>"  # stands for a path holding the drawn report text
+
+
+@st.composite
+def _report(draw):
+    """(kind, text) of a bias report file; text is None for a missing path.
+
+    A two-party or multi-party report with drawn forcing probabilities,
+    left valid, given a field of the wrong type, given a NaN, infinite or
+    out-of-range probability, or cut short into malformed JSON.
+    """
+    n, m = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    unit = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.9, max_value=1.0))
+    report = {
+        "n_outcomes": n,
+        "n_parties": m,
+        "force_probs": draw(st.lists(st.lists(unit, min_size=n, max_size=n), min_size=m, max_size=m)),
+        "honest_probs": [1.0 / n] * n,
+    }
+    kind = draw(st.sampled_from(["valid", "wrong type", "bad probability", "malformed", "missing"]))
+    if kind == "missing":
+        return kind, None
+    if kind == "wrong type":
+        report[draw(st.sampled_from(sorted(report)))] = draw(st.one_of(
+            st.none(), st.booleans(), st.text(max_size=3), st.floats(), st.integers(-3, 5),
+            st.lists(st.one_of(st.text(max_size=2), st.integers(0, 1)), max_size=3),
+            st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+        ))
+    elif kind == "bad probability":
+        row = draw(st.sampled_from([*report["force_probs"], report["honest_probs"]]))
+        row[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+            [float("nan"), float("inf"), -float("inf"), -0.5, 1.5, -5e-324, 10**400]
+        ))
+    text = json.dumps(report)  # writes NaN and Infinity as Python's json reads them
+    if kind == "malformed":  # a proper prefix of an object is never JSON
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return kind, text
 
 
 def _no_constants(token):
@@ -584,19 +622,22 @@ def _no_constants(token):
 
 class TestArgvProperty:
     # reproduce in each format, to stdout and to a file, besides the drawn argvs
-    @example(argv=["--format", "json", "reproduce"])
-    @example(argv=["--format", "table", "reproduce"])
-    @example(argv=["reproduce", "--format", "csv"])
-    @example(argv=["--output", _OUTPUT, "reproduce", "--format", "json"])
-    @example(argv=["reproduce", "--format", "table", "--output", _OUTPUT])
-    @example(argv=["--format", "csv", "--output", _OUTPUT, "reproduce"])
+    @example(argv=["--format", "json", "reproduce"], report=("missing", None))
+    @example(argv=["--format", "table", "reproduce"], report=("missing", None))
+    @example(argv=["reproduce", "--format", "csv"], report=("missing", None))
+    @example(argv=["--output", _OUTPUT, "reproduce", "--format", "json"], report=("missing", None))
+    @example(argv=["reproduce", "--format", "table", "--output", _OUTPUT], report=("missing", None))
+    @example(argv=["--format", "csv", "--output", _OUTPUT, "reproduce"], report=("missing", None))
     @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(argv=_argv())
-    def test_exit_code_json_and_no_traceback(self, argv):
+    @given(argv=_argv(), report=_report())
+    def test_exit_code_json_and_no_traceback(self, argv, report):
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "out"
-            argv = [str(path) if arg == _OUTPUT else arg for arg in argv]
+            path, report_path = Path(tmp) / "out", Path(tmp) / "report.json"
+            if report[1] is not None:
+                report_path.write_text(report[1])
+            substitutes = {_OUTPUT: str(path), _REPORT: str(report_path)}
+            argv = [substitutes.get(arg, arg) for arg in argv]
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.run(argv)
             text, err = out.getvalue(), err.getvalue()
@@ -616,11 +657,50 @@ class TestArgvProperty:
         if code == 2:  # a check failed: one line on stderr says which
             assert err.startswith("verification mismatch: ")
             assert err.count("\n") == 1
+        if "bounds" in argv:
+            self.check_bounds_contract(code, text, err, fmt)
         if any(x in ("nan", "inf", "-inf") for arg in argv for x in arg.split(",")):
             assert code == 1
         tol = argv[argv.index("--tol") + 1] if "--tol" in argv else "0"
         if tol.startswith("-") and tol != "-0.0":  # negative, or -nan / -inf
             assert code == 1
+
+    @example(report=("valid", json.dumps({
+        "n_outcomes": 3, "n_parties": 3, "force_probs": [[1.0] * 3] * 3, "honest_probs": [1 / 3] * 3,
+    })), fmt="json")
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(report=_report(), fmt=st.sampled_from(["json", "table", "csv"]))
+    def test_bounds_check_on_drawn_reports(self, report, fmt):
+        kind, report_text = report
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.json"
+            if report_text is not None:
+                path.write_text(report_text)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(["--format", fmt, "bounds", "check", "--report", str(path)])
+        self.check_bounds_contract(code, out.getvalue(), err.getvalue(), fmt)
+        if kind in ("missing", "malformed", "bad probability"):
+            assert code == 1
+        elif kind == "valid":  # one outcome has no symmetric bound
+            assert code in ((0, 2) if json.loads(report_text)["n_outcomes"] >= 2 else (1,))
+
+    @staticmethod
+    def check_bounds_contract(code, text, err, fmt):
+        """A report that cannot be read or checked is one `error:` line and no
+        output; a checked one is a full record, with one line saying which
+        outcome fails when the bound does not hold."""
+        assert code in (0, 1, 2) and "Traceback" not in err
+        lines = err.splitlines()
+        if code == 1:
+            assert text == ""
+            assert len([line for line in lines if line.startswith("error:")]) == 1
+            return
+        assert lines == [] if code == 0 else lines[0].startswith("verification mismatch: ") and len(lines) == 1
+        assert text.endswith("\n")
+        if fmt == "json":
+            record = json.loads(text, parse_constant=_no_constants)
+            assert record["all_pass"] is (code == 0)
 
 
 class TestDeterminism:
@@ -679,9 +759,9 @@ class TestGoldenExactCommands:
 
 
 class TestSixRoundWork:
-    def test_three_maximizations_per_run(self, capsys, monkeypatch):
-        # solve's certificate takes two, its losing probabilities one; the
-        # command reuses those losing probabilities instead of a fourth
+    def test_one_maximization_per_run(self, capsys, monkeypatch):
+        # solve's one search serves its cross-check, its certificate and its
+        # losing probabilities; the command reuses those instead of a second
         calls = []
         maximize = optimize.maximize_unimodal
 
@@ -696,12 +776,11 @@ class TestSixRoundWork:
         code, out, err = run_cli(capsys, "six-round", "--variant", "case1")
         assert code == 0, err
         # each one takes the objective alone
-        assert [len(args) for args in calls] == [1] * 3
+        assert [len(args) for args in calls] == [1]
         assert out.encode() == (GOLDEN_DIR / "six_round_case1.json").read_bytes()
 
-    def test_six_maximizations_of_63_evaluations_per_reproduce(self, capsys, monkeypatch):
-        # three per six-round variant: two in solve's certificate, one in its
-        # losing probabilities; the other rows make none
+    def test_two_maximizations_of_63_evaluations_per_reproduce(self, capsys, monkeypatch):
+        # one per six-round variant, in its solve; the other rows make none
         probes = []
         maximize = optimize.maximize_unimodal
 
@@ -714,7 +793,7 @@ class TestSixRoundWork:
             monkeypatch.setattr(module, "maximize_unimodal", counting)
         code, out, err = run_cli(capsys, "reproduce")
         assert code == 0, err
-        assert [len(seen) for seen in probes] == [63] * 6
+        assert [len(seen) for seen in probes] == [63] * 2
         assert out.encode() == (GOLDEN_DIR / "reproduce_seed0.json").read_bytes()
 
 
@@ -733,6 +812,8 @@ class TestMalformedBiasReport:
              '"honest_probs": [NaN, 0.5]}', "honest probabilities must lie in [0, 1]"),
             ('{"n_outcomes": 2, "n_parties": 2, "force_probs": [[0.8, 0.8], [0.8, 0.8]], '
              '"honest_probs": [1.5, -0.5]}', "honest probabilities must lie in [0, 1]"),
+            ('{"n_outcomes": 2, "n_parties": 2, "force_probs": [[1' + "0" * 400 + ', 0.8], [0.8, 0.8]], '
+             '"honest_probs": [0.5, 0.5]}', "past the float range"),
         ],
     )
     def test_exits_one_without_a_traceback(self, capsys, tmp_path, text, message):

@@ -19,51 +19,58 @@ ETA1_STAR = 0.14620126286
 ETA2_STAR = 0.19878463722
 
 
+def losing_probs_at(variant: str, eta: float) -> tuple[float, float, float]:
+    """(Alice, Bob, Claire) maximal losing probabilities at eta, with the
+    preparer's cheat from the closed form (`alice_opt_cheat`)."""
+    params = WeakCFParams(sixround_dr._check_variant(variant, eta), eta)
+    return sixround_dr._losses(variant, params, alice_opt_cheat(params).p_alice_star)
+
+
 class TestFairnessConstraint:
     def test_case1_at_eta_zero(self):
-        rhs, _, lhs = sixround_dr.losing_probs_at("case1", 0.0)
+        rhs, _, lhs = losing_probs_at("case1", 0.0)
         assert lhs == pytest.approx(1.0, abs=1e-12)  # preparer cheats with certainty
         assert rhs == pytest.approx(1 / S2 + (1 - 1 / S2) / 3, abs=1e-12)
 
     def test_case1_near_root(self):
-        rhs, _, lhs = sixround_dr.losing_probs_at("case1", 0.1462)
+        rhs, _, lhs = losing_probs_at("case1", 0.1462)
         assert abs(lhs - rhs) < 1e-3
 
     def test_case2_near_root(self):
-        rhs, _, lhs = sixround_dr.losing_probs_at("case2", 0.1992)
+        rhs, _, lhs = losing_probs_at("case2", 0.1992)
         assert abs(lhs - rhs) < 1e-3
 
     def test_lhs_matches_simplified_closed_form_case1(self):
         # the delta-maximization at p = 1/3 collapses to (2+3e)/(2(1+3e))
         for eta in np.linspace(0.0, 0.6, 13):
-            _, _, lhs = sixround_dr.losing_probs_at("case1", eta)
+            _, _, lhs = losing_probs_at("case1", eta)
             assert lhs == pytest.approx((2 + 3 * eta) / (2 * (1 + 3 * eta)), abs=1e-9)
 
     def test_rhs_matches_simplified_closed_form_case2(self):
         # the delta-maximization at p = 2/3 collapses to (2-3e)/(2+3e)
         for eta in np.linspace(0.0, 0.33, 12):
-            rhs, _, _ = sixround_dr.losing_probs_at("case2", eta)
+            rhs, _, _ = losing_probs_at("case2", eta)
             expected = 1 / S2 + (1 - 1 / S2) * (2 - 3 * eta) / (2 + 3 * eta)
             assert rhs == pytest.approx(expected, abs=1e-9)
 
     def test_eta_out_of_range(self):
         with pytest.raises(ParameterRangeError):
-            sixround_dr.losing_probs_at("case1", 0.7)
+            losing_probs_at("case1", 0.7)
         with pytest.raises(ParameterRangeError):
-            sixround_dr.losing_probs_at("case2", 0.34)
+            losing_probs_at("case2", 0.34)
 
     def test_unknown_variant(self):
         with pytest.raises(ParameterRangeError):
-            sixround_dr.losing_probs_at("case3", 0.1)
+            losing_probs_at("case3", 0.1)
 
     @pytest.mark.parametrize("variant", ["case1", "case2"])
     def test_import_time_floats_equal_the_fractions(self, variant):
         p = sixround_dr._P[variant]
         assert sixround_dr._FLOATS[variant] == (float(p), float(1 - p))
         eta_max = float(1 - p)
-        sixround_dr.losing_probs_at(variant, eta_max)
+        losing_probs_at(variant, eta_max)
         with pytest.raises(ParameterRangeError, match=f"{variant} requires eta in"):
-            sixround_dr.losing_probs_at(variant, nextafter(eta_max, inf))
+            losing_probs_at(variant, nextafter(eta_max, inf))
 
 
 class TestComposition:
@@ -72,25 +79,35 @@ class TestComposition:
         assert sixround_dr.INV_SQRT2 == weak_cf.fair_eta_balanced().p_star
 
     @pytest.mark.parametrize("variant", ["case1", "case2"])
-    def test_certificate_takes_the_preparer_cheat_from_the_numeric_route(self, monkeypatch, variant):
-        # two residual evaluations, each one alice_numeric_cheat call at eta* -/+ 1e-12
-        numeric_cheat = weak_cf.alice_numeric_cheat
-        seen = []
+    def test_certificate_takes_the_preparer_cheat_at_the_search_argmax(self, monkeypatch, variant):
+        # two residual evaluations at eta* -/+ 1e-12, each the raw objective at
+        # the argmax of the one search solve runs, not at B/(A+B)
+        maximize, split_cheat = weak_cf.maximize_unimodal, weak_cf.alice_split_cheat
+        searches, seen = [], []
 
-        def spy(params):
-            seen.append(params)
-            return numeric_cheat(params)
+        def search_spy(f):
+            searches.append(maximize(f))
+            return searches[-1]
 
-        monkeypatch.setattr(sixround_dr, "alice_numeric_cheat", spy)
+        def split_spy(params, delta):
+            seen.append((params, delta))
+            return split_cheat(params, delta)
+
+        monkeypatch.setattr(weak_cf, "maximize_unimodal", search_spy)
+        monkeypatch.setattr(sixround_dr, "alice_split_cheat", split_spy)
         eta = sixround_dr.solve(variant).eta_star
-        assert [params.eta for params in seen] == [eta - 1e-12, eta + 1e-12]
-        assert {params.p for params in seen} == {sixround_dr._FLOATS[variant][0]}
+        p = sixround_dr._FLOATS[variant][0]
+        ((argmax, _),) = searches
+        assert [params.eta for params, _ in seen] == [eta - 1e-12, eta + 1e-12]
+        assert {params.p for params, _ in seen} == {p}
+        assert [delta for _, delta in seen] == [argmax, argmax]
+        assert argmax != weak_cf.alice_opt_cheat(WeakCFParams(p, eta)).delta_star
 
     @pytest.mark.parametrize("variant", ["case1", "case2"])
     def test_non_preparer_loss_is_bob_opt_cheat(self, variant):
         eta = sixround_dr.solve(variant).eta_star
         other = weak_cf.bob_opt_cheat(WeakCFParams(sixround_dr._FLOATS[variant][0], eta))
-        alice, _, claire = sixround_dr.losing_probs_at(variant, eta)
+        alice, _, claire = losing_probs_at(variant, eta)
         c = sixround_dr.INV_SQRT2
         if variant == "case1":  # Claire prepares nothing: a survivor loses to her announcement
             assert alice == c + (1.0 - c) * other
@@ -127,7 +144,7 @@ class TestSolve:
         for variant, hi in (("case1", 2 / 3), ("case2", 1 / 3)):
             etas = np.linspace(0.0, hi, 25)
             res = [
-                sixround_dr.losing_probs_at(variant, e)[2] - sixround_dr.losing_probs_at(variant, e)[0]
+                losing_probs_at(variant, e)[2] - losing_probs_at(variant, e)[0]
                 for e in etas
             ]
             signs = np.sign(res)
@@ -138,28 +155,28 @@ class TestSolve:
 class TestLosingProbs:
     def test_all_equal_at_case1_root(self):
         sol = sixround_dr.solve("case1")
-        pa, pb, pc = sixround_dr.losing_probs_at("case1", sol.eta_star)
+        pa, pb, pc = losing_probs_at("case1", sol.eta_star)
         assert pa == pytest.approx(pb, abs=1e-15)
         assert pa == pytest.approx(pc, abs=1e-9)
         assert pa == pytest.approx(0.848, abs=1e-3)
 
     def test_all_equal_at_case2_root(self):
         sol = sixround_dr.solve("case2")
-        pa, _, pc = sixround_dr.losing_probs_at("case2", sol.eta_star)
+        pa, _, pc = losing_probs_at("case2", sol.eta_star)
         assert pa == pytest.approx(pc, abs=1e-9)
 
     def test_case1_eta_zero_claire_loses_surely(self):
-        _, _, pc = sixround_dr.losing_probs_at("case1", 0.0)
+        _, _, pc = losing_probs_at("case1", 0.0)
         assert pc == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("variant", ["case1", "case2"])
     def test_solution_carries_the_losing_probs_at_its_root(self, variant):
         sol = sixround_dr.solve(variant)
-        assert sol.losing_probs == sixround_dr.losing_probs_at(variant, sol.eta_star)
+        assert sol.losing_probs == losing_probs_at(variant, sol.eta_star)
         assert sol.losing_probs[2] == sol.p_bar_star
 
     def test_case2_eta_zero_alice_loses_surely(self):
-        pa, pb, _ = sixround_dr.losing_probs_at("case2", 0.0)
+        pa, pb, _ = losing_probs_at("case2", 0.0)
         assert pa == pytest.approx(1.0, abs=1e-12)
         assert pb == pytest.approx(1.0, abs=1e-12)
 
@@ -280,7 +297,7 @@ class TestExactRoot:
             assert cleared_fairness_sign(variant, lo) * cleared_fairness_sign(variant, hi) == -1
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_three_maximizations_and_no_bisection(self, monkeypatch, variant):
+    def test_one_maximization_and_no_bisection(self, monkeypatch, variant):
         calls = []
         maximize = optimize.maximize_unimodal
 
@@ -300,23 +317,39 @@ class TestExactRoot:
         patch_everywhere(monkeypatch, maximize, counting)
         patch_everywhere(monkeypatch, optimize.bisect_root, no_bisection)
         sixround_dr.solve(variant)
-        assert len(calls) == 3 and optimize.MAXIMIZE_TOL == 1e-12
-        for probes in calls:
-            assert len(probes) == 63 and all(type(x) is float for x in probes)
-            assert probes[-2:] == [0.0, 1.0]
+        assert len(calls) == 1 and optimize.MAXIMIZE_TOL == 1e-12
+        ((*_, zero, one),) = calls
+        assert len(calls[0]) == 63 and all(type(x) is float for x in calls[0])
+        assert (zero, one) == (0.0, 1.0)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_certificate_never_calls_the_closed_form(self, monkeypatch, variant):
         eta = sixround_dr.solve(variant).eta_star
+        delta = alice_opt_cheat(WeakCFParams(sixround_dr._FLOATS[variant][0], eta)).search_delta
 
         def closed_form(*args, **kwargs):
             raise AssertionError("the numeric route must not use A + B")
 
         monkeypatch.setattr(sixround_dr, "alice_opt_cheat", closed_form)
-        below = sixround_dr._numeric_residual(variant, eta - 1e-12)
-        above = sixround_dr._numeric_residual(variant, eta + 1e-12)
+        below = sixround_dr._split_residual(variant, eta - 1e-12, delta)
+        above = sixround_dr._split_residual(variant, eta + 1e-12, delta)
         assert below * above < 0.0
         assert 0.5e-12 < abs(below) < 2e-12 and 0.5e-12 < abs(above) < 2e-12
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("shift", [1e-5, -1e-5])
+    def test_an_argmax_moved_by_1e_5_is_refused(self, monkeypatch, variant, shift):
+        # the closed-form cross-check sees the search's true maximum and
+        # passes; the certificate's residuals at the moved split share a sign
+        maximize = weak_cf.maximize_unimodal
+
+        def moved(f):
+            x, value = maximize(f)
+            return x + shift, value
+
+        monkeypatch.setattr(weak_cf, "maximize_unimodal", moved)
+        with pytest.raises(CrossCheckError, match="do not bracket"):
+            sixround_dr.solve(variant)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("shift", [1e-11, -1e-11])

@@ -127,11 +127,12 @@ class TestAliceOptCheat:
 
         for params in param_grid(10, 10):
             a, b = weak_cf._objective_coeffs(params)
-            _, numeric = maximize_unimodal(weak_cf._objective(a, b))
+            argmax, numeric = maximize_unimodal(weak_cf._objective(a, b))
             assert abs(numeric - (a + b)) <= 1e-12
             assert weak_cf.alice_numeric_cheat(params) == numeric
-            # the production path re-runs this cross-check and raises on failure
-            weak_cf.alice_opt_cheat(params)
+            # the production path re-runs this cross-check, raises on failure
+            # and keeps the search's argmax
+            assert weak_cf.alice_opt_cheat(params).search_delta == argmax
 
     def test_numeric_route_agrees_with_closed_form_on_seeded_draws(self):
         # the edges included: p near 0 and 1, eta at 0, at its cap and subnormal;
@@ -152,19 +153,19 @@ class TestAliceOptCheat:
         # B = 0: the objective falls from A = 1 at delta = 0, an end golden section never visits
         assert weak_cf.alice_numeric_cheat(WeakCFParams(p, 0.0)) == 1.0
 
-    def test_opt_cheat_cross_checks_against_numeric_cheat(self, monkeypatch):
-        numeric_cheat = weak_cf.alice_numeric_cheat
+    def test_opt_cheat_cross_checks_against_its_one_search(self, monkeypatch):
+        maximize = weak_cf.maximize_unimodal
         seen = []
 
-        def shifted(params):
-            seen.append(params)
-            return numeric_cheat(params) + 2e-9
+        def shifted(f):
+            seen.append(f)
+            x, value = maximize(f)
+            return x, value + 2e-9
 
-        monkeypatch.setattr(weak_cf, "alice_numeric_cheat", shifted)
-        params = WeakCFParams(0.5, FAIR_ETA)
+        monkeypatch.setattr(weak_cf, "maximize_unimodal", shifted)
         with pytest.raises(CrossCheckError):
-            weak_cf.alice_opt_cheat(params)
-        assert seen == [params]
+            weak_cf.alice_opt_cheat(WeakCFParams(0.5, FAIR_ETA))
+        assert len(seen) == 1
 
     @staticmethod
     def reference_objective(a, b, delta):
@@ -239,6 +240,19 @@ class TestAliceOptCheat:
         with pytest.raises(DegenerateProtocolError):
             weak_cf.alice_opt_cheat(WeakCFParams(1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "route", [weak_cf.alice_opt_cheat, weak_cf.alice_numeric_cheat, weak_cf.alice_cheat_oracle]
+    )
+    def test_every_route_refuses_p_one(self, route):
+        # A and B divide by 1 - p; the oracle's verification state does too
+        with pytest.raises(DegenerateProtocolError, match="undefined at p = 1"):
+            route(WeakCFParams(1.0, 0.0))
+
+    def test_closed_and_numeric_routes_share_one_p_check(self):
+        for route in (weak_cf.alice_opt_cheat, weak_cf.alice_numeric_cheat):
+            with pytest.raises(DegenerateProtocolError, match="^alice_opt_cheat undefined at p = 1$"):
+                route(WeakCFParams(1.0, 0.0))
+
     def test_cheating_never_below_honest(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
@@ -297,6 +311,37 @@ class TestCrossCheckStrength:
     def test_routes_within_tolerance_pass(self, monkeypatch, shift):
         self.record_objective(monkeypatch, shift)
         weak_cf.alice_opt_cheat(WeakCFParams(0.5, FAIR_ETA))
+
+
+class TestSplitCheat:
+    """The raw objective at one split, as the six-round certificate uses it."""
+
+    def test_is_the_raw_objective_at_the_split(self):
+        for params in param_grid(4, 4):
+            objective = weak_cf._objective(*weak_cf._objective_coeffs(params))
+            for delta in (0.0, 0.25, 0.5, 1.0):
+                assert weak_cf.alice_split_cheat(params, delta) == objective(delta)
+
+    def test_argmax_at_eta_gives_the_maximum_at_a_nearby_eta(self):
+        # envelope property: F(eta + h) - f(argmax(eta); eta + h) is at most
+        # sup|f''| / 2 times the squared drift of the optimum, O(h^2). Drawn
+        # away from eta = 1 - p, where A -> 0 puts the optimum near delta = 1
+        # and the curvature there grows without bound (2.5e-12 at p = 0.99,
+        # eta = 0.99999 (1 - p), h = 1e-10)
+        rng = np.random.default_rng(24)
+        for _ in range(1500):
+            p = float(rng.uniform(0.0, 0.9))
+            eta = float(rng.uniform(1e-10, 0.99 * (1.0 - p)))
+            argmax = weak_cf.alice_opt_cheat(WeakCFParams(p, eta)).search_delta
+            for h in (-1e-12, 1e-12, -1e-10, 1e-10):
+                shifted = WeakCFParams(p, eta + h)
+                value = weak_cf.alice_split_cheat(shifted, argmax)
+                assert abs(value - weak_cf.alice_numeric_cheat(shifted)) <= 1e-15, (p, eta, h)
+
+    def test_oracle_leaves_the_search_argmax_unset(self):
+        params = WeakCFParams(0.5, FAIR_ETA)
+        assert weak_cf.alice_cheat_oracle(params).search_delta is None
+        assert "search_delta" not in weak_cf.alice_opt_cheat(params).to_json_dict()
 
 
 class TestBobOptCheat:
