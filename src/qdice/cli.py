@@ -284,7 +284,11 @@ def _cmd_colbeck(args) -> tuple[dict, str | None]:
 
 def _cmd_bounds(args) -> tuple[dict, str | None]:
     with open(args.report) as fh:
-        report = bounds.BiasReport.from_json_dict(json.load(fh))
+        try:
+            decoded = json.load(fh)
+        except RecursionError:  # json's C decoder recurses once per nesting level
+            raise ValueError("the report nests too deeply to decode") from None
+    report = bounds.BiasReport.from_json_dict(decoded)
     if report.n_parties == 2:
         per_outcome = bounds.kitaev_two_party(report, tol=args.tol)
         which = "kitaev_two_party"

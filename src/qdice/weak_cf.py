@@ -245,7 +245,9 @@ def alice_split_cheat(params: WeakCFParams, delta: float) -> float:
 
     At the argmax of a search at nearby parameters (`CheatAnalysis.search_delta`)
     this is a fresh search's maximum to rounding: the objective is flat at
-    its optimum, so a split h away loses at most sup|f''| h^2 / 2.
+    its optimum, so a split h away loses at most sup|f''| h^2 / 2. That
+    fails as eta nears 1 - p, where A -> 0 puts the optimum near delta = 1
+    and the curvature there grows without bound.
     """
     return _objective(*_objective_coeffs(params))(delta)
 

@@ -814,6 +814,7 @@ class TestMalformedBiasReport:
              '"honest_probs": [1.5, -0.5]}', "honest probabilities must lie in [0, 1]"),
             ('{"n_outcomes": 2, "n_parties": 2, "force_probs": [[1' + "0" * 400 + ', 0.8], [0.8, 0.8]], '
              '"honest_probs": [0.5, 0.5]}', "past the float range"),
+            ("[" * 100_000 + "]" * 100_000, "nests too deeply"),
         ],
     )
     def test_exits_one_without_a_traceback(self, capsys, tmp_path, text, message):

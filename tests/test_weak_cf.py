@@ -241,17 +241,17 @@ class TestAliceOptCheat:
             weak_cf.alice_opt_cheat(WeakCFParams(1.0, 0.0))
 
     @pytest.mark.parametrize(
-        "route", [weak_cf.alice_opt_cheat, weak_cf.alice_numeric_cheat, weak_cf.alice_cheat_oracle]
+        "route, message",
+        [
+            (weak_cf.alice_opt_cheat, "alice_opt_cheat undefined at p = 1"),
+            # the one check in _objective_coeffs, which both routes pass
+            (weak_cf.alice_numeric_cheat, "alice_opt_cheat undefined at p = 1"),
+            (weak_cf.alice_cheat_oracle, "verification state undefined at p = 1"),
+        ],
     )
-    def test_every_route_refuses_p_one(self, route):
-        # A and B divide by 1 - p; the oracle's verification state does too
-        with pytest.raises(DegenerateProtocolError, match="undefined at p = 1"):
+    def test_every_route_refuses_p_one(self, route, message):
+        with pytest.raises(DegenerateProtocolError, match=f"^{message}$"):
             route(WeakCFParams(1.0, 0.0))
-
-    def test_closed_and_numeric_routes_share_one_p_check(self):
-        for route in (weak_cf.alice_opt_cheat, weak_cf.alice_numeric_cheat):
-            with pytest.raises(DegenerateProtocolError, match="^alice_opt_cheat undefined at p = 1$"):
-                route(WeakCFParams(1.0, 0.0))
 
     def test_cheating_never_below_honest(self):
         rng = np.random.default_rng(42)
