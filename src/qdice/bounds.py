@@ -60,14 +60,6 @@ class BiasReport:
         if abs(sum(self.honest_probs) - 1.0) > RATIONAL_TOL:
             raise ParameterRangeError("honest probabilities must sum to 1")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_outcomes": self.n_outcomes,
-            "n_parties": self.n_parties,
-            "force_probs": [list(row) for row in self.force_probs],
-            "honest_probs": list(self.honest_probs),
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "BiasReport":
         """Parse a decoded JSON report.

@@ -63,19 +63,11 @@ def _finite_floats(text: str) -> tuple[float, ...]:
     return tuple(_finite_float(item) for item in text.split(",")) if text else ()
 
 
-def _fmt6(x) -> str:
-    if isinstance(x, bool):
-        return str(x)
+def _fmt(x, spec: str) -> str:
+    """One table or csv cell: a float by `spec` (never a bool, which is an
+    int), a dict or list as compact JSON, anything else by str."""
     if isinstance(x, float):
-        return f"{x:.6g}"
-    return str(x)
-
-
-def _fmt15(x) -> str:
-    if isinstance(x, bool):
-        return str(x)
-    if isinstance(x, float):
-        return f"{x:.15g}"
+        return format(x, spec)
     if isinstance(x, (dict, list)):
         return json.dumps(x, separators=(",", ":"))
     return str(x)
@@ -86,15 +78,10 @@ def _emit_record(record: dict, fmt: str, out) -> None:
         json.dump(record, out, indent=2, allow_nan=False)
         out.write("\n")
     elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(record.keys())
-        writer.writerow([_fmt15(v) for v in record.values()])
+        _emit_rows([record], "csv", out)
     else:
         for key, value in record.items():
-            if isinstance(value, (dict, list)):
-                out.write(f"{key} = {json.dumps(value, separators=(',', ':'))}\n")
-            else:
-                out.write(f"{key} = {_fmt6(value)}\n")
+            out.write(f"{key} = {_fmt(value, '.6g')}\n")
 
 
 # Encodes a list of flat rows with each key laid out as `json.dumps(...,
@@ -115,7 +102,9 @@ def _emit_rows(rows: list[dict], fmt: str, out) -> None:
     which occur together nowhere else: a flat row's values hold no brace
     outside a string, and JSON escapes every newline inside one. Each such
     boundary is re-indented to the depth-2 layout. A NaN or inf raises
-    ValueError before anything is written.
+    ValueError before anything is written. The csv and table cells are
+    `_fmt`'s, which writes a nested value as compact JSON, so one record
+    with nested values is a valid csv row list too.
     """
     if fmt == "json":
         body = _ROW_ENCODER.encode(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
@@ -127,9 +116,9 @@ def _emit_rows(rows: list[dict], fmt: str, out) -> None:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         for r in rows:
-            writer.writerow([_fmt15(r[c]) for c in columns])
+            writer.writerow([_fmt(r[c], ".15g") for c in columns])
         return
-    cells = [[_fmt6(r[c]) for c in columns] for r in rows]
+    cells = [[_fmt(r[c], ".6g") for c in columns] for r in rows]
     widths = [max(len(col), *(len(row[i]) for row in cells)) for i, col in enumerate(columns)]
     out.write("  ".join(col.ljust(widths[i]) for i, col in enumerate(columns)).rstrip() + "\n")
     out.write("  ".join("-" * w for w in widths) + "\n")

@@ -31,19 +31,30 @@ _LIMIT_BITS = _OUTCOME_LIMIT.bit_length()
 
 
 @dataclass(frozen=True)
-class PairingStage:
-    parties: tuple[int, int]
-    n_blocks: int
-    block_size: int
-
-
-@dataclass(frozen=True)
 class PairingProtocol:
-    """m sequential pair stages over n^m outcomes."""
+    """m sequential pair stages over n^m outcomes.
+
+    Stage k (1-indexed) is played by parties (2k-1, 2k) and partitions the
+    surviving n^(m-k+1) outcomes into n contiguous blocks of n^(m-k), so
+    (m, n) defines every stage and none is stored. m >= 1 and n >= 2 are
+    checked on construction, and n^m past MAX_OUTCOME_DIGITS decimal digits
+    is refused before n^m is formed.
+    """
 
     m: int
     n: int
-    stages: tuple[PairingStage, ...]
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ParameterRangeError(f"m must be >= 1, got {self.m}")
+        if self.n < 2:
+            raise ParameterRangeError(f"n must be >= 2, got {self.n}")
+        # n^m >= 2^(m (bits - 1)), so past the limit's bit count n^m is never formed;
+        # below it, n^m < 2^(2 _LIMIT_BITS) is cheap to form exactly
+        if self.m * (self.n.bit_length() - 1) >= _LIMIT_BITS or self.n**self.m >= _OUTCOME_LIMIT:
+            raise ParameterRangeError(
+                f"n^m has more than MAX_OUTCOME_DIGITS = {MAX_OUTCOME_DIGITS} decimal digits"
+            )
 
     @property
     def n_parties(self) -> int:
@@ -54,50 +65,29 @@ class PairingProtocol:
         return self.n**self.m
 
     def to_json_dict(self) -> dict:
+        m, n = self.m, self.n
         return {
-            "m": self.m,
-            "n": self.n,
+            "m": m,
+            "n": n,
             "n_parties": self.n_parties,
             "n_outcomes": self.n_outcomes,
             "stages": [
-                {"parties": list(s.parties), "n_blocks": s.n_blocks, "block_size": s.block_size}
-                for s in self.stages
+                {"parties": [2 * k - 1, 2 * k], "n_blocks": n, "block_size": n ** (m - k)}
+                for k in range(1, m + 1)
             ],
         }
 
 
 def build_pairing(m: int, n: int) -> PairingProtocol:
-    """Construct the 2m-party n^m-sided pairing protocol.
-
-    Stage k (1-indexed) is played by parties (2k-1, 2k) and partitions the
-    surviving n^(m-k+1) outcomes into n contiguous blocks of n^(m-k).
-    n^m past MAX_OUTCOME_DIGITS decimal digits is refused before any stage
-    is built.
-    """
-    if m < 1:
-        raise ParameterRangeError(f"m must be >= 1, got {m}")
-    if n < 2:
-        raise ParameterRangeError(f"n must be >= 2, got {n}")
-    # n^m >= 2^(m (bits - 1)), so past the limit's bit count n^m is never formed;
-    # below it, n^m < 2^(2 _LIMIT_BITS) is cheap to form exactly
-    if m * (n.bit_length() - 1) >= _LIMIT_BITS or n**m >= _OUTCOME_LIMIT:
-        raise ParameterRangeError(
-            f"n^m has more than MAX_OUTCOME_DIGITS = {MAX_OUTCOME_DIGITS} decimal digits"
-        )
-    stages = tuple(
-        PairingStage(parties=(2 * k - 1, 2 * k), n_blocks=n, block_size=n ** (m - k))
-        for k in range(1, m + 1)
-    )
-    return PairingProtocol(m=m, n=n, stages=stages)
+    """The 2m-party n^m-sided pairing protocol, checked as `PairingProtocol` checks it."""
+    return PairingProtocol(m, n)
 
 
 def honest_outcome_prob(protocol: PairingProtocol) -> Fraction:
-    """Exact honest probability of any one outcome: the product of uniform
-    stage picks. Every outcome has it, so no list of n^m entries is built."""
-    per_outcome = Fraction(1)
-    for stage in protocol.stages:
-        per_outcome *= Fraction(1, stage.n_blocks)
-    return per_outcome
+    """Exact honest probability of any one outcome, 1/n^m: each of the m
+    stages picks one of n blocks uniformly. Every outcome has it, so no list
+    of n^m entries is built."""
+    return Fraction(1, protocol.n_outcomes)
 
 
 def honest_outcome_probs(protocol: PairingProtocol) -> list[Fraction]:

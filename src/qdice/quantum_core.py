@@ -101,17 +101,6 @@ class StateVector:
             )
         _check_norm(amps)
 
-    @property
-    def dim(self) -> int:
-        return prod(self.dims)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def amplitude(self, indices: Sequence[int]) -> complex:
-        """Amplitude of the basis state with the given per-subsystem indices."""
-        return complex(self.amps[_flat_index(self.dims, tuple(indices))])
-
     def to_json_dict(self) -> dict:
         return {
             "dims": list(self.dims),

@@ -7,19 +7,18 @@ qubit to Bob, who rotates it against a fresh |d> ancilla and tests for
 Honest Bob wins with probability exactly p; the slack parameter eta trades
 Alice's cheating room against Bob's.
 
-Alice's cheat is computed two independent ways and cross-checked: a
-closed form obtained by Cauchy-Schwarz, and numeric maximization of the
-raw objective over delta in [0, 1] (`alice_numeric_cheat`): golden-section
-search on plain floats, plus the two ends, 63 evaluations in all.
-`alice_opt_cheat` runs that search once and keeps its argmax on the
-CheatAnalysis, so a caller that needs the raw objective near the same
-(p, eta) evaluates it at that split (`alice_split_cheat`) instead of
-searching again. Both routes take A and B from `_objective_coeffs`, which
-refuses p = 1; the objective's coefficients are checked once per
-maximization, when `_objective(A, B)` builds the function the search
-calls, and that function checks only that delta lies in [0, 1]. Bob's is
-p + eta (always announce a win, `bob_opt_cheat`), carried on the same
-CheatAnalysis.
+Alice's cheat is computed two independent ways and cross-checked by
+`alice_opt_cheat`: a closed form obtained by Cauchy-Schwarz, and numeric
+maximization of the raw objective over delta in [0, 1], golden-section
+search on plain floats plus the two ends, 63 evaluations in all. It runs
+that search once and keeps its argmax on the CheatAnalysis, so a caller
+that needs the raw objective near the same (p, eta) evaluates it at that
+split (`alice_split_cheat`) instead of searching again. Both routes take A
+and B from `_objective_coeffs`, which refuses p = 1; the objective's
+coefficients are checked once per maximization, when `_objective(A, B)`
+builds the function the search calls, and that function checks only that
+delta lies in [0, 1]. Bob's is p + eta (always announce a win,
+`bob_opt_cheat`), carried on the same CheatAnalysis.
 The adversary oracle additionally covers Alice's full four-amplitude
 preparation: an exact rank-1 maximum, certified by simulation. The
 balanced fair point is the exact root of a quadratic, from the shared
@@ -228,17 +227,6 @@ def _objective(a: float, b: float) -> Callable[[float], float]:
     return objective
 
 
-def alice_numeric_cheat(params: WeakCFParams) -> float:
-    """Alice's maximal winning probability as the numeric maximum of the raw
-    objective over delta in [0, 1] (`maximize_unimodal`, 63 evaluations),
-    never forming the closed form A + B. The objective is the square of
-    sqrt(A) sqrt(1-d) + sqrt(B) sqrt(d), which is concave and >= 0, so it is
-    unimodal for every (p, eta). The coefficients are checked once, when
-    `_objective` builds the function the search calls; a NaN or negative
-    coefficient makes the result NaN."""
-    return maximize_unimodal(_objective(*_objective_coeffs(params)))[1]
-
-
 def alice_split_cheat(params: WeakCFParams, delta: float) -> float:
     """Alice's winning probability when she prepares with split delta: the
     raw objective (sqrt(A(1-d)) + sqrt(B d))^2 at d = delta, never A + B.
@@ -261,10 +249,14 @@ def alice_opt_cheat(params: WeakCFParams) -> CheatAnalysis:
     """Alice's maximal winning probability, closed form cross-checked numerically.
 
     The closed form follows from Cauchy-Schwarz: the maximum is A + B,
-    attained at delta* = B/(A+B). The numeric route is `alice_numeric_cheat`'s
-    one search over the same A and B; disagreement beyond 1e-9, or a NaN on
-    either side, raises CrossCheckError. The search's argmax is kept as
-    `search_delta` (not in to_json_dict).
+    attained at delta* = B/(A+B). The numeric route is one
+    `maximize_unimodal` search (63 evaluations) of the raw objective
+    (sqrt(A(1-d)) + sqrt(B d))^2 over the same A and B, never forming
+    A + B. The objective is the square of a concave function >= 0, so it
+    is unimodal for every (p, eta), and a NaN or negative coefficient makes
+    it NaN everywhere. Disagreement beyond 1e-9, or a NaN on either side,
+    raises CrossCheckError. The search's argmax is kept as `search_delta`
+    (not in to_json_dict).
     """
     a, b = _objective_coeffs(params)
     closed = a + b

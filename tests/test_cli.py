@@ -750,6 +750,20 @@ class TestGoldenExactCommands:
                 for fmt in ("json", "table", "csv")
             ),
             (("multiparty", "example3"), "multiparty_example3.json"),
+            # recorded before the pairing stages were derived from (m, n) and
+            # the table and csv cell formatters became one
+            *(
+                (("--format", fmt, *argv), f"{stem}.{fmt}")
+                for argv, stem in (
+                    (("multiparty", "--m", "2", "--n", "3"), "multiparty_m2_n3"),
+                    (("multiparty", "--m", "3", "--n", "4"), "multiparty_m3_n4"),
+                    (
+                        ("strong-dr", "--n", "7", "--delta", "0.01", "--target", "3"),
+                        "strong_dr_n7_delta0.01_target3",
+                    ),
+                )
+                for fmt in ("json", "table", "csv")
+            ),
         ],
     )
     def test_stdout_is_byte_identical_to_golden(self, capsys, argv, golden):

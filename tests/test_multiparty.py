@@ -1,5 +1,6 @@
 """Multi-party pairing protocols and the three-party example."""
 
+import dataclasses
 import inspect
 import json
 from fractions import Fraction
@@ -16,7 +17,7 @@ class TestBuildPairing:
         protocol = multiparty.build_pairing(2, 3)
         assert protocol.n_parties == 4
         assert protocol.n_outcomes == 9
-        assert len(protocol.stages) == 2
+        assert len(protocol.to_json_dict()["stages"]) == 2
         assert multiparty.honest_outcome_probs(protocol) == [Fraction(1, 9)] * 9
 
     def test_single_pair_reduces_to_balanced_flip(self):
@@ -27,18 +28,25 @@ class TestBuildPairing:
 
     def test_three_pairs_of_coins(self):
         protocol = multiparty.build_pairing(3, 2)
-        assert len(protocol.stages) == 3
+        assert len(protocol.to_json_dict()["stages"]) == 3
         assert protocol.n_outcomes == 8
         assert multiparty.honest_outcome_probs(protocol) == [Fraction(1, 8)] * 8
 
     def test_each_party_plays_exactly_once(self):
         protocol = multiparty.build_pairing(4, 3)
-        seen = [p for stage in protocol.stages for p in stage.parties]
+        seen = [p for stage in protocol.to_json_dict()["stages"] for p in stage["parties"]]
         assert sorted(seen) == list(range(1, 9))
 
     def test_block_sizes_shrink_geometrically(self):
         protocol = multiparty.build_pairing(3, 3)
-        assert [s.block_size for s in protocol.stages] == [9, 3, 1]
+        stages = protocol.to_json_dict()["stages"]
+        assert [s["block_size"] for s in stages] == [9, 3, 1]
+        assert [s["n_blocks"] for s in stages] == [3, 3, 3]
+
+    def test_the_protocol_is_its_m_and_n(self):
+        # every stage is derived from (m, n); none is stored
+        assert [f.name for f in dataclasses.fields(multiparty.PairingProtocol)] == ["m", "n"]
+        assert multiparty.build_pairing(2, 3) == multiparty.PairingProtocol(2, 3)
 
     @pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (3, 2), (2, 7)])
     def test_one_outcome_probability_is_every_outcome_probability(self, m, n):
@@ -171,7 +179,7 @@ class _NoPower(int):
 class TestOutcomeDigitCap:
     def test_three_to_the_nine_thousand_is_built(self):
         protocol = multiparty.build_pairing(9000, 3)
-        assert len(protocol.stages) == 9000 and protocol.n_outcomes == 3**9000
+        assert len(protocol.to_json_dict()["stages"]) == 9000 and protocol.n_outcomes == 3**9000
         assert len(str(protocol.n_outcomes)) == 4295 <= multiparty.MAX_OUTCOME_DIGITS
 
     @pytest.mark.parametrize(
@@ -179,11 +187,24 @@ class TestOutcomeDigitCap:
         [(9100, 3), (10**6, 3), (4300, 10), (1, 10**4300), (10**400, 2)],
         ids=["3^9100", "3^1e6", "10^4300", "(10^4300)^1", "2^(10^400)"],
     )
-    def test_past_the_cap_is_refused_before_any_stage(self, monkeypatch, m, n):
-        # building a stage would now raise TypeError
-        monkeypatch.setattr(multiparty, "PairingStage", None)
+    def test_past_the_cap_is_refused(self, m, n):
         with pytest.raises(ParameterRangeError, match="MAX_OUTCOME_DIGITS = 4300"):
             multiparty.build_pairing(m, n)
+
+    @pytest.mark.parametrize(
+        "m, n, message",
+        [
+            (0, 3, "m must be >= 1"),
+            (2, 1, "n must be >= 2"),
+            (9100, 3, "MAX_OUTCOME_DIGITS = 4300"),
+            (10**6, _NoPower(3), "MAX_OUTCOME_DIGITS = 4300"),
+        ],
+        ids=["m=0", "n=1", "3^9100", "3^1e6-unformed"],
+    )
+    def test_past_the_cap_is_refused_before_any_stage(self, m, n, message):
+        # a protocol built directly, not through build_pairing, is checked too
+        with pytest.raises(ParameterRangeError, match=message):
+            multiparty.PairingProtocol(m, n)
 
     def test_the_cap_is_on_the_digit_count(self):
         # 10^4299 has 4 300 digits, 10^4300 one more

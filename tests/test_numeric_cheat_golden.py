@@ -1,10 +1,12 @@
 """Bit-identity pin for the numeric route of Alice's weak-CF cheat.
 
 `tests/data/numeric_cheat_golden.json` holds the `repr` of
-`weak_cf.alice_numeric_cheat` and of `optimize.maximize_unimodal`'s
-(argmax, max) on the raw delta-objective, at every point of
-`param_grid(12, 12)`, at the six-round certificate's probes (eta* and
-eta* -/+ 1e-12 for both variants) and at the balanced fair point. A change
+`optimize.maximize_unimodal`'s (argmax, max) on the raw delta-objective,
+the search `weak_cf.alice_opt_cheat` cross-checks its closed form with, at
+every point of `param_grid(12, 12)`, at the six-round certificate's probes
+(eta* and eta* -/+ 1e-12 for both variants) and at the balanced fair
+point. Each entry's "alice_numeric_cheat" holds the max again, under the
+key the file has always used. A change
 to the objective, the golden-section search or the check of the ends that
 moves any of them by one ulp fails here. Regenerate the file, only after
 an intended change, with:
@@ -44,7 +46,7 @@ def golden_record() -> list[dict]:
                 "source": source,
                 "p": repr(params.p),
                 "eta": repr(params.eta),
-                "alice_numeric_cheat": repr(weak_cf.alice_numeric_cheat(params)),
+                "alice_numeric_cheat": repr(value),
                 "argmax": repr(x),
                 "max": repr(value),
             }

@@ -19,6 +19,11 @@ def ket(*indices):
     return qc.basis_state((2,) * len(indices), tuple(f"q{i+1}" for i in range(len(indices))), indices)
 
 
+def amplitude(state, indices):
+    """The amplitude of the basis state with the given per-subsystem indices."""
+    return complex(state.amps[np.ravel_multi_index(indices, state.dims)])
+
+
 def random_state(rng, dims, labels, signed_zeros=False):
     """A seeded random complex state; signed_zeros puts -0.0 and +0.0 parts in."""
     n = int(np.prod(dims))
@@ -40,22 +45,22 @@ class TestTensor:
         up, down = ket(UP), qc.basis_state((2,), ("q2",), (DOWN,))
         combined = qc.tensor(up, down)
         assert combined.dims == (2, 2)
-        assert combined.amplitude((UP, DOWN)) == 1.0
+        assert amplitude(combined, (UP, DOWN)) == 1.0
         assert np.count_nonzero(combined.amps) == 1
 
     def test_protocol_state_with_ancilla(self):
         # equal-weight preparation at p = 1/2, eta = 0
         psi0 = initial_state(WeakCFParams(0.5, 0.0))
         full = qc.tensor(psi0, qc.basis_state((2,), ("q3",), (DOWN,)))
-        assert full.amplitude((UP, DOWN, DOWN)) == pytest.approx(1 / S2, abs=1e-15)
-        assert full.amplitude((DOWN, UP, DOWN)) == pytest.approx(1 / S2, abs=1e-15)
+        assert amplitude(full, (UP, DOWN, DOWN)) == pytest.approx(1 / S2, abs=1e-15)
+        assert amplitude(full, (DOWN, UP, DOWN)) == pytest.approx(1 / S2, abs=1e-15)
         assert np.count_nonzero(full.amps) == 2
 
     def test_two_entangled_pairs(self):
         pair1 = entangled_pair(2, "a1", "b1")
         pair2 = entangled_pair(2, "a2", "b2")
         both = qc.tensor(pair1, pair2)
-        assert both.dim == 16
+        assert both.amps.size == 16
         nonzero = both.amps[np.abs(both.amps) > 0]
         assert len(nonzero) == 4
         np.testing.assert_allclose(nonzero, 0.5, atol=1e-15)
@@ -91,9 +96,9 @@ class TestApply:
         params = WeakCFParams(p, eta)
         full = qc.tensor(initial_state(params), qc.basis_state((2,), ("q3",), (DOWN,)))
         psi1 = qc.apply(rotation_unitary(params), full)
-        assert psi1.amplitude((UP, DOWN, DOWN)) == pytest.approx(sqrt(1 - p - eta), abs=1e-12)
-        assert psi1.amplitude((DOWN, UP, DOWN)) == pytest.approx(sqrt(p), abs=1e-12)
-        assert psi1.amplitude((DOWN, DOWN, UP)) == pytest.approx(sqrt(eta), abs=1e-12)
+        assert amplitude(psi1, (UP, DOWN, DOWN)) == pytest.approx(sqrt(1 - p - eta), abs=1e-12)
+        assert amplitude(psi1, (DOWN, UP, DOWN)) == pytest.approx(sqrt(p), abs=1e-12)
+        assert amplitude(psi1, (DOWN, DOWN, UP)) == pytest.approx(sqrt(eta), abs=1e-12)
 
     def test_rotation_is_self_inverse_on_swap_sector(self):
         # the restriction to span{|ud>, |du>} is a real orthogonal involution
@@ -182,7 +187,7 @@ class TestApply:
         cnot = np.eye(4)[[0, 1, 3, 2]]
         state = qc.basis_state((2, 3, 2), ("q1", "q2", "q3"), (0, 2, 1))
         out = qc.apply(qc.UnitaryOp(cnot, ("q3", "q1")), state)
-        assert out.amplitude((1, 2, 1)) == 1.0
+        assert amplitude(out, (1, 2, 1)) == 1.0
 
 
 class TestMeasureProjector:
@@ -489,8 +494,8 @@ class TestInvariants:
             amps = rng.normal(size=int(np.prod(dims))) + 1j * rng.normal(size=int(np.prod(dims)))
             amps /= np.linalg.norm(amps)
             state = qc.StateVector(dims, labels, amps)
-            u = qc.UnitaryOp(_haar_unitary(state.dim, rng), labels)
-            assert qc.apply(u, state).norm() == pytest.approx(1.0, abs=1e-12)
+            u = qc.UnitaryOp(_haar_unitary(state.amps.size, rng), labels)
+            assert np.linalg.norm(qc.apply(u, state).amps) == pytest.approx(1.0, abs=1e-12)
 
     def test_unnormalized_state_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -510,7 +515,7 @@ class TestInvariants:
         amps[0] = 0.0
         amps[1] = 1.0
         assert amps.flags.writeable
-        assert (state.amplitude((0,)), state.amplitude((1,))) == (1.0, 0.0)
+        assert (amplitude(state, (0,)), amplitude(state, (1,))) == (1.0, 0.0)
         with pytest.raises(ValueError):
             state.amps[0] = 0.0
 
@@ -525,16 +530,13 @@ class TestInvariants:
             from_lists.amps[2] = 0.0
         with pytest.raises(AttributeError):
             from_lists.amps = np.array([1.0, 0.0, 0.0, 0.0])
-        assert from_tuples.amplitude((1, 0)) == 1.0 and np.count_nonzero(from_tuples.amps) == 1
+        assert amplitude(from_tuples, (1, 0)) == 1.0 and np.count_nonzero(from_tuples.amps) == 1
 
     @pytest.mark.parametrize("indices", [(2, 0), (0,), (-1, 0), (0, 0, 0)])
     def test_bad_basis_indices_raise_on_every_call(self, indices):
-        state = qc.basis_state((2, 2), ("c1", "c2"), (0, 0))
         for _ in range(2):
             with pytest.raises(DimensionMismatchError, match="do not fit dims"):
                 qc.basis_state((2, 2), ("c1", "c2"), indices)
-            with pytest.raises(DimensionMismatchError, match="do not fit dims"):
-                state.amplitude(indices)
 
     @pytest.mark.parametrize(
         "amps",

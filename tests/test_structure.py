@@ -133,3 +133,104 @@ def test_traced_name_scan_reads_the_tuple(tmp_path):
     script.write_text("TRACE = ()\n")
     with pytest.raises(AssertionError, match="no TRACED"):
         traced_names(script)
+
+
+# the console script (pyproject's `qdice = "qdice.cli:main"`) calls it from outside
+ENTRY_POINTS = {("cli", "main")}
+
+
+def public_definitions(path: Path) -> set[str]:
+    """The public names a module binds at its top level by def, class or assignment."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                elts = target.elts if isinstance(target, ast.Tuple) else [target]
+                names.update(t.id for t in elts if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def qdice_reads(path: Path, module: str | None = None, strings: bool = False) -> set[tuple[str, str]]:
+    """(module, name) for each qdice name the file reads, resolved through its imports.
+
+    A bare name is the one imported under it from qdice, else `module`'s own;
+    `m.name` counts where m is a qdice module imported under that name. Only
+    reads in the code count, never a docstring. With `strings`, a string
+    literal `m.name[...]` that is not a docstring names `m`'s `name` too, as
+    a tracer's list of dotted names does.
+    """
+    tree = ast.parse(path.read_text())
+    modules: dict[str, str] = {}  # local name -> qdice module
+    imported: dict[str, tuple[str, str]] = {}  # local name -> (qdice module, name)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = node.module or ""
+        if not node.level and source != "qdice" and not source.startswith("qdice."):
+            continue
+        package = source.removeprefix("qdice").lstrip(".") if not node.level else source
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if package:
+                imported[local] = (package, alias.name)
+            else:
+                modules[local] = alias.name
+    docstrings = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(imported.get(node.id, (module, node.id)))
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            found.add((modules[node.value.id], node.attr))
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            parts = node.value.split(".")
+            if len(parts) > 1:
+                found.add((parts[0], parts[1]))
+    return found
+
+
+def unread_public_names(src: Path, bench: Path) -> list[str]:
+    """`module.name` for each public top-level name of the package at `src`
+    that neither the package's own code nor the benchmark scripts at `bench` read."""
+    reads = set(ENTRY_POINTS)
+    for path in src.glob("*.py"):
+        reads |= qdice_reads(path, path.stem)
+    for path in bench.glob("*.py"):
+        reads |= qdice_reads(path, strings=True)
+    return sorted(
+        f"{path.stem}.{name}"
+        for path in src.glob("*.py")
+        for name in public_definitions(path)
+        if (path.stem, name) not in reads
+    )
+
+
+def test_every_public_name_is_read_by_qdice_or_the_benchmark():
+    # the library is what the CLI, `reproduce` and the benchmark run: a public
+    # name that only tests call is dead code to them
+    assert unread_public_names(SRC, SRC.parent.parent / "perfbench") == []
+
+
+def test_reader_scan_resolves_imports_and_skips_docstrings(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "a.py").write_text(
+        '"""Mentions b.unused and g."""\nfrom .b import used as u\nfrom . import b as bee\n'
+        "X, Y = 1, 2\ndef f():\n    return u() + bee.attr + X\ndef g():\n    pass\n"
+    )
+    (src / "b.py").write_text("def used():\n    pass\nattr = 1\nunused = 2\ntraced = 3\nother = 4\n")
+    (bench / "t.py").write_text('"""b.other"""\nfrom qdice import a\nNAMES = ("b.traced",)\na.Y\n')
+    assert unread_public_names(src, bench) == ["a.f", "a.g", "b.other", "b.unused"]

@@ -15,10 +15,17 @@ from qdice.errors import (
     ParameterRangeError,
     ResolutionTooCoarseError,
 )
+from qdice.optimize import maximize_unimodal
 from qdice.weak_cf import DOWN, UP, WeakCFParams
 
 S2 = sqrt(2.0)
 FAIR_ETA = (S2 - 1) / 2
+
+
+def numeric_cheat(params):
+    """The numeric route alone: the search's maximum of the raw objective,
+    which `alice_opt_cheat` checks its closed form against."""
+    return maximize_unimodal(weak_cf._objective(*weak_cf._objective_coeffs(params)))[1]
 
 
 class TestParams:
@@ -123,13 +130,10 @@ class TestAliceOptCheat:
         assert analysis.p_alice_star == pytest.approx(expected, abs=1e-12)
 
     def test_numeric_route_agrees_with_closed_form_on_sweep(self):
-        from qdice.optimize import maximize_unimodal
-
         for params in param_grid(10, 10):
             a, b = weak_cf._objective_coeffs(params)
             argmax, numeric = maximize_unimodal(weak_cf._objective(a, b))
             assert abs(numeric - (a + b)) <= 1e-12
-            assert weak_cf.alice_numeric_cheat(params) == numeric
             # the production path re-runs this cross-check, raises on failure
             # and keeps the search's argmax
             assert weak_cf.alice_opt_cheat(params).search_delta == argmax
@@ -146,12 +150,12 @@ class TestAliceOptCheat:
                 eta = float(rng.uniform(0.0, 1e-10)) * (1.0 - p)
             params = WeakCFParams(p, eta)
             a, b = weak_cf._objective_coeffs(params)
-            assert abs(weak_cf.alice_numeric_cheat(params) - (a + b)) <= 1e-12, (p, eta)
+            assert abs(numeric_cheat(params) - (a + b)) <= 1e-12, (p, eta)
 
     @pytest.mark.parametrize("p", [0.0, 1e-300, 0.1, 1 / 3, 0.5, 0.9, 1.0 - 1e-9])
     def test_eta_zero_numeric_cheat_is_exactly_one(self, p):
         # B = 0: the objective falls from A = 1 at delta = 0, an end golden section never visits
-        assert weak_cf.alice_numeric_cheat(WeakCFParams(p, 0.0)) == 1.0
+        assert numeric_cheat(WeakCFParams(p, 0.0)) == 1.0
 
     def test_opt_cheat_cross_checks_against_its_one_search(self, monkeypatch):
         maximize = weak_cf.maximize_unimodal
@@ -199,8 +203,6 @@ class TestAliceOptCheat:
         ]],
     )
     def test_numeric_maximum_agrees_with_the_reference_formula(self, a, b):
-        from qdice.optimize import maximize_unimodal
-
         x, value = maximize_unimodal(weak_cf._objective(a, b))
         assert 0.0 <= x <= 1.0 and value == self.reference_objective(a, b, x)
         # Cauchy-Schwarz: the maximum over [0, 1] is A + B
@@ -227,7 +229,7 @@ class TestAliceOptCheat:
             return tuple(pair)
 
         monkeypatch.setattr(weak_cf, "_objective_coeffs", with_bad)
-        assert np.isnan(weak_cf.alice_numeric_cheat(WeakCFParams(0.5, 0.2)))
+        assert np.isnan(numeric_cheat(WeakCFParams(0.5, 0.2)))
         with pytest.raises(CrossCheckError):
             weak_cf.alice_opt_cheat(WeakCFParams(0.5, 0.2))
 
@@ -245,7 +247,7 @@ class TestAliceOptCheat:
         [
             (weak_cf.alice_opt_cheat, "alice_opt_cheat undefined at p = 1"),
             # the one check in _objective_coeffs, which both routes pass
-            (weak_cf.alice_numeric_cheat, "alice_opt_cheat undefined at p = 1"),
+            (numeric_cheat, "alice_opt_cheat undefined at p = 1"),
             (weak_cf.alice_cheat_oracle, "verification state undefined at p = 1"),
         ],
     )
@@ -336,7 +338,7 @@ class TestSplitCheat:
             for h in (-1e-12, 1e-12, -1e-10, 1e-10):
                 shifted = WeakCFParams(p, eta + h)
                 value = weak_cf.alice_split_cheat(shifted, argmax)
-                assert abs(value - weak_cf.alice_numeric_cheat(shifted)) <= 1e-15, (p, eta, h)
+                assert abs(value - numeric_cheat(shifted)) <= 1e-15, (p, eta, h)
 
     def test_oracle_leaves_the_search_argmax_unset(self):
         params = WeakCFParams(0.5, FAIR_ETA)
