@@ -206,7 +206,8 @@ def _cmd_strong_dr(args) -> tuple[dict, str | None]:
         "depth": strong_dr.depth(tree),
         "tree": tree.to_json_dict(),
     }
-    if all(p == Fraction(1, args.n) for p in leaves):
+    uniform = Fraction(1, args.n)
+    if all(p == uniform for p in leaves):
         return record, None
     return record, f"honest leaf probabilities are not all 1/{args.n}"
 

@@ -9,7 +9,10 @@ factors along the target's path: 1/sqrt(N) at delta = 0.
 
 The tree is a pure function of its range, so a node is only (lo, hi): its
 children and edge probabilities are computed from the range, and the
-queries below walk integer ranges rather than stored nodes.
+queries below walk integer ranges rather than stored nodes. A subtree's
+leaf probabilities, relative to its root, depend on its width alone, so
+the honest leaf probabilities are computed once per distinct width (at
+most two per depth), not once per leaf.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from math import inf, sqrt
 from .errors import ParameterRangeError
 
 # Largest outcome count, refused by SplitTree's constructor: `qdice strong-dr
-# --n` at the cap takes about 2.5 s, peaks at about 110 MB and writes 22 MB.
+# --n` at the cap takes about 3 s, peaks at about 110 MB and writes 22 MB.
 MAX_OUTCOMES = 2**15
 
 
@@ -120,33 +123,58 @@ def path_to(tree: SplitTree, target_outcome: int) -> list[Fraction]:
     return [Fraction(take, w) for take, w in _path_widths(tree, target_outcome)]
 
 
+# The runs of a lone leaf, relative to itself: one leaf of probability 1/1.
+_LEAF_RUNS = ((1, 1, 1),)
+
+
+def _leaf_runs(w: int, memo: dict) -> list[tuple[int, int, int]]:
+    """The leaf probabilities under a node of width w >= 2, relative to it.
+
+    A run (num, den, count) is count adjacent leaves, in outcome order, each
+    of probability num/den, an unreduced exact product of edge
+    probabilities. The runs are the left child's scaled by ((w+1)//2, w)
+    and then the right child's scaled by (w//2, w), the factors of
+    `left_prob` and `right_prob`. A child's runs are `_LEAF_RUNS`, or read
+    from `memo` (width -> runs), or computed once and put there. An even
+    width's halves are the same subtree, so they are scaled once.
+    Neighbouring runs of a child differ in value and scaling keeps them
+    apart, so only the two runs where the halves meet can merge, which the
+    cross-multiplied test finds without reducing either pair.
+    """
+    a = (w + 1) // 2
+    runs = []
+    for num, den, count in _LEAF_RUNS if a == 1 else memo.get(a) or _leaf_runs(a, memo):
+        runs.append((num * a, den * w, count))
+    if a + a == w:
+        right = runs
+    else:
+        b = w - a
+        right = []
+        for num, den, count in _LEAF_RUNS if b == 1 else memo.get(b) or _leaf_runs(b, memo):
+            right.append((num * b, den * w, count))
+    n1, d1, c1 = runs[-1]
+    n2, d2, c2 = right[0]
+    if n1 * d2 == n2 * d1:
+        right = right[1:]  # a new list, as `right` may be `runs` itself
+        runs[-1] = (n1, d1, c1 + c2)
+    runs += right
+    memo[w] = runs
+    return runs
+
+
 def honest_leaf_probs(tree: SplitTree) -> list[Fraction]:
     """Exact honest probability of every outcome, in outcome order.
 
-    Walks (lo, hi, num, den) ranges depth first, carrying each path's
-    product of edge probabilities as an unreduced integer pair: a range of
-    width w multiplies its left half's pair by ((w+1)//2, w) and its right
-    half's by (w//2, w), the factors of `left_prob` and `right_prob`. The
-    right half is pushed first, so leaves come out in outcome order. One
-    Fraction is built per distinct pair reaching a leaf.
+    A subtree's leaf probabilities, relative to its root, depend only on
+    its width, so `_leaf_runs` computes them once per distinct width (at
+    most two per depth), as runs of equal exact products of the edge
+    probabilities on each leaf's path. Each run becomes one Fraction,
+    repeated over its leaves, so equal neighbouring leaves share one object.
     """
+    w = tree.hi - tree.lo + 1
     probs: list[Fraction] = []
-    exact: dict[tuple[int, int], Fraction] = {}
-    todo = [(tree.lo, tree.hi, 1, 1)]
-    while todo:
-        lo, hi, num, den = todo.pop()
-        if lo == hi:
-            key = (num, den)
-            prob = exact.get(key)
-            if prob is None:
-                prob = exact[key] = Fraction(num, den)
-            probs.append(prob)
-        else:
-            w = hi - lo + 1
-            mid = (lo + hi) // 2
-            den *= w
-            todo.append((mid + 1, hi, num * (w // 2), den))
-            todo.append((lo, mid, num * ((w + 1) // 2), den))
+    for num, den, count in _leaf_runs(w, {}) if w > 1 else _LEAF_RUNS:
+        probs += [Fraction(num, den)] * count
     return probs
 
 

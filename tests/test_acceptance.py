@@ -186,11 +186,14 @@ def test_criterion_9_reproduce():
 
 
 def test_exact_kernels_wall_budget():
-    # on a 2-core Xeon each budget is over 10x the kernel's time, while the
+    # on a 2-core Xeon each budget is over 10x the kernel's time (medians of
+    # 9 calls: 2.4 ms, 24 ms, 0.14 ms, 0.5 ms and 17 ms, in order), while the
     # stagewise Fraction chain took 6.4 s for the first case, an unreduced
-    # (num, den) suffix pair, growing like N!, 2.6 s for the second, and the
-    # generator pair count 1.0 s for the last
+    # (num, den) suffix pair, growing like N!, 2.6 s for the second, a walk
+    # over every tree node 39 ms for the fourth, and the generator pair
+    # count 1.0 s for the last
     n_weak, n_weak_large, n_tree, n_colbeck = 2000, 20_000, 2**14, 3000
+    n_cap = strong_dr.MAX_OUTCOMES
     cases = [
         ("weak_dr.honest_distribution", 0.5, lambda: weak_dr.honest_distribution(n_weak),
          [Fraction(1, n_weak)] * n_weak),
@@ -198,6 +201,8 @@ def test_exact_kernels_wall_budget():
          [Fraction(1, n_weak_large)] * n_weak_large),
         ("strong_dr.honest_leaf_probs", 1.0, lambda: strong_dr.honest_leaf_probs(strong_dr.build_tree(n_tree)),
          [Fraction(1, n_tree)] * n_tree),
+        ("strong_dr.honest_leaf_probs", 0.02, lambda: strong_dr.honest_leaf_probs(strong_dr.build_tree(n_cap)),
+         [Fraction(1, n_cap)] * n_cap),
         ("colbeck_dr.bob_cheat_oracle", 0.25, lambda: colbeck_dr.bob_cheat_oracle(n_colbeck),
          Fraction(2 * n_colbeck - 1, n_colbeck**2)),
     ]

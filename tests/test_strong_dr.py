@@ -225,10 +225,21 @@ class TestHonestLeafProbs:
         assert strong_dr.honest_leaf_probs(strong_dr.build_tree(n)) == [Fraction(1, n)] * n
 
     def test_equals_fraction_walk(self):
-        for n in range(2, 301):
+        for n in [*range(2, 302), 1000, 4097, 2**15 - 1, 2**15]:
             probs = strong_dr.honest_leaf_probs(strong_dr.build_tree(n))
-            assert probs == reference_leaf_probs(1, n)
+            assert probs == reference_leaf_probs(1, n), n
             assert all(type(p) is Fraction for p in probs)
+
+    @pytest.mark.parametrize("lo", [-(10**6), -7, 0, 2, 10**20])
+    def test_equals_fraction_walk_on_offset_subtrees(self, lo):
+        for w in (1, 2, 3, 5, 6, 37, 100, 257):
+            hi = lo + w - 1
+            assert strong_dr.honest_leaf_probs(SplitTree(lo, hi)) == reference_leaf_probs(lo, hi), (lo, w)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 37, 256, 1000])
+    def test_equal_leaves_share_one_fraction(self, n):
+        probs = strong_dr.honest_leaf_probs(SplitTree(1, n))
+        assert len({id(p) for p in probs}) == len(set(probs)) == 1
 
     def test_single_leaf(self):
         assert strong_dr.honest_leaf_probs(SplitTree(4, 4)) == [Fraction(1)]
