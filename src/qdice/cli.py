@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from itertools import takewhile
-from math import isfinite
+from math import isfinite, prod
 
 import numpy as np
 
@@ -126,6 +126,14 @@ def _emit_rows(rows: list[dict], fmt: str, out) -> None:
         out.write("  ".join(row[i].ljust(widths[i]) for i in range(len(columns))).rstrip() + "\n")
 
 
+def _all_equal(values: list, value) -> bool:
+    """Whether the list is non-empty and every entry equals value. list.count
+    tries identity before ==, so a list that repeats one object, as
+    `honest_leaf_probs` and `honest_distribution` do for equal values, is
+    checked in C."""
+    return bool(values) and values[0] == value and values.count(values[0]) == len(values)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (record dict | rows list, mismatch),
 # where mismatch is None or the one-line reason a check failed (exit 2)
@@ -169,14 +177,17 @@ def _cmd_weak_dr(args) -> tuple[dict, str | None]:
     honest = weak_dr.honest_distribution(args.n)  # checks n before the default biases are built
     spec = weak_dr.TournamentSpec(args.n, args.biases or (0.0,) * (args.n - 1))
     losing, check = weak_dr.checked_losing_prob(spec, args.party)
+    prob = honest[args.party - 1]  # the party is checked by checked_losing_prob
     record = spec.to_json_dict()
     record["honest_party"] = args.party
-    record["honest_probs"] = [float(h) for h in honest]
-    record["honest_probs_exact"] = [f"{h.numerator}/{h.denominator}" for h in honest]
+    record["honest_prob"] = float(prob)
+    record["honest_prob_exact"] = f"{prob.numerator}/{prob.denominator}"
     record["max_losing_prob"] = losing
     record["eps_bar"] = check.eps_bar
     record["bound"] = check.bound
     record["holds"] = check.holds
+    if not _all_equal(honest, Fraction(1, args.n)):
+        return record, f"honest probabilities are not all 1/{args.n}"
     if check.holds:
         return record, None
     return record, f"party {args.party}: eps_bar {check.eps_bar!r} is not below the bound {check.bound!r}"
@@ -195,21 +206,32 @@ def _cmd_strong_cf(args) -> tuple[dict, str | None]:
 
 def _cmd_strong_dr(args) -> tuple[dict, str | None]:
     tree = strong_dr.build_tree(args.n)
+    forcing = strong_dr.adversary_success(tree, args.target, args.delta)  # checks delta, then the target
     leaves = strong_dr.honest_leaf_probs(tree)
+    leaf = leaves[args.target - 1]
+    path = strong_dr.path_to(tree, args.target)
     record = {
         "n": args.n,
         "target": args.target,
         "delta": args.delta,
-        "adversary_success": strong_dr.adversary_success(tree, args.target, args.delta),
-        "leaf_probs": [float(p) for p in leaves],
-        "leaf_probs_exact": [f"{p.numerator}/{p.denominator}" for p in leaves],
+        "adversary_success": forcing,
+        "leaf_prob": float(leaf),
+        "leaf_prob_exact": f"{leaf.numerator}/{leaf.denominator}",
+        "path": [{"num": edge.numerator, "den": edge.denominator} for edge in path],
         "depth": strong_dr.depth(tree),
-        "tree": tree.to_json_dict(),
     }
-    uniform = Fraction(1, args.n)
-    if all(p == uniform for p in leaves):
+    if not _all_equal(leaves, Fraction(1, args.n)):
+        return record, f"honest leaf probabilities are not all 1/{args.n}"
+    if prod(path) != leaf:
+        return record, f"the path's edge product {prod(path)} differs from the leaf probability {leaf}"
+    # claim (ii): the forcing probability at delta 0 saturates Kitaev's (1/N)^(1/2)
+    honest_forcing = strong_dr.adversary_success(tree, args.target, 0.0)
+    bound = bounds.symmetric_min(args.n, 2)
+    if abs(honest_forcing - bound) <= 1e-12:
         return record, None
-    return record, f"honest leaf probabilities are not all 1/{args.n}"
+    return record, (
+        f"forcing probability {honest_forcing!r} at delta 0 misses the symmetric bound {bound!r} by more than 1e-12"
+    )
 
 
 def _cmd_multiparty(args) -> tuple[dict, str | None]:

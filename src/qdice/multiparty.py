@@ -65,17 +65,7 @@ class PairingProtocol:
         return self.n**self.m
 
     def to_json_dict(self) -> dict:
-        m, n = self.m, self.n
-        return {
-            "m": m,
-            "n": n,
-            "n_parties": self.n_parties,
-            "n_outcomes": self.n_outcomes,
-            "stages": [
-                {"parties": [2 * k - 1, 2 * k], "n_blocks": n, "block_size": n ** (m - k)}
-                for k in range(1, m + 1)
-            ],
-        }
+        return {"m": self.m, "n": self.n, "n_parties": self.n_parties, "n_outcomes": self.n_outcomes}
 
 
 def build_pairing(m: int, n: int) -> PairingProtocol:

@@ -31,7 +31,8 @@ from .errors import InvalidBiasError, ParameterRangeError
 
 _UNIT_ROUNDOFF = 2.0**-53  # u: a correctly rounded float op errs by at most u relative
 # Largest tournament, refused before anything sized by N is built: `qdice
-# weak-dr --n` at the cap takes about 1 s, peaks at about 70 MB and writes 3.6 MB.
+# weak-dr --n` at the cap takes about 0.8 s, peaks at about 64 MB and writes
+# 0.9 MB, nearly all of it the echoed stage biases.
 MAX_PARTIES = 10**5
 
 

@@ -17,6 +17,7 @@ import pytest
 from conftest import param_grid
 from qdice import (
     bounds,
+    cli,
     colbeck_dr,
     multiparty,
     reproduce,
@@ -212,3 +213,22 @@ def test_exact_kernels_wall_budget():
         elapsed = time.perf_counter() - t0
         assert value == expected, name
         assert elapsed < budget, f"{name} took {elapsed:.2f} s (budget {budget} s)"
+
+
+def test_records_at_the_caps_are_small_and_fast(capsys):
+    # each budget is over 10x the in-process `cli.run` on a 2-core Xeon
+    # (first call 5.5 ms and 1.3 ms, medians of 9 calls 0.8 ms and 1.0 ms),
+    # while listing every tree node and every stage wrote 22.4 MB in 1.7 s
+    # and 20.3 MB in 1.1 s
+    cases = [
+        (("strong-dr", "--n", str(strong_dr.MAX_OUTCOMES)), 2_000, 0.1),
+        (("multiparty", "--m", "9000", "--n", "3"), 16_000, 0.02),
+    ]
+    for argv, max_bytes, budget in cases:
+        t0 = time.perf_counter()
+        code = cli.run(list(argv))
+        elapsed = time.perf_counter() - t0
+        size = len(capsys.readouterr().out.encode())
+        assert code == 0, argv
+        assert size < max_bytes, f"{argv} wrote {size} B (cap {max_bytes} B)"
+        assert elapsed < budget, f"{argv} took {elapsed:.3f} s (budget {budget} s)"

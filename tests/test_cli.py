@@ -294,11 +294,26 @@ MISMATCHES = {
         ),
         "party 1: eps_bar 0.5 is not below the bound 0.3",
     ),
+    "weak-dr-honest": (
+        ("weak-dr", "--n", "3"),
+        lambda mp: mp.setattr(weak_dr, "honest_distribution", lambda n: [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]),
+        "honest probabilities are not all 1/3",
+    ),
     "strong-cf": (("strong-cf", "--p0", "0.6"), _shifted_strong_cf_target, "round trip error"),
     "strong-dr": (
         ("strong-dr", "--n", "2"),
         lambda mp: mp.setattr(strong_dr, "honest_leaf_probs", lambda tree: [Fraction(1, 4), Fraction(3, 4)]),
         "not all 1/2",
+    ),
+    "strong-dr-path": (
+        ("strong-dr", "--n", "5"),
+        lambda mp: mp.setattr(strong_dr, "path_to", lambda tree, target: [Fraction(1, 2)]),
+        "the path's edge product 1/2 differs from the leaf probability 1/5",
+    ),
+    "strong-dr-forcing": (
+        ("strong-dr", "--n", "5"),
+        lambda mp: mp.setattr(strong_dr, "adversary_success", lambda tree, target, delta: 0.9),
+        "forcing probability 0.9 at delta 0 misses the symmetric bound",
     ),
     "multiparty-pairing": (
         ("multiparty", "pairing", "--m", "1", "--n", "2"),
@@ -734,10 +749,12 @@ class TestGoldenReproduce:
 
 
 class TestGoldenExactCommands:
-    # stdout of the exact strong-DR, weak-DR and Colbeck subcommands, recorded
-    # before their Fraction kernels were rewritten on integer chain products;
-    # and of six-round and multiparty example3, recorded before the shared
-    # exact-root kernel and the inlined n = 1 family record
+    # stdout of the exact Colbeck subcommand, recorded before its Fraction
+    # kernel was rewritten on integer chain products; of six-round and
+    # multiparty example3, recorded before the shared exact-root kernel and
+    # the inlined n = 1 family record; and of strong-dr, weak-dr and the
+    # pairing mode of multiparty, recorded when their records came to state
+    # the leaf probability, the honest probability and the stage rule once
     @pytest.mark.parametrize(
         "argv, golden",
         [
@@ -750,8 +767,7 @@ class TestGoldenExactCommands:
                 for fmt in ("json", "table", "csv")
             ),
             (("multiparty", "example3"), "multiparty_example3.json"),
-            # recorded before the pairing stages were derived from (m, n) and
-            # the table and csv cell formatters became one
+            # each in every format: the table and csv cells share one formatter
             *(
                 (("--format", fmt, *argv), f"{stem}.{fmt}")
                 for argv, stem in (

@@ -17,7 +17,6 @@ class TestBuildPairing:
         protocol = multiparty.build_pairing(2, 3)
         assert protocol.n_parties == 4
         assert protocol.n_outcomes == 9
-        assert len(protocol.to_json_dict()["stages"]) == 2
         assert multiparty.honest_outcome_probs(protocol) == [Fraction(1, 9)] * 9
 
     def test_single_pair_reduces_to_balanced_flip(self):
@@ -28,20 +27,8 @@ class TestBuildPairing:
 
     def test_three_pairs_of_coins(self):
         protocol = multiparty.build_pairing(3, 2)
-        assert len(protocol.to_json_dict()["stages"]) == 3
         assert protocol.n_outcomes == 8
         assert multiparty.honest_outcome_probs(protocol) == [Fraction(1, 8)] * 8
-
-    def test_each_party_plays_exactly_once(self):
-        protocol = multiparty.build_pairing(4, 3)
-        seen = [p for stage in protocol.to_json_dict()["stages"] for p in stage["parties"]]
-        assert sorted(seen) == list(range(1, 9))
-
-    def test_block_sizes_shrink_geometrically(self):
-        protocol = multiparty.build_pairing(3, 3)
-        stages = protocol.to_json_dict()["stages"]
-        assert [s["block_size"] for s in stages] == [9, 3, 1]
-        assert [s["n_blocks"] for s in stages] == [3, 3, 3]
 
     def test_the_protocol_is_its_m_and_n(self):
         # every stage is derived from (m, n); none is stored
@@ -179,7 +166,10 @@ class _NoPower(int):
 class TestOutcomeDigitCap:
     def test_three_to_the_nine_thousand_is_built(self):
         protocol = multiparty.build_pairing(9000, 3)
-        assert len(protocol.to_json_dict()["stages"]) == 9000 and protocol.n_outcomes == 3**9000
+        record = protocol.to_json_dict()
+        assert record["n_outcomes"] == protocol.n_outcomes == 3**9000
+        # n^m is printed in full, and no part of the record grows with m
+        assert len(json.dumps(record)) < len(str(3**9000)) + 100
         assert len(str(protocol.n_outcomes)) == 4295 <= multiparty.MAX_OUTCOME_DIGITS
 
     @pytest.mark.parametrize(

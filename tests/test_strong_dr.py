@@ -28,19 +28,6 @@ def reference_tree(lo: int, hi: int) -> dict:
     return nodes
 
 
-def reference_json(lo: int, hi: int) -> dict:
-    node = {"lo": lo, "hi": hi}
-    children = reference_children(lo, hi)
-    if children:
-        (_, mid), _ = children
-        w = hi - lo + 1
-        for side, take in (("left_prob", mid - lo + 1), ("right_prob", hi - mid)):
-            edge = Fraction(take, w)
-            node[side] = {"num": edge.numerator, "den": edge.denominator}
-        node["left"], node["right"] = (reference_json(*child) for child in children)
-    return node
-
-
 def reference_leaf_probs(lo: int, hi: int, acc: Fraction = Fraction(1)) -> list[Fraction]:
     """Recursive walk multiplying Fraction edge probabilities, left half first."""
     children = reference_children(lo, hi)
@@ -163,8 +150,6 @@ class TestBuildTree:
                 seen[node.lo, node.hi] = None if node.is_leaf else ((node.left.lo, node.left.hi), (node.right.lo, node.right.hi))
                 todo.extend(() if node.is_leaf else (node.left, node.right))
             assert seen == expected, n
-        for n in (2, 37, 256):
-            assert strong_dr.build_tree(n).to_json_dict() == reference_json(1, n)
 
     def test_a_node_is_only_its_range(self):
         tree = strong_dr.build_tree(3)
@@ -187,7 +172,6 @@ class TestBuildTree:
             node = SplitTree(lo, hi)
             assert strong_dr.honest_leaf_probs(node) == reference_leaf_probs(lo, hi)
             assert strong_dr.depth(node) == reference_depth(lo, hi)
-            assert node.to_json_dict() == reference_json(lo, hi)
             for target in range(lo, hi + 1):
                 assert strong_dr.path_to(node, target) == reference_path_to(lo, hi, target)
 
@@ -369,12 +353,3 @@ class TestCompositionWithStrongCF:
             strong_dr.adversary_success(tree, 1, 0.0), abs=1e-12
         )
         assert product == pytest.approx(1 / sqrt(3), abs=1e-12)
-
-
-class TestSerialization:
-    def test_nested_json_with_rational_edges(self):
-        d = strong_dr.build_tree(3).to_json_dict()
-        assert d["left_prob"] == {"num": 2, "den": 3}
-        assert d["right_prob"] == {"num": 1, "den": 3}
-        assert d["left"]["left_prob"] == {"num": 1, "den": 2}
-        assert d["right"] == {"lo": 3, "hi": 3}
