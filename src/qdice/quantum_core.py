@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod, sqrt
+from math import isfinite, prod, sqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -229,7 +229,11 @@ class UnitaryOp:
             raise DimensionMismatchError(f"duplicate target labels: {self.target_subsystems}")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got {m.shape}")
-        with np.errstate(invalid="ignore"):  # inf entries give NaN, rejected below
+        # sum |m_ij|^2 is NaN or inf for a NaN or inf entry, or one whose
+        # square overflows; np.vdot (BLAS, no ufunc) reports it with no
+        # RuntimeWarning, and only a finite matrix goes on to the gram
+        dev = np.vdot(m, m).real
+        if isfinite(dev):
             gram = m.conj().T @ m
             gram -= _identity(m.shape[0])
             dev = np.maximum.reduce(np.abs(gram), axis=None)  # what .max() calls

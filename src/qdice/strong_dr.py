@@ -51,28 +51,6 @@ class SplitTree:
     def width(self) -> int:
         return self.hi - self.lo + 1
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def left(self) -> SplitTree | None:
-        """The ceil(w/2) lower outcomes, or None at a leaf."""
-        return None if self.is_leaf else SplitTree(self.lo, (self.lo + self.hi) // 2)
-
-    @property
-    def right(self) -> SplitTree | None:
-        """The floor(w/2) upper outcomes, or None at a leaf."""
-        return None if self.is_leaf else SplitTree((self.lo + self.hi) // 2 + 1, self.hi)
-
-    @property
-    def left_prob(self) -> Fraction:
-        return Fraction((self.width + 1) // 2, self.width)
-
-    @property
-    def right_prob(self) -> Fraction:
-        return Fraction(self.width // 2, self.width)
-
 
 def build_tree(n_outcomes: int) -> SplitTree:
     """The root of the ceil/floor bisection of [1, n_outcomes].
@@ -91,8 +69,9 @@ def build_tree(n_outcomes: int) -> SplitTree:
 def _path_widths(tree: SplitTree, target_outcome: int) -> list[tuple[int, int]]:
     """(take, w) for every edge on the target's root-to-leaf path: the edge's
     probability is take/w, with w the width of the node it leaves and take
-    (w+1)//2 to the left child or w//2 to the right, as in `left_prob` and
-    `right_prob`. Raises ParameterRangeError for a target outside the tree."""
+    the width of the child it enters, ceil(w/2) = (w+1)//2 for the left
+    child (the lower outcomes) or floor(w/2) = w//2 for the right. Raises
+    ParameterRangeError for a target outside the tree."""
     lo, hi = tree.lo, tree.hi
     if not lo <= target_outcome <= hi:
         raise ParameterRangeError(f"target {target_outcome} outside [{lo}, {hi}]")
@@ -125,8 +104,9 @@ def _leaf_runs(w: int, memo: dict) -> list[tuple[int, int, int]]:
     A run (num, den, count) is count adjacent leaves, in outcome order, each
     of probability num/den, an unreduced exact product of edge
     probabilities. The runs are the left child's scaled by ((w+1)//2, w)
-    and then the right child's scaled by (w//2, w), the factors of
-    `left_prob` and `right_prob`. A child's runs are `_LEAF_RUNS`, or read
+    and then the right child's scaled by (w//2, w): each edge's probability
+    is the width of the child it enters, ceil(w/2) to the left and
+    floor(w/2) to the right, over w. A child's runs are `_LEAF_RUNS`, or read
     from `memo` (width -> runs), or computed once and put there. An even
     width's halves are the same subtree, so they are scaled once.
     Neighbouring runs of a child differ in value and scaling keeps them

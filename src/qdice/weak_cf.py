@@ -309,10 +309,11 @@ def fair_eta_balanced() -> FairPoint:
 
 # Alice's preparation basis (q1, q2), in the order of CheatAnalysis.maximizer_alphas
 _PREP_BASIS = ((UP, DOWN), (DOWN, UP), (UP, UP), (DOWN, DOWN))  # a_ud, a_du, a_uu, a_dd
-# e_r tensor |d> for each preparation basis state, one stack built at import
-_PREP_STACK = qc.stack(
-    [qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (i, j, DOWN)) for i, j in _PREP_BASIS]
+# e_r tensor |d> for each preparation basis state, built at import, and their stack
+_PREP_STATES = tuple(
+    qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (i, j, DOWN)) for i, j in _PREP_BASIS
 )
+_PREP_STACK = qc.stack(_PREP_STATES)
 
 
 class _Protocol(NamedTuple):
@@ -327,34 +328,29 @@ def _protocol(params: WeakCFParams) -> _Protocol:
     return _Protocol(rotation_unitary(params), alice_pass_state(params), _WIN_SECTOR)
 
 
+def _preparation(alphas) -> qc.StateVector:
+    """alpha tensor |d>: Alice's preparation alphas = (a_ud, a_du, a_uu, a_dd),
+    a unit vector, against Bob's |d> ancilla."""
+    amps = np.zeros(4, dtype=complex)
+    for (i, j), a in zip(_PREP_BASIS, alphas):
+        amps[i * 2 + j] = a
+    return qc.tensor(qc.StateVector((2, 2), ("q1", "q2"), amps), _ANCILLA_D)
+
+
 def _scores(rotated: qc.StateStack, proto: _Protocol) -> list[float]:
     """P_fail * P_test of each state of a stack after Bob's rotation.
 
     P_fail is the probability that Bob's |ud> test fails and P_test that
     the renormalized post-failure state passes Alice's verification
     against xi. The whole stack goes through one projection out of the win
-    sector; a state Bob's test cannot fail on scores 0.
+    sector, and the post states it keeps through one `overlap_all` with xi
+    (per state, bit for bit `overlap`); a state Bob's test cannot fail on
+    scores 0.
     """
-    return [
-        0.0 if post is None else p_fail * abs(qc.overlap(proto.xi, post)) ** 2
-        for p_fail, post in qc.project_all(rotated, proto.sector, inside=False)
-    ]
-
-
-def _payoff(alphas, proto: _Protocol) -> float:
-    """Alice's cheating payoff P_fail * P_test for one preparation.
-
-    alphas = (a_ud, a_du, a_uu, a_dd) is a unit vector. The preparation is
-    pushed through the protocol `proto` (from `_protocol(params)`) as a
-    one-row stack: Bob's rotation against a |d> ancilla, the probability
-    his |ud> test fails, and Alice's verification overlap on the
-    renormalized post-failure state.
-    """
-    amps = np.zeros(4, dtype=complex)
-    for (i, j), a in zip(_PREP_BASIS, alphas):
-        amps[i * 2 + j] = a
-    prep = qc.tensor(qc.StateVector((2, 2), ("q1", "q2"), amps), _ANCILLA_D)
-    return _scores(qc.apply_all(proto.u, qc.stack([prep])), proto)[0]
+    projected = qc.project_all(rotated, proto.sector, inside=False)
+    kept = [post for _, post in projected if post is not None]
+    passes = iter(qc.overlap_all(proto.xi, qc.stack(kept)).tolist() if kept else ())
+    return [0.0 if post is None else p_fail * abs(next(passes)) ** 2 for p_fail, post in projected]
 
 
 def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> CheatAnalysis:
@@ -366,16 +362,19 @@ def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> Cheat
     is ||v||^2 with v_r = <xi|U(e_r tensor |d>)> (ancillas give her no
     advantage). Both U and xi come from the simulated protocol, not from the
     closed form; they and Bob's win sector are built once and shared by
-    both certificates. The four basis preparations go through the
-    simulator as one stack built at import: one `apply_all` of U, whose
-    rows give v by `overlap_all` (per image, bit for bit `overlap`), then
-    one `project_all` out of Bob's win sector, which checks the sector
-    once. Two simulated certificates must hold within ORACLE_TOL: the four
-    basis preparations, each scored through Bob's test and Alice's
-    verification, sum to ||v||^2 (the maximum of the simulated payoff
-    form, so no preparation beats the value), and the maximizer
-    |v| / ||v||, scored by `_payoff` as a one-row stack, attains ||v||^2.
-    Either failure, or a NaN, raises CrossCheckError.
+    both certificates. One `apply_all` of U to the four basis preparations
+    gives the images whose `overlap_all` with xi is v. The maximizer
+    |v| / ||v||, tensored with |d>, is stacked after the four basis
+    preparations, and that five-row stack goes through the simulator in
+    one pass (`_scores`): one `apply_all` of U (the maximizer is pushed
+    through U, never formed from the images), one `project_all` out of
+    Bob's win sector, which checks the sector once, and one `overlap_all`
+    with xi. Every row's score is bit for bit its one-row pass. Two
+    simulated certificates must hold within ORACLE_TOL: rows 0-3, the four
+    basis preparations, sum to ||v||^2 (the maximum of the simulated payoff
+    form, so no preparation beats the value), and row 4, the maximizer,
+    attains ||v||^2. Either failure, a NaN, or a non-finite ||v||^2
+    raises CrossCheckError.
 
     grid_resolution is validated (>= 10) for compatibility but no longer
     affects the result.
@@ -387,12 +386,15 @@ def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> Cheat
     v = qc.overlap_all(proto.xi, images)
     w = np.abs(v)
     value = float(w @ w)
+    if not isfinite(value):  # no maximizer to score
+        raise CrossCheckError(f"oracle value ||v||^2 = {value!r} is not finite")
     alphas = tuple((w / sqrt(value)).tolist())
 
-    upper = sum(_scores(images, proto))
+    rows = qc.stack([*_PREP_STATES, _preparation(alphas)])
+    *basis, attained = _scores(qc.apply_all(proto.u, rows), proto)
+    upper = sum(basis)
     if not abs(upper - value) <= ORACLE_TOL:  # fails closed on NaN
         raise CrossCheckError(f"basis preparations score {upper!r}, not ||v||^2 = {value!r}")
-    attained = _payoff(alphas, proto)
     if not abs(attained - value) <= ORACLE_TOL:
         raise CrossCheckError(f"oracle maximizer attains {attained!r}, not ||v||^2 = {value!r}")
 

@@ -21,17 +21,17 @@ where it tends to -P'(0) = (1/N) * sum of 1/w_k over the party's stages
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, inf, isfinite, lcm, nextafter
+from math import gcd, isfinite, lcm, prod
 from typing import NamedTuple
 
 from .errors import InvalidBiasError, ParameterRangeError
 
 _UNIT_ROUNDOFF = 2.0**-53  # u: a correctly rounded float op errs by at most u relative
 # Largest tournament, refused before anything sized by N is built: `qdice
-# weak-dr --n` at the cap takes about 0.8 s, peaks at about 64 MB and writes
+# weak-dr --n` at the cap takes about 0.5 s, peaks at about 39 MB and writes
 # 0.9 MB, nearly all of it the echoed stage biases.
 MAX_PARTIES = 10**5
 
@@ -44,26 +44,54 @@ def _check_parties(n_parties: int) -> None:
         raise ParameterRangeError(f"need at most {MAX_PARTIES} parties, got {n_parties}")
 
 
+def _exceeds(delta: float, win: float, num: int, den: int) -> bool:
+    """delta > num/den exactly, for win = fl(num/den).
+
+    fl(num/den) is the float nearest num/den, so a float delta on either
+    side of it is on the same side of num/den; only delta == win needs the
+    exact comparison.
+    """
+    return delta > win or (delta == win and Fraction(delta) > Fraction(num, den))
+
+
 @dataclass(frozen=True)
 class TournamentSpec:
-    """Tournament size and the per-stage honest-party bias values."""
+    """Tournament size and the per-stage honest-party bias values.
+
+    The float stage chain that every party's checks read is built here,
+    once per tournament: `_factors[k - 1]` is fl(fl(k/(k+1)) - delta_k),
+    stage k's factor for a party defending it, `_over` lists in stage
+    order the stages k whose bias exceeds k/(k+1), and `_delta_max` is the
+    largest bias.
+    """
 
     n_parties: int
     stage_biases: tuple[float, ...]
+    _factors: list[float] = field(init=False, repr=False, compare=False)
+    _over: list[int] = field(init=False, repr=False, compare=False)
+    _delta_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_parties(self.n_parties)
-        # from a list: tuple() of a generator shrinks its result, parking a tuple on CPython's free lists
-        object.__setattr__(self, "stage_biases", tuple([float(b) for b in self.stage_biases]))
-        if len(self.stage_biases) != self.n_parties - 1:
-            raise ParameterRangeError(
-                f"expected {self.n_parties - 1} stage biases, got {len(self.stage_biases)}"
-            )
-        if any(b < 0.0 for b in self.stage_biases):
+        biases = [float(b) for b in self.stage_biases]
+        if len(biases) != self.n_parties - 1:
+            raise ParameterRangeError(f"expected {self.n_parties - 1} stage biases, got {len(biases)}")
+        if any(b < 0.0 for b in biases):
             raise ParameterRangeError("stage biases must be non-negative")
-        for k, b in enumerate(self.stage_biases, start=1):
+        factors, over = [], []
+        for k, b in enumerate(biases, start=1):
             if not isfinite(b):
                 raise InvalidBiasError(f"stage {k} bias {b} is not finite")
+            win = k / (k + 1)  # int / int is correctly rounded
+            factors.append(win - b)
+            if b >= win and _exceeds(b, win, k, k + 1):
+                over.append(k)
+        # one dict update sets the frozen fields; the tuple is built from a
+        # list, as tuple() of a generator shrinks its result, parking a tuple
+        # on CPython's free lists
+        self.__dict__.update(
+            stage_biases=tuple(biases), _factors=factors, _over=over, _delta_max=max(biases)
+        )
 
     def to_json_dict(self) -> dict:
         return {"n_parties": self.n_parties, "stage_biases": list(self.stage_biases)}
@@ -95,22 +123,6 @@ def _party_stages(n_parties: int, party: int) -> list[tuple[int, Fraction]]:
         raise ParameterRangeError(f"party must lie in [1, {n_parties}], got {party}")
     entry, win = _entry_stage(party)
     return [(entry, win)] + [(k, _defend_win(k)) for k in range(entry + 1, n_parties)]
-
-
-def _float_floor(win: Fraction) -> tuple[float, float]:
-    """(float(win), floor), floor being the largest float <= win.
-
-    For a float delta, `delta > floor` holds exactly when `delta > win` does.
-    """
-    w = float(win)
-    return w, (w if Fraction(w) <= win else nextafter(w, -inf))
-
-
-@lru_cache(maxsize=4096)
-def _stage_table(n_parties: int, party: int) -> tuple[tuple[int, float, float], ...]:
-    """(stage index, float(win), floor) for every stage the party plays (see `_float_floor`)."""
-    # from a list: tuple() of a generator shrinks its result, parking a tuple on CPython's free lists
-    return tuple([(k, *_float_floor(win)) for k, win in _party_stages(n_parties, party)])
 
 
 def honest_distribution(n_parties: int) -> list[Fraction]:
@@ -150,18 +162,25 @@ def max_losing_prob(spec: TournamentSpec, honest_party: int) -> float:
     """The honest party's maximal losing probability against full collusion.
 
     One minus the product, over the stages the party must win, of its
-    honest stage-win probability reduced by that stage's bias. Empty
-    products (a party with no stages cannot occur for N >= 2) would be 1.
+    honest stage-win probability reduced by that stage's bias: its entry
+    factor fl(1/den) - delta, times the spec's shared defend factors of the
+    later stages, left to right. A bias above its stage's exact win
+    probability raises InvalidBiasError, naming the party's first such stage.
     """
-    survive = 1.0
-    for k, win, floor in _stage_table(spec.n_parties, honest_party):
-        delta = spec.stage_biases[k - 1]
-        if delta > floor:
-            raise InvalidBiasError(
-                f"stage {k} bias {delta} exceeds honest win probability {win}"
-            )
-        survive *= win - delta
-    return 1.0 - survive
+    if not 1 <= honest_party <= spec.n_parties:
+        raise ParameterRangeError(f"party must lie in [1, {spec.n_parties}], got {honest_party}")
+    den = honest_party if honest_party > 2 else 2  # `_entry_stage`: entry win 1/max(party, 2)
+    entry = den - 1  # at stage max(party - 1, 1)
+    delta, win = spec.stage_biases[entry - 1], 1 / den
+    if delta >= win and _exceeds(delta, win, 1, den):
+        raise InvalidBiasError(f"stage {entry} bias {delta} exceeds honest win probability {win}")
+    over = spec._over
+    if over and over[-1] > entry:
+        k = over[bisect_right(over, entry)]
+        raise InvalidBiasError(
+            f"stage {k} bias {spec.stage_biases[k - 1]} exceeds honest win probability {k / (k + 1)}"
+        )
+    return 1.0 - prod(spec._factors[entry:], start=win - delta)
 
 
 def bias_bound_check(spec: TournamentSpec, honest_party: int) -> BoundCheck:
@@ -201,7 +220,7 @@ def checked_losing_prob(spec: TournamentSpec, honest_party: int) -> tuple[float,
     n = spec.n_parties
     losing = max_losing_prob(spec, honest_party)
     eps_bar = losing - (n - 1) / n
-    delta_max = max(spec.stage_biases)
+    delta_max = spec._delta_max
     bound = n * delta_max
     if bound == 0.0:
         # int / int is correctly rounded

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qdice import quantum_core as qc
+from qdice import weak_cf
 from qdice.weak_cf import WeakCFParams
 from qdice.weak_dr import TournamentSpec
 
@@ -17,6 +19,19 @@ def param_grid(n_p: int = 10, n_eta: int = 10) -> Iterator[WeakCFParams]:
     for p in np.linspace(0.08, 0.92, n_p):
         for frac in np.linspace(0.0, 0.95, n_eta):
             yield WeakCFParams(float(p), float(frac * (1.0 - p)))
+
+
+def payoff(alphas, proto) -> float:
+    """Alice's cheating payoff P_fail * P_test for one preparation, scored alone.
+
+    alphas = (a_ud, a_du, a_uu, a_dd) is a unit vector. The preparation is
+    pushed through the protocol `proto` (from `weak_cf._protocol(params)`) as
+    a one-row stack: Bob's rotation against a |d> ancilla, the probability
+    his |ud> test fails, and Alice's verification overlap on the
+    renormalized post-failure state.
+    """
+    rotated = qc.apply_all(proto.u, qc.stack([weak_cf._preparation(alphas)]))
+    return weak_cf._scores(rotated, proto)[0]
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import param_grid
+from conftest import param_grid, payoff
 from qdice import colbeck_dr, weak_cf
 from qdice import quantum_core as qc
 
@@ -65,11 +65,11 @@ def golden_record() -> dict:
                 {"n": n, "seed": seed, "outcome": outcome, "transcript": _reprs(transcript)}
             )
     rng = np.random.default_rng(2024)
-    payoff = []
+    payoffs = []
     for params in param_grid(4, 4):
         for _ in range(PAYOFFS_PER_PARAMS):
             z = rng.normal(size=4) + 1j * rng.normal(size=4)
-            payoff.append(repr(weak_cf._payoff(z / np.linalg.norm(z), weak_cf._protocol(params))))
+            payoffs.append(repr(payoff(z / np.linalg.norm(z), weak_cf._protocol(params))))
     dims, labels = (2, 3, 2), ("a", "b", "c")
     basis = [qc.basis_state(dims, labels, (i, j, 0)) for i in (0, 1) for j in (0, 2)]
     projected = []
@@ -95,7 +95,7 @@ def golden_record() -> dict:
         "alice_cheat_oracle": oracle,
         "weak_cf_honest_run": weak,
         "colbeck_honest_run": colbeck,
-        "weak_cf_payoff": payoff,
+        "weak_cf_payoff": payoffs,
         "quantum_core_project": projected,
     }
 

@@ -125,11 +125,21 @@ class TestApply:
         with pytest.raises(DimensionMismatchError):
             qc.UnitaryOp(np.array([[1.0, 1.0], [0.0, 1.0]]), ("q1",))
 
+    @pytest.mark.filterwarnings("error")  # and rejected without a warning
     @pytest.mark.parametrize("bad", [nan, inf, -inf, complex(0.0, nan), complex(inf, 0.0)])
     def test_non_finite_matrix_entry_rejected(self, bad):
         for entry in ((0, 0), (0, 1)):
             m = np.eye(2, dtype=complex)
             m[entry] = bad
+            with pytest.raises(DimensionMismatchError, match="not unitary"):
+                qc.UnitaryOp(m, ("q1",))
+
+    @pytest.mark.filterwarnings("error")  # and rejected without a warning
+    @pytest.mark.parametrize("huge", [1e200, -1e200, complex(1e160, 1e160)])
+    def test_an_entry_whose_square_overflows_is_rejected(self, huge):
+        for entry in ((0, 0), (0, 1)):
+            m = np.eye(2, dtype=complex)
+            m[entry] = huge
             with pytest.raises(DimensionMismatchError, match="not unitary"):
                 qc.UnitaryOp(m, ("q1",))
 

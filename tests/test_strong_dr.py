@@ -20,14 +20,6 @@ def reference_children(lo: int, hi: int):
     return (lo, mid), (mid + 1, hi)
 
 
-def reference_tree(lo: int, hi: int) -> dict:
-    """Every node of the bisection of [lo, hi], mapped to its children, by recursion on the ranges."""
-    nodes = {(lo, hi): reference_children(lo, hi)}
-    for child in nodes[lo, hi] or ():
-        nodes.update(reference_tree(*child))
-    return nodes
-
-
 def reference_leaf_probs(lo: int, hi: int, acc: Fraction = Fraction(1)) -> list[Fraction]:
     """Recursive walk multiplying Fraction edge probabilities, left half first."""
     children = reference_children(lo, hi)
@@ -90,13 +82,12 @@ def reference_depth(lo: int, hi: int) -> int:
 class TestBuildTree:
     def test_five_outcomes_matches_figure(self):
         tree = strong_dr.build_tree(5)
-        assert (tree.left_prob, tree.right_prob) == (Fraction(3, 5), Fraction(2, 5))
         assert strong_dr.path_to(tree, 1) == [Fraction(3, 5), Fraction(2, 3), Fraction(1, 2)]
+        assert strong_dr.path_to(tree, 5) == [Fraction(2, 5), Fraction(1, 2)]
 
     def test_two_outcomes_single_balanced_flip(self):
         tree = strong_dr.build_tree(2)
-        assert tree.left_prob == tree.right_prob == Fraction(1, 2)
-        assert tree.left.is_leaf and tree.right.is_leaf
+        assert strong_dr.path_to(tree, 1) == strong_dr.path_to(tree, 2) == [Fraction(1, 2)]
 
     def test_power_of_two_is_full_binary(self):
         tree = strong_dr.build_tree(4)
@@ -107,8 +98,9 @@ class TestBuildTree:
     def test_left_child_takes_ceiling_half(self):
         for n in range(2, 30):
             tree = strong_dr.build_tree(n)
-            assert tree.left.width == (n + 1) // 2
-            assert tree.right.width == n // 2
+            for target in range(1, n + 1):
+                take = (n + 1) // 2 if target <= (n + 1) // 2 else n // 2
+                assert strong_dr._path_widths(tree, target)[0] == (take, n)
 
     def test_too_small(self):
         with pytest.raises(ParameterRangeError):
@@ -139,33 +131,29 @@ class TestBuildTree:
         assert strong_dr.build_tree(np.int64(7)) == strong_dr.build_tree(7)
         assert type(strong_dr.build_tree(np.int64(7)).hi) is int
 
-    def test_every_nodes_children_are_the_reference_bisection(self):
+    def test_every_path_walks_the_reference_bisection(self):
+        # each edge's (take, w) is the width of the reference child entered and of the node left
         for n in range(2, 301):
-            expected = reference_tree(1, n)
-            seen = {}
-            todo = [strong_dr.build_tree(n)]
-            while todo:
-                node = todo.pop()
-                assert node.is_leaf == (node.left is None) == (node.right is None)
-                seen[node.lo, node.hi] = None if node.is_leaf else ((node.left.lo, node.left.hi), (node.right.lo, node.right.hi))
-                todo.extend(() if node.is_leaf else (node.left, node.right))
-            assert seen == expected, n
+            tree = strong_dr.build_tree(n)
+            for target in range(1, n + 1):
+                widths, (lo, hi) = [], (1, n)
+                while (children := reference_children(lo, hi)) is not None:
+                    child = next(c for c in children if c[0] <= target <= c[1])
+                    widths.append((child[1] - child[0] + 1, hi - lo + 1))
+                    lo, hi = child
+                assert strong_dr._path_widths(tree, target) == widths, (n, target)
 
     def test_a_node_is_only_its_range(self):
         tree = strong_dr.build_tree(3)
         assert [f.name for f in dataclasses.fields(SplitTree)] == ["lo", "hi"]
         assert tree == SplitTree(1, 3) and hash(tree) == hash(SplitTree(1, 3))
-        assert type(tree) is SplitTree and type(tree.left.left) is SplitTree
-        assert repr(tree.right) == "SplitTree(lo=3, hi=3)"
-        assert (tree.right.left, tree.right.right) == (None, None)
+        assert type(tree) is SplitTree and repr(SplitTree(3, 3)) == "SplitTree(lo=3, hi=3)"
+        assert not any(hasattr(tree, name) for name in ("left", "right", "left_prob", "right_prob", "is_leaf"))
         with pytest.raises(dataclasses.FrozenInstanceError):
             tree.lo = 2
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            tree.left.right = None
 
     def test_a_directly_built_range_is_a_whole_subtree(self):
         tree = SplitTree(1, 4)
-        assert tree.left == SplitTree(1, 2) and tree.right == SplitTree(3, 4)
         assert strong_dr.honest_leaf_probs(tree) == [Fraction(1, 4)] * 4
         assert strong_dr.depth(tree) == 2
         for lo, hi in [(-3, 3), (0, 0), (5, 17), (10**20, 10**20 + 6)]:
@@ -343,12 +331,9 @@ class TestCompositionWithStrongCF:
         # per-node ideal cheat values sqrt(P0) multiply to the tree value
         tree = strong_dr.build_tree(3)
         product = 1.0
-        node = tree
-        while not node.is_leaf:
-            p0 = float(node.left_prob)
-            report = strong_cf.cheat_probs(strong_cf.solve_params(p0))
+        for p0 in strong_dr.path_to(tree, 1):  # the left spine
+            report = strong_cf.cheat_probs(strong_cf.solve_params(float(p0)))
             product *= report.alice_force_0
-            node = node.left
         assert product == pytest.approx(
             strong_dr.adversary_success(tree, 1, 0.0), abs=1e-12
         )

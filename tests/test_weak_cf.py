@@ -6,7 +6,7 @@ from math import inf, nextafter, sqrt
 import numpy as np
 import pytest
 
-from conftest import param_grid
+from conftest import param_grid, payoff
 from qdice import quantum_core as qc
 from qdice import weak_cf
 from qdice.errors import (
@@ -447,7 +447,7 @@ class TestAliceCheatOracle:
         # alpha = (sqrt(1-d), sqrt(d), 0, 0) scores the squared two-term sum
         p, eta, d = 0.5, 0.2, 0.3
         params = WeakCFParams(p, eta)
-        got = weak_cf._payoff((sqrt(1 - d), sqrt(d), 0.0, 0.0), weak_cf._protocol(params))
+        got = payoff((sqrt(1 - d), sqrt(d), 0.0, 0.0), weak_cf._protocol(params))
         expected = (
             sqrt((1 - p - eta) * (1 - d) / (1 - p)) + sqrt(eta**2 * d / ((1 - p) * (p + eta)))
         ) ** 2
@@ -456,11 +456,11 @@ class TestAliceCheatOracle:
     def test_diagonal_amplitudes_only_waste_weight(self):
         # moving weight onto a_uu or a_dd can only lower the payoff
         proto = weak_cf._protocol(WeakCFParams(0.4, 0.2))
-        base = weak_cf._payoff((0.8, 0.6, 0.0, 0.0), proto)
+        base = payoff((0.8, 0.6, 0.0, 0.0), proto)
         for spoiled in ([0.8 * 0.9, 0.6 * 0.9, 0.19078784, 0.4], [0.7, 0.5, 0.36055513, 0.36055513]):
             v = np.array(spoiled)
             v /= np.linalg.norm(v)
-            assert weak_cf._payoff(v, proto) < base
+            assert payoff(v, proto) < base
 
     def test_no_preparation_beats_the_oracle(self):
         # random preparations, complex phases included, scored by simulation
@@ -470,13 +470,47 @@ class TestAliceCheatOracle:
             proto = weak_cf._protocol(params)
             for _ in range(50):
                 z = rng.normal(size=4) + 1j * rng.normal(size=4)
-                assert weak_cf._payoff(z / np.linalg.norm(z), proto) <= best + 1e-12
+                assert payoff(z / np.linalg.norm(z), proto) <= best + 1e-12
 
     def test_attainment_failure_raises(self, monkeypatch):
+        # only row 4, the maximizer's score, is corrupted; rows 0-3 still certify the basis
+        scores = weak_cf._scores
+
+        def corrupted(rotated, proto, bad):
+            *basis, _ = scores(rotated, proto)
+            assert len(basis) == 4
+            return [*basis, bad]
+
         for bad in (0.5, float("nan")):
-            monkeypatch.setattr(weak_cf, "_payoff", lambda alphas, proto, bad=bad: bad)
+            monkeypatch.setattr(weak_cf, "_scores", lambda rotated, proto, bad=bad: corrupted(rotated, proto, bad))
             with pytest.raises(CrossCheckError, match="attains"):
                 weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf")])
+    def test_non_finite_value_raises_a_cross_check_error(self, monkeypatch, bad):
+        # refused before the maximizer is built, so not as an unnormalized state
+        monkeypatch.setattr(qc, "overlap_all", lambda a, states: np.full(len(states.amps), bad))
+        with pytest.raises(CrossCheckError, match="not finite"):
+            weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
+
+    def test_the_stacked_maximizer_row_is_its_one_row_pass(self, monkeypatch):
+        # row 4 of the oracle's five-row pass scores the maximizer bit for bit as it scores alone
+        rows, scores = [], weak_cf._scores
+
+        def kept(rotated, proto):
+            out = scores(rotated, proto)
+            rows.append((rotated.amps[-1].tobytes(), out[-1]))
+            return out
+
+        monkeypatch.setattr(weak_cf, "_scores", kept)
+        for params in param_grid(4, 4):
+            rows.clear()
+            oracle = weak_cf.alice_cheat_oracle(params)
+            ((image, score),) = rows
+            proto = weak_cf._protocol(params)
+            alone = qc.apply_all(proto.u, qc.stack([weak_cf._preparation(oracle.maximizer_alphas)]))
+            assert image == alone.amps[0].tobytes()
+            assert score.hex() == payoff(oracle.maximizer_alphas, proto).hex()
 
     def test_basis_certificate_failure_raises(self, monkeypatch):
         # a verification state with support in Bob's win sector breaks the
@@ -502,24 +536,20 @@ class TestAliceCheatOracle:
             weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
 
     def test_one_call_builds_the_protocol_once(self, monkeypatch):
-        # one rotation and one unitarity check serve both certificates, and
-        # the fixed basis states are not rebuilt: 13 states in all (xi, four
-        # images, five post-test states, the maximizer, its tensor and image),
-        # counted by the norm check that every state passes however it is
-        # built; the four basis preparations share one check of the win
-        # sector's orthonormality, and the maximizer has its own
-        built, checked, states, sector_checks, before_payoff = [], [], [], [], []
+        # one rotation and one unitarity check serve both certificates, the
+        # fixed basis states are not rebuilt, and the win sector's
+        # orthonormality is checked once for all five scored rows. 17 states
+        # in all, counted by the norm check that every state passes however
+        # it is built: xi, the four images that give v, the maximizer and its
+        # tensor with |d>, the five rotated rows and their five post-test states
+        built, checked, states, sector_checks = [], [], [], []
         rotation = weak_cf.rotation_unitary
         unitary_check, state_check = qc.UnitaryOp.__post_init__, qc._check_norm
-        ortho_check, payoff = qc._check_orthonormal, weak_cf._payoff
+        ortho_check = qc._check_orthonormal
 
         def counted_ortho(basis):
             sector_checks.append(basis)
             ortho_check(basis)
-
-        def marked_payoff(alphas, proto):
-            before_payoff.append(len(sector_checks))
-            return payoff(alphas, proto)
 
         def counted_rotation(params):
             built.append(params)
@@ -537,13 +567,11 @@ class TestAliceCheatOracle:
         monkeypatch.setattr(qc.UnitaryOp, "__post_init__", counted_unitary)
         monkeypatch.setattr(qc, "_check_norm", counted_state)
         monkeypatch.setattr(qc, "_check_orthonormal", counted_ortho)
-        monkeypatch.setattr(weak_cf, "_payoff", marked_payoff)
         weak_cf.alice_cheat_oracle(WeakCFParams(0.4, 0.3))
         # a stack is checked row by row
         rows = sum(1 if amps.ndim == 1 else len(amps) for amps in states)
-        assert (len(built), len(checked), rows) == (1, 1, 13)
-        assert before_payoff == [1] and len(sector_checks) == 2
-        assert all(basis is weak_cf._WIN_SECTOR for basis in sector_checks)
+        assert (len(built), len(checked), len(sector_checks), rows) == (1, 1, 1, 17)
+        assert sector_checks[0] is weak_cf._WIN_SECTOR
 
     def test_one_honest_run_builds_four_or_five_states(self, monkeypatch):
         # psi0, its tensor with the ancilla, the rotated state and the post
@@ -575,13 +603,13 @@ class TestAliceCheatOracle:
         for _ in range(5):
             z = rng.normal(size=4) + 1j * rng.normal(size=4)
             alphas = z / np.linalg.norm(z)
-            assert weak_cf._payoff(alphas, shared) == weak_cf._payoff(
+            assert payoff(alphas, shared) == payoff(
                 alphas, weak_cf._protocol(params)
             )
 
     def test_unfailable_preparation_scores_zero(self):
         # at eta = 0 Bob's rotation keeps |ud> on (q2, q3), so a_du lands in his win sector
-        assert weak_cf._payoff((0.0, 1.0, 0.0, 0.0), weak_cf._protocol(WeakCFParams(0.5, 0.0))) == 0.0
+        assert payoff((0.0, 1.0, 0.0, 0.0), weak_cf._protocol(WeakCFParams(0.5, 0.0))) == 0.0
 
     def test_resolution_does_not_change_the_result(self):
         params = WeakCFParams(0.3, 0.5)

@@ -1,6 +1,7 @@
 """Weak DR tournament: honest chain products, losing probabilities, bias bound."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +132,35 @@ class TestMaxLosingProb:
         spec = TournamentSpec(3, (0.05, 0.4))
         with pytest.raises(InvalidBiasError):
             weak_dr.max_losing_prob(spec, 3)  # party 3's stage-2 win prob is 1/3
+
+    @pytest.mark.parametrize(
+        "biases, party, message",
+        [
+            ((0.05, 0.4), 3, "stage 2 bias 0.4 exceeds honest win probability 0.3333333333333333"),
+            ((0.0, 0.7, 0.9), 1, "stage 2 bias 0.7 exceeds honest win probability 0.6666666666666666"),
+            ((0.0, 0.7, 0.9), 3, "stage 2 bias 0.7 exceeds honest win probability 0.3333333333333333"),
+            ((0.0, 0.7, 0.9), 4, "stage 3 bias 0.9 exceeds honest win probability 0.25"),
+            ((0.6, 0.0, 0.0), 2, "stage 1 bias 0.6 exceeds honest win probability 0.5"),
+        ],
+    )
+    def test_rejection_names_the_first_bad_stage_and_its_float_win(self, biases, party, message):
+        spec = TournamentSpec(len(biases) + 1, biases)
+        for check in (weak_dr.max_losing_prob, weak_dr.checked_losing_prob):
+            with pytest.raises(InvalidBiasError, match=f"^{re.escape(message)}$"):
+                check(spec, party)
+
+    def test_the_stage_chain_is_built_with_the_spec(self, monkeypatch):
+        # every party's float path reads the spec's own chain, never the per-party Fraction stages
+        spec = TournamentSpec(5, [0.1, 0.7, 0.0, 0.8])
+        assert spec._factors == [1 / 2 - 0.1, 2 / 3 - 0.7, 3 / 4 - 0.0, 4 / 5 - 0.8]
+        assert (spec._over, spec._delta_max) == ([2, 4], 0.8)
+        assert spec == TournamentSpec(5, (0.1, 0.7, 0.0, 0.8)) and hash(spec) == hash(TournamentSpec(5, (0.1, 0.7, 0.0, 0.8)))
+        assert repr(spec) == "TournamentSpec(n_parties=5, stage_biases=(0.1, 0.7, 0.0, 0.8))"
+        monkeypatch.setattr(weak_dr, "_party_stages", None)
+        for n in (2, 7, 40):
+            spec = TournamentSpec(n, [0.01] * (n - 1))
+            for party in range(1, n + 1):
+                weak_dr.checked_losing_prob(spec, party)
 
     def test_rejection_is_exact_at_every_stage_boundary(self):
         # the float threshold must reject exactly the biases above the exact
