@@ -1,29 +1,1 @@
 """Quantum coin flipping and dice rolling: protocols, cheats, and bounds."""
-
-from . import (
-    bounds,
-    colbeck_dr,
-    multiparty,
-    quantum_core,
-    sixround_dr,
-    strong_cf,
-    strong_dr,
-    weak_cf,
-    weak_dr,
-)
-from .errors import QdiceError
-
-__all__ = [
-    "QdiceError",
-    "bounds",
-    "colbeck_dr",
-    "multiparty",
-    "quantum_core",
-    "sixround_dr",
-    "strong_cf",
-    "strong_dr",
-    "weak_cf",
-    "weak_dr",
-]
-
-__version__ = "0.1.0"

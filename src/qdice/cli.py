@@ -139,35 +139,55 @@ def _all_equal(values: list, value) -> bool:
 # where mismatch is None or the one-line reason a check failed (exit 2)
 # ---------------------------------------------------------------------------
 
+def _cheat_record(analysis: weak_cf.CheatAnalysis, method: str) -> dict:
+    """The keys that `weak-cf` and `oracle` share; method names the route."""
+    return {
+        "p": analysis.p,
+        "eta": analysis.eta,
+        "p_alice_star": analysis.p_alice_star,
+        "p_bob_star": analysis.p_bob_star,
+        "delta_star": analysis.delta_star,
+        "method": method,
+    }
+
+
 def _cmd_weak_cf(args) -> tuple[dict, str | None]:
     params = weak_cf.WeakCFParams(args.p, args.eta)
-    analysis = weak_cf.alice_opt_cheat(params)
-    return analysis.to_json_dict(), None
+    return _cheat_record(weak_cf.alice_opt_cheat(params), "closed_form"), None
 
 
 def _cmd_oracle(args) -> tuple[dict, str | None]:
     params = weak_cf.WeakCFParams(args.p, args.eta)
     oracle = weak_cf.alice_cheat_oracle(params)
     closed = weak_cf.alice_opt_cheat(params)
-    record = oracle.to_json_dict()
-    record["closed_form"] = closed.p_alice_star
-    record["abs_diff"] = abs(oracle.p_alice_star - closed.p_alice_star)
-    record["maximizer_alphas"] = list(oracle.maximizer_alphas)
-    if record["abs_diff"] <= weak_cf.CROSS_CHECK_TOL:
+    diff = abs(oracle.p_alice_star - closed.p_alice_star)
+    record = {
+        **_cheat_record(oracle, "oracle"),
+        "closed_form": closed.p_alice_star,
+        "abs_diff": diff,
+        "maximizer_alphas": list(oracle.maximizer_alphas),
+    }
+    if diff <= weak_cf.CROSS_CHECK_TOL:
         return record, None
     return record, (
         f"oracle {oracle.p_alice_star!r} and closed form {closed.p_alice_star!r} "
-        f"differ by {record['abs_diff']!r} > {weak_cf.CROSS_CHECK_TOL}"
+        f"differ by {diff!r} > {weak_cf.CROSS_CHECK_TOL}"
     )
 
 
 def _cmd_six_round(args) -> tuple[dict, str | None]:
     solution = sixround_dr.solve(args.variant)
-    record = solution.to_json_dict()
     pa, pb, pc = solution.losing_probs
-    record["losing_prob_alice"] = pa
-    record["losing_prob_bob"] = pb
-    record["losing_prob_claire"] = pc
+    record = {
+        "variant": args.variant,
+        "eta_star": solution.eta_star,
+        "p_bar_star": solution.p_bar_star,
+        "bias": solution.bias,
+        "constraint_residual": solution.constraint_residual,
+        "losing_prob_alice": pa,
+        "losing_prob_bob": pb,
+        "losing_prob_claire": pc,
+    }
     if abs(pa - pc) <= args.tol:
         return record, None
     return record, f"losing probabilities of Alice {pa!r} and Claire {pc!r} differ by more than --tol {args.tol!r}"
@@ -178,14 +198,17 @@ def _cmd_weak_dr(args) -> tuple[dict, str | None]:
     spec = weak_dr.TournamentSpec(args.n, args.biases or (0.0,) * (args.n - 1))
     losing, check = weak_dr.checked_losing_prob(spec, args.party)
     prob = honest[args.party - 1]  # the party is checked by checked_losing_prob
-    record = spec.to_json_dict()
-    record["honest_party"] = args.party
-    record["honest_prob"] = float(prob)
-    record["honest_prob_exact"] = f"{prob.numerator}/{prob.denominator}"
-    record["max_losing_prob"] = losing
-    record["eps_bar"] = check.eps_bar
-    record["bound"] = check.bound
-    record["holds"] = check.holds
+    record = {
+        "n_parties": spec.n_parties,
+        "stage_biases": list(spec.stage_biases),
+        "honest_party": args.party,
+        "honest_prob": float(prob),
+        "honest_prob_exact": f"{prob.numerator}/{prob.denominator}",
+        "max_losing_prob": losing,
+        "eps_bar": check.eps_bar,
+        "bound": check.bound,
+        "holds": check.holds,
+    }
     if not _all_equal(honest, Fraction(1, args.n)):
         return record, f"honest probabilities are not all 1/{args.n}"
     if check.holds:
@@ -196,9 +219,29 @@ def _cmd_weak_dr(args) -> tuple[dict, str | None]:
 def _cmd_strong_cf(args) -> tuple[dict, str | None]:
     params = strong_cf.solve_params(args.p0, eps0=args.eps, eps1=args.eps)
     report = strong_cf.cheat_probs(params)
-    record = {"params": params.to_json_dict(), **report.to_json_dict()}
-    roundtrip = abs(params.p0_honest - args.p0)
-    record["honest_roundtrip_error"] = roundtrip
+    honest = params.p0_honest
+    roundtrip = abs(honest - args.p0)
+    record = {
+        "params": {
+            "q": params.q,
+            "z0": params.z0,
+            "z1": params.z1,
+            "p0": params.pp0,
+            "p1": params.pp1,
+            "eps0": params.eps0,
+            "eps1": params.eps1,
+            "p0_honest": honest,
+        },
+        "p0_honest": report.honest_p0,
+        "pa0": report.pa0,
+        "qa0": report.qa0,
+        "pa1": report.pa1,
+        "qa1": report.qa1,
+        "pb0": report.pb0,
+        "pb1": report.pb1,
+        "kitaev_products": list(report.kitaev_products),
+        "honest_roundtrip_error": roundtrip,
+    }
     if roundtrip <= 1e-12:
         return record, None
     return record, f"honest P0 round trip error {roundtrip!r} > 1e-12"
@@ -236,6 +279,10 @@ def _cmd_strong_dr(args) -> tuple[dict, str | None]:
 
 def _cmd_multiparty(args) -> tuple[dict, str | None]:
     if args.mode == "example3":
+        flags = (("--m", args.m), ("--n", args.n), ("--eps-bar", args.eps_bar))
+        ignored = [flag for flag, value in flags if value is not None]
+        if ignored:
+            raise QdiceError(f"example3 mode does not take {', '.join(ignored)}")
         value, bound = multiparty.three_party_example_bias()
         record = {
             "protocol": "three-party three-sided example",
@@ -256,19 +303,23 @@ def _cmd_multiparty(args) -> tuple[dict, str | None]:
         return record, f"coalition value {value!r} is below the Kitaev bound {bound!r}"
     if args.m is None or args.n is None:
         raise QdiceError("pairing mode requires --m and --n")
+    eps_bar = 0.0 if args.eps_bar is None else args.eps_bar
     protocol = multiparty.build_pairing(args.m, args.n)
     prob = multiparty.honest_outcome_prob(protocol)
-    value = multiparty.coalition_force_prob(protocol, args.eps_bar)
-    record = protocol.to_json_dict()
-    record["honest_prob_exact"] = f"{prob.numerator}/{prob.denominator}"
-    record["coalition_force_prob"] = value
-    record["symmetric_bound"] = bounds.symmetric_min(protocol.n_outcomes, protocol.n_parties)
-    if args.eps_bar != 0.0 or abs(value - record["symmetric_bound"]) <= 1e-12:
+    value = multiparty.coalition_force_prob(protocol, eps_bar)
+    bound = bounds.symmetric_min(protocol.n_outcomes, protocol.n_parties)
+    record = {
+        "m": protocol.m,
+        "n": protocol.n,
+        "n_parties": protocol.n_parties,
+        "n_outcomes": protocol.n_outcomes,
+        "honest_prob_exact": f"{prob.numerator}/{prob.denominator}",
+        "coalition_force_prob": value,
+        "symmetric_bound": bound,
+    }
+    if eps_bar != 0.0 or abs(value - bound) <= 1e-12:
         return record, None
-    return record, (
-        f"coalition force probability {value!r} misses the symmetric bound "
-        f"{record['symmetric_bound']!r} by more than 1e-12"
-    )
+    return record, f"coalition force probability {value!r} misses the symmetric bound {bound!r} by more than 1e-12"
 
 
 def _cmd_colbeck(args) -> tuple[dict, str | None]:
@@ -402,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", nargs="?", choices=("pairing", "example3"), default="pairing")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--eps-bar", type=_finite_float, default=0.0)
+    p.add_argument("--eps-bar", type=_finite_float, default=None)  # None: not given; pairing reads it as 0
     p.set_defaults(handler=_cmd_multiparty)
 
     p = command("colbeck", help="three-round entanglement-based strong DR")

@@ -64,9 +64,6 @@ class PairingProtocol:
     def n_outcomes(self) -> int:
         return self.n**self.m
 
-    def to_json_dict(self) -> dict:
-        return {"m": self.m, "n": self.n, "n_parties": self.n_parties, "n_outcomes": self.n_outcomes}
-
 
 def build_pairing(m: int, n: int) -> PairingProtocol:
     """The 2m-party n^m-sided pairing protocol, checked as `PairingProtocol` checks it."""

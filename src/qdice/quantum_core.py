@@ -101,14 +101,6 @@ class StateVector:
             )
         _check_norm(amps)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "labels": list(self.labels),
-            # (real, imag) rows of the complex128 buffer; signed zeros survive
-            "amps": self.amps.view(np.float64).reshape(-1, 2).tolist(),
-        }
-
 
 def _check_norm(amps: np.ndarray) -> None:
     """The check every state passes, whichever way it is built: amps is one

@@ -36,21 +36,11 @@ _P = {"case1": Fraction(1, 3), "case2": Fraction(2, 3)}  # stage-2 p; eta lies i
 
 @dataclass(frozen=True)
 class SixRoundSolution:
-    variant: str
     eta_star: float
     p_bar_star: float  # common maximal losing probability
     bias: float
     constraint_residual: float
-    losing_probs: tuple[float, float, float]  # (Alice, Bob, Claire); not in to_json_dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "eta_star": self.eta_star,
-            "p_bar_star": self.p_bar_star,
-            "bias": self.bias,
-            "constraint_residual": self.constraint_residual,
-        }
+    losing_probs: tuple[float, float, float]  # (Alice, Bob, Claire)
 
 
 def _check_variant(variant: str, eta: float) -> float:
@@ -140,7 +130,6 @@ def solve(variant: str) -> SixRoundSolution:
     certify_sign_change(lambda eta: _split_residual(variant, eta, cheat.search_delta), eta_star)
     alice, bob, claire = _losses(variant, params, cheat.p_alice_star)
     return SixRoundSolution(
-        variant=variant,
         eta_star=eta_star,
         p_bar_star=claire,
         bias=claire - HONEST_LOSS,

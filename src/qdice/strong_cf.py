@@ -50,18 +50,6 @@ class StrongCFParams:
     def p0_honest(self) -> float:
         return honest_prob(self)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "z0": self.z0,
-            "z1": self.z1,
-            "p0": self.pp0,
-            "p1": self.pp1,
-            "eps0": self.eps0,
-            "eps1": self.eps1,
-            "p0_honest": self.p0_honest,
-        }
-
 
 @dataclass(frozen=True)
 class StrongCheatReport:
@@ -91,18 +79,6 @@ class StrongCheatReport:
     @property
     def kitaev_products(self) -> tuple[float, float]:
         return (self.alice_force_0 * self.pb0, self.alice_force_1 * self.pb1)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p0_honest": self.honest_p0,
-            "pa0": self.pa0,
-            "qa0": self.qa0,
-            "pa1": self.pa1,
-            "qa1": self.qa1,
-            "pb0": self.pb0,
-            "pb1": self.pb1,
-            "kitaev_products": list(self.kitaev_products),
-        }
 
 
 def solve_params(p0_honest: float, eps0: float = 0.0, eps1: float = 0.0) -> StrongCFParams:

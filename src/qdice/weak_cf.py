@@ -77,19 +77,8 @@ class CheatAnalysis:
     p_alice_star: float
     p_bob_star: float
     delta_star: float
-    method: str  # closed_form | oracle
-    maximizer_alphas: tuple[float, float, float, float] | None = field(default=None)
+    maximizer_alphas: tuple[float, float, float, float] | None = field(default=None)  # oracle only
     search_delta: float | None = field(default=None)  # closed_form: the numeric search's argmax
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "eta": self.eta,
-            "p_alice_star": self.p_alice_star,
-            "p_bob_star": self.p_bob_star,
-            "delta_star": self.delta_star,
-            "method": self.method,
-        }
 
 
 @dataclass(frozen=True)
@@ -173,8 +162,8 @@ def honest_run(params: WeakCFParams, seed: int | np.random.Generator) -> tuple[s
     result = qc.measure_projector(psi1, _WIN_SECTOR, rng)
     transcript = {
         "params": {"p": params.p, "eta": params.eta},
-        "psi0": psi0.to_json_dict(),
-        "psi1": psi1.to_json_dict(),
+        "psi0": psi0,
+        "psi1": psi1,
         "bob_win_probability": result.inside_probability,
         "bob_found_ud": result.outcome_index == 0,
     }
@@ -255,8 +244,7 @@ def alice_opt_cheat(params: WeakCFParams) -> CheatAnalysis:
     A + B. The objective is the square of a concave function >= 0, so it
     is unimodal for every (p, eta), and a NaN or negative coefficient makes
     it NaN everywhere. Disagreement beyond 1e-9, or a NaN on either side,
-    raises CrossCheckError. The search's argmax is kept as `search_delta`
-    (not in to_json_dict).
+    raises CrossCheckError. The search's argmax is kept as `search_delta`.
     """
     a, b = _objective_coeffs(params)
     closed = a + b
@@ -273,7 +261,6 @@ def alice_opt_cheat(params: WeakCFParams) -> CheatAnalysis:
         p_alice_star=closed,
         p_bob_star=bob_opt_cheat(params),
         delta_star=delta_star,
-        method="closed_form",
         search_delta=search_delta,
     )
 
@@ -407,6 +394,5 @@ def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> Cheat
         p_alice_star=value,
         p_bob_star=bob_opt_cheat(params),
         delta_star=delta_star,
-        method="oracle",
         maximizer_alphas=alphas,
     )

@@ -93,9 +93,6 @@ class TournamentSpec:
             stage_biases=tuple(biases), _factors=factors, _over=over, _delta_max=max(biases)
         )
 
-    def to_json_dict(self) -> dict:
-        return {"n_parties": self.n_parties, "stage_biases": list(self.stage_biases)}
-
 
 class BoundCheck(NamedTuple):
     eps_bar: float
@@ -184,7 +181,12 @@ def max_losing_prob(spec: TournamentSpec, honest_party: int) -> float:
 
 
 def bias_bound_check(spec: TournamentSpec, honest_party: int) -> BoundCheck:
-    """Check eps_bar < N * max(stage bias) for the given honest party.
+    """The `BoundCheck` half of `checked_losing_prob`: eps_bar < N * max(stage bias)."""
+    return checked_losing_prob(spec, honest_party)[1]
+
+
+def checked_losing_prob(spec: TournamentSpec, honest_party: int) -> tuple[float, BoundCheck]:
+    """(maximal losing probability, check of eps_bar < N * max(stage bias)).
 
     eps_bar is the excess of the maximal losing probability over the honest
     value (N-1)/N. With all biases zero the chain is the honest one, so
@@ -205,17 +207,12 @@ def bias_bound_check(spec: TournamentSpec, honest_party: int) -> BoundCheck:
     Else the chain is recomputed in Fractions from the same float biases,
     which are exact rationals: eps_bar is the correctly rounded exact value
     and the verdict is the exact eps_bar < N * delta_max.
-    """
-    return checked_losing_prob(spec, honest_party)[1]
 
-
-def checked_losing_prob(spec: TournamentSpec, honest_party: int) -> tuple[float, BoundCheck]:
-    """(maximal losing probability, `bias_bound_check`), the first consistent with the second's eps_bar.
-
-    Where eps_bar is exact (all biases zero, or the exact branch) the
-    losing probability is (N-1)/N + eps_bar, correctly rounded; elsewhere
-    it is the float chain of `max_losing_prob`, whose excess over the float
-    (N-1)/N is the float eps_bar.
+    The losing probability is consistent with eps_bar: where eps_bar is
+    exact (all biases zero, or the exact branch) it is (N-1)/N + eps_bar,
+    correctly rounded; elsewhere it is the float chain of
+    `max_losing_prob`, whose excess over the float (N-1)/N is the float
+    eps_bar.
     """
     n = spec.n_parties
     losing = max_losing_prob(spec, honest_party)

@@ -34,6 +34,16 @@ def payoff(alphas, proto) -> float:
     return weak_cf._scores(rotated, proto)[0]
 
 
+def state_json(state: qc.StateVector) -> dict:
+    """A state as JSON-ready lists: its dims, its labels, and its amplitudes as
+    (real, imag) rows of the complex128 buffer, so that signed zeros survive."""
+    return {
+        "dims": list(state.dims),
+        "labels": list(state.labels),
+        "amps": state.amps.view(np.float64).reshape(-1, 2).tolist(),
+    }
+
+
 @pytest.fixture(scope="session")
 def schema_loader():
     def load(name: str) -> dict:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import param_grid, payoff
+from conftest import param_grid, payoff, state_json
 from qdice import colbeck_dr, weak_cf
 from qdice import quantum_core as qc
 
@@ -29,7 +29,10 @@ PROJECTED_STATES = 20
 
 
 def _reprs(value):
-    """The value with every float replaced by its repr, so JSON keeps every bit."""
+    """The value with every float replaced by its repr, so JSON keeps every bit;
+    a state is written as `state_json` lays it out."""
+    if isinstance(value, qc.StateVector):
+        return _reprs(state_json(value))
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, dict):
@@ -81,12 +84,12 @@ def golden_record() -> dict:
         projected.append(
             _reprs(
                 {
-                    "inside": [inside[0], inside[1].to_json_dict()["amps"]],
-                    "outside": [outside[0], outside[1].to_json_dict()["amps"]],
+                    "inside": [inside[0], state_json(inside[1])["amps"]],
+                    "outside": [outside[0], state_json(outside[1])["amps"]],
                     "measured": [
                         measured.outcome_index,
                         measured.probability,
-                        measured.post_state.to_json_dict()["amps"],
+                        state_json(measured.post_state)["amps"],
                     ],
                 }
             )

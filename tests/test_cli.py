@@ -71,6 +71,12 @@ class TestExitCodes:
             (("strong-cf", "--p0", "0.5", "--eps", "2"), "eps0 must lie in"),
             (("multiparty", "pairing", "--m", "1", "--n", "2", "--eps-bar", "5"), "eps_bar must lie in"),
             (("colbeck", "--n", "3", "--runs", "-1"), "runs must be >= 0"),
+            # example3 reads none of the pairing flags, and names each one given
+            (
+                ("multiparty", "example3", "--m", "2", "--n", "3", "--eps-bar", "0.1"),
+                "error: example3 mode does not take --m, --n, --eps-bar\n",
+            ),
+            (("multiparty", "example3", "--eps-bar", "0"), "error: example3 mode does not take --eps-bar\n"),
         ],
     )
     def test_out_of_range_values_exit_one(self, capsys, argv, message):
@@ -182,7 +188,7 @@ class TestExitCodes:
         assert err.startswith("error:")
 
     def test_nan_in_a_record_is_an_error_not_a_token(self, capsys, monkeypatch):
-        nan_analysis = weak_cf.CheatAnalysis(0.5, 0.2, 0.7, 0.7, float("nan"), "closed_form")
+        nan_analysis = weak_cf.CheatAnalysis(0.5, 0.2, 0.7, 0.7, float("nan"))
         monkeypatch.setattr(weak_cf, "alice_opt_cheat", lambda params: nan_analysis)
         code, out, err = run_cli(capsys, "weak-cf", "--p", "0.5", "--eta", "0.2")
         assert code == 1
@@ -754,7 +760,9 @@ class TestGoldenExactCommands:
     # multiparty example3, recorded before the shared exact-root kernel and
     # the inlined n = 1 family record; and of strong-dr, weak-dr and the
     # pairing mode of multiparty, recorded when their records came to state
-    # the leaf probability, the honest probability and the stage rule once
+    # the leaf probability, the honest probability and the stage rule once;
+    # of weak-cf, oracle and strong-cf, recorded before their records came to
+    # be laid out in the cli alone
     @pytest.mark.parametrize(
         "argv, golden",
         [
@@ -772,11 +780,16 @@ class TestGoldenExactCommands:
                 (("--format", fmt, *argv), f"{stem}.{fmt}")
                 for argv, stem in (
                     (("multiparty", "--m", "2", "--n", "3"), "multiparty_m2_n3"),
+                    # an explicit zero bias is the default's record
+                    (("multiparty", "--m", "2", "--n", "3", "--eps-bar", "0"), "multiparty_m2_n3"),
                     (("multiparty", "--m", "3", "--n", "4"), "multiparty_m3_n4"),
                     (
                         ("strong-dr", "--n", "7", "--delta", "0.01", "--target", "3"),
                         "strong_dr_n7_delta0.01_target3",
                     ),
+                    (("weak-cf", "--p", "0.3", "--eta", "0.1"), "weak_cf_p0.3_eta0.1"),
+                    (("oracle", "--p", "0.3", "--eta", "0.1"), "oracle_p0.3_eta0.1"),
+                    (("strong-cf", "--p0", "0.3", "--eps", "0.05"), "strong_cf_p0.3_eps0.05"),
                 )
                 for fmt in ("json", "table", "csv")
             ),

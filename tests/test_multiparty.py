@@ -164,13 +164,15 @@ class _NoPower(int):
 
 
 class TestOutcomeDigitCap:
-    def test_three_to_the_nine_thousand_is_built(self):
-        protocol = multiparty.build_pairing(9000, 3)
-        record = protocol.to_json_dict()
-        assert record["n_outcomes"] == protocol.n_outcomes == 3**9000
-        # n^m is printed in full, and no part of the record grows with m
-        assert len(json.dumps(record)) < len(str(3**9000)) + 100
-        assert len(str(protocol.n_outcomes)) == 4295 <= multiparty.MAX_OUTCOME_DIGITS
+    def test_three_to_the_nine_thousand_is_built(self, capsys):
+        assert cli.run(["multiparty", "--m", "9000", "--n", "3"]) == 0
+        out = capsys.readouterr().out
+        record = json.loads(out)
+        assert record["n_outcomes"] == multiparty.build_pairing(9000, 3).n_outcomes == 3**9000
+        assert record["honest_prob_exact"] == f"1/{3**9000}"
+        # n^m is printed in full twice, and no other part of the record grows with m
+        assert len(out) < 2 * len(str(3**9000)) + 300
+        assert len(str(record["n_outcomes"])) == 4295 <= multiparty.MAX_OUTCOME_DIGITS
 
     @pytest.mark.parametrize(
         "m, n",

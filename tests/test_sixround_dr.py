@@ -202,7 +202,6 @@ def solve_case2_unsquared() -> sixround_dr.SixRoundSolution:
     eta_star = bisect_root(residual, 0.0, 1.0 / 3.0)
     p_bar = 2.0 / 3.0 + eta_star
     return sixround_dr.SixRoundSolution(
-        variant="case2_unsquared",
         eta_star=eta_star,
         p_bar_star=p_bar,
         bias=p_bar - sixround_dr.HONEST_LOSS,
@@ -218,12 +217,6 @@ class TestUnsquaredReading:
         unsq = solve_case2_unsquared()
         assert abs(unsq.bias - 0.199) > 1e-3
         assert unsq.bias == pytest.approx(0.2410126502, abs=1e-6)
-
-
-class TestSerialization:
-    def test_solution_json_fields(self):
-        d = sixround_dr.solve("case1").to_json_dict()
-        assert set(d) == {"variant", "eta_star", "p_bar_star", "bias", "constraint_residual"}
 
 
 class TestExactValues:

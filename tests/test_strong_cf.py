@@ -215,12 +215,6 @@ class TestValidation:
         with pytest.raises(ParameterRangeError, match=f"{field} must lie in"):
             StrongCFParams(**base, **{field: bad})
 
-    def test_json_fields(self):
-        d = strong_cf.cheat_probs(strong_cf.solve_params(0.5)).to_json_dict()
-        assert set(d) == {
-            "p0_honest", "pa0", "qa0", "pa1", "qa1", "pb0", "pb1", "kitaev_products",
-        }
-
 
 class TestPurePython:
     def test_module_imports_only_the_standard_library(self):

@@ -3,6 +3,9 @@ name the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,6 +88,15 @@ def numpy_importers(module: str, src: Path = SRC) -> set[str]:
 
 def test_pure_python_modules_import_no_numpy_at_module_level():
     assert {name: numpy_importers(name) for name in NUMPY_FREE} == {name: set() for name in NUMPY_FREE}
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_pure_python_modules_load_no_numpy(name):
+    # a fresh interpreter: the package's __init__ and every import it runs count
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = f"import sys, qdice.{name}; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_numpy_scan_sees_direct_and_transitive_imports():

@@ -1,5 +1,6 @@
 """Weak DR tournament: honest chain products, losing probabilities, bias bound."""
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qdice import weak_dr
+from qdice import cli, weak_dr
 from qdice.errors import InvalidBiasError, ParameterRangeError
 from qdice.weak_dr import TournamentSpec
 
@@ -549,6 +550,7 @@ class TestTournamentSpecValidation:
         with pytest.raises(InvalidBiasError, match=f"stage {stage} bias {bad} is not finite"):
             TournamentSpec(3, biases)
 
-    def test_json_roundtrip_fields(self):
-        spec = TournamentSpec(3, (0.05, 0.02))
-        assert spec.to_json_dict() == {"n_parties": 3, "stage_biases": [0.05, 0.02]}
+    def test_json_roundtrip_fields(self, capsys):
+        assert cli.run(["weak-dr", "--n", "3", "--biases", "0.05,0.02"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert (record["n_parties"], record["stage_biases"]) == (3, [0.05, 0.02])
