@@ -167,11 +167,11 @@ def _cmd_oracle(args) -> tuple[dict, str | None]:
         "abs_diff": diff,
         "maximizer_alphas": list(oracle.maximizer_alphas),
     }
-    if diff <= weak_cf.CROSS_CHECK_TOL:
+    if diff <= args.tol:
         return record, None
     return record, (
         f"oracle {oracle.p_alice_star!r} and closed form {closed.p_alice_star!r} "
-        f"differ by {diff!r} > {weak_cf.CROSS_CHECK_TOL}"
+        f"differ by {diff!r} > --tol {args.tol!r}"
     )
 
 
@@ -217,9 +217,9 @@ def _cmd_weak_dr(args) -> tuple[dict, str | None]:
 
 
 def _cmd_strong_cf(args) -> tuple[dict, str | None]:
-    params = strong_cf.solve_params(args.p0, eps0=args.eps, eps1=args.eps)
+    params = strong_cf.solve_params(args.p0, eps=args.eps)
     report = strong_cf.cheat_probs(params)
-    honest = params.p0_honest
+    honest = report.honest_p0  # `strong_cf.honest_prob`, printed under both keys
     roundtrip = abs(honest - args.p0)
     record = {
         "params": {
@@ -232,7 +232,7 @@ def _cmd_strong_cf(args) -> tuple[dict, str | None]:
             "eps1": params.eps1,
             "p0_honest": honest,
         },
-        "p0_honest": report.honest_p0,
+        "p0_honest": honest,
         "pa0": report.pa0,
         "qa0": report.qa0,
         "pa1": report.pa1,

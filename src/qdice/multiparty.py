@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, log, sqrt
+from math import sqrt
 
+from . import strong_cf
 from .bounds import symmetric_min
 from .errors import ParameterRangeError
 
@@ -92,8 +93,8 @@ def coalition_force_prob(protocol: PairingProtocol, eps_bar: float = 0.0) -> flo
     """
     try:
         base = 1.0 / sqrt(protocol.n)
-    except OverflowError:  # n does not fit a float: the route `symmetric_min` takes
-        base = exp(-log(protocol.n) / 2)
+    except OverflowError:  # n does not fit a float
+        base = symmetric_min(protocol.n, 2)
     if not 0.0 <= eps_bar <= 1.0 - base:
         raise ParameterRangeError(
             f"eps_bar must lie in [0, 1 - 1/sqrt(n)] = [0, {1.0 - base}], got {eps_bar}"
@@ -122,11 +123,13 @@ def three_party_example_bias() -> tuple[float, float]:
 
     If the honest party loses the ideal weak roll (probability 2/3) the
     dishonest chooser picks a freely and the dishonest loser forces the
-    strong coin with probability 1/sqrt(2). If the honest party wins
-    (probability 1/3) it picks a uniformly from {1, 2, 3}; the two
-    dishonest losers own b outright and succeed iff a is compatible,
-    probability 2/3. The bound is `bounds.symmetric_min(3, 3)`.
+    optimal balanced strong coin (`strong_cf` at P0 = 1/2), with Bob's
+    forcing probability 1/sqrt(2). If the honest party wins (probability
+    1/3) it picks a uniformly from {1, 2, 3}; the two dishonest losers own
+    b outright and succeed iff a is compatible, probability 2/3. The bound
+    is `bounds.symmetric_min(3, 3)`.
     """
+    coin_force = strong_cf.cheat_probs(strong_cf.solve_params(0.5)).pb0
     chooser_branch = chooser_force_probs()[0]  # symmetric across targets
-    value = (2.0 / 3.0) * (1.0 / sqrt(2.0)) + (1.0 / 3.0) * chooser_branch
+    value = (2.0 / 3.0) * coin_force + (1.0 / 3.0) * chooser_branch
     return value, symmetric_min(3, 3)

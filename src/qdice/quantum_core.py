@@ -324,10 +324,7 @@ def apply_all(u: UnitaryOp, states: StateStack) -> StateStack:
 
 def overlap(a: StateVector, b: StateVector) -> complex:
     """Inner product <a|b>; its squared modulus is the transition probability."""
-    if a.dims != b.dims:
-        raise DimensionMismatchError(f"dims differ: {a.dims} vs {b.dims}")
-    if a.labels != b.labels:
-        raise DimensionMismatchError(f"subsystem labels differ: {a.labels} vs {b.labels}")
+    _check_same_space(a.dims, a.labels, (b,))
     return complex(np.vdot(a.amps, b.amps))
 
 

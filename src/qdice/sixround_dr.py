@@ -43,16 +43,6 @@ class SixRoundSolution:
     losing_probs: tuple[float, float, float]  # (Alice, Bob, Claire)
 
 
-def _check_variant(variant: str, eta: float) -> float:
-    """The variant's stage-2 p as a float, once variant and eta are checked."""
-    if variant not in _P:
-        raise ParameterRangeError(f"variant must be case1 or case2, got {variant!r}")
-    p, eta_max = _FLOATS[variant]
-    if not 0.0 <= eta <= eta_max:
-        raise ParameterRangeError(f"{variant} requires eta in [0, {eta_max:.4g}], got {eta}")
-    return p
-
-
 def _losses(variant: str, params: WeakCFParams, preparer_cheat: float) -> tuple[float, float, float]:
     """(Alice, Bob, Claire) maximal losing probabilities at params.
 
@@ -73,8 +63,9 @@ def _losses(variant: str, params: WeakCFParams, preparer_cheat: float) -> tuple[
 
 def _split_residual(variant: str, eta: float, delta: float) -> float:
     """The fairness residual Claire - Alice at eta, with the preparer's cheat
-    the raw objective at the fixed split delta (`alice_split_cheat`)."""
-    params = WeakCFParams(p=_check_variant(variant, eta), eta=eta)
+    the raw objective at the fixed split delta (`alice_split_cheat`).
+    `WeakCFParams` checks that eta lies in [0, 1 - p]."""
+    params = WeakCFParams(p=float(_P[variant]), eta=eta)
     alice, _, claire = _losses(variant, params, alice_split_cheat(params, delta))
     return claire - alice
 
@@ -105,7 +96,6 @@ def _quadratic(variant: str) -> list[tuple[int, int]]:
 
 
 _QUADRATICS = {variant: _quadratic(variant) for variant in _P}
-_FLOATS = {variant: (float(p), float(1 - p)) for variant, p in _P.items()}  # (p, eta max)
 
 
 def solve(variant: str) -> SixRoundSolution:
@@ -123,9 +113,11 @@ def solve(variant: str) -> SixRoundSolution:
     by O(1e-12) across that step and the objective is flat there, so the
     fixed argmax gives a fresh search's maximum to rounding. No bisection.
     """
-    p = _check_variant(variant, 0.0)
-    eta_star = sqrt2_quadratic_root(_QUADRATICS[variant], Fraction(0), 1 - _P[variant])
-    params = WeakCFParams(p=p, eta=eta_star)
+    if variant not in _P:
+        raise ParameterRangeError(f"variant must be case1 or case2, got {variant!r}")
+    p = _P[variant]
+    eta_star = sqrt2_quadratic_root(_QUADRATICS[variant], Fraction(0), 1 - p)
+    params = WeakCFParams(p=float(p), eta=eta_star)
     cheat = alice_opt_cheat(params)
     certify_sign_change(lambda eta: _split_residual(variant, eta, cheat.search_delta), eta_star)
     alice, bob, claire = _losses(variant, params, cheat.p_alice_star)

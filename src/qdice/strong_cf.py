@@ -46,10 +46,6 @@ class StrongCFParams:
                     f"eps{i} must lie in [0, min(z{i}, 1-z{i})] = [0, {min(z, 1.0 - z)}], got {eps}"
                 )
 
-    @property
-    def p0_honest(self) -> float:
-        return honest_prob(self)
-
 
 @dataclass(frozen=True)
 class StrongCheatReport:
@@ -81,12 +77,13 @@ class StrongCheatReport:
         return (self.alice_force_0 * self.pb0, self.alice_force_1 * self.pb1)
 
 
-def solve_params(p0_honest: float, eps0: float = 0.0, eps1: float = 0.0) -> StrongCFParams:
+def solve_params(p0_honest: float, eps: float = 0.0) -> StrongCFParams:
     """Closed-form parameters hitting the target honest distribution.
 
     q = (1 + sqrt(P0) - sqrt(P1))/2, p_i = 1 - sqrt(P_{1-i}), and
     z_i = 1 + (sqrt(P_i) - 1)/sqrt(P_{1-i}): the unique assignment under
-    which every cheating probability collapses to sqrt(P_i).
+    which every cheating probability collapses to sqrt(P_i). Both weak
+    CFs inside get the bias eps.
     """
     if not 0.0 < p0_honest < 1.0:
         raise DegenerateProtocolError(
@@ -99,8 +96,8 @@ def solve_params(p0_honest: float, eps0: float = 0.0, eps1: float = 0.0) -> Stro
         z1=1.0 + (s1 - 1.0) / s0,
         pp0=1.0 - s1,
         pp1=1.0 - s0,
-        eps0=eps0,
-        eps1=eps1,
+        eps0=eps,
+        eps1=eps,
     )
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, nan, sqrt
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -303,18 +303,6 @@ _PREP_STATES = tuple(
 _PREP_STACK = qc.stack(_PREP_STATES)
 
 
-class _Protocol(NamedTuple):
-    """The simulated protocol pieces both oracle certificates push states through."""
-
-    u: qc.UnitaryOp  # Bob's rotation on (q2, q3)
-    xi: qc.StateVector  # Alice's verification state
-    sector: tuple[qc.StateVector, ...]  # Bob's win sector
-
-
-def _protocol(params: WeakCFParams) -> _Protocol:
-    return _Protocol(rotation_unitary(params), alice_pass_state(params), _WIN_SECTOR)
-
-
 def _preparation(alphas) -> qc.StateVector:
     """alpha tensor |d>: Alice's preparation alphas = (a_ud, a_du, a_uu, a_dd),
     a unit vector, against Bob's |d> ancilla."""
@@ -324,7 +312,7 @@ def _preparation(alphas) -> qc.StateVector:
     return qc.tensor(qc.StateVector((2, 2), ("q1", "q2"), amps), _ANCILLA_D)
 
 
-def _scores(rotated: qc.StateStack, proto: _Protocol) -> list[float]:
+def _scores(rotated: qc.StateStack, xi: qc.StateVector) -> list[float]:
     """P_fail * P_test of each state of a stack after Bob's rotation.
 
     P_fail is the probability that Bob's |ud> test fails and P_test that
@@ -334,9 +322,9 @@ def _scores(rotated: qc.StateStack, proto: _Protocol) -> list[float]:
     (per state, bit for bit `overlap`); a state Bob's test cannot fail on
     scores 0.
     """
-    projected = qc.project_all(rotated, proto.sector, inside=False)
+    projected = qc.project_all(rotated, _WIN_SECTOR, inside=False)
     kept = [post for _, post in projected if post is not None]
-    passes = iter(qc.overlap_all(proto.xi, qc.stack(kept)).tolist() if kept else ())
+    passes = iter(qc.overlap_all(xi, qc.stack(kept)).tolist() if kept else ())
     return [0.0 if post is None else p_fail * abs(next(passes)) ** 2 for p_fail, post in projected]
 
 
@@ -368,9 +356,9 @@ def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> Cheat
     """
     if grid_resolution < 10:
         raise ResolutionTooCoarseError(f"grid_resolution must be >= 10, got {grid_resolution}")
-    proto = _protocol(params)
-    images = qc.apply_all(proto.u, _PREP_STACK)  # U (e_r tensor |d>), one row each
-    v = qc.overlap_all(proto.xi, images)
+    u, xi = rotation_unitary(params), alice_pass_state(params)
+    images = qc.apply_all(u, _PREP_STACK)  # U (e_r tensor |d>), one row each
+    v = qc.overlap_all(xi, images)
     w = np.abs(v)
     value = float(w @ w)
     if not isfinite(value):  # no maximizer to score
@@ -378,7 +366,7 @@ def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> Cheat
     alphas = tuple((w / sqrt(value)).tolist())
 
     rows = qc.stack([*_PREP_STATES, _preparation(alphas)])
-    *basis, attained = _scores(qc.apply_all(proto.u, rows), proto)
+    *basis, attained = _scores(qc.apply_all(u, rows), xi)
     upper = sum(basis)
     if not abs(upper - value) <= ORACLE_TOL:  # fails closed on NaN
         raise CrossCheckError(f"basis preparations score {upper!r}, not ||v||^2 = {value!r}")

@@ -100,26 +100,20 @@ class BoundCheck(NamedTuple):
     holds: bool
 
 
-def _entry_stage(party: int) -> tuple[int, Fraction]:
-    """(stage, honest win probability) of the stage at which the party enters."""
-    return max(party - 1, 1), Fraction(1, max(party, 2))
-
-
-def _defend_win(stage: int) -> Fraction:
-    """Honest win probability of the standing winner defending at the stage."""
-    return Fraction(stage, stage + 1)
+def _entry_stage(party: int) -> int:
+    """The stage at which the party enters, max(party - 1, 1). It wins its
+    entry stage with honest probability 1/(stage + 1), and defends each later
+    stage k with k/(k + 1)."""
+    return party - 1 if party > 2 else 1  # a conditional costs less than max() here
 
 
 def _party_stages(n_parties: int, party: int) -> list[tuple[int, Fraction]]:
-    """(stage index, honest stage-win probability) for every stage the party plays.
-
-    Party n enters at stage max(n-1, 1) with win probability 1/max(n, 2)
-    and defends each later stage k with win probability k/(k+1).
-    """
+    """(stage index, honest stage-win probability) for every stage the party
+    plays, by the rule `_entry_stage` states."""
     if not 1 <= party <= n_parties:
         raise ParameterRangeError(f"party must lie in [1, {n_parties}], got {party}")
-    entry, win = _entry_stage(party)
-    return [(entry, win)] + [(k, _defend_win(k)) for k in range(entry + 1, n_parties)]
+    entry = _entry_stage(party)
+    return [(entry, Fraction(1, entry + 1))] + [(k, Fraction(k, k + 1)) for k in range(entry + 1, n_parties)]
 
 
 def honest_distribution(n_parties: int) -> list[Fraction]:
@@ -139,7 +133,7 @@ def honest_distribution(n_parties: int) -> list[Fraction]:
     probs = []
     num = den = 1  # defend wins of the stages after the current party's entry stage
     for party in range(n_parties, 0, -1):
-        entry_den = den * max(party, 2)  # entry win 1/max(party, 2)
+        entry_den = den * (_entry_stage(party) + 1)
         g = gcd(num, entry_den)
         key = (num // g, entry_den // g)
         prob = exact.get(key)
@@ -166,8 +160,8 @@ def max_losing_prob(spec: TournamentSpec, honest_party: int) -> float:
     """
     if not 1 <= honest_party <= spec.n_parties:
         raise ParameterRangeError(f"party must lie in [1, {spec.n_parties}], got {honest_party}")
-    den = honest_party if honest_party > 2 else 2  # `_entry_stage`: entry win 1/max(party, 2)
-    entry = den - 1  # at stage max(party - 1, 1)
+    entry = _entry_stage(honest_party)
+    den = entry + 1
     delta, win = spec.stage_biases[entry - 1], 1 / den
     if delta >= win and _exceeds(delta, win, 1, den):
         raise InvalidBiasError(f"stage {entry} bias {delta} exceeds honest win probability {win}")
@@ -222,7 +216,7 @@ def checked_losing_prob(spec: TournamentSpec, honest_party: int) -> tuple[float,
     if bound == 0.0:
         # int / int is correctly rounded
         return (n - 1) / n, BoundCheck(eps_bar=0.0, bound=0.0, holds=True)
-    stages = n - max(honest_party - 1, 1)
+    stages = n - _entry_stage(honest_party)
     if abs(eps_bar - bound) > (3 * stages + 6 + 2 * bound) * _UNIT_ROUNDOFF:
         return losing, BoundCheck(eps_bar=eps_bar, bound=bound, holds=eps_bar < bound)
     exact = _exact_eps_bar(spec, honest_party)

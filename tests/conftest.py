@@ -21,17 +21,16 @@ def param_grid(n_p: int = 10, n_eta: int = 10) -> Iterator[WeakCFParams]:
             yield WeakCFParams(float(p), float(frac * (1.0 - p)))
 
 
-def payoff(alphas, proto) -> float:
+def payoff(alphas, params: WeakCFParams) -> float:
     """Alice's cheating payoff P_fail * P_test for one preparation, scored alone.
 
     alphas = (a_ud, a_du, a_uu, a_dd) is a unit vector. The preparation is
-    pushed through the protocol `proto` (from `weak_cf._protocol(params)`) as
-    a one-row stack: Bob's rotation against a |d> ancilla, the probability
-    his |ud> test fails, and Alice's verification overlap on the
-    renormalized post-failure state.
+    pushed through the protocol at params as a one-row stack: Bob's rotation
+    against a |d> ancilla, the probability his |ud> test fails, and Alice's
+    verification overlap on the renormalized post-failure state.
     """
-    rotated = qc.apply_all(proto.u, qc.stack([weak_cf._preparation(alphas)]))
-    return weak_cf._scores(rotated, proto)[0]
+    rotated = qc.apply_all(weak_cf.rotation_unitary(params), qc.stack([weak_cf._preparation(alphas)]))
+    return weak_cf._scores(rotated, weak_cf.alice_pass_state(params))[0]
 
 
 def state_json(state: qc.StateVector) -> dict:

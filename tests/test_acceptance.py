@@ -86,11 +86,11 @@ def test_criterion_4_strong_cf_sweep():
     for x in np.linspace(0.001, 0.999, 999):
         params = strong_cf.solve_params(x)
         in_range = all(0.0 <= v <= 1.0 for v in (params.q, params.z0, params.z1, params.pp0, params.pp1))
-        roundtrip = abs(params.p0_honest - x) <= 1e-12
+        roundtrip = abs(strong_cf.honest_prob(params) - x) <= 1e-12
         base = strong_cf.cheat_probs(params)
         products = base.kitaev_products
         saturated = abs(products[0] - x) <= 1e-12 and abs(products[1] - (1 - x)) <= 1e-12
-        bumped = strong_cf.cheat_probs(strong_cf.solve_params(x, eps0=eps, eps1=eps))
+        bumped = strong_cf.cheat_probs(strong_cf.solve_params(x, eps=eps))
         s0, s1 = sqrt(x), sqrt(1 - x)
         slopes = (
             abs((bumped.pa0 - base.pa0) / eps - s1) <= 1e-9

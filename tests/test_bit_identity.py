@@ -72,7 +72,7 @@ def golden_record() -> dict:
     for params in param_grid(4, 4):
         for _ in range(PAYOFFS_PER_PARAMS):
             z = rng.normal(size=4) + 1j * rng.normal(size=4)
-            payoffs.append(repr(payoff(z / np.linalg.norm(z), weak_cf._protocol(params))))
+            payoffs.append(repr(payoff(z / np.linalg.norm(z), params)))
     dims, labels = (2, 3, 2), ("a", "b", "c")
     basis = [qc.basis_state(dims, labels, (i, j, 0)) for i in (0, 1) for j in (0, 2)]
     projected = []

@@ -279,7 +279,7 @@ def _off_by_a_micro(monkeypatch):
 
 def _shifted_strong_cf_target(monkeypatch):
     solve = strong_cf.solve_params
-    monkeypatch.setattr(strong_cf, "solve_params", lambda p0, **eps: solve(p0 + 1e-9, **eps))
+    monkeypatch.setattr(strong_cf, "solve_params", lambda p0, eps=0.0: solve(p0 + 1e-9, eps))
 
 
 def _failing_reproduce_row(monkeypatch):
@@ -292,6 +292,7 @@ def _failing_reproduce_row(monkeypatch):
 # reaches it), and a phrase of the reason
 MISMATCHES = {
     "oracle": (("oracle", "--p", "0.4", "--eta", "0.2"), _off_by_a_micro, "and closed form"),
+    "oracle-tol": (("--tol", "0", "oracle", "--p", "0.3", "--eta", "0.1"), None, "> --tol 0.0"),
     "six-round": (("--tol", "0", "six-round", "--variant", "case2"), None, "more than --tol 0.0"),
     "weak-dr": (
         ("weak-dr", "--n", "3", "--biases", "0.1,0.1"),
@@ -368,11 +369,16 @@ class TestMismatchReasons:
         assert json.loads(out)["per_outcome"] == [False, True]  # 0.7 * 0.7 < 1/2 at outcome 0
         assert err == "verification mismatch: kitaev_two_party fails at outcome index [0]\n"
 
-    def test_mismatch_stdout_matches_a_passing_tolerance(self, capsys):
+    @pytest.mark.parametrize(
+        "command",
+        [("six-round", "--variant", "case2"), ("oracle", "--p", "0.3", "--eta", "0.1")],
+        ids=["six-round", "oracle"],
+    )
+    def test_mismatch_stdout_matches_a_passing_tolerance(self, capsys, command):
         # the reason goes to stderr only: stdout is the record of the same run
-        _, failing, err = run_cli(capsys, "--tol", "0", "six-round", "--variant", "case2")
-        _, passing, quiet = run_cli(capsys, "six-round", "--variant", "case2")
-        assert failing == passing and err and not quiet
+        code, failing, err = run_cli(capsys, "--tol", "0", *command)
+        _, passing, quiet = run_cli(capsys, *command)
+        assert code == 2 and failing == passing and err and not quiet
 
 
 
@@ -838,6 +844,23 @@ class TestSixRoundWork:
         assert code == 0, err
         assert [len(seen) for seen in probes] == [63] * 2
         assert out.encode() == (GOLDEN_DIR / "reproduce_seed0.json").read_bytes()
+
+
+class TestStrongCFWork:
+    def test_one_honest_probability_per_run(self, capsys, monkeypatch):
+        # the record prints the honest P0 under two keys; it is computed once
+        calls = []
+        honest_prob = strong_cf.honest_prob
+
+        def counting(params):
+            calls.append(params)
+            return honest_prob(params)
+
+        monkeypatch.setattr(strong_cf, "honest_prob", counting)
+        code, out, err = run_cli(capsys, "strong-cf", "--p0", "0.3", "--eps", "0.05")
+        assert code == 0, err
+        assert len(calls) == 1
+        assert out.encode() == (GOLDEN_DIR / "strong_cf_p0.3_eps0.05.json").read_bytes()
 
 
 class TestMalformedBiasReport:

@@ -8,7 +8,7 @@ from math import exp, log, sqrt
 
 import pytest
 
-from qdice import bounds, cli, multiparty
+from qdice import bounds, cli, multiparty, strong_cf
 from qdice.errors import ParameterRangeError
 
 
@@ -125,6 +125,22 @@ class TestThreePartyExample:
     def test_value_dominates_bound(self):
         value, bound = multiparty.three_party_example_bias()
         assert value > bound  # near-optimal, not optimal
+
+    def test_the_coin_branch_reads_the_balanced_strong_coin(self, monkeypatch):
+        # the dishonest loser's forcing probability is `strong_cf`'s at P0 = 1/2,
+        # 1/sqrt(2) bit for bit; a different report moves the value with it
+        report = strong_cf.cheat_probs(strong_cf.solve_params(0.5))
+        assert report.pb0 == 1.0 / sqrt(2.0)
+        seen = []
+
+        def moved(params):
+            seen.append(params)
+            return dataclasses.replace(report, pb0=0.75)
+
+        monkeypatch.setattr(strong_cf, "cheat_probs", moved)
+        value, _ = multiparty.three_party_example_bias()
+        assert value == (2.0 / 3.0) * 0.75 + (1.0 / 3.0) * (2.0 / 3.0)
+        assert seen == [strong_cf.solve_params(0.5)]
 
 
 class TestChooserReadings:

@@ -22,7 +22,7 @@ ETA2_STAR = 0.19878463722
 def losing_probs_at(variant: str, eta: float) -> tuple[float, float, float]:
     """(Alice, Bob, Claire) maximal losing probabilities at eta, with the
     preparer's cheat from the closed form (`alice_opt_cheat`)."""
-    params = WeakCFParams(sixround_dr._check_variant(variant, eta), eta)
+    params = WeakCFParams(float(sixround_dr._P[variant]), eta)
     return sixround_dr._losses(variant, params, alice_opt_cheat(params).p_alice_star)
 
 
@@ -60,17 +60,16 @@ class TestFairnessConstraint:
             losing_probs_at("case2", 0.34)
 
     def test_unknown_variant(self):
-        with pytest.raises(ParameterRangeError):
-            losing_probs_at("case3", 0.1)
+        with pytest.raises(ParameterRangeError, match="variant must be case1 or case2, got 'case3'"):
+            sixround_dr.solve("case3")
 
     @pytest.mark.parametrize("variant", ["case1", "case2"])
-    def test_import_time_floats_equal_the_fractions(self, variant):
-        p = sixround_dr._P[variant]
-        assert sixround_dr._FLOATS[variant] == (float(p), float(1 - p))
-        eta_max = float(1 - p)
-        losing_probs_at(variant, eta_max)
-        with pytest.raises(ParameterRangeError, match=f"{variant} requires eta in"):
-            losing_probs_at(variant, nextafter(eta_max, inf))
+    def test_split_residual_past_one_minus_p_is_refused_by_weak_cf_params(self, variant):
+        # the stage-2 eta range is the one `WeakCFParams` checks, with its message
+        eta_max = float(1 - sixround_dr._P[variant])
+        sixround_dr._split_residual(variant, eta_max, 0.5)
+        with pytest.raises(ParameterRangeError, match=r"eta must lie in \[0, 1-p\]"):
+            sixround_dr._split_residual(variant, eta_max + 1e-9, 0.5)
 
 
 class TestComposition:
@@ -96,7 +95,7 @@ class TestComposition:
         monkeypatch.setattr(weak_cf, "maximize_unimodal", search_spy)
         monkeypatch.setattr(sixround_dr, "alice_split_cheat", split_spy)
         eta = sixround_dr.solve(variant).eta_star
-        p = sixround_dr._FLOATS[variant][0]
+        p = float(sixround_dr._P[variant])
         ((argmax, _),) = searches
         assert [params.eta for params, _ in seen] == [eta - 1e-12, eta + 1e-12]
         assert {params.p for params, _ in seen} == {p}
@@ -106,7 +105,7 @@ class TestComposition:
     @pytest.mark.parametrize("variant", ["case1", "case2"])
     def test_non_preparer_loss_is_bob_opt_cheat(self, variant):
         eta = sixround_dr.solve(variant).eta_star
-        other = weak_cf.bob_opt_cheat(WeakCFParams(sixround_dr._FLOATS[variant][0], eta))
+        other = weak_cf.bob_opt_cheat(WeakCFParams(float(sixround_dr._P[variant]), eta))
         alice, _, claire = losing_probs_at(variant, eta)
         c = sixround_dr.INV_SQRT2
         if variant == "case1":  # Claire prepares nothing: a survivor loses to her announcement
@@ -318,7 +317,7 @@ class TestExactRoot:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_certificate_never_calls_the_closed_form(self, monkeypatch, variant):
         eta = sixround_dr.solve(variant).eta_star
-        delta = alice_opt_cheat(WeakCFParams(sixround_dr._FLOATS[variant][0], eta)).search_delta
+        delta = alice_opt_cheat(WeakCFParams(float(sixround_dr._P[variant]), eta)).search_delta
 
         def closed_form(*args, **kwargs):
             raise AssertionError("the numeric route must not use A + B")

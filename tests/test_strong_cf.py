@@ -57,7 +57,7 @@ class TestSolveParams:
 
     def test_roundtrip_sweep(self):
         for x in SWEEP:
-            assert abs(strong_cf.solve_params(x).p0_honest - x) <= 1e-12
+            assert abs(strong_cf.honest_prob(strong_cf.solve_params(x)) - x) <= 1e-12
 
     def test_parameters_in_range_sweep(self):
         for x in SWEEP:
@@ -93,7 +93,7 @@ class TestCheatProbs:
         assert report.pb1 == pytest.approx(sqrt(1 / 3), abs=1e-12)
 
     def test_balanced_with_small_bias(self):
-        report = strong_cf.cheat_probs(strong_cf.solve_params(0.5, eps0=0.01, eps1=0.01))
+        report = strong_cf.cheat_probs(strong_cf.solve_params(0.5, eps=0.01))
         assert report.pa0 == pytest.approx(1 / S2 + 0.01 / S2, abs=1e-12)
         assert report.pb0 == pytest.approx(1 / S2 + 0.005 * 1.0, abs=1e-12)
 
@@ -112,7 +112,7 @@ class TestCheatProbs:
         for x in (0.2, 0.5, 0.8):
             s0, s1 = sqrt(x), sqrt(1 - x)
             base = strong_cf.cheat_probs(strong_cf.solve_params(x))
-            bumped = strong_cf.cheat_probs(strong_cf.solve_params(x, eps0=eps, eps1=eps))
+            bumped = strong_cf.cheat_probs(strong_cf.solve_params(x, eps=eps))
             assert (bumped.pa0 - base.pa0) / eps == pytest.approx(s1, abs=1e-9)
             assert (bumped.pa1 - base.pa1) / eps == pytest.approx(s0, abs=1e-9)
             assert (bumped.pb0 - base.pb0) / eps == pytest.approx((1 - s0 + s1) / 2, abs=1e-9)
@@ -121,7 +121,7 @@ class TestCheatProbs:
 
 def kitaev_products(p0_honest: float, eps: float = 0.0) -> tuple[float, float]:
     """P_A(i)* P_B(i)* of the solved protocol with weak-CF bias eps on both coins."""
-    return strong_cf.cheat_probs(strong_cf.solve_params(p0_honest, eps0=eps, eps1=eps)).kitaev_products
+    return strong_cf.cheat_probs(strong_cf.solve_params(p0_honest, eps=eps)).kitaev_products
 
 
 def saturated(products: tuple[float, float], p0_honest: float) -> bool:
@@ -190,22 +190,20 @@ class TestValidation:
         with pytest.raises(ParameterRangeError, match=field):
             StrongCFParams(**base, **{field: cap + 2e-12})
         with pytest.raises(ParameterRangeError):
-            strong_cf.solve_params(0.5, eps0=2.0, eps1=2.0)
+            strong_cf.solve_params(0.5, eps=2.0)
 
     @pytest.mark.parametrize("field", ["eps0", "eps1"])
     def test_nan_weak_cf_bias_rejected(self, field):
         base = dict(q=0.5, z0=0.5, z1=0.5, pp0=0.5, pp1=0.5)
         with pytest.raises(ParameterRangeError, match=f"{field} must lie in"):
             StrongCFParams(**base, **{field: nan})
-        with pytest.raises(ParameterRangeError, match=f"{field} must lie in"):
-            strong_cf.solve_params(0.5, **{field: nan})
 
     def test_nan_eps_on_both_coins_rejected(self):
         base = dict(q=0.5, z0=0.5, z1=0.5, pp0=0.5, pp1=0.5)
         with pytest.raises(ParameterRangeError, match="eps0 must lie in"):
             StrongCFParams(**base, eps0=nan, eps1=nan)
         with pytest.raises(ParameterRangeError, match="eps0 must lie in"):
-            strong_cf.cheat_probs(strong_cf.solve_params(0.5, eps0=nan, eps1=nan))
+            strong_cf.cheat_probs(strong_cf.solve_params(0.5, eps=nan))
 
     @pytest.mark.parametrize("bad", [inf, -inf, -1e-9])
     @pytest.mark.parametrize("field", ["eps0", "eps1"])

@@ -451,7 +451,7 @@ class TestAliceCheatOracle:
         # alpha = (sqrt(1-d), sqrt(d), 0, 0) scores the squared two-term sum
         p, eta, d = 0.5, 0.2, 0.3
         params = WeakCFParams(p, eta)
-        got = payoff((sqrt(1 - d), sqrt(d), 0.0, 0.0), weak_cf._protocol(params))
+        got = payoff((sqrt(1 - d), sqrt(d), 0.0, 0.0), params)
         expected = (
             sqrt((1 - p - eta) * (1 - d) / (1 - p)) + sqrt(eta**2 * d / ((1 - p) * (p + eta)))
         ) ** 2
@@ -459,34 +459,33 @@ class TestAliceCheatOracle:
 
     def test_diagonal_amplitudes_only_waste_weight(self):
         # moving weight onto a_uu or a_dd can only lower the payoff
-        proto = weak_cf._protocol(WeakCFParams(0.4, 0.2))
-        base = payoff((0.8, 0.6, 0.0, 0.0), proto)
+        params = WeakCFParams(0.4, 0.2)
+        base = payoff((0.8, 0.6, 0.0, 0.0), params)
         for spoiled in ([0.8 * 0.9, 0.6 * 0.9, 0.19078784, 0.4], [0.7, 0.5, 0.36055513, 0.36055513]):
             v = np.array(spoiled)
             v /= np.linalg.norm(v)
-            assert payoff(v, proto) < base
+            assert payoff(v, params) < base
 
     def test_no_preparation_beats_the_oracle(self):
         # random preparations, complex phases included, scored by simulation
         rng = np.random.default_rng(7)
         for params in (WeakCFParams(0.5, 0.2071), WeakCFParams(0.3, 0.5), WeakCFParams(0.8, 0.05)):
             best = weak_cf.alice_cheat_oracle(params, grid_resolution=10).p_alice_star
-            proto = weak_cf._protocol(params)
             for _ in range(50):
                 z = rng.normal(size=4) + 1j * rng.normal(size=4)
-                assert payoff(z / np.linalg.norm(z), proto) <= best + 1e-12
+                assert payoff(z / np.linalg.norm(z), params) <= best + 1e-12
 
     def test_attainment_failure_raises(self, monkeypatch):
         # only row 4, the maximizer's score, is corrupted; rows 0-3 still certify the basis
         scores = weak_cf._scores
 
-        def corrupted(rotated, proto, bad):
-            *basis, _ = scores(rotated, proto)
+        def corrupted(rotated, xi, bad):
+            *basis, _ = scores(rotated, xi)
             assert len(basis) == 4
             return [*basis, bad]
 
         for bad in (0.5, float("nan")):
-            monkeypatch.setattr(weak_cf, "_scores", lambda rotated, proto, bad=bad: corrupted(rotated, proto, bad))
+            monkeypatch.setattr(weak_cf, "_scores", lambda rotated, xi, bad=bad: corrupted(rotated, xi, bad))
             with pytest.raises(CrossCheckError, match="attains"):
                 weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
 
@@ -501,8 +500,8 @@ class TestAliceCheatOracle:
         # row 4 of the oracle's five-row pass scores the maximizer bit for bit as it scores alone
         rows, scores = [], weak_cf._scores
 
-        def kept(rotated, proto):
-            out = scores(rotated, proto)
+        def kept(rotated, xi):
+            out = scores(rotated, xi)
             rows.append((rotated.amps[-1].tobytes(), out[-1]))
             return out
 
@@ -511,30 +510,29 @@ class TestAliceCheatOracle:
             rows.clear()
             oracle = weak_cf.alice_cheat_oracle(params)
             ((image, score),) = rows
-            proto = weak_cf._protocol(params)
-            alone = qc.apply_all(proto.u, qc.stack([weak_cf._preparation(oracle.maximizer_alphas)]))
+            u = weak_cf.rotation_unitary(params)
+            alone = qc.apply_all(u, qc.stack([weak_cf._preparation(oracle.maximizer_alphas)]))
             assert image == alone.amps[0].tobytes()
-            assert score.hex() == payoff(oracle.maximizer_alphas, proto).hex()
+            assert score.hex() == payoff(oracle.maximizer_alphas, params).hex()
 
     def test_basis_certificate_failure_raises(self, monkeypatch):
         # a verification state with support in Bob's win sector breaks the
         # rank-1 model: v counts that support, the simulated test projects it out
-        protocol = weak_cf._protocol
+        pass_state = weak_cf.alice_pass_state
 
-        def leaky_protocol(params):
-            proto = protocol(params)
-            amps = proto.xi.amps.copy()
+        def leaky_pass_state(params):
+            xi = pass_state(params)
+            amps = xi.amps.copy()
             amps[UP * 4 + UP * 2 + DOWN] = 0.3
-            xi = qc.StateVector(proto.xi.dims, proto.xi.labels, amps / np.linalg.norm(amps))
-            return proto._replace(xi=xi)
+            return qc.StateVector(xi.dims, xi.labels, amps / np.linalg.norm(amps))
 
-        monkeypatch.setattr(weak_cf, "_protocol", leaky_protocol)
+        monkeypatch.setattr(weak_cf, "alice_pass_state", leaky_pass_state)
         with pytest.raises(CrossCheckError, match="basis"):
             weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
 
     def test_basis_certificate_nan_raises(self, monkeypatch):
         monkeypatch.setattr(
-            weak_cf, "_scores", lambda rotated, proto: [float("nan")] * len(rotated.amps)
+            weak_cf, "_scores", lambda rotated, xi: [float("nan")] * len(rotated.amps)
         )
         with pytest.raises(CrossCheckError, match="basis"):
             weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
@@ -599,21 +597,9 @@ class TestAliceCheatOracle:
             built.setdefault(winner, set()).add(len(states))
         assert built == {"alice": {5}, "bob": {4}}
 
-    def test_payoff_with_the_oracle_protocol_matches_standalone(self):
-        # one protocol shared across calls, as the oracle does, scores like a fresh build
-        params = WeakCFParams(0.35, 0.4)
-        shared = weak_cf._protocol(params)
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            z = rng.normal(size=4) + 1j * rng.normal(size=4)
-            alphas = z / np.linalg.norm(z)
-            assert payoff(alphas, shared) == payoff(
-                alphas, weak_cf._protocol(params)
-            )
-
     def test_unfailable_preparation_scores_zero(self):
         # at eta = 0 Bob's rotation keeps |ud> on (q2, q3), so a_du lands in his win sector
-        assert payoff((0.0, 1.0, 0.0, 0.0), weak_cf._protocol(WeakCFParams(0.5, 0.0))) == 0.0
+        assert payoff((0.0, 1.0, 0.0, 0.0), WeakCFParams(0.5, 0.0)) == 0.0
 
     def test_resolution_does_not_change_the_result(self):
         params = WeakCFParams(0.3, 0.5)
