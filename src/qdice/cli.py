@@ -19,8 +19,6 @@ from functools import cache
 from itertools import takewhile
 from math import isfinite, prod
 
-import numpy as np
-
 from . import bounds, colbeck_dr, multiparty, reproduce, sixround_dr, strong_cf, strong_dr, weak_cf, weak_dr
 from .errors import CrossCheckError, QdiceError
 
@@ -195,7 +193,7 @@ def _cmd_six_round(args) -> tuple[dict, str | None]:
 
 def _cmd_weak_dr(args) -> tuple[dict, str | None]:
     honest = weak_dr.honest_distribution(args.n)  # checks n before the default biases are built
-    spec = weak_dr.TournamentSpec(args.n, args.biases or (0.0,) * (args.n - 1))
+    spec = weak_dr.TournamentSpec(args.n, (0.0,) * (args.n - 1) if args.biases is None else args.biases)
     losing, check = weak_dr.checked_losing_prob(spec, args.party)
     prob = honest[args.party - 1]  # the party is checked by checked_losing_prob
     record = {
@@ -219,7 +217,7 @@ def _cmd_weak_dr(args) -> tuple[dict, str | None]:
 def _cmd_strong_cf(args) -> tuple[dict, str | None]:
     params = strong_cf.solve_params(args.p0, eps=args.eps)
     report = strong_cf.cheat_probs(params)
-    honest = report.honest_p0  # `strong_cf.honest_prob`, printed under both keys
+    honest = report.honest_p0
     roundtrip = abs(honest - args.p0)
     record = {
         "params": {
@@ -230,7 +228,6 @@ def _cmd_strong_cf(args) -> tuple[dict, str | None]:
             "p1": params.pp1,
             "eps0": params.eps0,
             "eps1": params.eps1,
-            "p0_honest": honest,
         },
         "p0_honest": honest,
         "pa0": report.pa0,
@@ -289,14 +286,6 @@ def _cmd_multiparty(args) -> tuple[dict, str | None]:
             "coalition_value": value,
             "kitaev_bound": bound,
             "abs_gap": value - bound,
-            # the 3n-party 3^n-sided family at n = 1 is the example itself
-            "family_n1": {
-                "n": 1,
-                "n_parties": 3,
-                "n_outcomes": 3,
-                "n_stages": 1,
-                "per_stage_force_prob": value,
-            },
         }
         if value >= bound:
             return record, None
@@ -335,11 +324,6 @@ def _cmd_colbeck(args) -> tuple[dict, str | None]:
         "oracle_matches": oracle == pb,
         "kitaev_product_times_n": float(args.n * pa * pb),
     }
-    if args.runs:
-        outcomes = colbeck_dr.sample_outcomes(args.n, args.runs, args.seed)
-        counts = np.bincount(outcomes, minlength=args.n + 1)[1:]
-        record["runs"] = args.runs
-        record["empirical_freqs"] = [float(c) / args.runs for c in counts]
     if record["oracle_matches"]:
         return record, None
     return record, f"Bob's enumeration oracle {record['bob_oracle_exact']} differs from {record['pb_exact']}"
@@ -392,7 +376,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument("--tol", type=_tolerance, default=default(1e-9), help="cross-check tolerance")
-    parser.add_argument("--seed", type=int, default=default(0), help="random seed for sampled runs")
+    parser.add_argument("--seed", type=int, default=default(0), help="accepted; no subcommand reads it")
     parser.add_argument(
         "--format", dest="fmt", choices=("table", "json", "csv"), default=default("json")
     )
@@ -458,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("colbeck", help="three-round entanglement-based strong DR")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--runs", type=int, default=0)
     p.set_defaults(handler=_cmd_colbeck)
 
     p = command("bounds", help="check a bias report against the product bounds")

@@ -19,10 +19,8 @@ from . import quantum_core as qc
 from .errors import ParameterRangeError
 
 SIM_MAX_N = 16  # two N^2-dim pairs; larger spaces add nothing at desk scale
-# Work caps of `sample_outcomes` and `bob_cheat_oracle`, checked before any
-# array is built: `qdice colbeck --runs` at MAX_RUNS peaks at about 190 MB,
-# and the oracle at MAX_N counts 10^8 index pairs in about 0.1 s.
-MAX_RUNS = 10**7
+# Work cap of `bob_cheat_oracle`, checked before any array is built: the
+# oracle at MAX_N counts 10^8 index pairs in about 0.1 s.
 MAX_N = 10**4
 
 
@@ -65,26 +63,6 @@ def honest_run(n: int, seed: int | np.random.Generator) -> tuple[int, dict]:
         "bob_agree_probability": bob.probability,
         "verification_probability": verify_prob,
     }
-
-
-def honest_outcome_distribution(n: int) -> np.ndarray:
-    """Analytic outcome distribution: the Schmidt marginal of the pair.
-
-    Each of the N Schmidt coefficients of `entangled_pair` is 1/sqrt(N),
-    so the marginal is their square in every entry, built in O(N) without
-    the N^2 amplitudes.
-    """
-    x = 1.0 / np.sqrt(n)
-    return np.full(n, x * x)
-
-
-def sample_outcomes(n: int, runs: int, seed: int | np.random.Generator) -> np.ndarray:
-    """Born-sample 0 <= `runs` <= MAX_RUNS honest outcomes in [1, N] from the Schmidt marginal, 2 <= N <= MAX_N."""
-    if not 0 <= runs <= MAX_RUNS:
-        raise ParameterRangeError(f"runs must be >= 0 and <= {MAX_RUNS}, got {runs}")
-    _check_n(n)
-    rng = qc.as_generator(seed)
-    return rng.choice(n, size=runs, p=honest_outcome_distribution(n)) + 1
 
 
 def cheat_probs(n: int) -> tuple[Fraction, Fraction]:

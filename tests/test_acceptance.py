@@ -20,6 +20,7 @@ from qdice import (
     cli,
     colbeck_dr,
     multiparty,
+    quantum_core,
     reproduce,
     sixround_dr,
     strong_cf,
@@ -144,14 +145,15 @@ def test_criterion_7_colbeck():
     n_big = 10**6
     pa, pb = colbeck_dr.cheat_probs(n_big)
     ok = ok and abs(float(n_big * pa * pb) - 1.0) <= 0.01
-    runs = 100_000
-    for n in range(2, 9):
-        outcomes = colbeck_dr.sample_outcomes(n, runs, seed=1000 + n)
-        sigma = sqrt((1 / n) * (1 - 1 / n) / runs)
-        freqs = np.bincount(outcomes, minlength=n + 1)[1:] / runs
-        ok = ok and np.all(np.abs(freqs - 1 / n) < 4 * sigma)
+    # the honest outcome is uniform: both halves of the simulated pair agree on
+    # each i with probability 1/N
+    for n in range(2, colbeck_dr.SIM_MAX_N + 1):
+        pair = colbeck_dr.entangled_pair(n, "A", "B")
+        for i in range(n):
+            agree = quantum_core.basis_state((n, n), ("A", "B"), (i, i))
+            ok = ok and abs(quantum_core.subspace_probability(pair, [agree]) - 1 / n) <= 1e-14
     elapsed = time.perf_counter() - t0
-    report(7, "colbeck: N=3 exact, oracle N<=100 exact, limit @1%, uniform @4sigma",
+    report(7, "colbeck: N=3 exact, oracle N<=100 exact, limit @1%, pair uniform N<=16 @1e-14",
            ok and elapsed < 60.0, elapsed)
 
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import SCHEMA_DIR
 from qdice import cli, colbeck_dr, multiparty, optimize, reproduce, sixround_dr, strong_cf, strong_dr, weak_cf, weak_dr
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
@@ -70,7 +71,8 @@ class TestExitCodes:
         [
             (("strong-cf", "--p0", "0.5", "--eps", "2"), "eps0 must lie in"),
             (("multiparty", "pairing", "--m", "1", "--n", "2", "--eps-bar", "5"), "eps_bar must lie in"),
-            (("colbeck", "--n", "3", "--runs", "-1"), "runs must be >= 0"),
+            # an empty list is a list of no biases, not the default's zeros
+            (("weak-dr", "--n", "3", "--biases", ""), "error: expected 2 stage biases, got 0\n"),
             # example3 reads none of the pairing flags, and names each one given
             (
                 ("multiparty", "example3", "--m", "2", "--n", "3", "--eps-bar", "0.1"),
@@ -382,7 +384,29 @@ class TestMismatchReasons:
 
 
 
+def _object_schemas(schema):
+    """Every subschema, at any depth, that lists properties."""
+    if isinstance(schema, dict):
+        if "properties" in schema:
+            yield schema
+        for value in schema.values():
+            yield from _object_schemas(value)
+    elif isinstance(schema, list):
+        for value in schema:
+            yield from _object_schemas(value)
+
+
 class TestSchemas:
+    # every record prints each of its keys, so no schema leaves one optional
+    @pytest.mark.parametrize("name", sorted(path.name.split(".")[0] for path in SCHEMA_DIR.glob("*.schema.json")))
+    def test_every_object_requires_exactly_its_properties(self, schema_loader, name):
+        schema = schema_loader(name)
+        jsonschema.Draft7Validator.check_schema(schema)
+        objects = list(_object_schemas(schema))
+        assert objects
+        for obj in objects:
+            assert sorted(obj["required"]) == sorted(obj["properties"])
+
     def test_weak_cf(self, capsys, schema_loader):
         _, out, _ = run_cli(capsys, "weak-cf", "--p", "0.4", "--eta", "0.3")
         jsonschema.validate(json.loads(out), schema_loader("weak_cf"))
@@ -435,7 +459,7 @@ class TestSchemas:
         jsonschema.validate(json.loads(out), schema_loader("multiparty_example3"))
 
     def test_colbeck(self, capsys, schema_loader):
-        _, out, _ = run_cli(capsys, "colbeck", "--n", "4", "--runs", "500")
+        _, out, _ = run_cli(capsys, "colbeck", "--n", "4")
         jsonschema.validate(json.loads(out), schema_loader("colbeck"))
 
     def test_bounds(self, capsys, schema_loader, tmp_path):
@@ -543,27 +567,31 @@ class TestGlobalFlagPlacement:
         _, before, _ = run_cli(capsys, "--format", "table", "reproduce")
         assert after == before
 
-    def test_both_orders_byte_identical(self, capsys):
-        tail = ["colbeck", "--n", "3", "--runs", "1000"]
-        _, before, _ = run_cli(capsys, "--seed", "5", *tail)
-        _, after, _ = run_cli(capsys, *tail, "--seed", "5")
-        _, seed0, _ = run_cli(capsys, "--seed", "0", *tail)
+    # six-round case2's losing probabilities of Alice and Claire differ by
+    # 1.1e-16: --tol 0 exits 2 where the default exits 0
+    SIX_ROUND = ("six-round", "--variant", "case2")
+
+    @pytest.mark.parametrize("flag", [("--tol", "0"), ("--format", "csv")])
+    def test_both_orders_byte_identical(self, capsys, flag):
+        before = run_cli(capsys, *flag, *self.SIX_ROUND)
+        after = run_cli(capsys, *self.SIX_ROUND, *flag)
         assert before == after
-        assert before != seed0
+        assert before != run_cli(capsys, *self.SIX_ROUND)
+        assert before[0] == (2 if flag[0] == "--tol" else 0)
 
     def test_flag_before_survives_subcommand_defaults(self, capsys, tmp_path):
         path = tmp_path / "out.csv"
-        argv = ["--format", "csv", "--output", str(path), "--seed", "5", "colbeck", "--n", "3", "--runs", "10"]
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0 and out == ""
-        _, direct, _ = run_cli(capsys, "colbeck", "--n", "3", "--runs", "10", "--seed", "5", "--format", "csv")
+        argv = ["--format", "csv", "--output", str(path), "--tol", "0", *self.SIX_ROUND]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "--tol 0.0" in err
+        _, direct, _ = run_cli(capsys, *self.SIX_ROUND, "--tol", "0", "--format", "csv")
         assert path.read_text() == direct
 
     def test_flag_after_overrides_flag_before(self, capsys):
-        tail = ["colbeck", "--n", "3", "--runs", "1000"]
-        _, both, _ = run_cli(capsys, "--seed", "0", *tail, "--seed", "5")
-        _, five, _ = run_cli(capsys, "--seed", "5", *tail)
-        assert both == five
+        assert run_cli(capsys, "--tol", "0", *self.SIX_ROUND, "--tol", "1e-9") == run_cli(capsys, *self.SIX_ROUND)
+        assert run_cli(capsys, "--tol", "1e-9", *self.SIX_ROUND, "--tol", "0")[0] == 2
+        both = run_cli(capsys, "--format", "table", *self.SIX_ROUND, "--format", "csv")
+        assert both == run_cli(capsys, "--format", "csv", *self.SIX_ROUND)
 
 
 def _float_text():
@@ -582,7 +610,7 @@ def _argv(draw):
         ["multiparty", "pairing", "--m", i(0, 3).map(str), "--n", i(0, 4).map(str), "--eps-bar", f()],
         ["weak-dr", "--n", i(1, 5).map(str), "--biases", st.lists(f(), min_size=1, max_size=4).map(",".join),
          "--party", i(0, 5).map(str)],
-        ["colbeck", "--n", i(0, 6).map(str), "--runs", i(0, 50).map(str)],
+        ["colbeck", "--n", i(0, 6).map(str)],
         ["six-round", "--variant", st.sampled_from(["case1", "case2"])],
         ["reproduce"],
         ["bounds", "check", "--report", st.just(_REPORT)],
@@ -733,7 +761,7 @@ class TestArgvProperty:
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_byte_identical_reruns(self, capsys, fmt):
-        argv = ["--format", fmt, "--seed", "5", "colbeck", "--n", "3", "--runs", "2000"]
+        argv = ["--format", fmt, "oracle", "--p", "0.3", "--eta", "0.1"]
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
@@ -743,10 +771,31 @@ class TestDeterminism:
         _, second, _ = run_cli(capsys, "--seed", "3", "reproduce")
         assert first == second
 
-    def test_reproduce_does_not_depend_on_the_seed(self, capsys):
-        # no row is sampled, so --seed is accepted and changes nothing
-        outs = {run_cli(capsys, "--seed", str(seed), "reproduce")[1] for seed in range(4)}
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("weak-cf", "--p", "0.3", "--eta", "0.1"),
+            ("oracle", "--p", "0.3", "--eta", "0.1"),
+            ("six-round", "--variant", "case2"),
+            ("weak-dr", "--n", "5", "--biases", "0.01,0.02,0,0.03"),
+            ("strong-cf", "--p0", "0.3", "--eps", "0.05"),
+            ("strong-dr", "--n", "7", "--delta", "0.01", "--target", "3"),
+            ("multiparty", "--m", "2", "--n", "3"),
+            ("multiparty", "example3"),
+            ("colbeck", "--n", "9"),
+            ("bounds", "check", "--report", _REPORT),
+            ("reproduce",),
+        ],
+    )
+    def test_no_subcommand_reads_the_seed(self, capsys, tmp_path, argv):
+        # nothing is sampled, so --seed is accepted and changes nothing
+        report = tmp_path / "report.json"
+        report.write_text('{"n_outcomes": 2, "n_parties": 2, "force_probs": [[0.8, 0.8], [0.8, 0.8]], '
+                          '"honest_probs": [0.5, 0.5]}')
+        argv = [str(report) if arg == _REPORT else arg for arg in argv]
+        outs = {run_cli(capsys, *seed, *argv) for seed in ((), ("--seed", "0"), ("--seed", "7"), ("--seed", "-3"))}
         assert len(outs) == 1
+        assert next(iter(outs))[0] == 0
 
 
 class TestGoldenReproduce:
@@ -848,7 +897,7 @@ class TestSixRoundWork:
 
 class TestStrongCFWork:
     def test_one_honest_probability_per_run(self, capsys, monkeypatch):
-        # the record prints the honest P0 under two keys; it is computed once
+        # the record prints the honest P0 once, and computes it once
         calls = []
         honest_prob = strong_cf.honest_prob
 
@@ -920,13 +969,10 @@ class TestParserReuse:
             code, out, _ = run_cli(capsys, "reproduce")
             assert code == 0 and out.encode() == golden
 
-    def test_seed_does_not_leak(self, capsys):
-        sampled = ("colbeck", "--n", "3", "--runs", "500")
-        _, seed0, _ = run_cli(capsys, "--seed", "0", *sampled)
-        _, seed3, _ = run_cli(capsys, "--seed", "3", *sampled)
-        assert seed3 != seed0
-        _, default, _ = run_cli(capsys, *sampled)
-        assert default == seed0
-        run_cli(capsys, "--seed", "3", "reproduce")
-        _, out, _ = run_cli(capsys, "reproduce")
-        assert out.encode() == (GOLDEN_DIR / "reproduce_seed0.json").read_bytes()
+    def test_tol_does_not_leak(self, capsys):
+        golden = (GOLDEN_DIR / "six_round_case2.json").read_bytes()
+        command = ["six-round", "--variant", "case2"]
+        for first in (["--tol", "0", *command], [*command, "--tol", "0"]):
+            assert run_cli(capsys, *first)[0] == 2
+            code, out, err = run_cli(capsys, *command)
+            assert code == 0 and err == "" and out.encode() == golden

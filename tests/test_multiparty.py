@@ -160,18 +160,6 @@ class TestOutcomesPastTheFloatRange:
         assert abs(record["coalition_force_prob"] - record["symmetric_bound"]) <= 1e-12
 
 
-class TestThreePartyFamily:
-    # the 3n-party 3^n-sided family shares the example's per-stage bias; the
-    # CLI reports its n = 1 member
-    def test_n_one_is_the_example(self, capsys):
-        assert cli.run(["multiparty", "example3"]) == 0
-        family = json.loads(capsys.readouterr().out)["family_n1"]
-        assert family["n"] == 1 and family["n_stages"] == 1
-        assert family["n_parties"] == 3
-        assert family["n_outcomes"] == 3
-        assert family["per_stage_force_prob"] == multiparty.three_party_example_bias()[0]
-
-
 class _NoPower(int):
     """An int that fails the test if anything raises it to a power."""
 
