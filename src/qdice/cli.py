@@ -2,9 +2,11 @@
 
 Results go to stdout in the chosen format (table, json, or csv);
 diagnostics go to stderr. Exit codes: 0 on success, 1 on invalid
-arguments, 2 when an internal cross-check or reproduction row fails its
-tolerance, with a one-line reason on stderr. Output is deterministic for
-a fixed argv and seed.
+arguments, 2 when a check fails, with a one-line reason on stderr. When a
+subcommand's own comparison or a reproduction row fails its tolerance,
+the full record is still written first; when a library cross-check raises
+CrossCheckError, there is no record and nothing goes to stdout. Output is
+deterministic for a fixed argv and seed.
 """
 
 from __future__ import annotations
@@ -137,30 +139,18 @@ def _all_equal(values: list, value) -> bool:
 # where mismatch is None or the one-line reason a check failed (exit 2)
 # ---------------------------------------------------------------------------
 
-def _cheat_record(analysis: weak_cf.CheatAnalysis, method: str) -> dict:
-    """The keys that `weak-cf` and `oracle` share; method names the route."""
-    return {
-        "p": analysis.p,
-        "eta": analysis.eta,
-        "p_alice_star": analysis.p_alice_star,
-        "p_bob_star": analysis.p_bob_star,
-        "delta_star": analysis.delta_star,
-        "method": method,
-    }
-
-
 def _cmd_weak_cf(args) -> tuple[dict, str | None]:
-    params = weak_cf.WeakCFParams(args.p, args.eta)
-    return _cheat_record(weak_cf.alice_opt_cheat(params), "closed_form"), None
-
-
-def _cmd_oracle(args) -> tuple[dict, str | None]:
     params = weak_cf.WeakCFParams(args.p, args.eta)
     oracle = weak_cf.alice_cheat_oracle(params)
     closed = weak_cf.alice_opt_cheat(params)
     diff = abs(oracle.p_alice_star - closed.p_alice_star)
     record = {
-        **_cheat_record(oracle, "oracle"),
+        "p": oracle.p,
+        "eta": oracle.eta,
+        "p_alice_star": oracle.p_alice_star,
+        "p_bob_star": oracle.p_bob_star,
+        "delta_star": oracle.delta_star,
+        "method": "oracle",
         "closed_form": closed.p_alice_star,
         "abs_diff": diff,
         "maximizer_alphas": list(oracle.maximizer_alphas),
@@ -275,27 +265,9 @@ def _cmd_strong_dr(args) -> tuple[dict, str | None]:
 
 
 def _cmd_multiparty(args) -> tuple[dict, str | None]:
-    if args.mode == "example3":
-        flags = (("--m", args.m), ("--n", args.n), ("--eps-bar", args.eps_bar))
-        ignored = [flag for flag, value in flags if value is not None]
-        if ignored:
-            raise QdiceError(f"example3 mode does not take {', '.join(ignored)}")
-        value, bound = multiparty.three_party_example_bias()
-        record = {
-            "protocol": "three-party three-sided example",
-            "coalition_value": value,
-            "kitaev_bound": bound,
-            "abs_gap": value - bound,
-        }
-        if value >= bound:
-            return record, None
-        return record, f"coalition value {value!r} is below the Kitaev bound {bound!r}"
-    if args.m is None or args.n is None:
-        raise QdiceError("pairing mode requires --m and --n")
-    eps_bar = 0.0 if args.eps_bar is None else args.eps_bar
     protocol = multiparty.build_pairing(args.m, args.n)
     prob = multiparty.honest_outcome_prob(protocol)
-    value = multiparty.coalition_force_prob(protocol, eps_bar)
+    value = multiparty.coalition_force_prob(protocol, args.eps_bar)
     bound = bounds.symmetric_min(protocol.n_outcomes, protocol.n_parties)
     record = {
         "m": protocol.m,
@@ -306,9 +278,22 @@ def _cmd_multiparty(args) -> tuple[dict, str | None]:
         "coalition_force_prob": value,
         "symmetric_bound": bound,
     }
-    if eps_bar != 0.0 or abs(value - bound) <= 1e-12:
+    if args.eps_bar != 0.0 or abs(value - bound) <= 1e-12:
         return record, None
     return record, f"coalition force probability {value!r} misses the symmetric bound {bound!r} by more than 1e-12"
+
+
+def _cmd_three_party(args) -> tuple[dict, str | None]:
+    value, bound = multiparty.three_party_example_bias()
+    record = {
+        "protocol": "three-party three-sided example",
+        "coalition_value": value,
+        "kitaev_bound": bound,
+        "abs_gap": value - bound,
+    }
+    if value >= bound:
+        return record, None
+    return record, f"coalition value {value!r} is below the Kitaev bound {bound!r}"
 
 
 def _cmd_colbeck(args) -> tuple[dict, str | None]:
@@ -402,15 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, help: str) -> argparse.ArgumentParser:
         return sub.add_parser(name, help=help, parents=[_global_flags()])
 
-    p = command("weak-cf", help="three-round weak imbalanced CF cheat analysis")
+    p = command("weak-cf", help="three-round weak imbalanced CF: exact adversary oracle vs closed form")
     p.add_argument("--p", type=_finite_float, required=True)
     p.add_argument("--eta", type=_finite_float, required=True)
     p.set_defaults(handler=_cmd_weak_cf)
-
-    p = command("oracle", help="exact adversary oracle vs closed form")
-    p.add_argument("--p", type=_finite_float, required=True)
-    p.add_argument("--eta", type=_finite_float, required=True)
-    p.set_defaults(handler=_cmd_oracle)
 
     p = command("six-round", help="six-round weak three-sided DR solution")
     p.add_argument("--variant", choices=("case1", "case2"), default="case1")
@@ -433,19 +413,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, default=1)
     p.set_defaults(handler=_cmd_strong_dr)
 
-    p = command("multiparty", help="2m-party pairing protocol or the 3-party example")
-    p.add_argument("mode", nargs="?", choices=("pairing", "example3"), default="pairing")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--eps-bar", type=_finite_float, default=None)  # None: not given; pairing reads it as 0
+    p = command("multiparty", help="2m-party n^m-sided pairing protocol")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--eps-bar", type=_finite_float, default=0.0)
     p.set_defaults(handler=_cmd_multiparty)
+
+    p = command("three-party", help="three-party three-sided example")
+    p.set_defaults(handler=_cmd_three_party)
 
     p = command("colbeck", help="three-round entanglement-based strong DR")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_cmd_colbeck)
 
     p = command("bounds", help="check a bias report against the product bounds")
-    p.add_argument("action", choices=("check",))
     p.add_argument("--report", required=True, help="path to a BiasReport JSON file")
     p.set_defaults(handler=_cmd_bounds)
 

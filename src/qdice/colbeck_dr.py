@@ -47,7 +47,7 @@ def honest_run(n: int, seed: int | np.random.Generator) -> tuple[int, dict]:
     """
     if not 2 <= n <= SIM_MAX_N:
         raise ParameterRangeError(f"simulation supports 2 <= N <= {SIM_MAX_N}, got {n}")
-    rng = qc.as_generator(seed)
+    rng = np.random.default_rng(seed)
     pairs = [entangled_pair(n, f"A{k}", f"B{k}") for k in (1, 2)]
     selected = int(rng.integers(2))
 

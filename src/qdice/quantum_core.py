@@ -48,8 +48,8 @@ search on one double of the stream, so outcomes and generator states are
 `choice`'s. The marginal, the draw and the unitarity check call the ufunc
 methods that `sum`, `cumsum` and `max` wrap (`add.reduce`,
 `add.accumulate`, `maximum.reduce`) directly.
-`as_generator` builds `Generator(PCG64(seed))`, which is what
-`default_rng` builds, and renormalizing divides by `math.sqrt`, the same
+A seed becomes a stream through `np.random.default_rng`, which returns a
+`Generator` unchanged, and renormalizing divides by `math.sqrt`, the same
 correctly rounded root as `np.sqrt`.
 """
 
@@ -68,14 +68,6 @@ NORM_TOL = 1e-12
 ORTHO_TOL = 1e-10
 _VANISHING = 1e-15  # a projection below this probability has no post state
 _SUM_ATOL = sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance on sum(p) - 1
-
-
-def as_generator(seed: int | np.random.Generator) -> np.random.Generator:
-    """Accept either an integer seed or an existing generator stream."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    # what default_rng(seed) builds for an int seed, without its dispatch
-    return np.random.Generator(np.random.PCG64(seed))
 
 
 @dataclass(frozen=True)
@@ -449,7 +441,7 @@ def measure_projector(
     rows = s.amps.reshape(1, -1)
     coeffs = _span_coefficients(s.dims, s.labels, rows, basis_states)
     p_in = _weight(coeffs, 0)
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     inside = bool(rng.random() < p_in)
     prob, post = _only_row(_project_rows(s.dims, s.labels, rows, basis_states, coeffs, inside))
     return MeasurementResult(0 if inside else 1, prob, post, p_in)
@@ -489,7 +481,7 @@ def measure_computational(
     # add.reduce is what ndarray.sum calls, without its Python wrapper
     marginal = np.add.reduce(probs_nd, axis=tuple(i for i in range(len(s.dims)) if i != ax))
     marginal /= np.add.reduce(marginal)
-    outcome = _draw_index(marginal, as_generator(seed))
+    outcome = _draw_index(marginal, np.random.default_rng(seed))
     picker = tuple(outcome if i == ax else slice(None) for i in range(len(s.dims)))
     # every other outcome's amplitudes stay +0.0, as if zeroed one by one
     new_nd = np.zeros(s.dims, dtype=complex)

@@ -83,11 +83,10 @@ class CheatAnalysis:
 
 @dataclass(frozen=True)
 class FairPoint:
-    """Balanced fair operating point: common cheat value and its residual."""
+    """Balanced fair operating point: the slack eta* and the common cheat value."""
 
     eta: float
     p_star: float
-    residual: float
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +153,7 @@ def honest_run(params: WeakCFParams, seed: int | np.random.Generator) -> tuple[s
     and the analytic probability of every test, so callers can assert the
     protocol's completeness without relying on the sampled branch.
     """
-    rng = qc.as_generator(seed)
+    rng = np.random.default_rng(seed)
     psi0 = initial_state(params)
     psi_full = qc.tensor(psi0, _ANCILLA_D)
     psi1 = qc.apply(rotation_unitary(params), psi_full)
@@ -287,7 +286,7 @@ def fair_eta_balanced() -> FairPoint:
     """
     eta = sqrt2_quadratic_root(_FAIR_QUADRATIC, Fraction(0), Fraction(1, 2))
     certify_sign_change(_balanced_residual, eta)
-    return FairPoint(eta=eta, p_star=0.5 + eta, residual=_balanced_residual(eta))
+    return FairPoint(eta=eta, p_star=0.5 + eta)
 
 
 # ---------------------------------------------------------------------------

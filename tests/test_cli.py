@@ -1,11 +1,14 @@
 """CLI contract: exit codes, output formats, schema validity, determinism."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SCHEMA_DIR
+from conftest import REPO_ROOT, SCHEMA_DIR
 from qdice import cli, colbeck_dr, multiparty, optimize, reproduce, sixround_dr, strong_cf, strong_dr, weak_cf, weak_dr
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
@@ -27,6 +30,32 @@ def run_cli(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each subcommand, by name."""
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+SUBCOMMANDS = (
+    "weak-cf", "six-round", "weak-dr", "strong-cf", "strong-dr",
+    "multiparty", "three-party", "colbeck", "bounds", "reproduce",
+)
+
+
+class TestSubcommands:
+    """One subcommand per protocol, whose flags argparse alone validates."""
+
+    def test_help_lists_one_subcommand_per_protocol(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in out
+        assert tuple(subcommand_parsers()) == SUBCOMMANDS
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_no_subcommand_takes_a_positional_argument(self, name):
+        assert all(action.option_strings for action in subcommand_parsers()[name]._actions)
 
 
 class TestExitCodes:
@@ -62,7 +91,7 @@ class TestExitCodes:
         }
         path = tmp_path / "report.json"
         path.write_text(json.dumps(report))
-        code, out, _ = run_cli(capsys, "bounds", "check", "--report", str(path))
+        code, out, _ = run_cli(capsys, "bounds", "--report", str(path))
         assert code == 2
         assert json.loads(out)["all_pass"] is False
 
@@ -70,15 +99,17 @@ class TestExitCodes:
         "argv,message",
         [
             (("strong-cf", "--p0", "0.5", "--eps", "2"), "eps0 must lie in"),
-            (("multiparty", "pairing", "--m", "1", "--n", "2", "--eps-bar", "5"), "eps_bar must lie in"),
+            (("multiparty", "--m", "1", "--n", "2", "--eps-bar", "5"), "eps_bar must lie in"),
             # an empty list is a list of no biases, not the default's zeros
             (("weak-dr", "--n", "3", "--biases", ""), "error: expected 2 stage biases, got 0\n"),
-            # example3 reads none of the pairing flags, and names each one given
+            # the three-party example reads none of the pairing flags
             (
-                ("multiparty", "example3", "--m", "2", "--n", "3", "--eps-bar", "0.1"),
-                "error: example3 mode does not take --m, --n, --eps-bar\n",
+                ("three-party", "--m", "2", "--n", "3", "--eps-bar", "0.1"),
+                "error: unrecognized arguments: --m 2 --n 3 --eps-bar 0.1\n",
             ),
-            (("multiparty", "example3", "--eps-bar", "0"), "error: example3 mode does not take --eps-bar\n"),
+            (("three-party", "--eps-bar", "0"), "error: unrecognized arguments: --eps-bar 0\n"),
+            # the pairing protocol needs both sizes
+            (("multiparty", "--m", "2"), "error: the following arguments are required: --n\n"),
         ],
     )
     def test_out_of_range_values_exit_one(self, capsys, argv, message):
@@ -122,7 +153,7 @@ class TestExitCodes:
         assert f'"max_losing_prob": {losing},' in out
 
     def test_missing_report_file_exits_one(self, capsys):
-        code, _, err = run_cli(capsys, "bounds", "check", "--report", "/no/such/file.json")
+        code, _, err = run_cli(capsys, "bounds", "--report", "/no/such/file.json")
         assert code == 1
         assert "error" in err
 
@@ -132,7 +163,6 @@ class TestExitCodes:
             ("weak-cf", "--p", "0.5", "--eta", "nan"),
             ("weak-cf", "--p", "nan", "--eta", "0.1"),
             ("weak-cf", "--p", "0.5", "--eta", "inf"),
-            ("oracle", "--p", "0.5", "--eta", "nan"),
         ],
     )
     def test_non_finite_weak_cf_params_exit_one(self, capsys, argv):
@@ -145,7 +175,7 @@ class TestExitCodes:
         "argv",
         [
             ("strong-dr", "--n", "4", "--delta", "nan"),
-            ("multiparty", "pairing", "--m", "1", "--n", "2", "--eps-bar", "nan"),
+            ("multiparty", "--m", "1", "--n", "2", "--eps-bar", "nan"),
             ("strong-cf", "--p0", "0.5", "--eps", "nan"),
             ("strong-cf", "--p0", "inf"),
             ("weak-dr", "--n", "3", "--biases", "nan,0"),
@@ -162,7 +192,7 @@ class TestExitCodes:
 
     # "-1e-12" would parse as a flag, so it is given as --tol=-1e-12
     @pytest.mark.parametrize("tol", [("--tol", "-1"), ("--tol", "-0.5"), ("--tol=-1e-12",)])
-    @pytest.mark.parametrize("command", [("six-round",), ("bounds", "check", "--report", "unused.json")])
+    @pytest.mark.parametrize("command", [("six-round",), ("bounds", "--report", "unused.json")])
     def test_negative_tol_rejected_at_parse_time(self, capsys, command, tol):
         # before or after the subcommand name; never the mismatch exit 2
         for argv in ((*tol, *command), (*command, *tol)):
@@ -190,8 +220,8 @@ class TestExitCodes:
         assert err.startswith("error:")
 
     def test_nan_in_a_record_is_an_error_not_a_token(self, capsys, monkeypatch):
-        nan_analysis = weak_cf.CheatAnalysis(0.5, 0.2, 0.7, 0.7, float("nan"))
-        monkeypatch.setattr(weak_cf, "alice_opt_cheat", lambda params: nan_analysis)
+        nan_analysis = weak_cf.CheatAnalysis(0.5, 0.2, 0.7, 0.7, float("nan"), (1.0, 0.0, 0.0, 0.0))
+        monkeypatch.setattr(weak_cf, "alice_cheat_oracle", lambda params: nan_analysis)
         code, out, err = run_cli(capsys, "weak-cf", "--p", "0.5", "--eta", "0.2")
         assert code == 1
         assert out == ""
@@ -207,11 +237,10 @@ class TestExitCodes:
         assert out == ""
         assert "error:" in err
 
-    @pytest.mark.parametrize("command", ["weak-cf", "oracle"])
     @pytest.mark.parametrize("where", ["before", "after"])
     @pytest.mark.parametrize("grid", ["1", "10000", "9" * 400])
-    def test_the_removed_grid_flag_is_a_usage_error(self, capsys, command, where, grid):
-        argv = [command, "--p", "0.3", "--eta", "0.2"]
+    def test_the_removed_grid_flag_is_a_usage_error(self, capsys, where, grid):
+        argv = ["weak-cf", "--p", "0.3", "--eta", "0.2"]
         argv = ["--grid", grid, *argv] if where == "before" else [*argv, "--grid", grid]
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
@@ -293,8 +322,8 @@ def _failing_reproduce_row(monkeypatch):
 # argv, the monkeypatch that forces the mismatch (None: a real input
 # reaches it), and a phrase of the reason
 MISMATCHES = {
-    "oracle": (("oracle", "--p", "0.4", "--eta", "0.2"), _off_by_a_micro, "and closed form"),
-    "oracle-tol": (("--tol", "0", "oracle", "--p", "0.3", "--eta", "0.1"), None, "> --tol 0.0"),
+    "weak-cf": (("weak-cf", "--p", "0.4", "--eta", "0.2"), _off_by_a_micro, "and closed form"),
+    "weak-cf-tol": (("--tol", "0", "weak-cf", "--p", "0.3", "--eta", "0.1"), None, "> --tol 0.0"),
     "six-round": (("--tol", "0", "six-round", "--variant", "case2"), None, "more than --tol 0.0"),
     "weak-dr": (
         ("weak-dr", "--n", "3", "--biases", "0.1,0.1"),
@@ -325,12 +354,12 @@ MISMATCHES = {
         "forcing probability 0.9 at delta 0 misses the symmetric bound",
     ),
     "multiparty-pairing": (
-        ("multiparty", "pairing", "--m", "1", "--n", "2"),
+        ("multiparty", "--m", "1", "--n", "2"),
         lambda mp: mp.setattr(multiparty, "coalition_force_prob", lambda protocol, eps_bar: 0.5),
         "misses the symmetric bound",
     ),
-    "multiparty-example3": (
-        ("multiparty", "example3"),
+    "three-party": (
+        ("three-party",),
         lambda mp: mp.setattr(multiparty, "three_party_example_bias", lambda: (0.5, 0.69336)),
         "below the Kitaev bound 0.69336",
     ),
@@ -366,15 +395,15 @@ class TestMismatchReasons:
         }
         path = tmp_path / "report.json"
         path.write_text(json.dumps(report))
-        code, out, err = run_cli(capsys, "bounds", "check", "--report", str(path))
+        code, out, err = run_cli(capsys, "bounds", "--report", str(path))
         assert code == 2
         assert json.loads(out)["per_outcome"] == [False, True]  # 0.7 * 0.7 < 1/2 at outcome 0
         assert err == "verification mismatch: kitaev_two_party fails at outcome index [0]\n"
 
     @pytest.mark.parametrize(
         "command",
-        [("six-round", "--variant", "case2"), ("oracle", "--p", "0.3", "--eta", "0.1")],
-        ids=["six-round", "oracle"],
+        [("six-round", "--variant", "case2"), ("weak-cf", "--p", "0.3", "--eta", "0.1")],
+        ids=["six-round", "weak-cf"],
     )
     def test_mismatch_stdout_matches_a_passing_tolerance(self, capsys, command):
         # the reason goes to stderr only: stdout is the record of the same run
@@ -407,13 +436,45 @@ class TestSchemas:
         for obj in objects:
             assert sorted(obj["required"]) == sorted(obj["properties"])
 
+    # the argv of a record for each schema that fixes a top-level value by `const`
+    CONST_ARGV = {"weak_cf": ("weak-cf", "--p", "0.3", "--eta", "0.1")}
+
+    def test_every_const_is_the_value_printed(self, capsys, schema_loader):
+        consts = {}
+        for path in SCHEMA_DIR.glob("*.schema.json"):
+            name = path.name.split(".")[0]
+            fixed = {k: v["const"] for k, v in schema_loader(name)["properties"].items() if "const" in v}
+            if fixed:
+                consts[name] = fixed
+        assert set(consts) == set(self.CONST_ARGV)
+        for name, fixed in consts.items():
+            code, out, err = run_cli(capsys, *self.CONST_ARGV[name])
+            assert code == 0, err
+            record = json.loads(out)
+            assert {key: record[key] for key in fixed} == fixed, name
+
+    def test_six_round_variants_are_the_parsers_choices(self, schema_loader):
+        variant = next(a for a in subcommand_parsers()["six-round"]._actions if a.dest == "variant")
+        assert schema_loader("six_round")["properties"]["variant"]["enum"] == list(variant.choices)
+
+    def test_bounds_check_names_are_the_ones_printed(self, capsys, schema_loader, tmp_path):
+        printed = []
+        for parties in (2, 3):
+            path = tmp_path / f"{parties}.json"
+            path.write_text(json.dumps({
+                "n_outcomes": 2,
+                "n_parties": parties,
+                "force_probs": [[1.0, 1.0]] * parties,
+                "honest_probs": [0.5, 0.5],
+            }))
+            code, out, err = run_cli(capsys, "bounds", "--report", str(path))
+            assert code == 0, err
+            printed.append(json.loads(out)["check"])
+        assert printed == schema_loader("bounds_check")["properties"]["check"]["enum"]
+
     def test_weak_cf(self, capsys, schema_loader):
         _, out, _ = run_cli(capsys, "weak-cf", "--p", "0.4", "--eta", "0.3")
         jsonschema.validate(json.loads(out), schema_loader("weak_cf"))
-
-    def test_oracle(self, capsys, schema_loader):
-        _, out, _ = run_cli(capsys, "oracle", "--p", "0.5", "--eta", "0.2")
-        jsonschema.validate(json.loads(out), schema_loader("oracle"))
 
     def test_six_round(self, capsys, schema_loader):
         _, out, _ = run_cli(capsys, "six-round", "--variant", "case2")
@@ -454,8 +515,8 @@ class TestSchemas:
         jsonschema.validate(payload, schema_loader("multiparty_pairing"))
         assert payload["coalition_force_prob"] == payload["symmetric_bound"] == 1.0000000000000348e-200
 
-    def test_multiparty_example(self, capsys, schema_loader):
-        _, out, _ = run_cli(capsys, "multiparty", "example3")
+    def test_three_party(self, capsys, schema_loader):
+        _, out, _ = run_cli(capsys, "three-party")
         jsonschema.validate(json.loads(out), schema_loader("multiparty_example3"))
 
     def test_colbeck(self, capsys, schema_loader):
@@ -471,7 +532,7 @@ class TestSchemas:
         }
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(report))
-        code, out, _ = run_cli(capsys, "bounds", "check", "--report", str(path))
+        code, out, _ = run_cli(capsys, "bounds", "--report", str(path))
         assert code == 0
         jsonschema.validate(json.loads(out), schema_loader("bounds_check"))
 
@@ -525,6 +586,31 @@ _ROW_TEXT = st.one_of(
     st.sampled_from(["}", "{", "},", "},\n      {", "a}\n{b", "},\\n      {", "\n    },\n    {\n      "]),
     st.lists(st.sampled_from(["}", "{", ",", "\n", " ", "x"]), max_size=12).map("".join),
 )
+
+
+def _readme_examples() -> list[list[str]]:
+    """The argv of each `qdice ...` line in the README's sh blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", (REPO_ROOT / "README.md").read_text(), re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("qdice ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+class TestReadmeExamples:
+    """Every CLI example the README shows runs and exits 0."""
+
+    def test_every_subcommand_has_an_example(self):
+        assert sorted({argv[0] for argv in _readme_examples()}) == sorted(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+    def test_example_exits_zero(self, capsys, monkeypatch, tmp_path, argv):
+        # the bounds example reads report.json from the working directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "report.json").write_text(json.dumps({
+            "n_outcomes": 2, "n_parties": 2, "force_probs": [[0.8, 0.8], [0.8, 0.8]], "honest_probs": [0.5, 0.5],
+        }))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out
 
 
 class TestRowsJson:
@@ -604,16 +690,16 @@ def _argv(draw):
     f, i = _float_text, st.integers
     command = draw(st.sampled_from([
         ["weak-cf", "--p", f(), "--eta", f()],
-        ["oracle", "--p", f(), "--eta", f()],
         ["strong-cf", "--p0", f(), "--eps", f()],
         ["strong-dr", "--n", i(0, 9).map(str), "--delta", f(), "--target", i(0, 9).map(str)],
-        ["multiparty", "pairing", "--m", i(0, 3).map(str), "--n", i(0, 4).map(str), "--eps-bar", f()],
+        ["multiparty", "--m", i(0, 3).map(str), "--n", i(0, 4).map(str), "--eps-bar", f()],
+        ["three-party"],
         ["weak-dr", "--n", i(1, 5).map(str), "--biases", st.lists(f(), min_size=1, max_size=4).map(",".join),
          "--party", i(0, 5).map(str)],
         ["colbeck", "--n", i(0, 6).map(str)],
         ["six-round", "--variant", st.sampled_from(["case1", "case2"])],
         ["reproduce"],
-        ["bounds", "check", "--report", st.just(_REPORT)],
+        ["bounds", "--report", st.just(_REPORT)],
     ]))
     command = [draw(part) if isinstance(part, st.SearchStrategy) else part for part in command]
     flags = []
@@ -733,7 +819,7 @@ class TestArgvProperty:
             if report_text is not None:
                 path.write_text(report_text)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.run(["--format", fmt, "bounds", "check", "--report", str(path)])
+                code = cli.run(["--format", fmt, "bounds", "--report", str(path)])
         self.check_bounds_contract(code, out.getvalue(), err.getvalue(), fmt)
         if kind in ("missing", "malformed", "bad probability"):
             assert code == 1
@@ -761,7 +847,7 @@ class TestArgvProperty:
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_byte_identical_reruns(self, capsys, fmt):
-        argv = ["--format", fmt, "oracle", "--p", "0.3", "--eta", "0.1"]
+        argv = ["--format", fmt, "weak-cf", "--p", "0.3", "--eta", "0.1"]
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
@@ -775,15 +861,14 @@ class TestDeterminism:
         "argv",
         [
             ("weak-cf", "--p", "0.3", "--eta", "0.1"),
-            ("oracle", "--p", "0.3", "--eta", "0.1"),
             ("six-round", "--variant", "case2"),
             ("weak-dr", "--n", "5", "--biases", "0.01,0.02,0,0.03"),
             ("strong-cf", "--p0", "0.3", "--eps", "0.05"),
             ("strong-dr", "--n", "7", "--delta", "0.01", "--target", "3"),
             ("multiparty", "--m", "2", "--n", "3"),
-            ("multiparty", "example3"),
+            ("three-party",),
             ("colbeck", "--n", "9"),
-            ("bounds", "check", "--report", _REPORT),
+            ("bounds", "--report", _REPORT),
             ("reproduce",),
         ],
     )
@@ -811,13 +896,13 @@ class TestGoldenReproduce:
 
 class TestGoldenExactCommands:
     # stdout of the exact Colbeck subcommand, recorded before its Fraction
-    # kernel was rewritten on integer chain products; of six-round and
-    # multiparty example3, recorded before the shared exact-root kernel and
-    # the inlined n = 1 family record; and of strong-dr, weak-dr and the
-    # pairing mode of multiparty, recorded when their records came to state
-    # the leaf probability, the honest probability and the stage rule once;
-    # of weak-cf, oracle and strong-cf, recorded before their records came to
-    # be laid out in the cli alone
+    # kernel was rewritten on integer chain products; of six-round and the
+    # three-party example, recorded before the shared exact-root kernel and
+    # the inlined n = 1 family record; and of strong-dr, weak-dr and
+    # multiparty, recorded when their records came to state the leaf
+    # probability, the honest probability and the stage rule once; of weak-cf
+    # (then the `oracle` subcommand) and strong-cf, recorded before their
+    # records came to be laid out in the cli alone
     @pytest.mark.parametrize(
         "argv, golden",
         [
@@ -829,7 +914,7 @@ class TestGoldenExactCommands:
                 for variant in ("case1", "case2")
                 for fmt in ("json", "table", "csv")
             ),
-            (("multiparty", "example3"), "multiparty_example3.json"),
+            (("three-party",), "multiparty_example3.json"),
             # each in every format: the table and csv cells share one formatter
             *(
                 (("--format", fmt, *argv), f"{stem}.{fmt}")
@@ -843,7 +928,6 @@ class TestGoldenExactCommands:
                         "strong_dr_n7_delta0.01_target3",
                     ),
                     (("weak-cf", "--p", "0.3", "--eta", "0.1"), "weak_cf_p0.3_eta0.1"),
-                    (("oracle", "--p", "0.3", "--eta", "0.1"), "oracle_p0.3_eta0.1"),
                     (("strong-cf", "--p0", "0.3", "--eps", "0.05"), "strong_cf_p0.3_eps0.05"),
                 )
                 for fmt in ("json", "table", "csv")
@@ -935,7 +1019,7 @@ class TestMalformedBiasReport:
     def test_exits_one_without_a_traceback(self, capsys, tmp_path, text, message):
         path = tmp_path / "report.json"
         path.write_text(text)
-        code, out, err = run_cli(capsys, "bounds", "check", "--report", str(path))
+        code, out, err = run_cli(capsys, "bounds", "--report", str(path))
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and message in err

@@ -96,6 +96,14 @@ ROWS = {
     "strong_cf.pa0+1e-6/strong-cf": (
         "strong_cf.cheat_probs", _report_plus("pa0", 1e-6), ["strong-cf", "--p0", "0.3"], None,
     ),
+    "alice_opt_cheat+1e-6/weak-cf": (
+        # the closed form A + B against the simulated oracle's maximum
+        "weak_cf.alice_opt_cheat", _report_plus("p_alice_star", 1e-6), ["weak-cf", "--p", "0.3", "--eta", "0.1"],
+        "differ by",
+    ),
+    "bob_opt_cheat+1e-3/weak-cf": (
+        "weak_cf.bob_opt_cheat", _plus(1e-3), ["weak-cf", "--p", "0.3", "--eta", "0.1"], None,
+    ),
 }
 
 # name: why the fault exits 0
@@ -108,6 +116,7 @@ KNOWN_SURVIVORS = {
     "strong_cf.pb0+1e-13/reproduce": "the balanced products move inside their 1e-12",
     "colbeck_alice+1/1000/colbeck": "Alice's (N+1)/2N has no second route",
     "strong_cf.pa0+1e-6/strong-cf": "strong-cf checks only the honest round trip",
+    "bob_opt_cheat+1e-3/weak-cf": "Bob's p + eta has one route",
 }
 
 
@@ -139,3 +148,15 @@ def test_fault_is_caught_unless_a_known_survivor(monkeypatch, capsys, name):
         assert (code, err) == (0, ""), f"{name} is caught now: give it its reason and drop it from KNOWN_SURVIVORS"
     else:
         assert code == 2 and expected in err, err
+
+
+@pytest.mark.parametrize("argv", [["reproduce"], ["six-round"]])
+def test_a_raised_cross_check_prints_no_record(monkeypatch, capsys, argv):
+    # a handler's failed comparison still prints its record (tests/test_cli.py's
+    # TestMismatchReasons); a CrossCheckError raised in the library leaves no
+    # record to print
+    _inject(monkeypatch, "weak_cf.bob_opt_cheat", _plus(1e-7))
+    code = cli.run(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("verification mismatch: ") and err.count("\n") == 1

@@ -331,7 +331,7 @@ def _measure_computational_by_loop(s, label, seed):
     probs_nd = np.abs(s.amps.reshape(s.dims)) ** 2
     marginal = probs_nd.sum(axis=tuple(i for i in range(len(s.dims)) if i != ax))
     marginal = marginal / marginal.sum()
-    outcome = int(qc.as_generator(seed).choice(len(marginal), p=marginal))
+    outcome = int(np.random.default_rng(seed).choice(len(marginal), p=marginal))
     picker = [slice(None)] * len(s.dims)
     new_nd = s.amps.reshape(s.dims).copy()
     for k in range(s.dims[ax]):
@@ -395,21 +395,6 @@ class TestComputationalDraw:
         got = [qc.measure_computational(state, label, ours).outcome_index for _ in range(200)]
         assert got == [int(theirs.choice(len(m), p=m)) for _ in range(200)]
         assert ours.bit_generator.state == theirs.bit_generator.state
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**70])
-    def test_as_generator_draws_what_default_rng_draws(self, seed):
-        ours, theirs = qc.as_generator(seed), np.random.default_rng(seed)
-        assert type(ours.bit_generator) is type(theirs.bit_generator)
-        assert ours.bit_generator.state == theirs.bit_generator.state
-        assert ours.random(8).tobytes() == theirs.random(8).tobytes()
-        assert ours.integers(0, 2**62, 8).tolist() == theirs.integers(0, 2**62, 8).tolist()
-
-    def test_as_generator_rejects_a_negative_seed_like_default_rng(self):
-        with pytest.raises(ValueError) as theirs:
-            np.random.default_rng(-1)
-        with pytest.raises(ValueError) as ours:
-            qc.as_generator(-1)
-        assert str(ours.value) == str(theirs.value)
 
     @pytest.mark.parametrize(
         "probs", [[nan, 1.0], [0.5, nan], [0.5, 0.6], [0.3, 0.3], [inf, 0.0], [0.0, 0.0]]

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdice import quantum_core as qc
 from qdice import strong_cf
 from qdice.errors import DegenerateProtocolError, ParameterRangeError
 from qdice.strong_cf import StrongCFParams
@@ -23,7 +22,7 @@ def sample_outcomes(
     reference that `strong_cf.honest_prob` is compared against."""
     if runs < 0:
         raise ParameterRangeError(f"runs must be >= 0, got {runs}")
-    rng = qc.as_generator(seed)
+    rng = np.random.default_rng(seed)
     o = (rng.random(runs) >= params.q).astype(np.int8)
     z = np.where(o == 0, params.z0, params.z1)
     alice_wins = rng.random(runs) < z

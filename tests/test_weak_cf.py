@@ -386,7 +386,7 @@ class TestFairEta:
         fp = weak_cf.fair_eta_balanced()
         assert fp.eta == pytest.approx(FAIR_ETA, abs=1e-9)
         assert fp.p_star == pytest.approx(1 / S2, abs=1e-9)
-        assert abs(fp.residual) < 1e-9
+        assert abs(weak_cf._balanced_residual(fp.eta)) < 1e-9
 
     def test_eta_is_the_correctly_rounded_exact_root(self):
         # eta^2 + eta - 1/4 is increasing on [0, 1/2] and vanishes at
@@ -395,7 +395,7 @@ class TestFairEta:
         fp = weak_cf.fair_eta_balanced()
         assert repr(fp.eta) == "0.20710678118654752"
         assert repr(fp.p_star) == "0.7071067811865475"
-        assert abs(fp.residual) <= 1e-15
+        assert abs(weak_cf._balanced_residual(fp.eta)) <= 1e-15
 
         def cleared(x):
             return x * x + x - Fraction(1, 4)
