@@ -155,12 +155,15 @@ def _cmd_weak_cf(args) -> tuple[dict, str | None]:
         "abs_diff": diff,
         "maximizer_alphas": list(oracle.maximizer_alphas),
     }
-    if diff <= args.tol:
-        return record, None
-    return record, (
-        f"oracle {oracle.p_alice_star!r} and closed form {closed.p_alice_star!r} "
-        f"differ by {diff!r} > --tol {args.tol!r}"
-    )
+    # the value, then the split delta*: the oracle's maximizer against B/(A+B)
+    routes = {"": (oracle.p_alice_star, closed.p_alice_star), " split": (oracle.delta_star, closed.delta_star)}
+    for what, (ours, theirs) in routes.items():
+        gap = abs(ours - theirs)
+        if not gap <= args.tol:  # fails closed on NaN
+            return record, (
+                f"oracle{what} {ours!r} and closed form{what} {theirs!r} differ by {gap!r} > --tol {args.tol!r}"
+            )
+    return record, None
 
 
 def _cmd_six_round(args) -> tuple[dict, str | None]:

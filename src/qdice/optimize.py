@@ -15,14 +15,15 @@ before the search (`weak_cf._objective` checks A and B and returns the
 per-delta function).
 
 `sqrt2_quadratic_root` returns the correctly rounded root of a quadratic
-whose coefficients lie in Z[sqrt 2], and `certify_sign_change` checks such
-a root against a float residual computed by an independent route.
+with coefficients in Z[sqrt 2], each step decided by an exact sign, and
+`certify_sign_change` checks such a root against a float residual computed
+by an independent route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isnan, isqrt, sqrt
+from math import inf, isnan, isqrt, nextafter, sqrt
 from typing import Callable, Sequence
 
 from .errors import CrossCheckError, InfeasibleVariantError
@@ -106,76 +107,53 @@ def bisect_root(
 # ---------------------------------------------------------------------------
 
 CERTIFY_STEP = 1e-12  # a certified root's float residual changes sign across x -/+ this
-_SCALE = 1 << 128  # fixed-point scale of the root enclosures: about 2.9e-39
-_SQRT2 = (isqrt(2 * _SCALE * _SCALE), isqrt(2 * _SCALE * _SCALE) + 1)  # bound sqrt(2) * _SCALE
+_ONE = 1 << 128  # fixed-point scale of the root's approximation: about 2.9e-39
+_SQRT2 = isqrt(2 * _ONE * _ONE)  # sqrt2 * _ONE, rounded down
 
 
-def _scaled(x: int, y: int) -> tuple[int, int]:
-    """Integers below and above (x + y sqrt2) * _SCALE."""
-    lo, hi = x * _SCALE + y * _SQRT2[0], x * _SCALE + y * _SQRT2[1]
-    return (lo, hi) if y >= 0 else (hi, lo)
+def _sign(p: int, q: int) -> int:
+    """The sign of p + q sqrt2 for integers p and q, exactly."""
+    if p * q >= 0:  # p and q agree in sign, or one of them is 0
+        return (p + q > 0) - (p + q < 0)
+    # they differ: p^2 against 2 q^2 decides, never equal as sqrt2 is irrational
+    return 1 if (p > 0) == (p * p > 2 * q * q) else -1
 
 
-def _root_enclosures(coeffs: Sequence[tuple[int, int]]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Rational enclosures of both roots of a2 x^2 + a1 x + a0 = 0.
-
-    coeffs holds integer pairs (x, y) = x + y sqrt2 for a2, a1, a0. The
-    discriminant is exact in Z[sqrt2]; sqrt2 and the square root of the
-    discriminant are bounded with `math.isqrt` at scale 2**128, so each
-    interval holds its exact root and is about 1e-38 wide relative to the
-    coefficients. The enclosure of 2 a2 is brought to positive sign, so the
-    sign of each numerator bound picks the denominator bound that gives the
-    lower and the upper quotient, equal to the min and max of all four.
-    Each root comes as ((lo_num, lo_den), (hi_num, hi_den)), unreduced
-    integer quotients with positive denominators. Raises CrossCheckError
-    unless there are two separated real roots.
-    """
+def _sign_at(coeffs: Sequence[tuple[int, int]], num: int, den: int) -> int:
+    """The exact sign of a2 x^2 + a1 x + a0 at x = num/den, for den > 0."""
     (x2, y2), (x1, y1), (x0, y0) = coeffs
-    # a1^2 - 4 a2 a0, exact in Z[sqrt2]
-    disc = _scaled(
-        x1 * x1 + 2 * y1 * y1 - 4 * (x2 * x0 + 2 * y2 * y0), 2 * x1 * y1 - 4 * (x2 * y0 + x0 * y2)
-    )
-    den = _scaled(2 * x2, 2 * y2)
-    if disc[0] <= 0 or den[0] <= 0 <= den[1]:
-        raise CrossCheckError(f"the quadratic {coeffs} has no two separated real roots")
-    r = (isqrt(disc[0] * _SCALE), isqrt(disc[1] * _SCALE) + 1)  # bound sqrt(disc) * _SCALE
-    b = _scaled(-x1, -y1)
-    nums = ((b[0] + r[0], b[1] + r[1]), (b[0] - r[1], b[1] - r[0]))
-    if den[0] < 0:  # negate the whole quotient: both ends swap and change sign
-        den = (-den[1], -den[0])
-        nums = tuple((-hi, -lo) for lo, hi in nums)
-    d_lo, d_hi = den
-    return [
-        ((lo, d_hi if lo >= 0 else d_lo), (hi, d_lo if hi >= 0 else d_hi))
-        for lo, hi in nums
-    ]
+    nn, nd, dd = num * num, num * den, den * den
+    return _sign(x2 * nn + x1 * nd + x0 * dd, y2 * nn + y1 * nd + y0 * dd)
 
 
 def sqrt2_quadratic_root(coeffs: Sequence[tuple[int, int]], lo: Fraction, hi: Fraction) -> float:
     """The root in [lo, hi] of a2 x^2 + a1 x + a0 = 0, correctly rounded.
 
-    coeffs holds integer pairs (x, y) = x + y sqrt2 for a2, a1, a0; lo and
-    hi are rational. Exactly one root must lie in [lo, hi] and the other
-    outside it, and both ends of its enclosure must round to the same
-    float; otherwise CrossCheckError. No Fraction is built: the integer
-    enclosure ends of `_root_enclosures` are compared with lo and hi by
-    cross-multiplication, and each end is rounded by int true division,
-    which is correctly rounded, the same float as float(Fraction(num, den)).
+    coeffs holds integer pairs (x, y) = x + y sqrt2 for a2, a1, a0; lo < hi
+    are rational. Exact signs refuse, with CrossCheckError, a2 = 0, a
+    discriminant <= 0, and a window without opposite signs at lo and hi
+    (so exactly one root inside). That root, where the sign turns to s, the
+    sign at hi, is (-a1 + s sqrt(disc)) / (2 a2), approximated at scale
+    2**128 and rounded by int true division. The float is returned only if
+    the quadratic turns to s between the exact midpoints to its two float
+    neighbours, which is what correctly rounded means; else CrossCheckError.
     """
-    lo_num, lo_den = lo.numerator, lo.denominator
-    hi_num, hi_den = hi.numerator, hi.denominator
-    inside, outside = [], 0
-    for (a, a_den), (b, b_den) in _root_enclosures(coeffs):
-        if lo_num * a_den <= a * lo_den and b * hi_den <= hi_num * b_den:  # lo <= a/a_den, b/b_den <= hi
-            inside.append((a, a_den, b, b_den))
-        elif b * lo_den < lo_num * b_den or a * hi_den > hi_num * a_den:  # b/b_den < lo or a/a_den > hi
-            outside += 1
-    if len(inside) != 1 or outside != 1:
+    (x2, y2), (x1, y1), (x0, y0) = coeffs
+    disc_x = x1 * x1 + 2 * y1 * y1 - 4 * (x2 * x0 + 2 * y2 * y0)  # a1^2 - 4 a2 a0, exact in Z[sqrt2]
+    disc_y = 2 * x1 * y1 - 4 * (x2 * y0 + x0 * y2)
+    if _sign(x2, y2) == 0 or _sign(disc_x, disc_y) <= 0:
+        raise CrossCheckError(f"the quadratic {coeffs} has no two separated real roots")
+    lo_num, lo_den, hi_num, hi_den = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    s = _sign_at(coeffs, hi_num, hi_den)
+    if lo_num * hi_den >= hi_num * lo_den or _sign_at(coeffs, lo_num, lo_den) * s >= 0:
         raise CrossCheckError(f"expected one root of {coeffs} in [{lo}, {hi}] and one outside")
-    a, a_den, b, b_den = inside[0]
-    root, upper = a / a_den, b / b_den
-    if root != upper:
-        raise CrossCheckError(f"root enclosure [{root!r}, {upper!r}] spans a rounding boundary")
+    sqrt_disc = isqrt(max(disc_x * _ONE + disc_y * _SQRT2, 0) * _ONE)
+    root = (s * sqrt_disc - x1 * _ONE - y1 * _SQRT2) / (2 * (x2 * _ONE + y2 * _SQRT2))
+    a, b = root.as_integer_ratio()
+    for neighbour, sign in ((nextafter(root, -inf), -s), (nextafter(root, inf), s)):
+        c, d = neighbour.as_integer_ratio()
+        if _sign_at(coeffs, a * d + c * b, 2 * b * d) != sign:  # at (root + neighbour) / 2
+            raise CrossCheckError(f"the root near {root!r} spans a rounding boundary")
     return root
 
 

@@ -9,19 +9,18 @@ winner (case 1, Claire's honest share is p = 1/3) or Claire
 (case 2, p = 2/3). Each case fixes its slack eta by requiring all three
 maximal losing probabilities to coincide. All three come from one loss function
 over the stage-2 `weak_cf` cheat. Cleared of denominators, the fairness
-condition is a quadratic in eta with coefficients in Q(sqrt2), so eta is
-its exact root from `optimize.sqrt2_quadratic_root`, certified by a
-numeric route that never uses the closed form. One `solve` runs one
-delta-maximization: `alice_opt_cheat`'s at eta*, whose maximum
-cross-checks the closed form and whose argmax gives the certificate's
-preparer cheat at eta* -/+ 1e-12.
+condition is a quadratic in eta with coefficients in Z[sqrt2], written out
+as literals in `_QUADRATICS`, so eta is its exact root from
+`optimize.sqrt2_quadratic_root`, certified by a numeric route that never
+uses the closed form. One `solve` runs one delta-maximization:
+`alice_opt_cheat`'s at eta*, whose maximum cross-checks the closed form
+and whose argmax gives the certificate's preparer cheat at eta* -/+ 1e-12.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import ParameterRangeError
 from .optimize import certify_sign_change, sqrt2_quadratic_root
@@ -70,32 +69,14 @@ def _split_residual(variant: str, eta: float, delta: float) -> float:
     return claire - alice
 
 
-def _quadratic(variant: str) -> list[tuple[int, int]]:
-    """Integer (x, y) = x + y sqrt2 for a2, a1, a0 of a2 eta^2 + a1 eta + a0 = 0.
-
-    With c = 1/sqrt2 = sqrt2/2 and u = p + eta, Alice's closed-form cheat
-    times (1-p) u is p^2 + (1-2p) u, so multiplying the fairness equation
-    by (1-p) u gives
-      case1: p^2 + (1-2p) u = (1-p) u (c + (1-c) u)
-      case2: (1-p) u^2 = c (1-p) u + (1-c) (p^2 + (1-2p) u)
-    Substituting u = p + eta exactly and scaling the rational parts to
-    integers gives the coefficients in eta.
-    """
-    p = _P[variant]
-    k, m = 1 - p, 1 - 2 * p
-    if variant == "case1":
-        in_u = [(-k, k / 2), (m, -k / 2), (p * p, Fraction(0))]
-    else:
-        in_u = [(k, Fraction(0)), (-m, (m - k) / 2), (-p * p, p * p / 2)]
-    # p is rational, so the rational and sqrt2 parts shift alike:
-    # a2 u^2 + a1 u + a0 = a2 eta^2 + (2 p a2 + a1) eta + (p^2 a2 + p a1 + a0)
-    parts = [(a2, 2 * p * a2 + a1, p * p * a2 + p * a1 + a0) for a2, a1, a0 in zip(*in_u)]
-    coeffs = list(zip(*parts))
-    scale = lcm(*(q.denominator for pair in coeffs for q in pair))
-    return [(int(x * scale), int(y * scale)) for x, y in coeffs]
-
-
-_QUADRATICS = {variant: _quadratic(variant) for variant in _P}
+# The fairness equation, cleared of denominators, as integer pairs (x, y) =
+# x + y sqrt2 for a2, a1, a0 of a2 eta^2 + a1 eta + a0 = 0. With c = 1/sqrt2
+# and u = p + eta, Alice's closed-form cheat times (1-p) u is p^2 + (1-2p) u,
+# so multiplying the fairness equation by (1-p) u gives
+#   case1: p^2 + (1-2p) u = (1-p) u (c + (1-c) u)
+#   case2: (1-p) u^2 = c (1-p) u + (1-c) (p^2 + (1-2p) u)
+# Each literal is 27 (left - right) with u = p + eta substituted.
+_QUADRATICS = {"case1": ((-18, 9), (-3, -3), (4, -2)), "case2": ((9, 0), (21, -9), (-2, 0))}
 
 
 def solve(variant: str) -> SixRoundSolution:

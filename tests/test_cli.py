@@ -57,6 +57,11 @@ class TestSubcommands:
     def test_no_subcommand_takes_a_positional_argument(self, name):
         assert all(action.option_strings for action in subcommand_parsers()[name]._actions)
 
+    def test_each_subcommand_has_one_schema_named_after_it(self):
+        # schemas/<subcommand with - as _>.schema.json, and no schema for anything else
+        schemas = sorted(path.name for path in SCHEMA_DIR.glob("*.schema.json"))
+        assert schemas == sorted(f"{name.replace('-', '_')}.schema.json" for name in subcommand_parsers())
+
 
 class TestExitCodes:
     def test_success(self, capsys):
@@ -470,7 +475,7 @@ class TestSchemas:
             code, out, err = run_cli(capsys, "bounds", "--report", str(path))
             assert code == 0, err
             printed.append(json.loads(out)["check"])
-        assert printed == schema_loader("bounds_check")["properties"]["check"]["enum"]
+        assert printed == schema_loader("bounds")["properties"]["check"]["enum"]
 
     def test_weak_cf(self, capsys, schema_loader):
         _, out, _ = run_cli(capsys, "weak-cf", "--p", "0.4", "--eta", "0.3")
@@ -496,14 +501,14 @@ class TestSchemas:
 
     def test_multiparty_pairing(self, capsys, schema_loader):
         _, out, _ = run_cli(capsys, "multiparty", "--m", "2", "--n", "3")
-        jsonschema.validate(json.loads(out), schema_loader("multiparty_pairing"))
+        jsonschema.validate(json.loads(out), schema_loader("multiparty"))
 
     def test_multiparty_pairing_past_sys_maxsize(self, capsys, schema_loader):
         # n^m = 10^20 outcomes: more than a list can hold
         code, out, err = run_cli(capsys, "multiparty", "--m", "20", "--n", "10")
         assert code == 0, err
         payload = json.loads(out)
-        jsonschema.validate(payload, schema_loader("multiparty_pairing"))
+        jsonschema.validate(payload, schema_loader("multiparty"))
         assert payload["n_outcomes"] == 10**20
         assert payload["honest_prob_exact"] == "1/100000000000000000000"
 
@@ -512,12 +517,12 @@ class TestSchemas:
         code, out, err = run_cli(capsys, "multiparty", "--m", "1", "--n", str(10**400))
         assert code == 0, err
         payload = json.loads(out)
-        jsonschema.validate(payload, schema_loader("multiparty_pairing"))
+        jsonschema.validate(payload, schema_loader("multiparty"))
         assert payload["coalition_force_prob"] == payload["symmetric_bound"] == 1.0000000000000348e-200
 
     def test_three_party(self, capsys, schema_loader):
         _, out, _ = run_cli(capsys, "three-party")
-        jsonschema.validate(json.loads(out), schema_loader("multiparty_example3"))
+        jsonschema.validate(json.loads(out), schema_loader("three_party"))
 
     def test_colbeck(self, capsys, schema_loader):
         _, out, _ = run_cli(capsys, "colbeck", "--n", "4")
@@ -534,7 +539,7 @@ class TestSchemas:
         path.write_text(json.dumps(report))
         code, out, _ = run_cli(capsys, "bounds", "--report", str(path))
         assert code == 0
-        jsonschema.validate(json.loads(out), schema_loader("bounds_check"))
+        jsonschema.validate(json.loads(out), schema_loader("bounds"))
 
     def test_reproduce(self, capsys, schema_loader):
         code, out, _ = run_cli(capsys, "reproduce")
@@ -914,7 +919,7 @@ class TestGoldenExactCommands:
                 for variant in ("case1", "case2")
                 for fmt in ("json", "table", "csv")
             ),
-            (("three-party",), "multiparty_example3.json"),
+            (("three-party",), "three_party.json"),
             # each in every format: the table and csv cells share one formatter
             *(
                 (("--format", fmt, *argv), f"{stem}.{fmt}")

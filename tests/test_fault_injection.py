@@ -13,6 +13,7 @@ with `weak_cf.bob_opt_cheat`.
 """
 
 import dataclasses
+import math
 import sys
 from fractions import Fraction
 
@@ -23,6 +24,10 @@ from qdice import cli
 
 def _plus(delta):
     return lambda f: lambda *args: f(*args) + delta
+
+
+def _next_float(f):
+    return lambda *args: math.nextafter(f(*args), math.inf)
 
 
 def _returns(value):
@@ -104,6 +109,25 @@ ROWS = {
     "bob_opt_cheat+1e-3/weak-cf": (
         "weak_cf.bob_opt_cheat", _plus(1e-3), ["weak-cf", "--p", "0.3", "--eta", "0.1"], None,
     ),
+    "alice_cheat_oracle.delta_star+0.1/weak-cf": (
+        # the oracle's split against the closed form's B/(A+B)
+        "weak_cf.alice_cheat_oracle", _report_plus("delta_star", 0.1), ["weak-cf", "--p", "0.3", "--eta", "0.1"],
+        "closed form split",
+    ),
+    "alice_opt_cheat.delta_star+0.1/weak-cf": (
+        "weak_cf.alice_opt_cheat", _report_plus("delta_star", 0.1), ["weak-cf", "--p", "0.3", "--eta", "0.1"],
+        "closed form split",
+    ),
+    "sqrt2_quadratic_root+1ulp/six-round": (
+        "optimize.sqrt2_quadratic_root", _next_float, ["six-round"], None,
+    ),
+    "sqrt2_quadratic_root+1ulp/reproduce": (
+        "optimize.sqrt2_quadratic_root", _next_float, ["reproduce"], None,
+    ),
+    "sqrt2_quadratic_root+1e-11/six-round": (
+        # the six-round solve's sign-change certificate at eta*
+        "optimize.sqrt2_quadratic_root", _plus(1e-11), ["six-round"], "do not bracket",
+    ),
 }
 
 # name: why the fault exits 0
@@ -117,6 +141,12 @@ KNOWN_SURVIVORS = {
     "colbeck_alice+1/1000/colbeck": "Alice's (N+1)/2N has no second route",
     "strong_cf.pa0+1e-6/strong-cf": "strong-cf checks only the honest round trip",
     "bob_opt_cheat+1e-3/weak-cf": "Bob's p + eta has one route",
+    "sqrt2_quadratic_root+1ulp/six-round": (
+        "the sign-change certificate steps 1e-12; a 1-ulp root moves no residual sign"
+    ),
+    "sqrt2_quadratic_root+1ulp/reproduce": (
+        "the sign-change certificate steps 1e-12; a 1-ulp root moves no residual sign"
+    ),
 }
 
 

@@ -1,13 +1,15 @@
 """Golden-section maximization on [0, 1] (plain floats, both ends checked),
-bracketing bisection, and the exact Q(sqrt2) quadratic root with its float
-sign-change certificate."""
+bracketing bisection, and the exact Q(sqrt2) quadratic root, checked against
+the definition of correct rounding, with its float sign-change certificate."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import nextafter
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdice import optimize
@@ -250,133 +252,205 @@ class TestSqrt2QuadraticRoot:
             sqrt2_quadratic_root(coeffs, Fraction(0), Fraction(2))
 
 
-def reference_root_enclosures(coeffs):
-    """The enclosures as min and max of all four bound quotients per root."""
-    (x2, y2), (x1, y1), (x0, y0) = coeffs
-    disc = optimize._scaled(
-        x1 * x1 + 2 * y1 * y1 - 4 * (x2 * x0 + 2 * y2 * y0), 2 * x1 * y1 - 4 * (x2 * y0 + x0 * y2)
-    )
-    den = optimize._scaled(2 * x2, 2 * y2)
-    if disc[0] <= 0 or den[0] <= 0 <= den[1]:
+def _mul(a, b):
+    """(x + y sqrt2)(u + v sqrt2) as a rational pair."""
+    return a[0] * b[0] + 2 * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _pair_sign(x, y):
+    """The sign of x + y sqrt2 for rational x and y."""
+    if x * y >= 0:
+        return (x + y > 0) - (x + y < 0)
+    return (1 if x > 0 else -1) * (1 if x * x > 2 * y * y else -1)
+
+
+def _disc(coeffs):
+    """a1^2 - 4 a2 a0 as a pair."""
+    a2, a1, a0 = coeffs
+    return tuple(p - 4 * q for p, q in zip(_mul(a1, a1), _mul(a2, a0)))
+
+
+def exact_sign(coeffs, x):
+    """The sign of a2 x^2 + a1 x + a0 at a rational or float x, in Fraction arithmetic."""
+    x = Fraction(x)
+    value = (Fraction(0), Fraction(0))
+    for a in coeffs:  # Horner: value * x + a
+        value = (value[0] * x + a[0], value[1] * x + a[1])
+    return _pair_sign(*value)
+
+
+def definition_root(coeffs, lo, hi):
+    """The correctly rounded root in [lo, hi], from its definition alone,
+    or the phrase of the refusal the kernel owes.
+
+    Bisection over floats with exact Fraction signs finds the adjacent
+    floats u < v around the sign change, and the exact sign at their
+    midpoint picks the nearer one; a zero there is a tie. Returns None when
+    the float nearest lo or hi already lies past the root, which no drawn
+    window below reaches.
+    """
+    if _pair_sign(*coeffs[0]) == 0 or _pair_sign(*_disc(coeffs)) <= 0:
+        return "no two separated real roots"
+    s = exact_sign(coeffs, hi)
+    if not lo < hi or exact_sign(coeffs, lo) * s >= 0:
+        return "one outside"
+    u, v = float(lo), float(hi)
+    if exact_sign(coeffs, u) != -s:  # lo rounded past the root
+        u = nextafter(u, -math.inf)
+    if exact_sign(coeffs, v) != s:
+        v = nextafter(v, math.inf)
+    if exact_sign(coeffs, u) != -s or exact_sign(coeffs, v) != s:
         return None
-    scale = optimize._SCALE
-    r = (math.isqrt(disc[0] * scale), math.isqrt(disc[1] * scale) + 1)
-    b = optimize._scaled(-x1, -y1)
-    roots = []
-    for num in ((b[0] + r[0], b[1] + r[1]), (b[0] - r[1], b[1] - r[0])):
-        quotients = [Fraction(n, d) for n in num for d in den]
-        roots.append((min(quotients), max(quotients)))
-    return roots
+    while nextafter(u, math.inf) < v:
+        m = u / 2 + v / 2
+        if not u < m < v:
+            m = nextafter(u, math.inf)
+        side = exact_sign(coeffs, m)
+        if side == 0:
+            return m
+        u, v = (u, m) if side == s else (m, v)
+    side = exact_sign(coeffs, (Fraction(u) + Fraction(v)) / 2)
+    return "spans a rounding boundary" if side == 0 else (u if side == s else v)
 
 
-def reference_sqrt2_quadratic_root(coeffs, lo, hi):
-    """The root picked and rounded through Fraction enclosures."""
-    roots = reference_root_enclosures(coeffs)
-    if roots is None:
-        raise CrossCheckError(f"the quadratic {coeffs} has no two separated real roots")
-    inside = [(a, b) for a, b in roots if lo <= a and b <= hi]
-    outside = [(a, b) for a, b in roots if b < lo or a > hi]
-    if len(inside) != 1 or len(outside) != 1:
-        raise CrossCheckError(f"expected one root of {coeffs} in [{lo}, {hi}] and one outside")
-    a, b = inside[0]
-    if float(a) != float(b):
-        raise CrossCheckError(f"root enclosure [{float(a)!r}, {float(b)!r}] spans a rounding boundary")
-    return float(a)
-
-
-def root_or_error(f, coeffs, lo, hi):
+def kernel_root(coeffs, lo, hi):
+    """`sqrt2_quadratic_root`'s float, or the definition's phrase that its refusal names."""
     try:
-        return f(coeffs, lo, hi).hex()
+        return sqrt2_quadratic_root(coeffs, lo, hi)
     except CrossCheckError as exc:
-        return str(exc)
+        phrases = ["no two separated real roots", "one outside", "spans a rounding boundary"]
+        (phrase,) = [p for p in phrases if p in str(exc)]
+        return phrase
 
 
-def enclosures_as_fractions(coeffs):
-    """`_root_enclosures` with each integer quotient read as a Fraction,
-    after checking that every quotient is an int pair with a positive denominator."""
-    roots = optimize._root_enclosures(coeffs)
-    ends = [end for root in roots for end in root]
-    assert all(type(num) is int and type(den) is int and den > 0 for num, den in ends)
-    return [(Fraction(*lo), Fraction(*hi)) for lo, hi in roots]
+def satisfies_the_definition(coeffs, lo, hi, x):
+    """Opposite exact signs at lo < hi, and the sign change between the
+    exact midpoints from x to its two float neighbours, in that direction."""
+    s = exact_sign(coeffs, hi)
+    below = (Fraction(x) + Fraction(nextafter(x, -math.inf))) / 2
+    above = (Fraction(x) + Fraction(nextafter(x, math.inf))) / 2
+    return lo < hi and exact_sign(coeffs, lo) == exact_sign(coeffs, below) == -s and exact_sign(coeffs, above) == s
 
 
-def enclosures_or_none(coeffs):
-    try:
-        return enclosures_as_fractions(coeffs)
-    except CrossCheckError:
+def near_a_rounding_boundary(coeffs, hi, x):
+    """Whether the root that rounds to x lies within 4 E of a midpoint from
+    x to its neighbours, where E = (1 + |y1| + |disc_y| / sqrt(disc) +
+    2 |x y2|) / (|a2| 2**128) bounds the error of the kernel's fixed-point
+    approximation of the root."""
+    (x2, y2), (_, y1), _ = coeffs
+    disc_x, disc_y = _disc(coeffs)
+    with localcontext() as ctx:
+        ctx.prec = 200
+        sqrt2 = Decimal(2).sqrt()
+        error = 1 + abs(y1) + abs(disc_y) / (disc_x + disc_y * sqrt2).sqrt() + 2 * abs(Decimal(x) * y2)
+        delta = Fraction(4 * error / (abs(x2 + y2 * sqrt2) * 2**128))
+    s = exact_sign(coeffs, hi)
+    below = (Fraction(x) + Fraction(nextafter(x, -math.inf))) / 2
+    above = (Fraction(x) + Fraction(nextafter(x, math.inf))) / 2
+    return exact_sign(coeffs, below + delta) == s or exact_sign(coeffs, above - delta) == -s
+
+
+def matches_the_definition(coeffs, lo, hi):
+    """None when the reference cannot decide; else whether the kernel gives
+    the definition's float or refusal. Its float must satisfy the
+    definition, and it may refuse a float of the definition only as a root
+    within its approximation error of a rounding boundary."""
+    got, want = kernel_root(coeffs, lo, hi), definition_root(coeffs, lo, hi)
+    if want is None:
         return None
+    if isinstance(got, float):
+        return got == want and satisfies_the_definition(coeffs, lo, hi, got)
+    if got == "spans a rounding boundary" and isinstance(want, float):
+        return near_a_rounding_boundary(coeffs, hi, want)
+    return got == want
 
 
 _Z_SQRT2 = st.tuples(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
 _BIG_Z_SQRT2 = st.tuples(st.integers(-(2**90), 2**90), st.integers(-(2**90), 2**90))
+_COEFFS = st.one_of(st.tuples(*[_Z_SQRT2] * 3), st.tuples(*[_BIG_Z_SQRT2] * 3))
 
 
-class TestRootEnclosures:
-    """Two integer quotients per root give the four-quotient min and max exactly."""
+@st.composite
+def _window_around_a_root(draw):
+    """Coefficients with two real roots, and a window about one of them,
+    1e-14 to 1e6 wide relative to it."""
+    coeffs = draw(_COEFFS)
+    (x2, y2), (x1, y1), (x0, y0) = coeffs
+    a2, a1, a0 = x2 + y2 * math.sqrt(2), x1 + y1 * math.sqrt(2), x0 + y0 * math.sqrt(2)
+    disc = a1 * a1 - 4 * a2 * a0
+    assume(a2 != 0 and disc > 0)
+    root = (-a1 + draw(st.sampled_from([-1, 1])) * math.sqrt(disc)) / (2 * a2)
+    width = 10 ** draw(st.floats(-14, 6)) * max(1.0, abs(root))
+    below = draw(st.floats(0, 1)) * width
+    return coeffs, Fraction(root) - Fraction(below), Fraction(root) + Fraction(width - below)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(coeffs=st.one_of(st.tuples(*[_Z_SQRT2] * 3), st.tuples(*[_BIG_Z_SQRT2] * 3)))
-    def test_random_quadratics_match_the_reference(self, coeffs):
-        assert enclosures_or_none(coeffs) == reference_root_enclosures(coeffs)
+
+class TestRootByDefinition:
+    """`sqrt2_quadratic_root` against its definition, decided with Fraction signs."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
-        coeffs=st.tuples(*[_Z_SQRT2] * 3),
+        coeffs=_COEFFS,
         ends=st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=10**6), min_size=2, max_size=2),
     )
-    def test_root_matches_the_fraction_route(self, coeffs, ends):
-        # the same float, or the same CrossCheckError message
+    def test_random_windows(self, coeffs, ends):
         lo, hi = sorted(ends)
-        want = root_or_error(reference_sqrt2_quadratic_root, coeffs, lo, hi)
-        assert root_or_error(sqrt2_quadratic_root, coeffs, lo, hi) == want
+        verdict = matches_the_definition(coeffs, lo, hi)
+        assume(verdict is not None)
+        assert verdict
 
-    @pytest.mark.parametrize(
-        "coeffs",
-        [((4, 0), (4, 0), (-1, 0)), ((-3, 1), (0, -2), (7, 0)), ((1, 0), (0, -2), (1, 0))],
-    )
-    def test_window_ends_at_the_enclosure_ends(self, coeffs):
-        # lo and hi exactly at, or 1e-60 either side of, each end of each
-        # enclosure: the integer comparisons decide as the Fraction ones do
-        ends = [end for root in reference_root_enclosures(coeffs) for end in root]
-        near = sorted({end + k * Fraction(1, 10**60) for end in ends for k in (-1, 0, 1)})
-        far_lo, far_hi = near[0] - 1, near[-1] + 1
-        for edge in near:
-            for lo, hi in ((edge, far_hi), (far_lo, edge), (edge, edge)):
-                want = root_or_error(reference_sqrt2_quadratic_root, coeffs, lo, hi)
-                assert root_or_error(sqrt2_quadratic_root, coeffs, lo, hi) == want, (lo, hi)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_window_around_a_root())
+    def test_windows_around_a_root(self, case):
+        verdict = matches_the_definition(*case)
+        assume(verdict is not None)
+        assert verdict
 
     @pytest.mark.parametrize(
         "coeffs",
         [
             ((-4, 0), (0, 0), (1, 0)),  # -(4 x^2 - 1): roots -/+ 1/2
-            ((-4, 0), (4, 0), (1, 0)),  # roots (1 -/+ sqrt2)/2, one of each sign
-            ((1, -1), (3, 1), (-2, 5)),  # a2 = 1 - sqrt2 < 0
-            ((-3, 1), (0, -2), (7, 0)),  # a2 = sqrt2 - 3 < 0
-            ((-(2**60), 3), (2**59, -(2**58)), (2**61, 1)),
+            ((3, 0), (5, 0), (-2, 0)),  # (3 x - 1)(x + 2): roots 1/3 and -2
+            ((2**53, 0), (-1, 0), (-(2**53) - 1, 0)),  # roots -1 and 1 + 2^-53, a float midpoint
         ],
     )
-    def test_negative_denominator_enclosure(self, coeffs):
-        (x2, y2), _, _ = coeffs
-        assert optimize._scaled(2 * x2, 2 * y2)[1] < 0
-        roots = enclosures_as_fractions(coeffs)
-        assert roots == reference_root_enclosures(coeffs)
-        assert all(lo < hi for lo, hi in roots)
+    def test_windows_that_end_at_a_rational_root(self, coeffs):
+        # a zero at an end is no sign change: the window is refused, as by the definition
+        roots = {Fraction(-1, 2), Fraction(1, 2), Fraction(1, 3), Fraction(-2), Fraction(-1), 1 + Fraction(1, 2**53)}
+        for root in (r for r in roots if exact_sign(coeffs, r) == 0):
+            for lo, hi in ((root, root + 1), (root - 1, root), (root - 1, root + 1)):
+                assert matches_the_definition(coeffs, lo, hi)
+                if lo == root or hi == root:
+                    assert kernel_root(coeffs, lo, hi) == "one outside"
 
     @pytest.mark.parametrize(
-        "coeffs",
+        "coeffs, lo, hi",
         [
-            ((4, 0), (4, 0), (-1, 0)),  # roots of both signs
-            ((1, 0), (0, -2), (1, 0)),  # both roots positive
-            ((1, 0), (5, 1), (2, 0)),  # both roots negative
-            ((0, 1), (1, 0), (-1, 0)),  # a2 = sqrt2
+            (((4, 0), (4, 0), (-1, 0)), Fraction(0), Fraction(1, 2)),  # roots (-1 -/+ sqrt2)/2
+            (((1, 0), (0, -2), (1, 0)), Fraction(0), Fraction(1)),  # roots sqrt2 -/+ 1
+            (((1, 0), (0, -2), (1, 0)), Fraction(2), Fraction(3)),
+            (((-3, 1), (0, -2), (7, 0)), Fraction(0), Fraction(2)),  # a2 = sqrt2 - 3 < 0
         ],
     )
-    def test_positive_denominator_enclosure(self, coeffs):
-        (x2, y2), _, _ = coeffs
-        assert optimize._scaled(2 * x2, 2 * y2)[0] > 0
-        assert enclosures_as_fractions(coeffs) == reference_root_enclosures(coeffs)
+    def test_windows_that_end_at_a_float_midpoint(self, coeffs, lo, hi):
+        # the root lies between the midpoints from its float to the neighbours:
+        # a window that ends at one keeps the root or loses it, decided exactly
+        x = sqrt2_quadratic_root(coeffs, lo, hi)
+        below = (Fraction(x) + Fraction(nextafter(x, -math.inf))) / 2
+        above = (Fraction(x) + Fraction(nextafter(x, math.inf))) / 2
+        windows = {(below, hi): x, (lo, above): x, (above, hi): "one outside", (lo, below): "one outside"}
+        for (w_lo, w_hi), want in windows.items():
+            assert matches_the_definition(coeffs, w_lo, w_hi)
+            assert kernel_root(coeffs, w_lo, w_hi) == want
 
-
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_a_window_end_1e_60_from_the_root_is_decided(self, side):
+        # (sqrt2 - 1)/2 lies within 5e-61 of these rationals, far inside any
+        # float's rounding interval, and the exact signs still place it
+        near = [Fraction(math.isqrt(2 * 10**120) + k - 10**60, 2 * 10**60) for k in (0, 1)]
+        lo, hi = (near[0], Fraction(1, 2)) if side == "lo" else (Fraction(0), near[1])
+        assert kernel_root(((4, 0), (4, 0), (-1, 0)), lo, hi) == 0.20710678118654752
+        assert matches_the_definition(((4, 0), (4, 0), (-1, 0)), lo, hi)
 class TestCertifySignChange:
     @pytest.mark.parametrize("slope", [1.0, -1.0])
     def test_accepts_a_sign_change(self, slope):

@@ -275,18 +275,27 @@ class TestExactRoot:
 
     @pytest.mark.parametrize("variant,eta_max", [("case1", Fraction(2, 3)), ("case2", Fraction(1, 3))])
     def test_other_root_lies_outside_the_feasible_range(self, variant, eta_max):
-        (lo1, hi1), (lo2, hi2) = [
-            (Fraction(*lo), Fraction(*hi)) for lo, hi in optimize._root_enclosures(sixround_dr._QUADRATICS[variant])
-        ]
-        inside = [(lo, hi) for lo, hi in ((lo1, hi1), (lo2, hi2)) if 0 <= lo and hi <= eta_max]
-        outside = [(lo, hi) for lo, hi in ((lo1, hi1), (lo2, hi2)) if hi < 0 or lo > eta_max]
-        assert len(inside) == len(outside) == 1
-        lo, hi = inside[0]
-        assert 0 < hi - lo < Fraction(1, 10**30)
-        assert float(lo) == float(hi) == sixround_dr.solve(variant).eta_star
-        # the enclosures hold the two roots of the fairness equation itself
-        for lo, hi in ((lo1, hi1), (lo2, hi2)):
-            assert cleared_fairness_sign(variant, lo) * cleared_fairness_sign(variant, hi) == -1
+        # opposite exact signs at 0 and 1 - p put one root of the quadratic
+        # fairness equation in the feasible range and the other outside it
+        assert cleared_fairness_sign(variant, Fraction(0)) * cleared_fairness_sign(variant, eta_max) == -1
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_quadratic_literal_is_27_times_the_cleared_fairness_equation(self, variant):
+        # expanded independently with sympy from the fairness equation times (1-p)(p+eta)
+        import sympy
+
+        eta, c = sympy.Symbol("eta"), 1 / sympy.sqrt(2)
+        p = sympy.Rational(1, 3) if variant == "case1" else sympy.Rational(2, 3)
+        u, cheat = p + eta, p * (1 - p) + (1 - 2 * p) * eta  # Alice's A + B times (1-p)(p+eta)
+        # Claire's loss equals Alice's: c + (1-c) times her stage-2 loss as the 2/3 party
+        if variant == "case1":  # Claire loses to the preparer's A + B, Alice to Bob's p + eta
+            cleared = cheat - (1 - p) * u * (c + (1 - c) * u)
+        else:
+            cleared = (1 - p) * u * u - (c * (1 - p) * u + (1 - c) * cheat)
+        literal = sum(
+            (x + y * sympy.sqrt(2)) * eta**k for (x, y), k in zip(sixround_dr._QUADRATICS[variant], (2, 1, 0))
+        )
+        assert sympy.expand(literal - 27 * cleared) == 0
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_one_maximization_and_no_bisection(self, monkeypatch, variant):
