@@ -133,8 +133,10 @@ def sqrt2_quadratic_root(coeffs: Sequence[tuple[int, int]], lo: Fraction, hi: Fr
     are rational. Exact signs refuse, with CrossCheckError, a2 = 0, a
     discriminant <= 0, and a window without opposite signs at lo and hi
     (so exactly one root inside). That root, where the sign turns to s, the
-    sign at hi, is (-a1 + s sqrt(disc)) / (2 a2), approximated at scale
-    2**128 and rounded by int true division. The float is returned only if
+    sign at hi, is (-a1 + s sqrt(disc)) / (2 a2), or, where -a1 and
+    s sqrt(disc) would cancel, the stable 2 a0 / (-a1 - s sqrt(disc)); it is
+    approximated at scale 2**128 and rounded by int true division, and an
+    exact zero is returned as +0.0. The float is returned only if
     the quadratic turns to s between the exact midpoints to its two float
     neighbours, which is what correctly rounded means; else CrossCheckError.
     """
@@ -148,7 +150,13 @@ def sqrt2_quadratic_root(coeffs: Sequence[tuple[int, int]], lo: Fraction, hi: Fr
     if lo_num * hi_den >= hi_num * lo_den or _sign_at(coeffs, lo_num, lo_den) * s >= 0:
         raise CrossCheckError(f"expected one root of {coeffs} in [{lo}, {hi}] and one outside")
     sqrt_disc = isqrt(max(disc_x * _ONE + disc_y * _SQRT2, 0) * _ONE)
-    root = (s * sqrt_disc - x1 * _ONE - y1 * _SQRT2) / (2 * (x2 * _ONE + y2 * _SQRT2))
+    minus_a1 = -x1 * _ONE - y1 * _SQRT2
+    if _sign(x1, y1) == s:
+        # -a1 and s sqrt(disc) cancel, so the same root is taken as
+        # 2 a0 / (-a1 - s sqrt(disc)); adding 0.0 turns an exact zero's -0.0 into +0.0
+        root = 2 * (x0 * _ONE + y0 * _SQRT2) / (minus_a1 - s * sqrt_disc) + 0.0
+    else:
+        root = (minus_a1 + s * sqrt_disc) / (2 * (x2 * _ONE + y2 * _SQRT2))
     a, b = root.as_integer_ratio()
     for neighbour, sign in ((nextafter(root, -inf), -s), (nextafter(root, inf), s)):
         c, d = neighbour.as_integer_ratio()

@@ -21,7 +21,8 @@ subsystems in the same order; a different order raises
 DimensionMismatchError rather than silently pairing the wrong amplitudes.
 
 A StateStack holds k states over one space as the rows of one read-only
-(k, dim) array, and is only ever passed whole. `apply_all`, `project_all`
+(k, dim) array, and is only ever passed whole; `stack` builds one from
+states and stacks, concatenating their rows. `apply_all`, `project_all`
 and `overlap_all` push a whole stack through the kernels that `apply`,
 `project`, `measure_projector` and `overlap` run as their one-row case, so
 row r's result is the scalar call's, bit for bit. The stack axis leads
@@ -31,8 +32,11 @@ not (OpenBLAS rounds the columns past a multiple of four with other
 kernels). A stacked projection checks its basis once, takes <b|s> for
 every row with one `np.vecdot` per basis state (the BLAS dot that
 `np.vdot` takes), sums every row's in-span vector onto zeros in basis
-order, and reports a row whose probability vanishes as (0.0, None) where
-the scalar `project` raises.
+order, takes every row's squared norm with two row-wise `np.vecdot`s on
+the real and imaginary parts, and divides and norm-checks the rows it
+keeps as one stack. It returns every row's probability, 0.0 for a row
+whose probability vanishes where the scalar `project` raises, and the
+kept rows' post states as one StateStack.
 
 The hot paths avoid per-call numpy overhead without changing a bit of their
 results. `tensor` takes the outer product directly rather than through
@@ -163,16 +167,18 @@ def _check_same_space(dims: tuple[int, ...], labels: tuple[str, ...], states) ->
             raise DimensionMismatchError(f"subsystem labels differ: {labels} vs {s.labels}")
 
 
-def stack(states: Sequence[StateVector]) -> StateStack:
+def stack(states: Sequence[StateVector | StateStack]) -> StateStack:
     """The states, which must share dims and labels in one order, as one stack.
 
-    Each already passed the norm check, so only the space is checked.
+    A StateStack item contributes its rows in order. Every state and row
+    already passed the norm check, so only the space is checked.
     """
     if not states:
         raise DimensionMismatchError("a stack needs at least one state")
     first = states[0]
     _check_same_space(first.dims, first.labels, states)
-    return _stack(first.dims, first.labels, np.array([s.amps for s in states]))
+    dim = first.amps.shape[-1]  # a state is a one-row block
+    return _stack(first.dims, first.labels, np.concatenate([s.amps.reshape(-1, dim) for s in states]))
 
 
 def _flat_index(dims: tuple[int, ...], indices: tuple[int, ...]) -> int:
@@ -370,30 +376,35 @@ def _project_rows(
     basis_states: Sequence[StateVector],
     coeffs: list[np.ndarray],
     inside: bool,
-) -> list[tuple[float, StateVector | None]]:
-    """Each row's projection, its coefficients from `_span_coefficients` already taken.
-
-    A row whose probability vanishes comes back as (0.0, None).
-    """
+) -> tuple[list[float], StateStack | None]:
+    """`project_all` of the (k, dim) rows, their coefficients from
+    `_span_coefficients` already taken."""
     # summed onto zeros in basis order, so -0.0 components become +0.0
     in_span = np.zeros(rows.shape, dtype=complex)
     for c, b in zip(coeffs, basis_states):
         in_span += c * b.amps
     targets = in_span if inside else rows - in_span
-    out = []
-    for r in range(len(targets)):  # indexing is cheaper than iterating the array
-        target = targets[r]
-        # np.linalg.norm's own formula for a complex vector, without its dispatch
-        re, im = target.real, target.imag
-        p = sqrt(re.dot(re) + im.dot(im)) ** 2
-        out.append((0.0, None) if p < _VANISHING else (p, _adopt(dims, labels, target / sqrt(p))))
-    return out
+    # np.linalg.norm's own formula for a complex vector, row by row, without its dispatch
+    re, im = targets.real, targets.imag
+    probs = [sqrt(square) ** 2 for square in (np.vecdot(re, re) + np.vecdot(im, im)).tolist()]
+    # a vanishing row reads 0.0; a NaN row is kept, and fails the norm check
+    probs = [0.0 if p < _VANISHING else p for p in probs]
+    kept = [r for r, p in enumerate(probs) if p]
+    if not kept:
+        return probs, None
+    roots = np.array([sqrt(probs[r]) for r in kept])[:, None]
+    return probs, _adopt_stack(dims, labels, targets.take(kept, axis=0) / roots)
 
 
-def _only_row(projected: list[tuple[float, StateVector | None]]) -> tuple[float, StateVector]:
-    ((p, post),) = projected
-    if post is None:
+def _project_one(
+    s: StateVector, basis_states: Sequence[StateVector], coeffs: list[np.ndarray], inside: bool
+) -> tuple[float, StateVector]:
+    """`project` of s, its coefficients already taken; a vanishing probability raises."""
+    (p,), posts = _project_rows(s.dims, s.labels, s.amps.reshape(1, -1), basis_states, coeffs, inside)
+    if posts is None:
         raise DimensionMismatchError("projection has vanishing probability, cannot renormalize")
+    post = object.__new__(StateVector)  # the stack's one row, already norm-checked
+    post.__dict__.update(dims=s.dims, labels=s.labels, amps=posts.amps[0])
     return p, post
 
 
@@ -410,18 +421,20 @@ def project(
     Returns (probability of that outcome, renormalized post state); a
     vanishing probability raises DimensionMismatchError.
     """
-    rows = s.amps.reshape(1, -1)
-    coeffs = _span_coefficients(s.dims, s.labels, rows, basis_states)
-    return _only_row(_project_rows(s.dims, s.labels, rows, basis_states, coeffs, inside))
+    coeffs = _span_coefficients(s.dims, s.labels, s.amps.reshape(1, -1), basis_states)
+    return _project_one(s, basis_states, coeffs, inside)
 
 
 def project_all(
     states: StateStack, basis_states: Sequence[StateVector], inside: bool = True
-) -> list[tuple[float, StateVector | None]]:
+) -> tuple[list[float], StateStack | None]:
     """`project` of every state of the stack, with one check of the basis.
 
-    Row r is `project(states[r], basis_states, inside)`, except that a row
-    whose probability vanishes comes back as (0.0, None) rather than raising.
+    Returns (probs, posts): probs[r] is the probability of row r's outcome,
+    and posts stacks the renormalized post states of the rows whose
+    probability does not vanish, in row order (None if every row's does).
+    A vanishing row's probability reads 0.0 where `project` raises; each
+    kept row's probability and post state are `project`'s, bit for bit.
     """
     coeffs = _span_coefficients(states.dims, states.labels, states.amps, basis_states)
     return _project_rows(states.dims, states.labels, states.amps, basis_states, coeffs, inside)
@@ -438,12 +451,11 @@ def measure_projector(
     checked and its overlaps with s are taken once, for both steps. The
     result's inside_probability equals `subspace_probability(s, basis_states)`.
     """
-    rows = s.amps.reshape(1, -1)
-    coeffs = _span_coefficients(s.dims, s.labels, rows, basis_states)
+    coeffs = _span_coefficients(s.dims, s.labels, s.amps.reshape(1, -1), basis_states)
     p_in = _weight(coeffs, 0)
     rng = np.random.default_rng(seed)
     inside = bool(rng.random() < p_in)
-    prob, post = _only_row(_project_rows(s.dims, s.labels, rows, basis_states, coeffs, inside))
+    prob, post = _project_one(s, basis_states, coeffs, inside)
     return MeasurementResult(0 if inside else 1, prob, post, p_in)
 
 

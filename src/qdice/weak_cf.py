@@ -295,20 +295,20 @@ def fair_eta_balanced() -> FairPoint:
 
 # Alice's preparation basis (q1, q2), in the order of CheatAnalysis.maximizer_alphas
 _PREP_BASIS = ((UP, DOWN), (DOWN, UP), (UP, UP), (DOWN, DOWN))  # a_ud, a_du, a_uu, a_dd
-# e_r tensor |d> for each preparation basis state, built at import, and their stack
-_PREP_STATES = tuple(
-    qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (i, j, DOWN)) for i, j in _PREP_BASIS
+# e_r tensor |d> for each preparation basis state, stacked at import
+_PREP_STACK = qc.stack(
+    [qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (i, j, DOWN)) for i, j in _PREP_BASIS]
 )
-_PREP_STACK = qc.stack(_PREP_STATES)
 
 
 def _preparation(alphas) -> qc.StateVector:
     """alpha tensor |d>: Alice's preparation alphas = (a_ud, a_du, a_uu, a_dd),
-    a unit vector, against Bob's |d> ancilla."""
-    amps = np.zeros(4, dtype=complex)
+    a unit vector, against Bob's |d> ancilla, written straight into the
+    three-qubit amplitudes: a_r at e_r tensor |d>, zero elsewhere."""
+    amps = np.zeros(8, dtype=complex)
     for (i, j), a in zip(_PREP_BASIS, alphas):
-        amps[i * 2 + j] = a
-    return qc.tensor(qc.StateVector((2, 2), ("q1", "q2"), amps), _ANCILLA_D)
+        amps[i * 4 + j * 2 + DOWN] = a
+    return qc.StateVector((2, 2, 2), ("q1", "q2", "q3"), amps)
 
 
 def _scores(rotated: qc.StateStack, xi: qc.StateVector) -> list[float]:
@@ -319,12 +319,11 @@ def _scores(rotated: qc.StateStack, xi: qc.StateVector) -> list[float]:
     against xi. The whole stack goes through one projection out of the win
     sector, and the post states it keeps through one `overlap_all` with xi
     (per state, bit for bit `overlap`); a state Bob's test cannot fail on
-    scores 0.
+    has P_fail 0.0 and no post state, and scores 0.
     """
-    projected = qc.project_all(rotated, _WIN_SECTOR, inside=False)
-    kept = [post for _, post in projected if post is not None]
-    passes = iter(qc.overlap_all(xi, qc.stack(kept)).tolist() if kept else ())
-    return [0.0 if post is None else p_fail * abs(next(passes)) ** 2 for p_fail, post in projected]
+    probs, posts = qc.project_all(rotated, _WIN_SECTOR, inside=False)
+    passes = iter(qc.overlap_all(xi, posts).tolist() if posts is not None else ())
+    return [p_fail * abs(next(passes)) ** 2 if p_fail else 0.0 for p_fail in probs]
 
 
 def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> CheatAnalysis:
@@ -337,15 +336,15 @@ def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> Cheat
     advantage). Both U and xi come from the simulated protocol, not from the
     closed form; they and Bob's win sector are built once and shared by
     both certificates. One `apply_all` of U to the four basis preparations
-    gives the images whose `overlap_all` with xi is v. The maximizer
-    |v| / ||v||, tensored with |d>, is stacked after the four basis
-    preparations, and that five-row stack goes through the simulator in
-    one pass (`_scores`): one `apply_all` of U (the maximizer is pushed
-    through U, never formed from the images), one `project_all` out of
-    Bob's win sector, which checks the sector once, and one `overlap_all`
-    with xi. Every row's score is bit for bit its one-row pass. Two
-    simulated certificates must hold within ORACLE_TOL: rows 0-3, the four
-    basis preparations, sum to ||v||^2 (the maximum of the simulated payoff
+    gives the images whose `overlap_all` with xi is v; each basis
+    preparation goes through U this once. The maximizer |v| / ||v||,
+    tensored with |d>, is pushed through U by `apply` (never formed from
+    the images) and stacked after the four images, and that five-row
+    stack is scored in one pass (`_scores`): one `project_all` out of Bob's
+    win sector, which checks the sector once, and one `overlap_all` with
+    xi. Every row's score is bit for bit its one-row pass. Two simulated
+    certificates must hold within ORACLE_TOL: rows 0-3, the four basis
+    preparations, sum to ||v||^2 (the maximum of the simulated payoff
     form, so no preparation beats the value), and row 4, the maximizer,
     attains ||v||^2. Either failure, a NaN, or a non-finite ||v||^2
     raises CrossCheckError.
@@ -364,8 +363,8 @@ def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> Cheat
         raise CrossCheckError(f"oracle value ||v||^2 = {value!r} is not finite")
     alphas = tuple((w / sqrt(value)).tolist())
 
-    rows = qc.stack([*_PREP_STATES, _preparation(alphas)])
-    *basis, attained = _scores(qc.apply_all(u, rows), xi)
+    rows = qc.stack([images, qc.apply(u, _preparation(alphas))])
+    *basis, attained = _scores(rows, xi)
     upper = sum(basis)
     if not abs(upper - value) <= ORACLE_TOL:  # fails closed on NaN
         raise CrossCheckError(f"basis preparations score {upper!r}, not ||v||^2 = {value!r}")

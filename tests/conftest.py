@@ -25,12 +25,13 @@ def payoff(alphas, params: WeakCFParams) -> float:
     """Alice's cheating payoff P_fail * P_test for one preparation, scored alone.
 
     alphas = (a_ud, a_du, a_uu, a_dd) is a unit vector. The preparation is
-    pushed through the protocol at params as a one-row stack: Bob's rotation
-    against a |d> ancilla, the probability his |ud> test fails, and Alice's
-    verification overlap on the renormalized post-failure state.
+    pushed through the protocol at params as the oracle pushes its maximizer:
+    Bob's rotation against a |d> ancilla, then, as a one-row stack, the
+    probability his |ud> test fails and Alice's verification overlap on the
+    renormalized post-failure state.
     """
-    rotated = qc.apply_all(weak_cf.rotation_unitary(params), qc.stack([weak_cf._preparation(alphas)]))
-    return weak_cf._scores(rotated, weak_cf.alice_pass_state(params))[0]
+    rotated = qc.apply(weak_cf.rotation_unitary(params), weak_cf._preparation(alphas))
+    return weak_cf._scores(qc.stack([rotated]), weak_cf.alice_pass_state(params))[0]
 
 
 def state_json(state: qc.StateVector) -> dict:

@@ -61,6 +61,25 @@ def _colbeck_alice_plus(f):
     return cheat_probs
 
 
+def _fail_probs_times(factor, rows):
+    """Scale the probabilities that `project_all` reports for the given rows
+    (a slice), leaving its post states as they are."""
+
+    def perturb(f):
+        def project_all(states, basis_states, inside=True):
+            probs, posts = f(states, basis_states, inside)
+            probs[rows] = [p * factor for p in probs[rows]]
+            return probs, posts
+
+        return project_all
+
+    return perturb
+
+
+def _eta_times(factor):
+    return lambda f: lambda params: f(dataclasses.replace(params, eta=params.eta * factor))
+
+
 # name: (target, perturbation of the original, argv, expected stderr reason);
 # a survivor's expected reason is None
 ROWS = {
@@ -118,6 +137,19 @@ ROWS = {
         "weak_cf.alice_opt_cheat", _report_plus("delta_star", 0.1), ["weak-cf", "--p", "0.3", "--eta", "0.1"],
         "closed form split",
     ),
+    "project_all.p_fail*(1+1e-9)/weak-cf": (
+        # the oracle's basis certificate: rows 0-3 must sum to ||v||^2
+        "quantum_core.project_all", _fail_probs_times(1 + 1e-9, slice(None)),
+        ["weak-cf", "--p", "0.3", "--eta", "0.1"], "basis preparations score",
+    ),
+    "project_all.p_fail[-1]*(1-1e-9)/weak-cf": (
+        # the oracle's attainment certificate: row 4, the maximizer, must reach ||v||^2
+        "quantum_core.project_all", _fail_probs_times(1 - 1e-9, slice(-1, None)),
+        ["weak-cf", "--p", "0.3", "--eta", "0.1"], "oracle maximizer attains",
+    ),
+    "rotation_unitary@eta*(1+1e-9)/weak-cf": (
+        "weak_cf.rotation_unitary", _eta_times(1 + 1e-9), ["weak-cf", "--p", "0.3", "--eta", "0.1"], None,
+    ),
     "sqrt2_quadratic_root+1ulp/six-round": (
         "optimize.sqrt2_quadratic_root", _next_float, ["six-round"], None,
     ),
@@ -141,6 +173,9 @@ KNOWN_SURVIVORS = {
     "colbeck_alice+1/1000/colbeck": "Alice's (N+1)/2N has no second route",
     "strong_cf.pa0+1e-6/strong-cf": "strong-cf checks only the honest round trip",
     "bob_opt_cheat+1e-3/weak-cf": "Bob's p + eta has one route",
+    "rotation_unitary@eta*(1+1e-9)/weak-cf": (
+        "the oracle's value moves inside --tol; both certificates use the same U"
+    ),
     "sqrt2_quadratic_root+1ulp/six-round": (
         "the sign-change certificate steps 1e-12; a 1-ulp root moves no residual sign"
     ),

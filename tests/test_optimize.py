@@ -334,17 +334,25 @@ def satisfies_the_definition(coeffs, lo, hi, x):
 
 def near_a_rounding_boundary(coeffs, hi, x):
     """Whether the root that rounds to x lies within 4 E of a midpoint from
-    x to its neighbours, where E = (1 + |y1| + |disc_y| / sqrt(disc) +
-    2 |x y2|) / (|a2| 2**128) bounds the error of the kernel's fixed-point
-    approximation of the root."""
-    (x2, y2), (_, y1), _ = coeffs
+    x to its neighbours, where E bounds the error of the kernel's
+    fixed-point approximation of the root. With e = 1 + |disc_y| / sqrt(disc),
+    the error of its root of the discriminant, E = (|y1| + e + 2 |x y2|) /
+    (|a2| 2**128) for (-a1 + s sqrt(disc)) / (2 a2), and E = (2 |y0| +
+    |x| (|y1| + e)) / ((|a1| + sqrt(disc)) 2**128) for the stable form
+    2 a0 / (-a1 - s sqrt(disc)) that it takes where the first would cancel."""
+    (x2, y2), (x1, y1), (_, y0) = coeffs
     disc_x, disc_y = _disc(coeffs)
+    s = exact_sign(coeffs, hi)
     with localcontext() as ctx:
         ctx.prec = 200
         sqrt2 = Decimal(2).sqrt()
-        error = 1 + abs(y1) + abs(disc_y) / (disc_x + disc_y * sqrt2).sqrt() + 2 * abs(Decimal(x) * y2)
-        delta = Fraction(4 * error / (abs(x2 + y2 * sqrt2) * 2**128))
-    s = exact_sign(coeffs, hi)
+        sqrt_disc = (disc_x + disc_y * sqrt2).sqrt()
+        e = 1 + abs(disc_y) / sqrt_disc
+        if _pair_sign(x1, y1) == s:
+            error = (2 * abs(y0) + abs(Decimal(x)) * (abs(y1) + e)) / (abs(x1 + y1 * sqrt2) + sqrt_disc)
+        else:
+            error = (abs(y1) + e + 2 * abs(Decimal(x) * y2)) / abs(x2 + y2 * sqrt2)
+        delta = Fraction(4 * error / 2**128)
     below = (Fraction(x) + Fraction(nextafter(x, -math.inf))) / 2
     above = (Fraction(x) + Fraction(nextafter(x, math.inf))) / 2
     return exact_sign(coeffs, below + delta) == s or exact_sign(coeffs, above - delta) == -s
@@ -442,6 +450,25 @@ class TestRootByDefinition:
         for (w_lo, w_hi), want in windows.items():
             assert matches_the_definition(coeffs, w_lo, w_hi)
             assert kernel_root(coeffs, w_lo, w_hi) == want
+
+    @pytest.mark.parametrize(
+        "coeffs, lo, hi, root",
+        [
+            (((0, 1), (0, 5), (0, 0)), Fraction(-1), Fraction(1), 0.0),  # sqrt2 (x^2 + 5 x): roots 0 and -5
+            (((0, 1), (0, -5), (0, 0)), Fraction(-1), Fraction(1), 0.0),  # sqrt2 (x^2 - 5 x): roots 0 and 5
+            (((1, 0), (-(10**12), 0), (1, 0)), Fraction(0), Fraction(1), None),  # roots near 1e-12 and 1e12
+            (((0, 1), (10**30, 0), (0, -1)), Fraction(-1), Fraction(1), None),  # sqrt2 x^2 + 1e30 x - sqrt2
+        ],
+    )
+    def test_a_root_tiny_against_its_coefficients(self, coeffs, lo, hi, root):
+        # -a1 and s sqrt(disc) cancel to the root's own tiny size, which the
+        # 2**-128 fixed point of (-a1 + s sqrt(disc)) / (2 a2) cannot resolve
+        x = sqrt2_quadratic_root(coeffs, lo, hi)
+        assert matches_the_definition(coeffs, lo, hi)
+        if root is not None:
+            assert x == root
+        if x == 0.0:
+            assert math.copysign(1.0, x) == 1.0  # an exact zero is +0.0
 
     @pytest.mark.parametrize("side", ["lo", "hi"])
     def test_a_window_end_1e_60_from_the_root_is_decided(self, side):

@@ -5,6 +5,8 @@ from math import inf, nan, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import state_json
 from qdice import quantum_core as qc
@@ -625,6 +627,31 @@ def _same_bits(a: qc.StateVector, b: qc.StateVector) -> bool:
     return a.amps.tobytes() == b.amps.tobytes() and (a.dims, a.labels) == (b.dims, b.labels)
 
 
+def _assert_project_all_is_the_loop(states, basis, inside):
+    """`project_all` of the stacked states against the per-state `project`
+    loop, bit for bit: a row where `project` raises for a vanishing
+    probability reads 0.0 and has no post state."""
+    probs, posts = qc.project_all(qc.stack(states), basis, inside)
+    want_probs, want_posts = [], []
+    for state in states:
+        try:
+            p, post = qc.project(state, basis, inside)
+        except DimensionMismatchError as exc:
+            assert "vanishing" in str(exc)
+            want_probs.append(0.0)
+            continue
+        want_probs.append(p)
+        want_posts.append(post)
+    assert [p.hex() for p in probs] == [p.hex() for p in want_probs]
+    if not want_posts:
+        assert posts is None
+        return
+    assert not posts.amps.flags.writeable
+    assert len(posts.amps) == len(want_posts)
+    for got, want in zip(_rows(posts), want_posts):
+        assert _same_bits(got, want)
+
+
 # (dims, targets): the rest of the state spans 1, 2, 3 or 4 columns per state, so
 # stacks cross the matmul's blocks of four columns; targets also come permuted
 APPLY_CASES = [
@@ -665,17 +692,35 @@ class TestStacks:
                 picks = rng.permutation(n)[:m]
                 basis = _one_hot_basis(dims, picks, negative_zeros=basis_kind.endswith("-0.0"))
             for k in (1, 2, 4, 5):
-                states = _random_stack(rng, dims, k)
-                rows = qc.project_all(qc.stack(states), basis, inside)
-                assert len(rows) == k
-                for (p, post), state in zip(rows, states, strict=True):
-                    try:
-                        want_p, want_post = qc.project(state, basis, inside)
-                    except DimensionMismatchError:  # vanishing: the stack reports it as (0.0, None)
-                        assert (p, post) == (0.0, None)
-                        continue
-                    assert p == want_p and _same_bits(post, want_post)
-                    assert not post.amps.flags.writeable
+                _assert_project_all_is_the_loop(_random_stack(rng, dims, k), basis, inside)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        dims=st.sampled_from([(2,), (3,), (2, 2), (2, 3), (2, 2, 2), (2, 3, 2), (4, 4), (2, 2, 2, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+        one_hot=st.sampled_from([None, 0.0, -0.0]),
+        inside=st.booleans(),
+        data=st.data(),
+    )
+    def test_project_all_is_the_loop_on_any_stack(self, dims, seed, one_hot, inside, data):
+        # rows are random states, with or without signed zeros, or columns of
+        # the basis's unitary: a column in the basis vanishes outside it and
+        # a column past it vanishes inside
+        rng = np.random.default_rng(seed)
+        n = int(np.prod(dims))
+        if one_hot is None:
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        else:
+            q = np.full((n, n), one_hot, dtype=complex)
+            q[rng.permutation(n), np.arange(n)] = 1.0
+        columns = [qc.StateVector(dims, _labels(dims), q[:, j]) for j in range(n)]
+        basis = columns[: data.draw(st.integers(0, n), label="m")]
+        kinds = data.draw(st.lists(st.integers(-2, n - 1), min_size=1, max_size=6), label="rows")
+        states = [
+            columns[kind] if kind >= 0 else random_state(rng, dims, _labels(dims), kind == -2)
+            for kind in kinds
+        ]
+        _assert_project_all_is_the_loop(states, basis, inside)
 
     def test_one_row_stack_is_the_scalar_call(self):
         rng = np.random.default_rng(5)
@@ -687,9 +732,9 @@ class TestStacks:
         assert one.amps.tobytes() == state.amps.tobytes() and _same_bits(*_rows(one), state)
         assert _same_bits(*_rows(qc.apply_all(u, one)), qc.apply(u, state))
         for inside in (True, False):
-            ((p, post),) = qc.project_all(one, basis, inside)
+            (p,), posts = qc.project_all(one, basis, inside)
             want_p, want_post = qc.project(state, basis, inside)
-            assert p == want_p and _same_bits(post, want_post)
+            assert p == want_p and _same_bits(*_rows(posts), want_post)
         assert qc.overlap_all(basis[0], one).tolist() == [qc.overlap(basis[0], state)]
 
     def test_overlap_all_is_the_per_state_overlap_bit_for_bit(self):
@@ -706,12 +751,21 @@ class TestStacks:
         basis = [ket(UP)]
         inside, outside = ket(UP), ket(DOWN)
         tilted = qc.StateVector((2,), ("q1",), np.array([0.6, 0.8]))
-        rows = qc.project_all(qc.stack([inside, tilted, outside]), basis, inside=False)
-        assert rows[0] == (0.0, None) and rows[2][0] == 1.0
-        assert rows[1][0] == pytest.approx(0.64, abs=1e-15)
-        assert qc.project_all(qc.stack([outside]), basis, inside=True) == [(0.0, None)]
+        probs, posts = qc.project_all(qc.stack([inside, tilted, outside]), basis, inside=False)
+        assert probs[0] == 0.0 and probs[2] == 1.0
+        assert probs[1] == pytest.approx(0.64, abs=1e-15)
+        assert len(posts.amps) == 2  # the vanishing row has no post state
+        assert qc.project_all(qc.stack([outside]), basis, inside=True) == ([0.0], None)
         with pytest.raises(DimensionMismatchError, match="vanishing"):
             qc.project(inside, basis, inside=False)  # the scalar call still raises
+
+    def test_the_oracle_rows_that_bob_cannot_fail_on_vanish(self):
+        # at eta = 0 Bob's rotation keeps |ud> on (q2, q3): the preparations
+        # a_du and a_uu land in his win sector, a_ud and a_dd miss it
+        rotated = qc.apply_all(rotation_unitary(WeakCFParams(0.5, 0.0)), weak_cf._PREP_STACK)
+        probs, posts = qc.project_all(rotated, weak_cf._WIN_SECTOR, inside=False)
+        assert probs == [1.0, 0.0, 0.0, 1.0]
+        assert posts.amps.tobytes() == rotated.amps[[0, 3]].tobytes()
 
     @pytest.mark.parametrize(
         "bad_row",
@@ -764,6 +818,27 @@ class TestStacks:
         with pytest.raises(NonOrthogonalBasisError):
             qc.project_all(one, [forward, forward])
 
+    def test_a_stack_of_stacks_and_states_is_their_rows_in_order(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        states = _random_stack(rng, (2, 3), 5)
+        want = qc.stack(states)
+        checked = []
+        monkeypatch.setattr(qc, "_check_norm", checked.append)  # rows already passed it
+        for parts in (
+            [qc.stack(states[:4]), states[4]],
+            [states[0], qc.stack(states[1:3]), qc.stack(states[3:])],
+            [want],
+        ):
+            got = qc.stack(parts)
+            assert got.amps.tobytes() == want.amps.tobytes()
+            assert (got.dims, got.labels) == (want.dims, want.labels)
+            assert not got.amps.flags.writeable
+            assert not any(np.shares_memory(got.amps, part.amps) for part in parts)
+        assert checked == []
+        forward, swapped = TestLabelOrder.forward, TestLabelOrder.swapped
+        with pytest.raises(DimensionMismatchError, match="labels differ"):
+            qc.stack([qc.stack([forward]), swapped])
+
     def test_stacks_share_no_caller_memory(self):
         rng = np.random.default_rng(8)
         states = _random_stack(rng, (2, 3), 3)
@@ -771,8 +846,8 @@ class TestStacks:
         built = qc.stack(states)
         applied = qc.apply_all(u, built)
         basis = [qc.basis_state((2, 3), ("s0", "s1"), (0, 0))]
-        posts = [post for _, post in qc.project_all(applied, basis)]
-        for out in (built.amps, applied.amps, *(post.amps for post in posts)):
+        _, posts = qc.project_all(applied, basis)
+        for out in (built.amps, applied.amps, posts.amps):
             assert not out.flags.writeable
             for held in (*(s.amps for s in states), built.amps if out is not built.amps else None):
                 assert held is None or not np.shares_memory(out, held)

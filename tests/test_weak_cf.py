@@ -511,8 +511,8 @@ class TestAliceCheatOracle:
             oracle = weak_cf.alice_cheat_oracle(params)
             ((image, score),) = rows
             u = weak_cf.rotation_unitary(params)
-            alone = qc.apply_all(u, qc.stack([weak_cf._preparation(oracle.maximizer_alphas)]))
-            assert image == alone.amps[0].tobytes()
+            alone = qc.apply(u, weak_cf._preparation(oracle.maximizer_alphas))
+            assert image == alone.amps.tobytes()
             assert score.hex() == payoff(oracle.maximizer_alphas, params).hex()
 
     def test_basis_certificate_failure_raises(self, monkeypatch):
@@ -539,11 +539,12 @@ class TestAliceCheatOracle:
 
     def test_one_call_builds_the_protocol_once(self, monkeypatch):
         # one rotation and one unitarity check serve both certificates, the
-        # fixed basis states are not rebuilt, and the win sector's
-        # orthonormality is checked once for all five scored rows. 17 states
-        # in all, counted by the norm check that every state passes however
-        # it is built: xi, the four images that give v, the maximizer and its
-        # tensor with |d>, the five rotated rows and their five post-test states
+        # fixed basis states are not rebuilt, no basis preparation goes
+        # through U twice, and the win sector's orthonormality is checked
+        # once for all five scored rows. 12 states in all, counted by the
+        # norm check that every state passes however it is built: xi, the
+        # four images that give v (reused as rows 0-3), the maximizer tensor
+        # |d>, its image under U, and the five post-test states
         built, checked, states, sector_checks = [], [], [], []
         rotation = weak_cf.rotation_unitary
         unitary_check, state_check = qc.UnitaryOp.__post_init__, qc._check_norm
@@ -572,7 +573,7 @@ class TestAliceCheatOracle:
         weak_cf.alice_cheat_oracle(WeakCFParams(0.4, 0.3))
         # a stack is checked row by row
         rows = sum(1 if amps.ndim == 1 else len(amps) for amps in states)
-        assert (len(built), len(checked), len(sector_checks), rows) == (1, 1, 1, 17)
+        assert (len(built), len(checked), len(sector_checks), rows) == (1, 1, 1, 12)
         assert sector_checks[0] is weak_cf._WIN_SECTOR
 
     def test_one_honest_run_builds_four_or_five_states(self, monkeypatch):
