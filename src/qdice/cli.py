@@ -145,10 +145,10 @@ def _cmd_weak_cf(args) -> tuple[dict, str | None]:
     closed = weak_cf.alice_opt_cheat(params)
     diff = abs(oracle.p_alice_star - closed.p_alice_star)
     record = {
-        "p": oracle.p,
-        "eta": oracle.eta,
+        "p": params.p,
+        "eta": params.eta,
         "p_alice_star": oracle.p_alice_star,
-        "p_bob_star": oracle.p_bob_star,
+        "p_bob_star": weak_cf.bob_opt_cheat(params),
         "delta_star": oracle.delta_star,
         "method": "oracle",
         "closed_form": closed.p_alice_star,
@@ -219,8 +219,7 @@ def _cmd_strong_cf(args) -> tuple[dict, str | None]:
             "z1": params.z1,
             "p0": params.pp0,
             "p1": params.pp1,
-            "eps0": params.eps0,
-            "eps1": params.eps1,
+            "eps": params.eps,
         },
         "p0_honest": honest,
         "pa0": report.pa0,

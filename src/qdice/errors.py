@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+`cli.run` tells apart only a failed cross-check (exit 2) from every other
+package error (exit 1); the two input-error classes name what was wrong
+with an input, and the message says which input.
+"""
 
 
 class QdiceError(Exception):
@@ -6,31 +11,13 @@ class QdiceError(Exception):
 
 
 class DimensionMismatchError(QdiceError):
-    """Operands act on incompatible subsystems or dimensions."""
-
-
-class NonOrthogonalBasisError(QdiceError):
-    """Measurement basis states are not mutually orthogonal."""
-
-
-class DegenerateProtocolError(QdiceError):
-    """Protocol parameters make the analysis degenerate (e.g. division by zero)."""
+    """Operands act on incompatible subsystems or dimensions, or a
+    measurement basis is not orthogonal."""
 
 
 class ParameterRangeError(QdiceError):
-    """A protocol parameter lies outside its valid range."""
-
-
-class ResolutionTooCoarseError(QdiceError):
-    """Requested brute-force grid resolution is too coarse to be meaningful."""
-
-
-class InvalidBiasError(QdiceError):
-    """A declared per-stage bias exceeds the honest stage-win probability."""
-
-
-class InfeasibleVariantError(QdiceError):
-    """A root solve found no sign change on the variant's feasible range."""
+    """A protocol parameter lies outside its valid range, or makes the
+    analysis degenerate."""
 
 
 class CrossCheckError(QdiceError):

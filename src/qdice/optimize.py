@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import inf, isnan, isqrt, nextafter, sqrt
 from typing import Callable, Sequence
 
-from .errors import CrossCheckError, InfeasibleVariantError
+from .errors import CrossCheckError, ParameterRangeError
 
 _INV_PHI = (sqrt(5.0) - 1.0) / 2.0
 MAXIMIZE_TOL = 1e-12  # golden-section search stops below this bracket width
@@ -74,25 +74,25 @@ def bisect_root(
 ) -> float:
     """Find a root of f on [lo, hi] by bracketing bisection.
 
-    Raises InfeasibleVariantError when f(lo) and f(hi) have the same sign,
+    Raises ParameterRangeError when f(lo) and f(hi) have the same sign,
     or when f is NaN at either end or at any midpoint.
     """
     flo, fhi = f(lo), f(hi)
     if isnan(flo) or isnan(fhi):
-        raise InfeasibleVariantError(f"f is NaN on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
+        raise ParameterRangeError(f"f is NaN on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if flo * fhi > 0.0:
-        raise InfeasibleVariantError(
+        raise ParameterRangeError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo:.6g}, f(hi)={fhi:.6g}"
         )
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if isnan(fmid):
-            raise InfeasibleVariantError(f"f is NaN at {mid!r} on [{lo}, {hi}]")
+            raise ParameterRangeError(f"f is NaN at {mid!r} on [{lo}, {hi}]")
         if fmid == 0.0 or hi - lo < tol:
             return mid
         if flo * fmid < 0.0:

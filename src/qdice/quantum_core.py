@@ -66,7 +66,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonOrthogonalBasisError
+from .errors import DimensionMismatchError
 
 NORM_TOL = 1e-12
 ORTHO_TOL = 1e-10
@@ -341,7 +341,7 @@ def _check_orthonormal(basis_states: Sequence[StateVector]) -> None:
         for v in basis_states[i + 1 :]:
             dev = abs(np.vdot(u.amps, v.amps))
             if dev > ORTHO_TOL:
-                raise NonOrthogonalBasisError(
+                raise DimensionMismatchError(
                     f"basis states {i} and later are not orthogonal: |<u|v>| = {dev:.3g}"
                 )
 

@@ -29,9 +29,10 @@ def _row(quantity: str, reported_value: float, computed: float, tol: float) -> d
 def build_rows() -> list[dict]:
     rows: list[dict] = []
 
-    fair = weak_cf.fair_eta_balanced()
-    rows.append(_row("balanced weak CF fair eta", (sqrt(2.0) - 1.0) / 2.0, fair.eta, 1e-9))
-    rows.append(_row("balanced weak CF fair cheat value", 1.0 / sqrt(2.0), fair.p_star, 1e-9))
+    eta = weak_cf.fair_eta_balanced()
+    fair_cheat = weak_cf.bob_opt_cheat(weak_cf.WeakCFParams(0.5, eta))
+    rows.append(_row("balanced weak CF fair eta", (sqrt(2.0) - 1.0) / 2.0, eta, 1e-9))
+    rows.append(_row("balanced weak CF fair cheat value", 1.0 / sqrt(2.0), fair_cheat, 1e-9))
 
     case1 = sixround_dr.solve("case1")
     case2 = sixround_dr.solve("case2")

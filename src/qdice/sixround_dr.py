@@ -26,8 +26,8 @@ from .errors import ParameterRangeError
 from .optimize import certify_sign_change, sqrt2_quadratic_root
 from .weak_cf import WeakCFParams, alice_opt_cheat, alice_split_cheat, bob_opt_cheat, fair_eta_balanced
 
-# stage 1's common cheat value: the balanced weak coin's fair point, 1/sqrt(2)
-INV_SQRT2 = fair_eta_balanced().p_star
+# stage 1's common cheat value: Bob's cheat at the balanced weak coin's fair point, 1/sqrt(2)
+INV_SQRT2 = bob_opt_cheat(WeakCFParams(0.5, fair_eta_balanced()))
 HONEST_LOSS = 2.0 / 3.0
 
 _P = {"case1": Fraction(1, 3), "case2": Fraction(2, 3)}  # stage-2 p; eta lies in [0, 1 - p]

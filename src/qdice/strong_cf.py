@@ -9,7 +9,8 @@ solution drives every cheating probability to sqrt(P_i) exactly, so the
 product P_A* P_B* equals the honest probability: the bound is saturated.
 
 Every quantity here is a closed form in plain floats. The weak CF inside
-is an ideal primitive, known only by its honest share z_i and bias eps_i.
+is an ideal primitive, known only by its honest share z_i and its bias
+eps, the same for both coins.
 """
 
 from __future__ import annotations
@@ -17,34 +18,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import sqrt
 
-from .errors import DegenerateProtocolError, ParameterRangeError
+from .errors import ParameterRangeError
 
 
 @dataclass(frozen=True)
 class StrongCFParams:
     """First-coin probability q, weak-CF shares z0/z1, final-coin biases
-    pp0/pp1, and the weak-CF biases eps0/eps1."""
+    pp0/pp1, and the bias eps of both weak CFs."""
 
     q: float
     z0: float
     z1: float
     pp0: float
     pp1: float
-    eps0: float = 0.0
-    eps1: float = 0.0
+    eps: float = 0.0
 
     def __post_init__(self):
         for name in ("q", "z0", "z1", "pp0", "pp1"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ParameterRangeError(f"{name} must lie in [0, 1], got {v}")
-        # a weak CF with honest share z_i can raise a losing probability by at
-        # most min(z_i, 1 - z_i): eps_i <= min(z_i, 1 - z_i), with 1e-12 slack
-        for i, z, eps in ((0, self.z0, self.eps0), (1, self.z1, self.eps1)):
-            if not 0.0 <= eps <= min(z, 1.0 - z) + 1e-12:  # fails closed on NaN
-                raise ParameterRangeError(
-                    f"eps{i} must lie in [0, min(z{i}, 1-z{i})] = [0, {min(z, 1.0 - z)}], got {eps}"
-                )
+        # a weak CF with honest share z can raise a losing probability by at
+        # most min(z, 1 - z), so eps is capped by both coins, with 1e-12 slack
+        cap = min(self.z0, 1.0 - self.z0, self.z1, 1.0 - self.z1)
+        if not 0.0 <= self.eps <= cap + 1e-12:  # fails closed on NaN
+            raise ParameterRangeError(
+                f"eps must lie in [0, min(z0, 1-z0, z1, 1-z1)] = [0, {cap}], got {self.eps}"
+            )
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def solve_params(p0_honest: float, eps: float = 0.0) -> StrongCFParams:
     CFs inside get the bias eps.
     """
     if not 0.0 < p0_honest < 1.0:
-        raise DegenerateProtocolError(
+        raise ParameterRangeError(
             f"honest probability must lie strictly inside (0, 1), got {p0_honest}"
         )
     s0, s1 = sqrt(p0_honest), sqrt(1.0 - p0_honest)
@@ -96,8 +96,7 @@ def solve_params(p0_honest: float, eps: float = 0.0) -> StrongCFParams:
         z1=1.0 + (s1 - 1.0) / s0,
         pp0=1.0 - s1,
         pp1=1.0 - s0,
-        eps0=eps,
-        eps1=eps,
+        eps=eps,
     )
 
 
@@ -113,19 +112,18 @@ def cheat_probs(params: StrongCFParams) -> StrongCheatReport:
     """All six maximal forcing probabilities.
 
     Alice forcing outcome i can announce o = i and cheat the weak flip
-    (winning probability z_i + eps_i, with the final coin as fallback), or
+    (winning probability z_i + eps, with the final coin as fallback), or
     announce o = 1-i and lose deliberately, leaving Bob's final coin at
     1 - p_{1-i}. Bob forcing i wins whenever Alice's announcement matches,
     and otherwise cheats the weak flip and flips his own coin.
     """
-    q, z0, z1, p0, p1 = params.q, params.z0, params.z1, params.pp0, params.pp1
-    e0, e1 = params.eps0, params.eps1
+    q, z0, z1, p0, p1, e = params.q, params.z0, params.z1, params.pp0, params.pp1, params.eps
     return StrongCheatReport(
-        pa0=z0 + e0 + (1.0 - z0 - e0) * p0,
+        pa0=z0 + e + (1.0 - z0 - e) * p0,
         qa0=1.0 - p1,
-        pa1=z1 + e1 + (1.0 - z1 - e1) * p1,
+        pa1=z1 + e + (1.0 - z1 - e) * p1,
         qa1=1.0 - p0,
-        pb0=q + (1.0 - q) * (1.0 - z1 + e1),
-        pb1=1.0 - q + q * (1.0 - z0 + e0),
+        pb0=q + (1.0 - q) * (1.0 - z1 + e),
+        pb1=1.0 - q + q * (1.0 - z0 + e),
         honest_p0=honest_prob(params),
     )

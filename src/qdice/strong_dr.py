@@ -7,17 +7,18 @@ edge-probability product telescopes to exactly 1/N, and a cheater who can
 shift each flip to sqrt(edge) + delta succeeds with the product of those
 factors along the target's path: 1/sqrt(N) at delta = 0.
 
-The tree is a pure function of its range, so a node is only (lo, hi): its
-children and edge probabilities are computed from the range, and the
-queries below walk integer ranges rather than stored nodes. A subtree's
-leaf probabilities, relative to its root, depend on its width alone, so
-the honest leaf probabilities are computed once per distinct width (at
-most two per depth), not once per leaf.
+The tree is a pure function of its outcome count, so the root is only its
+width N: every node's children and edge probabilities are computed from
+its range within [1, N], and the queries below walk integer ranges rather
+than stored nodes. A subtree's leaf probabilities, relative to its root,
+depend on its width alone, so the honest leaf probabilities are computed
+once per distinct width (at most two per depth), not once per leaf.
 """
 
 from __future__ import annotations
 
 import operator
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, sqrt
@@ -32,38 +33,32 @@ MAX_OUTCOMES = 2**15
 
 @dataclass(frozen=True)
 class SplitTree:
-    """The node covering outcomes [lo, hi]; leaves are single outcomes.
+    """The root of the bisection of [1, width]; leaves are single outcomes.
 
-    Raises ParameterRangeError unless lo and hi are integers with
-    1 <= hi - lo + 1 <= MAX_OUTCOMES.
+    Raises ParameterRangeError unless width is an int with
+    2 <= width <= MAX_OUTCOMES.
     """
 
-    lo: int
-    hi: int
+    width: int
 
     def __post_init__(self):
-        if not (isinstance(self.lo, int) and isinstance(self.hi, int) and self.lo <= self.hi):
-            raise ParameterRangeError(f"a node needs integer ends lo <= hi, got [{self.lo!r}, {self.hi!r}]")
+        if not isinstance(self.width, int):
+            raise ParameterRangeError(f"outcome count must be an integer, got {self.width!r}")
+        if self.width < 2:
+            raise ParameterRangeError(f"need at least 2 outcomes, got {self.width}")
         if self.width > MAX_OUTCOMES:
             raise ParameterRangeError(f"need at most {MAX_OUTCOMES} outcomes, got {self.width}")
-
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo + 1
 
 
 def build_tree(n_outcomes: int) -> SplitTree:
     """The root of the ceil/floor bisection of [1, n_outcomes].
 
-    Raises ParameterRangeError unless 2 <= n_outcomes <= MAX_OUTCOMES.
+    An integer-like count, such as numpy's int64, becomes an int first;
+    SplitTree refuses the rest, and any count outside [2, MAX_OUTCOMES].
     """
-    try:
-        n = operator.index(n_outcomes)
-    except TypeError:
-        raise ParameterRangeError(f"outcome count must be an integer, got {n_outcomes!r}") from None
-    if n < 2:
-        raise ParameterRangeError(f"need at least 2 outcomes, got {n}")
-    return SplitTree(1, n)
+    with suppress(TypeError):  # a non-integer reaches SplitTree as it is
+        n_outcomes = operator.index(n_outcomes)
+    return SplitTree(n_outcomes)
 
 
 def _path_widths(tree: SplitTree, target_outcome: int) -> list[tuple[int, int]]:
@@ -72,7 +67,7 @@ def _path_widths(tree: SplitTree, target_outcome: int) -> list[tuple[int, int]]:
     the width of the child it enters, ceil(w/2) = (w+1)//2 for the left
     child (the lower outcomes) or floor(w/2) = w//2 for the right. Raises
     ParameterRangeError for a target outside the tree."""
-    lo, hi = tree.lo, tree.hi
+    lo, hi = 1, tree.width
     if not lo <= target_outcome <= hi:
         raise ParameterRangeError(f"target {target_outcome} outside [{lo}, {hi}]")
     edges = []
@@ -143,15 +138,14 @@ def honest_leaf_probs(tree: SplitTree) -> list[Fraction]:
     probabilities on each leaf's path. Each run becomes one Fraction,
     repeated over its leaves, so equal neighbouring leaves share one object.
     """
-    w = tree.hi - tree.lo + 1
     probs: list[Fraction] = []
-    for num, den, count in _leaf_runs(w, {}) if w > 1 else _LEAF_RUNS:
+    for num, den, count in _leaf_runs(tree.width, {}):
         probs += [Fraction(num, den)] * count
     return probs
 
 
 def depth(tree: SplitTree) -> int:
-    """Length of the longest root-to-leaf path (0 for a single leaf).
+    """Length of the longest root-to-leaf path.
 
     A left child is never narrower than its right sibling, so the left
     spine, whose width halves rounding up, is a longest path.

@@ -17,8 +17,8 @@ split (`alice_split_cheat`) instead of searching again. Both routes take A
 and B from `_objective_coeffs`, which refuses p = 1; the objective's
 coefficients are checked once per maximization, when `_objective(A, B)`
 builds the function the search calls, and that function checks only that
-delta lies in [0, 1]. Bob's is p + eta (always announce a win,
-`bob_opt_cheat`), carried on the same CheatAnalysis.
+delta lies in [0, 1]. Bob's is p + eta (always announce a win), read
+from `bob_opt_cheat` alone.
 The adversary oracle additionally covers Alice's full four-amplitude
 preparation: an exact rank-1 maximum, certified by simulation. The
 balanced fair point is the exact root of a quadratic, from the shared
@@ -27,7 +27,7 @@ kernel in `optimize`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, nan, sqrt
 from typing import Callable
@@ -35,12 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import quantum_core as qc
-from .errors import (
-    CrossCheckError,
-    DegenerateProtocolError,
-    ParameterRangeError,
-    ResolutionTooCoarseError,
-)
+from .errors import CrossCheckError, ParameterRangeError
 from .optimize import certify_sign_change, maximize_unimodal, sqrt2_quadratic_root
 
 UP, DOWN = 0, 1
@@ -70,23 +65,12 @@ class WeakCFParams:
 
 @dataclass(frozen=True)
 class CheatAnalysis:
-    """Maximal winning probabilities for both parties, with the optimizing delta."""
+    """Alice's maximal winning probability, with the optimizing delta."""
 
-    p: float
-    eta: float
     p_alice_star: float
-    p_bob_star: float
     delta_star: float
-    maximizer_alphas: tuple[float, float, float, float] | None = field(default=None)  # oracle only
-    search_delta: float | None = field(default=None)  # closed_form: the numeric search's argmax
-
-
-@dataclass(frozen=True)
-class FairPoint:
-    """Balanced fair operating point: the slack eta* and the common cheat value."""
-
-    eta: float
-    p_star: float
+    maximizer_alphas: tuple[float, float, float, float] | None = None  # oracle only
+    search_delta: float | None = None  # closed_form: the numeric search's argmax
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +119,7 @@ def alice_pass_state(params: WeakCFParams) -> qc.StateVector:
     """The three-qubit verification state Bob tests Alice against."""
     denom = 1.0 - params.p
     if denom <= 0.0:
-        raise DegenerateProtocolError("verification state undefined at p = 1")
+        raise ParameterRangeError("verification state undefined at p = 1")
     amps = np.zeros(8, dtype=complex)
     amps[UP * 4 + DOWN * 2 + DOWN] = sqrt(max(1.0 - params.p - params.eta, 0.0) / denom)
     amps[DOWN * 4 + DOWN * 2 + UP] = sqrt(params.eta / denom)
@@ -188,11 +172,11 @@ def _objective_coeffs(params: WeakCFParams) -> tuple[float, float]:
     """Coefficients (A, B) of Alice's objective (sqrt(A(1-d)) + sqrt(B d))^2.
 
     Both routes to Alice's cheat start here, so this is where p = 1, at
-    which A and B divide by zero, raises DegenerateProtocolError.
+    which A and B divide by zero, raises ParameterRangeError.
     """
     p, eta = params.p, params.eta
     if p >= 1.0:
-        raise DegenerateProtocolError("alice_opt_cheat undefined at p = 1")
+        raise ParameterRangeError("alice_opt_cheat undefined at p = 1")
     a = (1.0 - p - eta) / (1.0 - p)
     b = 0.0 if eta == 0.0 else eta**2 / ((1.0 - p) * (p + eta))
     return a, b
@@ -254,14 +238,7 @@ def alice_opt_cheat(params: WeakCFParams) -> CheatAnalysis:
         raise CrossCheckError(
             f"closed-form {closed!r} vs numeric {numeric!r} differ beyond {CROSS_CHECK_TOL}"
         )
-    return CheatAnalysis(
-        p=params.p,
-        eta=params.eta,
-        p_alice_star=closed,
-        p_bob_star=bob_opt_cheat(params),
-        delta_star=delta_star,
-        search_delta=search_delta,
-    )
+    return CheatAnalysis(p_alice_star=closed, delta_star=delta_star, search_delta=search_delta)
 
 
 _FAIR_QUADRATIC = ((4, 0), (4, 0), (-1, 0))  # 4 eta^2 + 4 eta - 1 = 0
@@ -274,19 +251,21 @@ def _balanced_residual(eta: float) -> float:
     return (a + b) - bob_opt_cheat(params)
 
 
-def fair_eta_balanced() -> FairPoint:
-    """Solve P_A*(1/2, eta) = P_B*(1/2, eta) for the balanced protocol.
+def fair_eta_balanced() -> float:
+    """Solve P_A*(1/2, eta) = P_B*(1/2, eta) for the balanced protocol's eta*.
 
     At p = 1/2 the equation A + B = p + eta clears to 4 eta^2 + 4 eta - 1
-    = 0, whose root in [0, 1/2] is eta* = (sqrt(2) - 1)/2 with common value
-    1/sqrt(2). `optimize.sqrt2_quadratic_root` returns it correctly
+    = 0, whose root in [0, 1/2] is eta* = (sqrt(2) - 1)/2; the common
+    value 1/sqrt(2) is Bob's cheat there,
+    `bob_opt_cheat(WeakCFParams(0.5, eta*))`.
+    `optimize.sqrt2_quadratic_root` returns eta* correctly
     rounded, and the float residual (A + B) - (p + eta) must change sign
     across eta* -/+ 1e-12 (`optimize.certify_sign_change`). Either failure
     raises CrossCheckError.
     """
     eta = sqrt2_quadratic_root(_FAIR_QUADRATIC, Fraction(0), Fraction(1, 2))
     certify_sign_change(_balanced_residual, eta)
-    return FairPoint(eta=eta, p_star=0.5 + eta)
+    return eta
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +332,7 @@ def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> Cheat
     affects the result.
     """
     if grid_resolution < 10:
-        raise ResolutionTooCoarseError(f"grid_resolution must be >= 10, got {grid_resolution}")
+        raise ParameterRangeError(f"grid_resolution must be >= 10, got {grid_resolution}")
     u, xi = rotation_unitary(params), alice_pass_state(params)
     images = qc.apply_all(u, _PREP_STACK)  # U (e_r tensor |d>), one row each
     v = qc.overlap_all(xi, images)
@@ -374,11 +353,4 @@ def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> Cheat
     a_ud, a_du = alphas[0], alphas[1]
     weight = a_ud**2 + a_du**2
     delta_star = a_du**2 / weight if weight > 0 else float("nan")
-    return CheatAnalysis(
-        p=params.p,
-        eta=params.eta,
-        p_alice_star=value,
-        p_bob_star=bob_opt_cheat(params),
-        delta_star=delta_star,
-        maximizer_alphas=alphas,
-    )
+    return CheatAnalysis(p_alice_star=value, delta_star=delta_star, maximizer_alphas=alphas)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, isfinite, lcm, prod
 from typing import NamedTuple
 
-from .errors import InvalidBiasError, ParameterRangeError
+from .errors import ParameterRangeError
 
 _UNIT_ROUNDOFF = 2.0**-53  # u: a correctly rounded float op errs by at most u relative
 # Largest tournament, refused before anything sized by N is built: `qdice
@@ -81,7 +81,7 @@ class TournamentSpec:
         factors, over = [], []
         for k, b in enumerate(biases, start=1):
             if not isfinite(b):
-                raise InvalidBiasError(f"stage {k} bias {b} is not finite")
+                raise ParameterRangeError(f"stage {k} bias {b} is not finite")
             win = k / (k + 1)  # int / int is correctly rounded
             factors.append(win - b)
             if b >= win and _exceeds(b, win, k, k + 1):
@@ -156,7 +156,7 @@ def max_losing_prob(spec: TournamentSpec, honest_party: int) -> float:
     honest stage-win probability reduced by that stage's bias: its entry
     factor fl(1/den) - delta, times the spec's shared defend factors of the
     later stages, left to right. A bias above its stage's exact win
-    probability raises InvalidBiasError, naming the party's first such stage.
+    probability raises ParameterRangeError, naming the party's first such stage.
     """
     if not 1 <= honest_party <= spec.n_parties:
         raise ParameterRangeError(f"party must lie in [1, {spec.n_parties}], got {honest_party}")
@@ -164,11 +164,11 @@ def max_losing_prob(spec: TournamentSpec, honest_party: int) -> float:
     den = entry + 1
     delta, win = spec.stage_biases[entry - 1], 1 / den
     if delta >= win and _exceeds(delta, win, 1, den):
-        raise InvalidBiasError(f"stage {entry} bias {delta} exceeds honest win probability {win}")
+        raise ParameterRangeError(f"stage {entry} bias {delta} exceeds honest win probability {win}")
     over = spec._over
     if over and over[-1] > entry:
         k = over[bisect_right(over, entry)]
-        raise InvalidBiasError(
+        raise ParameterRangeError(
             f"stage {k} bias {spec.stage_biases[k - 1]} exceeds honest win probability {k / (k + 1)}"
         )
     return 1.0 - prod(spec._factors[entry:], start=win - delta)

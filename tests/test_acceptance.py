@@ -40,13 +40,13 @@ def report(number: int, label: str, ok: bool, elapsed: float) -> None:
 
 def test_criterion_1_balanced_fair_point():
     t0 = time.perf_counter()
-    fair = weak_cf.fair_eta_balanced()
-    params = weak_cf.WeakCFParams(0.5, fair.eta)
+    eta = weak_cf.fair_eta_balanced()
+    params = weak_cf.WeakCFParams(0.5, eta)
     alice = weak_cf.alice_opt_cheat(params)
     ok = (
-        abs(fair.eta - (S2 - 1) / 2) <= 1e-9
+        abs(eta - (S2 - 1) / 2) <= 1e-9
         and abs(alice.p_alice_star - 1 / S2) <= 1e-9
-        and abs(alice.p_bob_star - 1 / S2) <= 1e-9
+        and abs(weak_cf.bob_opt_cheat(params) - 1 / S2) <= 1e-9
     )
     elapsed = time.perf_counter() - t0
     report(1, "balanced fair point eta=(sqrt2-1)/2, P*=1/sqrt2 @1e-9", ok and elapsed < 1.0, elapsed)

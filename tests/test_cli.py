@@ -71,6 +71,19 @@ class TestExitCodes:
         assert payload["p_alice_star"] == pytest.approx(0.7071, abs=1e-4)
         assert payload["p_bob_star"] == pytest.approx(0.7071, abs=1e-4)
 
+    @pytest.mark.parametrize("p, eta", [("0.3", "0.1"), ("0.5", "0.2071068"), ("0.9", "0.0"), ("0.05", "0.6")])
+    def test_weak_cf_record_reads_each_value_from_its_owner(self, capsys, p, eta):
+        # p and eta from the parsed params, Bob's value from bob_opt_cheat,
+        # Alice's from the oracle and the closed form; no CheatAnalysis echoes them
+        code, out, _ = run_cli(capsys, "weak-cf", "--p", p, "--eta", eta)
+        assert code == 0
+        record = json.loads(out)
+        params = weak_cf.WeakCFParams(float(p), float(eta))
+        assert (record["p"], record["eta"]) == (params.p, params.eta)
+        assert record["p_bob_star"] == weak_cf.bob_opt_cheat(params)
+        assert record["p_alice_star"] == weak_cf.alice_cheat_oracle(params).p_alice_star
+        assert record["closed_form"] == weak_cf.alice_opt_cheat(params).p_alice_star
+
     def test_invalid_range_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "weak-cf", "--p", "1.2", "--eta", "0.0")
         assert code == 1
@@ -103,7 +116,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (("strong-cf", "--p0", "0.5", "--eps", "2"), "eps0 must lie in"),
+            (
+                ("strong-cf", "--p0", "0.5", "--eps", "2"),
+                "error: eps must lie in [0, min(z0, 1-z0, z1, 1-z1)] = [0, 0.4142135623730949], got 2.0\n",
+            ),
             (("multiparty", "--m", "1", "--n", "2", "--eps-bar", "5"), "eps_bar must lie in"),
             # an empty list is a list of no biases, not the default's zeros
             (("weak-dr", "--n", "3", "--biases", ""), "error: expected 2 stage biases, got 0\n"),
@@ -225,7 +241,7 @@ class TestExitCodes:
         assert err.startswith("error:")
 
     def test_nan_in_a_record_is_an_error_not_a_token(self, capsys, monkeypatch):
-        nan_analysis = weak_cf.CheatAnalysis(0.5, 0.2, 0.7, 0.7, float("nan"), (1.0, 0.0, 0.0, 0.0))
+        nan_analysis = weak_cf.CheatAnalysis(0.7, float("nan"), (1.0, 0.0, 0.0, 0.0))
         monkeypatch.setattr(weak_cf, "alice_cheat_oracle", lambda params: nan_analysis)
         code, out, err = run_cli(capsys, "weak-cf", "--p", "0.5", "--eta", "0.2")
         assert code == 1
@@ -691,17 +707,24 @@ def _float_text():
 
 @st.composite
 def _argv(draw):
-    """A subcommand with drawn arguments, plus global flags before or after it."""
-    f, i = _float_text, st.integers
+    """A subcommand with drawn arguments, plus global flags before or after it.
+
+    Each integer flag is drawn from a small range or from [-2, 10**400],
+    which reaches past every size cap."""
+    f = _float_text
+
+    def i(lo, hi):
+        return st.one_of(st.integers(lo, hi), st.integers(-2, 10**400)).map(str)
+
     command = draw(st.sampled_from([
         ["weak-cf", "--p", f(), "--eta", f()],
         ["strong-cf", "--p0", f(), "--eps", f()],
-        ["strong-dr", "--n", i(0, 9).map(str), "--delta", f(), "--target", i(0, 9).map(str)],
-        ["multiparty", "--m", i(0, 3).map(str), "--n", i(0, 4).map(str), "--eps-bar", f()],
+        ["strong-dr", "--n", i(0, 9), "--delta", f(), "--target", i(0, 9)],
+        ["multiparty", "--m", i(0, 3), "--n", i(0, 4), "--eps-bar", f()],
         ["three-party"],
-        ["weak-dr", "--n", i(1, 5).map(str), "--biases", st.lists(f(), min_size=1, max_size=4).map(",".join),
-         "--party", i(0, 5).map(str)],
-        ["colbeck", "--n", i(0, 6).map(str)],
+        ["weak-dr", "--n", i(1, 5), "--biases", st.lists(f(), min_size=1, max_size=4).map(",".join),
+         "--party", i(0, 5)],
+        ["colbeck", "--n", i(0, 6)],
         ["six-round", "--variant", st.sampled_from(["case1", "case2"])],
         ["reproduce"],
         ["bounds", "--report", st.just(_REPORT)],
@@ -713,7 +736,7 @@ def _argv(draw):
     tol = st.one_of(f(), st.floats(min_value=-2.0, max_value=-1e-9).map(lambda x: f"{x:.12f}"))
     for flag, value in (
         ("--tol", tol),
-        ("--seed", i(0, 5).map(str)),
+        ("--seed", i(0, 5)),
         ("--format", st.sampled_from(["json", "table", "csv"])),
         ("--output", st.just(_OUTPUT)),
     ):

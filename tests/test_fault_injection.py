@@ -87,6 +87,13 @@ ROWS = {
         # the six-round solve's sign-change certificate at the fair point
         "weak_cf.bob_opt_cheat", _plus(1e-7), ["reproduce"], "do not bracket x = 0.20710678118654752",
     ),
+    "fair_eta_balanced+1e-8/reproduce": (
+        # the fair cheat value is Bob's cheat at eta*, so it moves with eta*
+        "weak_cf.fair_eta_balanced", _plus(1e-8), ["reproduce"], "balanced weak CF fair cheat value",
+    ),
+    "fair_eta_balanced+1e-10/reproduce": (
+        "weak_cf.fair_eta_balanced", _plus(1e-10), ["reproduce"], None,
+    ),
     "adversary_success=0.9/strong-dr": (
         "strong_dr.adversary_success", _returns(0.9), ["strong-dr", "--n", "5"],
         "misses the symmetric bound",
@@ -164,6 +171,7 @@ ROWS = {
 
 # name: why the fault exits 0
 KNOWN_SURVIVORS = {
+    "fair_eta_balanced+1e-10/reproduce": "both fair rows move inside their 1e-9",
     "HONEST_LOSS=0.66667/reproduce": "both six-round bias rows move by 3.3e-6, inside their quoted 1e-3",
     "chooser_force_probs+1e-5/reproduce": "the three-party value moves by 3.3e-6, inside its quoted 5e-6",
     "adversary_success+1e-3@delta>0/strong-dr": "strong-dr checks the forcing probability at delta 0 only",

@@ -33,7 +33,7 @@ def golden_params() -> list[tuple[str, WeakCFParams]]:
         eta = sixround_dr.solve(variant).eta_star
         for probe in (eta - PROBE_STEP, eta, eta + PROBE_STEP):
             cases.append((variant, WeakCFParams(float(p), probe)))
-    cases.append(("balanced_fair_point", WeakCFParams(0.5, weak_cf.fair_eta_balanced().eta)))
+    cases.append(("balanced_fair_point", WeakCFParams(0.5, weak_cf.fair_eta_balanced())))
     return cases
 
 

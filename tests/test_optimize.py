@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdice import optimize
-from qdice.errors import CrossCheckError, InfeasibleVariantError
+from qdice.errors import CrossCheckError, ParameterRangeError
 from qdice.optimize import (
     _INV_PHI,
     bisect_root,
@@ -56,7 +56,7 @@ def loop_bisect(f, lo, hi, tol=1e-12, max_iter=200):
     if fhi == 0.0:
         return hi
     if flo * fhi > 0.0:
-        raise InfeasibleVariantError("no sign change")
+        raise ParameterRangeError("no sign change")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
@@ -175,7 +175,7 @@ class TestBisectRoot:
         assert got_calls == want_calls
 
     def test_no_sign_change_raises(self):
-        with pytest.raises(InfeasibleVariantError, match="sign change"):
+        with pytest.raises(ParameterRangeError, match="sign change"):
             bisect_root(lambda x: x + 1.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("nan_at", ["lo", "hi", "both"])
@@ -187,12 +187,12 @@ class TestBisectRoot:
                 return math.nan
             return x - 0.3
 
-        with pytest.raises(InfeasibleVariantError, match="NaN"):
+        with pytest.raises(ParameterRangeError, match="NaN"):
             bisect_root(f, lo, hi)
 
     def test_nan_at_root_endpoint_still_raises(self):
         # f(lo) == 0 would return lo, but f(hi) is NaN
-        with pytest.raises(InfeasibleVariantError, match="NaN"):
+        with pytest.raises(ParameterRangeError, match="NaN"):
             bisect_root(lambda x: x if x < 1.0 else math.nan, 0.0, 1.0)
 
     @pytest.mark.parametrize("window", [(0.45, 0.55), (0.2, 0.26), (0.3, 0.3 + 1e-9)])
@@ -200,7 +200,7 @@ class TestBisectRoot:
         def f(x):
             return math.nan if window[0] <= x <= window[1] else x - 0.3
 
-        with pytest.raises(InfeasibleVariantError, match="NaN"):
+        with pytest.raises(ParameterRangeError, match="NaN"):
             bisect_root(f, 0.0, 1.0)
 
 

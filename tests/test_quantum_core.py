@@ -12,7 +12,7 @@ from conftest import state_json
 from qdice import quantum_core as qc
 from qdice import weak_cf
 from qdice.colbeck_dr import entangled_pair
-from qdice.errors import DimensionMismatchError, NonOrthogonalBasisError
+from qdice.errors import DimensionMismatchError
 from qdice.weak_cf import UP, DOWN, WeakCFParams, initial_state, rotation_unitary
 
 S2 = sqrt(2.0)
@@ -259,7 +259,7 @@ class TestMeasureProjector:
 
     def test_non_orthogonal_basis_rejected(self):
         tilted = qc.StateVector((2,), ("q1",), np.array([1 / S2, 1 / S2]))
-        with pytest.raises(NonOrthogonalBasisError):
+        with pytest.raises(DimensionMismatchError, match="not orthogonal"):
             qc.measure_projector(ket(UP), [ket(UP), tilted], seed=0)
 
     def test_empty_basis(self):
@@ -815,7 +815,7 @@ class TestStacks:
                 call()
         with pytest.raises(DimensionMismatchError, match="dims differ"):
             qc.project_all(one, [ket(UP)])
-        with pytest.raises(NonOrthogonalBasisError):
+        with pytest.raises(DimensionMismatchError, match="not orthogonal"):
             qc.project_all(one, [forward, forward])
 
     def test_a_stack_of_stacks_and_states_is_their_rows_in_order(self, monkeypatch):

@@ -75,7 +75,7 @@ class TestFairnessConstraint:
 class TestComposition:
     def test_stage_one_value_is_the_balanced_fair_point(self):
         assert sixround_dr.INV_SQRT2 == 1.0 / sqrt(2.0)
-        assert sixround_dr.INV_SQRT2 == weak_cf.fair_eta_balanced().p_star
+        assert sixround_dr.INV_SQRT2 == weak_cf.bob_opt_cheat(WeakCFParams(0.5, weak_cf.fair_eta_balanced()))
 
     @pytest.mark.parametrize("variant", ["case1", "case2"])
     def test_certificate_takes_the_preparer_cheat_at_the_search_argmax(self, monkeypatch, variant):

@@ -1,14 +1,15 @@
 """Optimal strong imbalanced CF: parameter synthesis, cheats, saturation."""
 
 import ast
-from math import inf, nan, sqrt
+import dataclasses
+from math import inf, nan, nextafter, sqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qdice import strong_cf
-from qdice.errors import DegenerateProtocolError, ParameterRangeError
+from qdice.errors import ParameterRangeError
 from qdice.strong_cf import StrongCFParams
 
 S2 = sqrt(2.0)
@@ -51,7 +52,7 @@ class TestSolveParams:
 
     def test_degenerate_targets_rejected(self):
         for bad in (0.0, 1.0, -0.2, 1.4):
-            with pytest.raises(DegenerateProtocolError):
+            with pytest.raises(ParameterRangeError, match="strictly inside"):
                 strong_cf.solve_params(bad)
 
     def test_roundtrip_sweep(self):
@@ -178,39 +179,56 @@ class TestValidation:
         with pytest.raises(ParameterRangeError):
             StrongCFParams(q=1.2, z0=0.5, z1=0.5, pp0=0.5, pp1=0.5)
         with pytest.raises(ParameterRangeError):
-            StrongCFParams(q=0.5, z0=0.5, z1=0.5, pp0=0.5, pp1=0.5, eps0=-0.1)
+            StrongCFParams(q=0.5, z0=0.5, z1=0.5, pp0=0.5, pp1=0.5, eps=-0.1)
 
-    @pytest.mark.parametrize("field", ["eps0", "eps1"])
-    def test_weak_cf_bias_capped_like_the_ideal_primitive(self, field):
-        # eps_i <= min(z_i, 1 - z_i), with 1e-12 slack
-        base = dict(q=0.5, z0=0.3, z1=0.8, pp0=0.5, pp1=0.5)
-        cap = 0.3 if field == "eps0" else 1.0 - 0.8
-        StrongCFParams(**base, **{field: cap + 0.5e-12})
-        with pytest.raises(ParameterRangeError, match=field):
-            StrongCFParams(**base, **{field: cap + 2e-12})
+    def test_one_bias_for_both_weak_coins(self):
+        fields = ["q", "z0", "z1", "pp0", "pp1", "eps"]
+        assert [f.name for f in dataclasses.fields(StrongCFParams)] == fields
+        assert strong_cf.solve_params(0.3, eps=0.05).eps == 0.05
+
+    @pytest.mark.parametrize("z0, z1, cap", [(0.3, 0.6, 0.3), (0.6, 0.8, 1.0 - 0.8)], ids=["z0", "z1"])
+    def test_weak_cf_bias_capped_like_the_ideal_primitive(self, z0, z1, cap):
+        # eps <= min(z_i, 1 - z_i) for both coins, with 1e-12 slack; the
+        # coin nearer 0 or 1 sets the cap
+        base = dict(q=0.5, z0=z0, z1=z1, pp0=0.5, pp1=0.5)
+        StrongCFParams(**base, eps=cap + 0.5e-12)
+        message = rf"eps must lie in \[0, min\(z0, 1-z0, z1, 1-z1\)\] = \[0, {cap}\]"
+        with pytest.raises(ParameterRangeError, match=message):
+            StrongCFParams(**base, eps=cap + 2e-12)
         with pytest.raises(ParameterRangeError):
             strong_cf.solve_params(0.5, eps=2.0)
 
-    @pytest.mark.parametrize("field", ["eps0", "eps1"])
-    def test_nan_weak_cf_bias_rejected(self, field):
-        base = dict(q=0.5, z0=0.5, z1=0.5, pp0=0.5, pp1=0.5)
-        with pytest.raises(ParameterRangeError, match=f"{field} must lie in"):
-            StrongCFParams(**base, **{field: nan})
+    @pytest.mark.parametrize("z0, z1", [(0.3, 0.8), (0.8, 0.3), (0.5, 0.5), (0.1, 0.95), (0.7, 0.25)])
+    def test_one_cap_refuses_what_each_coins_own_check_refused(self, z0, z1):
+        # the single cap min(z0, 1-z0, z1, 1-z1) + 1e-12 against one check per coin,
+        # 0 <= eps <= min(z_i, 1 - z_i) + 1e-12, at and around either coin's cap
+        base = dict(q=0.5, z0=z0, z1=z1, pp0=0.5, pp1=0.5)
+        caps = [min(z, 1.0 - z) for z in (z0, z1)]
+        edges = [c + 1e-12 for c in caps]
+        values = [0.0, -0.0, -5e-324, nan, inf, *caps, *(c - 1e-12 for c in caps), *(c + 2e-12 for c in caps)]
+        values += [*edges, *(nextafter(e, -inf) for e in edges), *(nextafter(e, inf) for e in edges)]
+        for eps in values:
+            accepted = all(0.0 <= eps <= edge for edge in edges)
+            try:
+                StrongCFParams(**base, eps=eps)
+            except ParameterRangeError:
+                assert not accepted, eps
+            else:
+                assert accepted, eps
 
-    def test_nan_eps_on_both_coins_rejected(self):
+    def test_nan_weak_cf_bias_rejected(self):
         base = dict(q=0.5, z0=0.5, z1=0.5, pp0=0.5, pp1=0.5)
-        with pytest.raises(ParameterRangeError, match="eps0 must lie in"):
-            StrongCFParams(**base, eps0=nan, eps1=nan)
-        with pytest.raises(ParameterRangeError, match="eps0 must lie in"):
+        with pytest.raises(ParameterRangeError, match="eps must lie in"):
+            StrongCFParams(**base, eps=nan)
+        with pytest.raises(ParameterRangeError, match="eps must lie in"):
             strong_cf.cheat_probs(strong_cf.solve_params(0.5, eps=nan))
 
     @pytest.mark.parametrize("bad", [inf, -inf, -1e-9])
-    @pytest.mark.parametrize("field", ["eps0", "eps1"])
-    def test_bias_outside_its_range_rejected(self, field, bad):
+    def test_bias_outside_its_range_rejected(self, bad):
         # the check is one closed interval test, so every value outside it fails
         base = dict(q=0.5, z0=0.5, z1=0.5, pp0=0.5, pp1=0.5)
-        with pytest.raises(ParameterRangeError, match=f"{field} must lie in"):
-            StrongCFParams(**base, **{field: bad})
+        with pytest.raises(ParameterRangeError, match="eps must lie in"):
+            StrongCFParams(**base, eps=bad)
 
 
 class TestPurePython:

@@ -114,7 +114,7 @@ class TestBuildTree:
         with pytest.raises(ParameterRangeError, match=message):
             strong_dr.build_tree(size)
         with pytest.raises(ParameterRangeError, match=message):
-            SplitTree(1 - excess, strong_dr.MAX_OUTCOMES)
+            SplitTree(size)
 
     def test_the_cap_itself_is_accepted(self, monkeypatch):
         monkeypatch.setattr(strong_dr, "MAX_OUTCOMES", 50)
@@ -129,7 +129,7 @@ class TestBuildTree:
 
     def test_integer_like_sizes_accepted(self):
         assert strong_dr.build_tree(np.int64(7)) == strong_dr.build_tree(7)
-        assert type(strong_dr.build_tree(np.int64(7)).hi) is int
+        assert type(strong_dr.build_tree(np.int64(7)).width) is int
 
     def test_every_path_walks_the_reference_bisection(self):
         # each edge's (take, w) is the width of the reference child entered and of the node left
@@ -143,43 +143,46 @@ class TestBuildTree:
                     lo, hi = child
                 assert strong_dr._path_widths(tree, target) == widths, (n, target)
 
-    def test_a_node_is_only_its_range(self):
+    def test_a_node_is_only_its_width(self):
         tree = strong_dr.build_tree(3)
-        assert [f.name for f in dataclasses.fields(SplitTree)] == ["lo", "hi"]
-        assert tree == SplitTree(1, 3) and hash(tree) == hash(SplitTree(1, 3))
-        assert type(tree) is SplitTree and repr(SplitTree(3, 3)) == "SplitTree(lo=3, hi=3)"
-        assert not any(hasattr(tree, name) for name in ("left", "right", "left_prob", "right_prob", "is_leaf"))
+        assert [f.name for f in dataclasses.fields(SplitTree)] == ["width"]
+        assert tree == SplitTree(3) and hash(tree) == hash(SplitTree(3))
+        assert type(tree) is SplitTree and repr(tree) == "SplitTree(width=3)"
+        assert not any(hasattr(tree, name) for name in ("lo", "hi", "left", "right", "left_prob", "is_leaf"))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            tree.lo = 2
+            tree.width = 2
 
-    def test_a_directly_built_range_is_a_whole_subtree(self):
-        tree = SplitTree(1, 4)
+    def test_a_directly_built_node_is_the_whole_tree(self):
+        tree = SplitTree(4)
         assert strong_dr.honest_leaf_probs(tree) == [Fraction(1, 4)] * 4
         assert strong_dr.depth(tree) == 2
-        for lo, hi in [(-3, 3), (0, 0), (5, 17), (10**20, 10**20 + 6)]:
-            node = SplitTree(lo, hi)
-            assert strong_dr.honest_leaf_probs(node) == reference_leaf_probs(lo, hi)
-            assert strong_dr.depth(node) == reference_depth(lo, hi)
-            for target in range(lo, hi + 1):
-                assert strong_dr.path_to(node, target) == reference_path_to(lo, hi, target)
+        for n in (2, 3, 17, 37):
+            node = SplitTree(n)
+            assert strong_dr.honest_leaf_probs(node) == reference_leaf_probs(1, n)
+            assert strong_dr.depth(node) == reference_depth(1, n)
+            for target in range(1, n + 1):
+                assert strong_dr.path_to(node, target) == reference_path_to(1, n, target)
 
     @pytest.mark.parametrize(
-        "lo, hi, message",
+        "width, message",
         [
-            (3, 1, r"integer ends lo <= hi, got \[3, 1\]"),
-            (1, 0, r"integer ends lo <= hi, got \[1, 0\]"),
-            (1.5, 3, "integer ends lo <= hi"),
-            (1, 3.0, "integer ends lo <= hi"),
-            (1, "3", "integer ends lo <= hi"),
-            (np.int64(1), 3, "integer ends lo <= hi"),
-            (None, None, "integer ends lo <= hi"),
-            (1, 2**15 + 1, "need at most 32768 outcomes, got 32769"),
+            (1, "need at least 2 outcomes, got 1"),
+            (0, "need at least 2 outcomes, got 0"),
+            (-3, "need at least 2 outcomes, got -3"),
+            (1.5, "outcome count must be an integer, got 1.5"),
+            (3.0, "outcome count must be an integer, got 3.0"),
+            ("3", "outcome count must be an integer, got '3'"),
+            (np.int64(3), "outcome count must be an integer, got np.int64(3)"),
+            (None, "outcome count must be an integer, got None"),
+            (2**15 + 1, "need at most 32768 outcomes, got 32769"),
         ],
     )
-    def test_a_range_that_is_not_a_bisection_node_is_refused(self, lo, hi, message):
+    def test_a_width_that_is_not_a_bisection_root_is_refused(self, width, message):
+        # SplitTree is the one validator: build_tree's refusals are its messages
         assert strong_dr.MAX_OUTCOMES == 2**15
-        with pytest.raises(ParameterRangeError, match=message):
-            SplitTree(lo, hi)
+        assert raised(SplitTree, width) == (ParameterRangeError, message)
+        if not isinstance(width, np.integer):  # build_tree converts an integer-like width first
+            assert raised(strong_dr.build_tree, width) == (ParameterRangeError, message)
 
 
 class TestHonestLeafProbs:
@@ -202,19 +205,10 @@ class TestHonestLeafProbs:
             assert probs == reference_leaf_probs(1, n), n
             assert all(type(p) is Fraction for p in probs)
 
-    @pytest.mark.parametrize("lo", [-(10**6), -7, 0, 2, 10**20])
-    def test_equals_fraction_walk_on_offset_subtrees(self, lo):
-        for w in (1, 2, 3, 5, 6, 37, 100, 257):
-            hi = lo + w - 1
-            assert strong_dr.honest_leaf_probs(SplitTree(lo, hi)) == reference_leaf_probs(lo, hi), (lo, w)
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 37, 256, 1000])
+    @pytest.mark.parametrize("n", [2, 5, 37, 256, 1000])
     def test_equal_leaves_share_one_fraction(self, n):
-        probs = strong_dr.honest_leaf_probs(SplitTree(1, n))
+        probs = strong_dr.honest_leaf_probs(strong_dr.build_tree(n))
         assert len({id(p) for p in probs}) == len(set(probs)) == 1
-
-    def test_single_leaf(self):
-        assert strong_dr.honest_leaf_probs(SplitTree(4, 4)) == [Fraction(1)]
 
 
 class TestAdversarySuccess:
@@ -322,7 +316,6 @@ class TestDepthBound:
     def test_equals_bit_length_up_to_the_cap(self):
         for n in range(2, strong_dr.MAX_OUTCOMES + 1):
             assert strong_dr.depth(strong_dr.build_tree(n)) == (n - 1).bit_length(), n
-        assert strong_dr.depth(SplitTree(1, 1)) == 0
 
 
 class TestCompositionWithStrongCF:

@@ -1,5 +1,6 @@
 """Three-round weak imbalanced CF: honest runs, closed-form cheats, oracle."""
 
+import dataclasses
 import json
 from fractions import Fraction
 from math import inf, nextafter, sqrt
@@ -10,12 +11,7 @@ import pytest
 from conftest import param_grid, payoff
 from qdice import cli, weak_cf
 from qdice import quantum_core as qc
-from qdice.errors import (
-    CrossCheckError,
-    DegenerateProtocolError,
-    ParameterRangeError,
-    ResolutionTooCoarseError,
-)
+from qdice.errors import CrossCheckError, ParameterRangeError
 from qdice.optimize import maximize_unimodal
 from qdice.weak_cf import DOWN, UP, WeakCFParams
 
@@ -242,7 +238,7 @@ class TestAliceOptCheat:
             weak_cf.alice_opt_cheat(WeakCFParams(0.5, 0.2))
 
     def test_degenerate_p_one_rejected(self):
-        with pytest.raises(DegenerateProtocolError):
+        with pytest.raises(ParameterRangeError):
             weak_cf.alice_opt_cheat(WeakCFParams(1.0, 0.0))
 
     @pytest.mark.parametrize(
@@ -255,7 +251,7 @@ class TestAliceOptCheat:
         ],
     )
     def test_every_route_refuses_p_one(self, route, message):
-        with pytest.raises(DegenerateProtocolError, match=f"^{message}$"):
+        with pytest.raises(ParameterRangeError, match=f"^{message}$"):
             route(WeakCFParams(1.0, 0.0))
 
     def test_cheating_never_below_honest(self):
@@ -263,9 +259,9 @@ class TestAliceOptCheat:
         for _ in range(50):
             p = rng.uniform(0.05, 0.95)
             eta = rng.uniform(0.0, 1 - p)
-            analysis = weak_cf.alice_opt_cheat(WeakCFParams(p, eta))
-            assert analysis.p_alice_star >= 1 - p - 1e-9
-            assert analysis.p_bob_star >= p - 1e-9
+            params = WeakCFParams(p, eta)
+            assert weak_cf.alice_opt_cheat(params).p_alice_star >= 1 - p - 1e-9
+            assert weak_cf.bob_opt_cheat(params) >= p - 1e-9
 
 
 class TestCrossCheckStrength:
@@ -351,61 +347,54 @@ class TestSplitCheat:
 
 
 class TestBobOptCheat:
-    # Bob's maximal win p + eta, as alice_opt_cheat reports it
-    def test_both_analyses_report_bob_opt_cheat(self):
+    # Bob's maximal win p + eta, which no CheatAnalysis repeats
+    def test_is_p_plus_eta_and_read_from_bob_opt_cheat_alone(self):
         for params in param_grid(4, 4):
-            value = weak_cf.bob_opt_cheat(params)
-            assert value == params.p + params.eta
-            assert weak_cf.alice_opt_cheat(params).p_bob_star == value
-            assert weak_cf.alice_cheat_oracle(params).p_bob_star == value
+            assert weak_cf.bob_opt_cheat(params) == params.p + params.eta
+        fields = ["p_alice_star", "delta_star", "maximizer_alphas", "search_delta"]
+        assert [f.name for f in dataclasses.fields(weak_cf.CheatAnalysis)] == fields
 
     def test_balanced_fair_point(self):
-        analysis = weak_cf.alice_opt_cheat(WeakCFParams(0.5, FAIR_ETA))
-        assert analysis.p_bob_star == pytest.approx(1 / S2, abs=1e-12)
+        assert weak_cf.bob_opt_cheat(WeakCFParams(0.5, FAIR_ETA)) == pytest.approx(1 / S2, abs=1e-12)
 
     def test_eta_zero_equals_honest(self):
         for p in (0.1, 0.4, 0.9):
-            assert weak_cf.alice_opt_cheat(WeakCFParams(p, 0.0)).p_bob_star == p
+            assert weak_cf.bob_opt_cheat(WeakCFParams(p, 0.0)) == p
 
     def test_two_thirds_case(self):
         # eta value taken from the six-round case-2 root solve
-        assert weak_cf.alice_opt_cheat(WeakCFParams(2 / 3, 0.1992)).p_bob_star == pytest.approx(
-            2 / 3 + 0.1992, abs=1e-12
-        )
+        assert weak_cf.bob_opt_cheat(WeakCFParams(2 / 3, 0.1992)) == pytest.approx(2 / 3 + 0.1992, abs=1e-12)
 
     def test_strictly_increasing_in_eta(self):
-        values = [
-            weak_cf.alice_opt_cheat(WeakCFParams(0.4, eta)).p_bob_star
-            for eta in np.linspace(0.0, 0.6, 20)
-        ]
+        values = [weak_cf.bob_opt_cheat(WeakCFParams(0.4, eta)) for eta in np.linspace(0.0, 0.6, 20)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
 class TestFairEta:
     def test_fair_point(self):
-        fp = weak_cf.fair_eta_balanced()
-        assert fp.eta == pytest.approx(FAIR_ETA, abs=1e-9)
-        assert fp.p_star == pytest.approx(1 / S2, abs=1e-9)
-        assert abs(weak_cf._balanced_residual(fp.eta)) < 1e-9
+        eta = weak_cf.fair_eta_balanced()
+        assert eta == pytest.approx(FAIR_ETA, abs=1e-9)
+        assert weak_cf.bob_opt_cheat(WeakCFParams(0.5, eta)) == pytest.approx(1 / S2, abs=1e-9)
+        assert abs(weak_cf._balanced_residual(eta)) < 1e-9
 
     def test_eta_is_the_correctly_rounded_exact_root(self):
         # eta^2 + eta - 1/4 is increasing on [0, 1/2] and vanishes at
         # (sqrt2 - 1)/2, so it must change sign between the midpoints from
         # eta to its two float neighbours
-        fp = weak_cf.fair_eta_balanced()
-        assert repr(fp.eta) == "0.20710678118654752"
-        assert repr(fp.p_star) == "0.7071067811865475"
-        assert abs(weak_cf._balanced_residual(fp.eta)) <= 1e-15
+        eta = weak_cf.fair_eta_balanced()
+        assert repr(eta) == "0.20710678118654752"
+        assert repr(weak_cf.bob_opt_cheat(WeakCFParams(0.5, eta))) == "0.7071067811865475"
+        assert abs(weak_cf._balanced_residual(eta)) <= 1e-15
 
         def cleared(x):
             return x * x + x - Fraction(1, 4)
 
-        for neighbour, sign in ((nextafter(fp.eta, -inf), -1), (nextafter(fp.eta, inf), 1)):
-            midpoint = (Fraction(fp.eta) + Fraction(neighbour)) / 2
+        for neighbour, sign in ((nextafter(eta, -inf), -1), (nextafter(eta, inf), 1)):
+            midpoint = (Fraction(eta) + Fraction(neighbour)) / 2
             assert cleared(midpoint) * sign > 0
 
     def test_float_residual_changes_sign_across_the_root(self):
-        eta = weak_cf.fair_eta_balanced().eta
+        eta = weak_cf.fair_eta_balanced()
         assert weak_cf._balanced_residual(eta - 1e-12) > 0.0 > weak_cf._balanced_residual(eta + 1e-12)
 
     @pytest.mark.parametrize("shift", [-1e-11, 1e-11])
@@ -443,7 +432,7 @@ class TestAliceCheatOracle:
         assert oracle.delta_star == pytest.approx(closed.delta_star, abs=1e-9)
 
     def test_too_coarse_rejected(self):
-        with pytest.raises(ResolutionTooCoarseError):
+        with pytest.raises(ParameterRangeError, match="^grid_resolution must be >= 10, got 9$"):
             weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=9)
 
     def test_payoff_at_known_preparation(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qdice import cli, weak_dr
-from qdice.errors import InvalidBiasError, ParameterRangeError
+from qdice.errors import ParameterRangeError
 from qdice.weak_dr import TournamentSpec
 
 
@@ -131,7 +131,7 @@ class TestMaxLosingProb:
 
     def test_bias_exceeding_stage_win_rejected(self):
         spec = TournamentSpec(3, (0.05, 0.4))
-        with pytest.raises(InvalidBiasError):
+        with pytest.raises(ParameterRangeError, match="stage 2 bias 0.4 exceeds"):
             weak_dr.max_losing_prob(spec, 3)  # party 3's stage-2 win prob is 1/3
 
     @pytest.mark.parametrize(
@@ -147,7 +147,7 @@ class TestMaxLosingProb:
     def test_rejection_names_the_first_bad_stage_and_its_float_win(self, biases, party, message):
         spec = TournamentSpec(len(biases) + 1, biases)
         for check in (weak_dr.max_losing_prob, weak_dr.checked_losing_prob):
-            with pytest.raises(InvalidBiasError, match=f"^{re.escape(message)}$"):
+            with pytest.raises(ParameterRangeError, match=f"^{re.escape(message)}$"):
                 check(spec, party)
 
     def test_the_stage_chain_is_built_with_the_spec(self, monkeypatch):
@@ -185,7 +185,7 @@ class TestMaxLosingProb:
                         try:
                             weak_dr.max_losing_prob(specs[k, delta], party)
                             raised = False
-                        except InvalidBiasError:
+                        except ParameterRangeError:
                             raised = True
                         assert raised == above[key], (n_parties, party, k, delta)
                         checked += 1
@@ -547,7 +547,7 @@ class TestTournamentSpecValidation:
     def test_non_finite_bias(self, bad, stage):
         biases = [0.0, 0.0]
         biases[stage - 1] = bad
-        with pytest.raises(InvalidBiasError, match=f"stage {stage} bias {bad} is not finite"):
+        with pytest.raises(ParameterRangeError, match=f"stage {stage} bias {bad} is not finite"):
             TournamentSpec(3, biases)
 
     def test_json_roundtrip_fields(self, capsys):
