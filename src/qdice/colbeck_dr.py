@@ -54,7 +54,7 @@ def honest_run(n: int, seed: int | np.random.Generator) -> tuple[int, dict]:
     alice = qc.measure_computational(pairs[selected], f"A{selected + 1}", rng)
     bob = qc.measure_computational(alice.post_state, f"B{selected + 1}", rng)
     unused = pairs[1 - selected]
-    verify_prob = qc.subspace_probability(unused, [unused])
+    verify_prob = qc.subspace_probability(unused, qc.Subspace([unused]))
     return alice.outcome_index + 1, {
         "selected_pair": selected + 1,
         "alice_index": alice.outcome_index,

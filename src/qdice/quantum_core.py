@@ -10,15 +10,30 @@ explicitly.
 Amplitudes are double-precision complex. The protocols analyzed here only
 ever need real amplitudes, but the type is complex for generality.
 
+Structure is checked once, values on every call. A space, its dims and
+labels, is checked through one bounded cache per distinct space, and an
+operator's target labels likewise, so a state built from a caller's array
+costs its copy, its shape check and its norm check, and an operator its
+copy and its unitarity check. An invalid space or target tuple raises on
+every call, since the caches keep no exception.
+
 A StateVector's amplitudes are read-only and no caller holds a writable
 reference to them, so one state can be shared freely. A caller's array is
-copied and fully validated; the arrays that `tensor`, `apply`, the
-projections and `measure_computational` have just allocated are adopted
-without a copy or a second dims/labels/shape check, since their inputs
-passed those checks, but every state, however built, passes the norm check.
-States that are compared, projected or measured together must list their
-subsystems in the same order; a different order raises
-DimensionMismatchError rather than silently pairing the wrong amplitudes.
+copied; the arrays that `tensor`, `apply`, the projections and
+`measure_computational` have just allocated are adopted without a copy or
+a shape check, since their inputs passed those checks, but every state,
+however built, passes the norm check. States that are compared, projected
+or measured together must list their subsystems in the same order; a
+different order raises DimensionMismatchError rather than silently
+pairing the wrong amplitudes.
+
+A Subspace is a projective test: the span of orthonormal basis states over
+one space. It checks when it is built that its states share that space
+and are pairwise orthogonal, and keeps them as the rows of one read-only
+(m, dim) array. `project`, `project_all`, `subspace_probability` and
+`measure_projector` take a Subspace, which they only match against the
+state's space, or its basis states, which they check on that call as a
+Subspace; a protocol builds its tests once.
 
 A StateStack holds k states over one space as the rows of one read-only
 (k, dim) array, and is only ever passed whole; `stack` builds one from
@@ -29,14 +44,14 @@ row r's result is the scalar call's, bit for bit. The stack axis leads
 the state's axes, so numpy's matmul makes one BLAS product per state, the
 product the scalar call makes; one 2-D product over all k states would
 not (OpenBLAS rounds the columns past a multiple of four with other
-kernels). A stacked projection checks its basis once, takes <b|s> for
-every row with one `np.vecdot` per basis state (the BLAS dot that
-`np.vdot` takes), sums every row's in-span vector onto zeros in basis
-order, takes every row's squared norm with two row-wise `np.vecdot`s on
-the real and imaginary parts, and divides and norm-checks the rows it
-keeps as one stack. It returns every row's probability, 0.0 for a row
-whose probability vanishes where the scalar `project` raises, and the
-kept rows' post states as one StateStack.
+kernels). A projection takes <b|s> for every row and basis state with one
+broadcast `np.vecdot` (the BLAS dot that `np.vdot` takes), sums every
+row's in-span vector onto zeros in basis order, takes every row's squared
+norm with two row-wise `np.vecdot`s on the real and imaginary parts, and
+divides and norm-checks the rows it keeps as one stack, selecting them
+only when some row vanishes. It returns every row's probability, 0.0 for
+a row whose probability vanishes where the scalar `project` raises, and
+the kept rows' post states as one StateStack.
 
 The hot paths avoid per-call numpy overhead without changing a bit of their
 results. `tensor` takes the outer product directly rather than through
@@ -74,6 +89,22 @@ _VANISHING = 1e-15  # a projection below this probability has no post state
 _SUM_ATOL = sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance on sum(p) - 1
 
 
+@lru_cache(maxsize=128)
+def _space(dims: tuple, labels: tuple) -> tuple[tuple[int, ...], tuple[str, ...], int]:
+    """(dims, labels, dim) of a labeled space, checked once per distinct space.
+
+    The dims come back as Python ints and dim is their product. A space
+    with a label per dim, no label twice, is cached; an invalid one raises
+    on every call, as lru_cache caches no exception.
+    """
+    dims = tuple(map(int, dims))
+    if len(dims) != len(labels):
+        raise DimensionMismatchError("dims and labels must have equal length")
+    if len(set(labels)) != len(labels):
+        raise DimensionMismatchError(f"duplicate subsystem labels: {labels}")
+    return dims, labels, prod(dims)
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Normalized complex amplitudes over a labeled tensor-product basis."""
@@ -85,29 +116,23 @@ class StateVector:
     def __post_init__(self):
         amps = np.array(self.amps, dtype=complex)  # a copy: the caller's array stays writable
         amps.setflags(write=False)
+        dims, labels, dim = _space(tuple(self.dims), tuple(self.labels))
         # one dict update sets the frozen fields, as `_adopt` does
-        self.__dict__.update(dims=tuple(map(int, self.dims)), labels=tuple(self.labels), amps=amps)
-        if len(self.dims) != len(self.labels):
-            raise DimensionMismatchError("dims and labels must have equal length")
-        if len(set(self.labels)) != len(self.labels):
-            raise DimensionMismatchError(f"duplicate subsystem labels: {self.labels}")
-        if amps.shape != (prod(self.dims),):
-            raise DimensionMismatchError(
-                f"expected {prod(self.dims)} amplitudes, got {amps.shape}"
-            )
+        self.__dict__.update(dims=dims, labels=labels, amps=amps)
+        if amps.shape != (dim,):
+            raise DimensionMismatchError(f"expected {dim} amplitudes, got {amps.shape}")
         _check_norm(amps)
 
 
 def _check_norm(amps: np.ndarray) -> None:
     """The check every state passes, whichever way it is built: amps is one
-    state, or a (k, dim) stack whose rows are checked one by one."""
-    if amps.ndim == 1:
-        n = sqrt(np.vdot(amps, amps).real)
-    else:  # a stack: the BLAS dot that np.vdot takes, row by row; the first bad row is reported
-        norms = [sqrt(square) for square in np.vecdot(amps, amps).real.tolist()]
-        n = next((x for x in norms if not abs(x - 1.0) <= NORM_TOL), 1.0)
-    if not abs(n - 1.0) <= NORM_TOL:  # fails closed on NaN
-        raise DimensionMismatchError(f"state not normalized: |psi| = {n!r}")
+    state, or a (k, dim) stack whose rows are checked in one loop."""
+    # a stack's rows take the BLAS dot that np.vdot takes; the first bad row is reported
+    squares = np.vecdot(amps, amps).real.tolist() if amps.ndim == 2 else (np.vdot(amps, amps).real,)
+    for square in squares:
+        n = sqrt(square)
+        if not abs(n - 1.0) <= NORM_TOL:  # fails closed on NaN
+            raise DimensionMismatchError(f"state not normalized: |psi| = {n!r}")
 
 
 def _adopt(dims: tuple[int, ...], labels: tuple[str, ...], amps: np.ndarray) -> StateVector:
@@ -138,11 +163,14 @@ class StateStack:
     def __post_init__(self):
         amps = np.array(self.amps, dtype=complex)  # a copy: the caller's array stays writable
         amps.setflags(write=False)
-        self.__dict__.update(dims=tuple(map(int, self.dims)), labels=tuple(self.labels), amps=amps)
         if amps.ndim != 2 or len(amps) == 0:
             raise DimensionMismatchError(f"expected a (k, dim) array with k >= 1, got {amps.shape}")
-        for row in amps:  # every StateVector check, row by row
-            StateVector(self.dims, self.labels, row)
+        dims, labels, dim = _space(tuple(self.dims), tuple(self.labels))
+        self.__dict__.update(dims=dims, labels=labels, amps=amps)
+        if amps.shape[1] != dim:  # every StateVector check, for all rows at once
+            raise DimensionMismatchError(f"expected {dim} amplitudes, got {amps.shape[1:]}")
+        for row in amps:  # np.vdot, unlike np.vecdot, reports a non-finite row with no warning
+            _check_norm(row)
 
 
 def _stack(dims: tuple[int, ...], labels: tuple[str, ...], amps: np.ndarray) -> StateStack:
@@ -159,12 +187,12 @@ def _adopt_stack(dims: tuple[int, ...], labels: tuple[str, ...], amps: np.ndarra
     return _stack(dims, labels, amps)
 
 
-def _check_same_space(dims: tuple[int, ...], labels: tuple[str, ...], states) -> None:
-    for s in states:
-        if s.dims != dims:
-            raise DimensionMismatchError(f"dims differ: {dims} vs {s.dims}")
-        if s.labels != labels:
-            raise DimensionMismatchError(f"subsystem labels differ: {labels} vs {s.labels}")
+def _check_same_space(dims: tuple[int, ...], labels: tuple[str, ...], s) -> None:
+    """s, a state, stack or subspace, lists the subsystems of (dims, labels) in their order."""
+    if s.dims != dims:
+        raise DimensionMismatchError(f"dims differ: {dims} vs {s.dims}")
+    if s.labels != labels:
+        raise DimensionMismatchError(f"subsystem labels differ: {labels} vs {s.labels}")
 
 
 def stack(states: Sequence[StateVector | StateStack]) -> StateStack:
@@ -176,7 +204,8 @@ def stack(states: Sequence[StateVector | StateStack]) -> StateStack:
     if not states:
         raise DimensionMismatchError("a stack needs at least one state")
     first = states[0]
-    _check_same_space(first.dims, first.labels, states)
+    for s in states:
+        _check_same_space(first.dims, first.labels, s)
     dim = first.amps.shape[-1]  # a state is a one-row block
     return _stack(first.dims, first.labels, np.concatenate([s.amps.reshape(-1, dim) for s in states]))
 
@@ -204,6 +233,14 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
+@lru_cache(maxsize=128)
+def _targets(targets: tuple[str, ...]) -> tuple[str, ...]:
+    """An operator's target labels, checked once per distinct tuple: no label twice."""
+    if len(set(targets)) != len(targets):
+        raise DimensionMismatchError(f"duplicate target labels: {targets}")
+    return targets
+
+
 @dataclass(frozen=True)
 class UnitaryOp:
     """A unitary matrix acting on an ordered subset of subsystems."""
@@ -214,9 +251,7 @@ class UnitaryOp:
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)  # a copy: the caller's array stays writable
         m.setflags(write=False)
-        self.__dict__.update(matrix=m, target_subsystems=tuple(self.target_subsystems))
-        if len(set(self.target_subsystems)) != len(self.target_subsystems):
-            raise DimensionMismatchError(f"duplicate target labels: {self.target_subsystems}")
+        self.__dict__.update(matrix=m, target_subsystems=_targets(tuple(self.target_subsystems)))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got {m.shape}")
         # sum |m_ij|^2 is NaN or inf for a NaN or inf entry, or one whose
@@ -322,7 +357,7 @@ def apply_all(u: UnitaryOp, states: StateStack) -> StateStack:
 
 def overlap(a: StateVector, b: StateVector) -> complex:
     """Inner product <a|b>; its squared modulus is the transition probability."""
-    _check_same_space(a.dims, a.labels, (b,))
+    _check_same_space(a.dims, a.labels, b)
     return complex(np.vdot(a.amps, b.amps))
 
 
@@ -331,7 +366,7 @@ def overlap_all(a: StateVector, states: StateStack) -> np.ndarray:
 
     `np.vecdot` conjugates a and takes the BLAS dot that `np.vdot` takes with each row.
     """
-    _check_same_space(a.dims, a.labels, (states,))
+    _check_same_space(a.dims, a.labels, states)
     return np.vecdot(a.amps, states.amps)
 
 
@@ -346,61 +381,96 @@ def _check_orthonormal(basis_states: Sequence[StateVector]) -> None:
                 )
 
 
-def _span_coefficients(
-    dims: tuple[int, ...],
-    labels: tuple[str, ...],
-    rows: np.ndarray,
-    basis_states: Sequence[StateVector],
-) -> list[np.ndarray]:
-    """<b|s> for every row s of the (k, dim) rows, as one (k, 1) column per
-    basis state b, after checking the basis lies in the rows' space and is
-    orthonormal.
+@dataclass(frozen=True, eq=False, init=False)
+class Subspace:
+    """The span of orthonormal states over one labeled space: a projective
+    test, checked once, when it is built.
 
-    `np.vecdot` conjugates b and takes one BLAS dot with each row: bit for
-    bit the `np.vdot(b, s)` that `overlap` takes.
+    Built from its basis states, which must share dims and labels in one
+    order and be pairwise orthogonal; each already passed the norm check.
+    Given dims and labels, the states must lie in that space, and an empty
+    span needs them. `basis` holds the states as the rows of one read-only
+    (m, dim) array. `project`, `project_all`, `subspace_probability` and
+    `measure_projector` only match a Subspace against the state's space,
+    so a test made many times pays for its checks once.
     """
-    _check_same_space(dims, labels, basis_states)
-    _check_orthonormal(basis_states)
-    return [np.vecdot(b.amps, rows, keepdims=True) for b in basis_states]
+
+    dims: tuple[int, ...]
+    labels: tuple[str, ...]
+    basis: np.ndarray
+
+    def __init__(
+        self,
+        basis_states: Sequence[StateVector],
+        dims: Sequence[int] | None = None,
+        labels: Sequence[str] | None = None,
+    ):
+        if dims is None and labels is None:
+            if not basis_states:
+                raise DimensionMismatchError("an empty subspace needs its dims and labels")
+            dims, labels = basis_states[0].dims, basis_states[0].labels
+        dims, labels, dim = _space(tuple(dims), tuple(labels))
+        for b in basis_states:
+            _check_same_space(dims, labels, b)
+        _check_orthonormal(basis_states)
+        basis = np.array([b.amps for b in basis_states], dtype=complex).reshape(-1, dim)
+        basis.setflags(write=False)
+        self.__dict__.update(dims=dims, labels=labels, basis=basis)
 
 
-def _weight(coeffs: list[np.ndarray], r: int) -> float:
+def _coefficients(rows: np.ndarray, subspace: Subspace) -> np.ndarray:
+    """<b|s> for every row s of the (k, dim) rows and every basis state b, as a (k, m) array.
+
+    One broadcast `np.vecdot` conjugates each b and takes one BLAS dot with
+    each row: bit for bit the `np.vdot(b, s)` that `overlap` takes.
+    """
+    return np.vecdot(subspace.basis, rows[:, None, :])
+
+
+def _weight(coeffs: np.ndarray, r: int) -> float:
     """sum |<b|s>|^2 over the basis for row r, term by term in basis order."""
-    return float(sum(abs(c.item(r)) ** 2 for c in coeffs))
+    return float(sum(abs(c) ** 2 for c in coeffs[r].tolist()))
 
 
 def _project_rows(
     dims: tuple[int, ...],
     labels: tuple[str, ...],
     rows: np.ndarray,
-    basis_states: Sequence[StateVector],
-    coeffs: list[np.ndarray],
+    subspace: Subspace,
+    coeffs: np.ndarray,
     inside: bool,
 ) -> tuple[list[float], StateStack | None]:
     """`project_all` of the (k, dim) rows, their coefficients from
-    `_span_coefficients` already taken."""
+    `_coefficients` already taken."""
     # summed onto zeros in basis order, so -0.0 components become +0.0
     in_span = np.zeros(rows.shape, dtype=complex)
-    for c, b in zip(coeffs, basis_states):
-        in_span += c * b.amps
+    for j, b in enumerate(subspace.basis):
+        in_span += coeffs[:, j, None] * b
     targets = in_span if inside else rows - in_span
     # np.linalg.norm's own formula for a complex vector, row by row, without its dispatch
     re, im = targets.real, targets.imag
-    probs = [sqrt(square) ** 2 for square in (np.vecdot(re, re) + np.vecdot(im, im)).tolist()]
     # a vanishing row reads 0.0; a NaN row is kept, and fails the norm check
-    probs = [0.0 if p < _VANISHING else p for p in probs]
-    kept = [r for r, p in enumerate(probs) if p]
-    if not kept:
-        return probs, None
-    roots = np.array([sqrt(probs[r]) for r in kept])[:, None]
-    return probs, _adopt_stack(dims, labels, targets.take(kept, axis=0) / roots)
+    probs = [
+        0.0 if (p := sqrt(square) ** 2) < _VANISHING else p
+        for square in (np.vecdot(re, re) + np.vecdot(im, im)).tolist()
+    ]
+    if 0.0 in probs:  # the kept rows are taken only when some row vanishes
+        kept = [r for r, p in enumerate(probs) if p]
+        if not kept:
+            return probs, None
+        targets = targets.take(kept, axis=0)
+        roots = [sqrt(probs[r]) for r in kept]
+    else:
+        roots = [sqrt(p) for p in probs]
+    targets /= np.array(roots)[:, None]  # targets is a fresh array
+    return probs, _adopt_stack(dims, labels, targets)
 
 
 def _project_one(
-    s: StateVector, basis_states: Sequence[StateVector], coeffs: list[np.ndarray], inside: bool
+    s: StateVector, subspace: Subspace, coeffs: np.ndarray, inside: bool
 ) -> tuple[float, StateVector]:
     """`project` of s, its coefficients already taken; a vanishing probability raises."""
-    (p,), posts = _project_rows(s.dims, s.labels, s.amps.reshape(1, -1), basis_states, coeffs, inside)
+    (p,), posts = _project_rows(s.dims, s.labels, s.amps.reshape(1, -1), subspace, coeffs, inside)
     if posts is None:
         raise DimensionMismatchError("projection has vanishing probability, cannot renormalize")
     post = object.__new__(StateVector)  # the stack's one row, already norm-checked
@@ -408,27 +478,43 @@ def _project_one(
     return p, post
 
 
-def subspace_probability(s: StateVector, basis_states: Sequence[StateVector]) -> float:
-    """Probability that s is found in the span of the given orthonormal states."""
-    return _weight(_span_coefficients(s.dims, s.labels, s.amps.reshape(1, -1), basis_states), 0)
+def _subspace(
+    dims: tuple[int, ...], labels: tuple[str, ...], basis: Subspace | Sequence[StateVector]
+) -> Subspace:
+    """The projections' basis as a Subspace of the space (dims, labels).
+
+    A Subspace, checked when it was built, is only matched against the
+    space; basis states are checked here, on every call, as the Subspace
+    they span in that space.
+    """
+    if type(basis) is Subspace:
+        _check_same_space(dims, labels, basis)
+        return basis
+    return Subspace(basis, dims, labels)
+
+
+def subspace_probability(s: StateVector, basis: Subspace | Sequence[StateVector]) -> float:
+    """Probability that s is found in the subspace, given as a Subspace or its basis states."""
+    return _weight(_coefficients(s.amps.reshape(1, -1), _subspace(s.dims, s.labels, basis)), 0)
 
 
 def project(
-    s: StateVector, basis_states: Sequence[StateVector], inside: bool = True
+    s: StateVector, basis: Subspace | Sequence[StateVector], inside: bool = True
 ) -> tuple[float, StateVector]:
-    """Project s onto the span of basis_states (or its complement) and renormalize.
+    """Project s onto the subspace, given as a Subspace or its basis states,
+    (or onto its complement) and renormalize.
 
     Returns (probability of that outcome, renormalized post state); a
     vanishing probability raises DimensionMismatchError.
     """
-    coeffs = _span_coefficients(s.dims, s.labels, s.amps.reshape(1, -1), basis_states)
-    return _project_one(s, basis_states, coeffs, inside)
+    subspace = _subspace(s.dims, s.labels, basis)
+    return _project_one(s, subspace, _coefficients(s.amps.reshape(1, -1), subspace), inside)
 
 
 def project_all(
-    states: StateStack, basis_states: Sequence[StateVector], inside: bool = True
+    states: StateStack, basis: Subspace | Sequence[StateVector], inside: bool = True
 ) -> tuple[list[float], StateStack | None]:
-    """`project` of every state of the stack, with one check of the basis.
+    """`project` of every state of the stack, in one pass.
 
     Returns (probs, posts): probs[r] is the probability of row r's outcome,
     and posts stacks the renormalized post states of the rows whose
@@ -436,26 +522,28 @@ def project_all(
     A vanishing row's probability reads 0.0 where `project` raises; each
     kept row's probability and post state are `project`'s, bit for bit.
     """
-    coeffs = _span_coefficients(states.dims, states.labels, states.amps, basis_states)
-    return _project_rows(states.dims, states.labels, states.amps, basis_states, coeffs, inside)
+    subspace = _subspace(states.dims, states.labels, basis)
+    coeffs = _coefficients(states.amps, subspace)
+    return _project_rows(states.dims, states.labels, states.amps, subspace, coeffs, inside)
 
 
 def measure_projector(
-    s: StateVector, basis_states: Sequence[StateVector], seed: int | np.random.Generator
+    s: StateVector, basis: Subspace | Sequence[StateVector], seed: int | np.random.Generator
 ) -> MeasurementResult:
-    """Two-outcome projective measurement {P, 1-P} with P spanned by basis_states.
+    """Two-outcome projective measurement {P, 1-P} with P the projector onto the subspace.
 
     Outcome index 0 means "inside the subspace", 1 means "outside". The
     outcome is sampled from the Born probabilities using the given seed or
-    generator; the post state is the renormalized projection. The basis is
-    checked and its overlaps with s are taken once, for both steps. The
-    result's inside_probability equals `subspace_probability(s, basis_states)`.
+    generator; the post state is the renormalized projection. The overlaps
+    of s with the basis are taken once, for both steps. The result's
+    inside_probability equals `subspace_probability(s, subspace)`.
     """
-    coeffs = _span_coefficients(s.dims, s.labels, s.amps.reshape(1, -1), basis_states)
+    subspace = _subspace(s.dims, s.labels, basis)
+    coeffs = _coefficients(s.amps.reshape(1, -1), subspace)
     p_in = _weight(coeffs, 0)
     rng = np.random.default_rng(seed)
     inside = bool(rng.random() < p_in)
-    prob, post = _project_one(s, basis_states, coeffs, inside)
+    prob, post = _project_one(s, subspace, coeffs, inside)
     return MeasurementResult(0 if inside else 1, prob, post, p_in)
 
 

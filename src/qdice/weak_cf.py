@@ -104,15 +104,15 @@ def rotation_unitary(params: WeakCFParams) -> qc.UnitaryOp:
     return qc.UnitaryOp(m, ("q2", "q3"))
 
 
-# The protocol's fixed states, built once at import so that no call's work
-# depends on what ran before it: Bob's |d> ancilla, the basis of his win
-# sector, where qubits 2, 3 read |ud> (q1 free), and the |dud> that Alice
-# checks after Bob wins.
+# The protocol's fixed states and tests, built and checked once at import so
+# that no call's work depends on what ran before it: Bob's |d> ancilla, his
+# win sector, where qubits 2, 3 read |ud> (q1 free), and the |dud> that
+# Alice checks after Bob wins.
 _ANCILLA_D = qc.basis_state((2,), ("q3",), (DOWN,))
-_WIN_SECTOR = tuple(
-    qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (x, UP, DOWN)) for x in (UP, DOWN)
+_WIN_SECTOR = qc.Subspace(
+    [qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (x, UP, DOWN)) for x in (UP, DOWN)]
 )
-_BOB_WIN_CHECK = (qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (DOWN, UP, DOWN)),)
+_BOB_WIN_CHECK = qc.Subspace([qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (DOWN, UP, DOWN))])
 
 
 def alice_pass_state(params: WeakCFParams) -> qc.StateVector:
@@ -313,15 +313,18 @@ def alice_cheat_oracle(params: WeakCFParams, grid_resolution: int = 60) -> Cheat
     quadratic form in the preparation alpha, so its maximum over unit alpha
     is ||v||^2 with v_r = <xi|U(e_r tensor |d>)> (ancillas give her no
     advantage). Both U and xi come from the simulated protocol, not from the
-    closed form; they and Bob's win sector are built once and shared by
-    both certificates. One `apply_all` of U to the four basis preparations
-    gives the images whose `overlap_all` with xi is v; each basis
-    preparation goes through U this once. The maximizer |v| / ||v||,
+    closed form; they are built once per call and shared by both
+    certificates, and Bob's win sector is a `qc.Subspace` built and checked
+    once, at import. So a call checks no space, basis or target tuple
+    again: it pays for its numpy kernels, U's unitarity check and the norm
+    check of each of its 12 states. One `apply_all` of U to the four basis
+    preparations gives the images whose `overlap_all` with xi is v; each
+    basis preparation goes through U this once. The maximizer |v| / ||v||,
     tensored with |d>, is pushed through U by `apply` (never formed from
     the images) and stacked after the four images, and that five-row
     stack is scored in one pass (`_scores`): one `project_all` out of Bob's
-    win sector, which checks the sector once, and one `overlap_all` with
-    xi. Every row's score is bit for bit its one-row pass. Two simulated
+    win sector and one `overlap_all` with xi. Every row's score is bit for
+    bit its one-row pass. Two simulated
     certificates must hold within ORACLE_TOL: rows 0-3, the four basis
     preparations, sum to ||v||^2 (the maximum of the simulated payoff
     form, so no preparation beats the value), and row 4, the maximizer,

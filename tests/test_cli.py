@@ -709,12 +709,18 @@ def _float_text():
 def _argv(draw):
     """A subcommand with drawn arguments, plus global flags before or after it.
 
-    Each integer flag is drawn from a small range or from [-2, 10**400],
-    which reaches past every size cap."""
+    Each integer flag is drawn from a small range, from [-2, 10**400],
+    from the powers 10**k for k in 0..400, or just past a size cap, so the
+    draws reach every cap and its boundary."""
     f = _float_text
 
     def i(lo, hi):
-        return st.one_of(st.integers(lo, hi), st.integers(-2, 10**400)).map(str)
+        return st.one_of(
+            st.integers(lo, hi),
+            st.integers(-2, 10**400),
+            st.integers(0, 400).map(lambda k: 10**k),
+            st.sampled_from([cap + 1 for cap in _SIZE_CAPS.values()]),
+        ).map(str)
 
     command = draw(st.sampled_from([
         ["weak-cf", "--p", f(), "--eta", f()],
@@ -745,6 +751,12 @@ def _argv(draw):
     return flags + command if draw(st.booleans()) else command + flags
 
 
+# (subcommand, flag): the work cap past which the CLI refuses the size
+_SIZE_CAPS = {
+    ("colbeck", "--n"): colbeck_dr.MAX_N,
+    ("weak-dr", "--n"): weak_dr.MAX_PARTIES,
+    ("strong-dr", "--n"): strong_dr.MAX_OUTCOMES,
+}
 _OUTPUT = "<output file>"  # stands for a fresh path in a temporary directory
 _REPORT = "<report file>"  # stands for a path holding the drawn report text
 
@@ -797,6 +809,10 @@ class TestArgvProperty:
     @example(argv=["--output", _OUTPUT, "reproduce", "--format", "json"], report=("missing", None))
     @example(argv=["reproduce", "--format", "table", "--output", _OUTPUT], report=("missing", None))
     @example(argv=["--format", "csv", "--output", _OUTPUT, "reproduce"], report=("missing", None))
+    # each size flag one past its cap, whatever the derandomized draws reach
+    @example(argv=["colbeck", "--n", str(colbeck_dr.MAX_N + 1)], report=("missing", None))
+    @example(argv=["weak-dr", "--n", str(weak_dr.MAX_PARTIES + 1), "--biases", "0"], report=("missing", None))
+    @example(argv=["strong-dr", "--n", str(strong_dr.MAX_OUTCOMES + 1)], report=("missing", None))
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(argv=_argv(), report=_report())
     def test_exit_code_json_and_no_traceback(self, argv, report):
@@ -833,6 +849,9 @@ class TestArgvProperty:
         tol = argv[argv.index("--tol") + 1] if "--tol" in argv else "0"
         if tol.startswith("-") and tol != "-0.0":  # negative, or -nan / -inf
             assert code == 1
+        for (command, flag), cap in _SIZE_CAPS.items():
+            if command in argv and int(argv[argv.index(flag, argv.index(command)) + 1]) > cap:
+                assert code == 1  # refused before any work
 
     @example(report=("valid", json.dumps({
         "n_outcomes": 3, "n_parties": 3, "force_probs": [[1.0] * 3] * 3, "honest_probs": [1 / 3] * 3,
@@ -937,6 +956,11 @@ class TestGoldenExactCommands:
             (("strong-dr", "--n", "37", "--delta", "0.01", "--target", "5"), "strong_dr_n37_delta0.01_target5.json"),
             (("weak-dr", "--n", "12"), "weak_dr_n12.json"),
             (("colbeck", "--n", "9"), "colbeck_n9.json"),
+            # the oracle's record past `param_grid`'s reach (eta <= 0.95(1 - p),
+            # p >= 0.08), recorded before quantum_core checked each space once:
+            # at eta = 1 - p xi's |udd> amplitude is 0, and at p = 0 c is 0
+            (("weak-cf", "--p", "0.4", "--eta", "0.6"), "weak_cf_p0.4_eta0.6.json"),
+            (("weak-cf", "--p", "0", "--eta", "0.3"), "weak_cf_p0_eta0.3.json"),
             *(
                 (("--format", fmt, "six-round", "--variant", variant), f"six_round_{variant}.{fmt}")
                 for variant in ("case1", "case2")

@@ -66,14 +66,27 @@ def _fail_probs_times(factor, rows):
     (a slice), leaving its post states as they are."""
 
     def perturb(f):
-        def project_all(states, basis_states, inside=True):
-            probs, posts = f(states, basis_states, inside)
+        def project_all(states, basis, inside=True):
+            probs, posts = f(states, basis, inside)
             probs[rows] = [p * factor for p in probs[rows]]
             return probs, posts
 
         return project_all
 
     return perturb
+
+
+def _stage_factors_over_k_plus_2(f):
+    """Build the tournament, then rescale each stage's float factor from
+    k/(k + 1) - delta_k to k/(k + 2) - delta_k."""
+
+    def tournament_spec(n_parties, stage_biases):
+        spec = f(n_parties, stage_biases)
+        factors = [k / (k + 2) - b for k, b in enumerate(spec.stage_biases, start=1)]
+        spec.__dict__.update(_factors=factors)
+        return spec
+
+    return tournament_spec
 
 
 def _eta_times(factor):
@@ -144,6 +157,11 @@ ROWS = {
         "weak_cf.alice_opt_cheat", _report_plus("delta_star", 0.1), ["weak-cf", "--p", "0.3", "--eta", "0.1"],
         "closed form split",
     ),
+    "stage_factors=k/(k+2)/weak-dr": (
+        # max_losing_prob moves from 0.8586 to 0.8997; eps_bar < N delta_max still holds
+        "weak_dr.TournamentSpec", _stage_factors_over_k_plus_2,
+        ["weak-dr", "--n", "6", "--biases", "0.01,0.02,0.03,0.01,0.02", "--party", "4"], None,
+    ),
     "project_all.p_fail*(1+1e-9)/weak-cf": (
         # the oracle's basis certificate: rows 0-3 must sum to ||v||^2
         "quantum_core.project_all", _fail_probs_times(1 + 1e-9, slice(None)),
@@ -181,6 +199,7 @@ KNOWN_SURVIVORS = {
     "colbeck_alice+1/1000/colbeck": "Alice's (N+1)/2N has no second route",
     "strong_cf.pa0+1e-6/strong-cf": "strong-cf checks only the honest round trip",
     "bob_opt_cheat+1e-3/weak-cf": "Bob's p + eta has one route",
+    "stage_factors=k/(k+2)/weak-dr": "weak_dr's biased chain has no second route",
     "rotation_unitary@eta*(1+1e-9)/weak-cf": (
         "the oracle's value moves inside --tol; both certificates use the same U"
     ),

@@ -245,7 +245,9 @@ class TestMeasureProjector:
         params = WeakCFParams(0.37, 0.21)
         full = qc.tensor(initial_state(params), qc.basis_state((2,), ("q3",), (DOWN,)))
         psi1 = qc.apply(rotation_unitary(params), full)
-        sector = [qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (x, UP, DOWN)) for x in (UP, DOWN)]
+        sector = qc.Subspace(
+            [qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (x, UP, DOWN)) for x in (UP, DOWN)]
+        )
         p_in = qc.subspace_probability(psi1, sector)
         outcomes = set()
         for seed in range(12):
@@ -259,8 +261,8 @@ class TestMeasureProjector:
 
     def test_non_orthogonal_basis_rejected(self):
         tilted = qc.StateVector((2,), ("q1",), np.array([1 / S2, 1 / S2]))
-        with pytest.raises(DimensionMismatchError, match="not orthogonal"):
-            qc.measure_projector(ket(UP), [ket(UP), tilted], seed=0)
+        with pytest.raises(DimensionMismatchError, match="basis states 0 and later are not orthogonal"):
+            qc.Subspace([ket(UP), tilted])
 
     def test_empty_basis(self):
         state = qc.StateVector((2,), ("q1",), np.array([0.6, 0.8]))
@@ -287,7 +289,7 @@ class TestMeasureProjector:
         # 1e5 seeded two-outcome measurements of a known state
         theta = 0.7
         state = qc.StateVector((2,), ("q1",), np.array([np.cos(theta), np.sin(theta)]))
-        target = [qc.basis_state((2,), ("q1",), (0,))]
+        target = qc.Subspace([qc.basis_state((2,), ("q1",), (0,))])  # checked once, not per draw
         p = np.cos(theta) ** 2
         rng = np.random.default_rng(12345)
         n = 100_000
@@ -816,7 +818,7 @@ class TestStacks:
         with pytest.raises(DimensionMismatchError, match="dims differ"):
             qc.project_all(one, [ket(UP)])
         with pytest.raises(DimensionMismatchError, match="not orthogonal"):
-            qc.project_all(one, [forward, forward])
+            qc.Subspace([forward, forward])
 
     def test_a_stack_of_stacks_and_states_is_their_rows_in_order(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -851,3 +853,112 @@ class TestStacks:
             assert not out.flags.writeable
             for held in (*(s.amps for s in states), built.amps if out is not built.amps else None):
                 assert held is None or not np.shares_memory(out, held)
+
+
+class TestSubspace:
+    """A projective test is checked when it is built, and never again."""
+
+    def test_basis_is_the_states_rows_read_only(self):
+        rng = np.random.default_rng(21)
+        states = _orthonormal_basis(rng, (2, 3), 3)
+        sub = qc.Subspace(states)
+        assert (sub.dims, sub.labels, sub.basis.shape) == ((2, 3), ("s0", "s1"), (3, 6))
+        assert sub.basis.tobytes() == b"".join(s.amps.tobytes() for s in states)
+        assert not sub.basis.flags.writeable
+        assert not any(np.shares_memory(sub.basis, s.amps) for s in states)
+
+    def test_projections_check_nothing_but_the_space(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        dims = (2, 2, 2)
+        sub = qc.Subspace(_orthonormal_basis(rng, dims, 3))
+        state = random_state(rng, dims, _labels(dims))
+        monkeypatch.setattr(qc, "_check_orthonormal", lambda basis: pytest.fail("basis checked again"))
+        qc.project(state, sub)
+        qc.project_all(qc.stack([state, state]), sub, inside=False)
+        qc.subspace_probability(state, sub)
+        qc.measure_projector(state, sub, seed=3)
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_a_subspace_is_its_basis_states_bit_for_bit(self, inside):
+        rng = np.random.default_rng(23)
+        for dims in [(2,), (2, 2), (2, 3, 2)]:
+            n = int(np.prod(dims))
+            for basis in (_orthonormal_basis(rng, dims, n - 1), _one_hot_basis(dims, [0], True)):
+                sub = qc.Subspace(basis)
+                states = _random_stack(rng, dims, 4)
+                for state in states:
+                    (p, post), (want_p, want_post) = (qc.project(state, b, inside) for b in (sub, basis))
+                    assert p == want_p and _same_bits(post, want_post)
+                    assert qc.subspace_probability(state, sub) == qc.subspace_probability(state, basis)
+                    got, want = (qc.measure_projector(state, b, seed=5) for b in (sub, basis))
+                    assert (got.outcome_index, got.probability) == (want.outcome_index, want.probability)
+                    assert _same_bits(got.post_state, want.post_state)
+                (p_sub, post_sub), (p_seq, post_seq) = (
+                    qc.project_all(qc.stack(states), b, inside) for b in (sub, basis)
+                )
+                assert p_sub == p_seq and post_sub.amps.tobytes() == post_seq.amps.tobytes()
+
+    def test_an_empty_subspace_names_its_space(self):
+        state = qc.StateVector((2,), ("q1",), np.array([0.6, 0.8]))
+        with pytest.raises(DimensionMismatchError, match="needs its dims and labels"):
+            qc.Subspace([])
+        empty = qc.Subspace([], dims=(2,), labels=("q1",))
+        assert empty.basis.shape == (0, 2)
+        p, post = qc.project(state, empty, inside=False)
+        assert p == qc.project(state, [], inside=False)[0] and _same_bits(post, state)
+        assert qc.subspace_probability(state, empty) == 0.0
+
+    def test_states_outside_its_space_are_refused(self):
+        forward, swapped = TestLabelOrder.forward, TestLabelOrder.swapped
+        with pytest.raises(DimensionMismatchError, match="labels differ"):
+            qc.Subspace([forward, swapped])
+        with pytest.raises(DimensionMismatchError, match="dims differ"):
+            qc.Subspace([ket(UP)], dims=(2, 2), labels=("q1", "q2"))
+        with pytest.raises(DimensionMismatchError, match="duplicate subsystem labels"):
+            qc.Subspace([], dims=(2, 2), labels=("q1", "q1"))
+        sub = qc.Subspace([swapped])
+        one = qc.stack([forward])
+        for call in (
+            lambda: qc.project(forward, sub),
+            lambda: qc.project_all(one, sub),
+            lambda: qc.subspace_probability(forward, sub),
+            lambda: qc.measure_projector(forward, sub, seed=0),
+        ):
+            with pytest.raises(DimensionMismatchError, match="labels differ"):
+                call()
+
+
+class TestSpaceChecks:
+    """Each distinct space, and each operator's target labels, is checked once."""
+
+    def test_repeated_oracle_calls_add_no_space_misses(self):
+        weak_cf.alice_cheat_oracle(WeakCFParams(0.4, 0.3))
+        misses = qc._space.cache_info().misses, qc._targets.cache_info().misses
+        for params in (WeakCFParams(0.4, 0.3), WeakCFParams(0.5, 0.2), WeakCFParams(0.1, 0.8)):
+            weak_cf.alice_cheat_oracle(params)
+        assert (qc._space.cache_info().misses, qc._targets.cache_info().misses) == misses
+        for cache in (qc._space, qc._targets):
+            info = cache.cache_info()
+            assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+
+    def test_a_bad_space_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(DimensionMismatchError, match="equal length"):
+                qc.StateVector((2,), ("a", "b"), np.array([1.0, 0.0]))
+            with pytest.raises(DimensionMismatchError, match=r"duplicate subsystem labels: \('a', 'a'\)"):
+                qc.StateVector((2, 1), ("a", "a"), np.array([1.0, 0.0]))
+            with pytest.raises(DimensionMismatchError, match=r"duplicate target labels: \('a', 'a'\)"):
+                qc.UnitaryOp(np.eye(4), ("a", "a"))
+
+    def test_a_cached_space_still_checks_the_shape(self):
+        qc.StateVector((2, 2), ("a", "b"), np.eye(4)[0])
+        with pytest.raises(DimensionMismatchError, match=r"expected 4 amplitudes, got \(2,\)"):
+            qc.StateVector((2, 2), ("a", "b"), np.array([1.0, 0.0]))
+        with pytest.raises(DimensionMismatchError, match=r"expected 4 amplitudes, got \(2,\)"):
+            qc.StateStack((2, 2), ("a", "b"), np.array([[1.0, 0.0]]))
+
+    def test_dims_of_any_integer_type_come_back_as_ints(self):
+        for dims in ([2, 2], (np.int64(2), np.int32(2)), np.array([2, 2])):
+            state = qc.StateVector(dims, ["a", "b"], np.eye(4)[1])
+            assert state.dims == (2, 2) and all(type(d) is int for d in state.dims)
+            assert state.labels == ("a", "b")
