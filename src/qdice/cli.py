@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from itertools import takewhile
-from math import isfinite, prod
+from math import isfinite, prod, ulp
 
 from . import bounds, colbeck_dr, multiparty, reproduce, sixround_dr, strong_cf, strong_dr, weak_cf, weak_dr
 from .errors import CrossCheckError, QdiceError
@@ -231,9 +231,12 @@ def _cmd_strong_cf(args) -> tuple[dict, str | None]:
         "kitaev_products": list(report.kitaev_products),
         "honest_roundtrip_error": roundtrip,
     }
-    if roundtrip <= 1e-12:
+    # absolute 1e-12, and 1e-9 relative to the smaller outcome, which binds below p0 = 1e-3;
+    # never below two float steps at p0, all a sum near p0 = 1 can resolve
+    limit = min(1e-12, max(1e-9 * min(args.p0, 1.0 - args.p0), 2 * ulp(args.p0)))
+    if roundtrip <= limit:
         return record, None
-    return record, f"honest P0 round trip error {roundtrip!r} > 1e-12"
+    return record, f"honest P0 round trip error {roundtrip!r} > {limit!r}"
 
 
 def _cmd_strong_dr(args) -> tuple[dict, str | None]:

@@ -43,7 +43,9 @@ def honest_run(n: int, seed: int | np.random.Generator) -> tuple[int, dict]:
 
     The two pairs never interact, so each is simulated in its own
     N^2-dimensional space. The transcript carries both parties' measured
-    indices and the analytic verification probability of the unused pair.
+    indices and the analytic verification probability of the unused pair:
+    Bob tests Alice's surrendered half against the pair he expects, so it
+    is |<pair|pair>|^2, and the run builds no projective test.
     """
     if not 2 <= n <= SIM_MAX_N:
         raise ParameterRangeError(f"simulation supports 2 <= N <= {SIM_MAX_N}, got {n}")
@@ -54,7 +56,7 @@ def honest_run(n: int, seed: int | np.random.Generator) -> tuple[int, dict]:
     alice = qc.measure_computational(pairs[selected], f"A{selected + 1}", rng)
     bob = qc.measure_computational(alice.post_state, f"B{selected + 1}", rng)
     unused = pairs[1 - selected]
-    verify_prob = qc.subspace_probability(unused, qc.Subspace([unused]))
+    verify_prob = abs(qc.overlap(unused, unused)) ** 2
     return alice.outcome_index + 1, {
         "selected_pair": selected + 1,
         "alice_index": alice.outcome_index,

@@ -27,31 +27,21 @@ or measured together must list their subsystems in the same order; a
 different order raises DimensionMismatchError rather than silently
 pairing the wrong amplitudes.
 
-A Subspace is a projective test: the span of orthonormal basis states over
-one space. It checks when it is built that its states share that space
-and are pairwise orthogonal, and keeps them as the rows of one read-only
-(m, dim) array. `project`, `project_all`, `subspace_probability` and
-`measure_projector` take a Subspace, which they only match against the
-state's space, or its basis states, which they check on that call as a
-Subspace; a protocol builds its tests once.
+A Subspace is a projective test: the span of one or more orthonormal basis
+states over one space, checked once, when it is built. `project`,
+`project_all`, `subspace_probability` and `measure_projector` take only a
+Subspace, which they match against the state's space.
 
-A StateStack holds k states over one space as the rows of one read-only
-(k, dim) array, and is only ever passed whole; `stack` builds one from
-states and stacks, concatenating their rows. `apply_all`, `project_all`
-and `overlap_all` push a whole stack through the kernels that `apply`,
-`project`, `measure_projector` and `overlap` run as their one-row case, so
-row r's result is the scalar call's, bit for bit. The stack axis leads
-the state's axes, so numpy's matmul makes one BLAS product per state, the
-product the scalar call makes; one 2-D product over all k states would
-not (OpenBLAS rounds the columns past a multiple of four with other
-kernels). A projection takes <b|s> for every row and basis state with one
-broadcast `np.vecdot` (the BLAS dot that `np.vdot` takes), sums every
-row's in-span vector onto zeros in basis order, takes every row's squared
-norm with two row-wise `np.vecdot`s on the real and imaginary parts, and
-divides and norm-checks the rows it keeps as one stack, selecting them
-only when some row vanishes. It returns every row's probability, 0.0 for
-a row whose probability vanishes where the scalar `project` raises, and
-the kept rows' post states as one StateStack.
+A StateStack holds k >= 1 states over one space as the rows of one
+read-only (k, dim) array, and is only ever passed whole. Only `stack`,
+which concatenates the rows of states and stacks, and the stacked kernels
+build one. `apply_all`, `project_all` and `overlap_all` push a whole stack
+through the kernels that `apply`, `project`, `measure_projector` and
+`overlap` run as their one-row case, so row r's result is the scalar
+call's, bit for bit. The stack axis leads the state's axes, so numpy's
+matmul makes one BLAS product per state, the product the scalar call
+makes; one 2-D product over all k states would not (OpenBLAS rounds the
+columns past a multiple of four with other kernels).
 
 The hot paths avoid per-call numpy overhead without changing a bit of their
 results. `tensor` takes the outer product directly rather than through
@@ -150,27 +140,14 @@ def _adopt(dims: tuple[int, ...], labels: tuple[str, ...], amps: np.ndarray) -> 
     return state
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class StateStack:
     """k >= 1 normalized states over one labeled space: row r of the read-only
-    (k, dim) amps is state r. Built from states by `stack` and returned by
-    `apply_all`; a caller's array is copied and every row checked."""
+    (k, dim) amps is state r. Built only by `stack` and the stacked kernels."""
 
     dims: tuple[int, ...]
     labels: tuple[str, ...]
     amps: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amps, dtype=complex)  # a copy: the caller's array stays writable
-        amps.setflags(write=False)
-        if amps.ndim != 2 or len(amps) == 0:
-            raise DimensionMismatchError(f"expected a (k, dim) array with k >= 1, got {amps.shape}")
-        dims, labels, dim = _space(tuple(self.dims), tuple(self.labels))
-        self.__dict__.update(dims=dims, labels=labels, amps=amps)
-        if amps.shape[1] != dim:  # every StateVector check, for all rows at once
-            raise DimensionMismatchError(f"expected {dim} amplitudes, got {amps.shape[1:]}")
-        for row in amps:  # np.vdot, unlike np.vecdot, reports a non-finite row with no warning
-            _check_norm(row)
 
 
 def _stack(dims: tuple[int, ...], labels: tuple[str, ...], amps: np.ndarray) -> StateStack:
@@ -370,61 +347,43 @@ def overlap_all(a: StateVector, states: StateStack) -> np.ndarray:
     return np.vecdot(a.amps, states.amps)
 
 
-def _check_orthonormal(basis_states: Sequence[StateVector]) -> None:
-    """Every pair of the basis states, which share one space, is orthogonal."""
-    for i, u in enumerate(basis_states):
-        for v in basis_states[i + 1 :]:
-            dev = abs(np.vdot(u.amps, v.amps))
-            if dev > ORTHO_TOL:
-                raise DimensionMismatchError(
-                    f"basis states {i} and later are not orthogonal: |<u|v>| = {dev:.3g}"
-                )
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class Subspace:
-    """The span of orthonormal states over one labeled space: a projective
-    test, checked once, when it is built.
+    """The span of one or more orthonormal states over one labeled space: a
+    projective test, checked once, when it is built.
 
-    Built from its basis states, which must share dims and labels in one
-    order and be pairwise orthogonal; each already passed the norm check.
-    Given dims and labels, the states must lie in that space, and an empty
-    span needs them. `basis` holds the states as the rows of one read-only
-    (m, dim) array. `project`, `project_all`, `subspace_probability` and
-    `measure_projector` only match a Subspace against the state's space,
-    so a test made many times pays for its checks once.
+    Its basis states must share dims and labels in one order and be
+    pairwise orthogonal; each already passed the norm check. `basis` holds
+    them as the rows of one read-only (m, dim) array.
     """
 
     dims: tuple[int, ...]
     labels: tuple[str, ...]
     basis: np.ndarray
 
-    def __init__(
-        self,
-        basis_states: Sequence[StateVector],
-        dims: Sequence[int] | None = None,
-        labels: Sequence[str] | None = None,
-    ):
-        if dims is None and labels is None:
-            if not basis_states:
-                raise DimensionMismatchError("an empty subspace needs its dims and labels")
-            dims, labels = basis_states[0].dims, basis_states[0].labels
-        dims, labels, dim = _space(tuple(dims), tuple(labels))
-        for b in basis_states:
-            _check_same_space(dims, labels, b)
-        _check_orthonormal(basis_states)
-        basis = np.array([b.amps for b in basis_states], dtype=complex).reshape(-1, dim)
-        basis.setflags(write=False)
-        self.__dict__.update(dims=dims, labels=labels, basis=basis)
+    def __init__(self, basis_states: Sequence[StateVector]):
+        if not basis_states:
+            raise DimensionMismatchError("a subspace needs at least one basis state")
+        rows = stack(basis_states)
+        for i, u in enumerate(rows.amps):
+            for v in rows.amps[i + 1 :]:
+                dev = abs(np.vdot(u, v))
+                if dev > ORTHO_TOL:
+                    raise DimensionMismatchError(
+                        f"basis states {i} and later are not orthogonal: |<u|v>| = {dev:.3g}"
+                    )
+        self.__dict__.update(dims=rows.dims, labels=rows.labels, basis=rows.amps)
 
 
-def _coefficients(rows: np.ndarray, subspace: Subspace) -> np.ndarray:
-    """<b|s> for every row s of the (k, dim) rows and every basis state b, as a (k, m) array.
+def _coefficients(s: StateVector | StateStack, subspace: Subspace) -> np.ndarray:
+    """<b|r> for every row r of s, a state or a stack, and every basis state b,
+    as a (k, m) array, once the subspace is matched against s's space.
 
     One broadcast `np.vecdot` conjugates each b and takes one BLAS dot with
-    each row: bit for bit the `np.vdot(b, s)` that `overlap` takes.
+    each row: bit for bit the `np.vdot(b, r)` that `overlap` takes.
     """
-    return np.vecdot(subspace.basis, rows[:, None, :])
+    _check_same_space(s.dims, s.labels, subspace)
+    return np.vecdot(subspace.basis, s.amps.reshape(-1, 1, s.amps.shape[-1]))
 
 
 def _weight(coeffs: np.ndarray, r: int) -> float:
@@ -433,15 +392,11 @@ def _weight(coeffs: np.ndarray, r: int) -> float:
 
 
 def _project_rows(
-    dims: tuple[int, ...],
-    labels: tuple[str, ...],
-    rows: np.ndarray,
-    subspace: Subspace,
-    coeffs: np.ndarray,
-    inside: bool,
+    s: StateVector | StateStack, subspace: Subspace, coeffs: np.ndarray, inside: bool
 ) -> tuple[list[float], StateStack | None]:
-    """`project_all` of the (k, dim) rows, their coefficients from
-    `_coefficients` already taken."""
+    """`project_all` of the rows of s, a state or a stack, their coefficients
+    from `_coefficients` already taken."""
+    rows = s.amps.reshape(-1, s.amps.shape[-1])
     # summed onto zeros in basis order, so -0.0 components become +0.0
     in_span = np.zeros(rows.shape, dtype=complex)
     for j, b in enumerate(subspace.basis):
@@ -463,14 +418,14 @@ def _project_rows(
     else:
         roots = [sqrt(p) for p in probs]
     targets /= np.array(roots)[:, None]  # targets is a fresh array
-    return probs, _adopt_stack(dims, labels, targets)
+    return probs, _adopt_stack(s.dims, s.labels, targets)
 
 
 def _project_one(
     s: StateVector, subspace: Subspace, coeffs: np.ndarray, inside: bool
 ) -> tuple[float, StateVector]:
     """`project` of s, its coefficients already taken; a vanishing probability raises."""
-    (p,), posts = _project_rows(s.dims, s.labels, s.amps.reshape(1, -1), subspace, coeffs, inside)
+    (p,), posts = _project_rows(s, subspace, coeffs, inside)
     if posts is None:
         raise DimensionMismatchError("projection has vanishing probability, cannot renormalize")
     post = object.__new__(StateVector)  # the stack's one row, already norm-checked
@@ -478,41 +433,22 @@ def _project_one(
     return p, post
 
 
-def _subspace(
-    dims: tuple[int, ...], labels: tuple[str, ...], basis: Subspace | Sequence[StateVector]
-) -> Subspace:
-    """The projections' basis as a Subspace of the space (dims, labels).
-
-    A Subspace, checked when it was built, is only matched against the
-    space; basis states are checked here, on every call, as the Subspace
-    they span in that space.
-    """
-    if type(basis) is Subspace:
-        _check_same_space(dims, labels, basis)
-        return basis
-    return Subspace(basis, dims, labels)
+def subspace_probability(s: StateVector, subspace: Subspace) -> float:
+    """Probability that s is found in the subspace."""
+    return _weight(_coefficients(s, subspace), 0)
 
 
-def subspace_probability(s: StateVector, basis: Subspace | Sequence[StateVector]) -> float:
-    """Probability that s is found in the subspace, given as a Subspace or its basis states."""
-    return _weight(_coefficients(s.amps.reshape(1, -1), _subspace(s.dims, s.labels, basis)), 0)
-
-
-def project(
-    s: StateVector, basis: Subspace | Sequence[StateVector], inside: bool = True
-) -> tuple[float, StateVector]:
-    """Project s onto the subspace, given as a Subspace or its basis states,
-    (or onto its complement) and renormalize.
+def project(s: StateVector, subspace: Subspace, inside: bool = True) -> tuple[float, StateVector]:
+    """Project s onto the subspace (or onto its complement) and renormalize.
 
     Returns (probability of that outcome, renormalized post state); a
     vanishing probability raises DimensionMismatchError.
     """
-    subspace = _subspace(s.dims, s.labels, basis)
-    return _project_one(s, subspace, _coefficients(s.amps.reshape(1, -1), subspace), inside)
+    return _project_one(s, subspace, _coefficients(s, subspace), inside)
 
 
 def project_all(
-    states: StateStack, basis: Subspace | Sequence[StateVector], inside: bool = True
+    states: StateStack, subspace: Subspace, inside: bool = True
 ) -> tuple[list[float], StateStack | None]:
     """`project` of every state of the stack, in one pass.
 
@@ -522,13 +458,11 @@ def project_all(
     A vanishing row's probability reads 0.0 where `project` raises; each
     kept row's probability and post state are `project`'s, bit for bit.
     """
-    subspace = _subspace(states.dims, states.labels, basis)
-    coeffs = _coefficients(states.amps, subspace)
-    return _project_rows(states.dims, states.labels, states.amps, subspace, coeffs, inside)
+    return _project_rows(states, subspace, _coefficients(states, subspace), inside)
 
 
 def measure_projector(
-    s: StateVector, basis: Subspace | Sequence[StateVector], seed: int | np.random.Generator
+    s: StateVector, subspace: Subspace, seed: int | np.random.Generator
 ) -> MeasurementResult:
     """Two-outcome projective measurement {P, 1-P} with P the projector onto the subspace.
 
@@ -538,8 +472,7 @@ def measure_projector(
     of s with the basis are taken once, for both steps. The result's
     inside_probability equals `subspace_probability(s, subspace)`.
     """
-    subspace = _subspace(s.dims, s.labels, basis)
-    coeffs = _coefficients(s.amps.reshape(1, -1), subspace)
+    coeffs = _coefficients(s, subspace)
     p_in = _weight(coeffs, 0)
     rng = np.random.default_rng(seed)
     inside = bool(rng.random() < p_in)

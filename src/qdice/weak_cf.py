@@ -274,10 +274,6 @@ def fair_eta_balanced() -> float:
 
 # Alice's preparation basis (q1, q2), in the order of CheatAnalysis.maximizer_alphas
 _PREP_BASIS = ((UP, DOWN), (DOWN, UP), (UP, UP), (DOWN, DOWN))  # a_ud, a_du, a_uu, a_dd
-# e_r tensor |d> for each preparation basis state, stacked at import
-_PREP_STACK = qc.stack(
-    [qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (i, j, DOWN)) for i, j in _PREP_BASIS]
-)
 
 
 def _preparation(alphas) -> qc.StateVector:
@@ -288,6 +284,10 @@ def _preparation(alphas) -> qc.StateVector:
     for (i, j), a in zip(_PREP_BASIS, alphas):
         amps[i * 4 + j * 2 + DOWN] = a
     return qc.StateVector((2, 2, 2), ("q1", "q2", "q3"), amps)
+
+
+# e_r tensor |d> for each preparation basis state, stacked at import
+_PREP_STACK = qc.stack([_preparation(e_r) for e_r in np.eye(4)])
 
 
 def _scores(rotated: qc.StateStack, xi: qc.StateVector) -> list[float]:

@@ -107,15 +107,6 @@ def _entry_stage(party: int) -> int:
     return party - 1 if party > 2 else 1  # a conditional costs less than max() here
 
 
-def _party_stages(n_parties: int, party: int) -> list[tuple[int, Fraction]]:
-    """(stage index, honest stage-win probability) for every stage the party
-    plays, by the rule `_entry_stage` states."""
-    if not 1 <= party <= n_parties:
-        raise ParameterRangeError(f"party must lie in [1, {n_parties}], got {party}")
-    entry = _entry_stage(party)
-    return [(entry, Fraction(1, entry + 1))] + [(k, Fraction(k, k + 1)) for k in range(entry + 1, n_parties)]
-
-
 def honest_distribution(n_parties: int) -> list[Fraction]:
     """Each party's honest winning probability as an exact chain product.
 
@@ -226,10 +217,12 @@ def checked_losing_prob(spec: TournamentSpec, honest_party: int) -> tuple[float,
 
 
 def _exact_eps_bar(spec: TournamentSpec, honest_party: int) -> Fraction:
-    """eps_bar in Fractions: 1/N minus the survival chain, each float bias read exactly."""
-    survive = Fraction(1)
-    for k, win in _party_stages(spec.n_parties, honest_party):
-        survive *= win - Fraction(spec.stage_biases[k - 1])
+    """eps_bar in Fractions: 1/N minus the survival chain, each float bias read
+    exactly, for a party that `max_losing_prob` has checked."""
+    entry = _entry_stage(honest_party)
+    survive = Fraction(1, entry + 1) - Fraction(spec.stage_biases[entry - 1])
+    for k in range(entry + 1, spec.n_parties):
+        survive *= Fraction(k, k + 1) - Fraction(spec.stage_biases[k - 1])
     return Fraction(1, spec.n_parties) - survive
 
 

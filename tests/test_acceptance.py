@@ -150,8 +150,8 @@ def test_criterion_7_colbeck():
     for n in range(2, colbeck_dr.SIM_MAX_N + 1):
         pair = colbeck_dr.entangled_pair(n, "A", "B")
         for i in range(n):
-            agree = quantum_core.basis_state((n, n), ("A", "B"), (i, i))
-            ok = ok and abs(quantum_core.subspace_probability(pair, [agree]) - 1 / n) <= 1e-14
+            agree = quantum_core.Subspace([quantum_core.basis_state((n, n), ("A", "B"), (i, i))])
+            ok = ok and abs(quantum_core.subspace_probability(pair, agree) - 1 / n) <= 1e-14
     elapsed = time.perf_counter() - t0
     report(7, "colbeck: N=3 exact, oracle N<=100 exact, limit @1%, pair uniform N<=16 @1e-14",
            ok and elapsed < 60.0, elapsed)

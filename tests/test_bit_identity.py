@@ -74,7 +74,7 @@ def golden_record() -> dict:
             z = rng.normal(size=4) + 1j * rng.normal(size=4)
             payoffs.append(repr(payoff(z / np.linalg.norm(z), params)))
     dims, labels = (2, 3, 2), ("a", "b", "c")
-    basis = [qc.basis_state(dims, labels, (i, j, 0)) for i in (0, 1) for j in (0, 2)]
+    basis = qc.Subspace([qc.basis_state(dims, labels, (i, j, 0)) for i in (0, 1) for j in (0, 2)])
     projected = []
     for k in range(PROJECTED_STATES):
         z = rng.normal(size=12) + 1j * rng.normal(size=12)

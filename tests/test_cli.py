@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from math import ulp
 from pathlib import Path
 
 import jsonschema
@@ -930,66 +931,35 @@ class TestDeterminism:
         assert next(iter(outs))[0] == 0
 
 
-class TestGoldenReproduce:
-    # tests/data/reproduce_seed0.* hold `qdice --seed 0 --format FMT reproduce`
-    # stdout, recorded when the weak-DR row became the exact worst-case
-    # check; performance work must keep every byte of it
-    @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
-    def test_stdout_is_byte_identical_to_golden(self, capsys, fmt):
-        code, out, err = run_cli(capsys, "--seed", "0", "--format", fmt, "reproduce")
-        assert code == 0, err
-        assert out.encode() == (GOLDEN_DIR / f"reproduce_seed0.{fmt}").read_bytes()
+def _golden_commands() -> list[tuple[str, tuple[str, ...]]]:
+    """(golden file name, argv) of each line of the manifest `tests/data/goldens.txt`."""
+    commands = []
+    for line in (GOLDEN_DIR / "goldens.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            golden, *argv = line.split()
+            commands.append((golden, tuple(argv)))
+    return commands
 
 
-class TestGoldenExactCommands:
-    # stdout of the exact Colbeck subcommand, recorded before its Fraction
-    # kernel was rewritten on integer chain products; of six-round and the
-    # three-party example, recorded before the shared exact-root kernel and
-    # the inlined n = 1 family record; and of strong-dr, weak-dr and
-    # multiparty, recorded when their records came to state the leaf
-    # probability, the honest probability and the stage rule once; of weak-cf
-    # (then the `oracle` subcommand) and strong-cf, recorded before their
-    # records came to be laid out in the cli alone
+GOLDEN_COMMANDS = _golden_commands()
+# goldens that tests write in process, not from a qdice argv
+IN_PROCESS_GOLDENS = {"oracle_honest_golden.json", "numeric_cheat_golden.json"}
+
+
+class TestGoldenCommands:
+    # performance work must keep every byte of every golden stdout; the
+    # manifest says when and why each was recorded
     @pytest.mark.parametrize(
-        "argv, golden",
-        [
-            (("strong-dr", "--n", "37", "--delta", "0.01", "--target", "5"), "strong_dr_n37_delta0.01_target5.json"),
-            (("weak-dr", "--n", "12"), "weak_dr_n12.json"),
-            (("colbeck", "--n", "9"), "colbeck_n9.json"),
-            # the oracle's record past `param_grid`'s reach (eta <= 0.95(1 - p),
-            # p >= 0.08), recorded before quantum_core checked each space once:
-            # at eta = 1 - p xi's |udd> amplitude is 0, and at p = 0 c is 0
-            (("weak-cf", "--p", "0.4", "--eta", "0.6"), "weak_cf_p0.4_eta0.6.json"),
-            (("weak-cf", "--p", "0", "--eta", "0.3"), "weak_cf_p0_eta0.3.json"),
-            *(
-                (("--format", fmt, "six-round", "--variant", variant), f"six_round_{variant}.{fmt}")
-                for variant in ("case1", "case2")
-                for fmt in ("json", "table", "csv")
-            ),
-            (("three-party",), "three_party.json"),
-            # each in every format: the table and csv cells share one formatter
-            *(
-                (("--format", fmt, *argv), f"{stem}.{fmt}")
-                for argv, stem in (
-                    (("multiparty", "--m", "2", "--n", "3"), "multiparty_m2_n3"),
-                    # an explicit zero bias is the default's record
-                    (("multiparty", "--m", "2", "--n", "3", "--eps-bar", "0"), "multiparty_m2_n3"),
-                    (("multiparty", "--m", "3", "--n", "4"), "multiparty_m3_n4"),
-                    (
-                        ("strong-dr", "--n", "7", "--delta", "0.01", "--target", "3"),
-                        "strong_dr_n7_delta0.01_target3",
-                    ),
-                    (("weak-cf", "--p", "0.3", "--eta", "0.1"), "weak_cf_p0.3_eta0.1"),
-                    (("strong-cf", "--p0", "0.3", "--eps", "0.05"), "strong_cf_p0.3_eps0.05"),
-                )
-                for fmt in ("json", "table", "csv")
-            ),
-        ],
+        "golden, argv", GOLDEN_COMMANDS, ids=[" ".join(argv) for _, argv in GOLDEN_COMMANDS]
     )
-    def test_stdout_is_byte_identical_to_golden(self, capsys, argv, golden):
+    def test_stdout_is_byte_identical_to_golden(self, capsys, golden, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert out.encode() == (GOLDEN_DIR / golden).read_bytes()
+
+    def test_the_manifest_lists_every_stdout_golden(self):
+        on_disk = {path.name for path in GOLDEN_DIR.iterdir()} - IN_PROCESS_GOLDENS - {"goldens.txt"}
+        assert {golden for golden, _ in GOLDEN_COMMANDS} == on_disk
 
 
 class TestSixRoundWork:
@@ -1046,6 +1016,19 @@ class TestStrongCFWork:
         assert code == 0, err
         assert len(calls) == 1
         assert out.encode() == (GOLDEN_DIR / "strong_cf_p0.3_eps0.05.json").read_bytes()
+
+    def test_the_round_trip_is_also_checked_relative_to_the_smaller_outcome(self, capsys):
+        # at p0 = 1e-20 the honest P0 is half the target, which an absolute
+        # 1e-12 alone passed; the record is still printed in full
+        code, out, err = run_cli(capsys, "strong-cf", "--p0", "1e-20")
+        assert code == 2 and json.loads(out)["p0_honest"] == 5.000000827403744e-21
+        assert err == "verification mismatch: honest P0 round trip error 4.999999172596255e-21 > 1e-29\n"
+        # where 1e-9 * min(p0, 1 - p0) exceeds 1e-12 the absolute bound binds, as before
+        code, out, err = run_cli(capsys, "strong-cf", "--p0", "0.5")
+        assert code == 0 and not err and json.loads(out)["honest_roundtrip_error"] <= 1e-12
+        # near p0 = 1 the bound is two float steps at p0, not 1e-9 * (1 - p0), which is less than one
+        code, out, err = run_cli(capsys, "strong-cf", "--p0", "0.9999999")
+        assert code == 0 and not err and json.loads(out)["honest_roundtrip_error"] == ulp(0.9999999)
 
 
 class TestMalformedBiasReport:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qdice import cli, colbeck_dr
+from qdice import quantum_core as qc
 from qdice.errors import ParameterRangeError
 
 
@@ -35,6 +36,29 @@ class TestHonestRun:
             colbeck_dr.honest_run(1, seed=0)
         with pytest.raises(ParameterRangeError):
             colbeck_dr.honest_run(17, seed=0)
+
+    def test_one_honest_run_builds_four_states_and_no_subspace(self, monkeypatch):
+        # the two pairs and the two measured post states, each passing one
+        # norm check; the unused pair's verification is its self-overlap, so
+        # no run builds a projective test, whichever pair it keeps
+        states = []
+        state_check = qc._check_norm
+
+        def counted_state(amps):
+            states.append(amps)
+            state_check(amps)
+
+        monkeypatch.setattr(qc, "_check_norm", counted_state)
+        monkeypatch.setattr(qc.Subspace, "__init__", lambda sub, basis: pytest.fail("a run built a Subspace"))
+        built, selected = set(), set()
+        for n in (2, 9, 16):
+            for seed in range(6):
+                states.clear()
+                _, transcript = colbeck_dr.honest_run(n, seed)
+                built.add(len(states))
+                selected.add(transcript["selected_pair"])
+                assert transcript["verification_probability"] == pytest.approx(1.0, abs=1e-12)
+        assert (built, selected) == ({4}, {1, 2})
 
     def test_instance_state_shape(self):
         pair = colbeck_dr.entangled_pair(4, "A", "B")

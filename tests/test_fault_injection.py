@@ -66,8 +66,8 @@ def _fail_probs_times(factor, rows):
     (a slice), leaving its post states as they are."""
 
     def perturb(f):
-        def project_all(states, basis, inside=True):
-            probs, posts = f(states, basis, inside)
+        def project_all(states, subspace, inside=True):
+            probs, posts = f(states, subspace, inside)
             probs[rows] = [p * factor for p in probs[rows]]
             return probs, posts
 

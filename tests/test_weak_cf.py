@@ -538,11 +538,11 @@ class TestAliceCheatOracle:
         built, checked, states, sector_checks = [], [], [], []
         rotation = weak_cf.rotation_unitary
         unitary_check, state_check = qc.UnitaryOp.__post_init__, qc._check_norm
-        ortho_check = qc._check_orthonormal
+        subspace_init = qc.Subspace.__init__
 
-        def counted_ortho(basis):
+        def counted_subspace(sub, basis):
             sector_checks.append(basis)
-            ortho_check(basis)
+            subspace_init(sub, basis)
 
         def counted_rotation(params):
             built.append(params)
@@ -559,7 +559,7 @@ class TestAliceCheatOracle:
         monkeypatch.setattr(weak_cf, "rotation_unitary", counted_rotation)
         monkeypatch.setattr(qc.UnitaryOp, "__post_init__", counted_unitary)
         monkeypatch.setattr(qc, "_check_norm", counted_state)
-        monkeypatch.setattr(qc, "_check_orthonormal", counted_ortho)
+        monkeypatch.setattr(qc.Subspace, "__init__", counted_subspace)
         weak_cf.alice_cheat_oracle(WeakCFParams(0.4, 0.3))
         # a stack is checked row by row
         rows = sum(1 if amps.ndim == 1 else len(amps) for amps in states)
@@ -581,7 +581,7 @@ class TestAliceCheatOracle:
             weak_cf.honest_run(params, seed)
         monkeypatch.setattr(qc, "_check_norm", counted_state)
         # Bob's win sector and Alice's check of his first qubit were checked when the module built them
-        monkeypatch.setattr(qc, "_check_orthonormal", lambda basis: pytest.fail("a basis was checked again"))
+        monkeypatch.setattr(qc.Subspace, "__init__", lambda sub, basis: pytest.fail("a basis was checked again"))
         built = {}
         for seed in seeds:
             states.clear()

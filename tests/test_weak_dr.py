@@ -13,11 +13,20 @@ from qdice.errors import ParameterRangeError
 from qdice.weak_dr import TournamentSpec
 
 
+def party_stages(n_parties: int, party: int) -> list[tuple[int, Fraction]]:
+    """(stage index, honest stage-win probability) of every stage the party
+    plays, by the tournament rule alone: party p enters at stage
+    max(p - 1, 1), which it wins with 1/(stage + 1), and defends each later
+    stage k < N with k/(k + 1)."""
+    entry = max(party - 1, 1)
+    return [(entry, Fraction(1, entry + 1))] + [(k, Fraction(k, k + 1)) for k in range(entry + 1, n_parties)]
+
+
 def expanded_losing_prob(spec: TournamentSpec, honest_party: int) -> float:
     """The chain form's quantity as the stagewise expansion: lose at the first
     stage, or win a prefix of stages and lose the next one. A regression
     target for `weak_dr.max_losing_prob`."""
-    stages = weak_dr._party_stages(spec.n_parties, honest_party)
+    stages = party_stages(spec.n_parties, honest_party)
     losses = [1.0 - (float(win) - spec.stage_biases[k - 1]) for k, win in stages]
     total = 0.0
     prefix_win = 1.0
@@ -28,11 +37,11 @@ def expanded_losing_prob(spec: TournamentSpec, honest_party: int) -> float:
 
 
 def reference_honest_distribution(n_parties: int) -> list[Fraction]:
-    """Each party's chain product folded stage by stage over `_party_stages`: O(N^2)."""
+    """Each party's chain product folded stage by stage over `party_stages`: O(N^2)."""
     probs = []
     for party in range(1, n_parties + 1):
         total = Fraction(1)
-        for _, win in weak_dr._party_stages(n_parties, party):
+        for _, win in party_stages(n_parties, party):
             total *= win
         probs.append(total)
     return probs
@@ -108,10 +117,11 @@ class TestHonestDistribution:
         assert len(dist) == n and all(type(p) is Fraction for p in dist)
 
     def test_stages_of_a_late_entrant(self):
-        assert weak_dr._party_stages(5, 3) == [(2, Fraction(1, 3)), (3, Fraction(3, 4)), (4, Fraction(4, 5))]
+        # the reference stage rule, against hand-written stages
+        assert party_stages(5, 3) == [(2, Fraction(1, 3)), (3, Fraction(3, 4)), (4, Fraction(4, 5))]
         first_two = [(1, Fraction(1, 2)), (2, Fraction(2, 3)), (3, Fraction(3, 4)), (4, Fraction(4, 5))]
-        assert weak_dr._party_stages(5, 1) == weak_dr._party_stages(5, 2) == first_two
-        assert weak_dr._party_stages(5, 5) == [(4, Fraction(1, 5))]
+        assert party_stages(5, 1) == party_stages(5, 2) == first_two
+        assert party_stages(5, 5) == [(4, Fraction(1, 5))]
 
 
 class TestMaxLosingProb:
@@ -151,13 +161,13 @@ class TestMaxLosingProb:
                 check(spec, party)
 
     def test_the_stage_chain_is_built_with_the_spec(self, monkeypatch):
-        # every party's float path reads the spec's own chain, never the per-party Fraction stages
+        # every party's float path reads the spec's own chain, never the exact Fraction chain
         spec = TournamentSpec(5, [0.1, 0.7, 0.0, 0.8])
         assert spec._factors == [1 / 2 - 0.1, 2 / 3 - 0.7, 3 / 4 - 0.0, 4 / 5 - 0.8]
         assert (spec._over, spec._delta_max) == ([2, 4], 0.8)
         assert spec == TournamentSpec(5, (0.1, 0.7, 0.0, 0.8)) and hash(spec) == hash(TournamentSpec(5, (0.1, 0.7, 0.0, 0.8)))
         assert repr(spec) == "TournamentSpec(n_parties=5, stage_biases=(0.1, 0.7, 0.0, 0.8))"
-        monkeypatch.setattr(weak_dr, "_party_stages", None)
+        monkeypatch.setattr(weak_dr, "_exact_eps_bar", None)
         for n in (2, 7, 40):
             spec = TournamentSpec(n, [0.01] * (n - 1))
             for party in range(1, n + 1):
@@ -172,7 +182,7 @@ class TestMaxLosingProb:
         for n_parties in range(2, 65):
             specs = {}  # (stage, delta) -> spec biased at that stage only
             for party in range(1, n_parties + 1):
-                for k, win in weak_dr._party_stages(n_parties, party):
+                for k, win in party_stages(n_parties, party):
                     w = float(win)
                     for delta in (math.nextafter(w, -math.inf), w, math.nextafter(w, math.inf)):
                         if (k, delta) not in specs:
@@ -218,7 +228,7 @@ class TestExpansionSymbolicRegression:
         for n_parties in range(2, 7):
             deltas = sympy.symbols(f"d1:{n_parties}")
             for party in range(1, n_parties + 1):
-                stages = weak_dr._party_stages(n_parties, party)
+                stages = party_stages(n_parties, party)
                 wins = [
                     sympy.Rational(w.numerator, w.denominator) - deltas[k - 1]
                     for k, w in stages
@@ -274,14 +284,14 @@ def worst_case_constants(n_parties: int) -> tuple[int, list[int]]:
 
 
 def reference_constant(n_parties: int, party: int) -> Fraction:
-    """The worst-case constant (1/N) * sum of 1/w_k, one Fraction per stage of `_party_stages`."""
-    return sum(1 / win for _, win in weak_dr._party_stages(n_parties, party)) / n_parties
+    """The worst-case constant (1/N) * sum of 1/w_k, one Fraction per stage of `party_stages`."""
+    return sum(1 / win for _, win in party_stages(n_parties, party)) / n_parties
 
 
 def exact_eps_bar(n_parties: int, party: int, biases) -> Fraction:
     """eps_bar in exact arithmetic: 1/N minus the survival chain, the float biases read exactly."""
     survive = Fraction(1)
-    for k, win in weak_dr._party_stages(n_parties, party):
+    for k, win in party_stages(n_parties, party):
         survive *= win - Fraction(biases[k - 1])
     return Fraction(1, n_parties) - survive
 
@@ -399,7 +409,7 @@ class TestFloatCheckAgainstTheWorstCase:
         # delta * prod of its other stage wins = delta / (N * w_k); over the
         # party's stages these summands add up to its worst-case constant
         for party in range(1, n + 1):
-            stages = weak_dr._party_stages(n, party)
+            stages = party_stages(n, party)
             played = {k: win for k, win in stages}
             summed = Fraction(0)
             for k in range(1, n):
