@@ -9,6 +9,7 @@ at least (1/N)^(1/M).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import chain
 from math import exp, isnan, log, prod
 
 from .errors import DimensionMismatchError, ParameterRangeError
@@ -80,7 +81,7 @@ class BiasReport:
             honest_probs = tuple(d["honest_probs"])
         except TypeError as exc:
             raise ParameterRangeError(f"bias report probabilities must be lists: {exc}") from None
-        if any(type(x) not in (int, float) for x in sum(force_probs, honest_probs)):
+        if any(type(x) not in (int, float) for x in chain(honest_probs, *force_probs)):
             raise ParameterRangeError("bias report probabilities must be numbers")
         return cls(d["n_outcomes"], d["n_parties"], force_probs, honest_probs)
 

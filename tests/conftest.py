@@ -7,7 +7,7 @@ import pytest
 
 from qdice import quantum_core as qc
 from qdice import weak_cf
-from qdice.weak_cf import WeakCFParams
+from qdice.weak_cf import DOWN, UP, WeakCFParams
 from qdice.weak_dr import TournamentSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -21,17 +21,45 @@ def param_grid(n_p: int = 10, n_eta: int = 10) -> Iterator[WeakCFParams]:
             yield WeakCFParams(float(p), float(frac * (1.0 - p)))
 
 
+# Bob's win sector: qubits 2, 3 read |ud>, qubit 1 free
+WIN_SECTOR = qc.Subspace(
+    [qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (x, UP, DOWN)) for x in (UP, DOWN)]
+)
+
+
+def preparation(alphas) -> qc.StateVector:
+    """Alice's preparation alphas = (a_ud, a_du, a_uu, a_dd) on (q1, q2), a
+    unit vector, tensored with Bob's |d> ancilla on q3."""
+    amps = np.zeros(8, dtype=complex)
+    for (i, j), a in zip(((UP, DOWN), (DOWN, UP), (UP, UP), (DOWN, DOWN)), alphas):
+        amps[i * 4 + j * 2 + DOWN] = a
+    return qc.StateVector((2, 2, 2), ("q1", "q2", "q3"), amps)
+
+
 def payoff(alphas, params: WeakCFParams) -> float:
     """Alice's cheating payoff P_fail * P_test for one preparation, scored alone.
 
-    alphas = (a_ud, a_du, a_uu, a_dd) is a unit vector. The preparation is
-    pushed through the protocol at params as the oracle pushes its maximizer:
-    Bob's rotation against a |d> ancilla, then, as a one-row stack, the
-    probability his |ud> test fails and Alice's verification overlap on the
-    renormalized post-failure state.
+    The preparation goes through Bob's rotation; then, as a one-row stack,
+    P_fail is the probability that his |ud> test fails and P_test that the
+    renormalized post-failure state passes Alice's verification against
+    xi. A preparation his test cannot fail on scores 0.
     """
-    rotated = qc.apply(weak_cf.rotation_unitary(params), weak_cf._preparation(alphas))
-    return weak_cf._scores(qc.stack([rotated]), weak_cf.alice_pass_state(params))[0]
+    rotated = qc.apply(weak_cf.rotation_unitary(params), preparation(alphas))
+    (p_fail,), posts = qc.project_all(qc.stack([rotated]), WIN_SECTOR, inside=False)
+    if not p_fail:
+        return 0.0
+    (p_test,) = qc.overlap_all(weak_cf.alice_pass_state(params), posts).tolist()
+    return p_fail * abs(p_test) ** 2
+
+
+@pytest.fixture
+def norm_checks(monkeypatch):
+    """The arrays passed to the norm check that every state, and every row of
+    a stack, passes however it is built, in call order."""
+    checked = []
+    check = qc._check_norm
+    monkeypatch.setattr(qc, "_check_norm", lambda amps: checked.append(amps) or check(amps))
+    return checked
 
 
 def state_json(state: qc.StateVector) -> dict:

@@ -635,6 +635,17 @@ class TestReadmeExamples:
         assert out
 
 
+def reproduce_with_rows(rows) -> tuple[int, str]:
+    """(exit code, stdout) of `qdice --format json reproduce` when
+    `reproduce.build_rows` returns rows."""
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        patch.setattr(reproduce, "build_rows", lambda: rows)
+        code = cli.run(["--format", "json", "reproduce"])
+    return code, out.getvalue()
+
+
 class TestRowsJson:
     """The reproduce rows' json is the text `json.dumps(..., indent=2)` writes."""
 
@@ -654,18 +665,16 @@ class TestRowsJson:
         )
     )
     def test_matches_the_indenting_encoder(self, rows):
-        buf = io.StringIO()
-        cli._emit_rows(rows, "json", buf)
-        assert buf.getvalue() == _reference_rows_json(rows)
+        # a failing row exits 2 and still prints every row
+        code, out = reproduce_with_rows(rows)
+        assert code == (0 if all(r["passed"] for r in rows) else 2)
+        assert out == _reference_rows_json(rows)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_float_raises_before_writing(self, bad):
+    def test_non_finite_float_exits_one_before_writing(self, bad):
         rows = reproduce.build_rows()
         rows[-1]["abs_diff"] = bad
-        buf = io.StringIO()
-        with pytest.raises(ValueError):
-            cli._emit_rows(rows, "json", buf)
-        assert buf.getvalue() == ""
+        assert reproduce_with_rows(rows) == (1, "")
 
 
 class TestGlobalFlagPlacement:
@@ -952,14 +961,17 @@ class TestGoldenCommands:
     @pytest.mark.parametrize(
         "golden, argv", GOLDEN_COMMANDS, ids=[" ".join(argv) for _, argv in GOLDEN_COMMANDS]
     )
-    def test_stdout_is_byte_identical_to_golden(self, capsys, golden, argv):
+    def test_stdout_is_byte_identical_to_golden(self, capsys, monkeypatch, golden, argv):
+        monkeypatch.chdir(REPO_ROOT)  # where a listed --report path starts
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert out.encode() == (GOLDEN_DIR / golden).read_bytes()
 
     def test_the_manifest_lists_every_stdout_golden(self):
+        # a golden, or a report file a listed argv reads
         on_disk = {path.name for path in GOLDEN_DIR.iterdir()} - IN_PROCESS_GOLDENS - {"goldens.txt"}
-        assert {golden for golden, _ in GOLDEN_COMMANDS} == on_disk
+        reports = {Path(argv[argv.index("--report") + 1]).name for _, argv in GOLDEN_COMMANDS if "--report" in argv}
+        assert {golden for golden, _ in GOLDEN_COMMANDS} | reports == on_disk
 
 
 class TestSixRoundWork:

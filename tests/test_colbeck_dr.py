@@ -37,28 +37,27 @@ class TestHonestRun:
         with pytest.raises(ParameterRangeError):
             colbeck_dr.honest_run(17, seed=0)
 
-    def test_one_honest_run_builds_four_states_and_no_subspace(self, monkeypatch):
-        # the two pairs and the two measured post states, each passing one
-        # norm check; the unused pair's verification is its self-overlap, so
-        # no run builds a projective test, whichever pair it keeps
-        states = []
-        state_check = qc._check_norm
-
-        def counted_state(amps):
-            states.append(amps)
-            state_check(amps)
-
-        monkeypatch.setattr(qc, "_check_norm", counted_state)
+    def test_a_run_builds_its_two_post_states_and_no_pair_or_subspace(self, monkeypatch, norm_checks):
+        # each N's two pairs are built once, when the module is, and every
+        # run at that N measures the same one when it selects it; a run builds
+        # the two measured post states, each passing one norm check. The
+        # unused pair's verification is its self-overlap, so no run builds a projective test
+        measured, measure = [], qc.measure_computational
+        monkeypatch.setattr(colbeck_dr, "entangled_pair", lambda *args: pytest.fail("a run built a pair"))
+        monkeypatch.setattr(qc, "measure_computational", lambda s, *args: measured.append(s) or measure(s, *args))
         monkeypatch.setattr(qc.Subspace, "__init__", lambda sub, basis: pytest.fail("a run built a Subspace"))
-        built, selected = set(), set()
+        selected = set()
         for n in (2, 9, 16):
+            shared = {}
             for seed in range(6):
-                states.clear()
+                norm_checks.clear()
                 _, transcript = colbeck_dr.honest_run(n, seed)
-                built.add(len(states))
-                selected.add(transcript["selected_pair"])
+                assert len(norm_checks) == 2
+                k = transcript["selected_pair"]
+                assert shared.setdefault(k, measured[-2]) is measured[-2]
+                selected.add(k)
                 assert transcript["verification_probability"] == pytest.approx(1.0, abs=1e-12)
-        assert (built, selected) == ({4}, {1, 2})
+        assert selected == {1, 2}
 
     def test_instance_state_shape(self):
         pair = colbeck_dr.entangled_pair(4, "A", "B")

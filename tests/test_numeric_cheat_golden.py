@@ -1,8 +1,9 @@
 """Bit-identity pin for the numeric route of Alice's weak-CF cheat.
 
 `tests/data/numeric_cheat_golden.json` holds the `repr` of
-`optimize.maximize_unimodal`'s (argmax, max) on the raw delta-objective,
-the search `weak_cf.alice_opt_cheat` cross-checks its closed form with, at
+`optimize.maximize_unimodal`'s (argmax, max) on the raw delta-objective
+(`weak_cf.alice_split_cheat` at each split), the search
+`weak_cf.alice_opt_cheat` cross-checks its closed form with, at
 every point of `param_grid(12, 12)`, at the six-round certificate's probes
 (eta* and eta* -/+ 1e-12 for both variants) and at the balanced fair
 point. Each entry's "alice_numeric_cheat" holds the max again, under the
@@ -40,7 +41,7 @@ def golden_params() -> list[tuple[str, WeakCFParams]]:
 def golden_record() -> list[dict]:
     record = []
     for source, params in golden_params():
-        x, value = maximize_unimodal(weak_cf._objective(*weak_cf._objective_coeffs(params)))
+        x, value = maximize_unimodal(lambda delta: weak_cf.alice_split_cheat(params, delta))
         record.append(
             {
                 "source": source,

@@ -14,30 +14,26 @@ from hypothesis import strategies as st
 
 from qdice import optimize
 from qdice.errors import CrossCheckError, ParameterRangeError
-from qdice.optimize import (
-    _INV_PHI,
-    bisect_root,
-    certify_sign_change,
-    maximize_unimodal,
-    sqrt2_quadratic_root,
-)
+from qdice.optimize import bisect_root, certify_sign_change, maximize_unimodal, sqrt2_quadratic_root
+
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # the golden section's shrink factor
 
 
 def loop_maximize(f, tol=1e-12):
     """The reference search on [0, 1]: golden section, then the midpoint
     against both ends, kept only where an end is strictly better."""
     a, b = 0.0, 1.0
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
+    c = b - INV_PHI * (b - a)
+    d = a + INV_PHI * (b - a)
     fc, fd = f(c), f(d)
     while b - a > tol:
         if fc > fd:
             b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
+            c = b - INV_PHI * (b - a)
             fc = f(c)
         else:
             a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
+            d = a + INV_PHI * (b - a)
             fd = f(d)
     x = 0.5 * (a + b)
     candidates = [(x, f(x)), (0.0, f(0.0)), (1.0, f(1.0))]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import state_json
+from conftest import WIN_SECTOR, preparation, state_json
 from qdice import quantum_core as qc
 from qdice import weak_cf
 from qdice.colbeck_dr import entangled_pair
@@ -215,20 +215,15 @@ class TestMeasureProjector:
             params = WeakCFParams(p, eta)
             full = qc.tensor(initial_state(params), qc.basis_state((2,), ("q3",), (DOWN,)))
             psi1 = qc.apply(rotation_unitary(params), full)
-            sector = qc.Subspace(
-                [qc.basis_state((2, 2, 2), ("q1", "q2", "q3"), (x, UP, DOWN)) for x in (UP, DOWN)]
-            )
-            assert qc.subspace_probability(psi1, sector) == pytest.approx(p, abs=1e-12)
+            assert qc.subspace_probability(psi1, WIN_SECTOR) == pytest.approx(p, abs=1e-12)
 
     def test_post_failure_state_is_verification_state(self):
         # Alice's surviving branch projects onto the verification state exactly
-        from qdice.weak_cf import _WIN_SECTOR, alice_pass_state
-
         params = WeakCFParams(0.4, 0.25)
         full = qc.tensor(initial_state(params), qc.basis_state((2,), ("q3",), (DOWN,)))
         psi1 = qc.apply(rotation_unitary(params), full)
-        _, post = qc.project(psi1, _WIN_SECTOR, inside=False)
-        assert abs(qc.overlap(alice_pass_state(params), post)) ** 2 == pytest.approx(
+        _, post = qc.project(psi1, WIN_SECTOR, inside=False)
+        assert abs(qc.overlap(weak_cf.alice_pass_state(params), post)) ** 2 == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -494,8 +489,9 @@ class TestInvariants:
             assert np.linalg.norm(qc.apply(u, state).amps) == pytest.approx(1.0, abs=1e-12)
 
     def test_unnormalized_state_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            qc.StateVector((2,), ("q1",), np.array([1.0, 1.0]))
+        for amps in ([1.0, 1.0], [0.5, 0.0]):
+            with pytest.raises(DimensionMismatchError):
+                qc.StateVector((2,), ("q1",), np.array(amps))
 
     @pytest.mark.parametrize(
         "amps",
@@ -539,8 +535,9 @@ class TestInvariants:
         [[1.0, 1.0], [0.5, 0.0], [nan, 0.0], [1.0, nan], [inf, 0.0], [complex(0.0, nan), 1.0]],
     )
     def test_adopted_arrays_are_norm_checked(self, amps):
+        # the check every array a result adopts passes
         with pytest.raises(DimensionMismatchError, match="not normalized"):
-            qc._adopt((2,), ("q1",), np.array(amps, dtype=complex))
+            qc._check_norm(np.array(amps, dtype=complex))
 
     def test_results_are_read_only_and_share_no_caller_memory(self):
         rng = np.random.default_rng(3)
@@ -762,8 +759,9 @@ class TestStacks:
     def test_the_oracle_rows_that_bob_cannot_fail_on_vanish(self):
         # at eta = 0 Bob's rotation keeps |ud> on (q2, q3): the preparations
         # a_du and a_uu land in his win sector, a_ud and a_dd miss it
-        rotated = qc.apply_all(rotation_unitary(WeakCFParams(0.5, 0.0)), weak_cf._PREP_STACK)
-        probs, posts = qc.project_all(rotated, weak_cf._WIN_SECTOR, inside=False)
+        basis = qc.stack([preparation(e_r) for e_r in np.eye(4)])
+        rotated = qc.apply_all(rotation_unitary(WeakCFParams(0.5, 0.0)), basis)
+        probs, posts = qc.project_all(rotated, WIN_SECTOR, inside=False)
         assert probs == [1.0, 0.0, 0.0, 1.0]
         assert posts.amps.tobytes() == rotated.amps[[0, 3]].tobytes()
 
@@ -777,8 +775,6 @@ class TestStacks:
     def test_a_nan_or_unnormalized_row_fails_closed(self, bad_row):
         rows = np.array([[0.6, 0.8], bad_row, [1.0, 0.0]], dtype=complex)
         with np.errstate(invalid="ignore"):  # vecdot warns on a non-finite row
-            with pytest.raises(DimensionMismatchError, match="not normalized"):
-                qc._adopt_stack((2,), ("q1",), rows.copy())
             with pytest.raises(DimensionMismatchError, match="not normalized"):
                 qc._check_norm(rows)
 
@@ -809,12 +805,11 @@ class TestStacks:
         with pytest.raises(DimensionMismatchError, match="not orthogonal"):
             qc.Subspace([forward, forward])
 
-    def test_a_stack_of_stacks_and_states_is_their_rows_in_order(self, monkeypatch):
+    def test_a_stack_of_stacks_and_states_is_their_rows_in_order(self, norm_checks):
         rng = np.random.default_rng(12)
         states = _random_stack(rng, (2, 3), 5)
         want = qc.stack(states)
-        checked = []
-        monkeypatch.setattr(qc, "_check_norm", checked.append)  # rows already passed it
+        norm_checks.clear()  # the states' own checks; their rows already passed it
         for parts in (
             [qc.stack(states[:4]), states[4]],
             [states[0], qc.stack(states[1:3]), qc.stack(states[3:])],
@@ -825,7 +820,7 @@ class TestStacks:
             assert (got.dims, got.labels) == (want.dims, want.labels)
             assert not got.amps.flags.writeable
             assert not any(np.shares_memory(got.amps, part.amps) for part in parts)
-        assert checked == []
+        assert norm_checks == []
         forward, swapped = TestLabelOrder.forward, TestLabelOrder.swapped
         with pytest.raises(DimensionMismatchError, match="labels differ"):
             qc.stack([qc.stack([forward]), swapped])
@@ -883,12 +878,13 @@ class TestSpaceChecks:
     """Each distinct space, and each operator's target labels, is checked once."""
 
     def test_repeated_oracle_calls_add_no_space_misses(self):
+        caches = (qc._space, qc._targets)
         weak_cf.alice_cheat_oracle(WeakCFParams(0.4, 0.3))
-        misses = qc._space.cache_info().misses, qc._targets.cache_info().misses
+        misses = [cache.cache_info().misses for cache in caches]
         for params in (WeakCFParams(0.4, 0.3), WeakCFParams(0.5, 0.2), WeakCFParams(0.1, 0.8)):
             weak_cf.alice_cheat_oracle(params)
-        assert (qc._space.cache_info().misses, qc._targets.cache_info().misses) == misses
-        for cache in (qc._space, qc._targets):
+        assert [cache.cache_info().misses for cache in caches] == misses
+        for cache in caches:
             info = cache.cache_info()
             assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
 

@@ -18,12 +18,38 @@ S2 = sqrt(2.0)
 ETA1_STAR = 0.14620126286
 ETA2_STAR = 0.19878463722
 
+# stage 2's p: Claire's honest share 1/3 in case 1, the survivor's 2/3 in case 2
+P = {"case1": 1 / 3, "case2": 2 / 3}
+
+
+def losses(variant: str, params: WeakCFParams, preparer_cheat: float) -> tuple[float, float, float]:
+    """(Alice, Bob, Claire) maximal losing probabilities at params.
+
+    At stage 2 the preparer (the survivor in case 1, Claire in case 2)
+    loses to her opponent's announcement, `bob_opt_cheat`, and her opponent
+    to her preparation attack, `preparer_cheat`. Claire's whole loss is her
+    stage 2 loss; Alice and Bob lose stage 1 against a cheating coalition
+    with 1/sqrt2, or survive and lose stage 2.
+    """
+    announce = weak_cf.bob_opt_cheat(params)
+    claire, survivor = (preparer_cheat, announce) if variant == "case1" else (announce, preparer_cheat)
+    c = sixround_dr.INV_SQRT2
+    alice = c + (1.0 - c) * survivor
+    return alice, alice, claire
+
 
 def losing_probs_at(variant: str, eta: float) -> tuple[float, float, float]:
-    """(Alice, Bob, Claire) maximal losing probabilities at eta, with the
-    preparer's cheat from the closed form (`alice_opt_cheat`)."""
-    params = WeakCFParams(float(sixround_dr._P[variant]), eta)
-    return sixround_dr._losses(variant, params, alice_opt_cheat(params).p_alice_star)
+    """`losses` at eta, with the preparer's cheat from the closed form (`alice_opt_cheat`)."""
+    params = WeakCFParams(P[variant], eta)
+    return losses(variant, params, alice_opt_cheat(params).p_alice_star)
+
+
+def split_residual(variant: str, eta: float, delta: float) -> float:
+    """The fairness residual Claire - Alice at eta, with the preparer's cheat
+    the raw objective at the fixed split delta (`alice_split_cheat`)."""
+    params = WeakCFParams(P[variant], eta)
+    alice, _, claire = losses(variant, params, weak_cf.alice_split_cheat(params, delta))
+    return claire - alice
 
 
 class TestFairnessConstraint:
@@ -44,14 +70,14 @@ class TestFairnessConstraint:
         # the delta-maximization at p = 1/3 collapses to (2+3e)/(2(1+3e))
         for eta in np.linspace(0.0, 0.6, 13):
             _, _, lhs = losing_probs_at("case1", eta)
-            assert lhs == pytest.approx((2 + 3 * eta) / (2 * (1 + 3 * eta)), abs=1e-9)
+            assert lhs == pytest.approx((2 + 3 * eta) / (2 * (1 + 3 * eta)), abs=1e-12)
 
     def test_rhs_matches_simplified_closed_form_case2(self):
         # the delta-maximization at p = 2/3 collapses to (2-3e)/(2+3e)
         for eta in np.linspace(0.0, 0.33, 12):
             rhs, _, _ = losing_probs_at("case2", eta)
             expected = 1 / S2 + (1 - 1 / S2) * (2 - 3 * eta) / (2 + 3 * eta)
-            assert rhs == pytest.approx(expected, abs=1e-9)
+            assert rhs == pytest.approx(expected, abs=1e-12)
 
     def test_eta_out_of_range(self):
         with pytest.raises(ParameterRangeError):
@@ -66,10 +92,10 @@ class TestFairnessConstraint:
     @pytest.mark.parametrize("variant", ["case1", "case2"])
     def test_split_residual_past_one_minus_p_is_refused_by_weak_cf_params(self, variant):
         # the stage-2 eta range is the one `WeakCFParams` checks, with its message
-        eta_max = float(1 - sixround_dr._P[variant])
-        sixround_dr._split_residual(variant, eta_max, 0.5)
+        eta_max = 1.0 - P[variant]
+        split_residual(variant, eta_max, 0.5)
         with pytest.raises(ParameterRangeError, match=r"eta must lie in \[0, 1-p\]"):
-            sixround_dr._split_residual(variant, eta_max + 1e-9, 0.5)
+            split_residual(variant, eta_max + 1e-9, 0.5)
 
 
 class TestComposition:
@@ -95,7 +121,7 @@ class TestComposition:
         monkeypatch.setattr(weak_cf, "maximize_unimodal", search_spy)
         monkeypatch.setattr(sixround_dr, "alice_split_cheat", split_spy)
         eta = sixround_dr.solve(variant).eta_star
-        p = float(sixround_dr._P[variant])
+        p = P[variant]
         ((argmax, _),) = searches
         assert [params.eta for params, _ in seen] == [eta - 1e-12, eta + 1e-12]
         assert {params.p for params, _ in seen} == {p}
@@ -105,7 +131,7 @@ class TestComposition:
     @pytest.mark.parametrize("variant", ["case1", "case2"])
     def test_non_preparer_loss_is_bob_opt_cheat(self, variant):
         eta = sixround_dr.solve(variant).eta_star
-        other = weak_cf.bob_opt_cheat(WeakCFParams(float(sixround_dr._P[variant]), eta))
+        other = weak_cf.bob_opt_cheat(WeakCFParams(P[variant], eta))
         alice, _, claire = losing_probs_at(variant, eta)
         c = sixround_dr.INV_SQRT2
         if variant == "case1":  # Claire prepares nothing: a survivor loses to her announcement
@@ -280,8 +306,9 @@ class TestExactRoot:
         assert cleared_fairness_sign(variant, Fraction(0)) * cleared_fairness_sign(variant, eta_max) == -1
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_quadratic_literal_is_27_times_the_cleared_fairness_equation(self, variant):
-        # expanded independently with sympy from the fairness equation times (1-p)(p+eta)
+    def test_eta_star_is_the_correctly_rounded_root_of_the_derived_quadratic(self, variant):
+        # sympy expands the fairness equation times (1-p)(p+eta) into a
+        # quadratic with one root in [0, 1 - p], which eta* rounds correctly
         import sympy
 
         eta, c = sympy.Symbol("eta"), 1 / sympy.sqrt(2)
@@ -292,10 +319,16 @@ class TestExactRoot:
             cleared = cheat - (1 - p) * u * (c + (1 - c) * u)
         else:
             cleared = (1 - p) * u * u - (c * (1 - p) * u + (1 - c) * cheat)
-        literal = sum(
-            (x + y * sympy.sqrt(2)) * eta**k for (x, y), k in zip(sixround_dr._QUADRATICS[variant], (2, 1, 0))
-        )
-        assert sympy.expand(literal - 27 * cleared) == 0
+        quadratic = sympy.Poly(sympy.expand(cleared), eta)
+        assert quadratic.degree() == 2
+
+        def sign(x):  # of the quadratic at a rational x, a nonzero value in Q(sqrt2)
+            return sympy.sign(sympy.N(quadratic.eval(x), 60))
+
+        assert sign(0) * sign(1 - p) == -1
+        got = sixround_dr.solve(variant).eta_star
+        below, above = ((sympy.Rational(got) + sympy.Rational(nextafter(got, d))) / 2 for d in (-inf, inf))
+        assert sign(below) * sign(above) == -1
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_one_maximization_and_no_bisection(self, monkeypatch, variant):
@@ -325,15 +358,23 @@ class TestExactRoot:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_certificate_never_calls_the_closed_form(self, monkeypatch, variant):
-        eta = sixround_dr.solve(variant).eta_star
-        delta = alice_opt_cheat(WeakCFParams(float(sixround_dr._P[variant]), eta)).search_delta
-
         def closed_form(*args, **kwargs):
             raise AssertionError("the numeric route must not use A + B")
 
-        monkeypatch.setattr(sixround_dr, "alice_opt_cheat", closed_form)
-        below = sixround_dr._split_residual(variant, eta - 1e-12, delta)
-        above = sixround_dr._split_residual(variant, eta + 1e-12, delta)
+        certify, residuals = sixround_dr.certify_sign_change, []
+
+        def guarded(residual, x):
+            with monkeypatch.context() as inside:
+                for module in (sixround_dr, weak_cf):
+                    inside.setattr(module, "alice_opt_cheat", closed_form)
+                residuals.extend(residual(x + step) for step in (-1e-12, 1e-12))
+                certify(residual, x)
+
+        monkeypatch.setattr(sixround_dr, "certify_sign_change", guarded)
+        sol = sixround_dr.solve(variant)
+        delta = alice_opt_cheat(WeakCFParams(P[variant], sol.eta_star)).search_delta
+        below, above = (split_residual(variant, sol.eta_star + step, delta) for step in (-1e-12, 1e-12))
+        assert residuals == [below, above]
         assert below * above < 0.0
         assert 0.5e-12 < abs(below) < 2e-12 and 0.5e-12 < abs(above) < 2e-12
 

@@ -100,7 +100,7 @@ class TestBuildTree:
             tree = strong_dr.build_tree(n)
             for target in range(1, n + 1):
                 take = (n + 1) // 2 if target <= (n + 1) // 2 else n // 2
-                assert strong_dr._path_widths(tree, target)[0] == (take, n)
+                assert strong_dr.path_to(tree, target)[0] == Fraction(take, n)
 
     def test_too_small(self):
         with pytest.raises(ParameterRangeError):
@@ -132,7 +132,8 @@ class TestBuildTree:
         assert type(strong_dr.build_tree(np.int64(7)).width) is int
 
     def test_every_path_walks_the_reference_bisection(self):
-        # each edge's (take, w) is the width of the reference child entered and of the node left
+        # each edge's probability is take/w, the width of the reference child
+        # entered over that of the node left; the left child takes ceil(w/2)
         for n in range(2, 301):
             tree = strong_dr.build_tree(n)
             for target in range(1, n + 1):
@@ -141,7 +142,9 @@ class TestBuildTree:
                     child = next(c for c in children if c[0] <= target <= c[1])
                     widths.append((child[1] - child[0] + 1, hi - lo + 1))
                     lo, hi = child
-                assert strong_dr._path_widths(tree, target) == widths, (n, target)
+                path = strong_dr.path_to(tree, target)
+                assert len(path) == len(widths), (n, target)
+                assert all(f.numerator * w == take * f.denominator for f, (take, w) in zip(path, widths)), (n, target)
 
     def test_a_node_is_only_its_width(self):
         tree = strong_dr.build_tree(3)

@@ -8,7 +8,7 @@ from math import inf, nextafter, sqrt
 import numpy as np
 import pytest
 
-from conftest import param_grid, payoff
+from conftest import WIN_SECTOR, param_grid, payoff, preparation
 from qdice import cli, weak_cf
 from qdice import quantum_core as qc
 from qdice.errors import CrossCheckError, ParameterRangeError
@@ -20,9 +20,28 @@ FAIR_ETA = (S2 - 1) / 2
 
 
 def numeric_cheat(params):
-    """The numeric route alone: the search's maximum of the raw objective,
-    which `alice_opt_cheat` checks its closed form against."""
-    return maximize_unimodal(weak_cf._objective(*weak_cf._objective_coeffs(params)))[1]
+    """The numeric route alone: the search's maximum of the raw objective at
+    each split, which `alice_opt_cheat` checks its closed form against."""
+    return maximize_unimodal(lambda delta: weak_cf.alice_split_cheat(params, delta))[1]
+
+
+def search_max(params):
+    """The maximum of the search `alice_opt_cheat` runs: the raw objective
+    at the argmax it keeps, as `maximize_unimodal` returns the objective there."""
+    return weak_cf.alice_split_cheat(params, weak_cf.alice_opt_cheat(params).search_delta)
+
+
+def coeffs(params):
+    """(A, B) of Alice's objective (sqrt(A(1-d)) + sqrt(B d))^2 at (p, eta):
+    A = (1-p-eta)/(1-p) and B = eta^2 / ((1-p)(p+eta)), 0 at eta = 0."""
+    p, eta = params.p, params.eta
+    return (1.0 - p - eta) / (1.0 - p), 0.0 if eta == 0.0 else eta**2 / ((1.0 - p) * (p + eta))
+
+
+def balanced_residual(eta):
+    """P_A* - P_B* of the balanced protocol at eta, from the closed form A + B."""
+    params = WeakCFParams(0.5, eta)
+    return weak_cf.alice_opt_cheat(params).p_alice_star - weak_cf.bob_opt_cheat(params)
 
 
 class TestParams:
@@ -85,7 +104,7 @@ class TestHonestRun:
             weak_cf.rotation_unitary(params),
             qc.tensor(weak_cf.initial_state(params), qc.basis_state((2,), ("q3",), (DOWN,))),
         )
-        expected = qc.subspace_probability(psi1, weak_cf._WIN_SECTOR)
+        expected = qc.subspace_probability(psi1, WIN_SECTOR)
         calls = []
         original = qc.subspace_probability
         monkeypatch.setattr(qc, "subspace_probability", lambda *a: calls.append(a) or original(*a))
@@ -130,12 +149,12 @@ class TestAliceOptCheat:
 
     def test_numeric_route_agrees_with_closed_form_on_sweep(self):
         for params in param_grid(10, 10):
-            a, b = weak_cf._objective_coeffs(params)
-            argmax, numeric = maximize_unimodal(weak_cf._objective(a, b))
-            assert abs(numeric - (a + b)) <= 1e-12
+            argmax, numeric = maximize_unimodal(lambda delta: weak_cf.alice_split_cheat(params, delta))
+            closed = weak_cf.alice_opt_cheat(params)
+            assert abs(numeric - closed.p_alice_star) <= 1e-12
             # the production path re-runs this cross-check, raises on failure
             # and keeps the search's argmax
-            assert weak_cf.alice_opt_cheat(params).search_delta == argmax
+            assert closed.search_delta == argmax
 
     def test_numeric_route_agrees_with_closed_form_on_seeded_draws(self):
         # the edges included: p near 0 and 1, eta at 0, at its cap and subnormal;
@@ -148,8 +167,8 @@ class TestAliceOptCheat:
             if k % 7 == 0:
                 eta = float(rng.uniform(0.0, 1e-10)) * (1.0 - p)
             params = WeakCFParams(p, eta)
-            a, b = weak_cf._objective_coeffs(params)
-            assert abs(numeric_cheat(params) - (a + b)) <= 1e-12, (p, eta)
+            a, b = coeffs(params)
+            assert abs(search_max(params) - (a + b)) <= 1e-12, (p, eta)
 
     @pytest.mark.parametrize("p", [0.0, 1e-300, 0.1, 1 / 3, 0.5, 0.9, 1.0 - 1e-9])
     def test_eta_zero_numeric_cheat_is_exactly_one(self, p):
@@ -174,35 +193,31 @@ class TestAliceOptCheat:
     def reference_objective(a, b, delta):
         return (np.sqrt(a * (1.0 - delta)) + np.sqrt(b * delta)) ** 2
 
-    @pytest.mark.parametrize(
-        "a, b",
-        [(0.7, 0.2), (0.5, 0.5), (1.0, 0.0), (0.0, 0.3), (0.0, 0.0), *[
-            weak_cf._objective_coeffs(params) for params in param_grid(3, 3)
-        ]],
-    )
-    def test_scalar_objective_is_the_reference_formula_bit_for_bit(self, a, b):
+    # A = 1 and B = 0 (eta = 0), A = 0 (eta = 1 - p), p = 0, A within an
+    # ulp of 0, and p within 1e-9 of 1
+    EDGES = [WeakCFParams(0.3, 0.0), WeakCFParams(0.7, 0.3), WeakCFParams(0.0, 0.6),
+             WeakCFParams(0.0, 1.0), WeakCFParams(0.5, nextafter(0.5, 0.0)), WeakCFParams(1.0 - 1e-9, 5e-10)]
+
+    @pytest.mark.parametrize("params", [*EDGES, *param_grid(3, 3)])
+    def test_split_cheat_is_the_reference_formula_bit_for_bit(self, params):
+        a, b = coeffs(params)
         deltas = np.concatenate([np.linspace(0.0, 1.0, 2001), [1e-300, 5e-324, 1.0 - 2**-53]])
         want = self.reference_objective(a, b, deltas).tolist()
-        objective = weak_cf._objective(a, b)
-        got = [objective(d) for d in deltas.tolist()]
+        got = [weak_cf.alice_split_cheat(params, d) for d in deltas.tolist()]
         assert all(type(v) is float for v in got)
         assert got == want
-        assert [objective(d) for d in deltas] == want  # np.float64 elements
+        assert [weak_cf.alice_split_cheat(params, d) for d in deltas] == want  # np.float64 elements
 
     @pytest.mark.parametrize("delta", [-0.1, 1.5, float("nan"), float("inf"), -float("inf")])
     def test_out_of_domain_delta_gives_nan(self, delta):
-        objective = weak_cf._objective(*weak_cf._objective_coeffs(WeakCFParams(0.3, 0.25)))
-        assert np.isnan(objective(delta))
-        assert np.isnan(objective(np.float64(delta)))
+        params = WeakCFParams(0.3, 0.25)
+        assert np.isnan(weak_cf.alice_split_cheat(params, delta))
+        assert np.isnan(weak_cf.alice_split_cheat(params, np.float64(delta)))
 
-    @pytest.mark.parametrize(
-        "a, b",
-        [(0.7, 0.2), (1.0, 0.0), (0.0, 0.3), (0.0, 0.0), (1.0, 1.0), (5e-324, 0.5), *[
-            weak_cf._objective_coeffs(params) for params in param_grid(10, 10)
-        ]],
-    )
-    def test_numeric_maximum_agrees_with_the_reference_formula(self, a, b):
-        x, value = maximize_unimodal(weak_cf._objective(a, b))
+    @pytest.mark.parametrize("params", [*EDGES, *param_grid(10, 10)])
+    def test_numeric_maximum_agrees_with_the_reference_formula(self, params):
+        a, b = coeffs(params)
+        x, value = maximize_unimodal(lambda delta: weak_cf.alice_split_cheat(params, delta))
         assert 0.0 <= x <= 1.0 and value == self.reference_objective(a, b, x)
         # Cauchy-Schwarz: the maximum over [0, 1] is A + B
         assert abs(value - (a + b)) <= 1e-12 * max(1.0, a + b)
@@ -210,27 +225,33 @@ class TestAliceOptCheat:
         dense = self.reference_objective(a, b, np.linspace(0.0, 1.0, 2**16 + 1))
         assert value >= float(dense.max()) - 1e-12
 
+    @staticmethod
+    def with_coeffs(monkeypatch, bad):
+        """Make every (A, B) `alice_split_cheat` and the search read the
+        given pair, a None entry keeping its valid value."""
+        coeffs_of = weak_cf._objective_coeffs
+
+        def replaced(params):
+            return tuple(x if y is None else y for x, y in zip(coeffs_of(params), bad))
+
+        monkeypatch.setattr(weak_cf, "_objective_coeffs", replaced)
+
     @pytest.mark.parametrize("a, b", [(float("nan"), 0.3), (0.7, float("nan")), (-0.5, 0.4), (0.6, -0.1)])
-    def test_nan_or_negative_coefficient_gives_nan_everywhere(self, a, b):
-        objective = weak_cf._objective(a, b)
-        assert all(np.isnan(objective(d)) for d in np.linspace(0.0, 1.0, 1001).tolist())
+    def test_nan_or_negative_coefficient_gives_nan_everywhere(self, monkeypatch, a, b):
+        self.with_coeffs(monkeypatch, (a, b))
+        params = WeakCFParams(0.5, 0.2)
+        assert all(np.isnan(weak_cf.alice_split_cheat(params, d)) for d in np.linspace(0.0, 1.0, 1001).tolist())
 
     @pytest.mark.parametrize("which", [0, 1])
     @pytest.mark.parametrize("bad", [float("nan"), -0.5, -5e-324])
     def test_nan_or_negative_coefficient_fails_closed(self, monkeypatch, which, bad):
-        # `_objective` refuses the coefficient once: its function is NaN at
-        # every delta, so the search's maximum is NaN and the cross-check fails
-        coeffs = weak_cf._objective_coeffs
-
-        def with_bad(params):
-            pair = list(coeffs(params))
-            pair[which] = bad
-            return tuple(pair)
-
-        monkeypatch.setattr(weak_cf, "_objective_coeffs", with_bad)
-        assert np.isnan(numeric_cheat(WeakCFParams(0.5, 0.2)))
+        # no valid (p, eta) gives one: the objective is then NaN at every
+        # delta, so the search's maximum is NaN and the cross-check fails
+        self.with_coeffs(monkeypatch, [bad if k == which else None for k in (0, 1)])
+        params = WeakCFParams(0.5, 0.2)
+        assert np.isnan(numeric_cheat(params))
         with pytest.raises(CrossCheckError):
-            weak_cf.alice_opt_cheat(WeakCFParams(0.5, 0.2))
+            weak_cf.alice_opt_cheat(params)
 
     def test_cross_check_fails_closed_on_nan(self, monkeypatch):
         monkeypatch.setattr(weak_cf, "maximize_unimodal", lambda *a, **k: (0.5, float("nan")))
@@ -245,7 +266,7 @@ class TestAliceOptCheat:
         "route, message",
         [
             (weak_cf.alice_opt_cheat, "alice_opt_cheat undefined at p = 1"),
-            # the one check in _objective_coeffs, which both routes pass
+            # the one check that both routes pass
             (numeric_cheat, "alice_opt_cheat undefined at p = 1"),
             (weak_cf.alice_cheat_oracle, "verification state undefined at p = 1"),
         ],
@@ -269,24 +290,19 @@ class TestCrossCheckStrength:
 
     @staticmethod
     def record_objective(monkeypatch, shift=0.0):
-        """Record the objective's probes, shifting every value.
-
-        `_objective(a, b)` checks the coefficients and returns the function
-        the search calls; the spy wraps that function.
-        """
+        """Record the probes of the search `alice_opt_cheat` runs, shifting
+        every value the objective gives it."""
         calls = []
-        objective = weak_cf._objective
+        maximize = weak_cf.maximize_unimodal
 
-        def spy(a, b):
-            f = objective(a, b)
-
+        def spy(f):
             def shifted(delta):
                 calls.append(delta)
                 return f(delta) + shift
 
-            return shifted
+            return maximize(shifted)
 
-        monkeypatch.setattr(weak_cf, "_objective", spy)
+        monkeypatch.setattr(weak_cf, "maximize_unimodal", spy)
         return calls
 
     @pytest.mark.parametrize("params", [WeakCFParams(0.5, FAIR_ETA), WeakCFParams(1 / 3, 0.1462),
@@ -317,9 +333,14 @@ class TestCrossCheckStrength:
 class TestSplitCheat:
     """The raw objective at one split, as the six-round certificate uses it."""
 
-    def test_is_the_raw_objective_at_the_split(self):
+    def test_is_the_raw_objective_at_the_split(self, monkeypatch):
+        # the function `alice_opt_cheat` hands its search, read at each split
+        objectives, maximize = [], weak_cf.maximize_unimodal
+        monkeypatch.setattr(weak_cf, "maximize_unimodal", lambda f: objectives.append(f) or maximize(f))
         for params in param_grid(4, 4):
-            objective = weak_cf._objective(*weak_cf._objective_coeffs(params))
+            objectives.clear()
+            weak_cf.alice_opt_cheat(params)
+            (objective,) = objectives
             for delta in (0.0, 0.25, 0.5, 1.0):
                 assert weak_cf.alice_split_cheat(params, delta) == objective(delta)
 
@@ -337,7 +358,7 @@ class TestSplitCheat:
             for h in (-1e-12, 1e-12, -1e-10, 1e-10):
                 shifted = WeakCFParams(p, eta + h)
                 value = weak_cf.alice_split_cheat(shifted, argmax)
-                assert abs(value - numeric_cheat(shifted)) <= 1e-15, (p, eta, h)
+                assert abs(value - search_max(shifted)) <= 1e-15, (p, eta, h)
 
     def test_oracle_leaves_the_search_argmax_unset(self, capsys):
         params = WeakCFParams(0.5, FAIR_ETA)
@@ -375,7 +396,7 @@ class TestFairEta:
         eta = weak_cf.fair_eta_balanced()
         assert eta == pytest.approx(FAIR_ETA, abs=1e-9)
         assert weak_cf.bob_opt_cheat(WeakCFParams(0.5, eta)) == pytest.approx(1 / S2, abs=1e-9)
-        assert abs(weak_cf._balanced_residual(eta)) < 1e-9
+        assert abs(balanced_residual(eta)) < 1e-9
 
     def test_eta_is_the_correctly_rounded_exact_root(self):
         # eta^2 + eta - 1/4 is increasing on [0, 1/2] and vanishes at
@@ -384,7 +405,7 @@ class TestFairEta:
         eta = weak_cf.fair_eta_balanced()
         assert repr(eta) == "0.20710678118654752"
         assert repr(weak_cf.bob_opt_cheat(WeakCFParams(0.5, eta))) == "0.7071067811865475"
-        assert abs(weak_cf._balanced_residual(eta)) <= 1e-15
+        assert abs(balanced_residual(eta)) <= 1e-15
 
         def cleared(x):
             return x * x + x - Fraction(1, 4)
@@ -395,12 +416,13 @@ class TestFairEta:
 
     def test_float_residual_changes_sign_across_the_root(self):
         eta = weak_cf.fair_eta_balanced()
-        assert weak_cf._balanced_residual(eta - 1e-12) > 0.0 > weak_cf._balanced_residual(eta + 1e-12)
+        assert balanced_residual(eta - 1e-12) > 0.0 > balanced_residual(eta + 1e-12)
 
     @pytest.mark.parametrize("shift", [-1e-11, 1e-11])
     def test_certificate_rejects_a_residual_whose_root_moved(self, monkeypatch, shift):
-        residual = weak_cf._balanced_residual
-        monkeypatch.setattr(weak_cf, "_balanced_residual", lambda eta: residual(eta + shift))
+        # the residual falls with slope about -2, so its root moves by 5e-12
+        bob = weak_cf.bob_opt_cheat
+        monkeypatch.setattr(weak_cf, "bob_opt_cheat", lambda params: bob(params) + shift)
         with pytest.raises(CrossCheckError, match="do not bracket"):
             weak_cf.fair_eta_balanced()
 
@@ -464,19 +486,28 @@ class TestAliceCheatOracle:
                 z = rng.normal(size=4) + 1j * rng.normal(size=4)
                 assert payoff(z / np.linalg.norm(z), params) <= best + 1e-12
 
+    @staticmethod
+    def scale_fail_probs(monkeypatch, factor, rows):
+        """Scale the probabilities that the oracle's one `project_all` of its
+        five rows reports for the given rows (a slice), leaving its post
+        states as they are."""
+        project_all = qc.project_all
+
+        def scaled(states, subspace, inside=True):
+            probs, posts = project_all(states, subspace, inside)
+            assert len(probs) == 5
+            probs[rows] = [p * factor for p in probs[rows]]
+            return probs, posts
+
+        monkeypatch.setattr(qc, "project_all", scaled)
+
     def test_attainment_failure_raises(self, monkeypatch):
         # only row 4, the maximizer's score, is corrupted; rows 0-3 still certify the basis
-        scores = weak_cf._scores
-
-        def corrupted(rotated, xi, bad):
-            *basis, _ = scores(rotated, xi)
-            assert len(basis) == 4
-            return [*basis, bad]
-
-        for bad in (0.5, float("nan")):
-            monkeypatch.setattr(weak_cf, "_scores", lambda rotated, xi, bad=bad: corrupted(rotated, xi, bad))
-            with pytest.raises(CrossCheckError, match="attains"):
-                weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
+        for factor in (0.5, float("nan")):
+            with monkeypatch.context() as patch:
+                self.scale_fail_probs(patch, factor, slice(4, 5))
+                with pytest.raises(CrossCheckError, match="attains"):
+                    weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
 
     @pytest.mark.parametrize("bad", [complex("nan"), complex("inf")])
     def test_non_finite_value_raises_a_cross_check_error(self, monkeypatch, bad):
@@ -486,23 +517,24 @@ class TestAliceCheatOracle:
             weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
 
     def test_the_stacked_maximizer_row_is_its_one_row_pass(self, monkeypatch):
-        # row 4 of the oracle's five-row pass scores the maximizer bit for bit as it scores alone
-        rows, scores = [], weak_cf._scores
+        # row 4 of the oracle's five-row pass is the maximizer pushed through
+        # U alone, and Bob's test fails on it bit for bit as on it alone
+        passes, project_all = [], qc.project_all
 
-        def kept(rotated, xi):
-            out = scores(rotated, xi)
-            rows.append((rotated.amps[-1].tobytes(), out[-1]))
-            return out
+        def kept(states, subspace, inside=True):
+            passes.append((states, project_all(states, subspace, inside)))
+            return passes[-1][1]
 
-        monkeypatch.setattr(weak_cf, "_scores", kept)
+        monkeypatch.setattr(qc, "project_all", kept)
         for params in param_grid(4, 4):
-            rows.clear()
+            passes.clear()
             oracle = weak_cf.alice_cheat_oracle(params)
-            ((image, score),) = rows
-            u = weak_cf.rotation_unitary(params)
-            alone = qc.apply(u, weak_cf._preparation(oracle.maximizer_alphas))
-            assert image == alone.amps.tobytes()
-            assert score.hex() == payoff(oracle.maximizer_alphas, params).hex()
+            ((rows, (probs, posts)),) = passes
+            alone = qc.apply(weak_cf.rotation_unitary(params), preparation(oracle.maximizer_alphas))
+            assert rows.amps[-1].tobytes() == alone.amps.tobytes()
+            (p_fail,), post = project_all(qc.stack([alone]), WIN_SECTOR, inside=False)
+            assert probs[-1] > 0.0 and probs[-1].hex() == p_fail.hex()
+            assert posts.amps[-1].tobytes() == post.amps.tobytes()
 
     def test_basis_certificate_failure_raises(self, monkeypatch):
         # a verification state with support in Bob's win sector breaks the
@@ -520,13 +552,12 @@ class TestAliceCheatOracle:
             weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
 
     def test_basis_certificate_nan_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            weak_cf, "_scores", lambda rotated, xi: [float("nan")] * len(rotated.amps)
-        )
+        # Bob's test can fail on each basis preparation at (0.5, 0.2), so each scores NaN
+        self.scale_fail_probs(monkeypatch, float("nan"), slice(0, 4))
         with pytest.raises(CrossCheckError, match="basis"):
             weak_cf.alice_cheat_oracle(WeakCFParams(0.5, 0.2), grid_resolution=10)
 
-    def test_one_call_builds_the_protocol_once(self, monkeypatch):
+    def test_one_call_builds_the_protocol_once(self, monkeypatch, norm_checks):
         # one rotation and one unitarity check serve both certificates, the
         # fixed basis states are not rebuilt, no basis preparation goes
         # through U twice, and the win sector's orthonormality is not
@@ -535,10 +566,9 @@ class TestAliceCheatOracle:
         # however it is built: xi, the four images that give v (reused as
         # rows 0-3), the maximizer tensor |d>, its image under U, and the
         # five post-test states
-        built, checked, states, sector_checks = [], [], [], []
+        built, checked, sector_checks = [], [], []
         rotation = weak_cf.rotation_unitary
-        unitary_check, state_check = qc.UnitaryOp.__post_init__, qc._check_norm
-        subspace_init = qc.Subspace.__init__
+        unitary_check, subspace_init = qc.UnitaryOp.__post_init__, qc.Subspace.__init__
 
         def counted_subspace(sub, basis):
             sector_checks.append(basis)
@@ -552,41 +582,27 @@ class TestAliceCheatOracle:
             checked.append(op)
             unitary_check(op)
 
-        def counted_state(amps):
-            states.append(amps)
-            state_check(amps)
-
         monkeypatch.setattr(weak_cf, "rotation_unitary", counted_rotation)
         monkeypatch.setattr(qc.UnitaryOp, "__post_init__", counted_unitary)
-        monkeypatch.setattr(qc, "_check_norm", counted_state)
         monkeypatch.setattr(qc.Subspace, "__init__", counted_subspace)
         weak_cf.alice_cheat_oracle(WeakCFParams(0.4, 0.3))
-        # a stack is checked row by row
-        rows = sum(1 if amps.ndim == 1 else len(amps) for amps in states)
+        rows = sum(1 if amps.ndim == 1 else len(amps) for amps in norm_checks)  # a stack's rows each count
         assert (len(built), len(checked), len(sector_checks), rows) == (1, 1, 0, 12)
 
-    def test_one_honest_run_builds_four_or_five_states(self, monkeypatch):
+    def test_one_honest_run_builds_four_or_five_states(self, monkeypatch, norm_checks):
         # psi0, its tensor with the ancilla, the rotated state and the post
         # state; Alice's branch also builds her pass state, Bob's reuses a
         # module-level basis state for his check; each state passes one norm check
-        states = []
-        state_check = qc._check_norm
-
-        def counted_state(amps):
-            states.append(amps)
-            state_check(amps)
-
         params, seeds = WeakCFParams(0.4, 0.3), range(8)
         for seed in seeds:  # both branches once, so cached states are in place
             weak_cf.honest_run(params, seed)
-        monkeypatch.setattr(qc, "_check_norm", counted_state)
         # Bob's win sector and Alice's check of his first qubit were checked when the module built them
         monkeypatch.setattr(qc.Subspace, "__init__", lambda sub, basis: pytest.fail("a basis was checked again"))
         built = {}
         for seed in seeds:
-            states.clear()
+            norm_checks.clear()
             winner, _ = weak_cf.honest_run(params, seed)
-            built.setdefault(winner, set()).add(len(states))
+            built.setdefault(winner, set()).add(len(norm_checks))
         assert built == {"alice": {5}, "bob": {4}}
 
     def test_unfailable_preparation_scores_zero(self):

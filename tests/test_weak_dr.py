@@ -160,18 +160,29 @@ class TestMaxLosingProb:
             with pytest.raises(ParameterRangeError, match=f"^{re.escape(message)}$"):
                 check(spec, party)
 
-    def test_the_stage_chain_is_built_with_the_spec(self, monkeypatch):
-        # every party's float path reads the spec's own chain, never the exact Fraction chain
+    def test_the_stage_chain_is_built_with_the_spec(self, exact_calls):
+        # every party's float path reads the spec's chain of stage factors
+        # fl(fl(k/(k+1)) - delta_k) and its largest bias, never the exact Fraction chain
+        biases = [0.1, 0.2, 0.0, 0.05]
+        spec = TournamentSpec(5, biases)
+        factors = [k / (k + 1) - b for k, b in enumerate(biases, start=1)]
+        for party in range(1, 6):
+            entry = max(party - 1, 1)
+            chain = math.prod(factors[entry:], start=1 / (entry + 1) - biases[entry - 1])
+            assert weak_dr.max_losing_prob(spec, party) == 1.0 - chain
+            assert weak_dr.checked_losing_prob(spec, party)[1].bound == 5 * 0.2
+        # the stages whose bias exceeds k/(k+1), here 2 and 4, are refused by party
         spec = TournamentSpec(5, [0.1, 0.7, 0.0, 0.8])
-        assert spec._factors == [1 / 2 - 0.1, 2 / 3 - 0.7, 3 / 4 - 0.0, 4 / 5 - 0.8]
-        assert (spec._over, spec._delta_max) == ([2, 4], 0.8)
+        for party, stage in ((1, 2), (2, 2), (3, 2), (4, 4), (5, 4)):
+            with pytest.raises(ParameterRangeError, match=f"^stage {stage} bias"):
+                weak_dr.max_losing_prob(spec, party)
         assert spec == TournamentSpec(5, (0.1, 0.7, 0.0, 0.8)) and hash(spec) == hash(TournamentSpec(5, (0.1, 0.7, 0.0, 0.8)))
         assert repr(spec) == "TournamentSpec(n_parties=5, stage_biases=(0.1, 0.7, 0.0, 0.8))"
-        monkeypatch.setattr(weak_dr, "_exact_eps_bar", None)
         for n in (2, 7, 40):
             spec = TournamentSpec(n, [0.01] * (n - 1))
             for party in range(1, n + 1):
                 weak_dr.checked_losing_prob(spec, party)
+        assert exact_calls == []
 
     def test_rejection_is_exact_at_every_stage_boundary(self):
         # the float threshold must reject exactly the biases above the exact
